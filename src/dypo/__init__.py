@@ -44,9 +44,9 @@ from .objectives import (
 )
 from .policy import (
     Context,
-    Gradient,
+    ContextInterner,
     PolicyParams,
-    ReferencePolicy,
+    RowBlock,
     Trajectory,
     kl_to_reference,
     log_prob,

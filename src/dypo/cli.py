@@ -118,7 +118,12 @@ def _cmd_train(args) -> int:
 
 def _load_params(cfg: TrainConfig, checkpoint: str | None):
     if checkpoint:
-        return load_checkpoint(checkpoint).params
+        params = load_checkpoint(checkpoint).params
+        if (params.vocab_size, params.history) != (cfg.task.vocab_size, cfg.history):
+            raise ConfigError(f"checkpoint {checkpoint} has vocab_size={params.vocab_size}, "
+                              f"history={params.history}; the config needs "
+                              f"{cfg.task.vocab_size}, {cfg.history}")
+        return params
     from .trainer import init_policy
 
     return init_policy(cfg, QueryPool(cfg.task, cfg.seed))

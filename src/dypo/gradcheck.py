@@ -1,9 +1,9 @@
 """Central finite-difference certification of every analytic gradient.
 
-The checker perturbs each logit entry of the contexts a loss can touch,
-re-evaluates the loss, and compares the resulting numeric gradient against
-the analytic one. It only ever calls loss evaluation, never the gradient
-code under test.
+The checker perturbs each logit entry of the contexts a loss can touch in
+place, re-evaluates the loss, restores the entry, and compares the resulting
+numeric gradient against the analytic one. It only ever calls loss
+evaluation, never the gradient code under test.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 
 from .objectives import (
     GroupRollout,
+    LossReport,
     MixConfig,
     dypo_step_loss,
     gal_loss_grad,
@@ -22,55 +23,45 @@ from .objectives import (
     sft_loss_grad,
     standardize_advantages,
 )
-from .policy import Context, Gradient, PolicyParams, Trajectory, sample_trajectory
+from .policy import (
+    Context,
+    PolicyParams,
+    RowBlock,
+    Trajectory,
+    group_rows,
+    sample_trajectory,
+    sum_blocks,
+)
 from .seeding import substream
 from .tasks import Query, TaskConfig, generate_query, make_teacher_ensemble, reward, teacher_sample
 
 
 def numerical_gradient(f: Callable[[PolicyParams], float], params: PolicyParams,
-                       contexts: Sequence[Context], eps: float = 1e-5) -> Gradient:
-    """Central differences of f over every (context, token) logit entry."""
-    grad: Gradient = {}
+                       contexts: Sequence[Context],
+                       eps: float = 1e-5) -> dict[Context, np.ndarray]:
+    """Central differences of f over every (context, token) logit entry.
+
+    Each probe perturbs one entry of ``params`` in place and restores it
+    bit-exactly before the next, so ``params`` ends unchanged.
+    """
+    grad: dict[Context, np.ndarray] = {}
     for ctx in contexts:
-        base = params.logits(ctx).copy()
         row = np.zeros(params.vocab_size)
         for tok in range(params.vocab_size):
             for sign in (1.0, -1.0):
-                probe = params.copy()
-                bumped = base.copy()
-                bumped[tok] += sign * eps
-                probe.set_logits(ctx, bumped)
-                row[tok] += sign * f(probe)
+                with params.perturbed(ctx, tok, sign * eps):
+                    row[tok] += sign * f(params)
         grad[ctx] = row / (2.0 * eps)
     return grad
 
 
-def gradient_error(analytic: Gradient, numeric: Gradient) -> float:
-    """Max absolute entry difference, relative to max(1, largest entry)."""
-    contexts = set(analytic) | set(numeric)
-    worst = 0.0
-    scale = 1.0
-    for ctx in contexts:
-        a = analytic.get(ctx)
-        n = numeric.get(ctx)
-        if a is None:
-            a = np.zeros_like(n)
-        if n is None:
-            n = np.zeros_like(a)
-        worst = max(worst, float(np.max(np.abs(a - n))))
-        scale = max(scale, float(np.max(np.abs(a))))
-    return worst / scale
-
-
-def _randomized_params(task: TaskConfig, query: Query, history: int,
-                       rng: np.random.Generator, scale: float) -> PolicyParams:
-    params = PolicyParams(task.vocab_size, history)
-    contexts = [(query.query_id, ())]
-    if history >= 1:
-        contexts += [(query.query_id, (a,)) for a in range(task.vocab_size)]
-    for ctx in contexts:
-        params.set_logits(ctx, rng.normal(0.0, scale, task.vocab_size))
-    return params
+def gradient_error(params: PolicyParams, analytic: RowBlock,
+                   numeric: dict[Context, np.ndarray]) -> float:
+    """Max absolute entry difference, relative to max(1, largest analytic entry)."""
+    probed = RowBlock(params.rows(numeric), np.array(list(numeric.values())))
+    diff = sum_blocks([(1.0, analytic), (-1.0, probed)])
+    worst = float(np.abs(diff.values).max(initial=0.0))
+    return worst / max(1.0, float(np.abs(analytic.values).max(initial=0.0)))
 
 
 def _sample_failures(params: PolicyParams, query: Query, rng: np.random.Generator,
@@ -108,10 +99,13 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     task = task or TaskConfig()
     chain_len = 1 + index % 3
     query = generate_query(task, chain_len, rng, query_id=index)
-    params = _randomized_params(task, query, 1, rng, scale=1.0)
+    contexts = [(query.query_id, ())] + [(query.query_id, (a,)) for a in range(task.vocab_size)]
+    params = PolicyParams(task.vocab_size, 1)
+    for ctx in contexts:
+        params.set_logits(ctx, rng.normal(0.0, 1.0, task.vocab_size))
     ref = params.copy()
-    ref.apply_update({ctx: rng.normal(0.0, 0.02, task.vocab_size) for ctx in params.table},
-                     1.0)
+    ref.apply_update(RowBlock(params.rows(contexts),
+                              rng.normal(0.0, 0.02, (len(contexts), task.vocab_size))), 1.0)
     ref = ref.snapshot()
     teachers = make_teacher_ensemble(task, 1 + index % 3, seed)
     successes = [query.ground_truth, teacher_sample(teachers[0], query, rng)]
@@ -126,32 +120,30 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     group = GroupRollout(query=query, trajectories=tuple(trajs), rewards=rewards,
                          advantages=standardize_advantages(rewards, 1e-4))
     pairs = [(s, f) for s in successes for f in failures][:3]
-    contexts = [(query.query_id, ())] + [(query.query_id, (a,)) for a in range(task.vocab_size)]
     return GradCheckInstance(params=params, ref=ref, query=query, group=group,
                              pairs=pairs, teachers=teachers, contexts=contexts)
 
 
 def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
+    rows, tokens, _ = group_rows(inst.params, inst.query, inst.group.trajectories)
+    delta = inst.params.logp_at(rows, tokens) - inst.ref.logp_at(rows, tokens)
     lo = np.log1p(-cfg.epsilon_clip) + margin
     hi = np.log1p(cfg.epsilon_clip) - margin
-    for traj in inst.group.trajectories:
-        tokens = traj.tokens
-        for t, tok in enumerate(tokens):
-            ctx = (inst.query.query_id, tuple(tokens[max(0, t - 1):t]))
-            delta = inst.params.log_probs(ctx)[tok] - inst.ref.log_probs(ctx)[tok]
-            if not lo < delta < hi:
-                return False
-    return True
+    return bool(np.all((lo < delta) & (delta < hi)))
+
+
+def _certify(inst: GradCheckInstance, loss: Callable[[PolicyParams], LossReport],
+             eps: float) -> float:
+    """Error of the analytic gradient of ``loss`` against central differences."""
+    analytic = loss(inst.params).gradient
+    numeric = numerical_gradient(lambda p: loss(p).loss, inst.params, inst.contexts, eps)
+    return gradient_error(inst.params, analytic, numeric)
 
 
 def check_sft(seed: int, index: int, eps: float = 1e-5) -> float:
     inst = make_instance(seed, index)
-    draw = lambda: substream(seed, "gradcheck-sft", index)
-    report = sft_loss_grad(inst.params, inst.query, inst.teachers, draw())
-    numeric = numerical_gradient(
-        lambda p: sft_loss_grad(p, inst.query, inst.teachers, draw()).loss,
-        inst.params, inst.contexts, eps)
-    return gradient_error(report.gradient, numeric)
+    return _certify(inst, lambda p: sft_loss_grad(
+        p, inst.query, inst.teachers, substream(seed, "gradcheck-sft", index)), eps)
 
 
 def check_grpo(seed: int, index: int, cfg: MixConfig | None = None,
@@ -164,22 +156,14 @@ def check_grpo(seed: int, index: int, cfg: MixConfig | None = None,
         inst = make_instance(seed, index + 10_000 * attempt)
         if _off_clip(inst, cfg, margin=10 * eps):
             break
-    report = grpo_loss_grad(inst.params, inst.ref, inst.group, cfg)
-    numeric = numerical_gradient(
-        lambda p: grpo_loss_grad(p, inst.ref, inst.group, cfg).loss,
-        inst.params, inst.contexts, eps)
-    return gradient_error(report.gradient, numeric)
+    return _certify(inst, lambda p: grpo_loss_grad(p, inst.ref, inst.group, cfg), eps)
 
 
 def check_gal(seed: int, index: int, cfg: MixConfig | None = None,
               eps: float = 1e-5) -> float:
     cfg = cfg or MixConfig()
     inst = make_instance(seed, index)
-    report = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, cfg)
-    numeric = numerical_gradient(
-        lambda p: gal_loss_grad(p, inst.ref, inst.pairs, inst.query, cfg).loss,
-        inst.params, inst.contexts, eps)
-    return gradient_error(report.gradient, numeric)
+    return _certify(inst, lambda p: gal_loss_grad(p, inst.ref, inst.pairs, inst.query, cfg), eps)
 
 
 def check_dypo(seed: int, index: int, cfg: MixConfig | None = None,
@@ -190,14 +174,9 @@ def check_dypo(seed: int, index: int, cfg: MixConfig | None = None,
         inst = make_instance(seed, index + 10_000 * attempt, kind=kind)
         if kind != "mid" or _off_clip(inst, cfg, margin=10 * eps):
             break
-    draw = lambda: substream(seed, "gradcheck-dypo", index)
-    report = dypo_step_loss(inst.params, inst.ref, inst.query, inst.group,
-                            inst.teachers, cfg, draw())
-    numeric = numerical_gradient(
-        lambda p: dypo_step_loss(p, inst.ref, inst.query, inst.group,
-                                 inst.teachers, cfg, draw()).loss,
-        inst.params, inst.contexts, eps)
-    return gradient_error(report.gradient, numeric)
+    return _certify(inst, lambda p: dypo_step_loss(
+        p, inst.ref, inst.query, inst.group, inst.teachers, cfg,
+        substream(seed, "gradcheck-dypo", index)), eps)
 
 
 CHECKS = {

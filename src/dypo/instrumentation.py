@@ -11,12 +11,12 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import BenchError, DataError, InputError
-from .grading import DifficultyGrade, grade
+from .grading import DifficultyGrade
 from .objectives import (
     GroupRollout,
     MixConfig,
@@ -26,7 +26,7 @@ from .objectives import (
     mixed_gradient,
     rollout_group,
 )
-from .policy import Gradient, PolicyParams, grad_dot, grad_sq_norm, sample_trajectory, score
+from .policy import PolicyParams, RowBlock, sample_trajectory, score
 from .tasks import BiasTestbedConfig, Query
 
 
@@ -34,7 +34,7 @@ from .tasks import BiasTestbedConfig, Query
 class VarianceEstimate:
     """Scalar total variance of a gradient estimator with a jackknife SE."""
 
-    mean_gradient: Gradient
+    mean_gradient: RowBlock
     scalar_variance: float
     sample_count: int
     standard_error: float
@@ -61,39 +61,39 @@ METRICS_HEADER = ("step", "mean_reward", "offline_ratio", "mean_entropy",
 _INT_FIELDS = {"step", "easy", "hard", "mid"}
 
 
-def variance_from_samples(samples: Sequence[Gradient]) -> VarianceEstimate:
-    """Mean gradient, unbiased scalar variance, and jackknife standard error."""
+def variance_from_samples(samples: Iterable[RowBlock]) -> VarianceEstimate:
+    """Mean gradient, unbiased scalar variance, and jackknife standard error.
+
+    The row blocks are stacked once and reduced with a few vectorized calls.
+    """
+    samples = list(samples)
     n = len(samples)
     if n < 30:
         raise InputError(f"variance estimation needs >= 30 samples, got {n}")
-    total: Gradient = {}
-    sq_norms = np.empty(n)
-    for i, g in enumerate(samples):
-        sq = 0.0
-        for ctx, vec in g.items():
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"sample {i} contains non-finite gradient entries")
-            row = total.get(ctx)
-            if row is None:
-                total[ctx] = vec.copy()
-            else:
-                row += vec
-            sq += float(np.dot(vec, vec))
-        sq_norms[i] = sq
-    mean = {ctx: vec / n for ctx, vec in total.items()}
-    mean_sq = grad_sq_norm(mean)
-    # ||g_i - gbar||^2 expanded around stored sparse samples
-    deviations = np.maximum(
-        sq_norms - 2.0 * np.array([grad_dot(g, mean) for g in samples]) + mean_sq, 0.0)
+    rows = np.concatenate([g.rows for g in samples])
+    values = np.concatenate([g.values for g in samples])
+    owner = np.repeat(np.arange(n), [len(g.rows) for g in samples])
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = int(owner[np.argmin(finite)])
+        raise DataError(f"sample {bad} contains non-finite gradient entries")
+    uniq, col = np.unique(rows, return_inverse=True)
+    total = np.zeros((len(uniq), values.shape[1]))
+    np.add.at(total, col, values)
+    mean = total / n
+    sq_norms = np.bincount(owner, weights=(values * values).sum(axis=1), minlength=n)
+    dots = np.bincount(owner, weights=(values * mean[col]).sum(axis=1), minlength=n)
+    # ||g_i - gbar||^2 expanded around the stored sparse samples
+    deviations = np.maximum(sq_norms - 2.0 * dots + float((mean * mean).sum()), 0.0)
     ss = float(deviations.sum())
     variance = ss / (n - 1)
     loo = (ss - deviations * n / (n - 1)) / (n - 2)
     se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    return VarianceEstimate(mean_gradient=mean, scalar_variance=variance,
+    return VarianceEstimate(mean_gradient=RowBlock(uniq, mean), scalar_variance=variance,
                             sample_count=n, standard_error=se)
 
 
-def estimate_variance(gradient_sampler: Callable[[np.random.Generator], Gradient],
+def estimate_variance(gradient_sampler: Callable[[np.random.Generator], RowBlock],
                       n_samples: int, rng: np.random.Generator) -> VarianceEstimate:
     """Draw n independent gradient samples at fixed parameters and estimate Var."""
     if n_samples < 30:
@@ -110,7 +110,7 @@ def estimate_score_variance(params: PolicyParams, query: Query, n_samples: int,
     total = 0.0
     for _ in range(n_samples):
         traj = sample_trajectory(params, query, rng, stop_token=stop_token, t_max=t_max)
-        total += grad_sq_norm(score(params, query, traj))
+        total += score(params, query, traj).sq_norm()
     return total / n_samples
 
 
@@ -131,7 +131,7 @@ def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Gen
         attempts += 1
         g = rollout_group(params, draw_query(rng), k, rng, xi=xi,
                           stop_token=stop_token, t_max=t_max)
-        if grade(g.rewards) is DifficultyGrade.MID:
+        if g.grade is DifficultyGrade.MID:
             groups.append(g)
     return groups
 
@@ -178,9 +178,8 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
     groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
                                 stop_token=stop_token, t_max=t_max,
                                 max_attempts=max_attempts)
-    g_grpo: list[Gradient] = []
-    g_gal: list[Gradient] = []
-    g_mix: list[Gradient] = []
+    g_grpo: list[RowBlock] = []
+    g_gal: list[RowBlock] = []
     etas = np.empty(len(groups))
     pair_counts = np.empty(len(groups))
     score_sq_sum = 0.0
@@ -191,12 +190,13 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
         gal = gal_loss_grad(params, ref, pairs, group.query, cfg)
         g_grpo.append(grpo)
         g_gal.append(gal.gradient)
-        g_mix.append(mixed_gradient(grpo, gal.gradient, cfg.alpha))
         etas[i] = gal.aux["eta"]
         pair_counts[i] = gal.aux["pair_count"]
         for traj in group.trajectories:
-            score_sq_sum += grad_sq_norm(score(params, group.query, traj))
+            score_sq_sum += score(params, group.query, traj).sq_norm()
             score_sq_n += 1
+    # the mixture exists only while it is reduced, not for the whole bench
+    g_mix = (mixed_gradient(a, b, cfg.alpha) for a, b in zip(g_grpo, g_gal))
     est = {name: variance_from_samples(samples)
            for name, samples in (("grpo", g_grpo), ("gal", g_gal), ("mix", g_mix))}
     gap = est["grpo"].scalar_variance - est["mix"].scalar_variance

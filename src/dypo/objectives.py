@@ -1,34 +1,35 @@
 """Loss values and exact gradients for every optimization pathway.
 
-Each objective returns a LossReport: scalar loss, sparse gradient over the
-logit table, and named aux scalars. Gradients are exact for the reported
-loss expression, which is what lets finite differences certify all of them.
+Each objective returns a LossReport: scalar loss, exact gradient as a row
+block over the logit table, and named aux scalars. Gradients are exact for
+the reported loss expression, which is what lets finite differences certify
+all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
+from . import grading
 from .errors import ConfigError, InputError, StateError
-from .grading import DifficultyGrade, grade
+from .grading import DifficultyGrade
 from .policy import (
-    Context,
-    Gradient,
     PolicyParams,
+    RowBlock,
     Trajectory,
-    context_at,
-    grad_accumulate,
-    grad_scaled,
+    group_rows,
     kl_gradient,
-    kl_to_reference,
     log_prob,
     sample_group,
     score,
-    visited_contexts,
+    sum_blocks,
+    translate_rows,
+    weighted_score,
 )
 from .tasks import Query, TeacherOracle, reward, teacher_sample
 
@@ -88,13 +89,18 @@ class GroupRollout:
     def k(self) -> int:
         return len(self.trajectories)
 
+    @cached_property
+    def grade(self) -> DifficultyGrade:
+        """Difficulty grade of the reward pattern, computed once per group."""
+        return grading.grade(self.rewards)
+
 
 @dataclass
 class LossReport:
     """Scalar loss plus exact gradient; the unit of all oracle comparisons."""
 
     loss: float
-    gradient: Gradient
+    gradient: RowBlock
     aux: dict = field(default_factory=dict)
 
 
@@ -129,20 +135,9 @@ def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[Teacher
     idx = int(rng.integers(len(teachers)))
     demo = teacher_sample(teachers[idx], query, rng)
     loss = -log_prob(params, query, demo)
-    gradient = grad_scaled(score(params, query, demo), -1.0)
+    gradient = score(params, query, demo).scaled(-1.0)
     return LossReport(loss=loss, gradient=gradient,
                       aux={"teacher_index": float(idx), "demo_len": float(len(demo))})
-
-
-def _token_log_ratios(params: PolicyParams, ref: PolicyParams, query: Query,
-                      traj: Trajectory) -> tuple[list[Context], np.ndarray]:
-    qid = query.query_id
-    ctxs = [context_at(qid, traj.tokens, t, params.history) for t in range(len(traj.tokens))]
-    deltas = np.array([
-        params.log_probs(ctx)[tok] - ref.log_probs(ctx)[tok]
-        for ctx, tok in zip(ctxs, traj.tokens)
-    ])
-    return ctxs, deltas
 
 
 def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
@@ -166,71 +161,46 @@ def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
     if k < 2:
         raise InputError("grpo_loss_grad needs a group of >= 2")
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
-    surrogate = 0.0
-    pg_grad: Gradient = {}
-    ratio_sum = 0.0
-    ratio_count = 0
+    rows, tokens, lengths = group_rows(params, group.query, group.trajectories)
     ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
-    for traj, adv in zip(group.trajectories, group.advantages):
-        ctxs, deltas = _token_log_ratios(params, ratio_ref, group.query, traj)
-        if cfg.ratio_level == "trajectory":
-            rho = float(np.exp(deltas.sum()))
-            unclipped = rho * adv
-            clipped = min(max(rho, lo), hi) * adv
-            surrogate += min(unclipped, clipped)
-            ratio_sum += rho
-            ratio_count += 1
-            if unclipped <= clipped:
-                sc = score(params, group.query, traj)
-                grad_accumulate(pg_grad, sc, adv * rho)
-        else:
-            ratios = np.exp(deltas)
-            unclipped = ratios * adv
-            clipped = np.clip(ratios, lo, hi) * adv
-            surrogate += float(np.minimum(unclipped, clipped).mean())
-            ratio_sum += float(ratios.sum())
-            ratio_count += len(ratios)
-            inv_t = 1.0 / len(ratios)
-            active = unclipped <= clipped
-            for t, (ctx, tok) in enumerate(zip(ctxs, traj.tokens)):
-                if not active[t]:
-                    continue
-                coef = adv * ratios[t] * inv_t
-                row = pg_grad.get(ctx)
-                if row is None:
-                    row = np.zeros(params.vocab_size)
-                    pg_grad[ctx] = row
-                row -= coef * params.probs(ctx)
-                row[tok] += coef
-    contexts = visited_contexts(group.query.query_id, group.trajectories, params.history)
-    kl_value = kl_to_reference(params, ref, contexts)
-    loss = -surrogate / k + cfg.beta_kl * kl_value
-    gradient = grad_scaled(pg_grad, -1.0 / k)
-    if cfg.beta_kl > 0:
-        grad_accumulate(gradient, kl_gradient(params, ref, contexts), cfg.beta_kl)
-    return LossReport(loss=loss, gradient=gradient,
-                      aux={"kl_value": kl_value, "mean_ratio": ratio_sum / ratio_count})
+    deltas = params.logp_at(rows, tokens) - ratio_ref.logp_at(
+        translate_rows(params, ratio_ref, rows), tokens)
+    adv = np.asarray(group.advantages, dtype=np.float64)
+    traj = np.repeat(np.arange(k), lengths)
+    # one ratio per trajectory, or one per token averaged over its trajectory
+    if cfg.ratio_level == "trajectory":
+        ratios = np.exp(np.bincount(traj, weights=deltas, minlength=k))
+        adv_r, norm, to_tokens = adv, 1.0, traj
+    else:
+        ratios = np.exp(deltas)
+        adv_r, norm, to_tokens = adv[traj], 1.0 / lengths[traj], slice(None)
+    unclipped = ratios * adv_r
+    clipped = np.clip(ratios, lo, hi) * adv_r
+    surrogate = float((np.minimum(unclipped, clipped) * norm).sum())
+    coef = np.where(unclipped <= clipped, adv_r * ratios * norm, 0.0)[to_tokens]
+    pg = weighted_score(params, rows, tokens, coef)
+    # both blocks cover exactly the unique visited rows, in the same order
+    kl_value, kl = kl_gradient(params, ref, pg.rows)
+    gradient = RowBlock(pg.rows, (-1.0 / k) * pg.values + cfg.beta_kl * kl.values)
+    return LossReport(loss=-surrogate / k + cfg.beta_kl * kl_value, gradient=gradient,
+                      aux={"kl_value": kl_value, "mean_ratio": float(ratios.mean())})
 
 
-def grpo_policy_gradient(params: PolicyParams, group: GroupRollout) -> Gradient:
+def grpo_policy_gradient(params: PolicyParams, group: GroupRollout) -> RowBlock:
     """Unclipped advantage-weighted score estimator (1/k) sum A_i * score_i.
 
     This is the quantity whose variance the benches measure; it is returned
     separately from grpo_loss_grad so clipping and the KL term never leak
-    into variance measurements.
+    into variance measurements. Trajectories with zero advantage are skipped,
+    so all-zero advantages give an empty block.
     """
     if group.advantages is None:
         raise StateError("group advantages are not populated")
-    grad: Gradient = {}
-    inv_k = 1.0 / group.k
-    for traj, adv in zip(group.trajectories, group.advantages):
-        if adv == 0.0:
-            continue
-        grad_accumulate(grad, score(params, group.query, traj), inv_k * adv)
-    if not grad:
-        # all advantages zero: the estimator is exactly the zero vector
-        return {}
-    return grad
+    rows, tokens, lengths = group_rows(params, group.query, group.trajectories)
+    weights = np.repeat((1.0 / group.k) * np.asarray(group.advantages, dtype=np.float64),
+                        lengths)
+    keep = weights != 0.0
+    return weighted_score(params, rows[keep], tokens[keep], weights[keep])
 
 
 def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator,
@@ -240,7 +210,7 @@ def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator,
     Full Cartesian product when it fits under pair_cap, otherwise a uniform
     random subset of exactly pair_cap distinct pairs.
     """
-    if grade(group.rewards) is not DifficultyGrade.MID:
+    if group.grade is not DifficultyGrade.MID:
         raise StateError("pair construction requires a Mid-graded group")
     if pair_cap < 1:
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
@@ -270,38 +240,24 @@ def gal_loss_grad(params: PolicyParams, ref: PolicyParams,
         if reward(query, win) != 1 or reward(query, lose) != 0:
             raise InputError("each pair must be (reward-1, reward-0) in that order")
     beta = cfg.beta_gal
-    score_cache: dict[tuple[int, ...], Gradient] = {}
-    logr_cache: dict[tuple[int, ...], float] = {}
-
-    def log_ratio(traj: Trajectory) -> float:
-        hit = logr_cache.get(traj.tokens)
-        if hit is None:
-            hit = log_prob(params, query, traj) - log_prob(ref, query, traj)
-            logr_cache[traj.tokens] = hit
-        return hit
-
-    def cached_score(traj: Trajectory) -> Gradient:
-        hit = score_cache.get(traj.tokens)
-        if hit is None:
-            hit = score(params, query, traj)
-            score_cache[traj.tokens] = hit
-        return hit
-
-    loss_total = 0.0
-    gradient: Gradient = {}
-    weights = np.empty(len(pairs))
-    inv_m = 1.0 / len(pairs)
-    for j, (win, lose) in enumerate(pairs):
-        d = log_ratio(win) - log_ratio(lose)
-        loss_total += float(np.logaddexp(0.0, -beta * d))  # -log sigmoid(beta d)
-        w = float(expit(-beta * d))
-        weights[j] = w
-        coef = -beta * w * inv_m
-        grad_accumulate(gradient, cached_score(win), coef)
-        grad_accumulate(gradient, cached_score(lose), -coef)
+    distinct = list({t.tokens: t for pair in pairs for t in pair}.values())
+    n = len(distinct)
+    position = {t.tokens: i for i, t in enumerate(distinct)}
+    win = np.array([position[w.tokens] for w, _ in pairs])
+    lose = np.array([position[f.tokens] for _, f in pairs])
+    rows, tokens, lengths = group_rows(params, query, distinct)
+    traj = np.repeat(np.arange(n), lengths)
+    ref_logp = ref.logp_at(translate_rows(params, ref, rows), tokens)
+    log_ratio = (np.bincount(traj, weights=params.logp_at(rows, tokens), minlength=n)
+                 - np.bincount(traj, weights=ref_logp, minlength=n))
+    d = log_ratio[win] - log_ratio[lose]
+    weights = expit(-beta * d)
+    coef = -beta * weights / len(pairs)
+    traj_coef = np.bincount(win, weights=coef, minlength=n) - np.bincount(
+        lose, weights=coef, minlength=n)
     return LossReport(
-        loss=loss_total * inv_m,
-        gradient=gradient,
+        loss=float(np.logaddexp(0.0, -beta * d).mean()),  # -log sigmoid(beta d)
+        gradient=weighted_score(params, rows, tokens, traj_coef[traj]),
         aux={
             "eta": float(np.mean(weights**2)),
             "pair_count": float(len(pairs)),
@@ -311,12 +267,11 @@ def gal_loss_grad(params: PolicyParams, ref: PolicyParams,
     )
 
 
-def mixed_gradient(g_grpo: Gradient, g_gal: Gradient, alpha: float) -> Gradient:
+def mixed_gradient(g_grpo: RowBlock, g_gal: RowBlock, alpha: float) -> RowBlock:
     """Convex combination alpha * g_grpo + (1 - alpha) * g_gal."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
-    out = grad_scaled(g_grpo, alpha)
-    return grad_accumulate(out, g_gal, 1.0 - alpha)
+    return sum_blocks([(alpha, g_grpo), (1.0 - alpha, g_gal)])
 
 
 def dypo_step_loss(params: PolicyParams, ref: PolicyParams, query: Query,
@@ -328,15 +283,16 @@ def dypo_step_loss(params: PolicyParams, ref: PolicyParams, query: Query,
     gamma-scaled distillation; Mid groups return the alpha-mixture of the
     clipped surrogate and the pairwise alignment loss.
     """
-    g = grade(group.rewards)
+    g = group.grade
     if g is DifficultyGrade.EASY:
-        return LossReport(loss=0.0, gradient={}, aux={"grade": g.value})
+        empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
+        return LossReport(loss=0.0, gradient=empty, aux={"grade": g.value})
     if g is DifficultyGrade.HARD:
         sft = sft_loss_grad(params, query, teachers, rng)
         aux = dict(sft.aux)
         aux["grade"] = g.value
         return LossReport(loss=cfg.gamma * sft.loss,
-                          gradient=grad_scaled(sft.gradient, cfg.gamma), aux=aux)
+                          gradient=sft.gradient.scaled(cfg.gamma), aux=aux)
     pairs = build_pairs(group, cfg.pair_cap, rng)
     grpo = grpo_loss_grad(params, ref, group, cfg)
     gal = gal_loss_grad(params, ref, pairs, query, cfg)

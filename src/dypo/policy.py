@@ -1,16 +1,25 @@
 """Contextual tabular softmax policy with exact log-probabilities and scores.
 
 The policy is a logit table indexed by (query id, last-n generated tokens).
-Absent contexts read as all-zero logits, i.e. a uniform distribution, so the
-table only ever stores contexts that some update actually touched. Because
-the softmax is tabular, every gradient used elsewhere in the package is
-available in closed form and can be checked against finite differences.
+A ``ContextInterner`` maps each context to a row; the logits live in one
+dense ``(rows, V)`` array, with the matching probabilities, log-probabilities
+and sampling cdf refreshed by one vectorized softmax over the rows a write
+touched. Rows a policy has never written read ``default_logits``. Because the
+softmax is tabular, every gradient used elsewhere in the package is available
+in closed form, as a ``RowBlock`` over the rows it touches, and can be checked
+against finite differences.
+
+Sums across rows use ``math.fsum``: row numbers depend on the order contexts
+were first seen, which differs between a run and its resume, and an exactly
+rounded sum keeps resumed runs bit-identical.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,8 +30,10 @@ if TYPE_CHECKING:
 
 # (query_id, history of the last n generated tokens)
 Context = tuple[int, tuple[int, ...]]
-# Sparse d/d(theta) vector: one dense row per touched context.
-Gradient = dict[Context, np.ndarray]
+
+# Resolved token rows are cached per (query id, tokens); the cache is cleared
+# when it reaches this size, which bounds its memory on long benches.
+_TRAJECTORY_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -36,79 +47,217 @@ class Trajectory:
         return len(self.tokens)
 
 
-class PolicyParams:
-    """Logit table plus cached per-context distributions.
+class RowBlock(NamedTuple):
+    """A gradient over the logit table, stored only on the rows it touches.
 
-    Reads (probabilities, log-probabilities, sampling cdf) are cached per
-    context; any mutation drops the cache. The table must therefore be
-    treated as read-only while rollouts or loss evaluations are in flight;
-    updates happen in a single-writer phase.
+    ``rows`` are unique row indices of the policy's interner and ``values[i]``
+    is the gradient of row ``rows[i]``; every other row is zero.
     """
 
-    def __init__(self, vocab_size: int, history: int = 1,
-                 table: dict[Context, np.ndarray] | None = None,
-                 frozen: bool = False,
-                 default_logits: Sequence[float] | None = None):
+    rows: np.ndarray
+    values: np.ndarray
+
+    def scaled(self, scale: float) -> "RowBlock":
+        return RowBlock(self.rows, scale * self.values)
+
+    def sq_norm(self) -> float:
+        return math.fsum((self.values * self.values).ravel())
+
+
+def _unique_inverse(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, return_inverse=True), with about half its call overhead
+    on the small index arrays of one group."""
+    ordered = np.sort(rows)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    uniq = ordered[keep]
+    return uniq, np.searchsorted(uniq, rows)
+
+
+def sum_blocks(terms: Sequence[tuple[float, RowBlock]]) -> RowBlock:
+    """sum_i c_i * block_i over the union of the blocks' rows.
+
+    Each row accumulates its terms in the order given, so the result does
+    not depend on how the interner numbered the rows.
+    """
+    rows = np.concatenate([block.rows for _, block in terms])
+    values = np.concatenate([c * block.values for c, block in terms])
+    uniq, inv = _unique_inverse(rows)
+    out = np.zeros((len(uniq), values.shape[1]))
+    np.add.at(out, inv, values)
+    return RowBlock(uniq, out)
+
+
+class ContextInterner:
+    """Append-only map from context to row, shared by a policy and its copies.
+
+    It also caches the rows and token array of recently resolved
+    trajectories, since each trajectory is scored by several losses.
+    """
+
+    def __init__(self, vocab_size: int, history: int):
+        self.vocab_size = vocab_size
+        self.history = history
+        self.index: dict[Context, int] = {}
+        self.contexts: list[Context] = []
+        self._trajectories: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+    def row(self, ctx: Context) -> int:
+        r = self.index.setdefault(ctx, len(self.contexts))
+        if r == len(self.contexts):
+            self.contexts.append(ctx)
+        return r
+
+    def trajectory(self, query_id: int,
+                   tokens: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(row of each step's context, token array) of one token sequence."""
+        key = (query_id, tokens)
+        hit = self._trajectories.get(key)
+        if hit is None:
+            if len(tokens) == 0:
+                raise InputError("trajectory must be nonempty")
+            for tok in tokens:
+                if not 0 <= tok < self.vocab_size:
+                    raise InputError(f"token {tok} out of range [0, {self.vocab_size})")
+            rows = np.fromiter((self.row(context_at(query_id, tokens, t, self.history))
+                                for t in range(len(tokens))), dtype=np.intp, count=len(tokens))
+            hit = (rows, np.array(tokens, dtype=np.intp))
+            if len(self._trajectories) >= _TRAJECTORY_CACHE:
+                self._trajectories.clear()
+            self._trajectories[key] = hit
+        return hit
+
+
+def _softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # max-shift keeps exp() in range for large logits
+    shifted = x - x.max(axis=1, keepdims=True)
+    expx = np.exp(shifted)
+    total = expx.sum(axis=1, keepdims=True)
+    probs = expx / total
+    return probs, shifted - np.log(total), np.cumsum(probs, axis=1)
+
+
+class PolicyParams:
+    """Dense logit table plus its per-row distributions.
+
+    Every write refreshes the distributions of the rows it touched, so reads
+    are plain array lookups. The table must be treated as read-only while
+    rollouts or loss evaluations are in flight; updates happen in a
+    single-writer phase.
+    """
+
+    _ARRAYS = ("_logits", "_probs", "_logp", "_cdf")
+
+    def __init__(self, vocab_size: int, history: int = 1, frozen: bool = False,
+                 default_logits: Sequence[float] | None = None,
+                 interner: ContextInterner | None = None):
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
         if history < 0:
             raise ConfigError(f"history order must be >= 0, got {history}")
         self.vocab_size = int(vocab_size)
         self.history = int(history)
-        if default_logits is None:
-            self.default_logits = np.zeros(self.vocab_size)
-        else:
-            self.default_logits = np.asarray(default_logits, dtype=np.float64).copy()
-            if self.default_logits.shape != (self.vocab_size,):
-                raise ConfigError("default_logits must have vocab_size entries")
-            if not np.all(np.isfinite(self.default_logits)):
-                raise ConfigError("default_logits entries must be finite")
-        self.table: dict[Context, np.ndarray] = {}
-        if table:
-            for ctx, row in table.items():
-                self.table[ctx] = np.asarray(row, dtype=np.float64).copy()
+        if interner is None:
+            interner = ContextInterner(self.vocab_size, self.history)
+        elif (interner.vocab_size, interner.history) != (self.vocab_size, self.history):
+            raise ConfigError("a shared interner must have the policy's vocabulary and history")
+        self.interner = interner
         self.frozen = frozen
-        self._cache: dict[Context, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._default_dist: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        for name in self._ARRAYS:
+            setattr(self, name, np.empty((0, self.vocab_size)))
+        self._written = np.zeros(0, dtype=bool)
+        self.default_logits = np.zeros(vocab_size) if default_logits is None else default_logits
+
+    # --- storage -------------------------------------------------------------
+
+    @property
+    def default_logits(self) -> np.ndarray:
+        return self._default
+
+    @default_logits.setter
+    def default_logits(self, values: Sequence[float]) -> None:
+        """Logits of every row this policy has not written."""
+        row = np.array(values, dtype=np.float64)
+        if row.shape != (self.vocab_size,):
+            raise ConfigError("default_logits must have vocab_size entries")
+        if not np.all(np.isfinite(row)):
+            raise ConfigError("default_logits entries must be finite")
+        self._default = row
+        self._default_dist = _softmax_rows(row[None, :])
+        self._fill_default(np.flatnonzero(~self._written))
+
+    def _fill_default(self, rows) -> None:
+        self._logits[rows] = self._default
+        for arr, dist in zip((self._probs, self._logp, self._cdf), self._default_dist):
+            arr[rows] = dist
+
+    def _fit(self) -> None:
+        """Grow the arrays, by doubling, to cover every interned row."""
+        have = len(self._written)
+        need = len(self.interner.contexts)
+        if need <= have:
+            return
+        cap = max(need, 2 * have, 16)
+        for name in self._ARRAYS:
+            grown = np.empty((cap, self.vocab_size))
+            grown[:have] = getattr(self, name)
+            setattr(self, name, grown)
+        self._written = np.concatenate([self._written, np.zeros(cap - have, dtype=bool)])
+        self._fill_default(slice(have, cap))
+
+    def _refresh(self, rows) -> None:
+        self._probs[rows], self._logp[rows], self._cdf[rows] = _softmax_rows(self._logits[rows])
+
+    def row(self, ctx: Context) -> int:
+        r = self.interner.row(ctx)
+        self._fit()
+        return r
+
+    def rows(self, contexts: Iterable[Context]) -> np.ndarray:
+        out = np.fromiter((self.interner.row(ctx) for ctx in contexts), dtype=np.intp)
+        self._fit()
+        return out
+
+    def trajectory_rows(self, query_id: int,
+                        tokens: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(row of each step's context, token array) of one token sequence."""
+        hit = self.interner.trajectory(query_id, tokens)
+        self._fit()
+        return hit
+
+    def written_contexts(self) -> list[Context]:
+        """Contexts this policy has written, in row order."""
+        return [self.interner.contexts[r] for r in np.flatnonzero(self._written)]
+
+    # --- reads ---------------------------------------------------------------
 
     def logits(self, ctx: Context) -> np.ndarray:
-        row = self.table.get(ctx)
-        if row is None:
-            return self.default_logits
-        return row
+        r = self.interner.index.get(ctx)
+        if r is None or r >= len(self._written):
+            return self._default
+        return self._logits[r]
 
-    @staticmethod
-    def _softmax_triplet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # max-shift keeps exp() in range for large logits
-        shifted = x - x.max()
-        expx = np.exp(shifted)
-        total = expx.sum()
-        probs = expx / total
-        logp = shifted - np.log(total)
-        return probs, logp, np.cumsum(probs)
-
-    def _dist(self, ctx: Context) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        row = self.table.get(ctx)
-        if row is None:
-            # unmaterialized contexts all share the default distribution
-            if self._default_dist is None:
-                self._default_dist = self._softmax_triplet(self.default_logits)
-            return self._default_dist
-        hit = self._cache.get(ctx)
-        if hit is not None:
-            return hit
-        entry = self._softmax_triplet(row)
-        self._cache[ctx] = entry
-        return entry
+    # row() may grow the arrays, so it runs before the array is read
 
     def probs(self, ctx: Context) -> np.ndarray:
-        return self._dist(ctx)[0]
+        r = self.row(ctx)
+        return self._probs[r]
 
     def log_probs(self, ctx: Context) -> np.ndarray:
-        return self._dist(ctx)[1]
+        r = self.row(ctx)
+        return self._logp[r]
 
     def sampling_cdf(self, ctx: Context) -> np.ndarray:
-        return self._dist(ctx)[2]
+        r = self.row(ctx)
+        return self._cdf[r]
+
+    def logp_at(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """log pi(tokens[i] | rows[i]) for every i."""
+        self._fit()
+        return self._logp[rows, tokens]
+
+    # --- writes --------------------------------------------------------------
 
     def set_logits(self, ctx: Context, values: Sequence[float]) -> None:
         if self.frozen:
@@ -118,24 +267,45 @@ class PolicyParams:
             raise InputError(f"logit row must have shape ({self.vocab_size},), got {row.shape}")
         if not np.all(np.isfinite(row)):
             raise InputError("logit entries must be finite")
-        self.table[ctx] = row.copy()
-        self._cache.pop(ctx, None)
+        r = self.row(ctx)
+        self._logits[r] = row
+        self._written[r] = True
+        self._refresh(slice(r, r + 1))
 
-    def apply_update(self, grad: Gradient, scale: float) -> None:
-        """theta[ctx] += scale * grad[ctx] for every context in grad."""
+    def apply_update(self, grad: RowBlock, scale: float) -> None:
+        """theta[row] += scale * grad[row] for every row in grad."""
         if self.frozen:
             raise StateError("cannot mutate a frozen policy snapshot")
-        for ctx, vec in grad.items():
-            row = self.table.get(ctx)
-            if row is None:
-                row = self.default_logits.copy()
-                self.table[ctx] = row
-            row += scale * vec
-            self._cache.pop(ctx, None)
+        self._fit()
+        self._logits[grad.rows] += scale * grad.values
+        self._written[grad.rows] = True
+        self._refresh(grad.rows)
+
+    @contextmanager
+    def perturbed(self, ctx: Context, tok: int, delta: float) -> Iterator["PolicyParams"]:
+        """Add ``delta`` to one logit inside the block; the row is restored
+        bit-exactly on exit. This is the finite-difference probe."""
+        if self.frozen:
+            raise StateError("cannot mutate a frozen policy snapshot")
+        r = self.row(ctx)
+        saved = self._logits[r, tok]
+        self._logits[r, tok] = saved + delta
+        self._refresh(slice(r, r + 1))
+        try:
+            yield self
+        finally:
+            self._logits[r, tok] = saved
+            self._refresh(slice(r, r + 1))
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.vocab_size, self.history, self.table, frozen=False,
-                            default_logits=self.default_logits)
+        """Unfrozen copy sharing this policy's interner; it holds only the used rows."""
+        out = PolicyParams.__new__(PolicyParams)
+        out.__dict__.update(self.__dict__)
+        used = len(self.interner.contexts)
+        for name in self._ARRAYS + ("_written",):
+            setattr(out, name, getattr(self, name)[:used].copy())
+        out.frozen = False
+        return out
 
     def snapshot(self) -> "PolicyParams":
         """Frozen copy; log-probs under it are bit-identical across calls."""
@@ -144,8 +314,12 @@ class PolicyParams:
         return snap
 
 
-# A reference policy is just a frozen parameter snapshot.
-ReferencePolicy = PolicyParams
+def translate_rows(params: PolicyParams, other: PolicyParams, rows: np.ndarray) -> np.ndarray:
+    """The rows of ``other`` holding the contexts of ``params``' rows."""
+    if other.interner is params.interner:
+        other._fit()
+        return rows
+    return other.rows(params.interner.contexts[r] for r in rows)
 
 
 def context_at(query_id: int, tokens: Sequence[int], t: int, history: int) -> Context:
@@ -158,54 +332,41 @@ def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Co
     return [context_at(query_id, tokens, t, history) for t in range(len(tokens))]
 
 
-def visited_contexts(query_id: int, trajectories: Iterable[Trajectory],
-                     history: int) -> list[Context]:
-    """Unique step contexts of a trajectory collection, in first-visit order."""
-    seen: dict[Context, None] = {}
-    for traj in trajectories:
-        for ctx in step_contexts(query_id, traj.tokens, history):
-            seen.setdefault(ctx)
-    return list(seen)
+def group_rows(params: PolicyParams, query: "Query",
+               trajectories: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, tokens, lengths) of a trajectory collection, concatenated in order."""
+    parts = [params.trajectory_rows(query.query_id, traj.tokens) for traj in trajectories]
+    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
+            np.array([len(p[0]) for p in parts]))
 
 
-def _check_tokens(params: PolicyParams, traj: Trajectory) -> None:
-    if len(traj.tokens) == 0:
-        raise InputError("trajectory must be nonempty")
-    for tok in traj.tokens:
-        if not 0 <= tok < params.vocab_size:
-            raise InputError(f"token {tok} out of range [0, {params.vocab_size})")
+def weighted_score(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
+                   weights: np.ndarray) -> RowBlock:
+    """sum_t weights[t] * (onehot(tokens[t]) - pi(. | rows[t])), gathered by row.
+
+    The block's rows are exactly the unique given rows, in sorted order.
+    """
+    uniq, inv = _unique_inverse(rows)
+    v = params.vocab_size
+    hits = np.bincount(inv * v + tokens, weights=weights, minlength=len(uniq) * v)
+    mass = np.bincount(inv, weights=weights, minlength=len(uniq))
+    return RowBlock(uniq, hits.reshape(-1, v) - mass[:, None] * params._probs[uniq])
 
 
 def log_prob(params: PolicyParams, query: "Query", traj: Trajectory) -> float:
     """Autoregressive log-probability of ``traj`` given the query, in nats."""
-    _check_tokens(params, traj)
-    qid = query.query_id
-    total = 0.0
-    for t, tok in enumerate(traj.tokens):
-        ctx = context_at(qid, traj.tokens, t, params.history)
-        total += params.log_probs(ctx)[tok]
-    return total
+    rows, tokens = params.trajectory_rows(query.query_id, traj.tokens)
+    return float(params.logp_at(rows, tokens).sum())
 
 
-def score(params: PolicyParams, query: "Query", traj: Trajectory) -> Gradient:
+def score(params: PolicyParams, query: "Query", traj: Trajectory) -> RowBlock:
     """Exact gradient of log_prob w.r.t. the logit table.
 
     Per visited context the softmax score is 1{a = a_t} - pi(a | ctx),
     accumulated over the steps that hit that context.
     """
-    _check_tokens(params, traj)
-    qid = query.query_id
-    grad: Gradient = {}
-    for t, tok in enumerate(traj.tokens):
-        ctx = context_at(qid, traj.tokens, t, params.history)
-        row = grad.get(ctx)
-        if row is None:
-            row = -params.probs(ctx).copy()
-            grad[ctx] = row
-        else:
-            row -= params.probs(ctx)
-        row[tok] += 1.0
-    return grad
+    rows, tokens = params.trajectory_rows(query.query_id, traj.tokens)
+    return weighted_score(params, rows, tokens, np.ones(len(rows)))
 
 
 def sample_trajectory(params: PolicyParams, query: "Query", rng: np.random.Generator,
@@ -239,88 +400,30 @@ def sample_group(params: PolicyParams, query: "Query", k: int, rng: np.random.Ge
             for _ in range(k)]
 
 
-def mean_step_entropy(params: PolicyParams, contexts: Iterable[Context]) -> float:
-    """Mean categorical entropy (nats) over the unique given contexts."""
-    seen: dict[Context, None] = {}
-    for ctx in contexts:
-        seen.setdefault(ctx)
-    if not seen:
+def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
+    """Mean categorical entropy (nats) over the unique given rows."""
+    rows = np.unique(rows)
+    if rows.size == 0:
         raise InputError("mean_step_entropy needs at least one visited context")
-    total = 0.0
-    for ctx in seen:
-        probs, logp, _ = params._dist(ctx)
-        total -= float(np.dot(probs, logp))
-    return total / len(seen)
-
-
-def kl_to_reference(params: PolicyParams, ref: PolicyParams,
-                    contexts: Iterable[Context]) -> float:
-    """Mean exact KL(pi_theta || pi_ref) over the unique given contexts."""
-    if (params.vocab_size, params.history) != (ref.vocab_size, ref.history):
-        raise ConfigError("policy and reference differ in vocabulary or history order")
-    seen: dict[Context, None] = {}
-    for ctx in contexts:
-        seen.setdefault(ctx)
-    if not seen:
-        raise InputError("kl_to_reference needs at least one visited context")
-    total = 0.0
-    for ctx in seen:
-        probs, logp, _ = params._dist(ctx)
-        total += float(np.dot(probs, logp - ref.log_probs(ctx)))
-    return total / len(seen)
+    ent = -(params._probs[rows] * params._logp[rows]).sum(axis=1)
+    return math.fsum(ent) / len(rows)
 
 
 def kl_gradient(params: PolicyParams, ref: PolicyParams,
-                contexts: Sequence[Context]) -> Gradient:
-    """Exact gradient of kl_to_reference over the same unique-context mean."""
-    seen: dict[Context, None] = {}
-    for ctx in contexts:
-        seen.setdefault(ctx)
-    grad: Gradient = {}
-    inv = 1.0 / len(seen)
-    for ctx in seen:
-        probs, logp, _ = params._dist(ctx)
-        diff = logp - ref.log_probs(ctx)
-        kl = float(np.dot(probs, diff))
-        grad[ctx] = inv * probs * (diff - kl)
-    return grad
+                rows: np.ndarray) -> tuple[float, RowBlock]:
+    """Mean exact KL(pi_theta || pi_ref) over the given unique rows, and its gradient."""
+    if (params.vocab_size, params.history) != (ref.vocab_size, ref.history):
+        raise ConfigError("policy and reference differ in vocabulary or history order")
+    if rows.size == 0:
+        raise InputError("kl_to_reference needs at least one visited context")
+    ref_rows = translate_rows(params, ref, rows)
+    probs = params._probs[rows]
+    diff = params._logp[rows] - ref._logp[ref_rows]
+    kl = (probs * diff).sum(axis=1)
+    inv = 1.0 / len(rows)
+    return math.fsum(kl) * inv, RowBlock(rows, inv * probs * (diff - kl[:, None]))
 
 
-# --- sparse-gradient arithmetic -------------------------------------------
-
-def grad_accumulate(into: Gradient, grad: Gradient, scale: float = 1.0) -> Gradient:
-    """into += scale * grad, in place; returns into."""
-    for ctx, vec in grad.items():
-        row = into.get(ctx)
-        if row is None:
-            into[ctx] = scale * vec.copy() if scale != 1.0 else vec.copy()
-        else:
-            row += scale * vec
-    return into
-
-
-def grad_scaled(grad: Gradient, scale: float) -> Gradient:
-    return {ctx: scale * vec for ctx, vec in grad.items()}
-
-
-def grad_dot(a: Gradient, b: Gradient) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    total = 0.0
-    for ctx, vec in a.items():
-        other = b.get(ctx)
-        if other is not None:
-            total += float(np.dot(vec, other))
-    return total
-
-
-def grad_sq_norm(grad: Gradient) -> float:
-    return sum(float(np.dot(vec, vec)) for vec in grad.values())
-
-
-def grad_norm(grad: Gradient) -> float:
-    return float(np.sqrt(grad_sq_norm(grad)))
-
-
-def grad_is_finite(grad: Gradient) -> bool:
-    return all(np.all(np.isfinite(vec)) for vec in grad.values())
+def kl_to_reference(params: PolicyParams, ref: PolicyParams, rows: np.ndarray) -> float:
+    """Mean exact KL(pi_theta || pi_ref) over the unique given rows."""
+    return kl_gradient(params, ref, np.unique(rows))[0]

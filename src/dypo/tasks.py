@@ -173,11 +173,15 @@ def make_teacher_ensemble(cfg: TaskConfig, m: int, seed: int) -> list[TeacherOra
 
 
 def max_demo_len(cfg: TaskConfig, m: int) -> int:
-    """Upper bound on teacher demonstration length for ensemble size m."""
+    """Exact length of the longest demonstration the first m teachers can emit.
+
+    Teacher i writes an optional start value (odd i), each of the longest
+    chain's intermediates 1 + i % 3 times, i // 6 extra tail repeats, one
+    echo token, then separator, answer and stop; see teacher_sample.
+    """
     inter = cfg.max_chain_len - 1
-    rep = min(3, max(1, m))  # rep cycles over 1..3 with teacher_id
-    extra_tail = max(0, (m - 1) // 6)
-    return 1 + inter * 3 + extra_tail + 1 + 3 if m > 1 else 1 + inter + 1 + 3
+    return max(i % 2 + inter * (1 + i % 3) + (i // 6 if inter else 0) + 1 + 3
+               for i in range(m))
 
 
 def uniform_guess_rate(vocab_size: int, t_max: int) -> float:

@@ -5,22 +5,23 @@ trajectories per query, grades each group, dispatches per-query losses by
 variant, averages gradients over dispatched queries, and applies a single
 plain gradient-descent update. All randomness is derived from named
 substreams of (seed, step, query-index), so a run is replayable from any
-checkpoint and a concurrent reduction can only differ by float reassociation.
+checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainingAborted
-from .grading import DifficultyGrade, grade
+from .errors import ConfigError, DataError, TrainingAborted
+from .grading import DifficultyGrade
 from .instrumentation import StepMetrics, write_metrics
 from .objectives import (
     GroupRollout,
@@ -31,16 +32,7 @@ from .objectives import (
     rollout_group,
     sft_loss_grad,
 )
-from .policy import (
-    Gradient,
-    PolicyParams,
-    grad_accumulate,
-    grad_is_finite,
-    grad_norm,
-    grad_scaled,
-    mean_step_entropy,
-    visited_contexts,
-)
+from .policy import ContextInterner, PolicyParams, group_rows, mean_step_entropy, sum_blocks
 from .seeding import substream
 from .tasks import (
     BiasTestbedConfig,
@@ -71,7 +63,6 @@ class TrainConfig:
     history: int = 1
     init_syntax_logit: float = 2.0
     variant: str = "dypo"
-    execution: str = "sequential"
     mix: MixConfig = field(default_factory=MixConfig)
     task: TaskConfig = field(default_factory=TaskConfig)
     testbed: BiasTestbedConfig = field(default_factory=default_testbed)
@@ -95,8 +86,6 @@ class TrainConfig:
             raise ConfigError("init_syntax_logit must be >= 0")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.execution not in ("sequential", "threads"):
-            raise ConfigError(f"execution must be 'sequential' or 'threads', got {self.execution!r}")
         if self.t_max < self.task.max_chain_len + 2:
             raise ConfigError("t_max too small for the longest ground truth")
         if self.t_max < max_demo_len(self.task, self.m_teachers):
@@ -111,7 +100,7 @@ _TASK_KEYS = ("family", "modulus", "min_chain_len", "max_chain_len", "pool_size"
 _TESTBED_KEYS = ("dim", "b_sys", "sigma_bias", "tau_star")
 _TOP_KEYS = ("seed", "steps", "batch_size", "k", "learning_rate", "m_teachers",
              "ref_refresh_period", "t_max", "history", "init_syntax_logit",
-             "variant", "execution", "mix", "task", "testbed")
+             "variant", "mix", "task", "testbed")
 
 
 def _pick(data: dict, allowed: Sequence[str], prefix: str) -> dict:
@@ -241,16 +230,23 @@ def _params_to_dict(params: PolicyParams) -> dict:
         "vocab_size": params.vocab_size,
         "history": params.history,
         "default_logits": [float(x) for x in params.default_logits],
-        "table": [[ctx[0], list(ctx[1]), [float(x) for x in row]]
-                  for ctx, row in params.table.items()],
+        "table": [[ctx[0], list(ctx[1]), [float(x) for x in params.logits(ctx)]]
+                  for ctx in params.written_contexts()],
     }
 
 
-def _params_from_dict(data: dict, frozen: bool = False) -> PolicyParams:
-    params = PolicyParams(int(data["vocab_size"]), int(data["history"]),
+def _params_from_dict(data: dict, config: TrainConfig, frozen: bool = False,
+                      interner: ContextInterner | None = None) -> PolicyParams:
+    vocab, history = config.task.vocab_size, config.history
+    if (data["vocab_size"], data["history"]) != (vocab, history):
+        raise ConfigError(f"checkpoint policy has vocab_size={data['vocab_size']!r}, "
+                          f"history={data['history']!r}; its config needs {vocab}, {history}")
+    params = PolicyParams(vocab, history, interner=interner,
                           default_logits=data.get("default_logits"))
     for qid, hist, row in data["table"]:
-        params.table[(int(qid), tuple(int(h) for h in hist))] = np.asarray(row, dtype=np.float64)
+        if len(hist) > history:
+            raise ValueError(f"context {hist} is longer than history={history}")
+        params.set_logits((int(qid), tuple(int(t) for t in hist)), row)
     params.frozen = frozen
     return params
 
@@ -264,24 +260,46 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "metrics": [vars(m) for m in ckpt.metrics],
         "config": train_config_to_dict(ckpt.config),
     }
-    Path(path).write_text(json.dumps(doc) + "\n")
+    # write then rename, so a reader never sees a partial file
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    tmp.write_text(json.dumps(doc) + "\n")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    doc = json.loads(Path(path).read_text())
-    return Checkpoint(
-        step=int(doc["step"]),
-        params=_params_from_dict(doc["params"]),
-        ref=_params_from_dict(doc["ref"], frozen=True),
-        rng_state=doc["rng_state"],
-        metrics=[StepMetrics(**row) for row in doc["metrics"]],
-        config=train_config_from_dict(doc["config"]),
-    )
+    """Read and validate a checkpoint.
+
+    A missing, truncated or malformed file raises DataError; a config that
+    is invalid or disagrees with the stored policies raises ConfigError.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"checkpoint {path} is not valid JSON (truncated?): {exc}") from exc
+    try:
+        config = train_config_from_dict(doc["config"])
+        params = _params_from_dict(doc["params"], config)
+        return Checkpoint(
+            step=int(doc["step"]),
+            params=params,
+            ref=_params_from_dict(doc["ref"], config, frozen=True, interner=params.interner),
+            rng_state=doc["rng_state"],
+            metrics=[StepMetrics(**row) for row in doc["metrics"]],
+            config=config,
+        )
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise DataError(f"checkpoint {path} is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # InputError from set_logits included
+        raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
 
 
 def _query_report(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
                   pool: QueryPool, teachers, step: int, j: int,
-                  query_index: int) -> tuple[int, GroupRollout, LossReport]:
+                  query_index: int) -> tuple[GroupRollout, LossReport]:
     query = pool.queries[query_index]
     roll_rng = substream(config.seed, "rollout", step, j)
     obj_rng = substream(config.seed, "objective", step, j)
@@ -292,12 +310,16 @@ def _query_report(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
     elif config.variant == "sft_only":
         sft = sft_loss_grad(params, query, teachers, obj_rng)
         report = LossReport(loss=config.mix.gamma * sft.loss,
-                            gradient=grad_scaled(sft.gradient, config.mix.gamma),
-                            aux=dict(sft.aux, grade=grade(group.rewards).value))
+                            gradient=sft.gradient.scaled(config.mix.gamma),
+                            aux=dict(sft.aux, grade=group.grade.value))
     else:  # grpo_only
         report = grpo_loss_grad(params, ref, group, config.mix)
-        report.aux["grade"] = grade(group.rewards).value
-    return j, group, report
+        report.aux["grade"] = group.grade.value
+    return group, report
+
+
+def _visited_rows(params: PolicyParams, groups: Sequence[GroupRollout]) -> np.ndarray:
+    return np.concatenate([group_rows(params, g.query, g.trajectories)[0] for g in groups])
 
 
 def train(config: TrainConfig, out_dir: str | Path | None = None,
@@ -305,9 +327,9 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
           resume_from: Checkpoint | None = None) -> TrainResult:
     """Run the configured number of steps and return the final checkpoint.
 
-    Deterministic under (config, sequential execution); resuming from a
-    checkpoint continues the identical trajectory because every step draws
-    from substreams named by the step index alone.
+    Deterministic under config; resuming from a checkpoint continues the
+    identical trajectory because every step draws from substreams named by
+    the step index alone.
     """
     pool = QueryPool(config.task, config.seed)
     teachers = make_teacher_ensemble(config.task, config.m_teachers, config.seed)
@@ -334,53 +356,25 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
     for step in range(start, config.steps):
         index_rng = substream(config.seed, "stream", step)
         indices = [int(i) for i in index_rng.integers(len(pool), size=config.batch_size)]
-        jobs = list(enumerate(indices))
-        results: list[tuple[int, GroupRollout, LossReport]] = []
-        if config.execution == "threads" and config.batch_size > 1:
-            with ThreadPoolExecutor(max_workers=min(8, config.batch_size)) as pool_exec:
-                futures = [
-                    pool_exec.submit(_query_report, config, params, ref, pool, teachers,
-                                     step, j, qi)
-                    for j, qi in jobs
-                ]
-                for fut in as_completed(futures):
-                    results.append(fut.result())
-        else:
-            for j, qi in jobs:
-                results.append(_query_report(config, params, ref, pool, teachers, step, j, qi))
+        results = [_query_report(config, params, ref, pool, teachers, step, j, qi)
+                   for j, qi in enumerate(indices)]
 
-        counts = {g: 0 for g in DifficultyGrade}
-        reward_total = 0
-        reward_n = 0
-        entropy_ctxs: dict = {}
-        total_grad: Gradient = {}
-        dispatched = 0
-        loss_sum = 0.0
-        etas: list[float] = []
-        kls: list[float] = []
-        for _, group, report in results:
-            g = grade(group.rewards)
-            counts[g] += 1
-            reward_total += sum(group.rewards)
-            reward_n += group.k
-            for ctx in visited_contexts(group.query.query_id, group.trajectories,
-                                        config.history):
-                entropy_ctxs.setdefault(ctx)
-            include = (config.variant != "dypo") or (g is not DifficultyGrade.EASY)
-            if include:
-                dispatched += 1
-                loss_sum += report.loss
-                grad_accumulate(total_grad, report.gradient)
-            if "eta" in report.aux:
-                etas.append(report.aux["eta"])
-                stats.gal_weight_min = min(stats.gal_weight_min, report.aux["weight_min"])
-                stats.gal_weight_max = max(stats.gal_weight_max, report.aux["weight_max"])
-            if "kl_value" in report.aux:
-                kls.append(report.aux["kl_value"])
+        groups = [group for group, _ in results]
+        counts = Counter(group.grade for group in groups)
+        dispatched = [report for group, report in results
+                      if config.variant != "dypo" or group.grade is not DifficultyGrade.EASY]
+        gal_aux = [report.aux for _, report in results if "eta" in report.aux]
+        kls = [report.aux["kl_value"] for _, report in results if "kl_value" in report.aux]
+        stats.dispatched_queries += len(dispatched)
+        for aux in gal_aux:
+            stats.gal_weight_min = min(stats.gal_weight_min, aux["weight_min"])
+            stats.gal_weight_max = max(stats.gal_weight_max, aux["weight_max"])
 
-        mean_grad = grad_scaled(total_grad, 1.0 / dispatched) if dispatched else {}
-        stats.dispatched_queries += dispatched
-        if not (math.isfinite(loss_sum) and grad_is_finite(mean_grad)):
+        loss_sum = sum(report.loss for report in dispatched)
+        terms = [(1.0, report.gradient) for report in dispatched]
+        mean_grad = sum_blocks(terms).scaled(1.0 / len(terms)) if terms else None
+        if not (math.isfinite(loss_sum)
+                and (mean_grad is None or np.isfinite(mean_grad.values).all())):
             ckpt = _make_checkpoint(step, params, ref, metrics, config)
             if out_path is not None:
                 save_checkpoint(out_path / "abort_checkpoint.json", ckpt)
@@ -388,19 +382,20 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
 
         row = StepMetrics(
             step=step,
-            mean_reward=reward_total / reward_n,
+            mean_reward=sum(sum(g.rewards) for g in groups) / sum(g.k for g in groups),
             offline_ratio=counts[DifficultyGrade.HARD] / config.batch_size,
-            mean_entropy=mean_step_entropy(params, entropy_ctxs),
-            grad_norm=grad_norm(mean_grad),
+            mean_entropy=mean_step_entropy(params, _visited_rows(params, groups)),
+            grad_norm=math.sqrt(mean_grad.sq_norm()) if mean_grad is not None else 0.0,
             easy=counts[DifficultyGrade.EASY],
             hard=counts[DifficultyGrade.HARD],
             mid=counts[DifficultyGrade.MID],
-            eta=float(np.mean(etas)) if etas else 0.0,
+            eta=float(np.mean([aux["eta"] for aux in gal_aux])) if gal_aux else 0.0,
             kl=float(np.mean(kls)) if kls else 0.0,
         )
         metrics.append(row)
 
-        params.apply_update(mean_grad, -config.learning_rate)
+        if mean_grad is not None:
+            params.apply_update(mean_grad, -config.learning_rate)
         if config.ref_refresh_period and (step + 1) % config.ref_refresh_period == 0:
             ref = params.snapshot()
         if (step + 1) in wanted:
@@ -415,10 +410,11 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
 
 def _make_checkpoint(step: int, params: PolicyParams, ref: PolicyParams,
                      metrics: list[StepMetrics], config: TrainConfig) -> Checkpoint:
+    # called only once training has stopped, so the live policies are not copied
     return Checkpoint(
         step=step,
-        params=params.copy(),
-        ref=ref.snapshot(),
+        params=params,
+        ref=ref,
         rng_state={"scheme": "named-substreams-v1", "seed": config.seed, "next_step": step},
         metrics=list(metrics),
         config=config,
@@ -438,21 +434,16 @@ def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
     """Roll out without updating; pass rate counts queries with any success."""
     if n_queries < 1:
         raise ConfigError("evaluate needs n_queries >= 1")
-    passes = 0
     counts = {g.value: 0 for g in DifficultyGrade}
-    entropy_ctxs: dict = {}
-    for _ in range(n_queries):
-        query = pool.draw(rng)
-        group = rollout_group(params, query, k, rng, xi=xi,
-                              stop_token=pool.task.stop, t_max=t_max)
-        counts[grade(group.rewards).value] += 1
-        passes += int(any(group.rewards))
-        for ctx in visited_contexts(query.query_id, group.trajectories, params.history):
-            entropy_ctxs.setdefault(ctx)
+    groups = [rollout_group(params, pool.draw(rng), k, rng, xi=xi,
+                            stop_token=pool.task.stop, t_max=t_max)
+              for _ in range(n_queries)]
+    for group in groups:
+        counts[group.grade.value] += 1
     return EvalReport(
-        pass_rate=passes / n_queries,
+        pass_rate=sum(any(g.rewards) for g in groups) / n_queries,
         grade_counts=counts,
-        mean_entropy=mean_step_entropy(params, entropy_ctxs),
+        mean_entropy=mean_step_entropy(params, _visited_rows(params, groups)),
     )
 
 

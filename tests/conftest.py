@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from dypo.policy import PolicyParams, RowBlock
 from dypo.trainer import TrainConfig, run_comparison, train
 
 ACCEPTANCE_SEED = 1
@@ -25,3 +27,16 @@ def dypo_run(acceptance_config):
 def baseline_runs(acceptance_config):
     """sft_only and grpo_only trained on the identical seeded stream."""
     return run_comparison(acceptance_config, variants=("sft_only", "grpo_only"))
+
+
+def tables_equal(a: PolicyParams, b: PolicyParams) -> bool:
+    """Same written contexts, bit-identical logits and default logits."""
+    written = a.written_contexts()
+    return (set(written) == set(b.written_contexts())
+            and np.array_equal(a.default_logits, b.default_logits)
+            and all(np.array_equal(a.logits(c), b.logits(c)) for c in written))
+
+
+def block_dict(params: PolicyParams, block: RowBlock) -> dict:
+    """A row block keyed by context instead of row."""
+    return {params.interner.contexts[r]: v for r, v in zip(block.rows, block.values)}

@@ -24,7 +24,7 @@ from dypo.objectives import (
 from dypo.seeding import substream
 from dypo.trainer import QueryPool, TrainConfig, train, train_config_to_dict
 
-from conftest import ACCEPTANCE_SEED
+from conftest import ACCEPTANCE_SEED, tables_equal
 
 
 def _announce(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -225,10 +225,7 @@ def test_criterion_10_determinism(tmp_path):
                     resume_from=load_checkpoint(tmp_path / "ckpt.json"))
     same_resume = (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "resumed" / "metrics.csv").read_bytes()
-    theta_a = a.checkpoint.params
-    theta_r = resumed.checkpoint.params
-    same_theta = set(theta_a.table) == set(theta_r.table) and all(
-        np.array_equal(theta_a.table[c], theta_r.table[c]) for c in theta_a.table)
+    same_theta = tables_equal(a.checkpoint.params, resumed.checkpoint.params)
     _announce(10, "identical configs give byte-identical CSVs; resume is bit-exact",
               same_csv and same_resume and same_theta,
               f"csv={same_csv} resume_csv={same_resume} resume_theta={same_theta}")

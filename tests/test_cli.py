@@ -7,6 +7,7 @@ import json
 import pytest
 
 from dypo.cli import main
+from dypo.tasks import TaskConfig
 from dypo.trainer import TrainConfig, train_config_to_dict
 
 
@@ -135,3 +136,38 @@ def test_compare_cli(tmp_path):
     assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
     for variant in ("dypo", "sft_only", "grpo_only"):
         assert (out / f"{variant}_metrics.csv").exists()
+
+
+def test_execution_key_in_config_exits_1(tmp_path, capsys):
+    doc = train_config_to_dict(TrainConfig())
+    doc["execution"] = "threads"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "execution" in capsys.readouterr().err
+
+
+def test_evaluate_bad_checkpoint_exits_2_with_one_line(tmp_path, tiny_config, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"step": 1}))
+    assert main(["evaluate", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(bad), "--groups", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "missing key" in err
+
+
+def test_evaluate_checkpoint_of_another_vocabulary_exits_1(tmp_path, capsys):
+    other = TrainConfig(seed=2, steps=1, task=TaskConfig(modulus=7))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(_write_config(tmp_path, other)),
+                 "--out", str(run)]) == 0
+    assert main(["evaluate", "--config", str(_write_config(tmp_path, TrainConfig(seed=2))),
+                 "--out", str(tmp_path / "o"), "--checkpoint", str(run / "checkpoint.json"),
+                 "--groups", "2"]) == 1
+    assert "vocab_size=11" in capsys.readouterr().err
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / f"cfg-{cfg.task.modulus}.json"
+    path.write_text(json.dumps(train_config_to_dict(cfg)))
+    return path

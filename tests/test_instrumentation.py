@@ -22,7 +22,7 @@ from dypo.instrumentation import (
     write_metrics,
 )
 from dypo.objectives import MixConfig
-from dypo.policy import PolicyParams, grad_sq_norm, score
+from dypo.policy import PolicyParams, RowBlock, score
 from dypo.seeding import substream
 from dypo.tasks import BiasTestbedConfig, TaskConfig, generate_query
 from dypo.trainer import QueryPool, TrainConfig, train
@@ -30,12 +30,17 @@ from dypo.trainer import QueryPool, TrainConfig, train
 CTX = (0, ())
 
 
+def _block(v) -> RowBlock:
+    """A one-row gradient sample on row 0."""
+    return RowBlock(np.array([0]), np.asarray(v, dtype=np.float64)[None, :])
+
+
 def test_variance_constant_sampler_is_zero():
     v = np.array([1.0, -2.0, 3.0])
-    est = estimate_variance(lambda rng: {CTX: v.copy()}, 100, substream(1, "c"))
+    est = estimate_variance(lambda rng: _block(v), 100, substream(1, "c"))
     assert est.scalar_variance == 0.0
     assert est.standard_error == 0.0
-    np.testing.assert_array_equal(est.mean_gradient[CTX], v)
+    np.testing.assert_array_equal(est.mean_gradient.values[0], v)
 
 
 def test_variance_two_point_sampler():
@@ -44,7 +49,7 @@ def test_variance_two_point_sampler():
 
     def sampler(rng):
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        return {CTX: sign * v}
+        return _block(sign * v)
 
     est = estimate_variance(sampler, 10_000, substream(1, "pm"))
     assert abs(est.scalar_variance - target) < 3 * est.standard_error + 1e-9
@@ -52,7 +57,7 @@ def test_variance_two_point_sampler():
 
 def test_variance_sample_order_invariance():
     rng = substream(1, "ord")
-    samples = [{CTX: rng.normal(0, 1, 4)} for _ in range(500)]
+    samples = [_block(rng.normal(0, 1, 4)) for _ in range(500)]
     a = variance_from_samples(samples)
     b = variance_from_samples(samples[::-1])
     perm = [samples[i] for i in rng.permutation(500)]
@@ -63,7 +68,7 @@ def test_variance_sample_order_invariance():
 
 def test_variance_standard_error_scales_as_root_n():
     def sampler(rng):
-        return {CTX: rng.normal(0, 1, 3)}
+        return _block(rng.normal(0, 1, 3))
 
     small = estimate_variance(sampler, 2_000, substream(1, "se-s"))
     large = estimate_variance(sampler, 8_000, substream(1, "se-l"))
@@ -73,8 +78,8 @@ def test_variance_standard_error_scales_as_root_n():
 
 def test_variance_guards():
     with pytest.raises(InputError):
-        estimate_variance(lambda rng: {CTX: np.ones(2)}, 10, substream(1, "g"))
-    bad = [{CTX: np.array([1.0, np.nan])}] * 40
+        estimate_variance(lambda rng: _block(np.ones(2)), 10, substream(1, "g"))
+    bad = [_block([1.0, np.nan])] * 40
     with pytest.raises(DataError):
         variance_from_samples(bad)
 
@@ -100,7 +105,7 @@ def test_score_variance_enumeration_oracle():
         from dypo.policy import Trajectory
 
         s = score(params, query, Trajectory((a,), terminal=False))
-        enumerated += probs[a] * grad_sq_norm(s)
+        enumerated += probs[a] * s.sq_norm()
     direct = sum(p * float(np.dot((np.eye(8)[a] - probs), (np.eye(8)[a] - probs)))
                  for a, p in enumerate(probs))
     assert enumerated == pytest.approx(direct, abs=1e-12)
@@ -180,7 +185,7 @@ def test_collect_mid_groups_budget_error():
     # an oracle-solved pool yields no Mid groups: the bench must fail loudly
     inst = make_instance(1, 0, kind="mid")
     params = inst.params.copy()
-    for ctx in list(params.table):
+    for ctx in params.written_contexts():
         row = params.logits(ctx).copy()
         row[:] = 0.0
         row[inst.query.stop] = 40.0  # everything terminates immediately: all fail

@@ -22,9 +22,11 @@ from dypo.objectives import (
     sft_loss_grad,
     standardize_advantages,
 )
-from dypo.policy import grad_norm, grad_scaled, log_prob, score
+from dypo.policy import log_prob, score
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
+
+from conftest import block_dict
 
 TASK = TaskConfig()
 CFG = MixConfig()
@@ -119,8 +121,7 @@ def test_grpo_zero_advantage_groups():
     report = grpo_loss_grad(inst.params, inst.ref, inst.group, CFG)
     # policy-gradient term is exactly zero; only the KL penalty remains
     assert report.loss == pytest.approx(CFG.beta_kl * report.aux["kl_value"], abs=1e-15)
-    kl_only = grad_scaled(report.gradient, 1.0)  # all gradient mass is KL
-    assert grad_norm(kl_only) < CFG.beta_kl * 10
+    assert np.sqrt(report.gradient.sq_norm()) < CFG.beta_kl * 10  # all gradient mass is KL
 
 
 def test_grpo_needs_advantages():
@@ -140,16 +141,16 @@ def test_grpo_gradient_finite_differences(level):
 
 def test_grpo_policy_gradient_zero_for_flat_rewards():
     inst = make_instance(43, 1, kind="easy")
-    assert grpo_policy_gradient(inst.params, inst.group) == {}
+    assert grpo_policy_gradient(inst.params, inst.group).rows.size == 0
 
 
 def test_grpo_policy_gradient_term_by_term_oracle():
     inst = _mid_instance(index=9)
-    got = grpo_policy_gradient(inst.params, inst.group)
+    got = block_dict(inst.params, grpo_policy_gradient(inst.params, inst.group))
     expected: dict = {}
     k = inst.group.k
     for traj, adv in zip(inst.group.trajectories, inst.group.advantages):
-        for ctx, vec in score(inst.params, inst.query, traj).items():
+        for ctx, vec in block_dict(inst.params, score(inst.params, inst.query, traj)).items():
             expected[ctx] = expected.get(ctx, 0.0) + (adv / k) * vec
     assert set(got) == set(expected)
     for ctx in got:
@@ -239,7 +240,7 @@ def test_gal_saturation_annealing():
         report = gal_loss_grad(boosted, inst.ref, inst.pairs, inst.query, CFG)
         assert report.aux["eta"] <= last_eta + 1e-12
         last_eta = report.aux["eta"]
-        last_norm = grad_norm(report.gradient)
+        last_norm = np.sqrt(report.gradient.sq_norm())
     assert last_eta < 1e-3
     assert last_norm < 1e-3
 
@@ -279,32 +280,36 @@ def test_gal_gradient_finite_differences():
 def test_mixed_gradient_linearity_and_bounds():
     inst = _mid_instance(index=14)
     g = grpo_policy_gradient(inst.params, inst.group)
-    half = mixed_gradient(g, {}, 0.5)
-    for ctx in g:
-        np.testing.assert_array_equal(half[ctx], 0.5 * g[ctx])
+    empty = g._replace(rows=g.rows[:0], values=g.values[:0])
+    half = mixed_gradient(g, empty, 0.5)
+    np.testing.assert_array_equal(half.rows, g.rows)
+    np.testing.assert_array_equal(half.values, 0.5 * g.values)
     with pytest.raises(ConfigError):
-        mixed_gradient(g, {}, 0.0)
+        mixed_gradient(g, empty, 0.0)
     with pytest.raises(ConfigError):
-        mixed_gradient(g, {}, 1.0)
+        mixed_gradient(g, empty, 1.0)
 
 
 def test_mixed_gradient_near_one_limit():
     inst = _mid_instance(index=15)
     g_grpo = grpo_policy_gradient(inst.params, inst.group)
     g_gal = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, CFG).gradient
-    mix = mixed_gradient(g_grpo, g_gal, 0.999)
-    diff = mixed_gradient(mix, grad_scaled(g_grpo, 1.0), 0.5)  # 0.5(mix) + 0.5(grpo)
+    mix = block_dict(inst.params, mixed_gradient(g_grpo, g_gal, 0.999))
+    grpo = block_dict(inst.params, g_grpo)
     # direct norm bound: ||mix - grpo|| = 0.001 ||gal - grpo||
-    delta = {ctx: mix.get(ctx, 0.0) - g_grpo.get(ctx, np.zeros(TASK.vocab_size))
-             for ctx in set(mix) | set(g_grpo)}
-    assert grad_norm(delta) <= 0.001 * grad_norm(g_grpo) + 0.001 * grad_norm(g_gal) + 1e-12
+    delta = [mix.get(ctx, 0.0) - grpo.get(ctx, np.zeros(TASK.vocab_size))
+             for ctx in set(mix) | set(grpo)]
+    assert np.linalg.norm(delta) <= 0.001 * np.sqrt(g_grpo.sq_norm()) \
+        + 0.001 * np.sqrt(g_gal.sq_norm()) + 1e-12
 
 
 def test_mixed_gradient_componentwise_oracle():
     inst = _mid_instance(index=16)
-    a = grpo_policy_gradient(inst.params, inst.group)
-    b = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, CFG).gradient
-    mix = mixed_gradient(a, b, 0.3)
+    g_a = grpo_policy_gradient(inst.params, inst.group)
+    g_b = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, CFG).gradient
+    a, b = block_dict(inst.params, g_a), block_dict(inst.params, g_b)
+    mix = block_dict(inst.params, mixed_gradient(g_a, g_b, 0.3))
+    assert set(mix) == set(a) | set(b)
     for ctx in set(a) | set(b):
         expected = 0.3 * a.get(ctx, np.zeros(TASK.vocab_size)) \
             + 0.7 * b.get(ctx, np.zeros(TASK.vocab_size))
@@ -316,7 +321,7 @@ def test_dypo_step_easy_contributes_nothing():
     report = dypo_step_loss(inst.params, inst.ref, inst.query, inst.group,
                             inst.teachers, CFG, substream(5, "e"))
     assert report.loss == 0.0
-    assert report.gradient == {}
+    assert report.gradient.rows.size == 0
     assert report.aux["grade"] == "easy"
 
 
@@ -329,8 +334,8 @@ def test_dypo_step_hard_scales_with_gamma():
     r2 = dypo_step_loss(inst.params, inst.ref, inst.query, inst.group,
                         inst.teachers, cfg2, substream(5, "h"))
     assert r2.loss == pytest.approx(2.0 * r1.loss, rel=1e-15)
-    for ctx in r1.gradient:
-        np.testing.assert_allclose(r2.gradient[ctx], 2.0 * r1.gradient[ctx], rtol=1e-15)
+    np.testing.assert_array_equal(r2.gradient.rows, r1.gradient.rows)
+    np.testing.assert_allclose(r2.gradient.values, 2.0 * r1.gradient.values, rtol=1e-15)
     assert r1.aux["grade"] == "hard"
 
 
@@ -345,9 +350,8 @@ def test_dypo_step_mid_recomposition():
     manual_loss = CFG.alpha * grpo.loss + (1 - CFG.alpha) * gal.loss
     assert report.loss == pytest.approx(manual_loss, abs=1e-12)
     manual = mixed_gradient(grpo.gradient, gal.gradient, CFG.alpha)
-    assert set(report.gradient) == set(manual)
-    for ctx in manual:
-        np.testing.assert_allclose(report.gradient[ctx], manual[ctx], atol=1e-12)
+    np.testing.assert_array_equal(report.gradient.rows, manual.rows)
+    np.testing.assert_allclose(report.gradient.values, manual.values, atol=1e-12)
     assert report.aux["grade"] == "mid"
 
 

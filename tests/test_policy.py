@@ -11,6 +11,7 @@ from dypo.errors import ConfigError, InputError, StateError
 from dypo.gradcheck import numerical_gradient, gradient_error
 from dypo.policy import (
     PolicyParams,
+    RowBlock,
     Trajectory,
     kl_to_reference,
     log_prob,
@@ -22,6 +23,8 @@ from dypo.policy import (
 )
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, generate_query
+
+from conftest import block_dict
 
 Q0 = SimpleNamespace(query_id=0)
 
@@ -63,7 +66,7 @@ def test_log_prob_input_errors():
 
 def test_score_uniform_single_step():
     params = PolicyParams(4, 1)
-    grad = score(params, Q0, Trajectory((0,), terminal=False))
+    grad = block_dict(params, score(params, Q0, Trajectory((0,), terminal=False)))
     np.testing.assert_allclose(grad[(0, ())], [0.75, -0.25, -0.25, -0.25], atol=1e-15)
 
 
@@ -78,7 +81,7 @@ def test_score_zero_mean_monte_carlo():
     sqs: dict = {}
     for _ in range(n):
         traj = sample_trajectory(params, query, rng, stop_token=task.stop, t_max=8)
-        for ctx, vec in score(params, query, traj).items():
+        for ctx, vec in block_dict(params, score(params, query, traj)).items():
             sums[ctx] = sums.get(ctx, 0.0) + vec
             sqs[ctx] = sqs.get(ctx, 0.0) + vec**2
     zscores = []
@@ -106,7 +109,7 @@ def test_score_matches_finite_differences():
         traj = sample_trajectory(params, query, rng, stop_token=task.stop, t_max=10)
         analytic = score(params, query, traj)
         numeric = numerical_gradient(lambda p: log_prob(p, query, traj), params, contexts)
-        assert gradient_error(analytic, numeric) < 1e-6
+        assert gradient_error(params, analytic, numeric) < 1e-6
 
 
 def test_sample_group_deterministic():
@@ -152,13 +155,13 @@ def test_sampling_frequencies_match_softmax():
 
 def test_mean_step_entropy_uniform():
     params = PolicyParams(4, 1)
-    assert mean_step_entropy(params, [(0, ())]) == pytest.approx(np.log(4), abs=1e-12)
+    assert mean_step_entropy(params, params.rows([(0, ())])) == pytest.approx(np.log(4), abs=1e-12)
 
 
 def test_mean_step_entropy_near_deterministic():
     params = PolicyParams(4, 1)
     params.set_logits((0, ()), [20.0, 0.0, 0.0, 0.0])
-    assert mean_step_entropy(params, [(0, ())]) < 0.01
+    assert mean_step_entropy(params, params.rows([(0, ())])) < 0.01
 
 
 def test_mean_step_entropy_mixed_contexts():
@@ -170,7 +173,7 @@ def test_mean_step_entropy_mixed_contexts():
         params.set_logits(ctx, rng.normal(0, 1, 5))
         p = params.probs(ctx)
         expected += -sum(pi * np.log(pi) for pi in p)
-    got = mean_step_entropy(params, contexts + contexts)  # duplicates collapse
+    got = mean_step_entropy(params, params.rows(contexts + contexts))  # duplicates collapse
     assert got == pytest.approx(expected / 3, rel=1e-12)
 
 
@@ -178,7 +181,7 @@ def test_kl_identical_is_zero():
     rng = substream(17, "kl")
     params = PolicyParams(5, 1)
     params.set_logits((0, ()), rng.normal(0, 1, 5))
-    assert kl_to_reference(params, params.snapshot(), [(0, ())]) == 0.0
+    assert kl_to_reference(params, params.snapshot(), params.rows([(0, ())])) == 0.0
 
 
 def test_kl_nonnegative_and_matches_direct_sum():
@@ -188,7 +191,7 @@ def test_kl_nonnegative_and_matches_direct_sum():
         ref = PolicyParams(4, 1)
         params.set_logits((0, ()), rng.normal(0, 2, 4))
         ref.set_logits((0, ()), rng.normal(0, 2, 4))
-        kl = kl_to_reference(params, ref, [(0, ())])
+        kl = kl_to_reference(params, ref, params.rows([(0, ())]))
         assert kl >= -1e-15
         p = params.probs((0, ()))
         q = ref.probs((0, ()))
@@ -198,7 +201,8 @@ def test_kl_nonnegative_and_matches_direct_sum():
 
 def test_kl_shape_mismatch():
     with pytest.raises(ConfigError):
-        kl_to_reference(PolicyParams(4, 1), PolicyParams(5, 1), [(0, ())])
+        params = PolicyParams(4, 1)
+        kl_to_reference(params, PolicyParams(5, 1), params.rows([(0, ())]))
 
 
 def test_softmax_normalization_tight():
@@ -217,7 +221,7 @@ def test_snapshot_is_immutable_and_stable():
     with pytest.raises(StateError):
         snap.set_logits((0, ()), [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(StateError):
-        snap.apply_update({(0, ()): np.ones(4)}, 1.0)
+        snap.apply_update(RowBlock(snap.rows([(0, ())]), np.ones((1, 4))), 1.0)
     traj = Trajectory((2, 3), terminal=False)
     assert log_prob(snap, Q0, traj) == log_prob(snap, Q0, traj)
 
@@ -225,3 +229,48 @@ def test_snapshot_is_immutable_and_stable():
 def test_step_contexts_history_truncation():
     assert step_contexts(3, (5, 2, 7), 1) == [(3, ()), (3, (5,)), (3, (2,))]
     assert step_contexts(3, (5, 2, 7), 2) == [(3, ()), (3, (5,)), (3, (5, 2))]
+
+
+def test_fd_probes_restore_the_policy_bit_exactly():
+    rng = substream(29, "probe")
+    params = PolicyParams(5, 1)
+    contexts = [(0, ()), (0, (1,)), (0, (3,))]
+    for ctx in contexts:
+        params.set_logits(ctx, rng.normal(0, 2, 5))
+    probed = contexts + [(0, (4,))]  # one unwritten row too
+    before = {ctx: [f(ctx).copy() for f in (params.logits, params.probs, params.log_probs,
+                                            params.sampling_cdf)] for ctx in probed}
+    traj = Trajectory((1, 4, 3, 2), terminal=False)
+    numerical_gradient(lambda p: log_prob(p, Q0, traj), params, probed)
+    for ctx, rows in before.items():
+        after = (params.logits(ctx), params.probs(ctx), params.log_probs(ctx),
+                 params.sampling_cdf(ctx))
+        assert all(np.array_equal(a, b) for a, b in zip(rows, after))
+    assert params.written_contexts() == contexts
+
+
+def test_unwritten_rows_read_default_logits():
+    params = PolicyParams(4, 1, default_logits=[1.0, 0.0, 0.0, 0.0])
+    params.set_logits((0, ()), [0.0, 0.0, 0.0, 5.0])
+    contexts = [(q, (a,)) for q in range(10) for a in range(4)]  # grows past 16 rows
+    default = params.probs((9, (3,))).copy()
+    assert default[0] > 0.4
+    for ctx in contexts:
+        np.testing.assert_array_equal(params.probs(ctx), default)
+    assert params.logits((0, ()))[3] == 5.0
+    params.default_logits = np.zeros(4)
+    np.testing.assert_allclose(params.probs((5, (2,))), 0.25, atol=1e-15)
+    assert params.logits((0, ()))[3] == 5.0
+    assert params.written_contexts() == [(0, ())]
+
+
+def test_copies_share_the_interner_and_not_the_logits():
+    params = PolicyParams(4, 1)
+    params.set_logits((0, ()), [1.0, 2.0, 3.0, 4.0])
+    copy, snap = params.copy(), params.snapshot()
+    assert copy.interner is params.interner is snap.interner
+    copy.set_logits((0, ()), np.zeros(4))
+    copy.set_logits((1, ()), np.ones(4))
+    assert params.logits((0, ()))[3] == 4.0 and snap.logits((0, ()))[3] == 4.0
+    assert snap.row((1, ())) == copy.row((1, ()))
+    np.testing.assert_array_equal(snap.logits((1, ())), np.zeros(4))

@@ -1,0 +1,189 @@
+"""Property tests: row-block gradients against naive per-token references,
+the grading partition, and advantage standardization."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
+
+from dypo.grading import DifficultyGrade, grade
+from dypo.gradcheck import make_instance
+from dypo.objectives import (
+    GroupRollout,
+    MixConfig,
+    gal_loss_grad,
+    grpo_loss_grad,
+    sft_loss_grad,
+    standardize_advantages,
+)
+from dypo.policy import PolicyParams, Trajectory, score, step_contexts
+from dypo.seeding import substream
+from dypo.tasks import teacher_sample
+
+from conftest import block_dict
+
+V = 9
+# derandomized, so every run of the suite checks the same examples
+FAST = settings(deadline=None, derandomize=True)
+SLOW = settings(FAST, max_examples=40)
+
+
+# --- naive per-token references --------------------------------------------
+
+def _add(into: dict, grad: dict, coef: float) -> None:
+    for ctx, vec in grad.items():
+        into[ctx] = into.get(ctx, np.zeros(V)) + coef * vec
+
+
+def naive_score(params, qid, tokens) -> dict:
+    grad: dict = {}
+    for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens):
+        row = grad.setdefault(ctx, np.zeros(V))
+        row -= params.probs(ctx)
+        row[tok] += 1.0
+    return grad
+
+
+def naive_log_prob(params, qid, tokens) -> float:
+    return sum(params.log_probs(ctx)[tok]
+               for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens))
+
+
+def naive_grpo(params, ref, group: GroupRollout, cfg: MixConfig) -> dict:
+    qid = group.query.query_id
+    ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
+    lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
+    pg: dict = {}
+    for traj, adv in zip(group.trajectories, group.advantages):
+        ctxs = step_contexts(qid, traj.tokens, params.history)
+        deltas = [params.log_probs(c)[a] - ratio_ref.log_probs(c)[a]
+                  for c, a in zip(ctxs, traj.tokens)]
+        if cfg.ratio_level == "trajectory":
+            rho = np.exp(sum(deltas))
+            if rho * adv <= min(max(rho, lo), hi) * adv:
+                _add(pg, naive_score(params, qid, traj.tokens), adv * rho)
+            continue
+        for ctx, tok, delta in zip(ctxs, traj.tokens, deltas):
+            r = np.exp(delta)
+            if r * adv <= min(max(r, lo), hi) * adv:
+                coef = adv * r / len(traj)
+                row = pg.setdefault(ctx, np.zeros(V))
+                row -= coef * params.probs(ctx)
+                row[tok] += coef
+    grad = {ctx: -vec / group.k for ctx, vec in pg.items()}
+    visited = {c for t in group.trajectories for c in step_contexts(qid, t.tokens, params.history)}
+    for ctx in visited:
+        p = params.probs(ctx)
+        diff = params.log_probs(ctx) - ref.log_probs(ctx)
+        _add(grad, {ctx: p * (diff - p @ diff) / len(visited)}, cfg.beta_kl)
+    return grad
+
+
+def naive_gal(params, ref, pairs, qid, beta: float) -> dict:
+    def log_ratio(traj):
+        return naive_log_prob(params, qid, traj.tokens) - naive_log_prob(ref, qid, traj.tokens)
+
+    grad: dict = {}
+    for win, lose in pairs:
+        coef = -beta * expit(-beta * (log_ratio(win) - log_ratio(lose))) / len(pairs)
+        _add(grad, naive_score(params, qid, win.tokens), coef)
+        _add(grad, naive_score(params, qid, lose.tokens), -coef)
+    return grad
+
+
+def assert_block_matches(params, block, expected: dict) -> None:
+    """Equal to the reference at 1e-12, relative to max(1, largest reference entry)."""
+    got = block_dict(params, block)
+    assert set(expected) <= set(got)
+    scale = max([1.0] + [float(np.abs(v).max()) for v in expected.values()])
+    for ctx, vec in got.items():
+        diff = np.abs(vec - expected.get(ctx, np.zeros(V))).max()
+        assert diff <= 1e-12 * scale, (ctx, diff)
+
+
+# --- strategies ---------------------------------------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+token_seqs = st.lists(st.integers(0, V - 1), min_size=1, max_size=14).map(tuple)
+
+
+def _random_params(seed: int, history: int) -> PolicyParams:
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(V, history, default_logits=rng.normal(0, 1, V))
+    for a in range(V):
+        params.set_logits((0, (a,) * min(history, 1)), rng.normal(0, 2, V))
+    return params
+
+
+# --- properties -----------------------------------------------------------------
+
+@given(seed=seeds, history=st.integers(0, 3), tokens=token_seqs)
+@FAST
+def test_score_rows_sum_to_zero_over_exactly_the_visited_contexts(seed, history, tokens):
+    params = _random_params(seed, history)
+    block = score(params, SimpleNamespace(query_id=0), Trajectory(tokens, terminal=False))
+    assert np.abs(block.values.sum(axis=1)).max() <= 1e-12
+    assert set(block_dict(params, block)) == set(step_contexts(0, tokens, history))
+    assert len(np.unique(block.rows)) == len(block.rows)
+    assert_block_matches(params, block, naive_score(params, 0, tokens))
+
+
+@given(seed=seeds, index=st.integers(0, 60), n_teachers=st.integers(1, 4))
+@SLOW
+def test_sft_block_matches_naive_reference(seed, index, n_teachers):
+    inst = make_instance(seed, index)
+    teachers = inst.teachers[:1] * n_teachers
+    report = sft_loss_grad(inst.params, inst.query, teachers, substream(seed, "sft"))
+    rng = substream(seed, "sft")
+    demo = teacher_sample(teachers[int(rng.integers(n_teachers))], inst.query, rng)
+    expected = {ctx: -vec for ctx, vec in
+                naive_score(inst.params, inst.query.query_id, demo.tokens).items()}
+    assert_block_matches(inst.params, report.gradient, expected)
+    nll = -naive_log_prob(inst.params, inst.query.query_id, demo.tokens)
+    assert abs(report.loss - nll) <= 1e-12 * max(1.0, abs(nll))
+
+
+@given(seed=seeds, index=st.integers(0, 60), kind=st.sampled_from(["mid", "hard", "easy"]),
+       level=st.sampled_from(["token", "trajectory"]),
+       baseline=st.sampled_from(["rollout", "ref"]), beta_kl=st.sampled_from([0.0, 0.01, 0.5]))
+@SLOW
+def test_grpo_block_matches_naive_reference(seed, index, kind, level, baseline, beta_kl):
+    inst = make_instance(seed, index, kind=kind)
+    cfg = MixConfig(ratio_level=level, ratio_baseline=baseline, beta_kl=beta_kl)
+    report = grpo_loss_grad(inst.params, inst.ref, inst.group, cfg)
+    assert_block_matches(inst.params, report.gradient,
+                         naive_grpo(inst.params, inst.ref, inst.group, cfg))
+
+
+@given(seed=seeds, index=st.integers(0, 60), beta=st.sampled_from([0.5, 1.0, 3.0]))
+@SLOW
+def test_gal_block_matches_naive_reference(seed, index, beta):
+    inst = make_instance(seed, index)
+    report = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query,
+                           MixConfig(beta_gal=beta))
+    assert_block_matches(inst.params, report.gradient,
+                         naive_gal(inst.params, inst.ref, inst.pairs, inst.query.query_id, beta))
+
+
+@given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=40))
+@FAST
+def test_grades_partition_all_reward_patterns(rewards):
+    g = grade(rewards)
+    total = sum(rewards)
+    assert (g is DifficultyGrade.EASY) == (total == len(rewards))
+    assert (g is DifficultyGrade.HARD) == (total == 0)
+    assert (g is DifficultyGrade.MID) == (0 < total < len(rewards))
+
+
+@given(rewards=st.lists(st.integers(-5, 5), min_size=2, max_size=16),
+       shift=st.integers(-1000, 1000), xi=st.floats(1e-6, 1e-2))
+@FAST
+def test_standardized_advantages_have_mean_zero_and_ignore_shifts(rewards, shift, xi):
+    adv = standardize_advantages(rewards, xi)
+    assert abs(adv.mean()) <= 1e-12
+    shifted = standardize_advantages([r + shift for r in rewards], xi)
+    np.testing.assert_allclose(shifted, adv, rtol=0, atol=1e-9)

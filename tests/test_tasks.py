@@ -14,6 +14,7 @@ from dypo.tasks import (
     bias_sample,
     generate_query,
     make_teacher_ensemble,
+    max_demo_len,
     reward,
     teacher_sample,
     uniform_guess_rate,
@@ -185,3 +186,16 @@ def test_teacher_rewrites_preserve_reward_exhaustively():
                     for jitter_seed in range(4):
                         demo = teacher_sample(oracle, q, substream(3, "ex", jitter_seed))
                         assert reward(q, demo) == 1
+
+
+@pytest.mark.parametrize("max_chain_len", [1, 2, 4])
+def test_max_demo_len_is_the_exact_longest_demo(max_chain_len):
+    from types import SimpleNamespace
+
+    task = TaskConfig(max_chain_len=max_chain_len)
+    query = generate_query(task, max_chain_len, substream(8, "demo-len"))
+    echo, no_echo = SimpleNamespace(random=lambda: 0.0), SimpleNamespace(random=lambda: 0.9)
+    for m in range(1, 15):
+        longest = max(len(teacher_sample(t, query, rng))
+                      for t in make_teacher_ensemble(task, m, seed=0) for rng in (echo, no_echo))
+        assert max_demo_len(task, m) == longest

@@ -9,7 +9,7 @@ import pytest
 
 from dypo.errors import ConfigError, TrainingAborted
 from dypo.instrumentation import read_metrics, write_metrics
-from dypo.policy import PolicyParams
+from dypo.policy import PolicyParams, RowBlock
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, uniform_guess_rate
 from dypo.trainer import (
@@ -26,13 +26,7 @@ from dypo.trainer import (
     train_config_to_dict,
 )
 
-
-def _tables_equal(a: PolicyParams, b: PolicyParams) -> bool:
-    if set(a.table) != set(b.table):
-        return False
-    if not np.array_equal(a.default_logits, b.default_logits):
-        return False
-    return all(np.array_equal(a.table[c], b.table[c]) for c in a.table)
+from conftest import block_dict, tables_equal
 
 
 def test_config_roundtrip_and_strictness():
@@ -64,7 +58,7 @@ def test_zero_steps_leaves_policy_unchanged(tmp_path):
     cfg = TrainConfig(seed=4, steps=0)
     result = train(cfg, out_dir=tmp_path)
     pool = QueryPool(cfg.task, cfg.seed)
-    assert _tables_equal(result.checkpoint.params, init_policy(cfg, pool))
+    assert tables_equal(result.checkpoint.params, init_policy(cfg, pool))
     assert result.metrics == []
     assert (tmp_path / "metrics.csv").read_text().count("\n") == 1  # header only
 
@@ -92,7 +86,7 @@ def test_all_easy_stream_never_updates():
     ckpt = _oracle_checkpoint(cfg)
     before = ckpt.params.copy()
     result = train(cfg, resume_from=ckpt)
-    assert _tables_equal(result.checkpoint.params, before)
+    assert tables_equal(result.checkpoint.params, before)
     for row in result.metrics:
         assert row.easy == cfg.batch_size
         assert row.grad_norm == 0.0
@@ -113,7 +107,7 @@ def test_metrics_are_deterministic(tmp_path):
     b = train(cfg, out_dir=tmp_path / "b")
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
-    assert _tables_equal(a.checkpoint.params, b.checkpoint.params)
+    assert tables_equal(a.checkpoint.params, b.checkpoint.params)
 
 
 def test_checkpoint_resume_is_bit_exact(tmp_path):
@@ -125,12 +119,12 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
     half = train(half_cfg, out_dir=tmp_path / "half")
     save_checkpoint(tmp_path / "ckpt.json", half.checkpoint)
     loaded = load_checkpoint(tmp_path / "ckpt.json")
-    assert _tables_equal(loaded.params, half.checkpoint.params)
+    assert tables_equal(loaded.params, half.checkpoint.params)
 
     resumed = train(cfg, out_dir=tmp_path / "resumed", resume_from=loaded)
     assert (tmp_path / "full" / "metrics.csv").read_bytes() == \
         (tmp_path / "resumed" / "metrics.csv").read_bytes()
-    assert _tables_equal(full.checkpoint.params, resumed.checkpoint.params)
+    assert tables_equal(full.checkpoint.params, resumed.checkpoint.params)
 
 
 def test_update_sparsity_per_step():
@@ -144,7 +138,7 @@ def test_update_sparsity_per_step():
                                                                   size=cfg.batch_size)
     }
     changed_qids = set()
-    for ctx in set(after.table) | set(before.table):
+    for ctx in set(after.written_contexts()) | set(before.written_contexts()):
         if not np.array_equal(after.logits(ctx), before.logits(ctx)):
             changed_qids.add(ctx[0])
     assert changed_qids <= batch_qids
@@ -180,23 +174,13 @@ def test_evaluate_deterministic():
     assert a == b
 
 
-def test_threaded_reduction_matches_sequential():
-    seq_cfg = TrainConfig(seed=16, steps=8, batch_size=4)
-    thr_cfg = TrainConfig(seed=16, steps=8, batch_size=4, execution="threads")
-    seq = train(seq_cfg).checkpoint.params
-    thr = train(thr_cfg).checkpoint.params
-    assert set(seq.table) == set(thr.table)
-    for ctx in seq.table:
-        np.testing.assert_allclose(thr.table[ctx], seq.table[ctx], rtol=1e-9, atol=1e-12)
-
-
 def test_non_finite_gradient_aborts_with_diagnostic(tmp_path):
     cfg = TrainConfig(seed=17, steps=5)
     short = train(TrainConfig(seed=17, steps=1))
     poisoned = short.checkpoint
-    for q in range(cfg.task.pool_size):
-        row = np.full(cfg.task.vocab_size, np.nan)
-        poisoned.params.table[(q, ())] = row
+    rows = poisoned.params.rows((q, ()) for q in range(cfg.task.pool_size))
+    poisoned.params.apply_update(RowBlock(rows, np.full((len(rows), cfg.task.vocab_size),
+                                                        np.nan)), 1.0)
     with pytest.raises(TrainingAborted):
         train(cfg, out_dir=tmp_path, resume_from=poisoned)
     assert (tmp_path / "abort_checkpoint.json").exists()
@@ -230,14 +214,14 @@ def test_reference_refresh_zeroes_the_kl():
     for row in result.metrics:
         assert row.kl == 0.0
     final = result.checkpoint
-    assert _tables_equal(final.ref, final.params)
+    assert tables_equal(final.ref, final.params)
 
 
 def test_history_order_two_trains():
     cfg = TrainConfig(seed=22, steps=5, history=2)
     a = train(cfg)
     b = train(cfg)
-    assert _tables_equal(a.checkpoint.params, b.checkpoint.params)
+    assert tables_equal(a.checkpoint.params, b.checkpoint.params)
     assert len(a.metrics) == 5
 
 
@@ -245,8 +229,8 @@ def test_batch_gradient_is_additive_over_query_reports():
     # the applied update equals the mean of independently recomputed
     # per-query reports: (theta_before - theta_after) / lr
     from dypo.objectives import dypo_step_loss, rollout_group
-    from dypo.grading import DifficultyGrade, grade
-    from dypo.policy import grad_accumulate, grad_scaled
+    from dypo.grading import DifficultyGrade
+    from dypo.policy import sum_blocks
 
     cfg = TrainConfig(seed=23, steps=1, batch_size=4)
     pool = QueryPool(cfg.task, cfg.seed)
@@ -256,8 +240,7 @@ def test_batch_gradient_is_additive_over_query_reports():
 
     indices = [int(i) for i in substream(cfg.seed, "stream", 0).integers(
         len(pool), size=cfg.batch_size)]
-    total: dict = {}
-    dispatched = 0
+    blocks = []
     teachers_mod = __import__("dypo.tasks", fromlist=["make_teacher_ensemble"])
     teachers = teachers_mod.make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed)
     for j, qi in enumerate(indices):
@@ -266,11 +249,112 @@ def test_batch_gradient_is_additive_over_query_reports():
                               xi=cfg.mix.xi, stop_token=cfg.task.stop, t_max=cfg.t_max)
         report = dypo_step_loss(before, ref, query, group, teachers, cfg.mix,
                                 substream(cfg.seed, "objective", 0, j))
-        if grade(group.rewards) is not DifficultyGrade.EASY:
-            dispatched += 1
-            grad_accumulate(total, report.gradient)
-    assert dispatched > 0
-    expected = grad_scaled(total, 1.0 / dispatched)
+        if group.grade is not DifficultyGrade.EASY:
+            blocks.append((1.0, report.gradient))
+    assert blocks
+    expected = block_dict(before, sum_blocks(blocks).scaled(1.0 / len(blocks)))
     for ctx, vec in expected.items():
         applied = (before.logits(ctx) - after.logits(ctx)) / cfg.learning_rate
         np.testing.assert_allclose(applied, vec, atol=1e-12)
+
+
+def test_each_group_is_graded_once(monkeypatch):
+    import dypo.grading
+
+    calls = []
+    original = dypo.grading.grade
+    monkeypatch.setattr(dypo.grading, "grade",
+                        lambda rewards: calls.append(1) or original(rewards))
+    cfg = TrainConfig(seed=24, steps=6, batch_size=4)
+    result = train(cfg)
+    assert sum(r.easy + r.hard + r.mid for r in result.metrics) == 24
+    assert len(calls) == 24
+
+
+# --- checkpoint validation: one test per failure mode ----------------------
+
+@pytest.fixture(scope="module")
+def checkpoint_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+    save_checkpoint(path, train(TrainConfig(seed=25, steps=3)).checkpoint)
+    return json.loads(path.read_text())
+
+
+def _load_doc(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return load_checkpoint(path)
+
+
+def test_checkpoint_missing_key_is_a_data_error(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    with pytest.raises(DataError, match="missing key 'config'"):
+        _load_doc(tmp_path, {"step": 1})
+    doc = json.loads(json.dumps(checkpoint_doc))
+    del doc["ref"]["table"]
+    with pytest.raises(DataError, match="missing key 'table'"):
+        _load_doc(tmp_path, doc)
+
+
+def test_truncated_checkpoint_is_a_data_error(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    path = tmp_path / "cut.json"
+    text = json.dumps(checkpoint_doc)
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_checkpoint(path)
+    with pytest.raises(DataError, match="cannot read"):
+        load_checkpoint(tmp_path / "missing.json")
+
+
+def test_checkpoint_row_length_is_checked(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["params"]["table"][0][2] = doc["params"]["table"][0][2][:-1]
+    with pytest.raises(DataError, match="malformed: logit row must have shape"):
+        _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_history_length_is_checked(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["params"]["table"][0][1] = [1, 2]  # history is 1
+    with pytest.raises(DataError, match="longer than history=1"):
+        _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_non_finite_logits_are_a_data_error(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["ref"]["table"][0][2][0] = float("nan")
+    with pytest.raises(DataError, match="malformed: logit entries must be finite"):
+        _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_vocab_and_history_must_match_the_config(tmp_path, checkpoint_doc):
+    for key, value in (("vocab_size", 7), ("history", 2)):
+        doc = json.loads(json.dumps(checkpoint_doc))
+        doc["params"][key] = value
+        with pytest.raises(ConfigError, match="its config needs"):
+            _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    ckpt = train(TrainConfig(seed=26, steps=2)).checkpoint
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, ckpt)
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("dypo.trainer.os.replace", broken_replace)
+    with pytest.raises(OSError):
+        save_checkpoint(path, train(TrainConfig(seed=27, steps=2)).checkpoint)
+    assert path.read_bytes() == before
