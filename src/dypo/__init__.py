@@ -15,7 +15,7 @@ from .errors import (
     StateError,
     TrainingAborted,
 )
-from .grading import DifficultyGrade, Route, grade, route
+from .grading import DifficultyGrade, grade
 from .instrumentation import (
     BenchReport,
     StepMetrics,

@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from .artifacts import atomic_write
 from .errors import BenchError, ConfigError, DypoError, InputError, TrainingAborted
 from .gradcheck import grad_check_suite
 from .instrumentation import (
@@ -94,11 +95,16 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
+def _write_json(path: Path, doc) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
 def _prepare_out(args, cfg: TrainConfig) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     echo = {"command": args.command, "config": train_config_to_dict(cfg)}
-    (out / "config_echo.json").write_text(json.dumps(echo, indent=2) + "\n")
+    _write_json(out / "config_echo.json", echo)
     return out
 
 
@@ -136,7 +142,7 @@ def _cmd_evaluate(args) -> int:
     pool = QueryPool(cfg.task, cfg.seed)
     report = evaluate(params, pool, args.groups, cfg.k,
                       substream(cfg.seed, "evaluate"), xi=cfg.mix.xi, t_max=cfg.t_max)
-    (out / "eval.json").write_text(json.dumps(asdict(report), indent=2) + "\n")
+    _write_json(out / "eval.json", asdict(report))
     print(f"pass_rate={report.pass_rate:.4f} grades={report.grade_counts} "
           f"entropy={report.mean_entropy:.3f}")
     return 0
@@ -152,7 +158,7 @@ def _cmd_grade_stats(args) -> int:
     counts = report.grade_counts
     total = sum(counts.values())
     stats = {"counts": counts, "offline_ratio": counts["hard"] / total, "groups": total}
-    (out / "grade_stats.json").write_text(json.dumps(stats, indent=2) + "\n")
+    _write_json(out / "grade_stats.json", stats)
     print(f"grades over {total} groups: {counts} offline_ratio={stats['offline_ratio']:.3f}")
     return 0
 
@@ -204,7 +210,7 @@ def _cmd_grad_check(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
     errors = grad_check_suite(seed=cfg.seed, n_instances=args.instances)
-    (out / "grad_check.json").write_text(json.dumps(errors, indent=2) + "\n")
+    _write_json(out / "grad_check.json", errors)
     worst = max(errors.values())
     for name, err in errors.items():
         print(f"{name:<18s} max relative error {err:.3e}")

@@ -28,7 +28,6 @@ from .policy import (
     PolicyParams,
     RowBlock,
     Trajectory,
-    group_rows,
     sample_trajectory,
     sum_blocks,
 )
@@ -125,7 +124,7 @@ def make_instance(seed: int, index: int, kind: str = "mid",
 
 
 def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
-    rows, tokens, _ = group_rows(inst.params, inst.query, inst.group.trajectories)
+    rows, tokens, _ = inst.group.step_rows(inst.params)
     delta = inst.params.logp_at(rows, tokens) - inst.ref.logp_at(rows, tokens)
     lo = np.log1p(-cfg.epsilon_clip) + margin
     hi = np.log1p(cfg.epsilon_clip) - margin

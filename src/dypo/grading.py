@@ -1,9 +1,9 @@
-"""Grade a rollout group's binary reward pattern and pick its pathway.
+"""Grade a rollout group's binary reward pattern.
 
 The three grades partition all reward patterns: a group is Easy when every
-rollout is rewarded, Hard when none is, and Mid otherwise. Easy groups are
-discarded (zero gradient contribution), Hard groups go to supervised
-distillation, Mid groups to the mixed RL objective.
+rollout is rewarded, Hard when none is, and Mid otherwise. ``dypo_step_loss``
+discards Easy groups (zero gradient contribution), distills Hard groups and
+sends Mid groups to the mixed RL objective.
 """
 
 from __future__ import annotations
@@ -18,12 +18,6 @@ class DifficultyGrade(Enum):
     EASY = "easy"
     HARD = "hard"
     MID = "mid"
-
-
-class Route(Enum):
-    DISCARD = "discard"
-    SFT = "sft"
-    MIXED_RL = "mixed_rl"
 
 
 def grade(rewards: Sequence[int]) -> DifficultyGrade:
@@ -41,13 +35,3 @@ def grade(rewards: Sequence[int]) -> DifficultyGrade:
         return DifficultyGrade.HARD
     return DifficultyGrade.MID
 
-
-_ROUTES = {
-    DifficultyGrade.EASY: Route.DISCARD,
-    DifficultyGrade.HARD: Route.SFT,
-    DifficultyGrade.MID: Route.MIXED_RL,
-}
-
-
-def route(g: DifficultyGrade) -> Route:
-    return _ROUTES[g]

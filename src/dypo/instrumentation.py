@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .errors import BenchError, DataError, InputError
 from .grading import DifficultyGrade
 from .objectives import (
@@ -26,7 +27,7 @@ from .objectives import (
     mixed_gradient,
     rollout_group,
 )
-from .policy import PolicyParams, RowBlock, sample_trajectory, score
+from .policy import PolicyParams, RowBlock, group_rows, sample_group_rows, score_sq_norms
 from .tasks import BiasTestbedConfig, Query
 
 
@@ -107,11 +108,10 @@ def estimate_score_variance(params: PolicyParams, query: Query, n_samples: int,
     """Monte Carlo estimate of the expected squared score norm."""
     if n_samples < 30:
         raise InputError(f"score-variance estimation needs >= 30 samples, got {n_samples}")
-    total = 0.0
-    for _ in range(n_samples):
-        traj = sample_trajectory(params, query, rng, stop_token=stop_token, t_max=t_max)
-        total += score(params, query, traj).sq_norm()
-    return total / n_samples
+    trajs, sampled = sample_group_rows(params, query, n_samples, rng, stop_token=stop_token,
+                                       t_max=t_max)
+    sq_norms = score_sq_norms(params, *group_rows(params, query, trajs, sampled))
+    return float(sq_norms.sum()) / n_samples
 
 
 def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Generator], Query],
@@ -192,9 +192,8 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
         g_gal.append(gal.gradient)
         etas[i] = gal.aux["eta"]
         pair_counts[i] = gal.aux["pair_count"]
-        for traj in group.trajectories:
-            score_sq_sum += score(params, group.query, traj).sq_norm()
-            score_sq_n += 1
+        score_sq_sum += float(score_sq_norms(params, *group.step_rows(params)).sum())
+        score_sq_n += group.k
     # the mixture exists only while it is reduced, not for the whole bench
     g_mix = (mixed_gradient(a, b, cfg.alpha) for a, b in zip(g_grpo, g_gal))
     est = {name: variance_from_samples(samples)
@@ -280,7 +279,8 @@ def bias_law_bench(cfg: BiasTestbedConfig, m_values: Sequence[int], n_draws: int
 
 
 def write_bench_report(path: str | Path, report: BenchReport) -> None:
-    Path(path).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
 
 def _format_value(name: str, value) -> str:
@@ -291,8 +291,7 @@ def _format_value(name: str, value) -> str:
 
 def write_metrics(path: str | Path, rows: Sequence[StepMetrics]) -> None:
     """Write the metrics CSV with a fixed header and exact float formatting."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_HEADER)
         for row in rows:

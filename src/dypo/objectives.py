@@ -21,11 +21,12 @@ from .grading import DifficultyGrade
 from .policy import (
     PolicyParams,
     RowBlock,
+    StepRows,
     Trajectory,
     group_rows,
     kl_gradient,
     log_prob,
-    sample_group,
+    sample_group_rows,
     score,
     sum_blocks,
     translate_rows,
@@ -72,12 +73,17 @@ class MixConfig:
 
 @dataclass
 class GroupRollout:
-    """k rollouts for one query, with rewards and standardized advantages."""
+    """k rollouts for one query, with rewards and standardized advantages.
+
+    A group from ``rollout_group`` also carries the rows its steps were
+    sampled with, read through ``step_rows``.
+    """
 
     query: Query
     trajectories: tuple[Trajectory, ...]
     rewards: tuple[int, ...]
     advantages: np.ndarray | None = None
+    sampled_rows: StepRows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.trajectories) != len(self.rewards):
@@ -93,6 +99,10 @@ class GroupRollout:
     def grade(self) -> DifficultyGrade:
         """Difficulty grade of the reward pattern, computed once per group."""
         return grading.grade(self.rewards)
+
+    def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, tokens, lengths) of the group's steps in ``params``' interner."""
+        return group_rows(params, self.query, self.trajectories, self.sampled_rows)
 
 
 @dataclass
@@ -117,13 +127,14 @@ def standardize_advantages(rewards: Sequence[float], xi: float) -> np.ndarray:
 def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Generator,
                   *, xi: float, stop_token: int, t_max: int) -> GroupRollout:
     """Sample k rollouts and populate rewards and standardized advantages."""
-    trajs = sample_group(params, query, k, rng, stop_token=stop_token, t_max=t_max)
+    trajs, sampled = sample_group_rows(params, query, k, rng, stop_token=stop_token, t_max=t_max)
     rewards = tuple(reward(query, traj) for traj in trajs)
     return GroupRollout(
         query=query,
         trajectories=tuple(trajs),
         rewards=rewards,
         advantages=standardize_advantages(rewards, xi),
+        sampled_rows=sampled,
     )
 
 
@@ -161,7 +172,7 @@ def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
     if k < 2:
         raise InputError("grpo_loss_grad needs a group of >= 2")
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
-    rows, tokens, lengths = group_rows(params, group.query, group.trajectories)
+    rows, tokens, lengths = group.step_rows(params)
     ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
     deltas = params.logp_at(rows, tokens) - ratio_ref.logp_at(
         translate_rows(params, ratio_ref, rows), tokens)
@@ -196,7 +207,7 @@ def grpo_policy_gradient(params: PolicyParams, group: GroupRollout) -> RowBlock:
     """
     if group.advantages is None:
         raise StateError("group advantages are not populated")
-    rows, tokens, lengths = group_rows(params, group.query, group.trajectories)
+    rows, tokens, lengths = group.step_rows(params)
     weights = np.repeat((1.0 / group.k) * np.asarray(group.advantages, dtype=np.float64),
                         lengths)
     keep = weights != 0.0

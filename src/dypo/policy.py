@@ -4,8 +4,10 @@ The policy is a logit table indexed by (query id, last-n generated tokens).
 A ``ContextInterner`` maps each context to a row; the logits live in one
 dense ``(rows, V)`` array, with the matching probabilities, log-probabilities
 and sampling cdf refreshed by one vectorized softmax over the rows a write
-touched. Rows a policy has never written read ``default_logits``. Because the
-softmax is tabular, every gradient used elsewhere in the package is available
+touched. Rows a policy has never written read ``default_logits``. The
+sampler walks the interner's transition map from row to row, so each step's
+context is resolved once, and a sampled group keeps the rows of its steps.
+Because the softmax is tabular, every gradient used elsewhere in the package is available
 in closed form, as a ``RowBlock`` over the rows it touches, and can be checked
 against finite differences.
 
@@ -17,6 +19,7 @@ rounded sum keeps resumed runs bit-identical.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -92,8 +95,10 @@ def sum_blocks(terms: Sequence[tuple[float, RowBlock]]) -> RowBlock:
 class ContextInterner:
     """Append-only map from context to row, shared by a policy and its copies.
 
-    It also caches the rows and token array of recently resolved
-    trajectories, since each trajectory is scored by several losses.
+    It also holds the transition map ``step(row, tok)``, the row of the
+    context that follows a row's context once ``tok`` is generated, and
+    caches the rows and token array of recently resolved trajectories, since
+    teacher demonstrations and alignment pairs are scored by several losses.
     """
 
     def __init__(self, vocab_size: int, history: int):
@@ -101,13 +106,31 @@ class ContextInterner:
         self.history = history
         self.index: dict[Context, int] = {}
         self.contexts: list[Context] = []
+        # _next[row][tok] is step(row, tok), or -1 until first asked for
+        self._next: list[list[int]] = []
         self._trajectories: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def row(self, ctx: Context) -> int:
         r = self.index.setdefault(ctx, len(self.contexts))
         if r == len(self.contexts):
             self.contexts.append(ctx)
+            self._next.append([-1] * self.vocab_size)
         return r
+
+    def root(self, query_id: int) -> int:
+        """Row of a query's first generation step, whose history is empty."""
+        return self.row((query_id, ()))
+
+    def step(self, row: int, tok: int) -> int:
+        """Row of the context after generating ``tok`` in ``row``'s context:
+        the history gains ``tok`` and keeps its last ``history`` tokens."""
+        nxt = self._next[row][tok]
+        if nxt < 0:
+            qid, hist = self.contexts[row]
+            hist += (tok,)
+            nxt = self.row((qid, hist[max(0, len(hist) - self.history):]))
+            self._next[row][tok] = nxt
+        return nxt
 
     def trajectory(self, query_id: int,
                    tokens: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -120,9 +143,10 @@ class ContextInterner:
             for tok in tokens:
                 if not 0 <= tok < self.vocab_size:
                     raise InputError(f"token {tok} out of range [0, {self.vocab_size})")
-            rows = np.fromiter((self.row(context_at(query_id, tokens, t, self.history))
-                                for t in range(len(tokens))), dtype=np.intp, count=len(tokens))
-            hit = (rows, np.array(tokens, dtype=np.intp))
+            rows = [self.root(query_id)]
+            for tok in tokens[:-1]:
+                rows.append(self.step(rows[-1], tok))
+            hit = (np.array(rows, dtype=np.intp), np.array(tokens, dtype=np.intp))
             if len(self._trajectories) >= _TRAJECTORY_CACHE:
                 self._trajectories.clear()
             self._trajectories[key] = hit
@@ -322,19 +346,32 @@ def translate_rows(params: PolicyParams, other: PolicyParams, rows: np.ndarray) 
     return other.rows(params.interner.contexts[r] for r in rows)
 
 
-def context_at(query_id: int, tokens: Sequence[int], t: int, history: int) -> Context:
-    lo = max(0, t - history)
-    return (query_id, tuple(tokens[lo:t]))
-
-
 def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Context]:
     """Conditioning context for every generation step of a token sequence."""
-    return [context_at(query_id, tokens, t, history) for t in range(len(tokens))]
+    return [(query_id, tuple(tokens[max(0, t - history):t])) for t in range(len(tokens))]
 
 
-def group_rows(params: PolicyParams, query: "Query",
-               trajectories: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, tokens, lengths) of a trajectory collection, concatenated in order."""
+class StepRows(NamedTuple):
+    """The row and the token of every step of a sampled trajectory collection,
+    concatenated in order; the rows index ``interner``.
+
+    One ``(2, steps)`` int32 array, since a bench holds thousands of them.
+    """
+
+    interner: ContextInterner
+    steps: np.ndarray
+
+
+def group_rows(params: PolicyParams, query: "Query", trajectories: Sequence[Trajectory],
+               sampled: StepRows | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, tokens, lengths) of a trajectory collection, concatenated in order.
+
+    ``sampled``, the rows recorded while the collection was sampled, is
+    returned as is when it indexes ``params``' interner.
+    """
+    if sampled is not None and sampled.interner is params.interner:
+        params._fit()
+        return sampled.steps[0], sampled.steps[1], np.array([len(t) for t in trajectories])
     parts = [params.trajectory_rows(query.query_id, traj.tokens) for traj in trajectories]
     return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
             np.array([len(p[0]) for p in parts]))
@@ -369,35 +406,93 @@ def score(params: PolicyParams, query: "Query", traj: Trajectory) -> RowBlock:
     return weighted_score(params, rows, tokens, np.ones(len(rows)))
 
 
+def score_sq_norms(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
+                   lengths: np.ndarray) -> np.ndarray:
+    """||score(traj_i)||^2 of every trajectory of a concatenated collection.
+
+    One bincount over (trajectory, row) keys gives the entries ``score``
+    gives per trajectory; only the order of the final sums differs.
+    """
+    span = int(rows.max()) + 1
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    keys, pair = _unique_inverse(owner * span + rows)
+    v = params.vocab_size
+    hits = np.bincount(pair * v + tokens, minlength=len(keys) * v).reshape(-1, v)
+    values = hits - np.bincount(pair, minlength=len(keys))[:, None] * params._probs[keys % span]
+    return np.bincount(keys // span, weights=(values * values).sum(axis=1),
+                       minlength=len(lengths))
+
+
+def _sample(params: PolicyParams, query_id: int, n: int, rng: np.random.Generator,
+            stop_token: int, t_max: int) -> tuple[list[Trajectory], list[int], list[int]]:
+    """n autoregressive samples, one ``rng.random()`` draw per token.
+
+    Each token is the first whose cdf entry exceeds the draw, clamped to the
+    vocabulary for a draw above a rounded cdf's last entry. A sample stops on
+    ``stop_token`` or after t_max tokens. Returns the samples and, over all of
+    them in order, every step's row and token.
+    """
+    interner = params.interner
+    successors = interner._next
+    cdf, fitted = params._cdf, len(params._written)
+    default = params._default_dist[2][0].tolist()
+    cdf_lists: dict[int, list[float]] = {}
+    last = params.vocab_size - 1
+    draw = rng.random
+    root = interner.root(query_id)
+    rows: list[int] = []
+    tokens: list[int] = []
+    samples: list[Trajectory] = []
+    for _ in range(n):
+        start = len(tokens)
+        row, tok = root, -1
+        for t in range(t_max):
+            if t:
+                nxt = successors[row][tok]
+                row = nxt if nxt >= 0 else interner.step(row, tok)
+            c = cdf_lists.get(row)
+            if c is None:
+                # rows interned since the arrays last grew are unwritten
+                c = cdf_lists[row] = cdf[row].tolist() if row < fitted else default
+            tok = bisect_right(c, draw())
+            if tok > last:
+                tok = last
+            rows.append(row)
+            tokens.append(tok)
+            if tok == stop_token:
+                break
+        samples.append(Trajectory(tuple(tokens[start:]), terminal=tok == stop_token))
+    params._fit()
+    return samples, rows, tokens
+
+
 def sample_trajectory(params: PolicyParams, query: "Query", rng: np.random.Generator,
                       *, stop_token: int, t_max: int) -> Trajectory:
     """One autoregressive sample; stops on ``stop_token`` or after t_max tokens."""
-    qid = query.query_id
-    tokens: list[int] = []
-    last = params.vocab_size - 1
-    for t in range(t_max):
-        ctx = context_at(qid, tokens, t, params.history)
-        cdf = params.sampling_cdf(ctx)
-        tok = int(np.searchsorted(cdf, rng.random(), side="right"))
-        if tok > last:
-            tok = last
-        tokens.append(tok)
-        if tok == stop_token:
-            return Trajectory(tuple(tokens), terminal=True)
-    return Trajectory(tuple(tokens), terminal=False)
+    return _sample(params, query.query_id, 1, rng, stop_token, t_max)[0][0]
 
 
-def sample_group(params: PolicyParams, query: "Query", k: int, rng: np.random.Generator,
-                 *, stop_token: int, t_max: int) -> list[Trajectory]:
-    """k independent rollouts for one query; pure in (params, query, k, seed)."""
+def sample_group_rows(params: PolicyParams, query: "Query", k: int, rng: np.random.Generator,
+                      *, stop_token: int, t_max: int) -> tuple[list[Trajectory], StepRows]:
+    """k independent rollouts for one query and the rows of their steps.
+
+    Pure in (params, query, k, seed); the draws are those of k successive
+    ``sample_trajectory`` calls.
+    """
     if k < 2:
         raise ConfigError(f"group size must be >= 2, got {k}")
     if not 0 <= stop_token < params.vocab_size:
         raise ConfigError(f"stop token {stop_token} outside vocabulary")
     if t_max < 1:
         raise ConfigError(f"t_max must be >= 1, got {t_max}")
-    return [sample_trajectory(params, query, rng, stop_token=stop_token, t_max=t_max)
-            for _ in range(k)]
+    samples, rows, tokens = _sample(params, query.query_id, k, rng, stop_token, t_max)
+    return samples, StepRows(params.interner, np.array((rows, tokens), dtype=np.int32))
+
+
+def sample_group(params: PolicyParams, query: "Query", k: int, rng: np.random.Generator,
+                 *, stop_token: int, t_max: int) -> list[Trajectory]:
+    """k independent rollouts for one query; pure in (params, query, k, seed)."""
+    return sample_group_rows(params, query, k, rng, stop_token=stop_token, t_max=t_max)[0]
 
 
 def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import atomic_write
 from .errors import ConfigError, DataError, TrainingAborted
 from .grading import DifficultyGrade
 from .instrumentation import StepMetrics, write_metrics
@@ -32,7 +32,7 @@ from .objectives import (
     rollout_group,
     sft_loss_grad,
 )
-from .policy import ContextInterner, PolicyParams, group_rows, mean_step_entropy, sum_blocks
+from .policy import ContextInterner, PolicyParams, mean_step_entropy, sum_blocks
 from .seeding import substream
 from .tasks import (
     BiasTestbedConfig,
@@ -260,10 +260,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "metrics": [vars(m) for m in ckpt.metrics],
         "config": train_config_to_dict(ckpt.config),
     }
-    # write then rename, so a reader never sees a partial file
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    tmp.write_text(json.dumps(doc) + "\n")
-    os.replace(tmp, path)
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -319,7 +317,24 @@ def _query_report(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
 
 
 def _visited_rows(params: PolicyParams, groups: Sequence[GroupRollout]) -> np.ndarray:
-    return np.concatenate([group_rows(params, g.query, g.trajectories)[0] for g in groups])
+    return np.concatenate([g.step_rows(params)[0] for g in groups])
+
+
+def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
+    """A run may resume only its own checkpoint: the configs may differ in
+    ``steps`` alone, and the checkpoint may not be past the run's end."""
+    theirs = train_config_to_dict(ckpt.config)
+    differ = []
+    for key, value in train_config_to_dict(config).items():
+        if isinstance(value, dict):
+            differ += [f"{key}.{sub}" for sub in value if value[sub] != theirs[key][sub]]
+        elif key != "steps" and value != theirs[key]:
+            differ.append(key)
+    if differ:
+        raise ConfigError(f"cannot resume: the checkpoint's config differs in {', '.join(differ)}")
+    if ckpt.step > config.steps:
+        raise ConfigError(f"cannot resume: the checkpoint is at step {ckpt.step}, "
+                          f"past the configured {config.steps} steps")
 
 
 def train(config: TrainConfig, out_dir: str | Path | None = None,
@@ -329,11 +344,13 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
 
     Deterministic under config; resuming from a checkpoint continues the
     identical trajectory because every step draws from substreams named by
-    the step index alone.
+    the step index alone. A checkpoint whose config differs in anything but
+    ``steps``, or whose step is past ``config.steps``, is a ConfigError.
     """
     pool = QueryPool(config.task, config.seed)
     teachers = make_teacher_ensemble(config.task, config.m_teachers, config.seed)
     if resume_from is not None:
+        _check_resume(config, resume_from)
         params = resume_from.params.copy()
         ref = resume_from.ref.snapshot()
         metrics = list(resume_from.metrics)

@@ -1,4 +1,4 @@
-"""Difficulty grading: the three-way partition and its routing."""
+"""Difficulty grading: the three-way partition."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from dypo.errors import InputError
-from dypo.grading import DifficultyGrade, Route, grade, route
+from dypo.grading import DifficultyGrade, grade
 
 
 def test_paper_examples():
@@ -29,12 +29,6 @@ def test_partition_exhaustive_up_to_k10():
             assert g is expected
             # mixed results iff 0 < sum < k
             assert (g is DifficultyGrade.MID) == (0 < total < k)
-
-
-def test_routing():
-    assert route(DifficultyGrade.EASY) is Route.DISCARD
-    assert route(DifficultyGrade.HARD) is Route.SFT
-    assert route(DifficultyGrade.MID) is Route.MIXED_RL
 
 
 def test_input_errors():

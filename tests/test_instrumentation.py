@@ -173,6 +173,18 @@ def test_metrics_csv_header_only_and_roundtrip(tmp_path):
     assert read_metrics(path) == rows
 
 
+def test_metrics_write_failing_midway_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "metrics.csv"
+    row = StepMetrics(step=0, mean_reward=0.5, offline_ratio=0.5, mean_entropy=1.0,
+                      grad_norm=0.1, easy=0, hard=1, mid=1, eta=0.2, kl=0.0)
+    write_metrics(path, [row])
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # the second row fails after the first is written
+        write_metrics(path, [row, StepMetrics(**{**vars(row), "step": "x"})])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
 def test_metrics_offline_ratio_in_bounds(tmp_path):
     result = train(TrainConfig(seed=3, steps=12))
     for row in result.metrics:

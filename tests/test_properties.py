@@ -1,5 +1,5 @@
-"""Property tests: row-block gradients against naive per-token references,
-the grading partition, and advantage standardization."""
+"""Property tests: the sampler and row-block gradients against naive
+per-token references, the grading partition, and advantage standardization."""
 
 from __future__ import annotations
 
@@ -20,7 +20,15 @@ from dypo.objectives import (
     sft_loss_grad,
     standardize_advantages,
 )
-from dypo.policy import PolicyParams, Trajectory, score, step_contexts
+from dypo.policy import (
+    PolicyParams,
+    Trajectory,
+    group_rows,
+    sample_group_rows,
+    sample_trajectory,
+    score,
+    step_contexts,
+)
 from dypo.seeding import substream
 from dypo.tasks import teacher_sample
 
@@ -33,6 +41,19 @@ SLOW = settings(FAST, max_examples=40)
 
 
 # --- naive per-token references --------------------------------------------
+
+def naive_sample(params, qid, k, rng, stop, t_max) -> list[Trajectory]:
+    """k samples, each token drawn by searchsorted on its context's cdf."""
+    out = []
+    for _ in range(k):
+        tokens: list[int] = []
+        while len(tokens) < t_max and (not tokens or tokens[-1] != stop):
+            ctx = (qid, tuple(tokens[max(0, len(tokens) - params.history):]))
+            tok = int(np.searchsorted(params.sampling_cdf(ctx), rng.random(), side="right"))
+            tokens.append(min(tok, params.vocab_size - 1))
+        out.append(Trajectory(tuple(tokens), terminal=tokens[-1] == stop))
+    return out
+
 
 def _add(into: dict, grad: dict, coef: float) -> None:
     for ctx, vec in grad.items():
@@ -119,7 +140,49 @@ def _random_params(seed: int, history: int) -> PolicyParams:
     return params
 
 
+def _sampling_params(seed: int, history: int) -> PolicyParams:
+    """Random default logits, random written contexts, and rows a sibling
+    policy interned that this policy's arrays do not cover yet."""
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(V, history, default_logits=rng.normal(0, 2, V))
+    sibling = PolicyParams(V, history, interner=params.interner)
+    for policy in (params, sibling):
+        for _ in range(12):
+            hist = tuple(int(t) for t in rng.integers(V, size=rng.integers(history + 1)))
+            policy.set_logits((0, hist), rng.normal(0, 3, V))
+    return params
+
+
 # --- properties -----------------------------------------------------------------
+
+@given(seed=seeds, history=st.integers(0, 3), k=st.integers(2, 6), t_max=st.integers(1, 16),
+       stop=st.integers(0, V - 1))
+@FAST
+def test_sampler_matches_naive_per_token_reference(seed, history, k, t_max, stop):
+    params, twin = _sampling_params(seed, history), _sampling_params(seed, history)
+    query = SimpleNamespace(query_id=0)
+    rng, twin_rng = substream(seed, "sample"), substream(seed, "sample")
+    trajs, sampled = sample_group_rows(params, query, k, rng, stop_token=stop, t_max=t_max)
+    trajs.append(sample_trajectory(params, query, rng, stop_token=stop, t_max=t_max))
+    assert trajs == naive_sample(twin, 0, k + 1, twin_rng, stop, t_max)
+    assert rng.random() == twin_rng.random()
+    group = trajs[:k]
+    contexts = [ctx for t in group for ctx in step_contexts(0, t.tokens, history)]
+    assert sampled.interner is params.interner
+    assert np.array_equal(sampled.steps, [params.rows(contexts),
+                                          [tok for t in group for tok in t.tokens]])
+    assert group_rows(params, query, group, sampled)[2].tolist() == [len(t) for t in group]
+
+
+def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
+    # the uniform 7-way cdf rounds to a last entry below the largest draw
+    params = PolicyParams(7, 1)
+    assert params.sampling_cdf((0, ()))[-1] < np.nextafter(1.0, 0.0)
+    top = SimpleNamespace(random=lambda: np.nextafter(1.0, 0.0))
+    traj = sample_trajectory(params, SimpleNamespace(query_id=0), top, stop_token=6, t_max=3)
+    assert traj == Trajectory((6,), terminal=True)
+    assert naive_sample(params, 0, 1, top, 6, 3) == [traj]
+
 
 @given(seed=seeds, history=st.integers(0, 3), tokens=token_seqs)
 @FAST

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,7 +355,19 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
     def broken_replace(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr("dypo.trainer.os.replace", broken_replace)
+    monkeypatch.setattr("dypo.artifacts.os.replace", broken_replace)
     with pytest.raises(OSError):
         save_checkpoint(path, train(TrainConfig(seed=27, steps=2)).checkpoint)
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def test_resume_refuses_a_checkpoint_of_another_config():
+    cfg = TrainConfig(seed=28, steps=4)
+    ckpt = train(replace(cfg, steps=2)).checkpoint
+    with pytest.raises(ConfigError, match="differs in seed$"):
+        train(replace(cfg, seed=29), resume_from=ckpt)
+    with pytest.raises(ConfigError, match="differs in mix.alpha$"):
+        train(replace(cfg, mix=replace(cfg.mix, alpha=0.3)), resume_from=ckpt)
+    with pytest.raises(ConfigError, match="at step 2, past the configured 1 steps"):
+        train(replace(cfg, steps=1), resume_from=ckpt)
