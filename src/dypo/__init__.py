@@ -51,7 +51,6 @@ from .policy import (
     kl_to_reference,
     log_prob,
     mean_step_entropy,
-    sample_group,
     score,
 )
 from .tasks import (
@@ -59,7 +58,7 @@ from .tasks import (
     Query,
     TaskConfig,
     TeacherOracle,
-    bias_sample,
+    bias_sq_norms,
     generate_query,
     make_teacher_ensemble,
     reward,

@@ -81,7 +81,7 @@ class GradCheckInstance:
     ref: PolicyParams
     query: Query
     group: GroupRollout
-    pairs: list[tuple[Trajectory, Trajectory]]
+    pairs: np.ndarray
     teachers: list
     contexts: list[Context]
 
@@ -91,8 +91,10 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     """One random (params, ref, query, group) tuple for gradient checking.
 
     ``kind`` picks the group's reward pattern: mixed successes and failures,
-    all failures, or all successes. The reference policy sits close to the
-    params so token ratios stay strictly off the clip boundary.
+    all failures, or all successes. ``pairs`` are the first three (success,
+    failure) index pairs of the group, empty unless it is Mid. The reference
+    policy sits close to the params so token ratios stay strictly off the
+    clip boundary.
     """
     rng = substream(seed, "gradcheck", index)
     task = task or TaskConfig()
@@ -118,7 +120,9 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     rewards = tuple(reward(query, t) for t in trajs)
     group = GroupRollout(query=query, trajectories=tuple(trajs), rewards=rewards,
                          advantages=standardize_advantages(rewards, 1e-4))
-    pairs = [(s, f) for s in successes for f in failures][:3]
+    won = [i for i, r in enumerate(rewards) if r == 1]
+    lost = [i for i, r in enumerate(rewards) if r == 0]
+    pairs = np.array([(s, f) for s in won for f in lost][:3], dtype=np.intp).reshape(-1, 2)
     return GradCheckInstance(params=params, ref=ref, query=query, group=group,
                              pairs=pairs, teachers=teachers, contexts=contexts)
 
@@ -162,7 +166,7 @@ def check_gal(seed: int, index: int, cfg: MixConfig | None = None,
               eps: float = 1e-5) -> float:
     cfg = cfg or MixConfig()
     inst = make_instance(seed, index)
-    return _certify(inst, lambda p: gal_loss_grad(p, inst.ref, inst.pairs, inst.query, cfg), eps)
+    return _certify(inst, lambda p: gal_loss_grad(p, inst.ref, inst.group, inst.pairs, cfg), eps)
 
 
 def check_dypo(seed: int, index: int, cfg: MixConfig | None = None,
@@ -174,7 +178,7 @@ def check_dypo(seed: int, index: int, cfg: MixConfig | None = None,
         if kind != "mid" or _off_clip(inst, cfg, margin=10 * eps):
             break
     return _certify(inst, lambda p: dypo_step_loss(
-        p, inst.ref, inst.query, inst.group, inst.teachers, cfg,
+        p, inst.ref, inst.group, inst.teachers, cfg,
         substream(seed, "gradcheck-dypo", index)), eps)
 
 

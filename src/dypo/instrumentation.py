@@ -27,8 +27,8 @@ from .objectives import (
     mixed_gradient,
     rollout_group,
 )
-from .policy import PolicyParams, RowBlock, group_rows, sample_group_rows, score_sq_norms
-from .tasks import BiasTestbedConfig, Query
+from .policy import PolicyParams, RowBlock, sample_group_rows, score_sq_norms
+from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 
 
 @dataclass
@@ -110,7 +110,8 @@ def estimate_score_variance(params: PolicyParams, query: Query, n_samples: int,
         raise InputError(f"score-variance estimation needs >= 30 samples, got {n_samples}")
     trajs, sampled = sample_group_rows(params, query, n_samples, rng, stop_token=stop_token,
                                        t_max=t_max)
-    sq_norms = score_sq_norms(params, *group_rows(params, query, trajs, sampled))
+    rows, tokens = sampled.steps
+    sq_norms = score_sq_norms(params, rows, tokens, np.array([len(t) for t in trajs]))
     return float(sq_norms.sum()) / n_samples
 
 
@@ -147,7 +148,7 @@ def measure_eta(params: PolicyParams, ref: PolicyParams,
     etas = []
     for g in groups:
         pairs = build_pairs(g, cfg.pair_cap, rng)
-        etas.append(gal_loss_grad(params, ref, pairs, g.query, cfg).aux["eta"])
+        etas.append(gal_loss_grad(params, ref, g, pairs, cfg).aux["eta"])
     return float(np.mean(etas))
 
 
@@ -187,7 +188,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
     for i, group in enumerate(groups):
         pairs = build_pairs(group, cfg.pair_cap, rng)
         grpo = grpo_policy_gradient(params, group)
-        gal = gal_loss_grad(params, ref, pairs, group.query, cfg)
+        gal = gal_loss_grad(params, ref, group, pairs, cfg)
         g_grpo.append(grpo)
         g_gal.append(gal.gradient)
         etas[i] = gal.aux["eta"]
@@ -233,20 +234,15 @@ def bias_law_bench(cfg: BiasTestbedConfig, m_values: Sequence[int], n_draws: int
         raise InputError("bias_law_bench needs at least one ensemble size")
     if n_draws < 10_000:
         raise InputError(f"bias_law_bench needs >= 1e4 draws per point, got {n_draws}")
-    b_sys = np.asarray(cfg.b_sys)
-    scale = cfg.sigma_bias / np.sqrt(cfg.dim)
     means: dict[int, float] = {}
     stderrs: dict[int, float] = {}
     for m in m_values:
-        if m < 1:
-            raise InputError(f"ensemble size must be >= 1, got {m}")
         total = 0.0
         total_sq = 0.0
         done = 0
         while done < n_draws:
             size = min(chunk, n_draws - done)
-            draws = rng.normal(0.0, scale, size=(size, m, cfg.dim))
-            vals = ((b_sys + draws.mean(axis=1)) ** 2).sum(axis=1)
+            vals = bias_sq_norms(cfg, m, size, rng)
             total += float(vals.sum())
             total_sq += float((vals**2).sum())
             done += size

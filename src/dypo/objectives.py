@@ -23,11 +23,8 @@ from .policy import (
     RowBlock,
     StepRows,
     Trajectory,
-    group_rows,
     kl_gradient,
-    log_prob,
     sample_group_rows,
-    score,
     sum_blocks,
     translate_rows,
     weighted_score,
@@ -75,15 +72,17 @@ class MixConfig:
 class GroupRollout:
     """k rollouts for one query, with rewards and standardized advantages.
 
-    A group from ``rollout_group`` also carries the rows its steps were
-    sampled with, read through ``step_rows``.
+    The group owns the rows of its trajectories' steps, read through
+    ``step_rows``: a group from ``rollout_group`` keeps the rows it was
+    sampled with, and a group built from given trajectories resolves them
+    once, on first use, and keeps them.
     """
 
     query: Query
     trajectories: tuple[Trajectory, ...]
     rewards: tuple[int, ...]
     advantages: np.ndarray | None = None
-    sampled_rows: StepRows | None = field(default=None, repr=False, compare=False)
+    rows: StepRows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.trajectories) != len(self.rewards):
@@ -100,9 +99,24 @@ class GroupRollout:
         """Difficulty grade of the reward pattern, computed once per group."""
         return grading.grade(self.rewards)
 
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.array([len(t) for t in self.trajectories])
+
     def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, tokens, lengths) of the group's steps in ``params``' interner."""
-        return group_rows(params, self.query, self.trajectories, self.sampled_rows)
+        """(rows, tokens, lengths) of the group's steps in ``params``' interner.
+
+        Rows kept for another interner are resolved again in ``params``' one.
+        """
+        if self.rows is None or self.rows.interner is not params.interner:
+            parts = [params.trajectory_rows(self.query.query_id, t.tokens)
+                     for t in self.trajectories]
+            self.rows = StepRows(params.interner,
+                                 np.concatenate(parts, axis=1).astype(np.int32))
+        else:
+            params._fit()
+        rows, tokens = self.rows.steps
+        return rows, tokens, self.lengths
 
 
 @dataclass
@@ -134,7 +148,7 @@ def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Gen
         trajectories=tuple(trajs),
         rewards=rewards,
         advantages=standardize_advantages(rewards, xi),
-        sampled_rows=sampled,
+        rows=sampled,
     )
 
 
@@ -145,9 +159,9 @@ def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[Teacher
         raise ConfigError("sft_loss_grad needs at least one teacher")
     idx = int(rng.integers(len(teachers)))
     demo = teacher_sample(teachers[idx], query, rng)
-    loss = -log_prob(params, query, demo)
-    gradient = score(params, query, demo).scaled(-1.0)
-    return LossReport(loss=loss, gradient=gradient,
+    rows, tokens = params.trajectory_rows(query.query_id, demo.tokens)
+    return LossReport(loss=-float(params.logp_at(rows, tokens).sum()),
+                      gradient=weighted_score(params, rows, tokens, np.full(len(rows), -1.0)),
                       aux={"teacher_index": float(idx), "demo_len": float(len(demo))})
 
 
@@ -214,9 +228,9 @@ def grpo_policy_gradient(params: PolicyParams, group: GroupRollout) -> RowBlock:
     return weighted_score(params, rows[keep], tokens[keep], weights[keep])
 
 
-def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator,
-                ) -> list[tuple[Trajectory, Trajectory]]:
-    """(success, failure) pairs from one Mid group.
+def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) -> np.ndarray:
+    """(success, failure) pairs from one Mid group, as an ``(n, 2)`` array of
+    indices into ``group.trajectories``.
 
     Full Cartesian product when it fits under pair_cap, otherwise a uniform
     random subset of exactly pair_cap distinct pairs.
@@ -225,50 +239,61 @@ def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator,
         raise StateError("pair construction requires a Mid-graded group")
     if pair_cap < 1:
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
-    successes = [t for t, r in zip(group.trajectories, group.rewards) if r == 1]
-    failures = [t for t, r in zip(group.trajectories, group.rewards) if r == 0]
-    n_pairs = len(successes) * len(failures)
-    if n_pairs <= pair_cap:
-        return [(s, f) for s in successes for f in failures]
-    chosen = rng.choice(n_pairs, size=pair_cap, replace=False)
+    rewards = np.asarray(group.rewards)
+    successes = np.flatnonzero(rewards == 1)
+    failures = np.flatnonzero(rewards == 0)
     n_f = len(failures)
-    return [(successes[int(i) // n_f], failures[int(i) % n_f]) for i in chosen]
+    n_pairs = len(successes) * n_f
+    if n_pairs <= pair_cap:
+        chosen = np.arange(n_pairs)
+    else:
+        chosen = rng.choice(n_pairs, size=pair_cap, replace=False)
+    return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
 
 
-def gal_loss_grad(params: PolicyParams, ref: PolicyParams,
-                  pairs: Sequence[tuple[Trajectory, Trajectory]], query: Query,
-                  cfg: MixConfig) -> LossReport:
+def gal_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
+                  pairs: np.ndarray, cfg: MixConfig) -> LossReport:
     """Pairwise contrastive alignment loss over (success, failure) rollouts.
 
-    Per pair, d is the policy-vs-reference log-ratio margin between the
-    successful and the failed trajectory and the loss is -log sigmoid(beta*d).
-    The gradient weight 1 - sigmoid(beta*d) is strictly inside (0,1), which
-    is what bounds and eventually anneals this estimator's variance.
+    ``pairs`` holds (success, failure) indices into ``group.trajectories``,
+    as ``build_pairs`` returns them. Per pair, d is the policy-vs-reference
+    log-ratio margin between the successful and the failed trajectory and
+    the loss is -log sigmoid(beta*d). The gradient weight 1 - sigmoid(beta*d)
+    is strictly inside (0,1), which is what bounds and eventually anneals
+    this estimator's variance.
     """
-    if len(pairs) == 0:
+    pairs = np.asarray(pairs, dtype=np.intp)
+    k = group.k
+    if pairs.size == 0:
         raise InputError("gal_loss_grad needs at least one pair")
-    for win, lose in pairs:
-        if reward(query, win) != 1 or reward(query, lose) != 0:
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError(f"pairs must have shape (n, 2), got {pairs.shape}")
+    # a plain loop: a group has few pairs, and numpy's per-call cost dominates
+    rewards = group.rewards
+    for win, lose in pairs.tolist():
+        if not (0 <= win < k and 0 <= lose < k):
+            raise InputError(f"pair indices must lie in [0, {k}), got ({win}, {lose})")
+        if rewards[win] != 1 or rewards[lose] != 0:
             raise InputError("each pair must be (reward-1, reward-0) in that order")
     beta = cfg.beta_gal
-    distinct = list({t.tokens: t for pair in pairs for t in pair}.values())
-    n = len(distinct)
-    position = {t.tokens: i for i, t in enumerate(distinct)}
-    win = np.array([position[w.tokens] for w, _ in pairs])
-    lose = np.array([position[f.tokens] for _, f in pairs])
-    rows, tokens, lengths = group_rows(params, query, distinct)
-    traj = np.repeat(np.arange(n), lengths)
+    win, lose = pairs[:, 0], pairs[:, 1]
+    rows, tokens, lengths = group.step_rows(params)
+    traj = np.repeat(np.arange(k), lengths)
     ref_logp = ref.logp_at(translate_rows(params, ref, rows), tokens)
-    log_ratio = (np.bincount(traj, weights=params.logp_at(rows, tokens), minlength=n)
-                 - np.bincount(traj, weights=ref_logp, minlength=n))
+    log_ratio = (np.bincount(traj, weights=params.logp_at(rows, tokens), minlength=k)
+                 - np.bincount(traj, weights=ref_logp, minlength=k))
     d = log_ratio[win] - log_ratio[lose]
     weights = expit(-beta * d)
     coef = -beta * weights / len(pairs)
-    traj_coef = np.bincount(win, weights=coef, minlength=n) - np.bincount(
-        lose, weights=coef, minlength=n)
+    traj_coef = np.bincount(win, weights=coef, minlength=k) - np.bincount(
+        lose, weights=coef, minlength=k)
+    # the gradient's rows are those of the paired trajectories only
+    paired = np.zeros(k, dtype=bool)
+    paired[pairs] = True
+    keep = paired[traj]
     return LossReport(
         loss=float(np.logaddexp(0.0, -beta * d).mean()),  # -log sigmoid(beta d)
-        gradient=weighted_score(params, rows, tokens, traj_coef[traj]),
+        gradient=weighted_score(params, rows[keep], tokens[keep], traj_coef[traj[keep]]),
         aux={
             "eta": float(np.mean(weights**2)),
             "pair_count": float(len(pairs)),
@@ -285,7 +310,7 @@ def mixed_gradient(g_grpo: RowBlock, g_gal: RowBlock, alpha: float) -> RowBlock:
     return sum_blocks([(alpha, g_grpo), (1.0 - alpha, g_gal)])
 
 
-def dypo_step_loss(params: PolicyParams, ref: PolicyParams, query: Query,
+def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
                    group: GroupRollout, teachers: Sequence[TeacherOracle],
                    cfg: MixConfig, rng: np.random.Generator) -> LossReport:
     """Route one graded group to its pathway and return the dispatched report.
@@ -299,14 +324,14 @@ def dypo_step_loss(params: PolicyParams, ref: PolicyParams, query: Query,
         empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
         return LossReport(loss=0.0, gradient=empty, aux={"grade": g.value})
     if g is DifficultyGrade.HARD:
-        sft = sft_loss_grad(params, query, teachers, rng)
+        sft = sft_loss_grad(params, group.query, teachers, rng)
         aux = dict(sft.aux)
         aux["grade"] = g.value
         return LossReport(loss=cfg.gamma * sft.loss,
                           gradient=sft.gradient.scaled(cfg.gamma), aux=aux)
     pairs = build_pairs(group, cfg.pair_cap, rng)
     grpo = grpo_loss_grad(params, ref, group, cfg)
-    gal = gal_loss_grad(params, ref, pairs, query, cfg)
+    gal = gal_loss_grad(params, ref, group, pairs, cfg)
     loss = cfg.alpha * grpo.loss + (1.0 - cfg.alpha) * gal.loss
     gradient = mixed_gradient(grpo.gradient, gal.gradient, cfg.alpha)
     aux = {"grade": g.value}

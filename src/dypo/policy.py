@@ -34,10 +34,6 @@ if TYPE_CHECKING:
 # (query_id, history of the last n generated tokens)
 Context = tuple[int, tuple[int, ...]]
 
-# Resolved token rows are cached per (query id, tokens); the cache is cleared
-# when it reaches this size, which bounds its memory on long benches.
-_TRAJECTORY_CACHE = 256
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -96,9 +92,7 @@ class ContextInterner:
     """Append-only map from context to row, shared by a policy and its copies.
 
     It also holds the transition map ``step(row, tok)``, the row of the
-    context that follows a row's context once ``tok`` is generated, and
-    caches the rows and token array of recently resolved trajectories, since
-    teacher demonstrations and alignment pairs are scored by several losses.
+    context that follows a row's context once ``tok`` is generated.
     """
 
     def __init__(self, vocab_size: int, history: int):
@@ -108,7 +102,6 @@ class ContextInterner:
         self.contexts: list[Context] = []
         # _next[row][tok] is step(row, tok), or -1 until first asked for
         self._next: list[list[int]] = []
-        self._trajectories: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def row(self, ctx: Context) -> int:
         r = self.index.setdefault(ctx, len(self.contexts))
@@ -131,26 +124,6 @@ class ContextInterner:
             nxt = self.row((qid, hist[max(0, len(hist) - self.history):]))
             self._next[row][tok] = nxt
         return nxt
-
-    def trajectory(self, query_id: int,
-                   tokens: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(row of each step's context, token array) of one token sequence."""
-        key = (query_id, tokens)
-        hit = self._trajectories.get(key)
-        if hit is None:
-            if len(tokens) == 0:
-                raise InputError("trajectory must be nonempty")
-            for tok in tokens:
-                if not 0 <= tok < self.vocab_size:
-                    raise InputError(f"token {tok} out of range [0, {self.vocab_size})")
-            rows = [self.root(query_id)]
-            for tok in tokens[:-1]:
-                rows.append(self.step(rows[-1], tok))
-            hit = (np.array(rows, dtype=np.intp), np.array(tokens, dtype=np.intp))
-            if len(self._trajectories) >= _TRAJECTORY_CACHE:
-                self._trajectories.clear()
-            self._trajectories[key] = hit
-        return hit
 
 
 def _softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,9 +219,17 @@ class PolicyParams:
     def trajectory_rows(self, query_id: int,
                         tokens: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(row of each step's context, token array) of one token sequence."""
-        hit = self.interner.trajectory(query_id, tokens)
+        if len(tokens) == 0:
+            raise InputError("trajectory must be nonempty")
+        for tok in tokens:
+            if not 0 <= tok < self.vocab_size:
+                raise InputError(f"token {tok} out of range [0, {self.vocab_size})")
+        interner = self.interner
+        rows = [interner.root(query_id)]
+        for tok in tokens[:-1]:
+            rows.append(interner.step(rows[-1], tok))
         self._fit()
-        return hit
+        return np.array(rows, dtype=np.intp), np.array(tokens, dtype=np.intp)
 
     def written_contexts(self) -> list[Context]:
         """Contexts this policy has written, in row order."""
@@ -352,7 +333,7 @@ def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Co
 
 
 class StepRows(NamedTuple):
-    """The row and the token of every step of a sampled trajectory collection,
+    """The row and the token of every step of a trajectory collection,
     concatenated in order; the rows index ``interner``.
 
     One ``(2, steps)`` int32 array, since a bench holds thousands of them.
@@ -360,21 +341,6 @@ class StepRows(NamedTuple):
 
     interner: ContextInterner
     steps: np.ndarray
-
-
-def group_rows(params: PolicyParams, query: "Query", trajectories: Sequence[Trajectory],
-               sampled: StepRows | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, tokens, lengths) of a trajectory collection, concatenated in order.
-
-    ``sampled``, the rows recorded while the collection was sampled, is
-    returned as is when it indexes ``params``' interner.
-    """
-    if sampled is not None and sampled.interner is params.interner:
-        params._fit()
-        return sampled.steps[0], sampled.steps[1], np.array([len(t) for t in trajectories])
-    parts = [params.trajectory_rows(query.query_id, traj.tokens) for traj in trajectories]
-    return (np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]),
-            np.array([len(p[0]) for p in parts]))
 
 
 def weighted_score(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
@@ -487,12 +453,6 @@ def sample_group_rows(params: PolicyParams, query: "Query", k: int, rng: np.rand
         raise ConfigError(f"t_max must be >= 1, got {t_max}")
     samples, rows, tokens = _sample(params, query.query_id, k, rng, stop_token, t_max)
     return samples, StepRows(params.interner, np.array((rows, tokens), dtype=np.int32))
-
-
-def sample_group(params: PolicyParams, query: "Query", k: int, rng: np.random.Generator,
-                 *, stop_token: int, t_max: int) -> list[Trajectory]:
-    """k independent rollouts for one query; pure in (params, query, k, seed)."""
-    return sample_group_rows(params, query, k, rng, stop_token=stop_token, t_max=t_max)[0]
 
 
 def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:

@@ -10,7 +10,7 @@ preserving style (filler repetitions of intermediate values).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,7 +204,6 @@ class BiasTestbedConfig:
     dim: int
     b_sys: tuple[float, ...]
     sigma_bias: float
-    tau_star: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.dim < 1:
@@ -213,22 +212,20 @@ class BiasTestbedConfig:
             raise ConfigError("b_sys length must equal dim")
         if self.sigma_bias < 0:
             raise ConfigError("sigma_bias must be >= 0")
-        if self.tau_star and len(self.tau_star) != self.dim:
-            raise ConfigError("tau_star length must equal dim")
 
     @property
     def b_sys_sq(self) -> float:
         return float(np.dot(self.b_sys, self.b_sys))
 
 
-def bias_sample(cfg: BiasTestbedConfig, m: int, rng: np.random.Generator) -> float:
-    """Squared norm of the ensemble bias: ||b_sys + mean of m idiosyncratic draws||^2.
+def bias_sq_norms(cfg: BiasTestbedConfig, m: int, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n draws of the squared ensemble bias ||b_sys + mean of m idiosyncratic draws||^2.
 
-    Idiosyncratic draws are i.i.d. zero-mean with E||b_i||^2 = sigma_bias^2.
+    Idiosyncratic draws are i.i.d. zero-mean with E||b_i||^2 = sigma_bias^2;
+    all of them come from one ``(n, m, dim)`` normal draw.
     """
     if m < 1:
         raise InputError(f"ensemble size must be >= 1, got {m}")
-    scale = cfg.sigma_bias / np.sqrt(cfg.dim)
-    draws = rng.normal(0.0, scale, size=(m, cfg.dim)) if cfg.sigma_bias > 0 else np.zeros((m, cfg.dim))
-    total = np.asarray(cfg.b_sys) + draws.mean(axis=0)
-    return float(np.dot(total, total))
+    draws = rng.normal(0.0, cfg.sigma_bias / np.sqrt(cfg.dim), size=(n, m, cfg.dim))
+    return ((np.asarray(cfg.b_sys) + draws.mean(axis=1)) ** 2).sum(axis=1)

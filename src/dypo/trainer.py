@@ -97,7 +97,7 @@ class TrainConfig:
 _MIX_KEYS = ("alpha", "gamma", "beta_gal", "beta_kl", "epsilon_clip", "xi",
              "pair_cap", "ratio_level", "ratio_baseline")
 _TASK_KEYS = ("family", "modulus", "min_chain_len", "max_chain_len", "pool_size")
-_TESTBED_KEYS = ("dim", "b_sys", "sigma_bias", "tau_star")
+_TESTBED_KEYS = ("dim", "b_sys", "sigma_bias")
 _TOP_KEYS = ("seed", "steps", "batch_size", "k", "learning_rate", "m_teachers",
              "ref_refresh_period", "t_max", "history", "init_syntax_logit",
              "variant", "mix", "task", "testbed")
@@ -122,7 +122,6 @@ def train_config_from_dict(data: dict) -> TrainConfig:
     if "testbed" in top:
         raw = _pick(top["testbed"], _TESTBED_KEYS, "testbed.")
         raw["b_sys"] = tuple(raw.get("b_sys", ()))
-        raw["tau_star"] = tuple(raw.get("tau_star", ()))
         top["testbed"] = BiasTestbedConfig(**raw)
     return TrainConfig(**top)
 
@@ -133,8 +132,7 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
     out["mix"] = {key: getattr(cfg.mix, key) for key in _MIX_KEYS}
     out["task"] = {key: getattr(cfg.task, key) for key in _TASK_KEYS}
     out["testbed"] = {"dim": cfg.testbed.dim, "b_sys": list(cfg.testbed.b_sys),
-                      "sigma_bias": cfg.testbed.sigma_bias,
-                      "tau_star": list(cfg.testbed.tau_star)}
+                      "sigma_bias": cfg.testbed.sigma_bias}
     return out
 
 
@@ -267,8 +265,10 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint.
 
-    A missing, truncated or malformed file raises DataError; a config that
-    is invalid or disagrees with the stored policies raises ConfigError.
+    A missing, truncated or malformed file raises DataError, and so does a
+    step that is not a non-negative integer or metrics that are not exactly
+    the rows of steps 0 .. step-1; a config that is invalid or disagrees
+    with the stored policies raises ConfigError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -278,13 +278,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"checkpoint {path} is not valid JSON (truncated?): {exc}") from exc
     try:
         config = train_config_from_dict(doc["config"])
+        step = doc["step"]
+        if type(step) is not int or step < 0:
+            raise DataError(f"checkpoint {path} has step {step!r}, not a non-negative integer")
+        metrics = [StepMetrics(**row) for row in doc["metrics"]]
+        if [m.step for m in metrics] != list(range(step)):
+            raise DataError(f"checkpoint {path} is at step {step}, but its metrics are not "
+                            f"exactly the rows of steps 0 to {step - 1}")
         params = _params_from_dict(doc["params"], config)
         return Checkpoint(
-            step=int(doc["step"]),
+            step=step,
             params=params,
             ref=_params_from_dict(doc["ref"], config, frozen=True, interner=params.interner),
             rng_state=doc["rng_state"],
-            metrics=[StepMetrics(**row) for row in doc["metrics"]],
+            metrics=metrics,
             config=config,
         )
     except ConfigError:
@@ -304,7 +311,7 @@ def _query_report(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
     group = rollout_group(params, query, config.k, roll_rng, xi=config.mix.xi,
                           stop_token=config.task.stop, t_max=config.t_max)
     if config.variant == "dypo":
-        report = dypo_step_loss(params, ref, query, group, teachers, config.mix, obj_rng)
+        report = dypo_step_loss(params, ref, group, teachers, config.mix, obj_rng)
     elif config.variant == "sft_only":
         sft = sft_loss_grad(params, query, teachers, obj_rng)
         report = LossReport(loss=config.mix.gamma * sft.loss,

@@ -169,7 +169,7 @@ def test_criterion_7_gal_anchors(dypo_run):
     inst = make_instance(ACCEPTANCE_SEED, 21, kind="mid")
     ref = inst.params.snapshot()
     cfg = MixConfig()
-    report = gal_loss_grad(inst.params, ref, inst.pairs, inst.query, cfg)
+    report = gal_loss_grad(inst.params, ref, inst.group, inst.pairs, cfg)
     anchors_ok = (abs(report.loss - np.log(2.0)) <= 1e-12
                   and abs(report.aux["weight_min"] - 0.5) <= 1e-12
                   and abs(report.aux["weight_max"] - 0.5) <= 1e-12)

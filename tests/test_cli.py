@@ -139,12 +139,14 @@ def test_compare_cli(tmp_path):
 
 
 def test_execution_key_in_config_exits_1(tmp_path, capsys):
-    doc = train_config_to_dict(TrainConfig())
-    doc["execution"] = "threads"
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(doc))
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert "execution" in capsys.readouterr().err
+    # keys of removed features are unknown keys
+    for section, key, value in ((None, "execution", "threads"), ("testbed", "tau_star", [])):
+        doc = train_config_to_dict(TrainConfig())
+        (doc[section] if section else doc)[key] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_evaluate_bad_checkpoint_exits_2_with_one_line(tmp_path, tiny_config, capsys):

@@ -22,7 +22,7 @@ from dypo.objectives import (
     sft_loss_grad,
     standardize_advantages,
 )
-from dypo.policy import log_prob, score
+from dypo.policy import Trajectory, log_prob, score, step_contexts
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
 
@@ -183,16 +183,16 @@ def _group_with_split(n_succ: int, n_fail: int, seed: int = 0):
 def test_build_pairs_full_product():
     inst, group = _group_with_split(3, 5)
     pairs = build_pairs(group, 100, substream(5, "p"))
-    assert len(pairs) == 15
-    assert all(reward(group.query, s) == 1 and reward(group.query, f) == 0 for s, f in pairs)
+    assert pairs.shape == (15, 2)
+    assert all(reward(group.query, group.trajectories[s]) == 1
+               and reward(group.query, group.trajectories[f]) == 0 for s, f in pairs)
 
 
 def test_build_pairs_cap():
     inst, group = _group_with_split(4, 4)
     pairs = build_pairs(group, 8, substream(5, "p2"))
-    assert len(pairs) == 8
-    keyed = {(s.tokens, f.tokens) for s, f in pairs}
-    assert len(keyed) == 8
+    assert pairs.shape == (8, 2)
+    assert len({(s, f) for s, f in pairs.tolist()}) == 8
 
 
 def test_build_pairs_subset_is_uniform():
@@ -200,8 +200,7 @@ def test_build_pairs_subset_is_uniform():
     inclusion: dict = {}
     n = 100_000
     for i in range(n):
-        for s, f in build_pairs(group, 2, substream(5, "u", i)):
-            key = (s.tokens, f.tokens)
+        for key in map(tuple, build_pairs(group, 2, substream(5, "u", i)).tolist()):
             inclusion[key] = inclusion.get(key, 0) + 1
     # 4 pairs, 2 kept per draw: uniform inclusion probability 1/2
     freqs = np.array(list(inclusion.values())) / n
@@ -219,7 +218,7 @@ def test_build_pairs_rejects_degenerate_groups():
 def test_gal_anchors_at_reference():
     inst = _mid_instance(index=10)
     ref = inst.params.snapshot()
-    report = gal_loss_grad(inst.params, ref, inst.pairs, inst.query, CFG)
+    report = gal_loss_grad(inst.params, ref, inst.group, inst.pairs, CFG)
     assert report.loss == pytest.approx(np.log(2.0), abs=1e-12)
     assert report.aux["weight_min"] == pytest.approx(0.5, abs=1e-12)
     assert report.aux["weight_max"] == pytest.approx(0.5, abs=1e-12)
@@ -236,8 +235,8 @@ def test_gal_saturation_annealing():
     for boost in (0.0, 2.0, 6.0, 14.0):
         boosted = inst.params.copy()
         for s, _ in inst.pairs:
-            boosted.apply_update(score(inst.params, inst.query, s), boost)
-        report = gal_loss_grad(boosted, inst.ref, inst.pairs, inst.query, CFG)
+            boosted.apply_update(score(inst.params, inst.query, inst.group.trajectories[s]), boost)
+        report = gal_loss_grad(boosted, inst.ref, inst.group, inst.pairs, CFG)
         assert report.aux["eta"] <= last_eta + 1e-12
         last_eta = report.aux["eta"]
         last_norm = np.sqrt(report.gradient.sq_norm())
@@ -248,28 +247,47 @@ def test_gal_saturation_annealing():
 def test_gal_weights_strictly_bounded():
     for i in range(30):
         inst = _mid_instance(index=i)
-        report = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, CFG)
+        report = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG)
         assert 0.0 < report.aux["weight_min"] <= report.aux["weight_max"] < 1.0
 
 
 def test_gal_eta_matches_independent_recompute():
     inst = _mid_instance(index=12)
-    report = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, CFG)
+    report = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG)
+    trajs = inst.group.trajectories
     ws = []
-    for s, f in inst.pairs:
+    for s, f in ((trajs[i], trajs[j]) for i, j in inst.pairs):
         d = (log_prob(inst.params, inst.query, s) - log_prob(inst.ref, inst.query, s)) \
             - (log_prob(inst.params, inst.query, f) - log_prob(inst.ref, inst.query, f))
         ws.append(1.0 - expit(CFG.beta_gal * d))
     assert report.aux["eta"] == pytest.approx(np.mean(np.square(ws)), abs=1e-15)
 
 
+def test_gal_gradient_skips_unpaired_trajectories():
+    # GAL reads the group's stored rewards; trajectory 2 is a success left unpaired
+    inst = _mid_instance(index=18)
+    trajs = tuple(Trajectory(t, terminal=False) for t in ((0, 1, 2), (3, 4), (5, 6, 7)))
+    group = GroupRollout(query=inst.query, trajectories=trajs, rewards=(1, 0, 1))
+    report = gal_loss_grad(inst.params, inst.ref, group, [(0, 1)], CFG)
+    paired = {ctx for t in trajs[:2] for ctx in step_contexts(inst.query.query_id, t.tokens, 1)}
+    assert set(block_dict(inst.params, report.gradient)) == paired
+
+
 def test_gal_input_validation():
     inst = _mid_instance(index=13)
-    with pytest.raises(InputError):
-        gal_loss_grad(inst.params, inst.ref, [], inst.query, CFG)
-    flipped = [(f, s) for s, f in inst.pairs]
-    with pytest.raises(InputError):
-        gal_loss_grad(inst.params, inst.ref, flipped, inst.query, CFG)
+    k = inst.group.k
+    bad_pairs = {
+        "empty list": [],
+        "empty array": np.zeros((0, 2), dtype=int),
+        "flipped": inst.pairs[:, ::-1],
+        "one flipped": np.vstack([inst.pairs, inst.pairs[:1, ::-1]]),
+        "past the end": [(0, k)],
+        "negative": [(0, -1)],
+        "not pairs": inst.pairs.ravel(),
+    }
+    for pairs in bad_pairs.values():
+        with pytest.raises(InputError):
+            gal_loss_grad(inst.params, inst.ref, inst.group, pairs, CFG)
 
 
 def test_gal_gradient_finite_differences():
@@ -293,7 +311,7 @@ def test_mixed_gradient_linearity_and_bounds():
 def test_mixed_gradient_near_one_limit():
     inst = _mid_instance(index=15)
     g_grpo = grpo_policy_gradient(inst.params, inst.group)
-    g_gal = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, CFG).gradient
+    g_gal = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
     mix = block_dict(inst.params, mixed_gradient(g_grpo, g_gal, 0.999))
     grpo = block_dict(inst.params, g_grpo)
     # direct norm bound: ||mix - grpo|| = 0.001 ||gal - grpo||
@@ -306,7 +324,7 @@ def test_mixed_gradient_near_one_limit():
 def test_mixed_gradient_componentwise_oracle():
     inst = _mid_instance(index=16)
     g_a = grpo_policy_gradient(inst.params, inst.group)
-    g_b = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query, CFG).gradient
+    g_b = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
     a, b = block_dict(inst.params, g_a), block_dict(inst.params, g_b)
     mix = block_dict(inst.params, mixed_gradient(g_a, g_b, 0.3))
     assert set(mix) == set(a) | set(b)
@@ -318,7 +336,7 @@ def test_mixed_gradient_componentwise_oracle():
 
 def test_dypo_step_easy_contributes_nothing():
     inst = make_instance(47, 4, kind="easy")
-    report = dypo_step_loss(inst.params, inst.ref, inst.query, inst.group,
+    report = dypo_step_loss(inst.params, inst.ref, inst.group,
                             inst.teachers, CFG, substream(5, "e"))
     assert report.loss == 0.0
     assert report.gradient.rows.size == 0
@@ -329,9 +347,9 @@ def test_dypo_step_hard_scales_with_gamma():
     inst = make_instance(47, 5, kind="hard")
     cfg1 = MixConfig(gamma=1.0)
     cfg2 = MixConfig(gamma=2.0)
-    r1 = dypo_step_loss(inst.params, inst.ref, inst.query, inst.group,
+    r1 = dypo_step_loss(inst.params, inst.ref, inst.group,
                         inst.teachers, cfg1, substream(5, "h"))
-    r2 = dypo_step_loss(inst.params, inst.ref, inst.query, inst.group,
+    r2 = dypo_step_loss(inst.params, inst.ref, inst.group,
                         inst.teachers, cfg2, substream(5, "h"))
     assert r2.loss == pytest.approx(2.0 * r1.loss, rel=1e-15)
     np.testing.assert_array_equal(r2.gradient.rows, r1.gradient.rows)
@@ -342,11 +360,11 @@ def test_dypo_step_hard_scales_with_gamma():
 def test_dypo_step_mid_recomposition():
     inst = _mid_instance(index=17)
     rng_tag = substream(5, "m")
-    report = dypo_step_loss(inst.params, inst.ref, inst.query, inst.group,
+    report = dypo_step_loss(inst.params, inst.ref, inst.group,
                             inst.teachers, CFG, rng_tag)
     pairs = build_pairs(inst.group, CFG.pair_cap, substream(5, "m"))
     grpo = grpo_loss_grad(inst.params, inst.ref, inst.group, CFG)
-    gal = gal_loss_grad(inst.params, inst.ref, pairs, inst.query, CFG)
+    gal = gal_loss_grad(inst.params, inst.ref, inst.group, pairs, CFG)
     manual_loss = CFG.alpha * grpo.loss + (1 - CFG.alpha) * gal.loss
     assert report.loss == pytest.approx(manual_loss, abs=1e-12)
     manual = mixed_gradient(grpo.gradient, gal.gradient, CFG.alpha)

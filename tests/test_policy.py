@@ -16,7 +16,7 @@ from dypo.policy import (
     kl_to_reference,
     log_prob,
     mean_step_entropy,
-    sample_group,
+    sample_group_rows,
     sample_trajectory,
     score,
     step_contexts,
@@ -116,8 +116,10 @@ def test_sample_group_deterministic():
     task = TaskConfig()
     query = generate_query(task, 2, substream(7, "q"), query_id=0)
     params = PolicyParams(task.vocab_size, 1)
-    a = sample_group(params, query, 8, substream(7, "roll"), stop_token=task.stop, t_max=16)
-    b = sample_group(params, query, 8, substream(7, "roll"), stop_token=task.stop, t_max=16)
+    a, _ = sample_group_rows(params, query, 8, substream(7, "roll"), stop_token=task.stop,
+                             t_max=16)
+    b, _ = sample_group_rows(params, query, 8, substream(7, "roll"), stop_token=task.stop,
+                             t_max=16)
     assert a == b
 
 
@@ -128,7 +130,8 @@ def test_sample_group_forced_stop():
     row = np.zeros(task.vocab_size)
     row[task.stop] = 30.0
     params.default_logits = row  # every context immediately emits stop
-    group = sample_group(params, query, 8, substream(7, "r"), stop_token=task.stop, t_max=16)
+    group, _ = sample_group_rows(params, query, 8, substream(7, "r"), stop_token=task.stop,
+                                 t_max=16)
     assert all(len(t) == 1 and t.terminal for t in group)
 
 
@@ -137,7 +140,7 @@ def test_sample_group_needs_k_at_least_two():
     query = generate_query(task, 1, substream(7, "q"), query_id=0)
     params = PolicyParams(task.vocab_size, 1)
     with pytest.raises(ConfigError):
-        sample_group(params, query, 1, substream(7, "r"), stop_token=task.stop, t_max=16)
+        sample_group_rows(params, query, 1, substream(7, "r"), stop_token=task.stop, t_max=16)
 
 
 def test_sampling_frequencies_match_softmax():

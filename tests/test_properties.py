@@ -1,5 +1,6 @@
 """Property tests: the sampler and row-block gradients against naive
-per-token references, the grading partition, and advantage standardization."""
+per-token references, pair construction, the grading partition, and
+advantage standardization."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from dypo.gradcheck import make_instance
 from dypo.objectives import (
     GroupRollout,
     MixConfig,
+    build_pairs,
     gal_loss_grad,
     grpo_loss_grad,
     sft_loss_grad,
@@ -23,7 +25,6 @@ from dypo.objectives import (
 from dypo.policy import (
     PolicyParams,
     Trajectory,
-    group_rows,
     sample_group_rows,
     sample_trajectory,
     score,
@@ -104,12 +105,15 @@ def naive_grpo(params, ref, group: GroupRollout, cfg: MixConfig) -> dict:
     return grad
 
 
-def naive_gal(params, ref, pairs, qid, beta: float) -> dict:
+def naive_gal(params, ref, group: GroupRollout, pairs, beta: float) -> dict:
+    qid = group.query.query_id
+
     def log_ratio(traj):
         return naive_log_prob(params, qid, traj.tokens) - naive_log_prob(ref, qid, traj.tokens)
 
     grad: dict = {}
-    for win, lose in pairs:
+    for i, j in pairs:
+        win, lose = group.trajectories[i], group.trajectories[j]
         coef = -beta * expit(-beta * (log_ratio(win) - log_ratio(lose))) / len(pairs)
         _add(grad, naive_score(params, qid, win.tokens), coef)
         _add(grad, naive_score(params, qid, lose.tokens), -coef)
@@ -171,7 +175,17 @@ def test_sampler_matches_naive_per_token_reference(seed, history, k, t_max, stop
     assert sampled.interner is params.interner
     assert np.array_equal(sampled.steps, [params.rows(contexts),
                                           [tok for t in group for tok in t.tokens]])
-    assert group_rows(params, query, group, sampled)[2].tolist() == [len(t) for t in group]
+    # a group built from the same trajectories resolves the same rows once, and keeps them
+    sampled_group = GroupRollout(query, tuple(group), (0,) * k, rows=sampled)
+    built = GroupRollout(query, tuple(group), (0,) * k)
+    rows, tokens, lengths = built.step_rows(params)
+    kept = built.rows
+    assert kept.interner is params.interner
+    assert all(np.array_equal(a, b) for a, b in zip(sampled_group.step_rows(params),
+                                                    (rows, tokens, lengths)))
+    assert lengths.tolist() == [len(t) for t in group]
+    built.step_rows(params)
+    assert built.rows is kept
 
 
 def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
@@ -222,14 +236,36 @@ def test_grpo_block_matches_naive_reference(seed, index, kind, level, baseline, 
                          naive_grpo(inst.params, inst.ref, inst.group, cfg))
 
 
-@given(seed=seeds, index=st.integers(0, 60), beta=st.sampled_from([0.5, 1.0, 3.0]))
+@given(seed=seeds, index=st.integers(0, 60), beta=st.sampled_from([0.5, 1.0, 3.0]),
+       duplicated=st.booleans())
 @SLOW
-def test_gal_block_matches_naive_reference(seed, index, beta):
+def test_gal_block_matches_naive_reference(seed, index, beta, duplicated):
     inst = make_instance(seed, index)
-    report = gal_loss_grad(inst.params, inst.ref, inst.pairs, inst.query,
-                           MixConfig(beta_gal=beta))
+    group, pairs = inst.group, inst.pairs
+    if duplicated:
+        # a second copy of a success and of a failure, each paired like the original
+        trajs = group.trajectories + (group.trajectories[0], group.trajectories[-1])
+        group = GroupRollout(group.query, trajs, group.rewards + (1, 0))
+        pairs = build_pairs(group, 64, substream(seed, "pairs"))
+    report = gal_loss_grad(inst.params, inst.ref, group, pairs, MixConfig(beta_gal=beta))
     assert_block_matches(inst.params, report.gradient,
-                         naive_gal(inst.params, inst.ref, inst.pairs, inst.query.query_id, beta))
+                         naive_gal(inst.params, inst.ref, group, pairs, beta))
+
+
+@given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=12).filter(
+           lambda r: 0 < sum(r) < len(r)),
+       pair_cap=st.integers(1, 40), seed=seeds)
+@FAST
+def test_build_pairs_are_success_failure_index_pairs(rewards, pair_cap, seed):
+    trajs = tuple(Trajectory((i,), terminal=False) for i in range(len(rewards)))
+    group = GroupRollout(SimpleNamespace(query_id=0), trajs, tuple(rewards))
+    pairs = build_pairs(group, pair_cap, substream(seed, "pairs"))
+    product = {(s, f) for s, won in enumerate(rewards) if won
+               for f, lost in enumerate(rewards) if not lost}
+    got = [tuple(p) for p in pairs.tolist()]
+    assert pairs.shape == (min(pair_cap, len(product)), 2)
+    assert len(set(got)) == len(got)
+    assert set(got) <= product
 
 
 @given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=40))

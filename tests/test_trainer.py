@@ -248,7 +248,7 @@ def test_batch_gradient_is_additive_over_query_reports():
         query = pool.queries[qi]
         group = rollout_group(before, query, cfg.k, substream(cfg.seed, "rollout", 0, j),
                               xi=cfg.mix.xi, stop_token=cfg.task.stop, t_max=cfg.t_max)
-        report = dypo_step_loss(before, ref, query, group, teachers, cfg.mix,
+        report = dypo_step_loss(before, ref, group, teachers, cfg.mix,
                                 substream(cfg.seed, "objective", 0, j))
         if group.grade is not DifficultyGrade.EASY:
             blocks.append((1.0, report.gradient))
@@ -335,6 +335,36 @@ def test_checkpoint_non_finite_logits_are_a_data_error(tmp_path, checkpoint_doc)
     doc["ref"]["table"][0][2][0] = float("nan")
     with pytest.raises(DataError, match="malformed: logit entries must be finite"):
         _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_negative_step_is_a_data_error(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["step"] = -2
+    with pytest.raises(DataError, match="step -2, not a non-negative integer"):
+        _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_fractional_step_is_a_data_error(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["step"] = 2.7
+    with pytest.raises(DataError, match="step 2.7, not a non-negative integer"):
+        _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_metrics_must_be_the_rows_before_its_step(tmp_path, checkpoint_doc):
+    from dypo.errors import DataError
+
+    short = json.loads(json.dumps(checkpoint_doc))
+    short["metrics"] = short["metrics"][:1]
+    relabeled = json.loads(json.dumps(checkpoint_doc))
+    relabeled["metrics"][1]["step"] = 2
+    for doc in (short, relabeled):
+        with pytest.raises(DataError, match="at step 3, but its metrics are not"):
+            _load_doc(tmp_path, doc)
 
 
 def test_checkpoint_vocab_and_history_must_match_the_config(tmp_path, checkpoint_doc):
