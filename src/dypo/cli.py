@@ -60,15 +60,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="run the routed training loop")
     common(p)
 
-    p = sub.add_parser("evaluate", help="roll out without updating and report pass rate")
+    p = sub.add_parser("evaluate", help="roll out without updating; report pass rate and grades")
     common(p)
     p.add_argument("--checkpoint", default=None, help="policy checkpoint to evaluate")
     p.add_argument("--groups", type=int, default=200, help="number of evaluation queries")
-
-    p = sub.add_parser("grade-stats", help="difficulty-grade histogram of the stream")
-    common(p)
-    p.add_argument("--checkpoint", default=None, help="policy checkpoint to grade under")
-    p.add_argument("--groups", type=int, default=200, help="number of graded groups")
 
     p = sub.add_parser("variance-bench", help="train to low eta, then compare variances")
     common(p)
@@ -144,22 +139,7 @@ def _cmd_evaluate(args) -> int:
                       substream(cfg.seed, "evaluate"), xi=cfg.mix.xi, t_max=cfg.t_max)
     _write_json(out / "eval.json", asdict(report))
     print(f"pass_rate={report.pass_rate:.4f} grades={report.grade_counts} "
-          f"entropy={report.mean_entropy:.3f}")
-    return 0
-
-
-def _cmd_grade_stats(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
-    params = _load_params(cfg, args.checkpoint)
-    pool = QueryPool(cfg.task, cfg.seed)
-    report = evaluate(params, pool, args.groups, cfg.k,
-                      substream(cfg.seed, "grade-stats"), xi=cfg.mix.xi, t_max=cfg.t_max)
-    counts = report.grade_counts
-    total = sum(counts.values())
-    stats = {"counts": counts, "offline_ratio": counts["hard"] / total, "groups": total}
-    _write_json(out / "grade_stats.json", stats)
-    print(f"grades over {total} groups: {counts} offline_ratio={stats['offline_ratio']:.3f}")
+          f"offline_ratio={report.offline_ratio:.3f} entropy={report.mean_entropy:.3f}")
     return 0
 
 
@@ -234,7 +214,6 @@ def _cmd_compare(args) -> int:
 _COMMANDS = {
     "train": _cmd_train,
     "evaluate": _cmd_evaluate,
-    "grade-stats": _cmd_grade_stats,
     "variance-bench": _cmd_variance_bench,
     "bias-bench": _cmd_bias_bench,
     "grad-check": _cmd_grad_check,

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -57,9 +57,8 @@ class StepMetrics:
     kl: float
 
 
-METRICS_HEADER = ("step", "mean_reward", "offline_ratio", "mean_entropy",
-                  "grad_norm", "easy", "hard", "mid", "eta", "kl")
-_INT_FIELDS = {"step", "easy", "hard", "mid"}
+METRICS_HEADER = tuple(f.name for f in fields(StepMetrics))
+_INT_FIELDS = {name for name, kind in get_type_hints(StepMetrics).items() if kind is int}
 
 
 def variance_from_samples(samples: Iterable[RowBlock]) -> VarianceEstimate:

@@ -177,9 +177,9 @@ class PolicyParams:
         """Logits of every row this policy has not written."""
         row = np.array(values, dtype=np.float64)
         if row.shape != (self.vocab_size,):
-            raise ConfigError("default_logits must have vocab_size entries")
+            raise InputError("default_logits must have vocab_size entries")
         if not np.all(np.isfinite(row)):
-            raise ConfigError("default_logits entries must be finite")
+            raise InputError("default_logits entries must be finite")
         self._default = row
         self._default_dist = _softmax_rows(row[None, :])
         self._fill_default(np.flatnonzero(~self._written))

@@ -26,15 +26,12 @@ class TaskConfig:
     stop, add-op, and mul-op markers.
     """
 
-    family: str = "modular_chain"
     modulus: int = 5
     min_chain_len: int = 1
     max_chain_len: int = 4
     pool_size: int = 8
 
     def __post_init__(self):
-        if self.family != "modular_chain":
-            raise ConfigError(f"unknown task family: {self.family!r}")
         if self.modulus < 2:
             raise ConfigError(f"modulus must be >= 2, got {self.modulus}")
         if not 1 <= self.min_chain_len <= self.max_chain_len:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -92,48 +93,59 @@ class TrainConfig:
             raise ConfigError("t_max too small for the longest teacher demonstration")
 
 
-# --- strict JSON config schema ---------------------------------------------
+# --- the dataclasses are the JSON schema ----------------------------------
 
-_MIX_KEYS = ("alpha", "gamma", "beta_gal", "beta_kl", "epsilon_clip", "xi",
-             "pair_cap", "ratio_level", "ratio_baseline")
-_TASK_KEYS = ("family", "modulus", "min_chain_len", "max_chain_len", "pool_size")
-_TESTBED_KEYS = ("dim", "b_sys", "sigma_bias")
-_TOP_KEYS = ("seed", "steps", "batch_size", "k", "learning_rate", "m_teachers",
-             "ref_refresh_period", "t_max", "history", "init_syntax_logit",
-             "variant", "mix", "task", "testbed")
+def _is_real(value) -> bool:
+    return type(value) is int or type(value) is float and math.isfinite(value)  # no bools
 
 
-def _pick(data: dict, allowed: Sequence[str], prefix: str) -> dict:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown config field: {prefix}{unknown[0]}")
-    return dict(data)
+# per field type: the JSON values it takes, and their description
+_JSON_TYPES = {
+    int: (lambda value: type(value) is int, "an integer"),
+    float: (_is_real, "a finite number"),
+    str: (lambda value: type(value) is str, "a string"),
+    tuple[float, ...]: (lambda value: type(value) in (list, tuple) and all(map(_is_real, value)),
+                        "a list of finite numbers"),
+}
+_type_hints = cache(get_type_hints)  # cached: it re-resolves every annotation on each call
+
+
+def _from_json(kind, value, name: str, error: type[Exception]):
+    """``value``, read from JSON as ``name``, checked against its field type ``kind``.
+
+    A dataclass is an object of its fields, each checked by its type hint;
+    ``int`` takes integers, ``float`` finite integers or reals (JSON has no
+    NaN), ``str`` strings and ``tuple[float, ...]`` a list (or, as
+    ``asdict`` leaves it, a tuple) of finite numbers, stored as a tuple.
+    Anything else raises ``error`` naming the dotted field.
+    """
+    if is_dataclass(kind):
+        if type(value) is not dict:
+            raise error(f"{name} must be a JSON object, got {value!r}")
+        hints = _type_hints(kind)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise error(f"unknown field {name}.{unknown[0]}")
+        checked = {key: _from_json(hints[key], item, f"{name}.{key}", error)
+                   for key, item in value.items()}
+        missing = [f.name for f in fields(kind) if f.name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise error(f"missing field {name}.{missing[0]}")
+        return kind(**checked)
+    accepts, expected = _JSON_TYPES[kind]
+    if not accepts(value):
+        raise error(f"{name} must be {expected}, got {value!r}")
+    return tuple(value) if type(value) is list else value
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
-    """Build a TrainConfig from a JSON document, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    top = _pick(data, _TOP_KEYS, "")
-    if "mix" in top:
-        top["mix"] = MixConfig(**_pick(top["mix"], _MIX_KEYS, "mix."))
-    if "task" in top:
-        top["task"] = TaskConfig(**_pick(top["task"], _TASK_KEYS, "task."))
-    if "testbed" in top:
-        raw = _pick(top["testbed"], _TESTBED_KEYS, "testbed.")
-        raw["b_sys"] = tuple(raw.get("b_sys", ()))
-        top["testbed"] = BiasTestbedConfig(**raw)
-    return TrainConfig(**top)
+    """Build a TrainConfig from a JSON document, rejecting unknown keys and wrong types."""
+    return _from_json(TrainConfig, data, "config", ConfigError)
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
-    out = {key: getattr(cfg, key) for key in _TOP_KEYS
-           if key not in ("mix", "task", "testbed")}
-    out["mix"] = {key: getattr(cfg.mix, key) for key in _MIX_KEYS}
-    out["task"] = {key: getattr(cfg.task, key) for key in _TASK_KEYS}
-    out["testbed"] = {"dim": cfg.testbed.dim, "b_sys": list(cfg.testbed.b_sys),
-                      "sigma_bias": cfg.testbed.sigma_bias}
-    return out
+    return asdict(cfg)
 
 
 def load_train_config(path: str | Path) -> TrainConfig:
@@ -240,7 +252,7 @@ def _params_from_dict(data: dict, config: TrainConfig, frozen: bool = False,
         raise ConfigError(f"checkpoint policy has vocab_size={data['vocab_size']!r}, "
                           f"history={data['history']!r}; its config needs {vocab}, {history}")
     params = PolicyParams(vocab, history, interner=interner,
-                          default_logits=data.get("default_logits"))
+                          default_logits=data["default_logits"])
     for qid, hist, row in data["table"]:
         if len(hist) > history:
             raise ValueError(f"context {hist} is longer than history={history}")
@@ -265,10 +277,10 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint.
 
-    A missing, truncated or malformed file raises DataError, and so does a
-    step that is not a non-negative integer or metrics that are not exactly
-    the rows of steps 0 .. step-1; a config that is invalid or disagrees
-    with the stored policies raises ConfigError.
+    A missing, truncated or malformed file raises DataError, and so do a
+    malformed policy, a step that is not a non-negative integer and metrics
+    that are not exactly the well-typed rows of steps 0 .. step-1; a config
+    that is invalid or disagrees with the stored policies raises ConfigError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -281,7 +293,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         step = doc["step"]
         if type(step) is not int or step < 0:
             raise DataError(f"checkpoint {path} has step {step!r}, not a non-negative integer")
-        metrics = [StepMetrics(**row) for row in doc["metrics"]]
+        metrics = [_from_json(StepMetrics, row, f"metrics[{i}]", ValueError)
+                   for i, row in enumerate(doc["metrics"])]
         if [m.step for m in metrics] != list(range(step)):
             raise DataError(f"checkpoint {path} is at step {step}, but its metrics are not "
                             f"exactly the rows of steps 0 to {step - 1}")
@@ -298,7 +311,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise
     except KeyError as exc:
         raise DataError(f"checkpoint {path} is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # InputError from set_logits included
+    except (TypeError, ValueError) as exc:  # metrics rows, InputError from the policies
         raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
 
 
@@ -450,6 +463,8 @@ class EvalReport:
     pass_rate: float
     grade_counts: dict
     mean_entropy: float
+    offline_ratio: float  # share of Hard groups, the ones routed to distillation
+    groups: int
 
 
 def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
@@ -468,6 +483,8 @@ def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
         pass_rate=sum(any(g.rewards) for g in groups) / n_queries,
         grade_counts=counts,
         mean_entropy=mean_step_entropy(params, _visited_rows(params, groups)),
+        offline_ratio=counts[DifficultyGrade.HARD.value] / n_queries,
+        groups=n_queries,
     )
 
 

@@ -68,6 +68,23 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "mix.alpah" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"mix": 5}, "config.mix"),
+    ({"steps": "5"}, "config.steps"),
+    ({"mix": {"alpha": "x"}}, "config.mix.alpha"),
+    ({"testbed": {"b_sys": 3}}, "config.testbed.b_sys"),
+    ({"task": {"modulus": 2.5}}, "config.task.modulus"),
+    ({"k": 3.5}, "config.k"),
+    ({"batch_size": True}, "config.batch_size"),
+])
+def test_wrongly_typed_config_exits_1_with_one_line(tmp_path, capsys, doc, field):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {field} must be ")
+
+
 def test_unreadable_config_exits_1(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["train", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
@@ -99,20 +116,19 @@ def test_bias_bench_bad_m_list_exits_1(tmp_path, tiny_config):
                  "--out", str(tmp_path / "o"), "--m", "1,two"]) == 1
 
 
-def test_evaluate_and_grade_stats(tmp_path, tiny_config):
+def test_evaluate_reports_pass_rate_and_grades(tmp_path, tiny_config, capsys):
     run = tmp_path / "run"
     assert main(["train", "--config", str(tiny_config), "--out", str(run)]) == 0
-    out = tmp_path / "eval"
-    assert main(["evaluate", "--config", str(tiny_config), "--out", str(out),
-                 "--checkpoint", str(run / "checkpoint.json"), "--groups", "40"]) == 0
-    report = json.loads((out / "eval.json").read_text())
-    assert 0.0 <= report["pass_rate"] <= 1.0
-    gs = tmp_path / "gs"
-    assert main(["grade-stats", "--config", str(tiny_config), "--out", str(gs),
-                 "--groups", "40"]) == 0
-    stats = json.loads((gs / "grade_stats.json").read_text())
-    assert stats["groups"] == 40
-    assert 0.0 <= stats["offline_ratio"] <= 1.0
+    for checkpoint in (["--checkpoint", str(run / "checkpoint.json")], []):
+        out = tmp_path / f"eval{len(checkpoint)}"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(tiny_config), "--out", str(out),
+                     "--groups", "40", *checkpoint]) == 0
+        report = json.loads((out / "eval.json").read_text())
+        assert 0.0 <= report["pass_rate"] <= 1.0
+        assert report["groups"] == sum(report["grade_counts"].values()) == 40
+        assert report["offline_ratio"] == report["grade_counts"]["hard"] / 40
+        assert f"offline_ratio={report['offline_ratio']:.3f}" in capsys.readouterr().out
 
 
 def test_variance_bench_cli(tmp_path):
@@ -140,7 +156,8 @@ def test_compare_cli(tmp_path):
 
 def test_execution_key_in_config_exits_1(tmp_path, capsys):
     # keys of removed features are unknown keys
-    for section, key, value in ((None, "execution", "threads"), ("testbed", "tau_star", [])):
+    for section, key, value in ((None, "execution", "threads"), ("testbed", "tau_star", []),
+                                ("task", "family", "modular_chain")):
         doc = train_config_to_dict(TrainConfig())
         (doc[section] if section else doc)[key] = value
         path = tmp_path / "old.json"

@@ -1,9 +1,10 @@
 """Property tests: the sampler and row-block gradients against naive
-per-token references, pair construction, the grading partition, and
-advantage standardization."""
+per-token references, pair construction, the grading partition, advantage
+standardization, the reward parser and the JSON config round trip."""
 
 from __future__ import annotations
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +32,15 @@ from dypo.policy import (
     step_contexts,
 )
 from dypo.seeding import substream
-from dypo.tasks import teacher_sample
+from dypo.tasks import (
+    BiasTestbedConfig,
+    TaskConfig,
+    generate_query,
+    max_demo_len,
+    reward,
+    teacher_sample,
+)
+from dypo.trainer import VARIANTS, TrainConfig, train_config_from_dict, train_config_to_dict
 
 from conftest import block_dict
 
@@ -286,3 +295,70 @@ def test_standardized_advantages_have_mean_zero_and_ignore_shifts(rewards, shift
     assert abs(adv.mean()) <= 1e-12
     shifted = standardize_advantages([r + shift for r in rewards], xi)
     np.testing.assert_allclose(shifted, adv, rtol=0, atol=1e-9)
+
+
+@given(modulus=st.integers(2, 9), chain_len=st.integers(1, 4), seed=seeds,
+       prefix=st.lists(st.integers(0, 12), max_size=12), extra=st.integers(0, 12),
+       before_answer=st.booleans())
+@FAST
+def test_reward_parser_reads_only_the_segment_after_the_last_separator(
+        modulus, chain_len, seed, prefix, extra, before_answer):
+    task = TaskConfig(modulus=modulus)
+    query = generate_query(task, chain_len, substream(seed, "reward"))
+    sep, stop, (answer,) = task.separator, task.stop, query.answer_tokens
+    prefix = tuple(t % task.vocab_size for t in prefix)
+    extra %= task.vocab_size
+
+    def scores(tokens, terminal=True):
+        return reward(query, Trajectory(tuple(tokens), terminal=terminal))
+
+    assert scores(prefix + (sep, answer, stop)) == 1
+    assert scores(prefix + (sep, answer, stop), terminal=False) == 0
+    if extra != stop:  # a last token other than the stop
+        assert scores(prefix + (sep, answer, extra)) == 0
+    if extra not in (sep, answer):  # a non-answer token inside the answer segment
+        segment = (extra, answer) if before_answer else (answer, extra)
+        assert scores(prefix + (sep, *segment, stop)) == 0
+    no_sep = tuple(t for t in prefix if t != sep)
+    assert scores(no_sep + (answer, stop)) == 0
+
+
+@st.composite
+def train_configs(draw) -> TrainConfig:
+    """Valid configs; float fields sometimes hold JSON integers."""
+    def unit():
+        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+    def positive():
+        return st.floats(1e-6, 10.0) | st.integers(1, 10)
+
+    low = draw(st.integers(1, 4))
+    task = TaskConfig(modulus=draw(st.integers(2, 9)), min_chain_len=low,
+                      max_chain_len=draw(st.integers(low, 5)), pool_size=draw(st.integers(1, 32)))
+    mix = MixConfig(alpha=draw(unit()), gamma=draw(positive()), beta_gal=draw(positive()),
+                    beta_kl=draw(st.floats(0.0, 1.0) | st.just(0)),
+                    epsilon_clip=draw(unit()), xi=draw(positive()),
+                    pair_cap=draw(st.integers(1, 100)),
+                    ratio_level=draw(st.sampled_from(["token", "trajectory"])),
+                    ratio_baseline=draw(st.sampled_from(["rollout", "ref"])))
+    dim = draw(st.integers(1, 6))
+    b_sys = draw(st.lists(st.floats(-5.0, 5.0) | st.integers(-5, 5), min_size=dim, max_size=dim))
+    testbed = BiasTestbedConfig(dim=dim, b_sys=tuple(b_sys),
+                                sigma_bias=draw(st.floats(0.0, 5.0) | st.just(2)))
+    m = draw(st.integers(1, 8))
+    need = max(task.max_chain_len + 2, max_demo_len(task, m))
+    return TrainConfig(
+        seed=draw(st.integers(0, 2**32)), steps=draw(st.integers(0, 10_000)),
+        batch_size=draw(st.integers(1, 64)), k=draw(st.integers(2, 64)),
+        learning_rate=draw(positive()), m_teachers=m,
+        ref_refresh_period=draw(st.integers(0, 100)),
+        t_max=need + draw(st.integers(0, 8)), history=draw(st.integers(0, 4)),
+        init_syntax_logit=draw(st.floats(0.0, 5.0) | st.just(0)),
+        variant=draw(st.sampled_from(VARIANTS)), mix=mix, task=task, testbed=testbed)
+
+
+@given(cfg=train_configs())
+@FAST
+def test_config_json_round_trip(cfg):
+    doc = json.loads(json.dumps(train_config_to_dict(cfg)))
+    assert train_config_from_dict(doc) == cfg

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dypo.errors import ConfigError, TrainingAborted
+from dypo.errors import ConfigError, DataError, TrainingAborted
 from dypo.instrumentation import read_metrics, write_metrics
 from dypo.policy import PolicyParams, RowBlock
 from dypo.seeding import substream
@@ -40,6 +42,38 @@ def test_config_roundtrip_and_strictness():
         train_config_from_dict(doc_bad)
     with pytest.raises(ConfigError, match="learningrate"):
         train_config_from_dict({"learningrate": 0.1})
+
+
+# JSON values of the wrong type for each kind of field; ints are valid reals
+_WRONG = {int: ("5", 2.5, True, None, {}), float: ("0.5", False, None, {}, math.nan, math.inf),
+          str: (5, True, None, {}),
+          tuple: ("0.5", 0.5, [True], ["0"], [None], [-math.inf], None, {})}
+
+
+def test_every_field_rejects_json_values_of_the_wrong_type():
+    base = train_config_to_dict(TrainConfig())
+    for section in ("", "mix", "task", "testbed"):
+        fields = base[section] if section else base
+        for key, default in fields.items():
+            if isinstance(default, dict):
+                wrong = (5, "mix", True, None, [])  # a section must be an object
+            else:
+                wrong = _WRONG[type(default)]
+            name = f"{section}.{key}" if section else key
+            for value in wrong:
+                doc = json.loads(json.dumps(base))
+                (doc[section] if section else doc)[key] = value
+                with pytest.raises(ConfigError, match=rf"^config\.{name} must be "):
+                    train_config_from_dict(doc)
+
+
+def test_json_integers_are_accepted_for_real_fields():
+    doc = {"learning_rate": 1, "mix": {"gamma": 2},
+           "testbed": {"dim": 3, "b_sys": [0.5, 0, -1], "sigma_bias": 1}}
+    cfg = train_config_from_dict(doc)
+    assert (cfg.learning_rate, cfg.mix.gamma, cfg.testbed.b_sys) == (1, 2, (0.5, 0, -1))
+    with pytest.raises(ConfigError, match="missing field config.testbed.sigma_bias"):
+        train_config_from_dict({"testbed": {"dim": 1, "b_sys": [0.0]}})
 
 
 def test_config_validation():
@@ -182,7 +216,8 @@ def test_non_finite_gradient_aborts_with_diagnostic(tmp_path):
     rows = poisoned.params.rows((q, ()) for q in range(cfg.task.pool_size))
     poisoned.params.apply_update(RowBlock(rows, np.full((len(rows), cfg.task.vocab_size),
                                                         np.nan)), 1.0)
-    with pytest.raises(TrainingAborted):
+    with pytest.raises(TrainingAborted), \
+            pytest.warns(RuntimeWarning, match="invalid value encountered in logaddexp"):
         train(cfg, out_dir=tmp_path, resume_from=poisoned)
     assert (tmp_path / "abort_checkpoint.json").exists()
 
@@ -288,8 +323,6 @@ def _load_doc(tmp_path, doc):
 
 
 def test_checkpoint_missing_key_is_a_data_error(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
-
     with pytest.raises(DataError, match="missing key 'config'"):
         _load_doc(tmp_path, {"step": 1})
     doc = json.loads(json.dumps(checkpoint_doc))
@@ -299,8 +332,6 @@ def test_checkpoint_missing_key_is_a_data_error(tmp_path, checkpoint_doc):
 
 
 def test_truncated_checkpoint_is_a_data_error(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
-
     path = tmp_path / "cut.json"
     text = json.dumps(checkpoint_doc)
     path.write_text(text[: len(text) // 2])
@@ -311,8 +342,6 @@ def test_truncated_checkpoint_is_a_data_error(tmp_path, checkpoint_doc):
 
 
 def test_checkpoint_row_length_is_checked(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
-
     doc = json.loads(json.dumps(checkpoint_doc))
     doc["params"]["table"][0][2] = doc["params"]["table"][0][2][:-1]
     with pytest.raises(DataError, match="malformed: logit row must have shape"):
@@ -320,8 +349,6 @@ def test_checkpoint_row_length_is_checked(tmp_path, checkpoint_doc):
 
 
 def test_checkpoint_history_length_is_checked(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
-
     doc = json.loads(json.dumps(checkpoint_doc))
     doc["params"]["table"][0][1] = [1, 2]  # history is 1
     with pytest.raises(DataError, match="longer than history=1"):
@@ -329,17 +356,44 @@ def test_checkpoint_history_length_is_checked(tmp_path, checkpoint_doc):
 
 
 def test_checkpoint_non_finite_logits_are_a_data_error(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
-
     doc = json.loads(json.dumps(checkpoint_doc))
     doc["ref"]["table"][0][2][0] = float("nan")
     with pytest.raises(DataError, match="malformed: logit entries must be finite"):
         _load_doc(tmp_path, doc)
 
 
-def test_checkpoint_negative_step_is_a_data_error(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
+def test_checkpoint_default_logits_of_the_wrong_length_are_a_data_error(tmp_path,
+                                                                        checkpoint_doc):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["params"]["default_logits"].append(0.0)
+    with pytest.raises(DataError, match="malformed: default_logits must have vocab_size"):
+        _load_doc(tmp_path, doc)
 
+
+def test_checkpoint_non_finite_default_logits_are_a_data_error(tmp_path, checkpoint_doc):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["ref"]["default_logits"][0] = float("inf")
+    with pytest.raises(DataError, match="malformed: default_logits entries must be finite"):
+        _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_metrics_rows_are_type_checked(tmp_path, checkpoint_doc):
+    for key, value, message in (("mean_reward", "abc", "metrics[1].mean_reward must be a finite"),
+                                ("easy", 1.5, "metrics[1].easy must be an integer"),
+                                ("kl", None, "metrics[1].kl must be a finite number"),
+                                ("eta", math.nan, "metrics[1].eta must be a finite number"),
+                                ("tau", 0.0, "unknown field metrics[1].tau")):
+        doc = json.loads(json.dumps(checkpoint_doc))
+        doc["metrics"][1][key] = value
+        with pytest.raises(DataError, match=re.escape(message)):
+            _load_doc(tmp_path, doc)
+    doc = json.loads(json.dumps(checkpoint_doc))
+    del doc["metrics"][1]["kl"]
+    with pytest.raises(DataError, match=re.escape("missing field metrics[1].kl")):
+        _load_doc(tmp_path, doc)
+
+
+def test_checkpoint_negative_step_is_a_data_error(tmp_path, checkpoint_doc):
     doc = json.loads(json.dumps(checkpoint_doc))
     doc["step"] = -2
     with pytest.raises(DataError, match="step -2, not a non-negative integer"):
@@ -347,8 +401,6 @@ def test_checkpoint_negative_step_is_a_data_error(tmp_path, checkpoint_doc):
 
 
 def test_checkpoint_fractional_step_is_a_data_error(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
-
     doc = json.loads(json.dumps(checkpoint_doc))
     doc["step"] = 2.7
     with pytest.raises(DataError, match="step 2.7, not a non-negative integer"):
@@ -356,8 +408,6 @@ def test_checkpoint_fractional_step_is_a_data_error(tmp_path, checkpoint_doc):
 
 
 def test_checkpoint_metrics_must_be_the_rows_before_its_step(tmp_path, checkpoint_doc):
-    from dypo.errors import DataError
-
     short = json.loads(json.dumps(checkpoint_doc))
     short["metrics"] = short["metrics"][:1]
     relabeled = json.loads(json.dumps(checkpoint_doc))
