@@ -21,8 +21,6 @@ from .instrumentation import (
     StepMetrics,
     VarianceEstimate,
     bias_law_bench,
-    estimate_score_variance,
-    estimate_variance,
     measure_eta,
     read_metrics,
     variance_ordering_bench,
@@ -48,10 +46,7 @@ from .policy import (
     PolicyParams,
     RowBlock,
     Trajectory,
-    kl_to_reference,
-    log_prob,
     mean_step_entropy,
-    score,
 )
 from .tasks import (
     BiasTestbedConfig,

@@ -28,6 +28,7 @@ from .trainer import (
     QueryPool,
     TrainConfig,
     evaluate,
+    init_policy,
     load_checkpoint,
     load_train_config,
     run_comparison,
@@ -125,8 +126,6 @@ def _load_params(cfg: TrainConfig, checkpoint: str | None):
                               f"history={params.history}; the config needs "
                               f"{cfg.task.vocab_size}, {cfg.history}")
         return params
-    from .trainer import init_policy
-
     return init_policy(cfg, QueryPool(cfg.task, cfg.seed))
 
 

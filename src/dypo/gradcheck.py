@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .objectives import (
     GroupRollout,
     LossReport,
@@ -192,6 +193,8 @@ CHECKS = {
 
 def grad_check_suite(seed: int = 0, n_instances: int = 100) -> dict[str, float]:
     """Max relative finite-difference error per loss over random instances."""
+    if n_instances < 1:
+        raise ConfigError(f"grad-check needs at least one instance, got {n_instances}")
     return {
         name: max(fn(seed, i) for i in range(n_instances))
         for name, fn in CHECKS.items()

@@ -27,7 +27,7 @@ from .objectives import (
     mixed_gradient,
     rollout_group,
 )
-from .policy import PolicyParams, RowBlock, sample_group_rows, score_sq_norms
+from .policy import PolicyParams, RowBlock, score_sq_norms
 from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 
 
@@ -91,27 +91,6 @@ def variance_from_samples(samples: Iterable[RowBlock]) -> VarianceEstimate:
     se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
     return VarianceEstimate(mean_gradient=RowBlock(uniq, mean), scalar_variance=variance,
                             sample_count=n, standard_error=se)
-
-
-def estimate_variance(gradient_sampler: Callable[[np.random.Generator], RowBlock],
-                      n_samples: int, rng: np.random.Generator) -> VarianceEstimate:
-    """Draw n independent gradient samples at fixed parameters and estimate Var."""
-    if n_samples < 30:
-        raise InputError(f"variance estimation needs >= 30 samples, got {n_samples}")
-    return variance_from_samples([gradient_sampler(rng) for _ in range(n_samples)])
-
-
-def estimate_score_variance(params: PolicyParams, query: Query, n_samples: int,
-                            rng: np.random.Generator, *, stop_token: int,
-                            t_max: int) -> float:
-    """Monte Carlo estimate of the expected squared score norm."""
-    if n_samples < 30:
-        raise InputError(f"score-variance estimation needs >= 30 samples, got {n_samples}")
-    trajs, sampled = sample_group_rows(params, query, n_samples, rng, stop_token=stop_token,
-                                       t_max=t_max)
-    rows, tokens = sampled.steps
-    sq_norms = score_sq_norms(params, rows, tokens, np.array([len(t) for t in trajs]))
-    return float(sq_norms.sum()) / n_samples
 
 
 def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Generator], Query],

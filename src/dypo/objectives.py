@@ -23,10 +23,10 @@ from .policy import (
     RowBlock,
     StepRows,
     Trajectory,
+    check_shared_interner,
     kl_gradient,
     sample_group_rows,
     sum_blocks,
-    translate_rows,
     weighted_score,
 )
 from .tasks import Query, TeacherOracle, reward, teacher_sample
@@ -106,13 +106,15 @@ class GroupRollout:
     def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, tokens, lengths) of the group's steps in ``params``' interner.
 
-        Rows kept for another interner are resolved again in ``params``' one.
+        Rows kept for another interner are an ``InputError``.
         """
-        if self.rows is None or self.rows.interner is not params.interner:
+        if self.rows is None:
             parts = [params.trajectory_rows(self.query.query_id, t.tokens)
                      for t in self.trajectories]
             self.rows = StepRows(params.interner,
                                  np.concatenate(parts, axis=1).astype(np.int32))
+        elif self.rows.interner is not params.interner:
+            raise InputError("the group's rows belong to another policy's interner")
         else:
             params._fit()
         rows, tokens = self.rows.steps
@@ -185,11 +187,11 @@ def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
     k = group.k
     if k < 2:
         raise InputError("grpo_loss_grad needs a group of >= 2")
+    check_shared_interner(params, ref)
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
     rows, tokens, lengths = group.step_rows(params)
     ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
-    deltas = params.logp_at(rows, tokens) - ratio_ref.logp_at(
-        translate_rows(params, ratio_ref, rows), tokens)
+    deltas = params.logp_at(rows, tokens) - ratio_ref.logp_at(rows, tokens)
     adv = np.asarray(group.advantages, dtype=np.float64)
     traj = np.repeat(np.arange(k), lengths)
     # one ratio per trajectory, or one per token averaged over its trajectory
@@ -275,13 +277,13 @@ def gal_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
             raise InputError(f"pair indices must lie in [0, {k}), got ({win}, {lose})")
         if rewards[win] != 1 or rewards[lose] != 0:
             raise InputError("each pair must be (reward-1, reward-0) in that order")
+    check_shared_interner(params, ref)
     beta = cfg.beta_gal
     win, lose = pairs[:, 0], pairs[:, 1]
     rows, tokens, lengths = group.step_rows(params)
     traj = np.repeat(np.arange(k), lengths)
-    ref_logp = ref.logp_at(translate_rows(params, ref, rows), tokens)
     log_ratio = (np.bincount(traj, weights=params.logp_at(rows, tokens), minlength=k)
-                 - np.bincount(traj, weights=ref_logp, minlength=k))
+                 - np.bincount(traj, weights=ref.logp_at(rows, tokens), minlength=k))
     d = log_ratio[win] - log_ratio[lose]
     weights = expit(-beta * d)
     coef = -beta * weights / len(pairs)

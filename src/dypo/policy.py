@@ -319,22 +319,17 @@ class PolicyParams:
         return snap
 
 
-def translate_rows(params: PolicyParams, other: PolicyParams, rows: np.ndarray) -> np.ndarray:
-    """The rows of ``other`` holding the contexts of ``params``' rows."""
-    if other.interner is params.interner:
-        other._fit()
-        return rows
-    return other.rows(params.interner.contexts[r] for r in rows)
-
-
-def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Context]:
-    """Conditioning context for every generation step of a token sequence."""
-    return [(query_id, tuple(tokens[max(0, t - history):t])) for t in range(len(tokens))]
+def check_shared_interner(params: PolicyParams, ref: PolicyParams) -> None:
+    """A run has one interner, so a row names the same context in every policy
+    of the run; a reference with an interner of its own is an input error."""
+    if ref.interner is not params.interner:
+        raise InputError("policy and reference must share one interner")
 
 
 class StepRows(NamedTuple):
     """The row and the token of every step of a trajectory collection,
-    concatenated in order; the rows index ``interner``.
+    concatenated in order; the rows index ``interner``, which is how a
+    group recognizes a policy of another interner.
 
     One ``(2, steps)`` int32 array, since a bench holds thousands of them.
     """
@@ -347,7 +342,9 @@ def weighted_score(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
                    weights: np.ndarray) -> RowBlock:
     """sum_t weights[t] * (onehot(tokens[t]) - pi(. | rows[t])), gathered by row.
 
-    The block's rows are exactly the unique given rows, in sorted order.
+    With unit weights over one trajectory's steps this is its score, the
+    exact gradient of its log-probability. The block's rows are exactly the
+    unique given rows, in sorted order.
     """
     uniq, inv = _unique_inverse(rows)
     v = params.vocab_size
@@ -356,28 +353,13 @@ def weighted_score(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
     return RowBlock(uniq, hits.reshape(-1, v) - mass[:, None] * params._probs[uniq])
 
 
-def log_prob(params: PolicyParams, query: "Query", traj: Trajectory) -> float:
-    """Autoregressive log-probability of ``traj`` given the query, in nats."""
-    rows, tokens = params.trajectory_rows(query.query_id, traj.tokens)
-    return float(params.logp_at(rows, tokens).sum())
-
-
-def score(params: PolicyParams, query: "Query", traj: Trajectory) -> RowBlock:
-    """Exact gradient of log_prob w.r.t. the logit table.
-
-    Per visited context the softmax score is 1{a = a_t} - pi(a | ctx),
-    accumulated over the steps that hit that context.
-    """
-    rows, tokens = params.trajectory_rows(query.query_id, traj.tokens)
-    return weighted_score(params, rows, tokens, np.ones(len(rows)))
-
-
 def score_sq_norms(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """||score(traj_i)||^2 of every trajectory of a concatenated collection.
 
-    One bincount over (trajectory, row) keys gives the entries ``score``
-    gives per trajectory; only the order of the final sums differs.
+    One bincount over (trajectory, row) keys gives the entries that
+    ``weighted_score`` with unit weights gives per trajectory; only the order
+    of the final sums differs.
     """
     span = int(rows.max()) + 1
     owner = np.repeat(np.arange(len(lengths)), lengths)
@@ -467,18 +449,12 @@ def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
 def kl_gradient(params: PolicyParams, ref: PolicyParams,
                 rows: np.ndarray) -> tuple[float, RowBlock]:
     """Mean exact KL(pi_theta || pi_ref) over the given unique rows, and its gradient."""
-    if (params.vocab_size, params.history) != (ref.vocab_size, ref.history):
-        raise ConfigError("policy and reference differ in vocabulary or history order")
+    check_shared_interner(params, ref)
     if rows.size == 0:
-        raise InputError("kl_to_reference needs at least one visited context")
-    ref_rows = translate_rows(params, ref, rows)
+        raise InputError("kl_gradient needs at least one visited context")
+    ref._fit()
     probs = params._probs[rows]
-    diff = params._logp[rows] - ref._logp[ref_rows]
+    diff = params._logp[rows] - ref._logp[rows]
     kl = (probs * diff).sum(axis=1)
     inv = 1.0 / len(rows)
     return math.fsum(kl) * inv, RowBlock(rows, inv * probs * (diff - kl[:, None]))
-
-
-def kl_to_reference(params: PolicyParams, ref: PolicyParams, rows: np.ndarray) -> float:
-    """Mean exact KL(pi_theta || pi_ref) over the unique given rows."""
-    return kl_gradient(params, ref, np.unique(rows))[0]

@@ -181,17 +181,6 @@ def max_demo_len(cfg: TaskConfig, m: int) -> int:
                for i in range(m))
 
 
-def uniform_guess_rate(vocab_size: int, t_max: int) -> float:
-    """Closed-form success probability of a uniform policy on one query.
-
-    A successful trajectory is any no-stop prefix followed by
-    (separator, answer, stop); summing the geometric series over prefix
-    lengths 0..t_max-3 gives (1/V^2) * (1 - ((V-1)/V)^(t_max-2)).
-    """
-    v = float(vocab_size)
-    return (1.0 / v**2) * (1.0 - ((v - 1.0) / v) ** (t_max - 2))
-
-
 # --- vector-space bias testbed ---------------------------------------------
 
 @dataclass(frozen=True)

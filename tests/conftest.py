@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dypo.policy import PolicyParams, RowBlock
+from dypo.policy import PolicyParams, RowBlock, weighted_score
 from dypo.trainer import TrainConfig, run_comparison, train
 
 ACCEPTANCE_SEED = 1
@@ -40,3 +40,15 @@ def tables_equal(a: PolicyParams, b: PolicyParams) -> bool:
 def block_dict(params: PolicyParams, block: RowBlock) -> dict:
     """A row block keyed by context instead of row."""
     return {params.interner.contexts[r]: v for r, v in zip(block.rows, block.values)}
+
+
+def traj_log_prob(params: PolicyParams, query_id: int, tokens) -> float:
+    """log pi(tokens | query) as the losses read it: logp_at over trajectory_rows."""
+    rows, toks = params.trajectory_rows(query_id, tokens)
+    return float(params.logp_at(rows, toks).sum())
+
+
+def traj_score(params: PolicyParams, query_id: int, tokens) -> RowBlock:
+    """Gradient of traj_log_prob as the losses form it: weighted_score with unit weights."""
+    rows, toks = params.trajectory_rows(query_id, tokens)
+    return weighted_score(params, rows, toks, np.ones(len(rows)))

@@ -1,0 +1,110 @@
+"""Naive per-token references the tests check the lab's array code against.
+
+Each walks a trajectory one step at a time, looks its context up by key, and
+shares no row or array code with what it checks.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+from scipy.special import expit
+
+from dypo.objectives import GroupRollout, MixConfig
+from dypo.policy import Context, Trajectory
+
+
+def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Context]:
+    """Conditioning context for every generation step of a token sequence."""
+    return [(query_id, tuple(tokens[max(0, t - history):t])) for t in range(len(tokens))]
+
+
+def uniform_guess_rate(vocab_size: int, t_max: int) -> float:
+    """Closed-form success probability of a uniform policy on one query.
+
+    A successful trajectory is any no-stop prefix followed by
+    (separator, answer, stop); summing the geometric series over prefix
+    lengths 0..t_max-3 gives (1/V^2) * (1 - ((V-1)/V)^(t_max-2)).
+    """
+    v = float(vocab_size)
+    return (1.0 / v**2) * (1.0 - ((v - 1.0) / v) ** (t_max - 2))
+
+
+def naive_sample(params, qid, k, rng, stop, t_max) -> list[Trajectory]:
+    """k samples, each token drawn by searchsorted on its context's cdf."""
+    out = []
+    for _ in range(k):
+        tokens: list[int] = []
+        while len(tokens) < t_max and (not tokens or tokens[-1] != stop):
+            ctx = (qid, tuple(tokens[max(0, len(tokens) - params.history):]))
+            tok = int(np.searchsorted(params.sampling_cdf(ctx), rng.random(), side="right"))
+            tokens.append(min(tok, params.vocab_size - 1))
+        out.append(Trajectory(tuple(tokens), terminal=tokens[-1] == stop))
+    return out
+
+
+def _add(into: dict, grad: dict, coef: float) -> None:
+    for ctx, vec in grad.items():
+        into[ctx] = into.get(ctx, np.zeros(len(vec))) + coef * vec
+
+
+def naive_score(params, qid, tokens) -> dict:
+    """Gradient of log pi(tokens | qid), keyed by context."""
+    grad: dict = {}
+    for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens):
+        row = grad.setdefault(ctx, np.zeros(params.vocab_size))
+        row -= params.probs(ctx)
+        row[tok] += 1.0
+    return grad
+
+
+def naive_log_prob(params, qid, tokens) -> float:
+    return sum(params.log_probs(ctx)[tok]
+               for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens))
+
+
+def naive_grpo(params, ref, group: GroupRollout, cfg: MixConfig) -> dict:
+    qid = group.query.query_id
+    v = params.vocab_size
+    ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
+    lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
+    pg: dict = {}
+    for traj, adv in zip(group.trajectories, group.advantages):
+        ctxs = step_contexts(qid, traj.tokens, params.history)
+        deltas = [params.log_probs(c)[a] - ratio_ref.log_probs(c)[a]
+                  for c, a in zip(ctxs, traj.tokens)]
+        if cfg.ratio_level == "trajectory":
+            rho = np.exp(sum(deltas))
+            if rho * adv <= min(max(rho, lo), hi) * adv:
+                _add(pg, naive_score(params, qid, traj.tokens), adv * rho)
+            continue
+        for ctx, tok, delta in zip(ctxs, traj.tokens, deltas):
+            r = np.exp(delta)
+            if r * adv <= min(max(r, lo), hi) * adv:
+                coef = adv * r / len(traj)
+                row = pg.setdefault(ctx, np.zeros(v))
+                row -= coef * params.probs(ctx)
+                row[tok] += coef
+    grad = {ctx: -vec / group.k for ctx, vec in pg.items()}
+    visited = {c for t in group.trajectories for c in step_contexts(qid, t.tokens, params.history)}
+    for ctx in visited:
+        p = params.probs(ctx)
+        diff = params.log_probs(ctx) - ref.log_probs(ctx)
+        _add(grad, {ctx: p * (diff - p @ diff) / len(visited)}, cfg.beta_kl)
+    return grad
+
+
+def naive_gal(params, ref, group: GroupRollout, pairs, beta: float) -> dict:
+    qid = group.query.query_id
+
+    def log_ratio(traj):
+        return naive_log_prob(params, qid, traj.tokens) - naive_log_prob(ref, qid, traj.tokens)
+
+    grad: dict = {}
+    for i, j in pairs:
+        win, lose = group.trajectories[i], group.trajectories[j]
+        coef = -beta * expit(-beta * (log_ratio(win) - log_ratio(lose))) / len(pairs)
+        _add(grad, naive_score(params, qid, win.tokens), coef)
+        _add(grad, naive_score(params, qid, lose.tokens), -coef)
+    return grad

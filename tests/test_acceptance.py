@@ -104,13 +104,12 @@ def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
                     return grpo_policy_gradient(params, g)
         return sampler
 
-    from dypo.instrumentation import estimate_variance
+    from dypo.instrumentation import variance_from_samples
 
-    var = {
-        k: estimate_variance(sampler_for(k), 10_000,
-                             substream(ACCEPTANCE_SEED, "acc-kscale", k)).scalar_variance
-        for k in (4, 8, 16)
-    }
+    var = {}
+    for k in (4, 8, 16):
+        sampler, rng = sampler_for(k), substream(ACCEPTANCE_SEED, "acc-kscale", k)
+        var[k] = variance_from_samples([sampler(rng) for _ in range(10_000)]).scalar_variance
     r48 = var[4] / var[8]
     r816 = var[8] / var[16]
     elapsed = time.time() - t0

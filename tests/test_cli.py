@@ -101,6 +101,15 @@ def test_grad_check_defaults(tmp_path, capsys):
     assert max(errors.values()) <= 1e-6
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_grad_check_without_instances_exits_1_with_one_line(tmp_path, capsys, count):
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--out", str(out), "--instances", count]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert not (out / "grad_check.json").exists()
+
+
 def test_bias_bench(tmp_path, tiny_config, capsys):
     out = tmp_path / "bias"
     assert main(["bias-bench", "--config", str(tiny_config), "--out", str(out),

@@ -12,8 +12,6 @@ from dypo.instrumentation import (
     StepMetrics,
     bias_law_bench,
     collect_mid_groups,
-    estimate_score_variance,
-    estimate_variance,
     measure_eta,
     read_metrics,
     variance_from_samples,
@@ -22,10 +20,12 @@ from dypo.instrumentation import (
     write_metrics,
 )
 from dypo.objectives import MixConfig
-from dypo.policy import PolicyParams, RowBlock, score
+from dypo.policy import PolicyParams, RowBlock, sample_group_rows, score_sq_norms
 from dypo.seeding import substream
 from dypo.tasks import BiasTestbedConfig, TaskConfig, generate_query
 from dypo.trainer import QueryPool, TrainConfig, train
+
+from conftest import traj_score
 
 CTX = (0, ())
 
@@ -35,9 +35,20 @@ def _block(v) -> RowBlock:
     return RowBlock(np.array([0]), np.asarray(v, dtype=np.float64)[None, :])
 
 
+def _draw(sampler, n: int, rng) -> list[RowBlock]:
+    return [sampler(rng) for _ in range(n)]
+
+
+def _mean_sq_score(params, query, n: int, rng, *, stop_token: int, t_max: int) -> float:
+    """Monte Carlo E||score||^2: score_sq_norms over one group of n rollouts."""
+    trajs, sampled = sample_group_rows(params, query, n, rng, stop_token=stop_token, t_max=t_max)
+    rows, tokens = sampled.steps
+    return float(score_sq_norms(params, rows, tokens, np.array([len(t) for t in trajs])).sum()) / n
+
+
 def test_variance_constant_sampler_is_zero():
     v = np.array([1.0, -2.0, 3.0])
-    est = estimate_variance(lambda rng: _block(v), 100, substream(1, "c"))
+    est = variance_from_samples(_draw(lambda rng: _block(v), 100, substream(1, "c")))
     assert est.scalar_variance == 0.0
     assert est.standard_error == 0.0
     np.testing.assert_array_equal(est.mean_gradient.values[0], v)
@@ -51,7 +62,7 @@ def test_variance_two_point_sampler():
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return _block(sign * v)
 
-    est = estimate_variance(sampler, 10_000, substream(1, "pm"))
+    est = variance_from_samples(_draw(sampler, 10_000, substream(1, "pm")))
     assert abs(est.scalar_variance - target) < 3 * est.standard_error + 1e-9
 
 
@@ -70,15 +81,15 @@ def test_variance_standard_error_scales_as_root_n():
     def sampler(rng):
         return _block(rng.normal(0, 1, 3))
 
-    small = estimate_variance(sampler, 2_000, substream(1, "se-s"))
-    large = estimate_variance(sampler, 8_000, substream(1, "se-l"))
+    small = variance_from_samples(_draw(sampler, 2_000, substream(1, "se-s")))
+    large = variance_from_samples(_draw(sampler, 8_000, substream(1, "se-l")))
     ratio = small.standard_error / large.standard_error
     assert 1.4 < ratio < 2.9  # expect ~2 for a 4x sample increase
 
 
 def test_variance_guards():
     with pytest.raises(InputError):
-        estimate_variance(lambda rng: _block(np.ones(2)), 10, substream(1, "g"))
+        variance_from_samples([_block(np.ones(2))] * 10)
     bad = [_block([1.0, np.nan])] * 40
     with pytest.raises(DataError):
         variance_from_samples(bad)
@@ -88,8 +99,7 @@ def test_score_variance_uniform_single_step():
     # uniform 4-way softmax: every outcome has ||score||^2 = 0.75
     params = PolicyParams(4, 1)
     query = type("Q", (), {"query_id": 0})()
-    est = estimate_score_variance(params, query, 3000, substream(1, "sv"),
-                                  stop_token=3, t_max=1)
+    est = _mean_sq_score(params, query, 3000, substream(1, "sv"), stop_token=3, t_max=1)
     assert est == pytest.approx(0.75, abs=1e-12)
 
 
@@ -102,9 +112,7 @@ def test_score_variance_enumeration_oracle():
     probs = params.probs(CTX)
     enumerated = 0.0
     for a in range(8):
-        from dypo.policy import Trajectory
-
-        s = score(params, query, Trajectory((a,), terminal=False))
+        s = traj_score(params, query.query_id, (a,))
         enumerated += probs[a] * s.sq_norm()
     direct = sum(p * float(np.dot((np.eye(8)[a] - probs), (np.eye(8)[a] - probs)))
                  for a, p in enumerate(probs))
@@ -115,8 +123,7 @@ def test_score_variance_near_deterministic():
     params = PolicyParams(4, 1)
     params.set_logits(CTX, [25.0, 0.0, 0.0, 0.0])
     query = type("Q", (), {"query_id": 0})()
-    est = estimate_score_variance(params, query, 500, substream(1, "det"),
-                                  stop_token=0, t_max=1)
+    est = _mean_sq_score(params, query, 500, substream(1, "det"), stop_token=0, t_max=1)
     assert est < 1e-4
 
 
@@ -125,15 +132,13 @@ def test_score_variance_stable_across_seeds():
     q = generate_query(task, 2, substream(1, "svq"), query_id=0)
     params = PolicyParams(task.vocab_size, 1)
     chunks = [
-        estimate_score_variance(params, q, 2000, substream(1, "sv-chunk", i),
-                                stop_token=task.stop, t_max=10)
+        _mean_sq_score(params, q, 2000, substream(1, "sv-chunk", i), stop_token=task.stop,
+                       t_max=10)
         for i in range(10)
     ]
     se = np.std(chunks, ddof=1) / np.sqrt(10)
-    a = estimate_score_variance(params, q, 20_000, substream(2, "sv-a"),
-                                stop_token=task.stop, t_max=10)
-    b = estimate_score_variance(params, q, 20_000, substream(3, "sv-b"),
-                                stop_token=task.stop, t_max=10)
+    a = _mean_sq_score(params, q, 20_000, substream(2, "sv-a"), stop_token=task.stop, t_max=10)
+    b = _mean_sq_score(params, q, 20_000, substream(3, "sv-b"), stop_token=task.stop, t_max=10)
     assert abs(a - b) < 3 * se * np.sqrt(2)
 
 

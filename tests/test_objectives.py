@@ -22,11 +22,12 @@ from dypo.objectives import (
     sft_loss_grad,
     standardize_advantages,
 )
-from dypo.policy import Trajectory, log_prob, score, step_contexts
+from dypo.policy import PolicyParams, Trajectory
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
 
-from conftest import block_dict
+from conftest import block_dict, traj_log_prob, traj_score
+from reference import naive_log_prob, naive_score, step_contexts
 
 TASK = TaskConfig()
 CFG = MixConfig()
@@ -72,7 +73,7 @@ def test_sft_single_teacher_matches_plain_nll():
     report = sft_loss_grad(inst.params, inst.query, teacher, substream(3, "sft"))
     demo = teacher_sample(teacher[0], inst.query, substream(3, "sft"))
     # identical substream: the same single-teacher demo is drawn
-    assert report.loss == -log_prob(inst.params, inst.query, demo)
+    assert report.loss == -traj_log_prob(inst.params, inst.query.query_id, demo.tokens)
     assert report.aux["teacher_index"] == 0.0
 
 
@@ -150,7 +151,7 @@ def test_grpo_policy_gradient_term_by_term_oracle():
     expected: dict = {}
     k = inst.group.k
     for traj, adv in zip(inst.group.trajectories, inst.group.advantages):
-        for ctx, vec in block_dict(inst.params, score(inst.params, inst.query, traj)).items():
+        for ctx, vec in naive_score(inst.params, inst.query.query_id, traj.tokens).items():
             expected[ctx] = expected.get(ctx, 0.0) + (adv / k) * vec
     assert set(got) == set(expected)
     for ctx in got:
@@ -235,7 +236,8 @@ def test_gal_saturation_annealing():
     for boost in (0.0, 2.0, 6.0, 14.0):
         boosted = inst.params.copy()
         for s, _ in inst.pairs:
-            boosted.apply_update(score(inst.params, inst.query, inst.group.trajectories[s]), boost)
+            success = inst.group.trajectories[s].tokens
+            boosted.apply_update(traj_score(inst.params, inst.query.query_id, success), boost)
         report = gal_loss_grad(boosted, inst.ref, inst.group, inst.pairs, CFG)
         assert report.aux["eta"] <= last_eta + 1e-12
         last_eta = report.aux["eta"]
@@ -255,10 +257,15 @@ def test_gal_eta_matches_independent_recompute():
     inst = _mid_instance(index=12)
     report = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG)
     trajs = inst.group.trajectories
+    qid = inst.query.query_id
+
+    def log_ratio(traj):
+        return (naive_log_prob(inst.params, qid, traj.tokens)
+                - naive_log_prob(inst.ref, qid, traj.tokens))
+
     ws = []
     for s, f in ((trajs[i], trajs[j]) for i, j in inst.pairs):
-        d = (log_prob(inst.params, inst.query, s) - log_prob(inst.ref, inst.query, s)) \
-            - (log_prob(inst.params, inst.query, f) - log_prob(inst.ref, inst.query, f))
+        d = log_ratio(s) - log_ratio(f)
         ws.append(1.0 - expit(CFG.beta_gal * d))
     assert report.aux["eta"] == pytest.approx(np.mean(np.square(ws)), abs=1e-15)
 
@@ -371,6 +378,31 @@ def test_dypo_step_mid_recomposition():
     np.testing.assert_array_equal(report.gradient.rows, manual.rows)
     np.testing.assert_allclose(report.gradient.values, manual.values, atol=1e-12)
     assert report.aux["grade"] == "mid"
+
+
+def test_a_policy_of_another_interner_is_an_input_error():
+    # a run has one interner: a reference with its own is rejected even when
+    # it holds the same logits, and rows kept for another interner are never
+    # resolved again
+    inst = _mid_instance(index=19)
+    assert inst.group.grade is DifficultyGrade.MID
+    foreign = PolicyParams(TASK.vocab_size, 1)
+    for ctx in inst.ref.written_contexts():
+        foreign.set_logits(ctx, inst.ref.logits(ctx))
+    for baseline in ("rollout", "ref"):
+        with pytest.raises(InputError, match="interner"):
+            grpo_loss_grad(inst.params, foreign, inst.group, MixConfig(ratio_baseline=baseline))
+    with pytest.raises(InputError, match="interner"):
+        gal_loss_grad(inst.params, foreign, inst.group, inst.pairs, CFG)
+    with pytest.raises(InputError, match="interner"):
+        dypo_step_loss(inst.params, foreign, inst.group, inst.teachers, CFG, substream(5, "f"))
+    group = GroupRollout(inst.query, inst.group.trajectories, inst.group.rewards,
+                         advantages=inst.group.advantages)
+    group.step_rows(foreign)
+    with pytest.raises(InputError, match="interner"):
+        group.step_rows(inst.params)
+    with pytest.raises(InputError, match="interner"):
+        grpo_policy_gradient(inst.params, group)
 
 
 def test_dypo_gradient_finite_differences():

@@ -12,27 +12,22 @@ from dypo.gradcheck import numerical_gradient, gradient_error
 from dypo.policy import (
     PolicyParams,
     RowBlock,
-    Trajectory,
-    kl_to_reference,
-    log_prob,
+    kl_gradient,
     mean_step_entropy,
     sample_group_rows,
     sample_trajectory,
-    score,
-    step_contexts,
 )
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, generate_query
 
-from conftest import block_dict
+from conftest import block_dict, traj_log_prob, traj_score
 
 Q0 = SimpleNamespace(query_id=0)
 
 
 def test_log_prob_uniform_three_steps():
     params = PolicyParams(4, 1)
-    traj = Trajectory((0, 1, 2), terminal=False)
-    lp = log_prob(params, Q0, traj)
+    lp = traj_log_prob(params, 0, (0, 1, 2))
     assert lp == pytest.approx(3 * np.log(0.25), abs=1e-12)
     assert lp == pytest.approx(-4.15888, abs=1e-4)
 
@@ -41,7 +36,7 @@ def test_log_prob_peaked_single_token():
     params = PolicyParams(4, 1)
     logits = np.array([10.0, -10.0, -10.0, -10.0])
     params.set_logits((0, ()), logits)
-    lp = log_prob(params, Q0, Trajectory((0,), terminal=False))
+    lp = traj_log_prob(params, 0, (0,))
     direct = np.log(np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum())[0]
     assert lp == pytest.approx(direct, abs=1e-15)
     assert lp == pytest.approx(-6.18e-9, rel=0.02)
@@ -52,21 +47,21 @@ def test_log_prob_deterministic_across_copies():
     params = PolicyParams(5, 1)
     for ctx in [(0, ()), (0, (1,)), (0, (4,))]:
         params.set_logits(ctx, rng.normal(0, 2, 5))
-    traj = Trajectory((1, 4, 2), terminal=False)
-    assert log_prob(params, Q0, traj) == log_prob(params.copy(), Q0, traj)
+    tokens = (1, 4, 2)
+    assert traj_log_prob(params, 0, tokens) == traj_log_prob(params.copy(), 0, tokens)
 
 
 def test_log_prob_input_errors():
     params = PolicyParams(4, 1)
     with pytest.raises(InputError):
-        log_prob(params, Q0, Trajectory((4,), terminal=False))
+        traj_log_prob(params, 0, (4,))
     with pytest.raises(InputError):
-        log_prob(params, Q0, Trajectory((), terminal=False))
+        traj_log_prob(params, 0, ())
 
 
 def test_score_uniform_single_step():
     params = PolicyParams(4, 1)
-    grad = block_dict(params, score(params, Q0, Trajectory((0,), terminal=False)))
+    grad = block_dict(params, traj_score(params, 0, (0,)))
     np.testing.assert_allclose(grad[(0, ())], [0.75, -0.25, -0.25, -0.25], atol=1e-15)
 
 
@@ -81,7 +76,7 @@ def test_score_zero_mean_monte_carlo():
     sqs: dict = {}
     for _ in range(n):
         traj = sample_trajectory(params, query, rng, stop_token=task.stop, t_max=8)
-        for ctx, vec in block_dict(params, score(params, query, traj)).items():
+        for ctx, vec in block_dict(params, traj_score(params, query.query_id, traj.tokens)).items():
             sums[ctx] = sums.get(ctx, 0.0) + vec
             sqs[ctx] = sqs.get(ctx, 0.0) + vec**2
     zscores = []
@@ -107,8 +102,9 @@ def test_score_matches_finite_differences():
         for ctx in contexts:
             params.set_logits(ctx, rng.normal(0, 1.5, task.vocab_size))
         traj = sample_trajectory(params, query, rng, stop_token=task.stop, t_max=10)
-        analytic = score(params, query, traj)
-        numeric = numerical_gradient(lambda p: log_prob(p, query, traj), params, contexts)
+        analytic = traj_score(params, i, traj.tokens)
+        numeric = numerical_gradient(lambda p: traj_log_prob(p, i, traj.tokens), params,
+                                     contexts)
         assert gradient_error(params, analytic, numeric) < 1e-6
 
 
@@ -184,17 +180,17 @@ def test_kl_identical_is_zero():
     rng = substream(17, "kl")
     params = PolicyParams(5, 1)
     params.set_logits((0, ()), rng.normal(0, 1, 5))
-    assert kl_to_reference(params, params.snapshot(), params.rows([(0, ())])) == 0.0
+    assert kl_gradient(params, params.snapshot(), params.rows([(0, ())]))[0] == 0.0
 
 
 def test_kl_nonnegative_and_matches_direct_sum():
     rng = substream(17, "pairs")
     for _ in range(1000):
         params = PolicyParams(4, 1)
-        ref = PolicyParams(4, 1)
         params.set_logits((0, ()), rng.normal(0, 2, 4))
+        ref = params.copy()
         ref.set_logits((0, ()), rng.normal(0, 2, 4))
-        kl = kl_to_reference(params, ref, params.rows([(0, ())]))
+        kl = kl_gradient(params, ref, params.rows([(0, ())]))[0]
         assert kl >= -1e-15
         p = params.probs((0, ()))
         q = ref.probs((0, ()))
@@ -203,9 +199,12 @@ def test_kl_nonnegative_and_matches_direct_sum():
 
 
 def test_kl_shape_mismatch():
-    with pytest.raises(ConfigError):
-        params = PolicyParams(4, 1)
-        kl_to_reference(params, PolicyParams(5, 1), params.rows([(0, ())]))
+    # another vocabulary, or the same vocabulary and history with an interner of its own
+    params = PolicyParams(4, 1)
+    rows = params.rows([(0, ())])
+    for ref in (PolicyParams(5, 1), PolicyParams(4, 1)):
+        with pytest.raises(InputError):
+            kl_gradient(params, ref, rows)
 
 
 def test_softmax_normalization_tight():
@@ -225,13 +224,15 @@ def test_snapshot_is_immutable_and_stable():
         snap.set_logits((0, ()), [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(StateError):
         snap.apply_update(RowBlock(snap.rows([(0, ())]), np.ones((1, 4))), 1.0)
-    traj = Trajectory((2, 3), terminal=False)
-    assert log_prob(snap, Q0, traj) == log_prob(snap, Q0, traj)
+    assert traj_log_prob(snap, 0, (2, 3)) == traj_log_prob(snap, 0, (2, 3))
 
 
 def test_step_contexts_history_truncation():
-    assert step_contexts(3, (5, 2, 7), 1) == [(3, ()), (3, (5,)), (3, (2,))]
-    assert step_contexts(3, (5, 2, 7), 2) == [(3, ()), (3, (5,)), (3, (5, 2))]
+    for history, expected in ((1, [(3, ()), (3, (5,)), (3, (2,))]),
+                              (2, [(3, ()), (3, (5,)), (3, (5, 2))])):
+        params = PolicyParams(8, history)
+        rows, _ = params.trajectory_rows(3, (5, 2, 7))
+        assert [params.interner.contexts[r] for r in rows] == expected
 
 
 def test_fd_probes_restore_the_policy_bit_exactly():
@@ -243,8 +244,7 @@ def test_fd_probes_restore_the_policy_bit_exactly():
     probed = contexts + [(0, (4,))]  # one unwritten row too
     before = {ctx: [f(ctx).copy() for f in (params.logits, params.probs, params.log_probs,
                                             params.sampling_cdf)] for ctx in probed}
-    traj = Trajectory((1, 4, 3, 2), terminal=False)
-    numerical_gradient(lambda p: log_prob(p, Q0, traj), params, probed)
+    numerical_gradient(lambda p: traj_log_prob(p, 0, (1, 4, 3, 2)), params, probed)
     for ctx, rows in before.items():
         after = (params.logits(ctx), params.probs(ctx), params.log_probs(ctx),
                  params.sampling_cdf(ctx))

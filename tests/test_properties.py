@@ -10,7 +10,6 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from dypo.grading import DifficultyGrade, grade
 from dypo.gradcheck import make_instance
@@ -28,8 +27,6 @@ from dypo.policy import (
     Trajectory,
     sample_group_rows,
     sample_trajectory,
-    score,
-    step_contexts,
 )
 from dypo.seeding import substream
 from dypo.tasks import (
@@ -42,91 +39,20 @@ from dypo.tasks import (
 )
 from dypo.trainer import VARIANTS, TrainConfig, train_config_from_dict, train_config_to_dict
 
-from conftest import block_dict
+from conftest import block_dict, traj_score
+from reference import (
+    naive_gal,
+    naive_grpo,
+    naive_log_prob,
+    naive_sample,
+    naive_score,
+    step_contexts,
+)
 
 V = 9
 # derandomized, so every run of the suite checks the same examples
 FAST = settings(deadline=None, derandomize=True)
 SLOW = settings(FAST, max_examples=40)
-
-
-# --- naive per-token references --------------------------------------------
-
-def naive_sample(params, qid, k, rng, stop, t_max) -> list[Trajectory]:
-    """k samples, each token drawn by searchsorted on its context's cdf."""
-    out = []
-    for _ in range(k):
-        tokens: list[int] = []
-        while len(tokens) < t_max and (not tokens or tokens[-1] != stop):
-            ctx = (qid, tuple(tokens[max(0, len(tokens) - params.history):]))
-            tok = int(np.searchsorted(params.sampling_cdf(ctx), rng.random(), side="right"))
-            tokens.append(min(tok, params.vocab_size - 1))
-        out.append(Trajectory(tuple(tokens), terminal=tokens[-1] == stop))
-    return out
-
-
-def _add(into: dict, grad: dict, coef: float) -> None:
-    for ctx, vec in grad.items():
-        into[ctx] = into.get(ctx, np.zeros(V)) + coef * vec
-
-
-def naive_score(params, qid, tokens) -> dict:
-    grad: dict = {}
-    for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens):
-        row = grad.setdefault(ctx, np.zeros(V))
-        row -= params.probs(ctx)
-        row[tok] += 1.0
-    return grad
-
-
-def naive_log_prob(params, qid, tokens) -> float:
-    return sum(params.log_probs(ctx)[tok]
-               for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens))
-
-
-def naive_grpo(params, ref, group: GroupRollout, cfg: MixConfig) -> dict:
-    qid = group.query.query_id
-    ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
-    lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
-    pg: dict = {}
-    for traj, adv in zip(group.trajectories, group.advantages):
-        ctxs = step_contexts(qid, traj.tokens, params.history)
-        deltas = [params.log_probs(c)[a] - ratio_ref.log_probs(c)[a]
-                  for c, a in zip(ctxs, traj.tokens)]
-        if cfg.ratio_level == "trajectory":
-            rho = np.exp(sum(deltas))
-            if rho * adv <= min(max(rho, lo), hi) * adv:
-                _add(pg, naive_score(params, qid, traj.tokens), adv * rho)
-            continue
-        for ctx, tok, delta in zip(ctxs, traj.tokens, deltas):
-            r = np.exp(delta)
-            if r * adv <= min(max(r, lo), hi) * adv:
-                coef = adv * r / len(traj)
-                row = pg.setdefault(ctx, np.zeros(V))
-                row -= coef * params.probs(ctx)
-                row[tok] += coef
-    grad = {ctx: -vec / group.k for ctx, vec in pg.items()}
-    visited = {c for t in group.trajectories for c in step_contexts(qid, t.tokens, params.history)}
-    for ctx in visited:
-        p = params.probs(ctx)
-        diff = params.log_probs(ctx) - ref.log_probs(ctx)
-        _add(grad, {ctx: p * (diff - p @ diff) / len(visited)}, cfg.beta_kl)
-    return grad
-
-
-def naive_gal(params, ref, group: GroupRollout, pairs, beta: float) -> dict:
-    qid = group.query.query_id
-
-    def log_ratio(traj):
-        return naive_log_prob(params, qid, traj.tokens) - naive_log_prob(ref, qid, traj.tokens)
-
-    grad: dict = {}
-    for i, j in pairs:
-        win, lose = group.trajectories[i], group.trajectories[j]
-        coef = -beta * expit(-beta * (log_ratio(win) - log_ratio(lose))) / len(pairs)
-        _add(grad, naive_score(params, qid, win.tokens), coef)
-        _add(grad, naive_score(params, qid, lose.tokens), -coef)
-    return grad
 
 
 def assert_block_matches(params, block, expected: dict) -> None:
@@ -211,7 +137,7 @@ def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
 @FAST
 def test_score_rows_sum_to_zero_over_exactly_the_visited_contexts(seed, history, tokens):
     params = _random_params(seed, history)
-    block = score(params, SimpleNamespace(query_id=0), Trajectory(tokens, terminal=False))
+    block = traj_score(params, 0, tokens)
     assert np.abs(block.values.sum(axis=1)).max() <= 1e-12
     assert set(block_dict(params, block)) == set(step_contexts(0, tokens, history))
     assert len(np.unique(block.rows)) == len(block.rows)

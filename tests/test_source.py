@@ -1,0 +1,57 @@
+"""Source hygiene: no module of the package imports a name it never uses."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dypo"
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names read by an annotation, including those inside string annotations."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read, in source order."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return sorted((name for name in imported if name not in used), key=imported.get)
+
+
+def test_the_checker_finds_an_unused_import():
+    source = ("import os\nimport numpy as np\nfrom typing import TYPE_CHECKING\n"
+              "if TYPE_CHECKING:\n    from .tasks import Query\n"
+              "def f(q: 'Query') -> int:\n    return np.zeros(1)\n")
+    assert unused_imports(source) == ["os"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package __init__ imports only to re-export
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

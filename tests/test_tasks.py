@@ -17,8 +17,9 @@ from dypo.tasks import (
     max_demo_len,
     reward,
     teacher_sample,
-    uniform_guess_rate,
 )
+
+from reference import uniform_guess_rate
 
 TASK = TaskConfig()
 

@@ -14,7 +14,7 @@ from dypo.errors import ConfigError, DataError, TrainingAborted
 from dypo.instrumentation import read_metrics, write_metrics
 from dypo.policy import PolicyParams, RowBlock
 from dypo.seeding import substream
-from dypo.tasks import TaskConfig, uniform_guess_rate
+from dypo.tasks import TaskConfig
 from dypo.trainer import (
     Checkpoint,
     QueryPool,
@@ -30,6 +30,7 @@ from dypo.trainer import (
 )
 
 from conftest import block_dict, tables_equal
+from reference import uniform_guess_rate
 
 
 def test_config_roundtrip_and_strictness():
