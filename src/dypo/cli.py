@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime or bench
 failure (including a negative bench verdict). Every subcommand echoes its
 effective configuration into the output directory so a run is reproducible
-from its artifacts alone.
+from its artifacts alone; it creates that directory only once its arguments
+have been checked, so a rejected command writes nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .artifacts import atomic_write
 from .errors import BenchError, ConfigError, DypoError, InputError, TrainingAborted
 from .gradcheck import grad_check_suite
 from .instrumentation import (
+    MIN_VARIANCE_SAMPLES,
     bias_law_bench,
     measure_eta,
     variance_ordering_bench,
@@ -131,11 +133,11 @@ def _load_params(cfg: TrainConfig, checkpoint: str | None):
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
     params = _load_params(cfg, args.checkpoint)
     pool = QueryPool(cfg.task, cfg.seed)
     report = evaluate(params, pool, args.groups, cfg.k,
                       substream(cfg.seed, "evaluate"), xi=cfg.mix.xi, t_max=cfg.t_max)
+    out = _prepare_out(args, cfg)
     _write_json(out / "eval.json", asdict(report))
     print(f"pass_rate={report.pass_rate:.4f} grades={report.grade_counts} "
           f"offline_ratio={report.offline_ratio:.3f} entropy={report.mean_entropy:.3f}")
@@ -144,6 +146,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_variance_bench(args) -> int:
     cfg = _load_config(args)
+    if args.groups < MIN_VARIANCE_SAMPLES:  # checked before the training run
+        raise ConfigError(f"--groups must be >= {MIN_VARIANCE_SAMPLES}, got {args.groups}")
     out = _prepare_out(args, cfg)
     result = train(cfg)
     params = result.checkpoint.params.snapshot()
@@ -170,13 +174,13 @@ def _cmd_variance_bench(args) -> int:
 
 def _cmd_bias_bench(args) -> int:
     cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
     try:
         m_values = [int(part) for part in args.m.split(",") if part]
     except ValueError as exc:
         raise UsageError(f"--m must be a comma-separated integer list: {exc}")
     report = bias_law_bench(cfg.testbed, m_values, args.draws,
                             substream(cfg.seed, "testbed"))
+    out = _prepare_out(args, cfg)
     write_bench_report(out / "bias_bench.json", report)
     for m in sorted(m_values):
         print(f"m={m:>3d}  mean_sq_bias={report.estimates[str(m)]:.6f} "
@@ -187,8 +191,8 @@ def _cmd_bias_bench(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
     errors = grad_check_suite(seed=cfg.seed, n_instances=args.instances)
+    out = _prepare_out(args, cfg)
     _write_json(out / "grad_check.json", errors)
     worst = max(errors.values())
     for name, err in errors.items():

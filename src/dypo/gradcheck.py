@@ -94,8 +94,8 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     ``kind`` picks the group's reward pattern: mixed successes and failures,
     all failures, or all successes. ``pairs`` are the first three (success,
     failure) index pairs of the group, empty unless it is Mid. The reference
-    policy sits close to the params so token ratios stay strictly off the
-    clip boundary.
+    sits close to the params and stands in for the sampling policy: its
+    log-probs are the group's ``sample_logp``.
     """
     rng = substream(seed, "gradcheck", index)
     task = task or TaskConfig()
@@ -121,6 +121,8 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     rewards = tuple(reward(query, t) for t in trajs)
     group = GroupRollout(query=query, trajectories=tuple(trajs), rewards=rewards,
                          advantages=standardize_advantages(rewards, 1e-4))
+    rows, tokens, _ = group.step_rows(params)
+    group.sample_logp = ref.logp_at(rows, tokens)
     won = [i for i, r in enumerate(rewards) if r == 1]
     lost = [i for i, r in enumerate(rewards) if r == 0]
     pairs = np.array([(s, f) for s in won for f in lost][:3], dtype=np.intp).reshape(-1, 2)
@@ -129,11 +131,14 @@ def make_instance(seed: int, index: int, kind: str = "mid",
 
 
 def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
-    rows, tokens, _ = inst.group.step_rows(inst.params)
-    delta = inst.params.logp_at(rows, tokens) - inst.ref.logp_at(rows, tokens)
-    lo = np.log1p(-cfg.epsilon_clip) + margin
-    hi = np.log1p(cfg.epsilon_clip) - margin
-    return bool(np.all((lo < delta) & (delta < hi)))
+    """Whether every trajectory log-ratio, which GRPO clips, is > margin off both kinks."""
+    kinks = np.log1p([-cfg.epsilon_clip, cfg.epsilon_clip])
+    log_ratios = inst.group.log_ratios(inst.params)
+    return bool(np.all(np.abs(log_ratios[:, None] - kinks) > margin))
+
+
+# the losses are certified at the mixture config training runs by default
+_MIX = MixConfig()
 
 
 def _certify(inst: GradCheckInstance, loss: Callable[[PolicyParams], LossReport],
@@ -150,36 +155,28 @@ def check_sft(seed: int, index: int, eps: float = 1e-5) -> float:
         p, inst.query, inst.teachers, substream(seed, "gradcheck-sft", index)), eps)
 
 
-def check_grpo(seed: int, index: int, cfg: MixConfig | None = None,
-               eps: float = 1e-5) -> float:
-    # the "ref" ratio baseline makes the surrogate a true function of the
-    # parameters; the "rollout" baseline detaches the denominator by design
-    cfg = cfg or MixConfig(ratio_baseline="ref")
-    # resample until every token ratio is strictly off the clip kink
+def check_grpo(seed: int, index: int, eps: float = 1e-5) -> float:
+    # resample until every trajectory ratio is strictly off the clip kinks
     for attempt in range(50):
         inst = make_instance(seed, index + 10_000 * attempt)
-        if _off_clip(inst, cfg, margin=10 * eps):
+        if _off_clip(inst, _MIX, margin=10 * eps):
             break
-    return _certify(inst, lambda p: grpo_loss_grad(p, inst.ref, inst.group, cfg), eps)
+    return _certify(inst, lambda p: grpo_loss_grad(p, inst.ref, inst.group, _MIX), eps)
 
 
-def check_gal(seed: int, index: int, cfg: MixConfig | None = None,
-              eps: float = 1e-5) -> float:
-    cfg = cfg or MixConfig()
+def check_gal(seed: int, index: int, eps: float = 1e-5) -> float:
     inst = make_instance(seed, index)
-    return _certify(inst, lambda p: gal_loss_grad(p, inst.ref, inst.group, inst.pairs, cfg), eps)
+    return _certify(inst, lambda p: gal_loss_grad(p, inst.ref, inst.group, inst.pairs, _MIX), eps)
 
 
-def check_dypo(seed: int, index: int, cfg: MixConfig | None = None,
-               eps: float = 1e-5) -> float:
-    cfg = cfg or MixConfig(ratio_baseline="ref")
+def check_dypo(seed: int, index: int, eps: float = 1e-5) -> float:
     kind = ("mid", "hard", "easy")[index % 3]
     for attempt in range(50):
         inst = make_instance(seed, index + 10_000 * attempt, kind=kind)
-        if kind != "mid" or _off_clip(inst, cfg, margin=10 * eps):
+        if kind != "mid" or _off_clip(inst, _MIX, margin=10 * eps):
             break
     return _certify(inst, lambda p: dypo_step_loss(
-        p, inst.ref, inst.group, inst.teachers, cfg,
+        p, inst.ref, inst.group, inst.teachers, _MIX,
         substream(seed, "gradcheck-dypo", index)), eps)
 
 

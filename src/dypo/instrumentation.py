@@ -30,6 +30,9 @@ from .objectives import (
 from .policy import PolicyParams, RowBlock, score_sq_norms
 from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 
+# the fewest samples a variance estimate takes, so the fewest groups of a variance bench
+MIN_VARIANCE_SAMPLES = 30
+
 
 @dataclass
 class VarianceEstimate:
@@ -68,8 +71,8 @@ def variance_from_samples(samples: Iterable[RowBlock]) -> VarianceEstimate:
     """
     samples = list(samples)
     n = len(samples)
-    if n < 30:
-        raise InputError(f"variance estimation needs >= 30 samples, got {n}")
+    if n < MIN_VARIANCE_SAMPLES:
+        raise InputError(f"variance estimation needs >= {MIN_VARIANCE_SAMPLES} samples, got {n}")
     rows = np.concatenate([g.rows for g in samples])
     values = np.concatenate([g.values for g in samples])
     owner = np.repeat(np.arange(n), [len(g.rows) for g in samples])

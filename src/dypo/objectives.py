@@ -43,8 +43,6 @@ class MixConfig:
     epsilon_clip: float = 0.2
     xi: float = 1e-4
     pair_cap: int = 64
-    ratio_level: str = "trajectory"
-    ratio_baseline: str = "rollout"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -61,11 +59,6 @@ class MixConfig:
             raise ConfigError(f"xi must be > 0, got {self.xi}")
         if self.pair_cap < 1:
             raise ConfigError(f"pair_cap must be >= 1, got {self.pair_cap}")
-        if self.ratio_level not in ("token", "trajectory"):
-            raise ConfigError(f"ratio_level must be 'token' or 'trajectory', got {self.ratio_level!r}")
-        if self.ratio_baseline not in ("rollout", "ref"):
-            raise ConfigError(
-                f"ratio_baseline must be 'rollout' or 'ref', got {self.ratio_baseline!r}")
 
 
 @dataclass
@@ -75,7 +68,8 @@ class GroupRollout:
     The group owns the rows of its trajectories' steps, read through
     ``step_rows``: a group from ``rollout_group`` keeps the rows it was
     sampled with, and a group built from given trajectories resolves them
-    once, on first use, and keeps them.
+    once, on first use, and keeps them. ``sample_logp`` is the sampling
+    policy's log-prob of every step, recorded at sampling.
     """
 
     query: Query
@@ -83,6 +77,7 @@ class GroupRollout:
     rewards: tuple[int, ...]
     advantages: np.ndarray | None = None
     rows: StepRows | None = field(default=None, repr=False, compare=False)
+    sample_logp: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.trajectories) != len(self.rewards):
@@ -120,6 +115,15 @@ class GroupRollout:
         rows, tokens = self.rows.steps
         return rows, tokens, self.lengths
 
+    def log_ratios(self, params: PolicyParams) -> np.ndarray:
+        """log(pi_params / pi_sampling) of every trajectory, against ``sample_logp``."""
+        if self.sample_logp is None:
+            raise StateError("group sampling log-probs are not recorded")
+        rows, tokens, lengths = self.step_rows(params)
+        return np.bincount(np.repeat(np.arange(self.k), lengths),
+                           weights=params.logp_at(rows, tokens) - self.sample_logp,
+                           minlength=self.k)
+
 
 @dataclass
 class LossReport:
@@ -142,7 +146,7 @@ def standardize_advantages(rewards: Sequence[float], xi: float) -> np.ndarray:
 
 def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Generator,
                   *, xi: float, stop_token: int, t_max: int) -> GroupRollout:
-    """Sample k rollouts and populate rewards and standardized advantages."""
+    """Sample k rollouts with rewards, standardized advantages and sampling log-probs."""
     trajs, sampled = sample_group_rows(params, query, k, rng, stop_token=stop_token, t_max=t_max)
     rewards = tuple(reward(query, traj) for traj in trajs)
     return GroupRollout(
@@ -151,6 +155,7 @@ def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Gen
         rewards=rewards,
         advantages=standardize_advantages(rewards, xi),
         rows=sampled,
+        sample_logp=params.logp_at(*sampled.steps),
     )
 
 
@@ -171,16 +176,12 @@ def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
                    cfg: MixConfig) -> LossReport:
     """Clipped surrogate loss with KL penalty, group-standardized advantages.
 
-    Ratios follow cfg.ratio_level: per-token ratios clipped and averaged over
-    trajectory tokens (default), or a single trajectory-level ratio. With the
-    default cfg.ratio_baseline of "rollout" the ratio denominator is the
-    policy that sampled the group, which with one update per step is the
-    current policy, so every ratio is exactly 1 at evaluation; "ref" computes
-    ratios against the frozen reference, making the surrogate a true function
-    of the parameters (the form finite differences can certify). The KL
-    penalty always anchors to the frozen reference. At clip kinks the
-    unclipped branch wins, so the gradient is the exact one-sided derivative
-    of the reported expression everywhere.
+    Each trajectory has one ratio, taken against the group's recorded
+    ``sample_logp``: data, not parameters, so in training (sampler = current
+    policy) every ratio is exactly 1, and finite differences certify the
+    surrogate that training differentiates. The KL penalty anchors to the
+    frozen reference. At clip kinks the unclipped branch wins, so the
+    gradient is the exact one-sided derivative of the reported expression.
     """
     if group.advantages is None:
         raise StateError("group advantages are not populated")
@@ -189,23 +190,14 @@ def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
         raise InputError("grpo_loss_grad needs a group of >= 2")
     check_shared_interner(params, ref)
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
+    ratios = np.exp(group.log_ratios(params))
     rows, tokens, lengths = group.step_rows(params)
-    ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
-    deltas = params.logp_at(rows, tokens) - ratio_ref.logp_at(rows, tokens)
     adv = np.asarray(group.advantages, dtype=np.float64)
-    traj = np.repeat(np.arange(k), lengths)
-    # one ratio per trajectory, or one per token averaged over its trajectory
-    if cfg.ratio_level == "trajectory":
-        ratios = np.exp(np.bincount(traj, weights=deltas, minlength=k))
-        adv_r, norm, to_tokens = adv, 1.0, traj
-    else:
-        ratios = np.exp(deltas)
-        adv_r, norm, to_tokens = adv[traj], 1.0 / lengths[traj], slice(None)
-    unclipped = ratios * adv_r
-    clipped = np.clip(ratios, lo, hi) * adv_r
-    surrogate = float((np.minimum(unclipped, clipped) * norm).sum())
-    coef = np.where(unclipped <= clipped, adv_r * ratios * norm, 0.0)[to_tokens]
-    pg = weighted_score(params, rows, tokens, coef)
+    unclipped = ratios * adv
+    clipped = np.clip(ratios, lo, hi) * adv
+    surrogate = float(np.minimum(unclipped, clipped).sum())
+    coef = np.where(unclipped <= clipped, adv * ratios, 0.0)
+    pg = weighted_score(params, rows, tokens, np.repeat(coef, lengths))
     # both blocks cover exactly the unique visited rows, in the same order
     kl_value, kl = kl_gradient(params, ref, pg.rows)
     gradient = RowBlock(pg.rows, (-1.0 / k) * pg.values + cfg.beta_kl * kl.values)

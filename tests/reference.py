@@ -64,28 +64,17 @@ def naive_log_prob(params, qid, tokens) -> float:
                for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens))
 
 
-def naive_grpo(params, ref, group: GroupRollout, cfg: MixConfig) -> dict:
+def naive_grpo(params, ref, sampler, group: GroupRollout, cfg: MixConfig) -> dict:
+    """GRPO gradient with each trajectory's ratio taken against ``sampler``,
+    the policy that stands for the one that sampled the group."""
     qid = group.query.query_id
-    v = params.vocab_size
-    ratio_ref = params if cfg.ratio_baseline == "rollout" else ref
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
     pg: dict = {}
     for traj, adv in zip(group.trajectories, group.advantages):
-        ctxs = step_contexts(qid, traj.tokens, params.history)
-        deltas = [params.log_probs(c)[a] - ratio_ref.log_probs(c)[a]
-                  for c, a in zip(ctxs, traj.tokens)]
-        if cfg.ratio_level == "trajectory":
-            rho = np.exp(sum(deltas))
-            if rho * adv <= min(max(rho, lo), hi) * adv:
-                _add(pg, naive_score(params, qid, traj.tokens), adv * rho)
-            continue
-        for ctx, tok, delta in zip(ctxs, traj.tokens, deltas):
-            r = np.exp(delta)
-            if r * adv <= min(max(r, lo), hi) * adv:
-                coef = adv * r / len(traj)
-                row = pg.setdefault(ctx, np.zeros(v))
-                row -= coef * params.probs(ctx)
-                row[tok] += coef
+        rho = np.exp(naive_log_prob(params, qid, traj.tokens)
+                     - naive_log_prob(sampler, qid, traj.tokens))
+        if rho * adv <= min(max(rho, lo), hi) * adv:
+            _add(pg, naive_score(params, qid, traj.tokens), adv * rho)
     grad = {ctx: -vec / group.k for ctx, vec in pg.items()}
     visited = {c for t in group.trajectories for c in step_contexts(qid, t.tokens, params.history)}
     for ctx in visited:

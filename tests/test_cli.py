@@ -107,7 +107,26 @@ def test_grad_check_without_instances_exits_1_with_one_line(tmp_path, capsys, co
     assert main(["grad-check", "--out", str(out), "--instances", count]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ")
-    assert not (out / "grad_check.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--groups", "0"],
+    ["bias-bench", "--draws", "5"],
+    ["bias-bench", "--m", ","],
+    ["bias-bench", "--m", "0,1"],
+    ["variance-bench", "--groups", "0"],
+], ids=["evaluate-groups", "bias-draws", "bias-m-empty", "bias-m-zero", "variance-groups"])
+def test_arguments_are_checked_before_anything_is_written(tmp_path, tiny_config, capsys,
+                                                          monkeypatch, argv):
+    def no_training(*args, **kwargs):
+        raise AssertionError("variance-bench trained before checking --groups")
+
+    monkeypatch.setattr("dypo.cli.train", no_training)
+    out = tmp_path / "o"
+    assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bias_bench(tmp_path, tiny_config, capsys):
@@ -166,7 +185,9 @@ def test_compare_cli(tmp_path):
 def test_execution_key_in_config_exits_1(tmp_path, capsys):
     # keys of removed features are unknown keys
     for section, key, value in ((None, "execution", "threads"), ("testbed", "tau_star", []),
-                                ("task", "family", "modular_chain")):
+                                ("task", "family", "modular_chain"),
+                                ("mix", "ratio_level", "token"),
+                                ("mix", "ratio_baseline", "ref")):
         doc = train_config_to_dict(TrainConfig())
         (doc[section] if section else doc)[key] = value
         path = tmp_path / "old.json"
@@ -182,6 +203,7 @@ def test_evaluate_bad_checkpoint_exits_2_with_one_line(tmp_path, tiny_config, ca
                  "--checkpoint", str(bad), "--groups", "2"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "missing key" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_checkpoint_of_another_vocabulary_exits_1(tmp_path, capsys):

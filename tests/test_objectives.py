@@ -7,8 +7,18 @@ import pytest
 from scipy.special import expit
 
 from dypo.errors import ConfigError, InputError, StateError
-from dypo.gradcheck import check_dypo, check_gal, check_grpo, check_sft, make_instance
+from dypo.gradcheck import (
+    _off_clip,
+    check_dypo,
+    check_gal,
+    check_grpo,
+    check_sft,
+    gradient_error,
+    make_instance,
+    numerical_gradient,
+)
 from dypo.grading import DifficultyGrade, grade
+from dypo.instrumentation import collect_mid_groups
 from dypo.objectives import (
     GroupRollout,
     MixConfig,
@@ -106,15 +116,17 @@ def test_sft_gradient_finite_differences():
 
 
 def test_grpo_on_policy_identity():
-    # params == ref: every ratio is 1 and the loss collapses to 0
+    # a group sampled from the params records their own log-probs, so every
+    # ratio is exactly 1; with the reference at the params the loss is 0
     inst = _mid_instance(index=7)
     ref = inst.params.snapshot()
-    for level in ("token", "trajectory"):
-        for baseline in ("rollout", "ref"):
-            cfg = MixConfig(ratio_level=level, ratio_baseline=baseline)
-            report = grpo_loss_grad(inst.params, ref, inst.group, cfg)
-            assert report.loss == pytest.approx(0.0, abs=1e-12)
-            assert report.aux["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
+    # the first Mid group that rollout_group samples
+    group, = collect_mid_groups(inst.params, lambda rng: inst.query, 1, substream(7, "on-policy"),
+                                k=8, xi=CFG.xi, stop_token=TASK.stop, t_max=14)
+    report = grpo_loss_grad(inst.params, ref, group, CFG)
+    assert report.aux["mean_ratio"] == 1.0
+    assert report.aux["kl_value"] == 0.0
+    assert report.loss == pytest.approx(0.0, abs=1e-15)
 
 
 def test_grpo_zero_advantage_groups():
@@ -126,18 +138,53 @@ def test_grpo_zero_advantage_groups():
 
 
 def test_grpo_needs_advantages():
+    # and the sampling log-probs, which a group built from trajectories lacks
     inst = _mid_instance(index=8)
-    group = GroupRollout(query=inst.group.query, trajectories=inst.group.trajectories,
-                         rewards=inst.group.rewards, advantages=None)
-    with pytest.raises(StateError):
-        grpo_loss_grad(inst.params, inst.ref, group, CFG)
+    for advantages, missing in ((None, "advantages"), (inst.group.advantages, "log-probs")):
+        group = GroupRollout(query=inst.group.query, trajectories=inst.group.trajectories,
+                             rewards=inst.group.rewards, advantages=advantages)
+        with pytest.raises(StateError, match=missing):
+            grpo_loss_grad(inst.params, inst.ref, group, CFG)
 
 
-@pytest.mark.parametrize("level", ["token", "trajectory"])
-def test_grpo_gradient_finite_differences(level):
-    cfg = MixConfig(ratio_level=level, ratio_baseline="ref")
+def test_grpo_gradient_finite_differences():
     for i in range(15):
-        assert check_grpo(37, i, cfg) < 1e-6
+        assert check_grpo(37, i) < 1e-6
+
+
+def test_the_training_form_is_certified():
+    # sampling log-probs recorded from the params, as in training: every
+    # ratio is exactly 1 and a probe moves only the ratio's numerator
+    worst = 0.0
+    for i in range(30):
+        inst = _mid_instance(5, i)
+        rows, tokens, _ = inst.group.step_rows(inst.params)
+        inst.group.sample_logp = inst.params.logp_at(rows, tokens)
+        assert grpo_loss_grad(inst.params, inst.ref, inst.group, CFG).aux["mean_ratio"] == 1.0
+        for loss in (lambda p: grpo_loss_grad(p, inst.ref, inst.group, CFG),
+                     lambda p: dypo_step_loss(p, inst.ref, inst.group, inst.teachers, CFG,
+                                              substream(5, "dypo", i))):
+            numeric = numerical_gradient(lambda p: loss(p).loss, inst.params, inst.contexts)
+            worst = max(worst, gradient_error(inst.params, loss(inst.params).gradient, numeric))
+    assert worst <= 1e-6
+
+
+def test_the_clip_guard_checks_trajectory_ratios():
+    # one trajectory's log-ratio sits on the kink log 1.2, spread over its
+    # steps so that every token's log-ratio stays well inside the clip band
+    inst = _mid_instance(index=3)
+    rows, tokens, lengths = inst.group.step_rows(inst.params)
+    own = inst.params.logp_at(rows, tokens)
+    assert _off_clip(inst, CFG, margin=1e-4)
+    i = int(np.argmax(lengths))
+    shift = np.zeros(len(rows))
+    start = int(lengths[:i].sum())
+    shift[start:start + lengths[i]] = np.log(1.2) / lengths[i]
+    assert lengths[i] >= 3 and np.abs(shift).max() < np.log(1.2) / 2
+    inst.group.sample_logp = own - shift
+    assert not _off_clip(inst, CFG, margin=1e-4)
+    inst.group.sample_logp = own
+    assert _off_clip(inst, CFG, margin=1e-4)
 
 
 def test_grpo_policy_gradient_zero_for_flat_rewards():
@@ -389,9 +436,8 @@ def test_a_policy_of_another_interner_is_an_input_error():
     foreign = PolicyParams(TASK.vocab_size, 1)
     for ctx in inst.ref.written_contexts():
         foreign.set_logits(ctx, inst.ref.logits(ctx))
-    for baseline in ("rollout", "ref"):
-        with pytest.raises(InputError, match="interner"):
-            grpo_loss_grad(inst.params, foreign, inst.group, MixConfig(ratio_baseline=baseline))
+    with pytest.raises(InputError, match="interner"):
+        grpo_loss_grad(inst.params, foreign, inst.group, CFG)
     with pytest.raises(InputError, match="interner"):
         gal_loss_grad(inst.params, foreign, inst.group, inst.pairs, CFG)
     with pytest.raises(InputError, match="interner"):
@@ -406,9 +452,8 @@ def test_a_policy_of_another_interner_is_an_input_error():
 
 
 def test_dypo_gradient_finite_differences():
-    cfg = MixConfig(ratio_baseline="ref")
     for i in range(15):
-        assert check_dypo(53, i, cfg) < 1e-6
+        assert check_dypo(53, i) < 1e-6
 
 
 def test_grade_of_constructed_groups():

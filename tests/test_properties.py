@@ -160,15 +160,18 @@ def test_sft_block_matches_naive_reference(seed, index, n_teachers):
 
 
 @given(seed=seeds, index=st.integers(0, 60), kind=st.sampled_from(["mid", "hard", "easy"]),
-       level=st.sampled_from(["token", "trajectory"]),
-       baseline=st.sampled_from(["rollout", "ref"]), beta_kl=st.sampled_from([0.0, 0.01, 0.5]))
+       on_policy=st.booleans(), beta_kl=st.sampled_from([0.0, 0.01, 0.5]))
 @SLOW
-def test_grpo_block_matches_naive_reference(seed, index, kind, level, baseline, beta_kl):
+def test_grpo_block_matches_naive_reference(seed, index, kind, on_policy, beta_kl):
+    # the group's sampling log-probs are the reference's, or the params' own as in training
     inst = make_instance(seed, index, kind=kind)
-    cfg = MixConfig(ratio_level=level, ratio_baseline=baseline, beta_kl=beta_kl)
+    sampler = inst.params if on_policy else inst.ref
+    rows, tokens, _ = inst.group.step_rows(inst.params)
+    inst.group.sample_logp = sampler.logp_at(rows, tokens)
+    cfg = MixConfig(beta_kl=beta_kl)
     report = grpo_loss_grad(inst.params, inst.ref, inst.group, cfg)
     assert_block_matches(inst.params, report.gradient,
-                         naive_grpo(inst.params, inst.ref, inst.group, cfg))
+                         naive_grpo(inst.params, inst.ref, sampler, inst.group, cfg))
 
 
 @given(seed=seeds, index=st.integers(0, 60), beta=st.sampled_from([0.5, 1.0, 3.0]),
@@ -264,9 +267,7 @@ def train_configs(draw) -> TrainConfig:
     mix = MixConfig(alpha=draw(unit()), gamma=draw(positive()), beta_gal=draw(positive()),
                     beta_kl=draw(st.floats(0.0, 1.0) | st.just(0)),
                     epsilon_clip=draw(unit()), xi=draw(positive()),
-                    pair_cap=draw(st.integers(1, 100)),
-                    ratio_level=draw(st.sampled_from(["token", "trajectory"])),
-                    ratio_baseline=draw(st.sampled_from(["rollout", "ref"])))
+                    pair_cap=draw(st.integers(1, 100)))
     dim = draw(st.integers(1, 6))
     b_sys = draw(st.lists(st.floats(-5.0, 5.0) | st.integers(-5, 5), min_size=dim, max_size=dim))
     testbed = BiasTestbedConfig(dim=dim, b_sys=tuple(b_sys),

@@ -1,11 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses, and
+the README's configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
 import ast
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dypo"
+from dypo.trainer import TrainConfig, train_config_from_dict
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dypo"
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -55,3 +60,9 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_readme_config_block_is_the_default_config():
+    section = (ROOT / "README.md").read_text().split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert train_config_from_dict(json.loads(block)) == TrainConfig()
