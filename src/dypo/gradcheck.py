@@ -133,7 +133,7 @@ def make_instance(seed: int, index: int, kind: str = "mid",
 def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
     """Whether every trajectory log-ratio, which GRPO clips, is > margin off both kinks."""
     kinks = np.log1p([-cfg.epsilon_clip, cfg.epsilon_clip])
-    log_ratios = inst.group.log_ratios(inst.params)
+    log_ratios = inst.group.alone(inst.params).log_ratios(inst.params)
     return bool(np.all(np.abs(log_ratios[:, None] - kinks) > margin))
 
 

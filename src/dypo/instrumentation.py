@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_type_hints
+from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -19,19 +19,24 @@ from .artifacts import atomic_write
 from .errors import BenchError, DataError, InputError
 from .grading import DifficultyGrade
 from .objectives import (
+    GroupBatch,
     GroupRollout,
     MixConfig,
     build_pairs,
-    gal_loss_grad,
-    grpo_policy_gradient,
-    mixed_gradient,
+    gal_etas,
+    gal_pass,
+    grpo_estimator,
+    mixed_keyed,
     rollout_group,
 )
-from .policy import PolicyParams, RowBlock, score_sq_norms
+from .policy import KeyedBlocks, PolicyParams, RowBlock, score_sq_norms, stack_keyed
 from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 
 # the fewest samples a variance estimate takes, so the fewest groups of a variance bench
 MIN_VARIANCE_SAMPLES = 30
+# groups per loss pass of the benches: the perfbench `variance` work (5000
+# groups, seed 1) peaks at 121 MiB RSS in one pass and at 81 MiB in chunks of this size
+CHUNK_GROUPS = 256
 
 
 @dataclass
@@ -64,18 +69,17 @@ METRICS_HEADER = tuple(f.name for f in fields(StepMetrics))
 _INT_FIELDS = {name for name, kind in get_type_hints(StepMetrics).items() if kind is int}
 
 
-def variance_from_samples(samples: Iterable[RowBlock]) -> VarianceEstimate:
+def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
     """Mean gradient, unbiased scalar variance, and jackknife standard error.
 
-    The row blocks are stacked once and reduced with a few vectorized calls.
+    Each owner of ``samples`` is one sample; the keyed arrays are reduced
+    with a few vectorized calls.
     """
-    samples = list(samples)
-    n = len(samples)
+    n = samples.count
     if n < MIN_VARIANCE_SAMPLES:
         raise InputError(f"variance estimation needs >= {MIN_VARIANCE_SAMPLES} samples, got {n}")
-    rows = np.concatenate([g.rows for g in samples])
-    values = np.concatenate([g.values for g in samples])
-    owner = np.repeat(np.arange(n), [len(g.rows) for g in samples])
+    owner, rows = np.divmod(samples.keys, samples.span)
+    values = samples.values
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         bad = int(owner[np.argmin(finite)])
@@ -118,6 +122,11 @@ def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Gen
     return groups
 
 
+def _batches(params: PolicyParams, groups: list[GroupRollout]) -> Iterator[GroupBatch]:
+    for lo in range(0, len(groups), CHUNK_GROUPS):
+        yield GroupBatch(params, groups[lo:lo + CHUNK_GROUPS])
+
+
 def measure_eta(params: PolicyParams, ref: PolicyParams,
                 draw_query: Callable[[np.random.Generator], Query], cfg: MixConfig,
                 n_groups: int, rng: np.random.Generator, *, k: int, stop_token: int,
@@ -127,10 +136,10 @@ def measure_eta(params: PolicyParams, ref: PolicyParams,
                                 stop_token=stop_token, t_max=t_max,
                                 max_attempts=max_attempts)
     etas = []
-    for g in groups:
-        pairs = build_pairs(g, cfg.pair_cap, rng)
-        etas.append(gal_loss_grad(params, ref, g, pairs, cfg).aux["eta"])
-    return float(np.mean(etas))
+    for batch in _batches(params, groups):
+        pairs = [build_pairs(g, cfg.pair_cap, rng) for g in batch.groups]
+        etas.append(gal_etas(gal_pass(params, ref, batch, pairs, cfg)))
+    return float(np.mean(np.concatenate(etas)))
 
 
 @dataclass
@@ -160,35 +169,33 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
     groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
                                 stop_token=stop_token, t_max=t_max,
                                 max_attempts=max_attempts)
-    g_grpo: list[RowBlock] = []
-    g_gal: list[RowBlock] = []
-    etas = np.empty(len(groups))
-    pair_counts = np.empty(len(groups))
+    samples: dict[str, list[KeyedBlocks]] = {"grpo": [], "gal": [], "mix": []}
+    etas, pair_counts = [], []
     score_sq_sum = 0.0
-    score_sq_n = 0
-    for i, group in enumerate(groups):
-        pairs = build_pairs(group, cfg.pair_cap, rng)
-        grpo = grpo_policy_gradient(params, group)
-        gal = gal_loss_grad(params, ref, group, pairs, cfg)
-        g_grpo.append(grpo)
-        g_gal.append(gal.gradient)
-        etas[i] = gal.aux["eta"]
-        pair_counts[i] = gal.aux["pair_count"]
-        score_sq_sum += float(score_sq_norms(params, *group.step_rows(params)).sum())
-        score_sq_n += group.k
-    # the mixture exists only while it is reduced, not for the whole bench
-    g_mix = (mixed_gradient(a, b, cfg.alpha) for a, b in zip(g_grpo, g_gal))
-    est = {name: variance_from_samples(samples)
-           for name, samples in (("grpo", g_grpo), ("gal", g_gal), ("mix", g_mix))}
+    for batch in _batches(params, groups):
+        pairs = [build_pairs(g, cfg.pair_cap, rng) for g in batch.groups]
+        grpo = grpo_estimator(params, batch)
+        gal = gal_pass(params, ref, batch, pairs, cfg)
+        samples["grpo"].append(grpo)
+        samples["gal"].append(gal.gradient)
+        samples["mix"].append(mixed_keyed(grpo, gal.gradient, cfg.alpha))
+        etas.append(gal_etas(gal))
+        pair_counts.append(gal.aux["pair_count"])
+        score_sq = score_sq_norms(params, batch.rows, batch.tokens, batch.lengths)
+        score_sq_sum += float(score_sq.sum())
+    # each estimator's chunks are freed once it is reduced
+    est = {name: variance_from_samples(stack_keyed(samples.pop(name)))
+           for name in ("grpo", "gal", "mix")}
     gap = est["grpo"].scalar_variance - est["mix"].scalar_variance
     combined_se = float(np.hypot(est["grpo"].standard_error, est["mix"].standard_error))
     verdict = gap > 3.0 * combined_se
-    eta_mean = float(etas.mean())
-    sigma_s = score_sq_sum / score_sq_n
+    eta_mean = float(np.concatenate(etas).mean())
+    pair_count_mean = float(np.concatenate(pair_counts).mean())
+    sigma_s = score_sq_sum / sum(g.k for g in groups)
     # independent-pair approximation of the alignment-gradient variance;
     # pairs within one group share trajectories, so this routinely
     # underestimates the measured value (reported, never enforced)
-    predicted_var_gal = 2.0 * cfg.beta_gal**2 * eta_mean * sigma_s / float(pair_counts.mean())
+    predicted_var_gal = 2.0 * cfg.beta_gal**2 * eta_mean * sigma_s / pair_count_mean
     return BenchReport(
         name="variance_ordering",
         estimates={f"var_{n}": e.scalar_variance for n, e in est.items()},
@@ -198,7 +205,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
                      "pair_cap": cfg.pair_cap, "n_groups": n_groups},
         diagnostics={"gap": gap, "combined_se": combined_se, "eta_mean": eta_mean,
                      "score_sq_mean": sigma_s,
-                     "pair_count_mean": float(pair_counts.mean()),
+                     "pair_count_mean": pair_count_mean,
                      "predicted_var_gal": predicted_var_gal},
     )
 
@@ -215,6 +222,9 @@ def bias_law_bench(cfg: BiasTestbedConfig, m_values: Sequence[int], n_draws: int
         raise InputError("bias_law_bench needs at least one ensemble size")
     if n_draws < 10_000:
         raise InputError(f"bias_law_bench needs >= 1e4 draws per point, got {n_draws}")
+    for m in m_values:
+        if m < 1:
+            raise InputError(f"ensemble size must be >= 1, got {m}")
     means: dict[int, float] = {}
     stderrs: dict[int, float] = {}
     for m in m_values:

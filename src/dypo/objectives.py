@@ -1,15 +1,20 @@
 """Loss values and exact gradients for every optimization pathway.
 
-Each objective returns a LossReport: scalar loss, exact gradient as a row
-block over the logit table, and named aux scalars. Gradients are exact for
-the reported loss expression, which is what lets finite differences certify
-all of them.
+GRPO, its estimator, GAL and their mixture are each one pass over a batch of
+groups (``GroupBatch``): every group's loss, and gradients keyed by (group,
+row), so each group keeps the row block it would have alone. The per-group
+functions (``grpo_loss_grad``, ``gal_loss_grad``, ``dypo_step_loss``, ...)
+are those passes over a batch of one, which is what finite differences
+certify. Each returns a LossReport: scalar loss, exact gradient as a row
+block over the logit table, and named aux values. Gradients are exact for
+the reported loss expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -19,11 +24,14 @@ from . import grading
 from .errors import ConfigError, InputError, StateError
 from .grading import DifficultyGrade
 from .policy import (
+    KeyedBlocks,
+    KeyIndex,
     PolicyParams,
     RowBlock,
     StepRows,
     Trajectory,
     check_shared_interner,
+    keyed_score,
     kl_gradient,
     sample_group_rows,
     sum_blocks,
@@ -68,8 +76,10 @@ class GroupRollout:
     The group owns the rows of its trajectories' steps, read through
     ``step_rows``: a group from ``rollout_group`` keeps the rows it was
     sampled with, and a group built from given trajectories resolves them
-    once, on first use, and keeps them. ``sample_logp`` is the sampling
-    policy's log-prob of every step, recorded at sampling.
+    once, on first use, and keeps them. ``sample_logp``, when recorded, is
+    the sampling policy's log-prob of every step; only GRPO reads it, so
+    ``rollout_group`` leaves it unset and the trainer records it for the
+    groups it sends to GRPO (``GroupBatch.record_sample_logp``).
     """
 
     query: Query
@@ -78,6 +88,7 @@ class GroupRollout:
     advantages: np.ndarray | None = None
     rows: StepRows | None = field(default=None, repr=False, compare=False)
     sample_logp: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _alone: GroupBatch | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.trajectories) != len(self.rewards):
@@ -98,11 +109,8 @@ class GroupRollout:
     def lengths(self) -> np.ndarray:
         return np.array([len(t) for t in self.trajectories])
 
-    def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, tokens, lengths) of the group's steps in ``params``' interner.
-
-        Rows kept for another interner are an ``InputError``.
-        """
+    def _steps(self, params: PolicyParams) -> np.ndarray:
+        """The ``(2, steps)`` int32 rows and tokens in ``params``' interner."""
         if self.rows is None:
             parts = [params.trajectory_rows(self.query.query_id, t.tokens)
                      for t in self.trajectories]
@@ -112,17 +120,106 @@ class GroupRollout:
             raise InputError("the group's rows belong to another policy's interner")
         else:
             params._fit()
-        rows, tokens = self.rows.steps
+        return self.rows.steps
+
+    def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, tokens, lengths) of the group's steps in ``params``' interner.
+
+        Rows kept for another interner are an ``InputError``.
+        """
+        rows, tokens = self._steps(params)
         return rows, tokens, self.lengths
+
+    def alone(self, params: PolicyParams) -> GroupBatch:
+        """The group as a batch of one: built on first use and kept, as its
+        rows are, so repeated evaluations (finite-difference probes) reuse it."""
+        self._steps(params)
+        if self._alone is None:
+            self._alone = GroupBatch(params, [self])
+        return self._alone
+
+
+class GroupBatch:
+    """The steps of several groups, concatenated once: what every loss pass reads.
+
+    ``rows`` and ``tokens`` (intp) hold every step of every group in group
+    order, ``traj`` each step's trajectory and ``owner`` each trajectory's
+    group. A pass gathers its gradient under ``index``, the steps'
+    ``(group, row)`` keys, so every group keeps its own row block
+    (``KeyedBlocks``). ``advantages`` and ``sample_logp`` read the groups'
+    own. Groups whose rows belong to another interner are an ``InputError``.
+    """
+
+    def __init__(self, params: PolicyParams, groups: Sequence[GroupRollout]):
+        if len(groups) == 0:
+            raise InputError("a group batch needs at least one group")
+        self.groups = tuple(groups)
+        self.count = len(self.groups)
+        steps = [g._steps(params) for g in self.groups]
+        self.rows, self.tokens = np.concatenate(steps, axis=1, dtype=np.intp)
+        self.lengths = np.concatenate([g.lengths for g in self.groups])
+        self.k = np.array([g.k for g in self.groups])
+        self.traj = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        # after the steps: resolving a group's rows may intern new contexts
+        span = len(params.interner.contexts)
+        if self.count == 1:  # owner 0: the keys are the rows
+            keys = self.rows
+        else:
+            keys = np.repeat(np.arange(self.count), [s.shape[1] for s in steps]) * span + self.rows
+        self.index = KeyIndex(keys, self.tokens, span, self.count, params.vocab_size)
+
+    @property
+    def advantages(self) -> np.ndarray:
+        """Every trajectory's advantage, group by group."""
+        parts = [g.advantages for g in self.groups]
+        if any(part is None for part in parts):
+            raise StateError("group advantages are not populated")
+        return np.concatenate(parts, dtype=np.float64)
+
+    @property
+    def sample_logp(self) -> np.ndarray:
+        """Every step's sampling log-prob, as the groups recorded them."""
+        parts = [g.sample_logp for g in self.groups]
+        if any(part is None for part in parts):
+            raise StateError("group sampling log-probs are not recorded")
+        return np.concatenate(parts)
+
+    def record_sample_logp(self, params: PolicyParams) -> None:
+        """Record ``params``' log-prob of every step as each group's ``sample_logp``.
+
+        Call it while ``params`` is the policy that sampled the groups.
+        """
+        logp = params.logp_at(self.rows, self.tokens)
+        ends = list(accumulate(g.rows.steps.shape[1] for g in self.groups))
+        for group, lo, hi in zip(self.groups, [0] + ends, ends):
+            group.sample_logp = logp[lo:hi]
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Each trajectory's group."""
+        return np.repeat(np.arange(self.count), self.k)
 
     def log_ratios(self, params: PolicyParams) -> np.ndarray:
         """log(pi_params / pi_sampling) of every trajectory, against ``sample_logp``."""
-        if self.sample_logp is None:
-            raise StateError("group sampling log-probs are not recorded")
-        rows, tokens, lengths = self.step_rows(params)
-        return np.bincount(np.repeat(np.arange(self.k), lengths),
-                           weights=params.logp_at(rows, tokens) - self.sample_logp,
-                           minlength=self.k)
+        return np.bincount(self.traj, weights=params.logp_at(self.rows, self.tokens)
+                           - self.sample_logp, minlength=len(self.lengths))
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values`` summed over runs of ``counts[i]`` consecutive entries, each
+    bit for bit as ``np.sum`` of the run alone: runs of one length are summed
+    as the rows of one matrix, which numpy reduces as it reduces a lone run."""
+    lengths = counts.tolist()
+    if lengths.count(lengths[0]) == len(lengths):
+        return values.reshape(len(lengths), -1).sum(axis=1)
+    runs: dict[int, list[int]] = {}
+    for i, n in enumerate(lengths):
+        runs.setdefault(n, []).append(i)
+    starts = np.cumsum(counts) - counts
+    out = np.empty(len(lengths))
+    for n, owners in runs.items():
+        out[owners] = values[starts[owners][:, None] + np.arange(n)].sum(axis=1)
+    return out
 
 
 @dataclass
@@ -132,6 +229,38 @@ class LossReport:
     loss: float
     gradient: RowBlock
     aux: dict = field(default_factory=dict)
+
+
+@dataclass
+class BatchReport:
+    """One loss pass over a ``GroupBatch``.
+
+    ``loss`` and every ``aux`` array hold one entry per group; the gradient
+    is keyed by (group, row). The alignment loss also returns its per-pair
+    weights, group by group, ``aux["pair_count"]`` of them each.
+    """
+
+    loss: np.ndarray
+    gradient: KeyedBlocks
+    aux: dict[str, np.ndarray]
+    weights: np.ndarray | None = None
+
+    def reports(self) -> list[LossReport]:
+        """Each group's ``LossReport``, as the per-group loss functions return it."""
+        aux = {name: v.tolist() for name, v in self.aux.items()}
+        out = [LossReport(loss, block, {name: float(v[i]) for name, v in aux.items()})
+               for i, (loss, block) in enumerate(zip(self.loss.tolist(), self.gradient.blocks()))]
+        if self.weights is not None:
+            ends = list(accumulate(aux["pair_count"]))
+            for report, lo, hi in zip(out, [0] + ends, ends):
+                report.aux["weights"] = self.weights[lo:hi]
+        return out
+
+
+def gal_etas(report: BatchReport) -> np.ndarray:
+    """Each group's discrimination difficulty eta, the mean squared pair weight."""
+    counts = report.aux["pair_count"]
+    return _segment_sums(report.weights**2, counts) / counts
 
 
 def standardize_advantages(rewards: Sequence[float], xi: float) -> np.ndarray:
@@ -146,7 +275,7 @@ def standardize_advantages(rewards: Sequence[float], xi: float) -> np.ndarray:
 
 def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Generator,
                   *, xi: float, stop_token: int, t_max: int) -> GroupRollout:
-    """Sample k rollouts with rewards, standardized advantages and sampling log-probs."""
+    """Sample k rollouts with rewards and standardized advantages."""
     trajs, sampled = sample_group_rows(params, query, k, rng, stop_token=stop_token, t_max=t_max)
     rewards = tuple(reward(query, traj) for traj in trajs)
     return GroupRollout(
@@ -155,7 +284,6 @@ def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Gen
         rewards=rewards,
         advantages=standardize_advantages(rewards, xi),
         rows=sampled,
-        sample_logp=params.logp_at(*sampled.steps),
     )
 
 
@@ -172,54 +300,61 @@ def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[Teacher
                       aux={"teacher_index": float(idx), "demo_len": float(len(demo))})
 
 
-def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
-                   cfg: MixConfig) -> LossReport:
-    """Clipped surrogate loss with KL penalty, group-standardized advantages.
+def grpo_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
+              cfg: MixConfig) -> BatchReport:
+    """Clipped surrogate loss with KL penalty of every group of the batch.
 
-    Each trajectory has one ratio, taken against the group's recorded
+    Each trajectory has one ratio, taken against its group's recorded
     ``sample_logp``: data, not parameters, so in training (sampler = current
     policy) every ratio is exactly 1, and finite differences certify the
     surrogate that training differentiates. The KL penalty anchors to the
     frozen reference. At clip kinks the unclipped branch wins, so the
     gradient is the exact one-sided derivative of the reported expression.
+    ``aux`` holds each group's ``kl_value``; the ratios themselves are
+    ``exp(batch.log_ratios(params))``, for whoever reads them.
     """
-    if group.advantages is None:
-        raise StateError("group advantages are not populated")
-    k = group.k
-    if k < 2:
+    adv = batch.advantages
+    if any(g.k < 2 for g in batch.groups):
         raise InputError("grpo_loss_grad needs a group of >= 2")
     check_shared_interner(params, ref)
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
-    ratios = np.exp(group.log_ratios(params))
-    rows, tokens, lengths = group.step_rows(params)
-    adv = np.asarray(group.advantages, dtype=np.float64)
+    ratios = np.exp(batch.log_ratios(params))
     unclipped = ratios * adv
-    clipped = np.clip(ratios, lo, hi) * adv
-    surrogate = float(np.minimum(unclipped, clipped).sum())
+    clipped = np.minimum(np.maximum(ratios, lo), hi) * adv
+    surrogate = _segment_sums(np.minimum(unclipped, clipped), batch.k)
     coef = np.where(unclipped <= clipped, adv * ratios, 0.0)
-    pg = weighted_score(params, rows, tokens, np.repeat(coef, lengths))
-    # both blocks cover exactly the unique visited rows, in the same order
-    kl_value, kl = kl_gradient(params, ref, pg.rows)
-    gradient = RowBlock(pg.rows, (-1.0 / k) * pg.values + cfg.beta_kl * kl.values)
-    return LossReport(loss=-surrogate / k + cfg.beta_kl * kl_value, gradient=gradient,
-                      aux={"kl_value": kl_value, "mean_ratio": float(ratios.mean())})
+    index = batch.index
+    pg = keyed_score(params, index, coef[batch.traj])
+    kl_value, kl = kl_gradient(params, ref, index)
+    gradient = pg._replace(values=(-1.0 / batch.k)[index.owner][:, None] * pg.values
+                           + cfg.beta_kl * kl)
+    return BatchReport(loss=-surrogate / batch.k + cfg.beta_kl * kl_value, gradient=gradient,
+                       aux={"kl_value": kl_value})
+
+
+def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
+                   cfg: MixConfig) -> LossReport:
+    """``grpo_pass`` over the group alone."""
+    return grpo_pass(params, ref, group.alone(params), cfg).reports()[0]
+
+
+def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
+    """Unclipped advantage-weighted score estimator (1/k) sum A_i * score_i of
+    every group of the batch.
+
+    This is the quantity whose variance the benches measure; it is separate
+    from ``grpo_pass`` so clipping and the KL term never leak into variance
+    measurements. Trajectories with zero advantage are skipped, so a group
+    whose advantages are all zero has an empty block.
+    """
+    weights = ((1.0 / batch.k)[batch.owner] * batch.advantages)[batch.traj]
+    keep = weights != 0.0
+    return keyed_score(params, batch.index, weights, keep)
 
 
 def grpo_policy_gradient(params: PolicyParams, group: GroupRollout) -> RowBlock:
-    """Unclipped advantage-weighted score estimator (1/k) sum A_i * score_i.
-
-    This is the quantity whose variance the benches measure; it is returned
-    separately from grpo_loss_grad so clipping and the KL term never leak
-    into variance measurements. Trajectories with zero advantage are skipped,
-    so all-zero advantages give an empty block.
-    """
-    if group.advantages is None:
-        raise StateError("group advantages are not populated")
-    rows, tokens, lengths = group.step_rows(params)
-    weights = np.repeat((1.0 / group.k) * np.asarray(group.advantages, dtype=np.float64),
-                        lengths)
-    keep = weights != 0.0
-    return weighted_score(params, rows[keep], tokens[keep], weights[keep])
+    """``grpo_estimator`` of the group alone."""
+    return grpo_estimator(params, group.alone(params)).blocks()[0]
 
 
 def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) -> np.ndarray:
@@ -245,56 +380,71 @@ def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) ->
     return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
 
 
-def gal_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
-                  pairs: np.ndarray, cfg: MixConfig) -> LossReport:
-    """Pairwise contrastive alignment loss over (success, failure) rollouts.
-
-    ``pairs`` holds (success, failure) indices into ``group.trajectories``,
-    as ``build_pairs`` returns them. Per pair, d is the policy-vs-reference
-    log-ratio margin between the successful and the failed trajectory and
-    the loss is -log sigmoid(beta*d). The gradient weight 1 - sigmoid(beta*d)
-    is strictly inside (0,1), which is what bounds and eventually anneals
-    this estimator's variance.
-    """
-    pairs = np.asarray(pairs, dtype=np.intp)
-    k = group.k
+def _check_pairs(group: GroupRollout, pairs: np.ndarray) -> None:
     if pairs.size == 0:
         raise InputError("gal_loss_grad needs at least one pair")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InputError(f"pairs must have shape (n, 2), got {pairs.shape}")
     # a plain loop: a group has few pairs, and numpy's per-call cost dominates
-    rewards = group.rewards
+    k, rewards = group.k, group.rewards
     for win, lose in pairs.tolist():
         if not (0 <= win < k and 0 <= lose < k):
             raise InputError(f"pair indices must lie in [0, {k}), got ({win}, {lose})")
         if rewards[win] != 1 or rewards[lose] != 0:
             raise InputError("each pair must be (reward-1, reward-0) in that order")
+
+
+def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
+             pairs: Sequence[np.ndarray], cfg: MixConfig) -> BatchReport:
+    """Pairwise contrastive alignment loss over (success, failure) rollouts of
+    every group of the batch.
+
+    ``pairs[i]`` holds group i's (success, failure) indices into its
+    trajectories, as ``build_pairs`` returns them. Per pair, d is the
+    policy-vs-reference log-ratio margin between the successful and the
+    failed trajectory and the loss is -log sigmoid(beta*d), averaged over the
+    group's pairs. The gradient weight 1 - sigmoid(beta*d) is strictly inside
+    (0,1), which is what bounds and eventually anneals this estimator's
+    variance; the pass returns the weights and leaves their reductions
+    (``gal_etas``, the range) to whoever reads them.
+    """
+    if len(pairs) != batch.count:
+        raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
+    pairs = [np.asarray(p, dtype=np.intp) for p in pairs]
+    for group, p in zip(batch.groups, pairs):
+        _check_pairs(group, p)
     check_shared_interner(params, ref)
     beta = cfg.beta_gal
-    win, lose = pairs[:, 0], pairs[:, 1]
-    rows, tokens, lengths = group.step_rows(params)
-    traj = np.repeat(np.arange(k), lengths)
-    log_ratio = (np.bincount(traj, weights=params.logp_at(rows, tokens), minlength=k)
-                 - np.bincount(traj, weights=ref.logp_at(rows, tokens), minlength=k))
-    d = log_ratio[win] - log_ratio[lose]
-    weights = expit(-beta * d)
-    coef = -beta * weights / len(pairs)
-    traj_coef = np.bincount(win, weights=coef, minlength=k) - np.bincount(
-        lose, weights=coef, minlength=k)
+    counts = np.array([len(p) for p in pairs])
+    firsts = accumulate([0] + [g.k for g in batch.groups])
+    traj_pairs = np.concatenate([p + first for p, first in zip(pairs, firsts)])
+    win, lose = traj_pairs[:, 0], traj_pairs[:, 1]
+    n = len(batch.lengths)
+    log_ratio = (np.bincount(batch.traj, weights=params.logp_at(batch.rows, batch.tokens),
+                             minlength=n)
+                 - np.bincount(batch.traj, weights=ref.logp_at(batch.rows, batch.tokens),
+                               minlength=n))
+    margin = -beta * (log_ratio[win] - log_ratio[lose])  # -beta * d
+    weights = expit(margin)
+    coef = -beta * weights / np.repeat(counts, counts)
+    traj_coef = np.bincount(win, weights=coef, minlength=n) - np.bincount(
+        lose, weights=coef, minlength=n)
     # the gradient's rows are those of the paired trajectories only
-    paired = np.zeros(k, dtype=bool)
-    paired[pairs] = True
-    keep = paired[traj]
-    return LossReport(
-        loss=float(np.logaddexp(0.0, -beta * d).mean()),  # -log sigmoid(beta d)
-        gradient=weighted_score(params, rows[keep], tokens[keep], traj_coef[traj[keep]]),
-        aux={
-            "eta": float(np.mean(weights**2)),
-            "pair_count": float(len(pairs)),
-            "weight_min": float(weights.min()),
-            "weight_max": float(weights.max()),
-        },
+    paired = np.zeros(n, dtype=bool)
+    paired[traj_pairs] = True
+    keep = paired[batch.traj]
+    return BatchReport(
+        loss=_segment_sums(np.logaddexp(0.0, margin), counts) / counts,  # -log sigmoid(beta d)
+        gradient=keyed_score(params, batch.index, traj_coef[batch.traj], keep),
+        aux={"pair_count": counts},
+        weights=weights,
     )
+
+
+def gal_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
+                  pairs: np.ndarray, cfg: MixConfig) -> LossReport:
+    """``gal_pass`` over the group alone; ``aux["weights"]`` are its pair weights."""
+    return gal_pass(params, ref, group.alone(params), [pairs], cfg).reports()[0]
 
 
 def mixed_gradient(g_grpo: RowBlock, g_gal: RowBlock, alpha: float) -> RowBlock:
@@ -302,6 +452,42 @@ def mixed_gradient(g_grpo: RowBlock, g_gal: RowBlock, alpha: float) -> RowBlock:
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
     return sum_blocks([(alpha, g_grpo), (1.0 - alpha, g_gal)])
+
+
+def mixed_keyed(g_grpo: KeyedBlocks, g_gal: KeyedBlocks, alpha: float) -> KeyedBlocks:
+    """``mixed_gradient`` of two keyed gradients of one batch, group by group."""
+    mixed = mixed_gradient(RowBlock(g_grpo.keys, g_grpo.values),
+                           RowBlock(g_gal.keys, g_gal.values), alpha)
+    return g_grpo._replace(keys=mixed.rows, values=mixed.values)
+
+
+def mixed_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
+               pairs: Sequence[np.ndarray], cfg: MixConfig) -> BatchReport:
+    """The alpha-mixture of ``grpo_pass`` and ``gal_pass``, Mid groups' pathway."""
+    grpo = grpo_pass(params, ref, batch, cfg)
+    gal = gal_pass(params, ref, batch, pairs, cfg)
+    return BatchReport(loss=cfg.alpha * grpo.loss + (1.0 - cfg.alpha) * gal.loss,
+                       gradient=mixed_keyed(grpo.gradient, gal.gradient, cfg.alpha),
+                       aux={**grpo.aux, **gal.aux}, weights=gal.weights)
+
+
+def draw_route(params: PolicyParams, group: GroupRollout, teachers: Sequence[TeacherOracle],
+               cfg: MixConfig, rng: np.random.Generator) -> LossReport | np.ndarray:
+    """Route one graded group, up to the batched pass.
+
+    Easy groups give the zero report and Hard groups the gamma-scaled
+    distillation report, its teacher drawn from ``rng``. Mid groups give
+    their alignment pairs, drawn from ``rng``, for ``mixed_pass``.
+    """
+    g = group.grade
+    if g is DifficultyGrade.EASY:
+        empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
+        return LossReport(loss=0.0, gradient=empty, aux={"grade": g.value})
+    if g is DifficultyGrade.HARD:
+        sft = sft_loss_grad(params, group.query, teachers, rng)
+        return LossReport(loss=cfg.gamma * sft.loss, gradient=sft.gradient.scaled(cfg.gamma),
+                          aux={**sft.aux, "grade": g.value})
+    return build_pairs(group, cfg.pair_cap, rng)
 
 
 def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
@@ -313,22 +499,9 @@ def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
     gamma-scaled distillation; Mid groups return the alpha-mixture of the
     clipped surrogate and the pairwise alignment loss.
     """
-    g = group.grade
-    if g is DifficultyGrade.EASY:
-        empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
-        return LossReport(loss=0.0, gradient=empty, aux={"grade": g.value})
-    if g is DifficultyGrade.HARD:
-        sft = sft_loss_grad(params, group.query, teachers, rng)
-        aux = dict(sft.aux)
-        aux["grade"] = g.value
-        return LossReport(loss=cfg.gamma * sft.loss,
-                          gradient=sft.gradient.scaled(cfg.gamma), aux=aux)
-    pairs = build_pairs(group, cfg.pair_cap, rng)
-    grpo = grpo_loss_grad(params, ref, group, cfg)
-    gal = gal_loss_grad(params, ref, group, pairs, cfg)
-    loss = cfg.alpha * grpo.loss + (1.0 - cfg.alpha) * gal.loss
-    gradient = mixed_gradient(grpo.gradient, gal.gradient, cfg.alpha)
-    aux = {"grade": g.value}
-    aux.update(grpo.aux)
-    aux.update(gal.aux)
-    return LossReport(loss=loss, gradient=gradient, aux=aux)
+    routed = draw_route(params, group, teachers, cfg, rng)
+    if isinstance(routed, LossReport):
+        return routed
+    report = mixed_pass(params, ref, group.alone(params), [routed], cfg).reports()[0]
+    report.aux["grade"] = group.grade.value
+    return report

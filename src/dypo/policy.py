@@ -22,6 +22,8 @@ import math
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -78,7 +80,8 @@ def sum_blocks(terms: Sequence[tuple[float, RowBlock]]) -> RowBlock:
     """sum_i c_i * block_i over the union of the blocks' rows.
 
     Each row accumulates its terms in the order given, so the result does
-    not depend on how the interner numbered the rows.
+    not depend on how the interner numbered the rows. Keys of ``KeyedBlocks``
+    sum the same way, owner by owner.
     """
     rows = np.concatenate([block.rows for _, block in terms])
     values = np.concatenate([c * block.values for c, block in terms])
@@ -86,6 +89,43 @@ def sum_blocks(terms: Sequence[tuple[float, RowBlock]]) -> RowBlock:
     out = np.zeros((len(uniq), values.shape[1]))
     np.add.at(out, inv, values)
     return RowBlock(uniq, out)
+
+
+class KeyedBlocks(NamedTuple):
+    """The row blocks of ``count`` owners (the groups of a batch) in one array.
+
+    ``values[i]`` is the gradient of owner ``keys[i] // span`` at row
+    ``keys[i] % span``. The keys are unique and sorted, so each owner's rows
+    are contiguous and in row order, as in its own ``RowBlock``; an owner
+    may have none.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    span: int
+    count: int
+
+    def blocks(self) -> list[RowBlock]:
+        """Every owner's ``RowBlock``, in owner order."""
+        if self.count == 1:
+            return [RowBlock(self.keys, self.values)]
+        starts = np.arange(self.count + 1) * self.span
+        bounds = np.searchsorted(self.keys, starts).tolist()
+        return [RowBlock(self.keys[lo:hi] - start, self.values[lo:hi])
+                for lo, hi, start in zip(bounds, bounds[1:], starts.tolist())]
+
+
+def stack_keyed(parts: Sequence[KeyedBlocks]) -> KeyedBlocks:
+    """Keyed blocks of consecutive owner ranges as one, the owners of
+    ``parts[i]`` numbered after those of ``parts[:i]``."""
+    span = max(p.span for p in parts)
+    keys, first = [], 0
+    for p in parts:
+        owner, rows = np.divmod(p.keys, p.span)
+        keys.append((owner + first) * span + rows)
+        first += p.count
+    return KeyedBlocks(np.concatenate(keys), np.concatenate([p.values for p in parts]), span,
+                       first)
 
 
 class ContextInterner:
@@ -338,6 +378,55 @@ class StepRows(NamedTuple):
     steps: np.ndarray
 
 
+class KeyIndex:
+    """Where the steps of several owners fall among their unique (owner, row) keys.
+
+    ``keys`` are the unique ``owner * span + row`` keys of the given steps,
+    sorted, split into ``owner`` and ``rows``; step t falls on key ``inv[t]``,
+    and on entry ``slots[t] = inv[t] * V + token`` of the flattened
+    ``(keys, V)`` block. It depends on no parameter, so a batch builds it
+    once for all its evaluations.
+    """
+
+    def __init__(self, keys: np.ndarray, tokens: np.ndarray, span: int, count: int,
+                 vocab_size: int):
+        self.keys, self.inv = _unique_inverse(keys)
+        self.owner, self.rows = np.divmod(self.keys, span)
+        self.slots = self.inv * vocab_size + tokens
+        self.span = span
+        self.count = count
+
+    @cached_property
+    def owner_means(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """For means over each owner's n keys: where each owner's keys end,
+        1/n per owner, and 1/n per key as a column."""
+        sizes = np.bincount(self.owner, minlength=self.count)
+        if not sizes.all():
+            raise InputError("a mean over an owner's keys needs at least one key")
+        inv = 1.0 / sizes
+        return list(accumulate(sizes.tolist())), inv, inv[self.owner][:, None]
+
+
+def keyed_score(params: PolicyParams, index: KeyIndex, weights: np.ndarray,
+                keep: np.ndarray | None = None) -> KeyedBlocks:
+    """sum_t weights[t] * (onehot(tokens[t]) - pi(. | row)) per key of ``index``.
+
+    Each key sums its steps in step order, so an owner's entries do not
+    depend on the other owners of the batch. With ``keep``, a step mask whose
+    dropped steps all weigh 0, only the keys of kept steps are returned.
+    """
+    v = params.vocab_size
+    n = len(index.keys)
+    hits = np.bincount(index.slots, weights=weights, minlength=n * v)
+    mass = np.bincount(index.inv, weights=weights, minlength=n)
+    values = hits.reshape(-1, v) - mass[:, None] * params._probs[index.rows]
+    if keep is None:
+        return KeyedBlocks(index.keys, values, index.span, index.count)
+    kept = np.zeros(n, dtype=bool)
+    kept[index.inv[keep]] = True
+    return KeyedBlocks(index.keys[kept], values[kept], index.span, index.count)
+
+
 def weighted_score(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
                    weights: np.ndarray) -> RowBlock:
     """sum_t weights[t] * (onehot(tokens[t]) - pi(. | rows[t])), gathered by row.
@@ -346,28 +435,23 @@ def weighted_score(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
     exact gradient of its log-probability. The block's rows are exactly the
     unique given rows, in sorted order.
     """
-    uniq, inv = _unique_inverse(rows)
-    v = params.vocab_size
-    hits = np.bincount(inv * v + tokens, weights=weights, minlength=len(uniq) * v)
-    mass = np.bincount(inv, weights=weights, minlength=len(uniq))
-    return RowBlock(uniq, hits.reshape(-1, v) - mass[:, None] * params._probs[uniq])
+    index = KeyIndex(rows, tokens, len(params.interner.contexts), 1, params.vocab_size)
+    return keyed_score(params, index, weights).blocks()[0]
 
 
 def score_sq_norms(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """||score(traj_i)||^2 of every trajectory of a concatenated collection.
 
-    One bincount over (trajectory, row) keys gives the entries that
-    ``weighted_score`` with unit weights gives per trajectory; only the order
-    of the final sums differs.
+    One keyed score pass with the trajectories as owners gives each
+    trajectory's unit-weight score; only the order of the final sums differs
+    from scoring them one by one.
     """
-    span = int(rows.max()) + 1
+    span = len(params.interner.contexts)
     owner = np.repeat(np.arange(len(lengths)), lengths)
-    keys, pair = _unique_inverse(owner * span + rows)
-    v = params.vocab_size
-    hits = np.bincount(pair * v + tokens, minlength=len(keys) * v).reshape(-1, v)
-    values = hits - np.bincount(pair, minlength=len(keys))[:, None] * params._probs[keys % span]
-    return np.bincount(keys // span, weights=(values * values).sum(axis=1),
+    index = KeyIndex(owner * span + rows, tokens, span, len(lengths), params.vocab_size)
+    score = keyed_score(params, index, np.ones(len(rows)))
+    return np.bincount(index.owner, weights=(score.values * score.values).sum(axis=1),
                        minlength=len(lengths))
 
 
@@ -447,14 +531,19 @@ def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
 
 
 def kl_gradient(params: PolicyParams, ref: PolicyParams,
-                rows: np.ndarray) -> tuple[float, RowBlock]:
-    """Mean exact KL(pi_theta || pi_ref) over the given unique rows, and its gradient."""
+                index: KeyIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Each owner's mean exact KL(pi_theta || pi_ref) over its rows of ``index``,
+    and the gradient at each of its keys.
+
+    Every one of the index's owners needs at least one row. Each owner's KL
+    is an exactly rounded ``math.fsum`` over its rows.
+    """
     check_shared_interner(params, ref)
-    if rows.size == 0:
-        raise InputError("kl_gradient needs at least one visited context")
+    ends, inv, key_inv = index.owner_means
     ref._fit()
+    rows = index.rows
     probs = params._probs[rows]
     diff = params._logp[rows] - ref._logp[rows]
     kl = (probs * diff).sum(axis=1)
-    inv = 1.0 / len(rows)
-    return math.fsum(kl) * inv, RowBlock(rows, inv * probs * (diff - kl[:, None]))
+    sums = [math.fsum(kl[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return np.array(sums) * inv, key_inv * probs * (diff - kl[:, None])

@@ -25,11 +25,15 @@ from .errors import ConfigError, DataError, TrainingAborted
 from .grading import DifficultyGrade
 from .instrumentation import StepMetrics, write_metrics
 from .objectives import (
+    BatchReport,
+    GroupBatch,
     GroupRollout,
     LossReport,
     MixConfig,
-    dypo_step_loss,
-    grpo_loss_grad,
+    draw_route,
+    gal_etas,
+    grpo_pass,
+    mixed_pass,
     rollout_group,
     sft_loss_grad,
 )
@@ -315,25 +319,46 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
 
 
-def _query_report(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
-                  pool: QueryPool, teachers, step: int, j: int,
-                  query_index: int) -> tuple[GroupRollout, LossReport]:
-    query = pool.queries[query_index]
-    roll_rng = substream(config.seed, "rollout", step, j)
-    obj_rng = substream(config.seed, "objective", step, j)
-    group = rollout_group(params, query, config.k, roll_rng, xi=config.mix.xi,
-                          stop_token=config.task.stop, t_max=config.t_max)
+def _step_reports(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
+                  pool: QueryPool, teachers, step: int, indices: Sequence[int]
+                  ) -> tuple[list[GroupRollout], list[LossReport], BatchReport | None]:
+    """Roll out a step's groups and return each one's report.
+
+    Each group draws its rollouts, and then its pairs or teacher, from its
+    own substreams, in query order. The groups that reach GRPO (Mid groups
+    under ``dypo``, every group under ``grpo_only``) then go through one
+    batched pass, whose report is returned beside the groups' own.
+    """
+    groups: list[GroupRollout] = []
+    routed: list[LossReport | np.ndarray | None] = []
+    for j, query_index in enumerate(indices):
+        query = pool.queries[query_index]
+        group = rollout_group(params, query, config.k, substream(config.seed, "rollout", step, j),
+                              xi=config.mix.xi, stop_token=config.task.stop, t_max=config.t_max)
+        obj_rng = substream(config.seed, "objective", step, j)
+        if config.variant == "dypo":
+            route = draw_route(params, group, teachers, config.mix, obj_rng)
+        elif config.variant == "sft_only":
+            sft = sft_loss_grad(params, query, teachers, obj_rng)
+            route = LossReport(loss=config.mix.gamma * sft.loss,
+                               gradient=sft.gradient.scaled(config.mix.gamma), aux=sft.aux)
+        else:  # grpo_only
+            route = None
+        groups.append(group)
+        routed.append(route)
+    to_grpo = [j for j, route in enumerate(routed) if not isinstance(route, LossReport)]
+    if not to_grpo:
+        return groups, routed, None
+    batch = GroupBatch(params, [groups[j] for j in to_grpo])
+    # no update has happened yet, so params is still the policy that sampled them
+    batch.record_sample_logp(params)
     if config.variant == "dypo":
-        report = dypo_step_loss(params, ref, group, teachers, config.mix, obj_rng)
-    elif config.variant == "sft_only":
-        sft = sft_loss_grad(params, query, teachers, obj_rng)
-        report = LossReport(loss=config.mix.gamma * sft.loss,
-                            gradient=sft.gradient.scaled(config.mix.gamma),
-                            aux=dict(sft.aux, grade=group.grade.value))
-    else:  # grpo_only
-        report = grpo_loss_grad(params, ref, group, config.mix)
-        report.aux["grade"] = group.grade.value
-    return group, report
+        passed = mixed_pass(params, ref, batch, [routed[j] for j in to_grpo], config.mix)
+    else:
+        passed = grpo_pass(params, ref, batch, config.mix)
+    for j, report in zip(to_grpo, passed.reports()):
+        routed[j] = report
+    return groups, routed, passed
 
 
 def _visited_rows(params: PolicyParams, groups: Sequence[GroupRollout]) -> np.ndarray:
@@ -393,19 +418,19 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
     for step in range(start, config.steps):
         index_rng = substream(config.seed, "stream", step)
         indices = [int(i) for i in index_rng.integers(len(pool), size=config.batch_size)]
-        results = [_query_report(config, params, ref, pool, teachers, step, j, qi)
-                   for j, qi in enumerate(indices)]
-
-        groups = [group for group, _ in results]
+        groups, reports, passed = _step_reports(config, params, ref, pool, teachers, step,
+                                                indices)
         counts = Counter(group.grade for group in groups)
-        dispatched = [report for group, report in results
+        dispatched = [report for group, report in zip(groups, reports)
                       if config.variant != "dypo" or group.grade is not DifficultyGrade.EASY]
-        gal_aux = [report.aux for _, report in results if "eta" in report.aux]
-        kls = [report.aux["kl_value"] for _, report in results if "kl_value" in report.aux]
         stats.dispatched_queries += len(dispatched)
-        for aux in gal_aux:
-            stats.gal_weight_min = min(stats.gal_weight_min, aux["weight_min"])
-            stats.gal_weight_max = max(stats.gal_weight_max, aux["weight_max"])
+        eta = kl = 0.0
+        if passed is not None:
+            kl = float(np.mean(passed.aux["kl_value"]))
+            if passed.weights is not None:
+                eta = float(np.mean(gal_etas(passed)))
+                stats.gal_weight_min = min(stats.gal_weight_min, float(passed.weights.min()))
+                stats.gal_weight_max = max(stats.gal_weight_max, float(passed.weights.max()))
 
         loss_sum = sum(report.loss for report in dispatched)
         terms = [(1.0, report.gradient) for report in dispatched]
@@ -426,8 +451,8 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
             easy=counts[DifficultyGrade.EASY],
             hard=counts[DifficultyGrade.HARD],
             mid=counts[DifficultyGrade.MID],
-            eta=float(np.mean([aux["eta"] for aux in gal_aux])) if gal_aux else 0.0,
-            kl=float(np.mean(kls)) if kls else 0.0,
+            eta=eta,
+            kl=kl,
         )
         metrics.append(row)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dypo.policy import PolicyParams, RowBlock, weighted_score
+from dypo.policy import KeyedBlocks, PolicyParams, RowBlock, stack_keyed, weighted_score
 from dypo.trainer import TrainConfig, run_comparison, train
 
 ACCEPTANCE_SEED = 1
@@ -52,3 +52,10 @@ def traj_score(params: PolicyParams, query_id: int, tokens) -> RowBlock:
     """Gradient of traj_log_prob as the losses form it: weighted_score with unit weights."""
     rows, toks = params.trajectory_rows(query_id, tokens)
     return weighted_score(params, rows, toks, np.ones(len(rows)))
+
+
+def stacked(blocks) -> KeyedBlocks:
+    """Row blocks as the samples of one keyed array: block i is owner i."""
+    blocks = list(blocks)
+    span = 1 + max((int(b.rows.max()) for b in blocks if b.rows.size), default=0)
+    return stack_keyed([KeyedBlocks(b.rows, b.values, span, 1) for b in blocks])

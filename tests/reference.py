@@ -1,7 +1,9 @@
-"""Naive per-token references the tests check the lab's array code against.
+"""Naive references the tests check the lab's array code against.
 
-Each walks a trajectory one step at a time, looks its context up by key, and
-shares no row or array code with what it checks.
+Each per-token reference walks a trajectory one step at a time, looks its
+context up by key, and shares no row or array code with what it checks. The
+variance bench's reference evaluates its losses one group at a time, as the
+bench did before they became one pass per chunk of groups.
 """
 
 from __future__ import annotations
@@ -11,8 +13,18 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from dypo.objectives import GroupRollout, MixConfig
-from dypo.policy import Context, Trajectory
+from dypo.instrumentation import collect_mid_groups, variance_from_samples
+from dypo.objectives import (
+    GroupRollout,
+    MixConfig,
+    build_pairs,
+    gal_loss_grad,
+    grpo_policy_gradient,
+    mixed_gradient,
+)
+from dypo.policy import Context, Trajectory, score_sq_norms
+
+from conftest import stacked
 
 
 def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Context]:
@@ -97,3 +109,32 @@ def naive_gal(params, ref, group: GroupRollout, pairs, beta: float) -> dict:
         _add(grad, naive_score(params, qid, win.tokens), coef)
         _add(grad, naive_score(params, qid, lose.tokens), -coef)
     return grad
+
+
+def per_group_variance_bench(params, ref, draw_query, cfg: MixConfig, n_groups: int, rng, *,
+                             k: int, stop_token: int, t_max: int) -> dict:
+    """``variance_ordering_bench``'s estimates, stderrs, verdict, eta_mean and
+    score_sq_mean, each group's losses evaluated on their own."""
+    groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
+                                stop_token=stop_token, t_max=t_max)
+    g_grpo, g_gal, etas = [], [], []
+    score_sq_sum = 0.0
+    score_sq_n = 0
+    for group in groups:
+        pairs = build_pairs(group, cfg.pair_cap, rng)
+        gal = gal_loss_grad(params, ref, group, pairs, cfg)
+        g_grpo.append(grpo_policy_gradient(params, group))
+        g_gal.append(gal.gradient)
+        etas.append(float(np.mean(gal.aux["weights"] ** 2)))
+        score_sq_sum += float(score_sq_norms(params, *group.step_rows(params)).sum())
+        score_sq_n += group.k
+    g_mix = [mixed_gradient(a, b, cfg.alpha) for a, b in zip(g_grpo, g_gal)]
+    est = {name: variance_from_samples(stacked(samples))
+           for name, samples in (("grpo", g_grpo), ("gal", g_gal), ("mix", g_mix))}
+    gap = est["grpo"].scalar_variance - est["mix"].scalar_variance
+    combined_se = float(np.hypot(est["grpo"].standard_error, est["mix"].standard_error))
+    return {"estimates": {f"var_{n}": e.scalar_variance for n, e in est.items()},
+            "stderrs": {f"var_{n}": e.standard_error for n, e in est.items()},
+            "verdict": gap > 3.0 * combined_se,
+            "eta_mean": float(np.mean(etas)),
+            "score_sq_mean": score_sq_sum / score_sq_n}

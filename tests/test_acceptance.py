@@ -24,7 +24,7 @@ from dypo.objectives import (
 from dypo.seeding import substream
 from dypo.trainer import QueryPool, TrainConfig, train, train_config_to_dict
 
-from conftest import ACCEPTANCE_SEED, tables_equal
+from conftest import ACCEPTANCE_SEED, stacked, tables_equal
 
 
 def _announce(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -109,7 +109,8 @@ def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
     var = {}
     for k in (4, 8, 16):
         sampler, rng = sampler_for(k), substream(ACCEPTANCE_SEED, "acc-kscale", k)
-        var[k] = variance_from_samples([sampler(rng) for _ in range(10_000)]).scalar_variance
+        samples = stacked([sampler(rng) for _ in range(10_000)])
+        var[k] = variance_from_samples(samples).scalar_variance
     r48 = var[4] / var[8]
     r816 = var[8] / var[16]
     elapsed = time.time() - t0
@@ -170,8 +171,8 @@ def test_criterion_7_gal_anchors(dypo_run):
     cfg = MixConfig()
     report = gal_loss_grad(inst.params, ref, inst.group, inst.pairs, cfg)
     anchors_ok = (abs(report.loss - np.log(2.0)) <= 1e-12
-                  and abs(report.aux["weight_min"] - 0.5) <= 1e-12
-                  and abs(report.aux["weight_max"] - 0.5) <= 1e-12)
+                  and abs(report.aux["weights"].min() - 0.5) <= 1e-12
+                  and abs(report.aux["weights"].max() - 0.5) <= 1e-12)
     w_lo = dypo_run.stats.gal_weight_min
     w_hi = dypo_run.stats.gal_weight_max
     bounded = 0.0 < w_lo <= w_hi < 1.0

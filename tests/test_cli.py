@@ -144,6 +144,19 @@ def test_bias_bench_bad_m_list_exits_1(tmp_path, tiny_config):
                  "--out", str(tmp_path / "o"), "--m", "1,two"]) == 1
 
 
+def test_bias_bench_checks_every_ensemble_size_before_the_first_draw(tmp_path, tiny_config,
+                                                                   capsys, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("bias-bench drew before checking every ensemble size")
+
+    monkeypatch.setattr("dypo.instrumentation.bias_sq_norms", no_draws)
+    out = tmp_path / "o"
+    assert main(["bias-bench", "--config", str(tiny_config), "--out", str(out),
+                 "--m", "16,0"]) == 1
+    assert capsys.readouterr().err == "config error: ensemble size must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_evaluate_reports_pass_rate_and_grades(tmp_path, tiny_config, capsys):
     run = tmp_path / "run"
     assert main(["train", "--config", str(tiny_config), "--out", str(run)]) == 0

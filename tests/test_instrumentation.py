@@ -8,6 +8,7 @@ import pytest
 from dypo.errors import BenchError, DataError, InputError
 from dypo.gradcheck import make_instance
 from dypo.instrumentation import (
+    CHUNK_GROUPS,
     METRICS_HEADER,
     StepMetrics,
     bias_law_bench,
@@ -25,7 +26,8 @@ from dypo.seeding import substream
 from dypo.tasks import BiasTestbedConfig, TaskConfig, generate_query
 from dypo.trainer import QueryPool, TrainConfig, train
 
-from conftest import traj_score
+from conftest import stacked, traj_score
+from reference import per_group_variance_bench
 
 CTX = (0, ())
 
@@ -48,7 +50,7 @@ def _mean_sq_score(params, query, n: int, rng, *, stop_token: int, t_max: int) -
 
 def test_variance_constant_sampler_is_zero():
     v = np.array([1.0, -2.0, 3.0])
-    est = variance_from_samples(_draw(lambda rng: _block(v), 100, substream(1, "c")))
+    est = variance_from_samples(stacked(_draw(lambda rng: _block(v), 100, substream(1, "c"))))
     assert est.scalar_variance == 0.0
     assert est.standard_error == 0.0
     np.testing.assert_array_equal(est.mean_gradient.values[0], v)
@@ -62,17 +64,17 @@ def test_variance_two_point_sampler():
         sign = 1.0 if rng.random() < 0.5 else -1.0
         return _block(sign * v)
 
-    est = variance_from_samples(_draw(sampler, 10_000, substream(1, "pm")))
+    est = variance_from_samples(stacked(_draw(sampler, 10_000, substream(1, "pm"))))
     assert abs(est.scalar_variance - target) < 3 * est.standard_error + 1e-9
 
 
 def test_variance_sample_order_invariance():
     rng = substream(1, "ord")
     samples = [_block(rng.normal(0, 1, 4)) for _ in range(500)]
-    a = variance_from_samples(samples)
-    b = variance_from_samples(samples[::-1])
+    a = variance_from_samples(stacked(samples))
+    b = variance_from_samples(stacked(samples[::-1]))
     perm = [samples[i] for i in rng.permutation(500)]
-    c = variance_from_samples(perm)
+    c = variance_from_samples(stacked(perm))
     assert a.scalar_variance == pytest.approx(b.scalar_variance, rel=1e-9)
     assert a.scalar_variance == pytest.approx(c.scalar_variance, rel=1e-9)
 
@@ -81,18 +83,18 @@ def test_variance_standard_error_scales_as_root_n():
     def sampler(rng):
         return _block(rng.normal(0, 1, 3))
 
-    small = variance_from_samples(_draw(sampler, 2_000, substream(1, "se-s")))
-    large = variance_from_samples(_draw(sampler, 8_000, substream(1, "se-l")))
+    small = variance_from_samples(stacked(_draw(sampler, 2_000, substream(1, "se-s"))))
+    large = variance_from_samples(stacked(_draw(sampler, 8_000, substream(1, "se-l"))))
     ratio = small.standard_error / large.standard_error
     assert 1.4 < ratio < 2.9  # expect ~2 for a 4x sample increase
 
 
 def test_variance_guards():
     with pytest.raises(InputError):
-        variance_from_samples([_block(np.ones(2))] * 10)
+        variance_from_samples(stacked([_block(np.ones(2))] * 10))
     bad = [_block([1.0, np.nan])] * 40
     with pytest.raises(DataError):
-        variance_from_samples(bad)
+        variance_from_samples(stacked(bad))
 
 
 def test_score_variance_uniform_single_step():
@@ -244,6 +246,24 @@ def test_variance_ordering_bench_report_fields(tmp_path, dypo_run, acceptance_co
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["name"] == "variance_ordering"
     assert "verdict" in doc
+
+
+def test_chunked_variance_bench_matches_the_per_group_loop(dypo_run, acceptance_config):
+    # three chunks, the last one partial; only the order of the score-norm sums differs
+    n = 2 * CHUNK_GROUPS + 88
+    params, ref = dypo_run.snapshots[120]
+    pool = QueryPool(acceptance_config.task, acceptance_config.seed)
+    common = dict(k=8, stop_token=acceptance_config.task.stop, t_max=acceptance_config.t_max)
+    report = variance_ordering_bench(params, ref, pool.draw, acceptance_config.mix, n,
+                                     substream(5, "chunks"), **common)
+    want = per_group_variance_bench(params, ref, pool.draw, acceptance_config.mix, n,
+                                    substream(5, "chunks"), **common)
+    assert report.estimates == want["estimates"]
+    assert report.stderrs == want["stderrs"]
+    assert report.verdict == want["verdict"]
+    assert report.diagnostics["eta_mean"] == want["eta_mean"]
+    assert report.diagnostics["score_sq_mean"] == pytest.approx(want["score_sq_mean"], rel=1e-14,
+                                                                abs=0)
 
 
 def test_variance_ordering_alpha_near_one_limit(dypo_run, acceptance_config):

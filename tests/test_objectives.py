@@ -120,11 +120,13 @@ def test_grpo_on_policy_identity():
     # ratio is exactly 1; with the reference at the params the loss is 0
     inst = _mid_instance(index=7)
     ref = inst.params.snapshot()
-    # the first Mid group that rollout_group samples
+    # the first Mid group that rollout_group samples, with its sampling
+    # log-probs recorded as the trainer records them
     group, = collect_mid_groups(inst.params, lambda rng: inst.query, 1, substream(7, "on-policy"),
                                 k=8, xi=CFG.xi, stop_token=TASK.stop, t_max=14)
+    group.alone(inst.params).record_sample_logp(inst.params)
     report = grpo_loss_grad(inst.params, ref, group, CFG)
-    assert report.aux["mean_ratio"] == 1.0
+    assert not group.alone(inst.params).log_ratios(inst.params).any()
     assert report.aux["kl_value"] == 0.0
     assert report.loss == pytest.approx(0.0, abs=1e-15)
 
@@ -160,7 +162,7 @@ def test_the_training_form_is_certified():
         inst = _mid_instance(5, i)
         rows, tokens, _ = inst.group.step_rows(inst.params)
         inst.group.sample_logp = inst.params.logp_at(rows, tokens)
-        assert grpo_loss_grad(inst.params, inst.ref, inst.group, CFG).aux["mean_ratio"] == 1.0
+        assert not inst.group.alone(inst.params).log_ratios(inst.params).any()
         for loss in (lambda p: grpo_loss_grad(p, inst.ref, inst.group, CFG),
                      lambda p: dypo_step_loss(p, inst.ref, inst.group, inst.teachers, CFG,
                                               substream(5, "dypo", i))):
@@ -268,10 +270,11 @@ def test_gal_anchors_at_reference():
     ref = inst.params.snapshot()
     report = gal_loss_grad(inst.params, ref, inst.group, inst.pairs, CFG)
     assert report.loss == pytest.approx(np.log(2.0), abs=1e-12)
-    assert report.aux["weight_min"] == pytest.approx(0.5, abs=1e-12)
-    assert report.aux["weight_max"] == pytest.approx(0.5, abs=1e-12)
-    assert report.aux["eta"] == pytest.approx(0.25, abs=1e-12)
-    assert report.aux["pair_count"] == len(inst.pairs)
+    weights = report.aux["weights"]
+    assert weights.min() == pytest.approx(0.5, abs=1e-12)
+    assert weights.max() == pytest.approx(0.5, abs=1e-12)
+    assert np.mean(weights**2) == pytest.approx(0.25, abs=1e-12)
+    assert report.aux["pair_count"] == len(inst.pairs) == len(weights)
 
 
 def test_gal_saturation_annealing():
@@ -286,8 +289,9 @@ def test_gal_saturation_annealing():
             success = inst.group.trajectories[s].tokens
             boosted.apply_update(traj_score(inst.params, inst.query.query_id, success), boost)
         report = gal_loss_grad(boosted, inst.ref, inst.group, inst.pairs, CFG)
-        assert report.aux["eta"] <= last_eta + 1e-12
-        last_eta = report.aux["eta"]
+        eta = np.mean(report.aux["weights"]**2)
+        assert eta <= last_eta + 1e-12
+        last_eta = eta
         last_norm = np.sqrt(report.gradient.sq_norm())
     assert last_eta < 1e-3
     assert last_norm < 1e-3
@@ -297,7 +301,8 @@ def test_gal_weights_strictly_bounded():
     for i in range(30):
         inst = _mid_instance(index=i)
         report = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG)
-        assert 0.0 < report.aux["weight_min"] <= report.aux["weight_max"] < 1.0
+        weights = report.aux["weights"]
+        assert 0.0 < weights.min() <= weights.max() < 1.0
 
 
 def test_gal_eta_matches_independent_recompute():
@@ -314,7 +319,8 @@ def test_gal_eta_matches_independent_recompute():
     for s, f in ((trajs[i], trajs[j]) for i, j in inst.pairs):
         d = log_ratio(s) - log_ratio(f)
         ws.append(1.0 - expit(CFG.beta_gal * d))
-    assert report.aux["eta"] == pytest.approx(np.mean(np.square(ws)), abs=1e-15)
+    np.testing.assert_allclose(report.aux["weights"], ws, rtol=0, atol=1e-15)
+    assert np.mean(report.aux["weights"]**2) == pytest.approx(np.mean(np.square(ws)), abs=1e-15)
 
 
 def test_gal_gradient_skips_unpaired_trajectories():

@@ -10,6 +10,7 @@ import pytest
 from dypo.errors import ConfigError, InputError, StateError
 from dypo.gradcheck import numerical_gradient, gradient_error
 from dypo.policy import (
+    KeyIndex,
     PolicyParams,
     RowBlock,
     kl_gradient,
@@ -176,11 +177,18 @@ def test_mean_step_entropy_mixed_contexts():
     assert got == pytest.approx(expected / 3, rel=1e-12)
 
 
+def _one_owner(params, rows) -> KeyIndex:
+    """The given rows as the keys of one owner."""
+    return KeyIndex(rows, np.zeros_like(rows), len(params.interner.contexts), 1,
+                    params.vocab_size)
+
+
 def test_kl_identical_is_zero():
     rng = substream(17, "kl")
     params = PolicyParams(5, 1)
     params.set_logits((0, ()), rng.normal(0, 1, 5))
-    assert kl_gradient(params, params.snapshot(), params.rows([(0, ())]))[0] == 0.0
+    kl, _ = kl_gradient(params, params.snapshot(), _one_owner(params, params.rows([(0, ())])))
+    assert kl[0] == 0.0
 
 
 def test_kl_nonnegative_and_matches_direct_sum():
@@ -190,7 +198,7 @@ def test_kl_nonnegative_and_matches_direct_sum():
         params.set_logits((0, ()), rng.normal(0, 2, 4))
         ref = params.copy()
         ref.set_logits((0, ()), rng.normal(0, 2, 4))
-        kl = kl_gradient(params, ref, params.rows([(0, ())]))[0]
+        kl = kl_gradient(params, ref, _one_owner(params, params.rows([(0, ())])))[0][0]
         assert kl >= -1e-15
         p = params.probs((0, ()))
         q = ref.probs((0, ()))
@@ -204,7 +212,7 @@ def test_kl_shape_mismatch():
     rows = params.rows([(0, ())])
     for ref in (PolicyParams(5, 1), PolicyParams(4, 1)):
         with pytest.raises(InputError):
-            kl_gradient(params, ref, rows)
+            kl_gradient(params, ref, _one_owner(params, rows))
 
 
 def test_softmax_normalization_tight():

@@ -1,6 +1,7 @@
 """Property tests: the sampler and row-block gradients against naive
-per-token references, pair construction, the grading partition, advantage
-standardization, the reward parser and the JSON config round trip."""
+per-token references, one keyed loss pass against its groups one by one,
+pair construction, the grading partition, advantage standardization, the
+reward parser and the JSON config round trip."""
 
 from __future__ import annotations
 
@@ -8,17 +9,28 @@ import json
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dypo.errors import InputError
 from dypo.grading import DifficultyGrade, grade
 from dypo.gradcheck import make_instance
 from dypo.objectives import (
+    GroupBatch,
     GroupRollout,
     MixConfig,
     build_pairs,
+    dypo_step_loss,
     gal_loss_grad,
+    gal_pass,
+    grpo_estimator,
     grpo_loss_grad,
+    grpo_pass,
+    grpo_policy_gradient,
+    mixed_gradient,
+    mixed_keyed,
+    mixed_pass,
     sft_loss_grad,
     standardize_advantages,
 )
@@ -27,6 +39,7 @@ from dypo.policy import (
     Trajectory,
     sample_group_rows,
     sample_trajectory,
+    score_sq_norms,
 )
 from dypo.seeding import substream
 from dypo.tasks import (
@@ -188,6 +201,103 @@ def test_gal_block_matches_naive_reference(seed, index, beta, duplicated):
     report = gal_loss_grad(inst.params, inst.ref, group, pairs, MixConfig(beta_gal=beta))
     assert_block_matches(inst.params, report.gradient,
                          naive_gal(inst.params, inst.ref, group, pairs, beta))
+
+
+def _mid_groups(inst, picks, extra, sampler) -> list[GroupRollout]:
+    """Mid groups on one policy: group i is a success, a failure and more of
+    either, picked by ``picks[i]``, with the sampling log-probs of ``sampler``."""
+    won = [t for t, r in zip(inst.group.trajectories, inst.group.rewards) if r == 1]
+    lost = [t for t, r in zip(inst.group.trajectories, inst.group.rewards) if r == 0]
+    lost += [Trajectory((inst.query.stop,), terminal=True)]
+    lost += [t for t in (Trajectory(tokens, terminal=False) for tokens in extra)
+             if reward(inst.query, t) == 0]
+    pool = won + lost
+    groups = []
+    for pick in picks:
+        trajs = (won[pick[0] % len(won)], lost[pick[1] % len(lost)],
+                 *(pool[p % len(pool)] for p in pick[2:]))
+        rewards = tuple(reward(inst.query, t) for t in trajs)
+        group = GroupRollout(inst.query, trajs, rewards,
+                             advantages=standardize_advantages(rewards, 1e-4))
+        rows, tokens, _ = group.step_rows(inst.params)
+        group.sample_logp = sampler.logp_at(rows, tokens)
+        groups.append(group)
+    return groups
+
+
+def assert_same_report(got, want) -> None:
+    """Bit for bit: loss, gradient rows and values, and every aux entry."""
+    assert got.loss == want.loss
+    np.testing.assert_array_equal(got.gradient.rows, want.gradient.rows)
+    np.testing.assert_array_equal(got.gradient.values, want.gradient.values)
+    assert set(got.aux) == set(want.aux) - {"grade"}
+    for name, value in got.aux.items():
+        np.testing.assert_array_equal(value, want.aux[name])
+
+
+picks = st.lists(st.lists(st.integers(0, 2**16), min_size=2, max_size=8), min_size=1, max_size=6)
+
+
+@given(seed=seeds, index=st.integers(0, 60), picks=picks,
+       extra=st.lists(token_seqs, max_size=4), on_policy=st.booleans(),
+       pair_cap=st.integers(1, 8))
+@FAST
+def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extra, on_policy,
+                                                         pair_cap):
+    inst = make_instance(seed, index)
+    params, ref = inst.params, inst.ref
+    groups = _mid_groups(inst, picks, extra, params if on_policy else ref)
+    cfg = MixConfig(pair_cap=pair_cap)
+    pairs = [build_pairs(g, pair_cap, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
+    batch = GroupBatch(params, groups)
+    grpo = grpo_pass(params, ref, batch, cfg).reports()
+    gal = gal_pass(params, ref, batch, pairs, cfg)
+    mixed = mixed_pass(params, ref, batch, pairs, cfg).reports()
+    estimator = grpo_estimator(params, batch)
+    bench_mix = mixed_keyed(estimator, gal.gradient, cfg.alpha).blocks()
+    for i, group in enumerate(groups):
+        assert_same_report(grpo[i], grpo_loss_grad(params, ref, group, cfg))
+        alone = gal_loss_grad(params, ref, group, pairs[i], cfg)
+        assert_same_report(gal.reports()[i], alone)
+        # the routed step draws the same pairs from the same stream
+        assert_same_report(mixed[i], dypo_step_loss(params, ref, group, inst.teachers, cfg,
+                                                    substream(seed, "pairs", i)))
+        g_grpo = grpo_policy_gradient(params, group)
+        for got, want in ((estimator.blocks()[i], g_grpo),
+                          (bench_mix[i], mixed_gradient(g_grpo, alone.gradient, cfg.alpha))):
+            np.testing.assert_array_equal(got.rows, want.rows)
+            np.testing.assert_array_equal(got.values, want.values)
+    one_by_one = [score_sq_norms(params, *g.step_rows(params)) for g in groups]
+    np.testing.assert_array_equal(score_sq_norms(params, batch.rows, batch.tokens, batch.lengths),
+                                  np.concatenate(one_by_one))
+
+
+@given(seed=seeds, index=st.integers(0, 60), picks=picks, bad=st.integers(0, 5),
+       flaw=st.sampled_from(["swapped", "out of range", "empty"]))
+@FAST
+def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, picks, bad, flaw):
+    inst = make_instance(seed, index)
+    params, ref = inst.params, inst.ref
+    groups = _mid_groups(inst, picks, (), ref)
+    bad %= len(groups)
+    cfg = MixConfig()
+    pairs = [build_pairs(g, 8, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
+    pairs[bad] = {"swapped": pairs[bad][:, ::-1], "out of range": pairs[bad] + groups[bad].k,
+                  "empty": pairs[bad][:0]}[flaw]
+    with pytest.raises(InputError) as alone:
+        gal_loss_grad(params, ref, groups[bad], pairs[bad], cfg)
+    with pytest.raises(InputError) as batched:
+        gal_pass(params, ref, GroupBatch(params, groups), pairs, cfg)
+    assert str(batched.value) == str(alone.value)
+    # a group whose rows were resolved in another interner
+    other = groups[bad]
+    foreign = GroupRollout(other.query, other.trajectories, other.rewards, other.advantages)
+    foreign.step_rows(PolicyParams(params.vocab_size, params.history))
+    with pytest.raises(InputError, match="interner") as alone:
+        grpo_policy_gradient(params, foreign)
+    with pytest.raises(InputError) as batched:
+        GroupBatch(params, groups[:bad] + [foreign] + groups[bad:])
+    assert str(batched.value) == str(alone.value)
 
 
 @given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=12).filter(

@@ -284,6 +284,7 @@ def test_batch_gradient_is_additive_over_query_reports():
         query = pool.queries[qi]
         group = rollout_group(before, query, cfg.k, substream(cfg.seed, "rollout", 0, j),
                               xi=cfg.mix.xi, stop_token=cfg.task.stop, t_max=cfg.t_max)
+        group.alone(before).record_sample_logp(before)  # as the trainer records them
         report = dypo_step_loss(before, ref, group, teachers, cfg.mix,
                                 substream(cfg.seed, "objective", 0, j))
         if group.grade is not DifficultyGrade.EASY:
