@@ -36,7 +36,9 @@ from .objectives import (
     grpo_loss_grad,
     grpo_policy_gradient,
     mixed_gradient,
+    pair_arrays,
     rollout_group,
+    rollout_groups,
     sft_loss_grad,
     standardize_advantages,
 )
@@ -47,12 +49,14 @@ from .policy import (
     RowBlock,
     Trajectory,
     mean_step_entropy,
+    sample_lockstep,
 )
 from .tasks import (
     BiasTestbedConfig,
     Query,
     TaskConfig,
     TeacherOracle,
+    batch_reward,
     bias_sq_norms,
     generate_query,
     make_teacher_ensemble,

@@ -22,20 +22,21 @@ from .objectives import (
     GroupBatch,
     GroupRollout,
     MixConfig,
-    build_pairs,
     gal_etas,
     gal_pass,
     grpo_estimator,
     mixed_keyed,
-    rollout_group,
+    pair_arrays,
+    rollout_groups,
 )
 from .policy import KeyedBlocks, PolicyParams, RowBlock, score_sq_norms, stack_keyed
 from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 
 # the fewest samples a variance estimate takes, so the fewest groups of a variance bench
 MIN_VARIANCE_SAMPLES = 30
-# groups per loss pass of the benches: the perfbench `variance` work (5000
-# groups, seed 1) peaks at 121 MiB RSS in one pass and at 81 MiB in chunks of this size
+# groups per lockstep sampling call and per loss pass of the benches: the
+# perfbench `variance` work (5000 groups, seed 1) peaks at 115 MiB RSS with one
+# call and one pass over all groups, and at 75 MiB in chunks of this size
 CHUNK_GROUPS = 256
 
 
@@ -104,7 +105,14 @@ def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Gen
                        n_groups: int, rng: np.random.Generator, *, k: int, xi: float,
                        stop_token: int, t_max: int,
                        max_attempts: int | None = None) -> list[GroupRollout]:
-    """Sample rollout groups from the query stream, keeping the Mid-graded ones."""
+    """Sample rollout groups from the query stream, keeping the Mid-graded ones.
+
+    Queries are drawn, and their groups sampled together, in chunks of at
+    most ``CHUNK_GROUPS``, twice the groups still missing, and the attempts
+    left; Mid groups are kept in order. A chunk's groups past the
+    ``n_groups``-th Mid one are dropped. Every sampled group is an attempt,
+    so a failed collection has made exactly ``max_attempts`` of them.
+    """
     budget = max_attempts if max_attempts is not None else max(100 * n_groups, 1000)
     groups: list[GroupRollout] = []
     attempts = 0
@@ -114,11 +122,11 @@ def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Gen
                 f"found only {len(groups)}/{n_groups} Mid groups in {attempts} attempts",
                 diagnostics={"attempts": attempts, "found": len(groups), "budget": budget},
             )
-        attempts += 1
-        g = rollout_group(params, draw_query(rng), k, rng, xi=xi,
-                          stop_token=stop_token, t_max=t_max)
-        if g.grade is DifficultyGrade.MID:
-            groups.append(g)
+        size = min(CHUNK_GROUPS, 2 * (n_groups - len(groups)), budget - attempts)
+        attempts += size
+        queries = [draw_query(rng) for _ in range(size)]
+        groups += rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
+                                 t_max=t_max, only=DifficultyGrade.MID)[:n_groups - len(groups)]
     return groups
 
 
@@ -137,7 +145,7 @@ def measure_eta(params: PolicyParams, ref: PolicyParams,
                                 max_attempts=max_attempts)
     etas = []
     for batch in _batches(params, groups):
-        pairs = [build_pairs(g, cfg.pair_cap, rng) for g in batch.groups]
+        pairs = pair_arrays(batch.groups, cfg.pair_cap, rng)
         etas.append(gal_etas(gal_pass(params, ref, batch, pairs, cfg)))
     return float(np.mean(np.concatenate(etas)))
 
@@ -173,7 +181,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
     etas, pair_counts = [], []
     score_sq_sum = 0.0
     for batch in _batches(params, groups):
-        pairs = [build_pairs(g, cfg.pair_cap, rng) for g in batch.groups]
+        pairs = pair_arrays(batch.groups, cfg.pair_cap, rng)
         grpo = grpo_estimator(params, batch)
         gal = gal_pass(params, ref, batch, pairs, cfg)
         samples["grpo"].append(grpo)

@@ -33,11 +33,11 @@ from .policy import (
     check_shared_interner,
     keyed_score,
     kl_gradient,
-    sample_group_rows,
+    sample_lockstep,
     sum_blocks,
     weighted_score,
 )
-from .tasks import Query, TeacherOracle, reward, teacher_sample
+from .tasks import Query, TeacherOracle, batch_reward, teacher_sample
 
 
 @dataclass(frozen=True)
@@ -69,45 +69,62 @@ class MixConfig:
             raise ConfigError(f"pair_cap must be >= 1, got {self.pair_cap}")
 
 
-@dataclass
 class GroupRollout:
     """k rollouts for one query, with rewards and standardized advantages.
 
     The group owns the rows of its trajectories' steps, read through
-    ``step_rows``: a group from ``rollout_group`` keeps the rows it was
-    sampled with, and a group built from given trajectories resolves them
+    ``step_rows``: a sampled group (``rollout_groups``) keeps the rows it was
+    sampled with, and builds its ``Trajectory`` objects from them only when
+    they are read; a group built from given trajectories resolves their rows
     once, on first use, and keeps them. ``sample_logp``, when recorded, is
     the sampling policy's log-prob of every step; only GRPO reads it, so
-    ``rollout_group`` leaves it unset and the trainer records it for the
-    groups it sends to GRPO (``GroupBatch.record_sample_logp``).
+    sampling leaves it unset and the trainer records it for the groups it
+    sends to GRPO (``GroupBatch.record_sample_logp``).
     """
 
-    query: Query
-    trajectories: tuple[Trajectory, ...]
-    rewards: tuple[int, ...]
-    advantages: np.ndarray | None = None
-    rows: StepRows | None = field(default=None, repr=False, compare=False)
-    sample_logp: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _alone: GroupBatch | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.trajectories) != len(self.rewards):
-            raise InputError("trajectories and rewards must have equal length")
-        if self.advantages is not None and len(self.advantages) != len(self.rewards):
+    def __init__(self, query: Query, trajectories: Sequence[Trajectory] | None,
+                 rewards: Sequence[int], advantages: np.ndarray | None = None,
+                 rows: StepRows | None = None, sample_logp: np.ndarray | None = None):
+        self.query = query
+        self.rewards = tuple(rewards)
+        self.advantages = advantages
+        self.rows = rows
+        self.sample_logp = sample_logp
+        self._alone: GroupBatch | None = None
+        if trajectories is not None:  # None: a sampled group, see ``sampled``
+            self.trajectories = tuple(trajectories)
+            self.lengths = np.array([len(t) for t in self.trajectories])
+            if len(self.trajectories) != self.k:
+                raise InputError("trajectories and rewards must have equal length")
+        if advantages is not None and len(advantages) != self.k:
             raise InputError("advantages length must match rewards")
+
+    @classmethod
+    def sampled(cls, query: Query, rewards: Sequence[int], grade: DifficultyGrade,
+                advantages: np.ndarray, rows: StepRows, lengths: np.ndarray,
+                terminal: np.ndarray) -> GroupRollout:
+        """A group as the sampler returns it: graded, with its steps' rows and
+        every trajectory's length and terminal flag."""
+        group = cls(query, None, rewards, advantages, rows)
+        group.grade, group.lengths, group._terminal = grade, lengths, terminal
+        return group
+
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """A sampled group's trajectories, built from its steps on first read."""
+        ends = np.cumsum(self.lengths).tolist()
+        tokens = self.rows.steps[1].tolist()
+        return tuple(Trajectory(tuple(tokens[lo:hi]), terminal=bool(term))
+                     for lo, hi, term in zip([0] + ends, ends, self._terminal))
 
     @property
     def k(self) -> int:
-        return len(self.trajectories)
+        return len(self.rewards)
 
     @cached_property
     def grade(self) -> DifficultyGrade:
         """Difficulty grade of the reward pattern, computed once per group."""
         return grading.grade(self.rewards)
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return np.array([len(t) for t in self.trajectories])
 
     def _steps(self, params: PolicyParams) -> np.ndarray:
         """The ``(2, steps)`` int32 rows and tokens in ``params``' interner."""
@@ -263,28 +280,58 @@ def gal_etas(report: BatchReport) -> np.ndarray:
     return _segment_sums(report.weights**2, counts) / counts
 
 
-def standardize_advantages(rewards: Sequence[float], xi: float) -> np.ndarray:
-    """Group-standardized advantages (R - mean) / (population std + xi)."""
-    if len(rewards) < 2:
+def standardize_advantages(rewards: Sequence[float] | np.ndarray, xi: float) -> np.ndarray:
+    """Group-standardized advantages (R - mean) / (population std + xi) of one
+    group's rewards, or of each row of a ``(groups, k)`` reward matrix."""
+    r = np.asarray(rewards, dtype=np.float64)
+    if r.shape[-1] < 2:
         raise InputError("advantage standardization needs a group of >= 2")
     if xi <= 0:
         raise InputError(f"xi must be > 0, got {xi}")
-    r = np.asarray(rewards, dtype=np.float64)
-    return (r - r.mean()) / (r.std() + xi)
+    dev = r - r.mean(axis=-1, keepdims=True)
+    return dev / (np.sqrt((dev * dev).mean(axis=-1, keepdims=True)) + xi)
+
+
+def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
+                   rng: np.random.Generator, *, xi: float, stop_token: int, t_max: int,
+                   only: DifficultyGrade | None = None) -> list[GroupRollout]:
+    """k rollouts for each query, sampled together by ``sample_lockstep``, as
+    graded groups with rewards and standardized advantages, in query order.
+
+    With ``only``, just the groups of that grade are returned. Rewards and
+    advantages are computed over the whole batch; each group keeps compact
+    int32 step rows of its own steps only.
+    """
+    sampled = sample_lockstep(params, [q.query_id for q in queries], k, rng,
+                              stop_token=stop_token, t_max=t_max)
+    rewards = batch_reward(queries, sampled.tokens, sampled.lengths,
+                           sampled.terminal).reshape(-1, k)
+    reward_rows = [tuple(r) for r in rewards.tolist()]
+    grades = [grading.grade(r) for r in reward_rows]
+    keep = [g for g, grade in enumerate(grades) if only is None or grade is only]
+    if not keep:
+        return []
+    # the kept groups' trajectories, copied out of the padded arrays
+    traj = (np.array(keep)[:, None] * k + np.arange(k)).ravel()
+    lengths = sampled.lengths[traj]
+    steps_of = np.arange(t_max) < lengths[:, None]
+    steps = np.stack([sampled.rows[traj][steps_of],
+                      sampled.tokens[traj][steps_of]]).astype(np.int32)
+    lengths = lengths.reshape(-1, k)
+    terminal = sampled.terminal[traj].reshape(-1, k)
+    ends = np.cumsum(lengths.sum(axis=1)).tolist()
+    advantages = standardize_advantages(rewards[keep], xi)
+    return [GroupRollout.sampled(queries[g], reward_rows[g], grades[g], advantages[i],
+                                 StepRows(params.interner, steps[:, lo:hi]), lengths[i],
+                                 terminal[i])
+            for i, (g, lo, hi) in enumerate(zip(keep, [0] + ends, ends))]
 
 
 def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Generator,
                   *, xi: float, stop_token: int, t_max: int) -> GroupRollout:
-    """Sample k rollouts with rewards and standardized advantages."""
-    trajs, sampled = sample_group_rows(params, query, k, rng, stop_token=stop_token, t_max=t_max)
-    rewards = tuple(reward(query, traj) for traj in trajs)
-    return GroupRollout(
-        query=query,
-        trajectories=tuple(trajs),
-        rewards=rewards,
-        advantages=standardize_advantages(rewards, xi),
-        rows=sampled,
-    )
+    """``rollout_groups`` over one query."""
+    return rollout_groups(params, [query], k, rng, xi=xi, stop_token=stop_token,
+                          t_max=t_max)[0]
 
 
 def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[TeacherOracle],
@@ -378,6 +425,34 @@ def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) ->
     else:
         chosen = rng.choice(n_pairs, size=pair_cap, replace=False)
     return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
+
+
+def pair_arrays(groups: Sequence[GroupRollout], pair_cap: int,
+                rng: np.random.Generator) -> list[np.ndarray]:
+    """``build_pairs`` of every group, as one call per group would make them.
+
+    Only the groups whose product exceeds ``pair_cap`` draw their subsets
+    from ``rng``, in group order; the full products of all the others are
+    built in one vectorized pass per group size.
+    """
+    if pair_cap < 1:
+        raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
+    out: list[np.ndarray | None] = [None] * len(groups)
+    full: dict[int, list[int]] = {}  # group size -> indices of uncapped groups
+    for i, group in enumerate(groups):
+        wins = sum(group.rewards)
+        if group.grade is DifficultyGrade.MID and wins * (group.k - wins) <= pair_cap:
+            full.setdefault(group.k, []).append(i)
+        else:  # a capped group draws its subset; any other grade is its StateError
+            out[i] = build_pairs(group, pair_cap, rng)
+    for indices in full.values():
+        won = np.array([groups[i].rewards for i in indices]) == 1
+        owner, win, lose = np.nonzero(won[:, :, None] & ~won[:, None, :])
+        pairs = np.stack([win, lose], axis=1)
+        ends = np.cumsum(np.bincount(owner, minlength=len(indices))).tolist()
+        for i, lo, hi in zip(indices, [0] + ends, ends):
+            out[i] = pairs[lo:hi]
+    return out
 
 
 def _check_pairs(group: GroupRollout, pairs: np.ndarray) -> None:

@@ -5,8 +5,10 @@ A ``ContextInterner`` maps each context to a row; the logits live in one
 dense ``(rows, V)`` array, with the matching probabilities, log-probabilities
 and sampling cdf refreshed by one vectorized softmax over the rows a write
 touched. Rows a policy has never written read ``default_logits``. The
-sampler walks the interner's transition map from row to row, so each step's
-context is resolved once, and a sampled group keeps the rows of its steps.
+sampler walks the interner's transition map, a ``(rows, V)`` array, from row
+to row: ``sample_lockstep`` advances every trajectory of a batch of groups
+one position at a time, so each step's context is resolved once, by array
+lookups, and the rollouts keep the rows of their steps.
 Because the softmax is tabular, every gradient used elsewhere in the package is available
 in closed form, as a ``RowBlock`` over the rows it touches, and can be checked
 against finite differences.
@@ -140,14 +142,18 @@ class ContextInterner:
         self.history = history
         self.index: dict[Context, int] = {}
         self.contexts: list[Context] = []
-        # _next[row][tok] is step(row, tok), or -1 until first asked for
-        self._next: list[list[int]] = []
+        # _next[row, tok] is step(row, tok), or -1 until first asked for; it
+        # grows by doubling, so it may have more rows than there are contexts
+        self._next = np.full((16, vocab_size), -1, dtype=np.intp)
 
     def row(self, ctx: Context) -> int:
         r = self.index.setdefault(ctx, len(self.contexts))
         if r == len(self.contexts):
             self.contexts.append(ctx)
-            self._next.append([-1] * self.vocab_size)
+            if r == len(self._next):
+                grown = np.full((2 * r, self.vocab_size), -1, dtype=np.intp)
+                grown[:r] = self._next
+                self._next = grown
         return r
 
     def root(self, query_id: int) -> int:
@@ -157,12 +163,12 @@ class ContextInterner:
     def step(self, row: int, tok: int) -> int:
         """Row of the context after generating ``tok`` in ``row``'s context:
         the history gains ``tok`` and keeps its last ``history`` tokens."""
-        nxt = self._next[row][tok]
+        nxt = self._next.item(row, tok)
         if nxt < 0:
             qid, hist = self.contexts[row]
             hist += (tok,)
             nxt = self.row((qid, hist[max(0, len(hist) - self.history):]))
-            self._next[row][tok] = nxt
+            self._next[row, tok] = nxt
         return nxt
 
 
@@ -455,61 +461,61 @@ def score_sq_norms(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
                        minlength=len(lengths))
 
 
-def _sample(params: PolicyParams, query_id: int, n: int, rng: np.random.Generator,
-            stop_token: int, t_max: int) -> tuple[list[Trajectory], list[int], list[int]]:
-    """n autoregressive samples, one ``rng.random()`` draw per token.
-
-    Each token is the first whose cdf entry exceeds the draw, clamped to the
-    vocabulary for a draw above a rounded cdf's last entry. A sample stops on
-    ``stop_token`` or after t_max tokens. Returns the samples and, over all of
-    them in order, every step's row and token.
-    """
-    interner = params.interner
-    successors = interner._next
-    cdf, fitted = params._cdf, len(params._written)
-    default = params._default_dist[2][0].tolist()
-    cdf_lists: dict[int, list[float]] = {}
-    last = params.vocab_size - 1
-    draw = rng.random
-    root = interner.root(query_id)
-    rows: list[int] = []
-    tokens: list[int] = []
-    samples: list[Trajectory] = []
-    for _ in range(n):
-        start = len(tokens)
-        row, tok = root, -1
-        for t in range(t_max):
-            if t:
-                nxt = successors[row][tok]
-                row = nxt if nxt >= 0 else interner.step(row, tok)
-            c = cdf_lists.get(row)
-            if c is None:
-                # rows interned since the arrays last grew are unwritten
-                c = cdf_lists[row] = cdf[row].tolist() if row < fitted else default
-            tok = bisect_right(c, draw())
-            if tok > last:
-                tok = last
-            rows.append(row)
-            tokens.append(tok)
-            if tok == stop_token:
-                break
-        samples.append(Trajectory(tuple(tokens[start:]), terminal=tok == stop_token))
-    params._fit()
-    return samples, rows, tokens
-
-
 def sample_trajectory(params: PolicyParams, query: "Query", rng: np.random.Generator,
                       *, stop_token: int, t_max: int) -> Trajectory:
-    """One autoregressive sample; stops on ``stop_token`` or after t_max tokens."""
-    return _sample(params, query.query_id, 1, rng, stop_token, t_max)[0][0]
+    """One autoregressive sample, one ``rng.random()`` draw per token.
+
+    Each token is the first whose cdf entry exceeds the draw, clamped to the
+    vocabulary for a draw above a rounded cdf's last entry. The sample stops
+    on ``stop_token`` or after t_max tokens.
+    """
+    interner = params.interner
+    cdf, fitted = params._cdf, len(params._written)
+    default = params._default_dist[2][0]
+    last = params.vocab_size - 1
+    draw = rng.random
+    row = interner.root(query.query_id)
+    tokens: list[int] = []
+    for t in range(t_max):
+        if t:
+            nxt = interner._next.item(row, tok)  # read anew: step() may grow the map
+            row = nxt if nxt >= 0 else interner.step(row, tok)
+        # rows interned since the arrays last grew are unwritten
+        tok = bisect_right(cdf[row] if row < fitted else default, draw())
+        if tok > last:
+            tok = last
+        tokens.append(tok)
+        if tok == stop_token:
+            break
+    params._fit()
+    return Trajectory(tuple(tokens), terminal=tok == stop_token)
 
 
-def sample_group_rows(params: PolicyParams, query: "Query", k: int, rng: np.random.Generator,
-                      *, stop_token: int, t_max: int) -> tuple[list[Trajectory], StepRows]:
-    """k independent rollouts for one query and the rows of their steps.
+class Rollouts(NamedTuple):
+    """Trajectories sampled together: ``rows[i, t]`` and ``tokens[i, t]`` are
+    the context row and the token of step t of trajectory i for
+    ``t < lengths[i]``, and -1 past its end; ``terminal[i]`` is whether it
+    ended on the stop token."""
 
-    Pure in (params, query, k, seed); the draws are those of k successive
-    ``sample_trajectory`` calls.
+    rows: np.ndarray
+    tokens: np.ndarray
+    lengths: np.ndarray
+    terminal: np.ndarray
+
+
+def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
+                    rng: np.random.Generator, *, stop_token: int, t_max: int) -> Rollouts:
+    """k autoregressive samples for each query, all advanced one position at
+    a time; trajectory i belongs to ``query_ids[i // k]``.
+
+    At each position the trajectories still running take, in order, one
+    ``rng.random(live)`` draw. A token is the first whose cdf entry exceeds
+    its draw, clamped to the vocabulary for a draw above a rounded cdf's
+    last entry, as in ``sample_trajectory``: the count of the row's first
+    V - 1 cdf entries at or below the draw, as a cdf never decreases. A
+    trajectory stops on ``stop_token`` or after t_max tokens. Contexts met
+    for the first time are interned position by position, in trajectory
+    order.
     """
     if k < 2:
         raise ConfigError(f"group size must be >= 2, got {k}")
@@ -517,8 +523,34 @@ def sample_group_rows(params: PolicyParams, query: "Query", k: int, rng: np.rand
         raise ConfigError(f"stop token {stop_token} outside vocabulary")
     if t_max < 1:
         raise ConfigError(f"t_max must be >= 1, got {t_max}")
-    samples, rows, tokens = _sample(params, query.query_id, k, rng, stop_token, t_max)
-    return samples, StepRows(params.interner, np.array((rows, tokens), dtype=np.int32))
+    interner = params.interner
+    n = len(query_ids) * k
+    live = np.arange(n)
+    row = np.repeat([interner.root(q) for q in query_ids], k)
+    params._fit()
+    drawn = []  # per position: the running trajectories, their rows and their tokens
+    for t in range(t_max):
+        tok = (params._cdf[row, :-1] <= rng.random((len(live), 1))).sum(axis=1)
+        drawn.append((live, row, tok))
+        going = tok != stop_token
+        if not going.all():
+            live, row, tok = live[going], row[going], tok[going]
+        if t + 1 == t_max or len(live) == 0:
+            break
+        prev, row = row, interner._next[row, tok]
+        if (row < 0).any():  # first visits: intern the new contexts, then cover them
+            for i in np.flatnonzero(row < 0).tolist():
+                row[i] = interner.step(int(prev[i]), int(tok[i]))
+            params._fit()
+    traj, step_rows, step_tokens = (np.concatenate(part) for part in zip(*drawn))
+    position = np.repeat(np.arange(len(drawn)), [len(part[0]) for part in drawn])
+    rows = np.full((n, t_max), -1, dtype=np.intp)
+    tokens = np.full((n, t_max), -1, dtype=np.intp)
+    rows[traj, position] = step_rows
+    tokens[traj, position] = step_tokens
+    lengths = np.bincount(traj, minlength=n)
+    terminal = tokens[np.arange(n), lengths - 1] == stop_token
+    return Rollouts(rows, tokens, lengths, terminal)
 
 
 def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:

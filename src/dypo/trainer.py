@@ -4,7 +4,7 @@ One step samples a batch of queries from a fixed pool, rolls out k
 trajectories per query, grades each group, dispatches per-query losses by
 variant, averages gradients over dispatched queries, and applies a single
 plain gradient-descent update. All randomness is derived from named
-substreams of (seed, step, query-index), so a run is replayable from any
+substreams of (seed, role, step), so a run is replayable from any
 checkpoint.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 from .artifacts import atomic_write
 from .errors import ConfigError, DataError, TrainingAborted
 from .grading import DifficultyGrade
-from .instrumentation import StepMetrics, write_metrics
+from .instrumentation import CHUNK_GROUPS, StepMetrics, write_metrics
 from .objectives import (
     BatchReport,
     GroupBatch,
@@ -34,7 +34,8 @@ from .objectives import (
     gal_etas,
     grpo_pass,
     mixed_pass,
-    rollout_group,
+    pair_arrays,
+    rollout_groups,
     sft_loss_grad,
 )
 from .policy import ContextInterner, PolicyParams, mean_step_entropy, sum_blocks
@@ -324,36 +325,37 @@ def _step_reports(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
                   ) -> tuple[list[GroupRollout], list[LossReport], BatchReport | None]:
     """Roll out a step's groups and return each one's report.
 
-    Each group draws its rollouts, and then its pairs or teacher, from its
-    own substreams, in query order. The groups that reach GRPO (Mid groups
-    under ``dypo``, every group under ``grpo_only``) then go through one
-    batched pass, whose report is returned beside the groups' own.
+    The step's groups are sampled together from its ``rollout`` substream.
+    Its ``objective`` substream then draws the pairs of capped Mid groups,
+    then the teachers of Hard groups (every group's teacher under
+    ``sft_only``), each in query order. The groups that reach GRPO (Mid groups under
+    ``dypo``, every group under ``grpo_only``) then go through one batched
+    pass, whose report is returned beside the groups' own.
     """
-    groups: list[GroupRollout] = []
-    routed: list[LossReport | np.ndarray | None] = []
-    for j, query_index in enumerate(indices):
-        query = pool.queries[query_index]
-        group = rollout_group(params, query, config.k, substream(config.seed, "rollout", step, j),
-                              xi=config.mix.xi, stop_token=config.task.stop, t_max=config.t_max)
-        obj_rng = substream(config.seed, "objective", step, j)
-        if config.variant == "dypo":
-            route = draw_route(params, group, teachers, config.mix, obj_rng)
-        elif config.variant == "sft_only":
+    queries = [pool.queries[i] for i in indices]
+    groups = rollout_groups(params, queries, config.k, substream(config.seed, "rollout", step),
+                            xi=config.mix.xi, stop_token=config.task.stop, t_max=config.t_max)
+    obj_rng = substream(config.seed, "objective", step)
+    routed: list[LossReport | None] = [None] * len(groups)
+    if config.variant == "dypo":
+        mid = [j for j, group in enumerate(groups) if group.grade is DifficultyGrade.MID]
+        pairs = pair_arrays([groups[j] for j in mid], config.mix.pair_cap, obj_rng)
+        for j, group in enumerate(groups):
+            if group.grade is not DifficultyGrade.MID:
+                routed[j] = draw_route(params, group, teachers, config.mix, obj_rng)
+    elif config.variant == "sft_only":
+        for j, query in enumerate(queries):
             sft = sft_loss_grad(params, query, teachers, obj_rng)
-            route = LossReport(loss=config.mix.gamma * sft.loss,
-                               gradient=sft.gradient.scaled(config.mix.gamma), aux=sft.aux)
-        else:  # grpo_only
-            route = None
-        groups.append(group)
-        routed.append(route)
-    to_grpo = [j for j, route in enumerate(routed) if not isinstance(route, LossReport)]
+            routed[j] = LossReport(loss=config.mix.gamma * sft.loss,
+                                   gradient=sft.gradient.scaled(config.mix.gamma), aux=sft.aux)
+    to_grpo = [j for j, route in enumerate(routed) if route is None]
     if not to_grpo:
         return groups, routed, None
     batch = GroupBatch(params, [groups[j] for j in to_grpo])
     # no update has happened yet, so params is still the policy that sampled them
     batch.record_sample_logp(params)
     if config.variant == "dypo":
-        passed = mixed_pass(params, ref, batch, [routed[j] for j in to_grpo], config.mix)
+        passed = mixed_pass(params, ref, batch, pairs, config.mix)
     else:
         passed = grpo_pass(params, ref, batch, config.mix)
     for j, report in zip(to_grpo, passed.reports()):
@@ -495,13 +497,18 @@ class EvalReport:
 def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
              rng: np.random.Generator, *, xi: float = 1e-4,
              t_max: int = 16) -> EvalReport:
-    """Roll out without updating; pass rate counts queries with any success."""
+    """Roll out without updating; pass rate counts queries with any success.
+
+    All queries are drawn first; their groups are then sampled in chunks of
+    ``CHUNK_GROUPS``, from the same generator.
+    """
     if n_queries < 1:
         raise ConfigError("evaluate needs n_queries >= 1")
     counts = {g.value: 0 for g in DifficultyGrade}
-    groups = [rollout_group(params, pool.draw(rng), k, rng, xi=xi,
-                            stop_token=pool.task.stop, t_max=t_max)
-              for _ in range(n_queries)]
+    queries = [pool.draw(rng) for _ in range(n_queries)]
+    groups = [group for lo in range(0, n_queries, CHUNK_GROUPS)
+              for group in rollout_groups(params, queries[lo:lo + CHUNK_GROUPS], k, rng, xi=xi,
+                                          stop_token=pool.task.stop, t_max=t_max)]
     for group in groups:
         counts[group.grade.value] += 1
     return EvalReport(

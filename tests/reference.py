@@ -56,6 +56,24 @@ def naive_sample(params, qid, k, rng, stop, t_max) -> list[Trajectory]:
     return out
 
 
+def naive_lockstep_sample(params, query_ids, k, rng, stop, t_max) -> list[Trajectory]:
+    """k samples per query, advanced together: at each position the running
+    samples, in order, share one ``rng.random(running)`` call, and each token
+    is drawn by searchsorted on its context's cdf. Sample i is of query
+    ``query_ids[i // k]``."""
+    samples: list[list[int]] = [[] for _ in range(len(query_ids) * k)]
+    for _ in range(t_max):
+        running = [i for i, tokens in enumerate(samples) if not tokens or tokens[-1] != stop]
+        if not running:
+            break
+        for i, u in zip(running, rng.random(len(running))):
+            tokens = samples[i]
+            ctx = (query_ids[i // k], tuple(tokens[max(0, len(tokens) - params.history):]))
+            tok = int(np.searchsorted(params.sampling_cdf(ctx), u, side="right"))
+            tokens.append(min(tok, params.vocab_size - 1))
+    return [Trajectory(tuple(tokens), terminal=tokens[-1] == stop) for tokens in samples]
+
+
 def _add(into: dict, grad: dict, coef: float) -> None:
     for ctx, vec in grad.items():
         into[ctx] = into.get(ctx, np.zeros(len(vec))) + coef * vec

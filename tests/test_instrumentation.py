@@ -21,7 +21,7 @@ from dypo.instrumentation import (
     write_metrics,
 )
 from dypo.objectives import MixConfig
-from dypo.policy import PolicyParams, RowBlock, sample_group_rows, score_sq_norms
+from dypo.policy import PolicyParams, RowBlock, sample_lockstep, score_sq_norms
 from dypo.seeding import substream
 from dypo.tasks import BiasTestbedConfig, TaskConfig, generate_query
 from dypo.trainer import QueryPool, TrainConfig, train
@@ -43,9 +43,10 @@ def _draw(sampler, n: int, rng) -> list[RowBlock]:
 
 def _mean_sq_score(params, query, n: int, rng, *, stop_token: int, t_max: int) -> float:
     """Monte Carlo E||score||^2: score_sq_norms over one group of n rollouts."""
-    trajs, sampled = sample_group_rows(params, query, n, rng, stop_token=stop_token, t_max=t_max)
-    rows, tokens = sampled.steps
-    return float(score_sq_norms(params, rows, tokens, np.array([len(t) for t in trajs])).sum()) / n
+    group = sample_lockstep(params, [query.query_id], n, rng, stop_token=stop_token, t_max=t_max)
+    steps = group.rows >= 0
+    return float(score_sq_norms(params, group.rows[steps], group.tokens[steps],
+                                group.lengths).sum()) / n
 
 
 def test_variance_constant_sampler_is_zero():
@@ -215,6 +216,23 @@ def test_collect_mid_groups_budget_error():
                            k=4, xi=1e-4, stop_token=inst.query.stop, t_max=10,
                            max_attempts=50)
     assert exc.value.diagnostics["attempts"] == 50
+
+
+def test_collect_mid_groups_spends_exactly_its_budget_over_several_chunks():
+    # only failures: a budget above the chunk size and not a multiple of it
+    inst = make_instance(1, 0, kind="mid")
+    params = PolicyParams(inst.params.vocab_size, 1)
+    row = np.zeros(params.vocab_size)
+    row[inst.query.stop] = 40.0
+    params.default_logits = row
+    budget = 2 * CHUNK_GROUPS + 37
+    drawn = []
+    with pytest.raises(BenchError) as exc:
+        collect_mid_groups(params, lambda rng: drawn.append(1) or inst.query, 2 * budget,
+                           substream(1, "budget-chunks"), k=4, xi=1e-4,
+                           stop_token=inst.query.stop, t_max=10, max_attempts=budget)
+    assert exc.value.diagnostics == {"attempts": budget, "found": 0, "budget": budget}
+    assert len(drawn) == budget
 
 
 def test_measure_eta_at_reference_is_quarter():

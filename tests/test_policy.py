@@ -14,8 +14,9 @@ from dypo.policy import (
     PolicyParams,
     RowBlock,
     kl_gradient,
+    ContextInterner,
     mean_step_entropy,
-    sample_group_rows,
+    sample_lockstep,
     sample_trajectory,
 )
 from dypo.seeding import substream
@@ -113,11 +114,9 @@ def test_sample_group_deterministic():
     task = TaskConfig()
     query = generate_query(task, 2, substream(7, "q"), query_id=0)
     params = PolicyParams(task.vocab_size, 1)
-    a, _ = sample_group_rows(params, query, 8, substream(7, "roll"), stop_token=task.stop,
-                             t_max=16)
-    b, _ = sample_group_rows(params, query, 8, substream(7, "roll"), stop_token=task.stop,
-                             t_max=16)
-    assert a == b
+    a, b = (sample_lockstep(params, [query.query_id, 3], 8, substream(7, "roll"),
+                            stop_token=task.stop, t_max=16) for _ in range(2))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_sample_group_forced_stop():
@@ -127,17 +126,35 @@ def test_sample_group_forced_stop():
     row = np.zeros(task.vocab_size)
     row[task.stop] = 30.0
     params.default_logits = row  # every context immediately emits stop
-    group, _ = sample_group_rows(params, query, 8, substream(7, "r"), stop_token=task.stop,
-                                 t_max=16)
-    assert all(len(t) == 1 and t.terminal for t in group)
+    group = sample_lockstep(params, [query.query_id], 8, substream(7, "r"), stop_token=task.stop,
+                            t_max=16)
+    assert (group.lengths == 1).all() and group.terminal.all()
+    assert (group.tokens[:, 0] == task.stop).all() and (group.tokens[:, 1:] == -1).all()
 
 
 def test_sample_group_needs_k_at_least_two():
     task = TaskConfig()
     query = generate_query(task, 1, substream(7, "q"), query_id=0)
     params = PolicyParams(task.vocab_size, 1)
-    with pytest.raises(ConfigError):
-        sample_group_rows(params, query, 1, substream(7, "r"), stop_token=task.stop, t_max=16)
+    for k, stop, t_max in ((1, task.stop, 16), (2, task.vocab_size, 16), (2, task.stop, 0)):
+        with pytest.raises(ConfigError):
+            sample_lockstep(params, [query.query_id], k, substream(7, "r"), stop_token=stop,
+                            t_max=t_max)
+
+
+def test_transition_map_grows_past_its_capacity():
+    interner = ContextInterner(3, 100)
+    capacity = len(interner._next)
+    chain = [interner.root(0)]
+    for t in range(2 * capacity):  # the history only grows: a fresh context at every step
+        chain.append(interner.step(chain[-1], t % 3))
+    assert len(interner.contexts) > capacity
+    assert len(interner._next) >= len(interner.contexts)
+    filled = np.zeros(interner._next.shape, dtype=bool)
+    for t, (row, nxt) in enumerate(zip(chain, chain[1:])):
+        assert interner._next[row, t % 3] == nxt
+        filled[row, t % 3] = True
+    assert (interner._next[~filled] == -1).all()
 
 
 def test_sampling_frequencies_match_softmax():

@@ -1,7 +1,9 @@
-"""Property tests: the sampler and row-block gradients against naive
-per-token references, one keyed loss pass against its groups one by one,
-pair construction, the grading partition, advantage standardization, the
-reward parser and the JSON config round trip."""
+"""Property tests: the lockstep and scalar samplers and row-block gradients
+against naive per-position and per-token references, one keyed loss pass
+against its groups one by one, pair construction one group at a time and
+batched, the grading partition, advantage standardization per group and per
+reward matrix, the reward parser and the batch reward against it, and the
+JSON config round trip."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dypo.errors import InputError
+from dypo.errors import InputError, StateError
 from dypo.grading import DifficultyGrade, grade
 from dypo.gradcheck import make_instance
 from dypo.objectives import (
@@ -31,31 +33,43 @@ from dypo.objectives import (
     mixed_gradient,
     mixed_keyed,
     mixed_pass,
+    pair_arrays,
+    rollout_groups,
     sft_loss_grad,
     standardize_advantages,
 )
 from dypo.policy import (
     PolicyParams,
     Trajectory,
-    sample_group_rows,
+    sample_lockstep,
     sample_trajectory,
     score_sq_norms,
 )
 from dypo.seeding import substream
 from dypo.tasks import (
     BiasTestbedConfig,
+    Query,
     TaskConfig,
+    batch_reward,
     generate_query,
     max_demo_len,
     reward,
     teacher_sample,
 )
-from dypo.trainer import VARIANTS, TrainConfig, train_config_from_dict, train_config_to_dict
+from dypo.trainer import (
+    VARIANTS,
+    QueryPool,
+    TrainConfig,
+    init_policy,
+    train_config_from_dict,
+    train_config_to_dict,
+)
 
 from conftest import block_dict, traj_score
 from reference import (
     naive_gal,
     naive_grpo,
+    naive_lockstep_sample,
     naive_log_prob,
     naive_sample,
     naive_score,
@@ -107,43 +121,135 @@ def _sampling_params(seed: int, history: int) -> PolicyParams:
 
 # --- properties -----------------------------------------------------------------
 
-@given(seed=seeds, history=st.integers(0, 3), k=st.integers(2, 6), t_max=st.integers(1, 16),
-       stop=st.integers(0, V - 1))
+# the largest double below 1: above the last entry of a cdf that rounds low
+TOP = np.nextafter(1.0, 0.0)
+# logits whose cdf ends below TOP: seven equal tokens and two of probability 0
+ROUNDED_LOW = (0.0,) * 7 + (-800.0,) * 2
+
+
+class TopDraws:
+    """A generator whose draws number every, 2 * every, ... are TOP (every 0: none)."""
+
+    def __init__(self, rng: np.random.Generator, every: int):
+        self.rng, self.every, self.drawn = rng, every, 0
+
+    def random(self, size=None):
+        u = np.asarray(self.rng.random(size))
+        if self.every:
+            at = np.arange(self.drawn + 1, self.drawn + u.size + 1) % self.every == 0
+            u = np.where(at.reshape(u.shape), TOP, u)
+        self.drawn += u.size
+        return u if size is not None else float(u)
+
+
+@given(seed=seeds, history=st.integers(0, 3), k=st.integers(2, 6), n_queries=st.integers(1, 5),
+       t_max=st.integers(1, 16), stop=st.integers(0, V - 1), every=st.sampled_from([0, 1, 2, 5]),
+       rounded_root=st.booleans())
 @FAST
-def test_sampler_matches_naive_per_token_reference(seed, history, k, t_max, stop):
+def test_sampler_matches_naive_per_token_reference(seed, history, k, n_queries, t_max, stop, every,
+                                                   rounded_root):
+    # query 0 has written rows (its root's cdf rounding low, maybe) and rows
+    # a sibling interned; the others read default rows, all interned mid-sampling
     params, twin = _sampling_params(seed, history), _sampling_params(seed, history)
+    if rounded_root:
+        for policy in (params, twin):
+            policy.set_logits((0, ()), ROUNDED_LOW)
+    query_ids = list(range(n_queries))
+    rng, twin_rng = (TopDraws(substream(seed, "sample"), every) for _ in range(2))
+    got = sample_lockstep(params, query_ids, k, rng, stop_token=stop, t_max=t_max)
+    want = naive_lockstep_sample(twin, query_ids, k, twin_rng, stop, t_max)
+    # new contexts were interned in the reference's order: by position, then trajectory
+    assert params.interner.contexts == twin.interner.contexts
+    lengths = [len(t) for t in want]
+    assert got.lengths.tolist() == lengths
+    assert got.terminal.tolist() == [t.terminal for t in want]
+    steps = np.arange(t_max) < got.lengths[:, None]
+    assert got.tokens[steps].tolist() == [tok for t in want for tok in t.tokens]
+    contexts = [ctx for i, t in enumerate(want)
+                for ctx in step_contexts(query_ids[i // k], t.tokens, history)]
+    assert np.array_equal(got.rows[steps], params.rows(contexts))
+    assert (got.rows[~steps] == -1).all() and (got.tokens[~steps] == -1).all()
+    # the scalar sampler, on from the same streams
     query = SimpleNamespace(query_id=0)
-    rng, twin_rng = substream(seed, "sample"), substream(seed, "sample")
-    trajs, sampled = sample_group_rows(params, query, k, rng, stop_token=stop, t_max=t_max)
-    trajs.append(sample_trajectory(params, query, rng, stop_token=stop, t_max=t_max))
-    assert trajs == naive_sample(twin, 0, k + 1, twin_rng, stop, t_max)
+    assert [sample_trajectory(params, query, rng, stop_token=stop, t_max=t_max)] == \
+        naive_sample(twin, 0, 1, twin_rng, stop, t_max)
     assert rng.random() == twin_rng.random()
-    group = trajs[:k]
-    contexts = [ctx for t in group for ctx in step_contexts(0, t.tokens, history)]
-    assert sampled.interner is params.interner
-    assert np.array_equal(sampled.steps, [params.rows(contexts),
-                                          [tok for t in group for tok in t.tokens]])
-    # a group built from the same trajectories resolves the same rows once, and keeps them
-    sampled_group = GroupRollout(query, tuple(group), (0,) * k, rows=sampled)
-    built = GroupRollout(query, tuple(group), (0,) * k)
-    rows, tokens, lengths = built.step_rows(params)
+    # a group built from a sampled group's trajectories resolves the same rows once, and keeps them
+    built = GroupRollout(query, tuple(want[:k]), (0,) * k)
+    rows, tokens, built_lengths = built.step_rows(params)
     kept = built.rows
     assert kept.interner is params.interner
-    assert all(np.array_equal(a, b) for a, b in zip(sampled_group.step_rows(params),
-                                                    (rows, tokens, lengths)))
-    assert lengths.tolist() == [len(t) for t in group]
+    assert np.array_equal(rows, got.rows[:k][steps[:k]])
+    assert np.array_equal(tokens, got.tokens[:k][steps[:k]])
+    assert built_lengths.tolist() == lengths[:k]
     built.step_rows(params)
     assert built.rows is kept
+
+
+@given(seed=seeds, k=st.integers(2, 8), n_queries=st.integers(1, 12), mid_only=st.booleans())
+@FAST
+def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
+    # the starting policy of a run: every grade occurs
+    cfg = TrainConfig(seed=seed % 1000)
+    pool = QueryPool(cfg.task, cfg.seed)
+    params, twin = init_policy(cfg, pool), init_policy(cfg, pool)
+    queries = [pool.queries[i % len(pool)] for i in range(n_queries)]
+    only = DifficultyGrade.MID if mid_only else None
+    groups = rollout_groups(params, queries, k, substream(seed, "groups"), xi=cfg.mix.xi,
+                            stop_token=cfg.task.stop, t_max=cfg.t_max, only=only)
+    sampled = sample_lockstep(twin, [q.query_id for q in queries], k, substream(seed, "groups"),
+                              stop_token=cfg.task.stop, t_max=cfg.t_max)
+    expected = []
+    for g, query in enumerate(queries):
+        trajs = [Trajectory(tuple(sampled.tokens[i, :sampled.lengths[i]].tolist()),
+                            terminal=bool(sampled.terminal[i])) for i in range(g * k, g * k + k)]
+        rewards = tuple(reward(query, t) for t in trajs)
+        if only is None or grade(rewards) is only:
+            expected.append((query, trajs, rewards))
+    assert len(groups) == len(expected)
+    # the groups share one int32 array of exactly their own steps: no padding, no dropped group
+    kept_steps = sum(len(t) for _, trajs, _ in expected for t in trajs)
+    assert all(g.rows.steps.dtype == np.int32 and g.rows.steps.base.shape == (2, kept_steps)
+               for g in groups)
+    for group, (query, trajs, rewards) in zip(groups, expected):
+        assert group.query is query and group.rewards == rewards
+        assert group.grade is grade(rewards)
+        np.testing.assert_array_equal(group.advantages, standardize_advantages(rewards, cfg.mix.xi))
+        assert group.trajectories == tuple(trajs)
+        rows, tokens, lengths = group.step_rows(params)
+        contexts = [ctx for t in trajs for ctx in step_contexts(query.query_id, t.tokens, 1)]
+        assert np.array_equal(rows, params.rows(contexts))
+        assert tokens.tolist() == [tok for t in trajs for tok in t.tokens]
+        assert lengths.tolist() == [len(t) for t in trajs]
 
 
 def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
     # the uniform 7-way cdf rounds to a last entry below the largest draw
     params = PolicyParams(7, 1)
-    assert params.sampling_cdf((0, ()))[-1] < np.nextafter(1.0, 0.0)
-    top = SimpleNamespace(random=lambda: np.nextafter(1.0, 0.0))
+    assert params.sampling_cdf((0, ()))[-1] < TOP
+    top = TopDraws(np.random.default_rng(0), 1)
     traj = sample_trajectory(params, SimpleNamespace(query_id=0), top, stop_token=6, t_max=3)
     assert traj == Trajectory((6,), terminal=True)
     assert naive_sample(params, 0, 1, top, 6, 3) == [traj]
+    group = sample_lockstep(params, [0, 1], 3, top, stop_token=6, t_max=3)
+    assert group.tokens[:, 0].tolist() == [6] * 6 and (group.lengths == 1).all()
+    assert naive_lockstep_sample(params, [0, 1], 3, top, 6, 3) == [traj] * 6
+
+
+def test_samplers_follow_the_transition_map_as_it_grows_mid_sample():
+    # a long history makes every step a new context, so the map outgrows its capacity
+    logits = np.zeros(V)
+    logits[6] = -800.0  # the stop token, never drawn
+    params, twin = (PolicyParams(V, 40, default_logits=logits) for _ in range(2))
+    capacity = len(params.interner._next)
+    rng, twin_rng = substream(3, "grow"), substream(3, "grow")
+    traj = sample_trajectory(params, SimpleNamespace(query_id=0), rng, stop_token=6, t_max=40)
+    assert [traj] == naive_sample(twin, 0, 1, twin_rng, 6, 40)
+    assert len(params.interner.contexts) > capacity
+    got = sample_lockstep(params, [1, 2], 2, rng, stop_token=6, t_max=40)
+    want = naive_lockstep_sample(twin, [1, 2], 2, twin_rng, 6, 40)
+    assert got.tokens.tolist() == [list(t.tokens) for t in want]
+    assert params.interner.contexts == twin.interner.contexts
 
 
 @given(seed=seeds, history=st.integers(0, 3), tokens=token_seqs)
@@ -314,6 +420,94 @@ def test_build_pairs_are_success_failure_index_pairs(rewards, pair_cap, seed):
     assert pairs.shape == (min(pair_cap, len(product)), 2)
     assert len(set(got)) == len(got)
     assert set(got) <= product
+
+
+mid_rewards = st.lists(st.integers(0, 1), min_size=2, max_size=12).filter(
+    lambda r: 0 < sum(r) < len(r))
+
+
+@given(patterns=st.lists(mid_rewards, min_size=1, max_size=6), pair_cap=st.integers(1, 8),
+       seed=seeds)
+@FAST
+def test_batched_pairs_are_the_groups_own_draws(patterns, pair_cap, seed):
+    # a small cap: some groups draw their subsets, the others take the full product
+    groups = [GroupRollout(SimpleNamespace(query_id=0),
+                           tuple(Trajectory((i,), terminal=False) for i in range(len(r))),
+                           tuple(r)) for r in patterns]
+    rng, twin = substream(seed, "pairs"), substream(seed, "pairs")
+    got = pair_arrays(groups, pair_cap, rng)
+    want = [build_pairs(group, pair_cap, twin) for group in groups]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    assert rng.random() == twin.random()
+    easy = GroupRollout(SimpleNamespace(query_id=0), groups[0].trajectories,
+                        (1,) * groups[0].k)
+    with pytest.raises(StateError):
+        pair_arrays(groups + [easy], pair_cap, rng)
+
+
+@given(rewards=st.lists(st.lists(st.integers(-5, 5), min_size=12, max_size=12), min_size=1,
+                        max_size=5),
+       k=st.integers(2, 12), binary=st.booleans(), xi=st.floats(1e-6, 1e-2))
+@FAST
+def test_standardized_advantage_rows_are_each_groups_own(rewards, k, binary, xi):
+    matrix = np.array(rewards)[:, :k]
+    if binary:
+        matrix = matrix % 2
+    got = standardize_advantages(matrix, xi)
+    assert got.shape == matrix.shape
+    for row, adv in zip(matrix, got):
+        np.testing.assert_allclose(adv, standardize_advantages(row.tolist(), xi), rtol=1e-15,
+                                   atol=0)
+    with pytest.raises(InputError, match=">= 2"):
+        standardize_advantages(matrix[:, :1], xi)
+    with pytest.raises(InputError, match="xi"):
+        standardize_advantages(matrix, 0.0)
+
+
+SEP, STOP = 4, 5
+
+
+@st.composite
+def reward_cases(draw):
+    """A query (answer of 0-3 tokens, the separator among them or not) and
+    trajectories of every shape the reward parser tells apart."""
+    answer = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+    stop = draw(st.sampled_from([STOP, SEP]))  # a stop equal to the separator, too
+    query = Query(0, (), Trajectory((), True), answer, (), SEP, stop)
+    trajs = []
+    for _ in range(draw(st.integers(1, 4))):
+        prefix = tuple(draw(st.lists(st.integers(0, 5), max_size=5)))
+        tokens = draw(st.sampled_from([
+            prefix + (SEP,) + answer + (stop,),  # the answer after the last separator
+            prefix + (SEP,) + answer + (SEP, stop),  # before it: a trailing separator
+            tuple(t for t in prefix if t != SEP) + answer + (stop,),  # no separator
+            prefix + answer + (stop,),
+            prefix[:2],  # short, and maybe empty
+            prefix,
+        ]))
+        trajs.append(Trajectory(tokens, terminal=draw(st.booleans())))
+    return query, trajs
+
+
+@given(cases=st.lists(reward_cases(), min_size=1, max_size=4), per=st.integers(1, 3))
+@FAST
+def test_batch_reward_is_the_scalar_reward(cases, per):
+    queries = [query for query, _ in cases]
+    trajs = [trajs[i % len(trajs)] for _, trajs in cases for i in range(per)]
+    width = max(1, max(len(t) for t in trajs))
+    tokens = np.full((len(trajs), width), -1)
+    for i, t in enumerate(trajs):
+        tokens[i, :len(t)] = t.tokens
+    lengths = np.array([len(t) for t in trajs])
+    terminal = np.array([t.terminal for t in trajs])
+    got = batch_reward(queries, tokens, lengths, terminal)
+    assert got.tolist() == [reward(queries[i // per], t) for i, t in enumerate(trajs)]
+    if len(queries) > 1:  # a row short: the queries' runs are not equal
+        with pytest.raises(InputError):
+            batch_reward(queries, tokens[1:], lengths[1:], terminal[1:])
 
 
 @given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=40))

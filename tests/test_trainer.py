@@ -265,7 +265,7 @@ def test_history_order_two_trains():
 def test_batch_gradient_is_additive_over_query_reports():
     # the applied update equals the mean of independently recomputed
     # per-query reports: (theta_before - theta_after) / lr
-    from dypo.objectives import dypo_step_loss, rollout_group
+    from dypo.objectives import dypo_step_loss, rollout_groups
     from dypo.grading import DifficultyGrade
     from dypo.policy import sum_blocks
 
@@ -280,13 +280,15 @@ def test_batch_gradient_is_additive_over_query_reports():
     blocks = []
     teachers_mod = __import__("dypo.tasks", fromlist=["make_teacher_ensemble"])
     teachers = teachers_mod.make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed)
-    for j, qi in enumerate(indices):
-        query = pool.queries[qi]
-        group = rollout_group(before, query, cfg.k, substream(cfg.seed, "rollout", 0, j),
-                              xi=cfg.mix.xi, stop_token=cfg.task.stop, t_max=cfg.t_max)
+    # the step's groups come from one rollout substream; its objective
+    # substream draws their teachers and pairs in query order
+    groups = rollout_groups(before, [pool.queries[qi] for qi in indices], cfg.k,
+                            substream(cfg.seed, "rollout", 0), xi=cfg.mix.xi,
+                            stop_token=cfg.task.stop, t_max=cfg.t_max)
+    objective = substream(cfg.seed, "objective", 0)
+    for group in groups:
         group.alone(before).record_sample_logp(before)  # as the trainer records them
-        report = dypo_step_loss(before, ref, group, teachers, cfg.mix,
-                                substream(cfg.seed, "objective", 0, j))
+        report = dypo_step_loss(before, ref, group, teachers, cfg.mix, objective)
         if group.grade is not DifficultyGrade.EASY:
             blocks.append((1.0, report.gradient))
     assert blocks
