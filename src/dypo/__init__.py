@@ -39,6 +39,7 @@ from .objectives import (
     pair_arrays,
     rollout_group,
     rollout_groups,
+    route_groups,
     sft_loss_grad,
     standardize_advantages,
 )

@@ -1,9 +1,10 @@
 """Grade a rollout group's binary reward pattern.
 
 The three grades partition all reward patterns: a group is Easy when every
-rollout is rewarded, Hard when none is, and Mid otherwise. ``dypo_step_loss``
-discards Easy groups (zero gradient contribution), distills Hard groups and
-sends Mid groups to the mixed RL objective.
+rollout is rewarded, Hard when none is, and Mid otherwise. The gate,
+``objectives.route_groups``, picks each group's pathway from its grade: under
+``dypo`` it discards Easy groups (zero gradient contribution), distills Hard
+groups and sends Mid groups to the mixed RL objective.
 """
 
 from __future__ import annotations

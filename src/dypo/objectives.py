@@ -1,11 +1,12 @@
-"""Loss values and exact gradients for every optimization pathway.
+"""Loss values and exact gradients for every optimization pathway, and the
+gate (``route_groups``) that sends each graded group to one of them.
 
 GRPO, its estimator, GAL and their mixture are each one pass over a batch of
 groups (``GroupBatch``): every group's loss, and gradients keyed by (group,
 row), so each group keeps the row block it would have alone. The per-group
 functions (``grpo_loss_grad``, ``gal_loss_grad``, ``dypo_step_loss``, ...)
-are those passes over a batch of one, which is what finite differences
-certify. Each returns a LossReport: scalar loss, exact gradient as a row
+are those passes, or the gate, over one group, which is what finite
+differences certify. Each returns a LossReport: scalar loss, exact gradient as a row
 block over the logit table, and named aux values. Gradients are exact for
 the reported loss expression.
 """
@@ -76,10 +77,10 @@ class GroupRollout:
     ``step_rows``: a sampled group (``rollout_groups``) keeps the rows it was
     sampled with, and builds its ``Trajectory`` objects from them only when
     they are read; a group built from given trajectories resolves their rows
-    once, on first use, and keeps them. ``sample_logp``, when recorded, is
-    the sampling policy's log-prob of every step; only GRPO reads it, so
-    sampling leaves it unset and the trainer records it for the groups it
-    sends to GRPO (``GroupBatch.record_sample_logp``).
+    once, on first use, and keeps them. ``sample_logp`` is the sampling
+    policy's log-prob of every step, which GRPO's ratios read: a sampled
+    group records it as it is sampled; a group built from trajectories has
+    it set by whoever built it, or lacks it.
     """
 
     def __init__(self, query: Query, trajectories: Sequence[Trajectory] | None,
@@ -102,10 +103,10 @@ class GroupRollout:
     @classmethod
     def sampled(cls, query: Query, rewards: Sequence[int], grade: DifficultyGrade,
                 advantages: np.ndarray, rows: StepRows, lengths: np.ndarray,
-                terminal: np.ndarray) -> GroupRollout:
+                terminal: np.ndarray, sample_logp: np.ndarray) -> GroupRollout:
         """A group as the sampler returns it: graded, with its steps' rows and
-        every trajectory's length and terminal flag."""
-        group = cls(query, None, rewards, advantages, rows)
+        sampling log-probs and every trajectory's length and terminal flag."""
+        group = cls(query, None, rewards, advantages, rows, sample_logp)
         group.grade, group.lengths, group._terminal = grade, lengths, terminal
         return group
 
@@ -163,8 +164,9 @@ class GroupBatch:
     order, ``traj`` each step's trajectory and ``owner`` each trajectory's
     group. A pass gathers its gradient under ``index``, the steps'
     ``(group, row)`` keys, so every group keeps its own row block
-    (``KeyedBlocks``). ``advantages`` and ``sample_logp`` read the groups'
-    own. Groups whose rows belong to another interner are an ``InputError``.
+    (``KeyedBlocks``). ``advantages``, ``sample_logp`` and ``rewards`` read
+    the groups' own. Groups whose rows belong to another interner are an
+    ``InputError``.
     """
 
     def __init__(self, params: PolicyParams, groups: Sequence[GroupRollout]):
@@ -201,20 +203,21 @@ class GroupBatch:
             raise StateError("group sampling log-probs are not recorded")
         return np.concatenate(parts)
 
-    def record_sample_logp(self, params: PolicyParams) -> None:
-        """Record ``params``' log-prob of every step as each group's ``sample_logp``.
-
-        Call it while ``params`` is the policy that sampled the groups.
-        """
-        logp = params.logp_at(self.rows, self.tokens)
-        ends = list(accumulate(g.rows.steps.shape[1] for g in self.groups))
-        for group, lo, hi in zip(self.groups, [0] + ends, ends):
-            group.sample_logp = logp[lo:hi]
-
     @property
     def owner(self) -> np.ndarray:
         """Each trajectory's group."""
         return np.repeat(np.arange(self.count), self.k)
+
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        """Every trajectory's reward, group by group."""
+        return np.concatenate([g.rewards for g in self.groups])
+
+    @cached_property
+    def spans(self) -> np.ndarray:
+        """Each group's (first trajectory, trajectory count) row, unsigned for
+        the pair check's range comparison."""
+        return np.stack([np.cumsum(self.k) - self.k, self.k], axis=1).astype(np.uintp)
 
     def log_ratios(self, params: PolicyParams) -> np.ndarray:
         """log(pi_params / pi_sampling) of every trajectory, against ``sample_logp``."""
@@ -300,7 +303,8 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
 
     With ``only``, just the groups of that grade are returned. Rewards and
     advantages are computed over the whole batch; each group keeps compact
-    int32 step rows of its own steps only.
+    int32 step rows of its own steps only, and their log-probs under
+    ``params``, the sampling policy, as its ``sample_logp``.
     """
     sampled = sample_lockstep(params, [q.query_id for q in queries], k, rng,
                               stop_token=stop_token, t_max=t_max)
@@ -321,9 +325,10 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
     terminal = sampled.terminal[traj].reshape(-1, k)
     ends = np.cumsum(lengths.sum(axis=1)).tolist()
     advantages = standardize_advantages(rewards[keep], xi)
+    logp = params.logp_at(*steps)
     return [GroupRollout.sampled(queries[g], reward_rows[g], grades[g], advantages[i],
                                  StepRows(params.interner, steps[:, lo:hi]), lengths[i],
-                                 terminal[i])
+                                 terminal[i], logp[lo:hi])
             for i, (g, lo, hi) in enumerate(zip(keep, [0] + ends, ends))]
 
 
@@ -455,18 +460,36 @@ def pair_arrays(groups: Sequence[GroupRollout], pair_cap: int,
     return out
 
 
-def _check_pairs(group: GroupRollout, pairs: np.ndarray) -> None:
-    if pairs.size == 0:
-        raise InputError("gal_loss_grad needs at least one pair")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InputError(f"pairs must have shape (n, 2), got {pairs.shape}")
-    # a plain loop: a group has few pairs, and numpy's per-call cost dominates
-    k, rewards = group.k, group.rewards
-    for win, lose in pairs.tolist():
-        if not (0 <= win < k and 0 <= lose < k):
-            raise InputError(f"pair indices must lie in [0, {k}), got ({win}, {lose})")
-        if rewards[win] != 1 or rewards[lose] != 0:
-            raise InputError("each pair must be (reward-1, reward-0) in that order")
+def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each group's pair count, and all pairs as indices into the batch's
+    trajectories. The first bad group, in batch order, is its own
+    ``InputError``: no pairs, then a shape other than ``(n, 2)``, then its
+    first bad pair, out of range before out of (reward-1, reward-0) order.
+    """
+    pairs = [np.asarray(p, dtype=np.intp) for p in pairs]
+    shaped = [p.size > 0 and p.ndim == 2 and p.shape[1] == 2 for p in pairs]
+    ill = shaped.index(False) if False in shaped else len(pairs)
+    # only the groups before the first ill-shaped one can raise before it
+    counts = np.array([len(p) for p in pairs[:ill]], dtype=np.intp)
+    local = np.concatenate(pairs[:ill]) if ill else np.zeros((0, 2), dtype=np.intp)
+    spans = np.repeat(batch.spans[:ill], counts, axis=0)
+    # a negative index reads as a huge unsigned one: one comparison checks both bounds
+    in_range = local.view(np.uintp) < spans[:, 1:]
+    traj_pairs = local + spans[:, :1].view(np.intp)
+    # an index out of range reads a clipped reward, but fails the range check
+    good = in_range & (batch.rewards.take(traj_pairs, mode="clip") == (1, 0))
+    if not good.all():
+        bad = good.all(axis=1).argmin()
+        win, lose = local[bad].tolist()
+        if not in_range[bad].all():
+            raise InputError(f"pair indices must lie in [0, {spans[bad, 1]}), got ({win}, {lose})")
+        raise InputError("each pair must be (reward-1, reward-0) in that order")
+    if ill < len(pairs):
+        if pairs[ill].size == 0:
+            raise InputError("gal_loss_grad needs at least one pair")
+        raise InputError(f"pairs must have shape (n, 2), got {pairs[ill].shape}")
+    return counts, traj_pairs
 
 
 def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
@@ -485,14 +508,9 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     """
     if len(pairs) != batch.count:
         raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
-    pairs = [np.asarray(p, dtype=np.intp) for p in pairs]
-    for group, p in zip(batch.groups, pairs):
-        _check_pairs(group, p)
+    counts, traj_pairs = _batch_pairs(batch, pairs)
     check_shared_interner(params, ref)
     beta = cfg.beta_gal
-    counts = np.array([len(p) for p in pairs])
-    firsts = accumulate([0] + [g.k for g in batch.groups])
-    traj_pairs = np.concatenate([p + first for p, first in zip(pairs, firsts)])
     win, lose = traj_pairs[:, 0], traj_pairs[:, 1]
     n = len(batch.lengths)
     log_ratio = (np.bincount(batch.traj, weights=params.logp_at(batch.rows, batch.tokens),
@@ -546,37 +564,60 @@ def mixed_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
                        aux={**grpo.aux, **gal.aux}, weights=gal.weights)
 
 
-def draw_route(params: PolicyParams, group: GroupRollout, teachers: Sequence[TeacherOracle],
-               cfg: MixConfig, rng: np.random.Generator) -> LossReport | np.ndarray:
-    """Route one graded group, up to the batched pass.
+# the gate: each variant's pathway per grade, None for a discarded group
+PATHWAYS = {
+    "dypo": {DifficultyGrade.EASY: None, DifficultyGrade.HARD: "distill",
+             DifficultyGrade.MID: "rl"},
+    "sft_only": dict.fromkeys(DifficultyGrade, "distill"),
+    "grpo_only": dict.fromkeys(DifficultyGrade, "rl"),
+}
+VARIANTS = tuple(PATHWAYS)
 
-    Easy groups give the zero report and Hard groups the gamma-scaled
-    distillation report, its teacher drawn from ``rng``. Mid groups give
-    their alignment pairs, drawn from ``rng``, for ``mixed_pass``.
+
+def route_groups(params: PolicyParams, ref: PolicyParams, groups: Sequence[GroupRollout],
+                 teachers: Sequence[TeacherOracle], cfg: MixConfig, rng: np.random.Generator,
+                 variant: str = "dypo") -> tuple[list[LossReport | None], BatchReport | None]:
+    """Each group's report from its pathway, ``PATHWAYS[variant][grade]``, in
+    group order (``None`` for a discarded group), and the RL pass's report
+    (``None`` when no group takes it). ``rng`` draws the capped Mid groups'
+    pairs (``pair_arrays``), then the distilled groups' teachers, each in
+    group order. A distilled report is gamma times ``sft_loss_grad``; the
+    RL-bound groups go through one ``mixed_pass`` under ``dypo``, else one
+    ``grpo_pass``, a lone group as ``group.alone(params)`` for reuse.
     """
-    g = group.grade
-    if g is DifficultyGrade.EASY:
-        empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
-        return LossReport(loss=0.0, gradient=empty, aux={"grade": g.value})
-    if g is DifficultyGrade.HARD:
-        sft = sft_loss_grad(params, group.query, teachers, rng)
-        return LossReport(loss=cfg.gamma * sft.loss, gradient=sft.gradient.scaled(cfg.gamma),
-                          aux={**sft.aux, "grade": g.value})
-    return build_pairs(group, cfg.pair_cap, rng)
+    if variant not in PATHWAYS:
+        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    routes = [PATHWAYS[variant][group.grade] for group in groups]
+    rl = [i for i, route in enumerate(routes) if route == "rl"]
+    mixed = variant == "dypo"
+    pairs = pair_arrays([groups[i] for i in rl], cfg.pair_cap, rng) if mixed else None
+    reports: list[LossReport | None] = [None] * len(groups)
+    for i, route in enumerate(routes):
+        if route == "distill":
+            sft = sft_loss_grad(params, groups[i].query, teachers, rng)
+            reports[i] = LossReport(cfg.gamma * sft.loss, sft.gradient.scaled(cfg.gamma), sft.aux)
+    if not rl:
+        return reports, None
+    batch = groups[rl[0]].alone(params) if len(rl) == 1 else GroupBatch(
+        params, [groups[i] for i in rl])
+    passed = (mixed_pass(params, ref, batch, pairs, cfg) if mixed
+              else grpo_pass(params, ref, batch, cfg))
+    for i, report in zip(rl, passed.reports()):
+        reports[i] = report
+    return reports, passed
 
 
 def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
                    group: GroupRollout, teachers: Sequence[TeacherOracle],
                    cfg: MixConfig, rng: np.random.Generator) -> LossReport:
-    """Route one graded group to its pathway and return the dispatched report.
-
-    Easy groups contribute exactly zero loss and gradient; Hard groups return
-    gamma-scaled distillation; Mid groups return the alpha-mixture of the
-    clipped surrogate and the pairwise alignment loss.
+    """``route_groups`` over the group alone, under ``dypo``, with the
+    group's grade as ``aux["grade"]``: an Easy group gives exactly zero loss
+    and gradient, a Hard group gamma-scaled distillation and a Mid group the
+    alpha-mixture of the clipped surrogate and the pairwise alignment loss.
     """
-    routed = draw_route(params, group, teachers, cfg, rng)
-    if isinstance(routed, LossReport):
-        return routed
-    report = mixed_pass(params, ref, group.alone(params), [routed], cfg).reports()[0]
+    (report,), _ = route_groups(params, ref, [group], teachers, cfg, rng)
+    if report is None:
+        empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
+        report = LossReport(loss=0.0, gradient=empty)
     report.aux["grade"] = group.grade.value
     return report

@@ -1,11 +1,11 @@
 """End-to-end training loop: rollout, grade, dispatch, update, record.
 
-One step samples a batch of queries from a fixed pool, rolls out k
-trajectories per query, grades each group, dispatches per-query losses by
-variant, averages gradients over dispatched queries, and applies a single
-plain gradient-descent update. All randomness is derived from named
-substreams of (seed, role, step), so a run is replayable from any
-checkpoint.
+One step draws a batch of queries from a fixed pool, samples and grades
+their groups of k trajectories together (``rollout_groups``), routes them
+through the gate (``route_groups``) by variant, averages the gradients of
+the groups it did not discard, and applies a single plain gradient-descent
+update. All randomness is derived from named substreams of (seed, role,
+step), so a run is replayable from any checkpoint.
 """
 
 from __future__ import annotations
@@ -25,18 +25,12 @@ from .errors import ConfigError, DataError, TrainingAborted
 from .grading import DifficultyGrade
 from .instrumentation import CHUNK_GROUPS, StepMetrics, write_metrics
 from .objectives import (
-    BatchReport,
-    GroupBatch,
+    VARIANTS,
     GroupRollout,
-    LossReport,
     MixConfig,
-    draw_route,
     gal_etas,
-    grpo_pass,
-    mixed_pass,
-    pair_arrays,
     rollout_groups,
-    sft_loss_grad,
+    route_groups,
 )
 from .policy import ContextInterner, PolicyParams, mean_step_entropy, sum_blocks
 from .seeding import substream
@@ -48,8 +42,6 @@ from .tasks import (
     make_teacher_ensemble,
     max_demo_len,
 )
-
-VARIANTS = ("dypo", "sft_only", "grpo_only")
 
 
 def default_testbed() -> BiasTestbedConfig:
@@ -320,49 +312,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
 
 
-def _step_reports(config: TrainConfig, params: PolicyParams, ref: PolicyParams,
-                  pool: QueryPool, teachers, step: int, indices: Sequence[int]
-                  ) -> tuple[list[GroupRollout], list[LossReport], BatchReport | None]:
-    """Roll out a step's groups and return each one's report.
-
-    The step's groups are sampled together from its ``rollout`` substream.
-    Its ``objective`` substream then draws the pairs of capped Mid groups,
-    then the teachers of Hard groups (every group's teacher under
-    ``sft_only``), each in query order. The groups that reach GRPO (Mid groups under
-    ``dypo``, every group under ``grpo_only``) then go through one batched
-    pass, whose report is returned beside the groups' own.
-    """
-    queries = [pool.queries[i] for i in indices]
-    groups = rollout_groups(params, queries, config.k, substream(config.seed, "rollout", step),
-                            xi=config.mix.xi, stop_token=config.task.stop, t_max=config.t_max)
-    obj_rng = substream(config.seed, "objective", step)
-    routed: list[LossReport | None] = [None] * len(groups)
-    if config.variant == "dypo":
-        mid = [j for j, group in enumerate(groups) if group.grade is DifficultyGrade.MID]
-        pairs = pair_arrays([groups[j] for j in mid], config.mix.pair_cap, obj_rng)
-        for j, group in enumerate(groups):
-            if group.grade is not DifficultyGrade.MID:
-                routed[j] = draw_route(params, group, teachers, config.mix, obj_rng)
-    elif config.variant == "sft_only":
-        for j, query in enumerate(queries):
-            sft = sft_loss_grad(params, query, teachers, obj_rng)
-            routed[j] = LossReport(loss=config.mix.gamma * sft.loss,
-                                   gradient=sft.gradient.scaled(config.mix.gamma), aux=sft.aux)
-    to_grpo = [j for j, route in enumerate(routed) if route is None]
-    if not to_grpo:
-        return groups, routed, None
-    batch = GroupBatch(params, [groups[j] for j in to_grpo])
-    # no update has happened yet, so params is still the policy that sampled them
-    batch.record_sample_logp(params)
-    if config.variant == "dypo":
-        passed = mixed_pass(params, ref, batch, pairs, config.mix)
-    else:
-        passed = grpo_pass(params, ref, batch, config.mix)
-    for j, report in zip(to_grpo, passed.reports()):
-        routed[j] = report
-    return groups, routed, passed
-
-
 def _visited_rows(params: PolicyParams, groups: Sequence[GroupRollout]) -> np.ndarray:
     return np.concatenate([g.step_rows(params)[0] for g in groups])
 
@@ -419,12 +368,16 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
 
     for step in range(start, config.steps):
         index_rng = substream(config.seed, "stream", step)
-        indices = [int(i) for i in index_rng.integers(len(pool), size=config.batch_size)]
-        groups, reports, passed = _step_reports(config, params, ref, pool, teachers, step,
-                                                indices)
+        queries = [pool.queries[int(i)]
+                   for i in index_rng.integers(len(pool), size=config.batch_size)]
+        groups = rollout_groups(params, queries, config.k,
+                                substream(config.seed, "rollout", step), xi=config.mix.xi,
+                                stop_token=config.task.stop, t_max=config.t_max)
+        reports, passed = route_groups(params, ref, groups, teachers, config.mix,
+                                       substream(config.seed, "objective", step),
+                                       config.variant)
         counts = Counter(group.grade for group in groups)
-        dispatched = [report for group, report in zip(groups, reports)
-                      if config.variant != "dypo" or group.grade is not DifficultyGrade.EASY]
+        dispatched = [report for report in reports if report is not None]
         stats.dispatched_queries += len(dispatched)
         eta = kl = 0.0
         if passed is not None:
@@ -529,9 +482,7 @@ def run_comparison(config: TrainConfig, out_dir: str | Path | None = None,
     """
     results: dict[str, TrainResult] = {}
     out_path = Path(out_dir) if out_dir is not None else None
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
+    for variant in variants:  # an unknown variant is TrainConfig's ConfigError
         result = train(replace(config, variant=variant))
         results[variant] = result
         if out_path is not None:

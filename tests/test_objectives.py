@@ -120,11 +120,10 @@ def test_grpo_on_policy_identity():
     # ratio is exactly 1; with the reference at the params the loss is 0
     inst = _mid_instance(index=7)
     ref = inst.params.snapshot()
-    # the first Mid group that rollout_group samples, with its sampling
-    # log-probs recorded as the trainer records them
+    # the first Mid group that rollout_group samples, which records its
+    # sampling log-probs as it is sampled
     group, = collect_mid_groups(inst.params, lambda rng: inst.query, 1, substream(7, "on-policy"),
                                 k=8, xi=CFG.xi, stop_token=TASK.stop, t_max=14)
-    group.alone(inst.params).record_sample_logp(inst.params)
     report = grpo_loss_grad(inst.params, ref, group, CFG)
     assert not group.alone(inst.params).log_ratios(inst.params).any()
     assert report.aux["kl_value"] == 0.0

@@ -1,9 +1,10 @@
 """Property tests: the lockstep and scalar samplers and row-block gradients
 against naive per-position and per-token references, one keyed loss pass
-against its groups one by one, pair construction one group at a time and
-batched, the grading partition, advantage standardization per group and per
-reward matrix, the reward parser and the batch reward against it, and the
-JSON config round trip."""
+against its groups one by one, the routing gate against its pathways by
+hand, pair construction one group at a time and batched, the grading
+partition, advantage standardization per group and per reward matrix, the
+reward parser and the batch reward against it, and the JSON config round
+trip."""
 
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from dypo.objectives import (
     mixed_pass,
     pair_arrays,
     rollout_groups,
+    route_groups,
     sft_loss_grad,
     standardize_advantages,
 )
@@ -221,6 +223,9 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
         assert np.array_equal(rows, params.rows(contexts))
         assert tokens.tolist() == [tok for t in trajs for tok in t.tokens]
         assert lengths.tolist() == [len(t) for t in trajs]
+        # recorded as sampled: GRPO's ratios on a fresh group are exactly 1
+        np.testing.assert_array_equal(group.sample_logp, params.logp_at(rows, tokens))
+        assert not group.alone(params).log_ratios(params).any()
 
 
 def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
@@ -309,9 +314,11 @@ def test_gal_block_matches_naive_reference(seed, index, beta, duplicated):
                          naive_gal(inst.params, inst.ref, group, pairs, beta))
 
 
-def _mid_groups(inst, picks, extra, sampler) -> list[GroupRollout]:
-    """Mid groups on one policy: group i is a success, a failure and more of
-    either, picked by ``picks[i]``, with the sampling log-probs of ``sampler``."""
+def _graded_groups(inst, picks, extra, sampler, grades=None) -> list[GroupRollout]:
+    """Groups on one policy, Mid unless ``grades[i]`` says otherwise: Mid
+    group i is a success, a failure and more of either, picked by
+    ``picks[i]``, an Easy group only successes and a Hard group only
+    failures; all with the sampling log-probs of ``sampler``."""
     won = [t for t, r in zip(inst.group.trajectories, inst.group.rewards) if r == 1]
     lost = [t for t, r in zip(inst.group.trajectories, inst.group.rewards) if r == 0]
     lost += [Trajectory((inst.query.stop,), terminal=True)]
@@ -319,9 +326,14 @@ def _mid_groups(inst, picks, extra, sampler) -> list[GroupRollout]:
              if reward(inst.query, t) == 0]
     pool = won + lost
     groups = []
-    for pick in picks:
-        trajs = (won[pick[0] % len(won)], lost[pick[1] % len(lost)],
-                 *(pool[p % len(pool)] for p in pick[2:]))
+    for i, pick in enumerate(picks):
+        of = {DifficultyGrade.EASY: won, DifficultyGrade.HARD: lost}.get(
+            grades[i] if grades else DifficultyGrade.MID)
+        if of is None:
+            trajs = (won[pick[0] % len(won)], lost[pick[1] % len(lost)],
+                     *(pool[p % len(pool)] for p in pick[2:]))
+        else:
+            trajs = tuple(of[p % len(of)] for p in pick)
         rewards = tuple(reward(inst.query, t) for t in trajs)
         group = GroupRollout(inst.query, trajs, rewards,
                              advantages=standardize_advantages(rewards, 1e-4))
@@ -352,7 +364,7 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
                                                          pair_cap):
     inst = make_instance(seed, index)
     params, ref = inst.params, inst.ref
-    groups = _mid_groups(inst, picks, extra, params if on_policy else ref)
+    groups = _graded_groups(inst, picks, extra, params if on_policy else ref)
     cfg = MixConfig(pair_cap=pair_cap)
     pairs = [build_pairs(g, pair_cap, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
     batch = GroupBatch(params, groups)
@@ -378,23 +390,40 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
                                   np.concatenate(one_by_one))
 
 
+# a flaw of a group's pairs, and its InputError's message
+FLAWS = {
+    "swapped": (lambda pairs, k: pairs[:, ::-1], "in that order"),
+    "out of range": (lambda pairs, k: pairs + k, "must lie in"),
+    "negative": (lambda pairs, k: pairs - k, "must lie in"),
+    "empty": (lambda pairs, k: pairs[:0], "at least one pair"),
+    "shape": (lambda pairs, k: np.concatenate([pairs, pairs[:, :1]], axis=1), "shape"),
+}
+
+
 @given(seed=seeds, index=st.integers(0, 60), picks=picks, bad=st.integers(0, 5),
-       flaw=st.sampled_from(["swapped", "out of range", "empty"]))
+       flaw=st.sampled_from(sorted(FLAWS)), later=st.integers(0, 5),
+       later_flaw=st.sampled_from(sorted(FLAWS)))
 @FAST
-def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, picks, bad, flaw):
+def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, picks, bad, flaw,
+                                                                later, later_flaw):
     inst = make_instance(seed, index)
     params, ref = inst.params, inst.ref
-    groups = _mid_groups(inst, picks, (), ref)
+    groups = _graded_groups(inst, picks, (), ref)
     bad %= len(groups)
     cfg = MixConfig()
     pairs = [build_pairs(g, 8, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
-    pairs[bad] = {"swapped": pairs[bad][:, ::-1], "out of range": pairs[bad] + groups[bad].k,
-                  "empty": pairs[bad][:0]}[flaw]
-    with pytest.raises(InputError) as alone:
+    flawed, message = FLAWS[flaw]
+    pairs[bad] = flawed(pairs[bad], groups[bad].k)
+    with pytest.raises(InputError, match=message) as alone:
         gal_loss_grad(params, ref, groups[bad], pairs[bad], cfg)
-    with pytest.raises(InputError) as batched:
-        gal_pass(params, ref, GroupBatch(params, groups), pairs, cfg)
-    assert str(batched.value) == str(alone.value)
+    # the first bad group's error, also with a second bad group after it
+    later %= len(groups)
+    second = FLAWS[later_flaw][0](build_pairs(groups[later], 8, substream(seed, "pairs", later)),
+                                  groups[later].k)
+    for batch, batch_pairs in ((groups, pairs), (groups + [groups[later]], pairs + [second])):
+        with pytest.raises(InputError) as batched:
+            gal_pass(params, ref, GroupBatch(params, batch), batch_pairs, cfg)
+        assert str(batched.value) == str(alone.value)
     # a group whose rows were resolved in another interner
     other = groups[bad]
     foreign = GroupRollout(other.query, other.trajectories, other.rewards, other.advantages)
@@ -404,6 +433,56 @@ def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, pic
     with pytest.raises(InputError) as batched:
         GroupBatch(params, groups[:bad] + [foreign] + groups[bad:])
     assert str(batched.value) == str(alone.value)
+
+
+@given(seed=seeds, index=st.integers(0, 60), picks=picks,
+       grades=st.lists(st.sampled_from(DifficultyGrade), min_size=6, max_size=6),
+       extra=st.lists(token_seqs, max_size=4), on_policy=st.booleans(),
+       pair_cap=st.integers(1, 8), gamma=st.sampled_from([0.5, 1.0, 3.0]),
+       variant=st.sampled_from(VARIANTS))
+@FAST
+def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, extra, on_policy,
+                                                  pair_cap, gamma, variant):
+    inst = make_instance(seed, index)
+    params, ref, teachers = inst.params, inst.ref, inst.teachers
+    groups = _graded_groups(inst, picks, extra, params if on_policy else ref, grades)
+    cfg = MixConfig(gamma=gamma, pair_cap=pair_cap)
+    rng, twin = substream(seed, "gate"), substream(seed, "gate")
+    reports, passed = route_groups(params, ref, groups, teachers, cfg, rng, variant)
+    # the pathways by hand: the pairs of capped Mid groups are drawn first,
+    # then the teachers of the distilled groups, each in group order
+    grade_of = [g.grade for g in groups]
+    rl = [i for i, g in enumerate(grade_of) if variant == "grpo_only"
+          or variant == "dypo" and g is DifficultyGrade.MID]
+    distilled = [i for i, g in enumerate(grade_of) if variant == "sft_only"
+                 or variant == "dypo" and g is DifficultyGrade.HARD]
+    pairs = pair_arrays([groups[i] for i in rl], pair_cap, twin) if variant == "dypo" else None
+    sft = {i: sft_loss_grad(params, groups[i].query, teachers, twin) for i in distilled}
+    assert rng.random() == twin.random()
+    assert (passed is None) == (not rl)
+    if rl:
+        batch = GroupBatch(params, [groups[i] for i in rl])
+        want = (mixed_pass(params, ref, batch, pairs, cfg) if variant == "dypo"
+                else grpo_pass(params, ref, batch, cfg))
+        np.testing.assert_array_equal(passed.loss, want.loss)
+        for i, report in zip(rl, want.reports()):
+            assert_same_report(reports[i], report)
+    for i, report in sft.items():
+        assert reports[i].loss == gamma * report.loss and reports[i].aux == report.aux
+        np.testing.assert_array_equal(reports[i].gradient.rows, report.gradient.rows)
+        np.testing.assert_array_equal(reports[i].gradient.values, gamma * report.gradient.values)
+    for i in set(range(len(groups))) - set(rl) - set(distilled):
+        assert variant == "dypo" and grade_of[i] is DifficultyGrade.EASY and reports[i] is None
+    # the certified per-group step is the gate over one group, of each kind present
+    for g in {grade: groups[i] for i, grade in enumerate(grade_of)}.values():
+        step = dypo_step_loss(params, ref, g, teachers, cfg, substream(seed, "one"))
+        (alone,), _ = route_groups(params, ref, [g], teachers, cfg, substream(seed, "one"))
+        assert step.aux["grade"] == g.grade.value
+        if alone is None:
+            assert g.grade is DifficultyGrade.EASY
+            assert step.loss == 0.0 and step.gradient.rows.size == 0
+        else:
+            assert_same_report(alone, step)
 
 
 @given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=12).filter(

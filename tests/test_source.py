@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-the README's configuration block is the schema's defaults."""
+"""Source hygiene: no module of the package imports a name it never uses, the
+trainer routes only through the gate, and the README's configuration block is
+the schema's defaults."""
 
 from __future__ import annotations
 
@@ -60,6 +61,15 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_trainer_routes_only_through_the_gate():
+    # the pathways are picked and run by objectives.route_groups alone
+    tree = ast.parse((SRC / "trainer.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "route_groups" in imported
+    assert imported.isdisjoint({"sft_loss_grad", "grpo_pass", "mixed_pass", "pair_arrays"})
 
 
 def test_the_readme_config_block_is_the_default_config():

@@ -12,10 +12,12 @@ import pytest
 
 from dypo.errors import ConfigError, DataError, TrainingAborted
 from dypo.instrumentation import read_metrics, write_metrics
+from dypo.objectives import MixConfig
 from dypo.policy import PolicyParams, RowBlock
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig
 from dypo.trainer import (
+    VARIANTS,
     Checkpoint,
     QueryPool,
     TrainConfig,
@@ -263,39 +265,37 @@ def test_history_order_two_trains():
 
 
 def test_batch_gradient_is_additive_over_query_reports():
-    # the applied update equals the mean of independently recomputed
-    # per-query reports: (theta_before - theta_after) / lr
-    from dypo.objectives import dypo_step_loss, rollout_groups
+    # under every variant the applied update, (theta_before - theta_after) / lr,
+    # is the mean of the reports the gate dispatches; the step has Hard and
+    # Mid groups, and at pair cap 3 every Mid group of k = 8 draws its pairs
     from dypo.grading import DifficultyGrade
+    from dypo.objectives import rollout_groups, route_groups
     from dypo.policy import sum_blocks
+    from dypo.tasks import make_teacher_ensemble
 
-    cfg = TrainConfig(seed=23, steps=1, batch_size=4)
-    pool = QueryPool(cfg.task, cfg.seed)
-    before = init_policy(cfg, pool)
-    ref = before.snapshot()
-    after = train(cfg).checkpoint.params
+    for variant in VARIANTS:
+        cfg = TrainConfig(seed=24, steps=1, batch_size=8, variant=variant,
+                          mix=MixConfig(pair_cap=3))
+        pool = QueryPool(cfg.task, cfg.seed)
+        before = init_policy(cfg, pool)
+        after = train(cfg).checkpoint.params
 
-    indices = [int(i) for i in substream(cfg.seed, "stream", 0).integers(
-        len(pool), size=cfg.batch_size)]
-    blocks = []
-    teachers_mod = __import__("dypo.tasks", fromlist=["make_teacher_ensemble"])
-    teachers = teachers_mod.make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed)
-    # the step's groups come from one rollout substream; its objective
-    # substream draws their teachers and pairs in query order
-    groups = rollout_groups(before, [pool.queries[qi] for qi in indices], cfg.k,
-                            substream(cfg.seed, "rollout", 0), xi=cfg.mix.xi,
-                            stop_token=cfg.task.stop, t_max=cfg.t_max)
-    objective = substream(cfg.seed, "objective", 0)
-    for group in groups:
-        group.alone(before).record_sample_logp(before)  # as the trainer records them
-        report = dypo_step_loss(before, ref, group, teachers, cfg.mix, objective)
-        if group.grade is not DifficultyGrade.EASY:
-            blocks.append((1.0, report.gradient))
-    assert blocks
-    expected = block_dict(before, sum_blocks(blocks).scaled(1.0 / len(blocks)))
-    for ctx, vec in expected.items():
-        applied = (before.logits(ctx) - after.logits(ctx)) / cfg.learning_rate
-        np.testing.assert_allclose(applied, vec, atol=1e-12)
+        indices = substream(cfg.seed, "stream", 0).integers(len(pool), size=cfg.batch_size)
+        groups = rollout_groups(before, [pool.queries[i] for i in indices], cfg.k,
+                                substream(cfg.seed, "rollout", 0), xi=cfg.mix.xi,
+                                stop_token=cfg.task.stop, t_max=cfg.t_max)
+        grades = [g.grade for g in groups]
+        assert DifficultyGrade.MID in grades and DifficultyGrade.HARD in grades
+        reports, _ = route_groups(before, before.snapshot(), groups,
+                                  make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed),
+                                  cfg.mix, substream(cfg.seed, "objective", 0), variant)
+        discarded = grades.count(DifficultyGrade.EASY) if variant == "dypo" else 0
+        blocks = [(1.0, report.gradient) for report in reports if report is not None]
+        assert len(blocks) == len(groups) - discarded
+        expected = block_dict(before, sum_blocks(blocks).scaled(1.0 / len(blocks)))
+        for ctx, vec in expected.items():
+            applied = (before.logits(ctx) - after.logits(ctx)) / cfg.learning_rate
+            np.testing.assert_allclose(applied, vec, atol=1e-12)
 
 
 def test_each_group_is_graded_once(monkeypatch):
