@@ -1,26 +1,39 @@
 """Central finite-difference certification of every analytic gradient.
 
-The checker perturbs each logit entry of the contexts a loss can touch in
-place, re-evaluates the loss, restores the entry, and compares the resulting
-numeric gradient against the analytic one. It only ever calls loss
-evaluation, never the gradient code under test.
+Each probe adds +eps or -eps to one logit entry of the contexts a loss can
+touch. All 2 * |contexts| * V probes of an instance are one table
+(``Probes``): a frozen copy of the policy with one extra row per probe, the
+probed row so perturbed, and the instance's group repeated once per probe,
+each copy reading its own probe's row. One loss evaluation over that table
+gives every probe's loss, and so the numeric gradient, which is compared
+against the analytic one. Each probe's loss is bit for bit the loss with
+that one entry perturbed in place. The checker only ever calls loss
+evaluation, never the gradient code under test, and leaves the policy
+unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .objectives import (
+    PATHWAYS,
+    GroupBatch,
     GroupRollout,
-    LossReport,
     MixConfig,
+    draw_demo,
     dypo_step_loss,
     gal_loss_grad,
+    gal_pass,
     grpo_loss_grad,
+    grpo_pass,
+    mixed_pass,
+    pair_arrays,
     sft_loss_grad,
     standardize_advantages,
 )
@@ -36,23 +49,57 @@ from .seeding import substream
 from .tasks import Query, TaskConfig, generate_query, make_teacher_ensemble, reward, teacher_sample
 
 
-def numerical_gradient(f: Callable[[PolicyParams], float], params: PolicyParams,
-                       contexts: Sequence[Context],
-                       eps: float = 1e-5) -> dict[Context, np.ndarray]:
-    """Central differences of f over every (context, token) logit entry.
+class Probes:
+    """Every central-difference probe of ``params`` over ``contexts``.
 
-    Each probe perturbs one entry of ``params`` in place and restores it
-    bit-exactly before the next, so ``params`` ends unchanged.
+    Probe ``2 * (c * V + v)`` adds +eps, and the probe after it -eps, to
+    entry v of the row of ``contexts[c]``, which must be interned. Probe p
+    reads its perturbed row at row ``own[p]`` of ``self.params``, a copy of
+    the policy with one extra row per probe; ``self.ref`` extends the
+    reference likewise with the probed row's own, unperturbed, so that a
+    row both policies read is read at the same row number.
     """
-    grad: dict[Context, np.ndarray] = {}
-    for ctx in contexts:
-        row = np.zeros(params.vocab_size)
-        for tok in range(params.vocab_size):
-            for sign in (1.0, -1.0):
-                with params.perturbed(ctx, tok, sign * eps):
-                    row[tok] += sign * f(params)
-        grad[ctx] = row / (2.0 * eps)
-    return grad
+
+    def __init__(self, params: PolicyParams, ref: PolicyParams, contexts: Sequence[Context],
+                 eps: float):
+        index = params.interner.index
+        missing = [ctx for ctx in contexts if ctx not in index]
+        if missing:
+            raise InputError(f"probed contexts must be interned, got {missing[0]}")
+        v = params.vocab_size
+        rows = np.array([index[ctx] for ctx in contexts], dtype=np.intp)
+        self.probed = np.repeat(rows, 2 * v)
+        self.count = len(self.probed)
+        tokens = np.tile(np.arange(v).repeat(2), len(rows))
+        shift = np.zeros((self.count, v))
+        shift[np.arange(self.count), tokens] = np.tile([eps, -eps], len(rows) * v)
+        self.params = params.with_rows(self.probed, shift)
+        self.ref = ref.with_rows(self.probed)
+        self.own = len(params.interner.contexts) + np.arange(self.count)
+
+    def remap(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as each probe reads them, one line per probe: its probed
+        row swapped for its own."""
+        return np.where(rows == self.probed[:, None], self.own[:, None], rows)
+
+    def batch(self, group: GroupRollout) -> GroupBatch:
+        """The group once per probe, each copy reading its probe's rows."""
+        rows, _, _ = group.step_rows(self.params)
+        return GroupBatch.tiled(self.params, group, self.remap(rows))
+
+
+def numerical_gradient(losses: Callable[[Probes], np.ndarray], params: PolicyParams,
+                       ref: PolicyParams, contexts: Sequence[Context],
+                       eps: float = 1e-5) -> dict[Context, np.ndarray]:
+    """Central differences of a loss over every (context, token) logit entry.
+
+    ``losses`` evaluates the loss under every probe of
+    ``Probes(params, ref, contexts, eps)`` at once, in probe order; ``params``
+    and ``ref`` are not changed.
+    """
+    values = losses(Probes(params, ref, contexts, eps))
+    diff = (values[0::2] - values[1::2]) / (2.0 * eps)
+    return dict(zip(contexts, diff.reshape(len(contexts), params.vocab_size)))
 
 
 def gradient_error(params: PolicyParams, analytic: RowBlock,
@@ -141,18 +188,68 @@ def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
 _MIX = MixConfig()
 
 
-def _certify(inst: GradCheckInstance, loss: Callable[[PolicyParams], LossReport],
-             eps: float) -> float:
-    """Error of the analytic gradient of ``loss`` against central differences."""
-    analytic = loss(inst.params).gradient
-    numeric = numerical_gradient(lambda p: loss(p).loss, inst.params, inst.contexts, eps)
-    return gradient_error(inst.params, analytic, numeric)
+def _demo_nll(inst: GradCheckInstance, rng: np.random.Generator
+              ) -> Callable[[Probes], np.ndarray]:
+    """Each probe's negative log-likelihood of the demonstration that
+    ``sft_loss_grad`` draws from ``rng``, drawn here once."""
+    _, demo = draw_demo(inst.query, inst.teachers, rng)
+    rows, tokens = inst.params.trajectory_rows(inst.query.query_id, demo.tokens)
+    return lambda probes: -probes.params.logp_at(probes.remap(rows), tokens).sum(axis=1)
+
+
+def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
+                 rng: np.random.Generator | None = None) -> Callable[[Probes], np.ndarray]:
+    """Every probe's value of the certified ``loss`` at the instance, as one
+    evaluation over the probes. The draws the loss makes from ``rng`` (a
+    teacher and its demonstration, capped pairs) are made here, once, as the
+    loss makes them."""
+    group = inst.group
+    if loss == "dypo_step_loss":
+        route = PATHWAYS["dypo"][group.grade]
+        if route is None:
+            return lambda probes: np.zeros(probes.count)
+        if route == "distill":
+            nll = _demo_nll(inst, rng)
+            return lambda probes: cfg.gamma * nll(probes)
+        pairs, = pair_arrays([group], cfg.pair_cap, rng)
+        return lambda probes: mixed_pass(probes.params, probes.ref, probes.batch(group),
+                                         [pairs] * probes.count, cfg).loss
+    if loss == "sft_loss_grad":
+        return _demo_nll(inst, rng)
+    if loss == "grpo_loss_grad":
+        return lambda probes: grpo_pass(probes.params, probes.ref, probes.batch(group), cfg).loss
+    if loss == "gal_loss_grad":
+        return lambda probes: gal_pass(probes.params, probes.ref, probes.batch(group),
+                                       [inst.pairs] * probes.count, cfg).loss
+    raise ConfigError(f"no certified loss named {loss!r}")
+
+
+# each certified loss at an instance, as the library evaluates it
+_REPORTS = {
+    "sft_loss_grad": lambda inst, cfg, rng: sft_loss_grad(inst.params, inst.query, inst.teachers,
+                                                          rng),
+    "grpo_loss_grad": lambda inst, cfg, rng: grpo_loss_grad(inst.params, inst.ref, inst.group,
+                                                            cfg),
+    "gal_loss_grad": lambda inst, cfg, rng: gal_loss_grad(inst.params, inst.ref, inst.group,
+                                                          inst.pairs, cfg),
+    "dypo_step_loss": lambda inst, cfg, rng: dypo_step_loss(inst.params, inst.ref, inst.group,
+                                                            inst.teachers, cfg, rng),
+}
+
+
+def certify(inst: GradCheckInstance, loss: str, cfg: MixConfig = _MIX,
+            rng: np.random.Generator | None = None, eps: float = 1e-5) -> float:
+    """Error of the analytic gradient of the certified ``loss`` at the
+    instance against central differences; ``rng`` feeds the loss's draws."""
+    losses = probe_losses(inst, loss, cfg, copy.deepcopy(rng))
+    analytic = _REPORTS[loss](inst, cfg, rng).gradient
+    return gradient_error(inst.params, analytic,
+                          numerical_gradient(losses, inst.params, inst.ref, inst.contexts, eps))
 
 
 def check_sft(seed: int, index: int, eps: float = 1e-5) -> float:
-    inst = make_instance(seed, index)
-    return _certify(inst, lambda p: sft_loss_grad(
-        p, inst.query, inst.teachers, substream(seed, "gradcheck-sft", index)), eps)
+    return certify(make_instance(seed, index), "sft_loss_grad",
+                   rng=substream(seed, "gradcheck-sft", index), eps=eps)
 
 
 def check_grpo(seed: int, index: int, eps: float = 1e-5) -> float:
@@ -161,12 +258,11 @@ def check_grpo(seed: int, index: int, eps: float = 1e-5) -> float:
         inst = make_instance(seed, index + 10_000 * attempt)
         if _off_clip(inst, _MIX, margin=10 * eps):
             break
-    return _certify(inst, lambda p: grpo_loss_grad(p, inst.ref, inst.group, _MIX), eps)
+    return certify(inst, "grpo_loss_grad", eps=eps)
 
 
 def check_gal(seed: int, index: int, eps: float = 1e-5) -> float:
-    inst = make_instance(seed, index)
-    return _certify(inst, lambda p: gal_loss_grad(p, inst.ref, inst.group, inst.pairs, _MIX), eps)
+    return certify(make_instance(seed, index), "gal_loss_grad", eps=eps)
 
 
 def check_dypo(seed: int, index: int, eps: float = 1e-5) -> float:
@@ -175,9 +271,7 @@ def check_dypo(seed: int, index: int, eps: float = 1e-5) -> float:
         inst = make_instance(seed, index + 10_000 * attempt, kind=kind)
         if kind != "mid" or _off_clip(inst, _MIX, margin=10 * eps):
             break
-    return _certify(inst, lambda p: dypo_step_loss(
-        p, inst.ref, inst.group, inst.teachers, _MIX,
-        substream(seed, "gradcheck-dypo", index)), eps)
+    return certify(inst, "dypo_step_loss", rng=substream(seed, "gradcheck-dypo", index), eps=eps)
 
 
 CHECKS = {

@@ -91,7 +91,6 @@ class GroupRollout:
         self.advantages = advantages
         self.rows = rows
         self.sample_logp = sample_logp
-        self._alone: GroupBatch | None = None
         if trajectories is not None:  # None: a sampled group, see ``sampled``
             self.trajectories = tuple(trajectories)
             self.lengths = np.array([len(t) for t in self.trajectories])
@@ -149,12 +148,8 @@ class GroupRollout:
         return rows, tokens, self.lengths
 
     def alone(self, params: PolicyParams) -> GroupBatch:
-        """The group as a batch of one: built on first use and kept, as its
-        rows are, so repeated evaluations (finite-difference probes) reuse it."""
-        self._steps(params)
-        if self._alone is None:
-            self._alone = GroupBatch(params, [self])
-        return self._alone
+        """The group as a batch of one."""
+        return GroupBatch(params, [self])
 
 
 class GroupBatch:
@@ -172,20 +167,41 @@ class GroupBatch:
     def __init__(self, params: PolicyParams, groups: Sequence[GroupRollout]):
         if len(groups) == 0:
             raise InputError("a group batch needs at least one group")
+        steps = [g._steps(params) for g in groups]
+        rows, tokens = np.concatenate(steps, axis=1, dtype=np.intp)
+        # after the steps: resolving a group's rows may intern new contexts
+        span = len(params.interner.contexts)
+        self._setup(groups, rows, tokens, [s.shape[1] for s in steps], span, params.vocab_size)
+
+    @classmethod
+    def tiled(cls, params: PolicyParams, group: GroupRollout, rows: np.ndarray) -> GroupBatch:
+        """The group once per row of ``rows``, a ``(count, steps)`` array:
+        copy i reads its steps at ``rows[i]`` instead of the group's own rows,
+        which may be extra rows of ``params`` (``PolicyParams.with_rows``).
+        Built from the group's step arrays, tiled."""
+        count, steps = rows.shape
+        tokens = np.tile(group._steps(params)[1].astype(np.intp), count)
+        span = max(len(params.interner.contexts), int(rows.max()) + 1)
+        batch = cls.__new__(cls)
+        batch._setup((group,) * count, rows.ravel(), tokens, [steps] * count, span,
+                     params.vocab_size)
+        return batch
+
+    def _setup(self, groups: Sequence[GroupRollout], rows: np.ndarray, tokens: np.ndarray,
+               steps: list[int], span: int, vocab_size: int) -> None:
+        """Hold the groups and their steps, ``steps[i]`` of them group i's,
+        keyed by (group, row) with rows below ``span``."""
         self.groups = tuple(groups)
         self.count = len(self.groups)
-        steps = [g._steps(params) for g in self.groups]
-        self.rows, self.tokens = np.concatenate(steps, axis=1, dtype=np.intp)
+        self.rows, self.tokens = rows, tokens
         self.lengths = np.concatenate([g.lengths for g in self.groups])
         self.k = np.array([g.k for g in self.groups])
         self.traj = np.repeat(np.arange(len(self.lengths)), self.lengths)
-        # after the steps: resolving a group's rows may intern new contexts
-        span = len(params.interner.contexts)
         if self.count == 1:  # owner 0: the keys are the rows
             keys = self.rows
         else:
-            keys = np.repeat(np.arange(self.count), [s.shape[1] for s in steps]) * span + self.rows
-        self.index = KeyIndex(keys, self.tokens, span, self.count, params.vocab_size)
+            keys = np.repeat(np.arange(self.count), steps) * span + self.rows
+        self.index = KeyIndex(keys, self.tokens, span, self.count, vocab_size)
 
     @property
     def advantages(self) -> np.ndarray:
@@ -339,13 +355,20 @@ def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Gen
                           t_max=t_max)[0]
 
 
-def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[TeacherOracle],
-                  rng: np.random.Generator) -> LossReport:
-    """Negative log-likelihood of a demonstration drawn uniformly over teachers."""
+def draw_demo(query: Query, teachers: Sequence[TeacherOracle],
+              rng: np.random.Generator) -> tuple[int, Trajectory]:
+    """``sft_loss_grad``'s draws: a teacher index, uniform over teachers, and
+    that teacher's demonstration."""
     if len(teachers) == 0:
         raise ConfigError("sft_loss_grad needs at least one teacher")
     idx = int(rng.integers(len(teachers)))
-    demo = teacher_sample(teachers[idx], query, rng)
+    return idx, teacher_sample(teachers[idx], query, rng)
+
+
+def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[TeacherOracle],
+                  rng: np.random.Generator) -> LossReport:
+    """Negative log-likelihood of a demonstration drawn uniformly over teachers."""
+    idx, demo = draw_demo(query, teachers, rng)
     rows, tokens = params.trajectory_rows(query.query_id, demo.tokens)
     return LossReport(loss=-float(params.logp_at(rows, tokens).sum()),
                       gradient=weighted_score(params, rows, tokens, np.full(len(rows), -1.0)),
@@ -583,7 +606,7 @@ def route_groups(params: PolicyParams, ref: PolicyParams, groups: Sequence[Group
     pairs (``pair_arrays``), then the distilled groups' teachers, each in
     group order. A distilled report is gamma times ``sft_loss_grad``; the
     RL-bound groups go through one ``mixed_pass`` under ``dypo``, else one
-    ``grpo_pass``, a lone group as ``group.alone(params)`` for reuse.
+    ``grpo_pass``.
     """
     if variant not in PATHWAYS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -598,8 +621,7 @@ def route_groups(params: PolicyParams, ref: PolicyParams, groups: Sequence[Group
             reports[i] = LossReport(cfg.gamma * sft.loss, sft.gradient.scaled(cfg.gamma), sft.aux)
     if not rl:
         return reports, None
-    batch = groups[rl[0]].alone(params) if len(rl) == 1 else GroupBatch(
-        params, [groups[i] for i in rl])
+    batch = GroupBatch(params, [groups[i] for i in rl])
     passed = (mixed_pass(params, ref, batch, pairs, cfg) if mixed
               else grpo_pass(params, ref, batch, cfg))
     for i, report in zip(rl, passed.reports()):

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -332,21 +331,26 @@ class PolicyParams:
         self._written[grad.rows] = True
         self._refresh(grad.rows)
 
-    @contextmanager
-    def perturbed(self, ctx: Context, tok: int, delta: float) -> Iterator["PolicyParams"]:
-        """Add ``delta`` to one logit inside the block; the row is restored
-        bit-exactly on exit. This is the finite-difference probe."""
-        if self.frozen:
-            raise StateError("cannot mutate a frozen policy snapshot")
-        r = self.row(ctx)
-        saved = self._logits[r, tok]
-        self._logits[r, tok] = saved + delta
-        self._refresh(slice(r, r + 1))
-        try:
-            yield self
-        finally:
-            self._logits[r, tok] = saved
-            self._refresh(slice(r, r + 1))
+    def with_rows(self, rows: np.ndarray, shift: np.ndarray | None = None) -> "PolicyParams":
+        """Frozen copy with one extra row per entry of ``rows``, numbered on
+        from the interner's last row: extra row i is row ``rows[i]``, its
+        logits moved by ``shift[i]`` and re-softmaxed when a shift is given.
+
+        Extra rows belong to no context, so only reads by row see them; the
+        copy is stale once the interner grows. This policy is not changed.
+        """
+        out = self.snapshot()
+        out._fit()
+        used = len(self.interner.contexts)
+        if shift is None:
+            extra = [getattr(out, name)[rows] for name in self._ARRAYS]
+        else:
+            logits = out._logits[rows] + shift
+            extra = [logits, *_softmax_rows(logits)]
+        for name, block in zip(self._ARRAYS, extra):
+            setattr(out, name, np.concatenate([getattr(out, name)[:used], block]))
+        out._written = np.concatenate([out._written[:used], np.zeros(len(rows), dtype=bool)])
+        return out
 
     def copy(self) -> "PolicyParams":
         """Unfrozen copy sharing this policy's interner; it holds only the used rows."""

@@ -3,12 +3,15 @@
 Each per-token reference walks a trajectory one step at a time, looks its
 context up by key, and shares no row or array code with what it checks. The
 variance bench's reference evaluates its losses one group at a time, as the
-bench did before they became one pass per chunk of groups.
+bench did before they became one pass per chunk of groups. The scalar
+finite-difference oracle perturbs one logit in place per probe and
+re-evaluates an arbitrary loss, as the certifier did before its probes
+became one pass.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -22,7 +25,7 @@ from dypo.objectives import (
     grpo_policy_gradient,
     mixed_gradient,
 )
-from dypo.policy import Context, Trajectory, score_sq_norms
+from dypo.policy import Context, PolicyParams, Trajectory, score_sq_norms
 
 from conftest import stacked
 
@@ -72,6 +75,31 @@ def naive_lockstep_sample(params, query_ids, k, rng, stop, t_max) -> list[Trajec
             tok = int(np.searchsorted(params.sampling_cdf(ctx), u, side="right"))
             tokens.append(min(tok, params.vocab_size - 1))
     return [Trajectory(tuple(tokens), terminal=tokens[-1] == stop) for tokens in samples]
+
+
+def scalar_numerical_gradient(f: Callable[[PolicyParams], float], params: PolicyParams,
+                              contexts: Sequence[Context],
+                              eps: float = 1e-5) -> dict[Context, np.ndarray]:
+    """Central differences of f over every (context, token) logit entry, one
+    probe at a time: each adds +-eps to one logit of ``params`` in place,
+    re-softmaxes its row, evaluates f and restores the entry and the row's
+    distributions bit-exactly, so ``params`` ends unchanged."""
+    grad: dict[Context, np.ndarray] = {}
+    for ctx in contexts:
+        r = params.row(ctx)
+        row = np.zeros(params.vocab_size)
+        for tok in range(params.vocab_size):
+            for sign in (1.0, -1.0):
+                saved = params._logits[r, tok]
+                params._logits[r, tok] = saved + sign * eps
+                params._refresh(slice(r, r + 1))
+                try:
+                    row[tok] += sign * f(params)
+                finally:
+                    params._logits[r, tok] = saved
+                    params._refresh(slice(r, r + 1))
+        grad[ctx] = row / (2.0 * eps)
+    return grad
 
 
 def _add(into: dict, grad: dict, coef: float) -> None:

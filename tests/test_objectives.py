@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from dypo import gradcheck, objectives
 from dypo.errors import ConfigError, InputError, StateError
 from dypo.gradcheck import (
     _off_clip,
+    certify,
     check_dypo,
     check_gal,
     check_grpo,
     check_sft,
-    gradient_error,
     make_instance,
-    numerical_gradient,
 )
 from dypo.grading import DifficultyGrade, grade
 from dypo.instrumentation import collect_mid_groups
@@ -162,12 +164,32 @@ def test_the_training_form_is_certified():
         rows, tokens, _ = inst.group.step_rows(inst.params)
         inst.group.sample_logp = inst.params.logp_at(rows, tokens)
         assert not inst.group.alone(inst.params).log_ratios(inst.params).any()
-        for loss in (lambda p: grpo_loss_grad(p, inst.ref, inst.group, CFG),
-                     lambda p: dypo_step_loss(p, inst.ref, inst.group, inst.teachers, CFG,
-                                              substream(5, "dypo", i))):
-            numeric = numerical_gradient(lambda p: loss(p).loss, inst.params, inst.contexts)
-            worst = max(worst, gradient_error(inst.params, loss(inst.params).gradient, numeric))
+        worst = max(worst, certify(inst, "grpo_loss_grad", CFG),
+                    certify(inst, "dypo_step_loss", CFG, substream(5, "dypo", i)))
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("loss, calls", [
+    ("sft_loss_grad", {"sft_loss_grad": 1}),
+    ("grpo_loss_grad", {"grpo_pass": 2}),
+    ("gal_loss_grad", {"gal_pass": 2}),
+    ("dypo_step_loss", {"grpo_pass": 2, "gal_pass": 2}),
+])
+def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, calls):
+    # the analytic evaluation, then one pass over all 180 probes; SFT's
+    # probes are one gather of the demonstration's log-probs
+    counted = Counter()
+    for name in ("grpo_pass", "gal_pass", "sft_loss_grad"):
+        def counting(*args, _name=name, _real=getattr(objectives, name), **kwargs):
+            counted[_name] += 1
+            return _real(*args, **kwargs)
+        for module in (objectives, gradcheck):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    inst = _mid_instance(5, 2)
+    assert inst.group.grade is DifficultyGrade.MID
+    assert certify(inst, loss, CFG, substream(5, "guard")) < 1e-6
+    assert counted == calls
 
 
 def test_the_clip_guard_checks_trajectory_ratios():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dypo.errors import ConfigError, InputError, StateError
-from dypo.gradcheck import numerical_gradient, gradient_error
+from dypo.gradcheck import certify, gradient_error, make_instance
 from dypo.policy import (
     KeyIndex,
     PolicyParams,
@@ -23,6 +23,7 @@ from dypo.seeding import substream
 from dypo.tasks import TaskConfig, generate_query
 
 from conftest import block_dict, traj_log_prob, traj_score
+from reference import scalar_numerical_gradient
 
 Q0 = SimpleNamespace(query_id=0)
 
@@ -105,8 +106,8 @@ def test_score_matches_finite_differences():
             params.set_logits(ctx, rng.normal(0, 1.5, task.vocab_size))
         traj = sample_trajectory(params, query, rng, stop_token=task.stop, t_max=10)
         analytic = traj_score(params, i, traj.tokens)
-        numeric = numerical_gradient(lambda p: traj_log_prob(p, i, traj.tokens), params,
-                                     contexts)
+        numeric = scalar_numerical_gradient(lambda p: traj_log_prob(p, i, traj.tokens), params,
+                                            contexts)
         assert gradient_error(params, analytic, numeric) < 1e-6
 
 
@@ -261,6 +262,29 @@ def test_step_contexts_history_truncation():
 
 
 def test_fd_probes_restore_the_policy_bit_exactly():
+    # the batched certifier, with an interned row the policy never wrote
+    # among the probed contexts, leaves the policy and its reference as they were
+    inst = make_instance(29, 4)
+    params, ref = inst.params, inst.ref
+    unwritten = (inst.query.query_id + 1, ())
+    for policy in (params, ref):
+        policy.row(unwritten)  # interned, and covered by both policies' arrays
+    inst.contexts.append(unwritten)
+    written = params.written_contexts()
+    interned = len(params.interner.contexts)
+    names = PolicyParams._ARRAYS + ("_written",)
+    tables = [[getattr(p, name).tobytes() for name in names] for p in (params, ref)]
+    for loss in ("sft_loss_grad", "grpo_loss_grad", "gal_loss_grad", "dypo_step_loss"):
+        assert certify(inst, loss, rng=substream(29, "probe")) < 1e-6
+    assert len(params.interner.contexts) == interned
+    for p, before in zip((params, ref), tables):
+        assert before == [getattr(p, name).tobytes() for name in names]
+    assert params.written_contexts() == written
+    assert unwritten not in written
+    np.testing.assert_array_equal(params.logits(unwritten), params.default_logits)
+
+
+def test_scalar_fd_oracle_restores_the_policy_bit_exactly():
     rng = substream(29, "probe")
     params = PolicyParams(5, 1)
     contexts = [(0, ()), (0, (1,)), (0, (3,))]
@@ -269,12 +293,21 @@ def test_fd_probes_restore_the_policy_bit_exactly():
     probed = contexts + [(0, (4,))]  # one unwritten row too
     before = {ctx: [f(ctx).copy() for f in (params.logits, params.probs, params.log_probs,
                                             params.sampling_cdf)] for ctx in probed}
-    numerical_gradient(lambda p: traj_log_prob(p, 0, (1, 4, 3, 2)), params, probed)
+    scalar_numerical_gradient(lambda p: traj_log_prob(p, 0, (1, 4, 3, 2)), params, probed)
     for ctx, rows in before.items():
         after = (params.logits(ctx), params.probs(ctx), params.log_probs(ctx),
                  params.sampling_cdf(ctx))
         assert all(np.array_equal(a, b) for a, b in zip(rows, after))
     assert params.written_contexts() == contexts
+
+
+def test_probes_need_interned_contexts():
+    inst = make_instance(29, 4)
+    inst.contexts.append((inst.query.query_id + 1, ()))
+    interned = len(inst.params.interner.contexts)
+    with pytest.raises(InputError, match="interned"):
+        certify(inst, "gal_loss_grad")
+    assert len(inst.params.interner.contexts) == interned
 
 
 def test_unwritten_rows_read_default_logits():

@@ -3,8 +3,8 @@ against naive per-position and per-token references, one keyed loss pass
 against its groups one by one, the routing gate against its pathways by
 hand, pair construction one group at a time and batched, the grading
 partition, advantage standardization per group and per reward matrix, the
-reward parser and the batch reward against it, and the JSON config round
-trip."""
+reward parser and the batch reward against it, the JSON config round trip,
+and the certifier's batched finite-difference probes against scalar ones."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from dypo.errors import InputError, StateError
 from dypo.grading import DifficultyGrade, grade
-from dypo.gradcheck import make_instance
+from dypo.gradcheck import make_instance, numerical_gradient, probe_losses
 from dypo.objectives import (
     GroupBatch,
     GroupRollout,
@@ -75,6 +75,7 @@ from reference import (
     naive_log_prob,
     naive_sample,
     naive_score,
+    scalar_numerical_gradient,
     step_contexts,
 )
 
@@ -388,6 +389,53 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
     one_by_one = [score_sq_norms(params, *g.step_rows(params)) for g in groups]
     np.testing.assert_array_equal(score_sq_norms(params, batch.rows, batch.tokens, batch.lengths),
                                   np.concatenate(one_by_one))
+
+
+# each certified loss with the grade of the group it is probed on: every
+# pathway of the gate, and GRPO on a group whose advantages are all zero
+PROBED = [("sft_loss_grad", DifficultyGrade.MID), ("grpo_loss_grad", DifficultyGrade.MID),
+          ("grpo_loss_grad", DifficultyGrade.HARD), ("gal_loss_grad", DifficultyGrade.MID),
+          *(("dypo_step_loss", g) for g in DifficultyGrade)]
+
+
+def _policy_state(params: PolicyParams) -> tuple:
+    """The policy's tables as bytes, its written contexts and its interner's size."""
+    return (tuple(getattr(params, name).tobytes() for name in PolicyParams._ARRAYS),
+            params.written_contexts(), len(params.interner.contexts))
+
+
+@pytest.mark.parametrize("loss, graded", PROBED)
+@given(seed=seeds, index=st.integers(0, 60), pick=st.lists(st.integers(0, 2**16), min_size=2,
+                                                          max_size=8),
+       extra=st.lists(token_seqs, max_size=4), on_policy=st.booleans(),
+       pair_cap=st.integers(1, 8), gamma=st.sampled_from([0.5, 1.0, 3.0]))
+@settings(FAST, max_examples=10)
+def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, index, pick, extra,
+                                                          on_policy, pair_cap, gamma):
+    inst = make_instance(seed, index)
+    params, ref = inst.params, inst.ref
+    group, = _graded_groups(inst, [pick], extra, params if on_policy else ref, [graded])
+    inst.group = group
+    if graded is DifficultyGrade.MID:
+        inst.pairs = build_pairs(group, pair_cap, substream(seed, "pairs"))
+    cfg = MixConfig(pair_cap=pair_cap, gamma=gamma)
+    before = _policy_state(params)
+    batched = numerical_gradient(probe_losses(inst, loss, cfg, substream(seed, "draws")),
+                                 params, ref, inst.contexts)
+    assert _policy_state(params) == before
+    # the loss itself, its draws made afresh on every probe
+    scalar = {
+        "sft_loss_grad": lambda p: sft_loss_grad(p, inst.query, inst.teachers,
+                                                 substream(seed, "draws")),
+        "grpo_loss_grad": lambda p: grpo_loss_grad(p, ref, group, cfg),
+        "gal_loss_grad": lambda p: gal_loss_grad(p, ref, group, inst.pairs, cfg),
+        "dypo_step_loss": lambda p: dypo_step_loss(p, ref, group, inst.teachers, cfg,
+                                                   substream(seed, "draws")),
+    }[loss]
+    expected = scalar_numerical_gradient(lambda p: scalar(p).loss, params, inst.contexts)
+    assert list(batched) == list(expected)
+    for ctx, row in expected.items():
+        assert batched[ctx].tobytes() == row.tobytes(), ctx
 
 
 # a flaw of a group's pairs, and its InputError's message
