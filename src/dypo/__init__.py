@@ -34,10 +34,8 @@ from .objectives import (
     dypo_step_loss,
     gal_loss_grad,
     grpo_loss_grad,
-    grpo_policy_gradient,
     mixed_gradient,
     pair_arrays,
-    rollout_group,
     rollout_groups,
     route_groups,
     sft_loss_grad,

@@ -150,11 +150,11 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     query = generate_query(task, chain_len, rng, query_id=index)
     contexts = [(query.query_id, ())] + [(query.query_id, (a,)) for a in range(task.vocab_size)]
     params = PolicyParams(task.vocab_size, 1)
-    for ctx in contexts:
-        params.set_logits(ctx, rng.normal(0.0, 1.0, task.vocab_size))
+    shape = (len(contexts), task.vocab_size)
+    # on zero logits, the update writes the draws themselves
+    params.apply_update(RowBlock(params.rows(contexts), rng.normal(0.0, 1.0, shape)), 1.0)
     ref = params.copy()
-    ref.apply_update(RowBlock(params.rows(contexts),
-                              rng.normal(0.0, 0.02, (len(contexts), task.vocab_size))), 1.0)
+    ref.apply_update(RowBlock(params.rows(contexts), rng.normal(0.0, 0.02, shape)), 1.0)
     ref = ref.snapshot()
     teachers = make_teacher_ensemble(task, 1 + index % 3, seed)
     successes = [query.ground_truth, teacher_sample(teachers[0], query, rng)]

@@ -348,13 +348,6 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
             for i, (g, lo, hi) in enumerate(zip(keep, [0] + ends, ends))]
 
 
-def rollout_group(params: PolicyParams, query: Query, k: int, rng: np.random.Generator,
-                  *, xi: float, stop_token: int, t_max: int) -> GroupRollout:
-    """``rollout_groups`` over one query."""
-    return rollout_groups(params, [query], k, rng, xi=xi, stop_token=stop_token,
-                          t_max=t_max)[0]
-
-
 def draw_demo(query: Query, teachers: Sequence[TeacherOracle],
               rng: np.random.Generator) -> tuple[int, Trajectory]:
     """``sft_loss_grad``'s draws: a teacher index, uniform over teachers, and
@@ -425,11 +418,6 @@ def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
     weights = ((1.0 / batch.k)[batch.owner] * batch.advantages)[batch.traj]
     keep = weights != 0.0
     return keyed_score(params, batch.index, weights, keep)
-
-
-def grpo_policy_gradient(params: PolicyParams, group: GroupRollout) -> RowBlock:
-    """``grpo_estimator`` of the group alone."""
-    return grpo_estimator(params, group.alone(params)).blocks()[0]
 
 
 def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) -> np.ndarray:

@@ -471,7 +471,10 @@ def sample_trajectory(params: PolicyParams, query: "Query", rng: np.random.Gener
 
     Each token is the first whose cdf entry exceeds the draw, clamped to the
     vocabulary for a draw above a rounded cdf's last entry. The sample stops
-    on ``stop_token`` or after t_max tokens.
+    on ``stop_token`` or after t_max tokens. The lab's one caller is the
+    certifier's failure draw (``gradcheck._sample_failures``): for a few
+    trajectories this scalar path is faster than ``sample_lockstep``, which
+    samples everything else.
     """
     interner = params.interner
     cdf, fitted = params._cdf, len(params._written)

@@ -22,7 +22,7 @@ from dypo.objectives import (
     MixConfig,
     build_pairs,
     gal_loss_grad,
-    grpo_policy_gradient,
+    grpo_estimator,
     mixed_gradient,
 )
 from dypo.policy import Context, PolicyParams, Trajectory, score_sq_norms
@@ -169,7 +169,7 @@ def per_group_variance_bench(params, ref, draw_query, cfg: MixConfig, n_groups: 
     for group in groups:
         pairs = build_pairs(group, cfg.pair_cap, rng)
         gal = gal_loss_grad(params, ref, group, pairs, cfg)
-        g_grpo.append(grpo_policy_gradient(params, group))
+        g_grpo += grpo_estimator(params, group.alone(params)).blocks()
         g_gal.append(gal.gradient)
         etas.append(float(np.mean(gal.aux["weights"] ** 2)))
         score_sq_sum += float(score_sq_norms(params, *group.step_rows(params)).sum())

@@ -14,17 +14,25 @@ import numpy as np
 
 from dypo.gradcheck import grad_check_suite
 from dypo.grading import DifficultyGrade, grade
-from dypo.instrumentation import measure_eta, variance_ordering_bench
+from dypo.instrumentation import (
+    CHUNK_GROUPS,
+    collect_mid_groups,
+    measure_eta,
+    variance_from_samples,
+    variance_ordering_bench,
+)
 from dypo.objectives import (
+    GroupBatch,
     MixConfig,
     gal_loss_grad,
-    grpo_policy_gradient,
-    rollout_group,
+    grpo_estimator,
+    rollout_groups,
 )
+from dypo.policy import stack_keyed
 from dypo.seeding import substream
 from dypo.trainer import QueryPool, TrainConfig, train, train_config_to_dict
 
-from conftest import ACCEPTANCE_SEED, stacked, tables_equal
+from conftest import ACCEPTANCE_SEED, tables_equal
 
 
 def _announce(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -83,34 +91,23 @@ def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
     t0 = time.time()
     params, _ = dypo_run.snapshots[120]
     pool = QueryPool(acceptance_config.task, acceptance_config.seed)
-    task = acceptance_config.task
+    common = dict(xi=acceptance_config.mix.xi, stop_token=acceptance_config.task.stop,
+                  t_max=acceptance_config.t_max)
     probe = substream(ACCEPTANCE_SEED, "acc-probe")
 
     def success_rate(q):
-        return np.mean([
-            sum(rollout_group(params, q, 8, probe, xi=1e-4, stop_token=task.stop,
-                              t_max=acceptance_config.t_max).rewards) / 8
-            for _ in range(40)
-        ])
+        groups = rollout_groups(params, [q] * 40, 8, probe, **common)
+        return np.mean([g.rewards for g in groups])
 
     query = min(pool.queries, key=lambda q: abs(success_rate(q) - 0.5))
 
-    def sampler_for(k):
-        def sampler(rng):
-            while True:
-                g = rollout_group(params, query, k, rng, xi=acceptance_config.mix.xi,
-                                  stop_token=task.stop, t_max=acceptance_config.t_max)
-                if grade(g.rewards) is DifficultyGrade.MID:
-                    return grpo_policy_gradient(params, g)
-        return sampler
-
-    from dypo.instrumentation import variance_from_samples
-
     var = {}
     for k in (4, 8, 16):
-        sampler, rng = sampler_for(k), substream(ACCEPTANCE_SEED, "acc-kscale", k)
-        samples = stacked([sampler(rng) for _ in range(10_000)])
-        var[k] = variance_from_samples(samples).scalar_variance
+        groups = collect_mid_groups(params, lambda rng: query, 10_000,
+                                    substream(ACCEPTANCE_SEED, "acc-kscale", k), k=k, **common)
+        parts = [grpo_estimator(params, GroupBatch(params, groups[lo:lo + CHUNK_GROUPS]))
+                 for lo in range(0, len(groups), CHUNK_GROUPS)]
+        var[k] = variance_from_samples(stack_keyed(parts)).scalar_variance
     r48 = var[4] / var[8]
     r816 = var[8] / var[16]
     elapsed = time.time() - t0

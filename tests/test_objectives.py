@@ -27,10 +27,10 @@ from dypo.objectives import (
     build_pairs,
     dypo_step_loss,
     gal_loss_grad,
+    grpo_estimator,
     grpo_loss_grad,
-    grpo_policy_gradient,
     mixed_gradient,
-    rollout_group,
+    rollout_groups,
     sft_loss_grad,
     standardize_advantages,
 )
@@ -122,7 +122,7 @@ def test_grpo_on_policy_identity():
     # ratio is exactly 1; with the reference at the params the loss is 0
     inst = _mid_instance(index=7)
     ref = inst.params.snapshot()
-    # the first Mid group that rollout_group samples, which records its
+    # the first Mid group that rollout_groups samples, which records its
     # sampling log-probs as it is sampled
     group, = collect_mid_groups(inst.params, lambda rng: inst.query, 1, substream(7, "on-policy"),
                                 k=8, xi=CFG.xi, stop_token=TASK.stop, t_max=14)
@@ -212,12 +212,14 @@ def test_the_clip_guard_checks_trajectory_ratios():
 
 def test_grpo_policy_gradient_zero_for_flat_rewards():
     inst = make_instance(43, 1, kind="easy")
-    assert grpo_policy_gradient(inst.params, inst.group).rows.size == 0
+    block, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
+    assert block.rows.size == 0
 
 
 def test_grpo_policy_gradient_term_by_term_oracle():
     inst = _mid_instance(index=9)
-    got = block_dict(inst.params, grpo_policy_gradient(inst.params, inst.group))
+    block, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
+    got = block_dict(inst.params, block)
     expected: dict = {}
     k = inst.group.k
     for traj, adv in zip(inst.group.trajectories, inst.group.advantages):
@@ -240,8 +242,8 @@ def _group_with_split(n_succ: int, n_fail: int, seed: int = 0):
         succ.setdefault(demo.tokens, demo)
     fails: dict = {}
     while len(fails) < n_fail:
-        t = rollout_group(inst.params, q, 2, rng, xi=1e-4, stop_token=TASK.stop,
-                          t_max=14).trajectories[0]
+        t = rollout_groups(inst.params, [q], 2, rng, xi=1e-4, stop_token=TASK.stop,
+                           t_max=14)[0].trajectories[0]
         if reward(q, t) == 0:
             fails.setdefault(t.tokens, t)
     trajs = tuple(list(succ.values())[:n_succ] + list(fails.values())[:n_fail])
@@ -268,14 +270,13 @@ def test_build_pairs_cap():
 
 def test_build_pairs_subset_is_uniform():
     inst, group = _group_with_split(2, 2)
-    inclusion: dict = {}
     n = 100_000
-    for i in range(n):
-        for key in map(tuple, build_pairs(group, 2, substream(5, "u", i)).tolist()):
-            inclusion[key] = inclusion.get(key, 0) + 1
+    rng = substream(5, "u")
+    drawn = np.concatenate([build_pairs(group, 2, rng) for _ in range(n)])
+    kept, counts = np.unique(drawn, axis=0, return_counts=True)
     # 4 pairs, 2 kept per draw: uniform inclusion probability 1/2
-    freqs = np.array(list(inclusion.values())) / n
-    assert len(inclusion) == 4
+    freqs = counts / n
+    assert len(kept) == 4
     se = np.sqrt(0.5 * 0.5 / n)
     np.testing.assert_allclose(freqs, 0.5, atol=4 * se)
 
@@ -378,7 +379,7 @@ def test_gal_gradient_finite_differences():
 
 def test_mixed_gradient_linearity_and_bounds():
     inst = _mid_instance(index=14)
-    g = grpo_policy_gradient(inst.params, inst.group)
+    g, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
     empty = g._replace(rows=g.rows[:0], values=g.values[:0])
     half = mixed_gradient(g, empty, 0.5)
     np.testing.assert_array_equal(half.rows, g.rows)
@@ -391,7 +392,7 @@ def test_mixed_gradient_linearity_and_bounds():
 
 def test_mixed_gradient_near_one_limit():
     inst = _mid_instance(index=15)
-    g_grpo = grpo_policy_gradient(inst.params, inst.group)
+    g_grpo, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
     g_gal = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
     mix = block_dict(inst.params, mixed_gradient(g_grpo, g_gal, 0.999))
     grpo = block_dict(inst.params, g_grpo)
@@ -404,7 +405,7 @@ def test_mixed_gradient_near_one_limit():
 
 def test_mixed_gradient_componentwise_oracle():
     inst = _mid_instance(index=16)
-    g_a = grpo_policy_gradient(inst.params, inst.group)
+    g_a, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
     g_b = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
     a, b = block_dict(inst.params, g_a), block_dict(inst.params, g_b)
     mix = block_dict(inst.params, mixed_gradient(g_a, g_b, 0.3))
@@ -475,7 +476,7 @@ def test_a_policy_of_another_interner_is_an_input_error():
     with pytest.raises(InputError, match="interner"):
         group.step_rows(inst.params)
     with pytest.raises(InputError, match="interner"):
-        grpo_policy_gradient(inst.params, group)
+        grpo_estimator(inst.params, group.alone(inst.params))
 
 
 def test_dypo_gradient_finite_differences():

@@ -13,6 +13,7 @@ from dypo.policy import (
     KeyIndex,
     PolicyParams,
     RowBlock,
+    keyed_score,
     kl_gradient,
     ContextInterner,
     mean_step_entropy,
@@ -75,19 +76,23 @@ def test_score_zero_mean_monte_carlo():
     params = PolicyParams(task.vocab_size, 1)
     rng = substream(5, "mc")
     n = 20_000
-    sums: dict = {}
-    sqs: dict = {}
-    for _ in range(n):
-        traj = sample_trajectory(params, query, rng, stop_token=task.stop, t_max=8)
-        for ctx, vec in block_dict(params, traj_score(params, query.query_id, traj.tokens)).items():
-            sums[ctx] = sums.get(ctx, 0.0) + vec
-            sqs[ctx] = sqs.get(ctx, 0.0) + vec**2
-    zscores = []
-    for ctx in sums:
-        mean = sums[ctx] / n
-        var = sqs[ctx] / n - mean**2
-        se = np.sqrt(np.maximum(var, 1e-30) / n)
-        zscores.extend(np.abs(mean) / (se + 1e-30))
+    sampled = sample_lockstep(params, [query.query_id] * (n // 8), 8, rng,
+                              stop_token=task.stop, t_max=8)
+    steps = np.arange(8) < sampled.lengths[:, None]
+    rows, tokens = sampled.rows[steps], sampled.tokens[steps]
+    # every trajectory's score, keyed by (trajectory, context row)
+    span = len(params.interner.contexts)
+    owner = np.repeat(np.arange(n), sampled.lengths)
+    index = KeyIndex(owner * span + rows, tokens, span, n, task.vocab_size)
+    score = keyed_score(params, index, np.ones(len(rows)))
+    sums, sqs = np.zeros((span, task.vocab_size)), np.zeros((span, task.vocab_size))
+    np.add.at(sums, index.rows, score.values)
+    np.add.at(sqs, index.rows, score.values**2)
+    visited = np.unique(index.rows)
+    mean = sums[visited] / n
+    var = sqs[visited] / n - mean**2
+    se = np.sqrt(np.maximum(var, 1e-30) / n)
+    zscores = (np.abs(mean) / (se + 1e-30)).ravel()
     # 81 correlated components: cap the worst at a Bonferroni-safe level and
     # require the bulk to sit inside the 3-sigma band
     assert max(zscores) < 4.5

@@ -30,7 +30,6 @@ from dypo.objectives import (
     grpo_estimator,
     grpo_loss_grad,
     grpo_pass,
-    grpo_policy_gradient,
     mixed_gradient,
     mixed_keyed,
     mixed_pass,
@@ -381,7 +380,7 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
         # the routed step draws the same pairs from the same stream
         assert_same_report(mixed[i], dypo_step_loss(params, ref, group, inst.teachers, cfg,
                                                     substream(seed, "pairs", i)))
-        g_grpo = grpo_policy_gradient(params, group)
+        g_grpo, = grpo_estimator(params, group.alone(params)).blocks()
         for got, want in ((estimator.blocks()[i], g_grpo),
                           (bench_mix[i], mixed_gradient(g_grpo, alone.gradient, cfg.alpha))):
             np.testing.assert_array_equal(got.rows, want.rows)
@@ -477,7 +476,7 @@ def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, pic
     foreign = GroupRollout(other.query, other.trajectories, other.rewards, other.advantages)
     foreign.step_rows(PolicyParams(params.vocab_size, params.history))
     with pytest.raises(InputError, match="interner") as alone:
-        grpo_policy_gradient(params, foreign)
+        grpo_estimator(params, foreign.alone(params))
     with pytest.raises(InputError) as batched:
         GroupBatch(params, groups[:bad] + [foreign] + groups[bad:])
     assert str(batched.value) == str(alone.value)

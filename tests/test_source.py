@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses, the
-trainer routes only through the gate, and the README's configuration block is
-the schema's defaults."""
+trainer routes only through the gate, only the certifier uses the scalar
+sampler, and the README's configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
@@ -70,6 +70,16 @@ def test_the_trainer_routes_only_through_the_gate():
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "route_groups" in imported
     assert imported.isdisjoint({"sft_loss_grad", "grpo_pass", "mixed_pass", "pair_arrays"})
+
+
+def test_only_the_certifier_samples_one_trajectory_at_a_time():
+    # the lab samples through sample_lockstep; the scalar sampler is the
+    # certifier's failure draw alone
+    importers = sorted(
+        p.name for p in SRC.glob("*.py")
+        if any(alias.name == "sample_trajectory" for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.ImportFrom) for alias in node.names))
+    assert importers == ["gradcheck.py"]
 
 
 def test_the_readme_config_block_is_the_default_config():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from dypo.errors import ConfigError, InputError
-from dypo.policy import PolicyParams, Trajectory, sample_trajectory
+from dypo.policy import PolicyParams, Trajectory, sample_lockstep
 from dypo.seeding import substream
 from dypo.tasks import (
     BiasTestbedConfig,
     TaskConfig,
+    batch_reward,
     bias_sq_norms,
     generate_query,
     make_teacher_ensemble,
@@ -150,10 +151,11 @@ def test_uniform_guess_rate_closed_form():
     params = PolicyParams(TASK.vocab_size, 1)
     rng = substream(7, "guess-mc")
     n = 200_000
-    hits = sum(
-        reward(q, sample_trajectory(params, q, rng, stop_token=TASK.stop, t_max=16))
-        for _ in range(n)
-    )
+    hits = 0
+    for _ in range(n // 2000):  # 2000 trajectories per lockstep call
+        sampled = sample_lockstep(params, [q.query_id] * 250, 8, rng, stop_token=TASK.stop,
+                                  t_max=16)
+        hits += int(batch_reward([q], sampled.tokens, sampled.lengths, sampled.terminal).sum())
     p = uniform_guess_rate(TASK.vocab_size, 16)
     se = np.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 3.5 * se
