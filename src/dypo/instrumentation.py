@@ -38,6 +38,9 @@ MIN_VARIANCE_SAMPLES = 30
 # perfbench `variance` work (5000 groups, seed 1) peaks at 115 MiB RSS with one
 # call and one pass over all groups, and at 75 MiB in chunks of this size
 CHUNK_GROUPS = 256
+BIAS_CHUNK = 20000  # ensemble draws per bias_sq_norms call of the bias bench
+# draw_query(rng, size): ``size`` queries drawn from ``rng``, as ``QueryPool.draw``
+QueryDraw = Callable[[np.random.Generator, int], Sequence[Query]]
 
 
 @dataclass
@@ -101,9 +104,8 @@ def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
                             sample_count=n, standard_error=se)
 
 
-def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Generator], Query],
-                       n_groups: int, rng: np.random.Generator, *, k: int, xi: float,
-                       stop_token: int, t_max: int,
+def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: int,
+                       rng: np.random.Generator, *, k: int, xi: float, stop_token: int, t_max: int,
                        max_attempts: int | None = None) -> list[GroupRollout]:
     """Sample rollout groups from the query stream, keeping the Mid-graded ones.
 
@@ -124,7 +126,7 @@ def collect_mid_groups(params: PolicyParams, draw_query: Callable[[np.random.Gen
             )
         size = min(CHUNK_GROUPS, 2 * (n_groups - len(groups)), budget - attempts)
         attempts += size
-        queries = [draw_query(rng) for _ in range(size)]
+        queries = draw_query(rng, size)
         groups += rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
                                  t_max=t_max, only=DifficultyGrade.MID)[:n_groups - len(groups)]
     return groups
@@ -135,14 +137,12 @@ def _batches(params: PolicyParams, groups: list[GroupRollout]) -> Iterator[Group
         yield GroupBatch(params, groups[lo:lo + CHUNK_GROUPS])
 
 
-def measure_eta(params: PolicyParams, ref: PolicyParams,
-                draw_query: Callable[[np.random.Generator], Query], cfg: MixConfig,
+def measure_eta(params: PolicyParams, ref: PolicyParams, draw_query: QueryDraw, cfg: MixConfig,
                 n_groups: int, rng: np.random.Generator, *, k: int, stop_token: int,
-                t_max: int, max_attempts: int | None = None) -> float:
+                t_max: int) -> float:
     """Mean discrimination difficulty over freshly sampled Mid groups."""
     groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
-                                stop_token=stop_token, t_max=t_max,
-                                max_attempts=max_attempts)
+                                stop_token=stop_token, t_max=t_max)
     etas = []
     for batch in _batches(params, groups):
         pairs = pair_arrays(batch.groups, cfg.pair_cap, rng)
@@ -162,11 +162,9 @@ class BenchReport:
     diagnostics: dict
 
 
-def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
-                            draw_query: Callable[[np.random.Generator], Query],
+def variance_ordering_bench(params: PolicyParams, ref: PolicyParams, draw_query: QueryDraw,
                             cfg: MixConfig, n_groups: int, rng: np.random.Generator,
-                            *, k: int, stop_token: int, t_max: int,
-                            max_attempts: int | None = None) -> BenchReport:
+                            *, k: int, stop_token: int, t_max: int) -> BenchReport:
     """Compare Var(g_mix) against Var(g_grpo) and Var(g_gal) at fixed params.
 
     Over n_groups Mid-graded groups the bench evaluates the unclipped
@@ -175,8 +173,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
     Verdict: var_mix < var_grpo with the gap exceeding 3 combined SEs.
     """
     groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
-                                stop_token=stop_token, t_max=t_max,
-                                max_attempts=max_attempts)
+                                stop_token=stop_token, t_max=t_max)
     samples: dict[str, list[KeyedBlocks]] = {"grpo": [], "gal": [], "mix": []}
     etas, pair_counts = [], []
     score_sq_sum = 0.0
@@ -219,7 +216,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams,
 
 
 def bias_law_bench(cfg: BiasTestbedConfig, m_values: Sequence[int], n_draws: int,
-                   rng: np.random.Generator, chunk: int = 20000) -> BenchReport:
+                   rng: np.random.Generator) -> BenchReport:
     """Monte Carlo check of the ensemble-bias law against its analytic value.
 
     Per ensemble size m the expected squared bias is ||b_sys||^2 plus an
@@ -240,7 +237,7 @@ def bias_law_bench(cfg: BiasTestbedConfig, m_values: Sequence[int], n_draws: int
         total_sq = 0.0
         done = 0
         while done < n_draws:
-            size = min(chunk, n_draws - done)
+            size = min(BIAS_CHUNK, n_draws - done)
             vals = bias_sq_norms(cfg, m, size, rng)
             total += float(vals.sum())
             total_sq += float((vals**2).sum())

@@ -318,29 +318,29 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
     graded groups with rewards and standardized advantages, in query order.
 
     With ``only``, just the groups of that grade are returned. Rewards and
-    advantages are computed over the whole batch; each group keeps compact
-    int32 step rows of its own steps only, and their log-probs under
+    advantages are computed over the whole batch. The groups share one int32
+    ``(2, steps)`` array of exactly their own steps (the sampler's, when every
+    group is kept), each a slice of it, with its steps' log-probs under
     ``params``, the sampling policy, as its ``sample_logp``.
     """
     sampled = sample_lockstep(params, [q.query_id for q in queries], k, rng,
                               stop_token=stop_token, t_max=t_max)
-    rewards = batch_reward(queries, sampled.tokens, sampled.lengths,
+    rewards = batch_reward(queries, sampled.steps[1], sampled.lengths,
                            sampled.terminal).reshape(-1, k)
     reward_rows = [tuple(r) for r in rewards.tolist()]
     grades = [grading.grade(r) for r in reward_rows]
-    keep = [g for g, grade in enumerate(grades) if only is None or grade is only]
-    if not keep:
+    kept = np.array([only is None or grade is only for grade in grades])
+    if not kept.any():
         return []
-    # the kept groups' trajectories, copied out of the padded arrays
-    traj = (np.array(keep)[:, None] * k + np.arange(k)).ravel()
-    lengths = sampled.lengths[traj]
-    steps_of = np.arange(t_max) < lengths[:, None]
-    steps = np.stack([sampled.rows[traj][steps_of],
-                      sampled.tokens[traj][steps_of]]).astype(np.int32)
-    lengths = lengths.reshape(-1, k)
-    terminal = sampled.terminal[traj].reshape(-1, k)
+    keep = np.flatnonzero(kept).tolist()
+    lengths = sampled.lengths.reshape(-1, k)
+    steps = sampled.steps
+    if not kept.all():  # the kept groups' steps, by one step mask
+        steps = steps.compress(np.repeat(kept, lengths.sum(axis=1)), axis=1)
+        lengths = lengths[kept]
     ends = np.cumsum(lengths.sum(axis=1)).tolist()
-    advantages = standardize_advantages(rewards[keep], xi)
+    terminal = sampled.terminal.reshape(-1, k)[kept]
+    advantages = standardize_advantages(rewards[kept], xi)
     logp = params.logp_at(*steps)
     return [GroupRollout.sampled(queries[g], reward_rows[g], grades[g], advantages[i],
                                  StepRows(params.interner, steps[:, lo:hi]), lengths[i],

@@ -499,13 +499,13 @@ def sample_trajectory(params: PolicyParams, query: "Query", rng: np.random.Gener
 
 
 class Rollouts(NamedTuple):
-    """Trajectories sampled together: ``rows[i, t]`` and ``tokens[i, t]`` are
-    the context row and the token of step t of trajectory i for
-    ``t < lengths[i]``, and -1 past its end; ``terminal[i]`` is whether it
-    ended on the stop token."""
+    """Trajectories sampled together, in the layout every group reads:
+    ``steps`` is the ``(2, total_steps)`` int32 array of every step's
+    context row and token, trajectory by trajectory, so trajectory i's
+    ``lengths[i]`` steps follow those of trajectories 0..i-1;
+    ``terminal[i]`` is whether it ended on the stop token."""
 
-    rows: np.ndarray
-    tokens: np.ndarray
+    steps: np.ndarray
     lengths: np.ndarray
     terminal: np.ndarray
 
@@ -520,9 +520,10 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
     its draw, clamped to the vocabulary for a draw above a rounded cdf's
     last entry, as in ``sample_trajectory``: the count of the row's first
     V - 1 cdf entries at or below the draw, as a cdf never decreases. A
-    trajectory stops on ``stop_token`` or after t_max tokens. Contexts met
-    for the first time are interned position by position, in trajectory
-    order.
+    trajectory stops on ``stop_token`` or after t_max tokens, so each has at
+    least one step. Contexts met for the first time are interned position by
+    position, in trajectory order. The steps are returned trajectory by
+    trajectory (``Rollouts``), the layout ``rollout_groups`` hands its groups.
     """
     if k < 2:
         raise ConfigError(f"group size must be >= 2, got {k}")
@@ -549,15 +550,11 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
             for i in np.flatnonzero(row < 0).tolist():
                 row[i] = interner.step(int(prev[i]), int(tok[i]))
             params._fit()
-    traj, step_rows, step_tokens = (np.concatenate(part) for part in zip(*drawn))
-    position = np.repeat(np.arange(len(drawn)), [len(part[0]) for part in drawn])
-    rows = np.full((n, t_max), -1, dtype=np.intp)
-    tokens = np.full((n, t_max), -1, dtype=np.intp)
-    rows[traj, position] = step_rows
-    tokens[traj, position] = step_tokens
+    traj, rows, tokens = (np.concatenate(part) for part in zip(*drawn))
+    # the draws are position-major; a stable sort on trajectory keeps each one's steps in order
+    steps = np.stack((rows, tokens), dtype=np.int32).take(np.argsort(traj, kind="stable"), axis=1)
     lengths = np.bincount(traj, minlength=n)
-    terminal = tokens[np.arange(n), lengths - 1] == stop_token
-    return Rollouts(rows, tokens, lengths, terminal)
+    return Rollouts(steps, lengths, steps[1, np.cumsum(lengths) - 1] == stop_token)
 
 
 def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:

@@ -124,15 +124,16 @@ def reward(query: Query, traj: Trajectory) -> int:
 
 def batch_reward(queries: Sequence[Query], tokens: np.ndarray, lengths: np.ndarray,
                  terminal: np.ndarray) -> np.ndarray:
-    """``reward`` of every row of a padded ``(n, width)`` token array.
+    """``reward`` of every trajectory of a concatenated token array.
 
-    Row i holds a trajectory of ``lengths[i]`` tokens, ``terminal[i]`` tells
-    whether it ended on the stop token, and the queries own consecutive,
-    equal runs of rows. A rewarded trajectory ends on the stop token, right
-    after a separator followed by exactly the answer, with no separator
-    inside the answer; an answer holding the separator is never rewarded.
+    Trajectory i is the ``lengths[i]`` tokens after those of trajectories
+    0..i-1, ``terminal[i]`` tells whether it ended on the stop token, and the
+    queries own consecutive, equal runs of trajectories. A rewarded
+    trajectory ends on the stop token, right after a separator followed by
+    exactly the answer, with no separator inside the answer; an answer
+    holding the separator is never rewarded.
     """
-    n, width = tokens.shape
+    n = len(lengths)
     if len(queries) == 0 or n % len(queries):
         raise InputError(f"{n} trajectories do not split evenly over {len(queries)} queries")
     per = n // len(queries)
@@ -140,13 +141,14 @@ def batch_reward(queries: Sequence[Query], tokens: np.ndarray, lengths: np.ndarr
     tails = [(q.stop, *q.answer_tokens[::-1], q.separator) for q in queries]
     size = max(map(len, tails))
     want = np.repeat([tail + (-1,) * (size - len(tail)) for tail in tails], per, axis=0)
-    # an answer holding the separator needs more tokens than any row has
-    need = np.repeat([width + 1 if q.separator in q.answer_tokens else len(tail)
+    # an answer holding the separator needs more tokens than there are
+    need = np.repeat([len(tokens) + 1 if q.separator in q.answer_tokens else len(tail)
                       for q, tail in zip(queries, tails)], per)
-    back = np.maximum(lengths[:, None] - 1 - np.arange(size), 0)  # lengths <= width
-    seen = tokens[np.arange(n)[:, None], back]
-    match = ((seen == want) | (np.arange(size) >= need[:, None])).all(axis=1)
-    return (terminal & (lengths >= need) & match).astype(np.int64)
+    # read only what can be rewarded: each its last ``need`` tokens, the rest masked
+    read = terminal & (lengths >= need)
+    back = np.maximum(np.cumsum(lengths)[read, None] - 1 - np.arange(size), 0)
+    read[read] = ((tokens[back] == want[read]) | (np.arange(size) >= need[read, None])).all(axis=1)
+    return read.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -175,8 +175,11 @@ class QueryPool:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def draw(self, rng: np.random.Generator) -> Query:
-        return self.queries[int(rng.integers(len(self.queries)))]
+    def draw(self, rng: np.random.Generator, size: int) -> list[Query]:
+        """``size`` queries, uniform over the pool, from one ``rng.integers``
+        call: the same queries, and the same stream after them, as ``size``
+        one-index draws."""
+        return [self.queries[i] for i in rng.integers(len(self.queries), size=size).tolist()]
 
 
 def init_policy(config: TrainConfig, pool: QueryPool) -> PolicyParams:
@@ -367,9 +370,7 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
         out_path.mkdir(parents=True, exist_ok=True)
 
     for step in range(start, config.steps):
-        index_rng = substream(config.seed, "stream", step)
-        queries = [pool.queries[int(i)]
-                   for i in index_rng.integers(len(pool), size=config.batch_size)]
+        queries = pool.draw(substream(config.seed, "stream", step), config.batch_size)
         groups = rollout_groups(params, queries, config.k,
                                 substream(config.seed, "rollout", step), xi=config.mix.xi,
                                 stop_token=config.task.stop, t_max=config.t_max)
@@ -458,7 +459,7 @@ def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
     if n_queries < 1:
         raise ConfigError("evaluate needs n_queries >= 1")
     counts = {g.value: 0 for g in DifficultyGrade}
-    queries = [pool.draw(rng) for _ in range(n_queries)]
+    queries = pool.draw(rng, n_queries)
     groups = [group for lo in range(0, n_queries, CHUNK_GROUPS)
               for group in rollout_groups(params, queries[lo:lo + CHUNK_GROUPS], k, rng, xi=xi,
                                           stop_token=pool.task.stop, t_max=t_max)]

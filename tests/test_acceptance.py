@@ -103,7 +103,7 @@ def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
 
     var = {}
     for k in (4, 8, 16):
-        groups = collect_mid_groups(params, lambda rng: query, 10_000,
+        groups = collect_mid_groups(params, lambda rng, size: [query] * size, 10_000,
                                     substream(ACCEPTANCE_SEED, "acc-kscale", k), k=k, **common)
         parts = [grpo_estimator(params, GroupBatch(params, groups[lo:lo + CHUNK_GROUPS]))
                  for lo in range(0, len(groups), CHUNK_GROUPS)]

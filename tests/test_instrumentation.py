@@ -44,9 +44,7 @@ def _draw(sampler, n: int, rng) -> list[RowBlock]:
 def _mean_sq_score(params, query, n: int, rng, *, stop_token: int, t_max: int) -> float:
     """Monte Carlo E||score||^2: score_sq_norms over one group of n rollouts."""
     group = sample_lockstep(params, [query.query_id], n, rng, stop_token=stop_token, t_max=t_max)
-    steps = group.rows >= 0
-    return float(score_sq_norms(params, group.rows[steps], group.tokens[steps],
-                                group.lengths).sum()) / n
+    return float(score_sq_norms(params, *group.steps, group.lengths).sum()) / n
 
 
 def test_variance_constant_sampler_is_zero():
@@ -212,9 +210,9 @@ def test_collect_mid_groups_budget_error():
         params.set_logits(ctx, row)
     params.default_logits = params.logits((inst.query.query_id, ()))
     with pytest.raises(BenchError) as exc:
-        collect_mid_groups(params, lambda rng: inst.query, 5, substream(1, "budget"),
-                           k=4, xi=1e-4, stop_token=inst.query.stop, t_max=10,
-                           max_attempts=50)
+        collect_mid_groups(params, lambda rng, size: [inst.query] * size, 5,
+                           substream(1, "budget"), k=4, xi=1e-4, stop_token=inst.query.stop,
+                           t_max=10, max_attempts=50)
     assert exc.value.diagnostics["attempts"] == 50
 
 
@@ -228,11 +226,11 @@ def test_collect_mid_groups_spends_exactly_its_budget_over_several_chunks():
     budget = 2 * CHUNK_GROUPS + 37
     drawn = []
     with pytest.raises(BenchError) as exc:
-        collect_mid_groups(params, lambda rng: drawn.append(1) or inst.query, 2 * budget,
-                           substream(1, "budget-chunks"), k=4, xi=1e-4,
+        collect_mid_groups(params, lambda rng, size: drawn.append(size) or [inst.query] * size,
+                           2 * budget, substream(1, "budget-chunks"), k=4, xi=1e-4,
                            stop_token=inst.query.stop, t_max=10, max_attempts=budget)
     assert exc.value.diagnostics == {"attempts": budget, "found": 0, "budget": budget}
-    assert len(drawn) == budget
+    assert sum(drawn) == budget
 
 
 def test_measure_eta_at_reference_is_quarter():

@@ -124,8 +124,9 @@ def test_grpo_on_policy_identity():
     ref = inst.params.snapshot()
     # the first Mid group that rollout_groups samples, which records its
     # sampling log-probs as it is sampled
-    group, = collect_mid_groups(inst.params, lambda rng: inst.query, 1, substream(7, "on-policy"),
-                                k=8, xi=CFG.xi, stop_token=TASK.stop, t_max=14)
+    group, = collect_mid_groups(inst.params, lambda rng, size: [inst.query] * size, 1,
+                                substream(7, "on-policy"), k=8, xi=CFG.xi, stop_token=TASK.stop,
+                                t_max=14)
     report = grpo_loss_grad(inst.params, ref, group, CFG)
     assert not group.alone(inst.params).log_ratios(inst.params).any()
     assert report.aux["kl_value"] == 0.0

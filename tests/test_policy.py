@@ -78,8 +78,7 @@ def test_score_zero_mean_monte_carlo():
     n = 20_000
     sampled = sample_lockstep(params, [query.query_id] * (n // 8), 8, rng,
                               stop_token=task.stop, t_max=8)
-    steps = np.arange(8) < sampled.lengths[:, None]
-    rows, tokens = sampled.rows[steps], sampled.tokens[steps]
+    rows, tokens = sampled.steps
     # every trajectory's score, keyed by (trajectory, context row)
     span = len(params.interner.contexts)
     owner = np.repeat(np.arange(n), sampled.lengths)
@@ -135,7 +134,7 @@ def test_sample_group_forced_stop():
     group = sample_lockstep(params, [query.query_id], 8, substream(7, "r"), stop_token=task.stop,
                             t_max=16)
     assert (group.lengths == 1).all() and group.terminal.all()
-    assert (group.tokens[:, 0] == task.stop).all() and (group.tokens[:, 1:] == -1).all()
+    assert (group.steps[1] == task.stop).all() and group.steps.shape == (2, 8)
 
 
 def test_sample_group_needs_k_at_least_two():

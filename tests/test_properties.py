@@ -3,11 +3,13 @@ against naive per-position and per-token references, one keyed loss pass
 against its groups one by one, the routing gate against its pathways by
 hand, pair construction one group at a time and batched, the grading
 partition, advantage standardization per group and per reward matrix, the
-reward parser and the batch reward against it, the JSON config round trip,
-and the certifier's batched finite-difference probes against scalar ones."""
+reward parser and the batch reward against it, one query draw against one
+draw per query, the JSON config round trip, and the certifier's batched
+finite-difference probes against scalar ones."""
 
 from __future__ import annotations
 
+import functools
 import json
 from types import SimpleNamespace
 
@@ -165,12 +167,11 @@ def test_sampler_matches_naive_per_token_reference(seed, history, k, n_queries, 
     lengths = [len(t) for t in want]
     assert got.lengths.tolist() == lengths
     assert got.terminal.tolist() == [t.terminal for t in want]
-    steps = np.arange(t_max) < got.lengths[:, None]
-    assert got.tokens[steps].tolist() == [tok for t in want for tok in t.tokens]
+    assert got.steps.shape == (2, sum(lengths)) and got.steps.dtype == np.int32
+    assert got.steps[1].tolist() == [tok for t in want for tok in t.tokens]
     contexts = [ctx for i, t in enumerate(want)
                 for ctx in step_contexts(query_ids[i // k], t.tokens, history)]
-    assert np.array_equal(got.rows[steps], params.rows(contexts))
-    assert (got.rows[~steps] == -1).all() and (got.tokens[~steps] == -1).all()
+    assert np.array_equal(got.steps[0], params.rows(contexts))
     # the scalar sampler, on from the same streams
     query = SimpleNamespace(query_id=0)
     assert [sample_trajectory(params, query, rng, stop_token=stop, t_max=t_max)] == \
@@ -181,8 +182,7 @@ def test_sampler_matches_naive_per_token_reference(seed, history, k, n_queries, 
     rows, tokens, built_lengths = built.step_rows(params)
     kept = built.rows
     assert kept.interner is params.interner
-    assert np.array_equal(rows, got.rows[:k][steps[:k]])
-    assert np.array_equal(tokens, got.tokens[:k][steps[:k]])
+    assert np.array_equal(np.stack((rows, tokens)), got.steps[:, :sum(lengths[:k])])
     assert built_lengths.tolist() == lengths[:k]
     built.step_rows(params)
     assert built.rows is kept
@@ -201,10 +201,12 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
                             stop_token=cfg.task.stop, t_max=cfg.t_max, only=only)
     sampled = sample_lockstep(twin, [q.query_id for q in queries], k, substream(seed, "groups"),
                               stop_token=cfg.task.stop, t_max=cfg.t_max)
+    ends = np.cumsum(sampled.lengths).tolist()
+    tokens = [tuple(sampled.steps[1, lo:hi].tolist()) for lo, hi in zip([0] + ends, ends)]
     expected = []
     for g, query in enumerate(queries):
-        trajs = [Trajectory(tuple(sampled.tokens[i, :sampled.lengths[i]].tolist()),
-                            terminal=bool(sampled.terminal[i])) for i in range(g * k, g * k + k)]
+        trajs = [Trajectory(tokens[i], terminal=bool(sampled.terminal[i]))
+                 for i in range(g * k, g * k + k)]
         rewards = tuple(reward(query, t) for t in trajs)
         if only is None or grade(rewards) is only:
             expected.append((query, trajs, rewards))
@@ -228,6 +230,23 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
         assert not group.alone(params).log_ratios(params).any()
 
 
+@functools.cache
+def _pool(size: int) -> QueryPool:
+    return QueryPool(TaskConfig(pool_size=size), 0)
+
+
+@given(seed=seeds, n=st.sampled_from([1, 2, 3, 7, 8, 32, 100, 1000]), m=st.integers(0, 512))
+@FAST
+def test_one_query_draw_is_the_one_index_draws(seed, n, m):
+    # a step's, an evaluation's or a bench chunk's queries come from one
+    # rng.integers call: the same queries, and the same stream after them,
+    # as one draw per query
+    pool = _pool(n)
+    rng, twin = substream(seed, "draw"), substream(seed, "draw")
+    assert pool.draw(rng, m) == [pool.queries[int(twin.integers(n))] for _ in range(m)]
+    assert rng.random() == twin.random()
+
+
 def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
     # the uniform 7-way cdf rounds to a last entry below the largest draw
     params = PolicyParams(7, 1)
@@ -237,7 +256,7 @@ def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
     assert traj == Trajectory((6,), terminal=True)
     assert naive_sample(params, 0, 1, top, 6, 3) == [traj]
     group = sample_lockstep(params, [0, 1], 3, top, stop_token=6, t_max=3)
-    assert group.tokens[:, 0].tolist() == [6] * 6 and (group.lengths == 1).all()
+    assert group.steps[1].tolist() == [6] * 6 and (group.lengths == 1).all()
     assert naive_lockstep_sample(params, [0, 1], 3, top, 6, 3) == [traj] * 6
 
 
@@ -253,7 +272,8 @@ def test_samplers_follow_the_transition_map_as_it_grows_mid_sample():
     assert len(params.interner.contexts) > capacity
     got = sample_lockstep(params, [1, 2], 2, rng, stop_token=6, t_max=40)
     want = naive_lockstep_sample(twin, [1, 2], 2, twin_rng, 6, 40)
-    assert got.tokens.tolist() == [list(t.tokens) for t in want]
+    assert got.steps[1].tolist() == [tok for t in want for tok in t.tokens]
+    assert got.lengths.tolist() == [len(t) for t in want]
     assert params.interner.contexts == twin.interner.contexts
 
 
@@ -623,17 +643,14 @@ def reward_cases(draw):
 def test_batch_reward_is_the_scalar_reward(cases, per):
     queries = [query for query, _ in cases]
     trajs = [trajs[i % len(trajs)] for _, trajs in cases for i in range(per)]
-    width = max(1, max(len(t) for t in trajs))
-    tokens = np.full((len(trajs), width), -1)
-    for i, t in enumerate(trajs):
-        tokens[i, :len(t)] = t.tokens
+    tokens = np.array([tok for t in trajs for tok in t.tokens], dtype=np.int32)
     lengths = np.array([len(t) for t in trajs])
     terminal = np.array([t.terminal for t in trajs])
     got = batch_reward(queries, tokens, lengths, terminal)
     assert got.tolist() == [reward(queries[i // per], t) for i, t in enumerate(trajs)]
-    if len(queries) > 1:  # a row short: the queries' runs are not equal
+    if len(queries) > 1:  # a trajectory short: the queries' runs are not equal
         with pytest.raises(InputError):
-            batch_reward(queries, tokens[1:], lengths[1:], terminal[1:])
+            batch_reward(queries, tokens[lengths[0]:], lengths[1:], terminal[1:])
 
 
 @given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=40))

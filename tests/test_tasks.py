@@ -155,7 +155,7 @@ def test_uniform_guess_rate_closed_form():
     for _ in range(n // 2000):  # 2000 trajectories per lockstep call
         sampled = sample_lockstep(params, [q.query_id] * 250, 8, rng, stop_token=TASK.stop,
                                   t_max=16)
-        hits += int(batch_reward([q], sampled.tokens, sampled.lengths, sampled.terminal).sum())
+        hits += int(batch_reward([q], sampled.steps[1], sampled.lengths, sampled.terminal).sum())
     p = uniform_guess_rate(TASK.vocab_size, 16)
     se = np.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) < 3.5 * se

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from dypo.errors import ConfigError, DataError, TrainingAborted
+from dypo.gradcheck import grad_check_suite
 from dypo.instrumentation import read_metrics, write_metrics
 from dypo.objectives import MixConfig
 from dypo.policy import PolicyParams, RowBlock
@@ -163,6 +165,34 @@ def test_checkpoint_resume_is_bit_exact(tmp_path):
     assert (tmp_path / "full" / "metrics.csv").read_bytes() == \
         (tmp_path / "resumed" / "metrics.csv").read_bytes()
     assert tables_equal(full.checkpoint.params, resumed.checkpoint.params)
+
+
+# sha256 of (metrics.csv, checkpoint.json) of seed-1 runs, by batch size, and
+# the hex errors of grad_check_suite(1, 20). A change to how results are stored
+# or computed keeps every sampled stream, and so these bytes
+PINNED_ARTIFACTS = {
+    2: ("e6dd92243425e826dd0560f0831521da677581b16eb999f78393d70e8b06275a",
+        "3304328af21fe2454056a3559ddd3d873516175d28b7ab0a6ca8140a6fe6b63f"),
+    8: ("35b1fd1a528dfc05de9eef8b1949dca6221789fc0568c537bef27eb03c0204eb",
+        "1c320ee6a4bb50f926fb299cc5db24a40a7778cc9944716f3e375f7cfff11c3c"),
+}
+PINNED_GRAD_ERRORS = {"sft_loss_grad": "0x1.62d65b0000000p-33",
+                      "grpo_loss_grad": "0x1.976da00000000p-35",
+                      "gal_loss_grad": "0x1.0bd8838000000p-33",
+                      "dypo_step_loss": "0x1.5eeedf0000000p-33"}
+PIN_CHANGED = ("a seed-1 stream changed; a change meant to alter it updates this pin "
+               "and records that in CHANGES.md")
+
+
+def test_seed_one_artifacts_and_certified_errors_are_pinned(tmp_path):
+    for batch_size, pinned in PINNED_ARTIFACTS.items():
+        out = tmp_path / str(batch_size)
+        train(TrainConfig(seed=1, batch_size=batch_size), out_dir=out)
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("metrics.csv", "checkpoint.json"))
+        assert digests == pinned, f"batch_size={batch_size}: {PIN_CHANGED}"
+    errors = {name: float(err).hex() for name, err in grad_check_suite(1, 20).items()}
+    assert errors == PINNED_GRAD_ERRORS, PIN_CHANGED
 
 
 def test_update_sparsity_per_step():
