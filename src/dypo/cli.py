@@ -100,7 +100,10 @@ def _write_json(path: Path, doc) -> None:
 
 def _prepare_out(args, cfg: TrainConfig) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc}") from exc
     echo = {"command": args.command, "config": train_config_to_dict(cfg)}
     _write_json(out / "config_echo.json", echo)
     return out

@@ -188,6 +188,15 @@ def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
 _MIX = MixConfig()
 
 
+def _off_clip_instance(seed: int, index: int, kind: str, eps: float) -> GradCheckInstance:
+    """The instance at ``index``; a Mid one is redrawn until its ratios are off the clip kinks."""
+    for attempt in range(50):
+        inst = make_instance(seed, index + 10_000 * attempt, kind=kind)
+        if kind != "mid" or _off_clip(inst, _MIX, margin=10 * eps):
+            break
+    return inst
+
+
 def _demo_nll(inst: GradCheckInstance, rng: np.random.Generator
               ) -> Callable[[Probes], np.ndarray]:
     """Each probe's negative log-likelihood of the demonstration that
@@ -253,12 +262,7 @@ def check_sft(seed: int, index: int, eps: float = 1e-5) -> float:
 
 
 def check_grpo(seed: int, index: int, eps: float = 1e-5) -> float:
-    # resample until every trajectory ratio is strictly off the clip kinks
-    for attempt in range(50):
-        inst = make_instance(seed, index + 10_000 * attempt)
-        if _off_clip(inst, _MIX, margin=10 * eps):
-            break
-    return certify(inst, "grpo_loss_grad", eps=eps)
+    return certify(_off_clip_instance(seed, index, "mid", eps), "grpo_loss_grad", eps=eps)
 
 
 def check_gal(seed: int, index: int, eps: float = 1e-5) -> float:
@@ -266,11 +270,7 @@ def check_gal(seed: int, index: int, eps: float = 1e-5) -> float:
 
 
 def check_dypo(seed: int, index: int, eps: float = 1e-5) -> float:
-    kind = ("mid", "hard", "easy")[index % 3]
-    for attempt in range(50):
-        inst = make_instance(seed, index + 10_000 * attempt, kind=kind)
-        if kind != "mid" or _off_clip(inst, _MIX, margin=10 * eps):
-            break
+    inst = _off_clip_instance(seed, index, ("mid", "hard", "easy")[index % 3], eps)
     return certify(inst, "dypo_step_loss", rng=substream(seed, "gradcheck-dypo", index), eps=eps)
 
 

@@ -587,14 +587,15 @@ VARIANTS = tuple(PATHWAYS)
 
 def route_groups(params: PolicyParams, ref: PolicyParams, groups: Sequence[GroupRollout],
                  teachers: Sequence[TeacherOracle], cfg: MixConfig, rng: np.random.Generator,
-                 variant: str = "dypo") -> tuple[list[LossReport | None], BatchReport | None]:
-    """Each group's report from its pathway, ``PATHWAYS[variant][grade]``, in
-    group order (``None`` for a discarded group), and the RL pass's report
-    (``None`` when no group takes it). ``rng`` draws the capped Mid groups'
-    pairs (``pair_arrays``), then the distilled groups' teachers, each in
-    group order. A distilled report is gamma times ``sft_loss_grad``; the
-    RL-bound groups go through one ``mixed_pass`` under ``dypo``, else one
-    ``grpo_pass``.
+                 variant: str = "dypo") -> tuple[LossReport, BatchReport | None]:
+    """The step: the mean loss and gradient of the groups not discarded, each
+    from its pathway ``PATHWAYS[variant][grade]`` (each row adds its groups'
+    terms in group order, as ``sum_blocks``; no group gives a zero loss and an
+    empty block), and the RL pass's report, or ``None``. ``rng`` draws the
+    capped Mid groups' pairs (``pair_arrays``), then the distilled groups'
+    teachers, each in group order. A distilled term is gamma times
+    ``sft_loss_grad``; the RL terms are the ``reports()`` of one
+    ``mixed_pass`` under ``dypo``, else of one ``grpo_pass``.
     """
     if variant not in PATHWAYS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -602,32 +603,33 @@ def route_groups(params: PolicyParams, ref: PolicyParams, groups: Sequence[Group
     rl = [i for i, route in enumerate(routes) if route == "rl"]
     mixed = variant == "dypo"
     pairs = pair_arrays([groups[i] for i in rl], cfg.pair_cap, rng) if mixed else None
-    reports: list[LossReport | None] = [None] * len(groups)
+    terms: dict[int, LossReport] = {}  # by group index, the dispatched groups only
     for i, route in enumerate(routes):
         if route == "distill":
             sft = sft_loss_grad(params, groups[i].query, teachers, rng)
-            reports[i] = LossReport(cfg.gamma * sft.loss, sft.gradient.scaled(cfg.gamma), sft.aux)
-    if not rl:
-        return reports, None
-    batch = GroupBatch(params, [groups[i] for i in rl])
-    passed = (mixed_pass(params, ref, batch, pairs, cfg) if mixed
-              else grpo_pass(params, ref, batch, cfg))
-    for i, report in zip(rl, passed.reports()):
-        reports[i] = report
-    return reports, passed
+            terms[i] = LossReport(cfg.gamma * sft.loss, sft.gradient.scaled(cfg.gamma))
+    passed = None
+    if rl:
+        batch = GroupBatch(params, [groups[i] for i in rl])
+        passed = (mixed_pass(params, ref, batch, pairs, cfg) if mixed
+                  else grpo_pass(params, ref, batch, cfg))
+        terms.update(zip(rl, passed.reports()))
+    if not terms:
+        empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
+        return LossReport(0.0, empty), passed
+    kept = [terms[i] for i in sorted(terms)]
+    gradient = sum_blocks([(1.0, term.gradient) for term in kept]).scaled(1.0 / len(kept))
+    return LossReport(sum(term.loss for term in kept) / len(kept), gradient), passed
 
 
 def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
                    group: GroupRollout, teachers: Sequence[TeacherOracle],
                    cfg: MixConfig, rng: np.random.Generator) -> LossReport:
-    """``route_groups`` over the group alone, under ``dypo``, with the
-    group's grade as ``aux["grade"]``: an Easy group gives exactly zero loss
-    and gradient, a Hard group gamma-scaled distillation and a Mid group the
-    alpha-mixture of the clipped surrogate and the pairwise alignment loss.
+    """The ``dypo`` step (``route_groups``) over the group alone, with the
+    group's grade as ``aux["grade"]``: zero for an Easy group, gamma-scaled
+    distillation for a Hard one and the alpha-mixture of the clipped
+    surrogate and the pairwise alignment loss for a Mid one.
     """
-    (report,), _ = route_groups(params, ref, [group], teachers, cfg, rng)
-    if report is None:
-        empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
-        report = LossReport(loss=0.0, gradient=empty)
+    report, _ = route_groups(params, ref, [group], teachers, cfg, rng)
     report.aux["grade"] = group.grade.value
     return report

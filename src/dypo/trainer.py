@@ -1,10 +1,11 @@
 """End-to-end training loop: rollout, grade, dispatch, update, record.
 
 One step draws a batch of queries from a fixed pool, samples and grades
-their groups of k trajectories together (``rollout_groups``), routes them
-through the gate (``route_groups``) by variant, averages the gradients of
-the groups it did not discard, and applies a single plain gradient-descent
-update. All randomness is derived from named substreams of (seed, role,
+their groups of k trajectories together (``rollout_groups``), and applies
+the mean gradient of the step the gate (``route_groups``) returns for the
+variant, over the groups it did not discard, as one plain gradient-descent
+update; the gate's RL pass report gives ``kl``, ``eta`` and the GAL weight
+range. All randomness is derived from named substreams of (seed, role,
 step), so a run is replayable from any checkpoint.
 """
 
@@ -32,7 +33,7 @@ from .objectives import (
     rollout_groups,
     route_groups,
 )
-from .policy import ContextInterner, PolicyParams, mean_step_entropy, sum_blocks
+from .policy import ContextInterner, PolicyParams, mean_step_entropy
 from .seeding import substream
 from .tasks import (
     BiasTestbedConfig,
@@ -224,7 +225,6 @@ class RunStats:
 
     gal_weight_min: float = math.inf
     gal_weight_max: float = -math.inf
-    dispatched_queries: int = 0
 
 
 @dataclass
@@ -253,10 +253,20 @@ def _params_from_dict(data: dict, config: TrainConfig, frozen: bool = False,
                           f"history={data['history']!r}; its config needs {vocab}, {history}")
     params = PolicyParams(vocab, history, interner=interner,
                           default_logits=data["default_logits"])
+    seen = set()
     for qid, hist, row in data["table"]:
         if len(hist) > history:
             raise ValueError(f"context {hist} is longer than history={history}")
-        params.set_logits((int(qid), tuple(int(t) for t in hist)), row)
+        if type(qid) is not int or qid < 0:
+            raise ValueError(f"query id {qid!r} is not a non-negative integer")
+        bad = [t for t in hist if type(t) is not int or not 0 <= t < vocab]
+        if bad:
+            raise ValueError(f"token {bad[0]!r} is not an integer in [0, {vocab})")
+        ctx = (qid, tuple(hist))
+        if ctx in seen:
+            raise ValueError(f"context {[qid, hist]} appears twice")
+        seen.add(ctx)
+        params.set_logits(ctx, row)
     params.frozen = frozen
     return params
 
@@ -278,9 +288,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint.
 
     A missing, truncated or malformed file raises DataError, and so do a
-    malformed policy, a step that is not a non-negative integer and metrics
-    that are not exactly the well-typed rows of steps 0 .. step-1; a config
-    that is invalid or disagrees with the stored policies raises ConfigError.
+    malformed policy (a context is a query id >= 0 and tokens in [0, V),
+    all JSON integers, and appears once), a step that is not a non-negative
+    integer and metrics that are not exactly the well-typed rows of steps
+    0 .. step-1; a config that is invalid or disagrees with the stored
+    policies raises ConfigError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -374,12 +386,9 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
         groups = rollout_groups(params, queries, config.k,
                                 substream(config.seed, "rollout", step), xi=config.mix.xi,
                                 stop_token=config.task.stop, t_max=config.t_max)
-        reports, passed = route_groups(params, ref, groups, teachers, config.mix,
-                                       substream(config.seed, "objective", step),
-                                       config.variant)
+        mean, passed = route_groups(params, ref, groups, teachers, config.mix,
+                                    substream(config.seed, "objective", step), config.variant)
         counts = Counter(group.grade for group in groups)
-        dispatched = [report for report in reports if report is not None]
-        stats.dispatched_queries += len(dispatched)
         eta = kl = 0.0
         if passed is not None:
             kl = float(np.mean(passed.aux["kl_value"]))
@@ -388,11 +397,7 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
                 stats.gal_weight_min = min(stats.gal_weight_min, float(passed.weights.min()))
                 stats.gal_weight_max = max(stats.gal_weight_max, float(passed.weights.max()))
 
-        loss_sum = sum(report.loss for report in dispatched)
-        terms = [(1.0, report.gradient) for report in dispatched]
-        mean_grad = sum_blocks(terms).scaled(1.0 / len(terms)) if terms else None
-        if not (math.isfinite(loss_sum)
-                and (mean_grad is None or np.isfinite(mean_grad.values).all())):
+        if not (math.isfinite(mean.loss) and np.isfinite(mean.gradient.values).all()):
             ckpt = _make_checkpoint(step, params, ref, metrics, config)
             if out_path is not None:
                 save_checkpoint(out_path / "abort_checkpoint.json", ckpt)
@@ -403,7 +408,7 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
             mean_reward=sum(sum(g.rewards) for g in groups) / sum(g.k for g in groups),
             offline_ratio=counts[DifficultyGrade.HARD] / config.batch_size,
             mean_entropy=mean_step_entropy(params, _visited_rows(params, groups)),
-            grad_norm=math.sqrt(mean_grad.sq_norm()) if mean_grad is not None else 0.0,
+            grad_norm=math.sqrt(mean.gradient.sq_norm()),
             easy=counts[DifficultyGrade.EASY],
             hard=counts[DifficultyGrade.HARD],
             mid=counts[DifficultyGrade.MID],
@@ -412,8 +417,7 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
         )
         metrics.append(row)
 
-        if mean_grad is not None:
-            params.apply_update(mean_grad, -config.learning_rate)
+        params.apply_update(mean.gradient, -config.learning_rate)
         if config.ref_refresh_period and (step + 1) % config.ref_refresh_period == 0:
             ref = params.snapshot()
         if (step + 1) in wanted:

@@ -6,7 +6,8 @@ variance bench's reference evaluates its losses one group at a time, as the
 bench did before they became one pass per chunk of groups. The scalar
 finite-difference oracle perturbs one logit in place per probe and
 re-evaluates an arbitrary loss, as the certifier did before its probes
-became one pass.
+became one pass. The gate's step is built by hand from its groups' terms,
+as the trainer reduced them before the gate returned the step.
 """
 
 from __future__ import annotations
@@ -16,14 +17,20 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit
 
+from dypo.grading import DifficultyGrade
 from dypo.instrumentation import collect_mid_groups, variance_from_samples
 from dypo.objectives import (
+    GroupBatch,
     GroupRollout,
     MixConfig,
     build_pairs,
     gal_loss_grad,
     grpo_estimator,
+    grpo_pass,
     mixed_gradient,
+    mixed_pass,
+    pair_arrays,
+    sft_loss_grad,
 )
 from dypo.policy import Context, PolicyParams, Trajectory, score_sq_norms
 
@@ -155,6 +162,47 @@ def naive_gal(params, ref, group: GroupRollout, pairs, beta: float) -> dict:
         _add(grad, naive_score(params, qid, win.tokens), coef)
         _add(grad, naive_score(params, qid, lose.tokens), -coef)
     return grad
+
+
+def gate_terms(params, ref, groups, teachers, cfg: MixConfig, rng, variant: str):
+    """Each dispatched group's (loss, gradient rows, gradient values) term of
+    the gate's step, by group index, and the RL pass (or None). The capped Mid
+    groups' pairs are drawn from ``rng`` first, then the distilled groups'
+    teachers, each in group order; a distilled term is gamma times
+    ``sft_loss_grad`` and the RL terms are the pass's ``reports()``."""
+    grades = [g.grade for g in groups]
+    rl = [i for i, g in enumerate(grades) if variant == "grpo_only"
+          or variant == "dypo" and g is DifficultyGrade.MID]
+    distilled = [i for i, g in enumerate(grades) if variant == "sft_only"
+                 or variant == "dypo" and g is DifficultyGrade.HARD]
+    pairs = pair_arrays([groups[i] for i in rl], cfg.pair_cap, rng) if variant == "dypo" else None
+    terms = {}
+    for i in distilled:
+        sft = sft_loss_grad(params, groups[i].query, teachers, rng)
+        terms[i] = (cfg.gamma * sft.loss, sft.gradient.rows, cfg.gamma * sft.gradient.values)
+    passed = None
+    if rl:
+        batch = GroupBatch(params, [groups[i] for i in rl])
+        passed = (mixed_pass(params, ref, batch, pairs, cfg) if variant == "dypo"
+                  else grpo_pass(params, ref, batch, cfg))
+        for i, report in zip(rl, passed.reports()):
+            terms[i] = (report.loss, report.gradient.rows, report.gradient.values)
+    return terms, passed
+
+
+def mean_step(terms: dict, vocab_size: int) -> tuple[float, list[int], np.ndarray]:
+    """The mean of ``gate_terms``' terms: the loss, the rows, and each row's
+    gradient, its groups' terms added one at a time in group order. No term
+    is a zero loss and no rows."""
+    kept = [terms[i] for i in sorted(terms)]
+    if not kept:
+        return 0.0, [], np.zeros((0, vocab_size))
+    rows: dict[int, np.ndarray] = {}
+    for _, block_rows, values in kept:
+        for row, value in zip(block_rows.tolist(), values):
+            rows[row] = rows.get(row, 0.0) + value
+    return (sum(loss for loss, _, _ in kept) / len(kept), sorted(rows),
+            (1.0 / len(kept)) * np.array([rows[r] for r in sorted(rows)]))
 
 
 def per_group_variance_bench(params, ref, draw_query, cfg: MixConfig, n_groups: int, rng, *,

@@ -129,6 +129,19 @@ def test_arguments_are_checked_before_anything_is_written(tmp_path, tiny_config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
+def test_an_unusable_out_exits_1_with_one_line(tmp_path, tiny_config, capsys, under):
+    # FileExistsError for an existing file, NotADirectoryError below one
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    out = taken / "run" if under else taken
+    assert main(["train", "--config", str(tiny_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: cannot create output directory")
+    assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "kept\n"
+
+
 def test_bias_bench(tmp_path, tiny_config, capsys):
     out = tmp_path / "bias"
     assert main(["bias-bench", "--config", str(tiny_config), "--out", str(out),

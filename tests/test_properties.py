@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dypo.errors import InputError, StateError
@@ -70,6 +70,8 @@ from dypo.trainer import (
 
 from conftest import block_dict, traj_score
 from reference import (
+    gate_terms,
+    mean_step,
     naive_gal,
     naive_grpo,
     naive_lockstep_sample,
@@ -368,7 +370,7 @@ def assert_same_report(got, want) -> None:
     assert got.loss == want.loss
     np.testing.assert_array_equal(got.gradient.rows, want.gradient.rows)
     np.testing.assert_array_equal(got.gradient.values, want.gradient.values)
-    assert set(got.aux) == set(want.aux) - {"grade"}
+    assert set(got.aux) == set(want.aux)
     for name, value in got.aux.items():
         np.testing.assert_array_equal(value, want.aux[name])
 
@@ -398,8 +400,10 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
         alone = gal_loss_grad(params, ref, group, pairs[i], cfg)
         assert_same_report(gal.reports()[i], alone)
         # the routed step draws the same pairs from the same stream
-        assert_same_report(mixed[i], dypo_step_loss(params, ref, group, inst.teachers, cfg,
-                                                    substream(seed, "pairs", i)))
+        step = dypo_step_loss(params, ref, group, inst.teachers, cfg, substream(seed, "pairs", i))
+        assert step.loss == mixed[i].loss and step.aux == {"grade": "mid"}
+        np.testing.assert_array_equal(step.gradient.rows, mixed[i].gradient.rows)
+        np.testing.assert_array_equal(step.gradient.values, mixed[i].gradient.values)
         g_grpo, = grpo_estimator(params, group.alone(params)).blocks()
         for got, want in ((estimator.blocks()[i], g_grpo),
                           (bench_mix[i], mixed_gradient(g_grpo, alone.gradient, cfg.alpha))):
@@ -507,6 +511,9 @@ def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, pic
        extra=st.lists(token_seqs, max_size=4), on_policy=st.booleans(),
        pair_cap=st.integers(1, 8), gamma=st.sampled_from([0.5, 1.0, 3.0]),
        variant=st.sampled_from(VARIANTS))
+# every group discarded: the step is a zero loss with an empty block, and nothing is drawn
+@example(seed=3, index=0, picks=[[0, 1], [2, 3, 4]], grades=[DifficultyGrade.EASY] * 6, extra=[],
+         on_policy=True, pair_cap=1, gamma=1.0, variant="dypo")
 @FAST
 def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, extra, on_policy,
                                                   pair_cap, gamma, variant):
@@ -515,41 +522,28 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
     groups = _graded_groups(inst, picks, extra, params if on_policy else ref, grades)
     cfg = MixConfig(gamma=gamma, pair_cap=pair_cap)
     rng, twin = substream(seed, "gate"), substream(seed, "gate")
-    reports, passed = route_groups(params, ref, groups, teachers, cfg, rng, variant)
-    # the pathways by hand: the pairs of capped Mid groups are drawn first,
-    # then the teachers of the distilled groups, each in group order
-    grade_of = [g.grade for g in groups]
-    rl = [i for i, g in enumerate(grade_of) if variant == "grpo_only"
-          or variant == "dypo" and g is DifficultyGrade.MID]
-    distilled = [i for i, g in enumerate(grade_of) if variant == "sft_only"
-                 or variant == "dypo" and g is DifficultyGrade.HARD]
-    pairs = pair_arrays([groups[i] for i in rl], pair_cap, twin) if variant == "dypo" else None
-    sft = {i: sft_loss_grad(params, groups[i].query, teachers, twin) for i in distilled}
+    step, passed = route_groups(params, ref, groups, teachers, cfg, rng, variant)
+    # the pathways by hand, from a twin of the stream
+    terms, want = gate_terms(params, ref, groups, teachers, cfg, twin, variant)
     assert rng.random() == twin.random()
-    assert (passed is None) == (not rl)
-    if rl:
-        batch = GroupBatch(params, [groups[i] for i in rl])
-        want = (mixed_pass(params, ref, batch, pairs, cfg) if variant == "dypo"
-                else grpo_pass(params, ref, batch, cfg))
+    assert (passed is None) == (want is None)
+    if want is not None:
         np.testing.assert_array_equal(passed.loss, want.loss)
-        for i, report in zip(rl, want.reports()):
-            assert_same_report(reports[i], report)
-    for i, report in sft.items():
-        assert reports[i].loss == gamma * report.loss and reports[i].aux == report.aux
-        np.testing.assert_array_equal(reports[i].gradient.rows, report.gradient.rows)
-        np.testing.assert_array_equal(reports[i].gradient.values, gamma * report.gradient.values)
-    for i in set(range(len(groups))) - set(rl) - set(distilled):
-        assert variant == "dypo" and grade_of[i] is DifficultyGrade.EASY and reports[i] is None
-    # the certified per-group step is the gate over one group, of each kind present
-    for g in {grade: groups[i] for i, grade in enumerate(grade_of)}.values():
-        step = dypo_step_loss(params, ref, g, teachers, cfg, substream(seed, "one"))
-        (alone,), _ = route_groups(params, ref, [g], teachers, cfg, substream(seed, "one"))
-        assert step.aux["grade"] == g.grade.value
-        if alone is None:
-            assert g.grade is DifficultyGrade.EASY
-            assert step.loss == 0.0 and step.gradient.rows.size == 0
-        else:
-            assert_same_report(alone, step)
+    for i in set(range(len(groups))) - set(terms):
+        assert variant == "dypo" and groups[i].grade is DifficultyGrade.EASY
+    # the step is the mean of the terms; each row adds its groups' terms in group order
+    mean_loss, rows, mean = mean_step(terms, params.vocab_size)
+    assert step.loss == mean_loss and step.aux == {}
+    assert step.gradient.rows.tolist() == rows
+    assert step.gradient.values.shape == mean.shape
+    assert step.gradient.values.tobytes() == mean.tobytes()
+    # the certified per-group step is the dypo gate over one group, of each kind present
+    for g in {group.grade: group for group in groups}.values():
+        one = dypo_step_loss(params, ref, g, teachers, cfg, substream(seed, "one"))
+        alone, _ = route_groups(params, ref, [g], teachers, cfg, substream(seed, "one"))
+        assert one.aux == {"grade": g.grade.value} and one.loss == alone.loss
+        assert one.gradient.rows.tobytes() == alone.gradient.rows.tobytes()
+        assert one.gradient.values.tobytes() == alone.gradient.values.tobytes()
 
 
 @given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=12).filter(

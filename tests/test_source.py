@@ -64,12 +64,14 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_the_trainer_routes_only_through_the_gate():
-    # the pathways are picked and run by objectives.route_groups alone
+    # the pathways are picked and run, and the step's gradient reduced, by
+    # objectives.route_groups alone
     tree = ast.parse((SRC / "trainer.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "route_groups" in imported
-    assert imported.isdisjoint({"sft_loss_grad", "grpo_pass", "mixed_pass", "pair_arrays"})
+    assert imported.isdisjoint({"sft_loss_grad", "grpo_pass", "mixed_pass", "pair_arrays",
+                                "sum_blocks"})
 
 
 def test_only_the_certifier_samples_one_trajectory_at_a_time():

@@ -34,7 +34,7 @@ from dypo.trainer import (
 )
 
 from conftest import block_dict, tables_equal
-from reference import uniform_guess_rate
+from reference import gate_terms, mean_step, uniform_guess_rate
 
 
 def test_config_roundtrip_and_strictness():
@@ -296,11 +296,11 @@ def test_history_order_two_trains():
 
 def test_batch_gradient_is_additive_over_query_reports():
     # under every variant the applied update, (theta_before - theta_after) / lr,
-    # is the mean of the reports the gate dispatches; the step has Hard and
-    # Mid groups, and at pair cap 3 every Mid group of k = 8 draws its pairs
+    # is the mean of the dispatched groups' terms, built by hand, and no other
+    # row moves; the step has Hard and Mid groups, and at pair cap 3 every Mid
+    # group of k = 8 draws its pairs
     from dypo.grading import DifficultyGrade
-    from dypo.objectives import rollout_groups, route_groups
-    from dypo.policy import sum_blocks
+    from dypo.objectives import rollout_groups
     from dypo.tasks import make_teacher_ensemble
 
     for variant in VARIANTS:
@@ -316,16 +316,16 @@ def test_batch_gradient_is_additive_over_query_reports():
                                 stop_token=cfg.task.stop, t_max=cfg.t_max)
         grades = [g.grade for g in groups]
         assert DifficultyGrade.MID in grades and DifficultyGrade.HARD in grades
-        reports, _ = route_groups(before, before.snapshot(), groups,
-                                  make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed),
-                                  cfg.mix, substream(cfg.seed, "objective", 0), variant)
+        terms, _ = gate_terms(before, before.snapshot(), groups,
+                              make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed),
+                              cfg.mix, substream(cfg.seed, "objective", 0), variant)
         discarded = grades.count(DifficultyGrade.EASY) if variant == "dypo" else 0
-        blocks = [(1.0, report.gradient) for report in reports if report is not None]
-        assert len(blocks) == len(groups) - discarded
-        expected = block_dict(before, sum_blocks(blocks).scaled(1.0 / len(blocks)))
-        for ctx, vec in expected.items():
+        assert len(terms) == len(groups) - discarded
+        _, rows, mean = mean_step(terms, before.vocab_size)
+        expected = block_dict(before, RowBlock(np.array(rows), mean))
+        for ctx in set(after.written_contexts()) | set(expected):
             applied = (before.logits(ctx) - after.logits(ctx)) / cfg.learning_rate
-            np.testing.assert_allclose(applied, vec, atol=1e-12)
+            np.testing.assert_allclose(applied, expected.get(ctx, 0.0), atol=1e-12)
 
 
 def test_each_group_is_graded_once(monkeypatch):
@@ -386,6 +386,40 @@ def test_checkpoint_history_length_is_checked(tmp_path, checkpoint_doc):
     doc = json.loads(json.dumps(checkpoint_doc))
     doc["params"]["table"][0][1] = [1, 2]  # history is 1
     with pytest.raises(DataError, match="longer than history=1"):
+        _load_doc(tmp_path, doc)
+
+
+# a context's query id and tokens are JSON integers (not bools), ids >= 0 and
+# tokens in [0, V), V = 9 here; each case is set on the first row of a table
+BAD_CONTEXTS = {
+    "fractional-token": (0, [1.5], "token 1.5 is not an integer in \\[0, 9\\)"),
+    "token-past-vocab": (0, [99], "token 99 is not"),
+    "negative-token": (0, [-3], "token -3 is not"),
+    "string-token": (0, ["2"], "token '2' is not"),
+    "bool-query-id": (True, [1], "query id True is not a non-negative integer"),
+    "fractional-query-id": (0.7, [1], "query id 0.7 is not"),
+    "negative-query-id": (-4, [1], "query id -4 is not"),
+}
+
+
+@pytest.mark.parametrize("section", ["params", "ref"])
+@pytest.mark.parametrize("case", sorted(BAD_CONTEXTS))
+def test_checkpoint_context_values_are_checked(tmp_path, checkpoint_doc, section, case):
+    qid, hist, message = BAD_CONTEXTS[case]
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc[section]["table"][0][:2] = [qid, hist]
+    with pytest.raises(DataError, match="malformed: " + message):
+        _load_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("section", ["params", "ref"])
+def test_checkpoint_duplicate_context_is_a_data_error(tmp_path, checkpoint_doc, section):
+    # the later row would otherwise silently win
+    doc = json.loads(json.dumps(checkpoint_doc))
+    table = doc[section]["table"]
+    qid, hist, row = table[0]
+    table.append([qid, hist, [x + 1.0 for x in row]])
+    with pytest.raises(DataError, match="appears twice"):
         _load_doc(tmp_path, doc)
 
 
