@@ -35,8 +35,8 @@ from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 # the fewest samples a variance estimate takes, so the fewest groups of a variance bench
 MIN_VARIANCE_SAMPLES = 30
 # groups per lockstep sampling call and per loss pass of the benches: the
-# perfbench `variance` work (5000 groups, seed 1) peaks at 115 MiB RSS with one
-# call and one pass over all groups, and at 75 MiB in chunks of this size
+# perfbench `variance` work (5000 groups, seed 1) peaks at 100 MiB RSS with one
+# call and one pass over all groups, and at 58 MiB in chunks of this size
 CHUNK_GROUPS = 256
 BIAS_CHUNK = 20000  # ensemble draws per bias_sq_norms call of the bias bench
 # draw_query(rng, size): ``size`` queries drawn from ``rng``, as ``QueryPool.draw``

@@ -13,13 +13,14 @@ the reported loss expression.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import grading
 from .errors import ConfigError, InputError, StateError
@@ -503,6 +504,24 @@ def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]
     return counts, traj_pairs
 
 
+# log of the largest double: above it math.exp raises OverflowError where
+# C's exp returns inf
+_EXP_ARG_MAX = math.log(sys.float_info.max)
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) over a 1-D float array, with the C library's exp
+    (``math.exp``) entry by entry: bit for bit what ``scipy.special.expit``
+    returns, including 0.0 where exp(-x) overflows, nan and +-inf."""
+    neg = (-x).tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), float, len(neg))
+    except OverflowError:
+        e = np.fromiter((math.inf if v > _EXP_ARG_MAX else math.exp(v) for v in neg),
+                        float, len(neg))
+    return 1.0 / (1.0 + e)
+
+
 def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
              pairs: Sequence[np.ndarray], cfg: MixConfig) -> BatchReport:
     """Pairwise contrastive alignment loss over (success, failure) rollouts of
@@ -515,7 +534,9 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     group's pairs. The gradient weight 1 - sigmoid(beta*d) is strictly inside
     (0,1), which is what bounds and eventually anneals this estimator's
     variance; the pass returns the weights and leaves their reductions
-    (``gal_etas``, the range) to whoever reads them.
+    (``gal_etas``, the range) to whoever reads them. The sigmoid uses the C
+    library's exp, not ``np.exp``, whose SIMD kernel can differ in the last bit
+    and would move every seeded run.
     """
     if len(pairs) != batch.count:
         raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
@@ -529,7 +550,7 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
                  - np.bincount(batch.traj, weights=ref.logp_at(batch.rows, batch.tokens),
                                minlength=n))
     margin = -beta * (log_ratio[win] - log_ratio[lose])  # -beta * d
-    weights = expit(margin)
+    weights = _expit(margin)
     coef = -beta * weights / np.repeat(counts, counts)
     traj_coef = np.bincount(win, weights=coef, minlength=n) - np.bincount(
         lose, weights=coef, minlength=n)

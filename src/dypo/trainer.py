@@ -290,9 +290,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     A missing, truncated or malformed file raises DataError, and so do a
     malformed policy (a context is a query id >= 0 and tokens in [0, V),
     all JSON integers, and appears once), a step that is not a non-negative
-    integer and metrics that are not exactly the well-typed rows of steps
-    0 .. step-1; a config that is invalid or disagrees with the stored
-    policies raises ConfigError.
+    integer, metrics that are not exactly the well-typed rows of steps
+    0 .. step-1 and an rng_state other than the one a run of this config
+    writes at this step; a config that is invalid or disagrees with the
+    stored policies raises ConfigError.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -310,12 +311,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if [m.step for m in metrics] != list(range(step)):
             raise DataError(f"checkpoint {path} is at step {step}, but its metrics are not "
                             f"exactly the rows of steps 0 to {step - 1}")
+        rng_state, want = doc["rng_state"], _rng_state(config, step)
+        # == alone would take True for 1 and 3.0 for 3
+        if rng_state != want or any(type(rng_state[k]) is not type(v) for k, v in want.items()):
+            raise DataError(f"checkpoint {path} has rng_state {rng_state!r}, not {want!r}")
         params = _params_from_dict(doc["params"], config)
         return Checkpoint(
             step=step,
             params=params,
             ref=_params_from_dict(doc["ref"], config, frozen=True, interner=params.interner),
-            rng_state=doc["rng_state"],
+            rng_state=rng_state,
             metrics=metrics,
             config=config,
         )
@@ -437,10 +442,16 @@ def _make_checkpoint(step: int, params: PolicyParams, ref: PolicyParams,
         step=step,
         params=params,
         ref=ref,
-        rng_state={"scheme": "named-substreams-v1", "seed": config.seed, "next_step": step},
+        rng_state=_rng_state(config, step),
         metrics=list(metrics),
         config=config,
     )
+
+
+def _rng_state(config: TrainConfig, step: int) -> dict:
+    # each step's streams are substream(seed, name, step), so the seed and the
+    # next step are the whole RNG state
+    return {"scheme": "named-substreams-v1", "seed": config.seed, "next_step": step}
 
 
 @dataclass

@@ -1,22 +1,27 @@
 """Property tests: the lockstep and scalar samplers and row-block gradients
 against naive per-position and per-token references, one keyed loss pass
 against its groups one by one, the routing gate against its pathways by
-hand, pair construction one group at a time and batched, the grading
-partition, advantage standardization per group and per reward matrix, the
-reward parser and the batch reward against it, one query draw against one
-draw per query, the JSON config round trip, and the certifier's batched
-finite-difference probes against scalar ones."""
+hand, GAL's sigmoid against scipy's ``expit``, pair construction one group at
+a time and batched, the grading partition, advantage standardization per
+group and per reward matrix, the reward parser and the batch reward against
+it, one query draw against one draw per query, the JSON config round trip,
+and the certifier's batched finite-difference probes against scalar ones."""
 
 from __future__ import annotations
 
 import functools
 import json
+import math
+import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from dypo.errors import InputError, StateError
 from dypo.grading import DifficultyGrade, grade
@@ -25,6 +30,7 @@ from dypo.objectives import (
     GroupBatch,
     GroupRollout,
     MixConfig,
+    _expit,
     build_pairs,
     dypo_step_loss,
     gal_loss_grad,
@@ -334,6 +340,29 @@ def test_gal_block_matches_naive_reference(seed, index, beta, duplicated):
     report = gal_loss_grad(inst.params, inst.ref, group, pairs, MixConfig(beta_gal=beta))
     assert_block_matches(inst.params, report.gradient,
                          naive_gal(inst.params, inst.ref, group, pairs, beta))
+
+
+# the largest argument math.exp takes, its neighbours, and the other values
+# where an exp-based sigmoid can go wrong
+EXP_MAX = math.log(sys.float_info.max)
+EXPIT_EDGES = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min, math.inf, -math.inf,
+     math.nan, 800.0, -800.0]
+    + [sign * v for sign in (1.0, -1.0)
+       for v in (math.nextafter(EXP_MAX, 0.0), EXP_MAX, math.nextafter(EXP_MAX, math.inf))])
+
+
+@given(x=hnp.arrays(np.float64, st.integers(0, 64),
+                    elements=st.floats(allow_nan=True, allow_infinity=True)
+                    | st.floats(-40.0, 40.0)))
+@FAST
+def test_gal_sigmoid_is_scipy_expit_bit_for_bit(x):
+    x = np.concatenate([EXPIT_EDGES, x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expit(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expit(x), equal_nan=True)
 
 
 def _graded_groups(inst, picks, extra, sampler, grades=None) -> list[GroupRollout]:

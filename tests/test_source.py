@@ -1,11 +1,15 @@
-"""Source hygiene: no module of the package imports a name it never uses, the
-trainer routes only through the gate, only the certifier uses the scalar
-sampler, and the README's configuration block is the schema's defaults."""
+"""Source hygiene: no module of the package imports a name it never uses,
+importing the package loads no scipy, the trainer routes only through the
+gate, only the certifier uses the scalar sampler, and the README's
+configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from dypo.trainer import TrainConfig, train_config_from_dict
@@ -61,6 +65,17 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is the tests' oracle only: importing it would double the start-up
+    # time and add ~19 MiB to every run
+    code = ("import sys\nimport dypo, dypo.cli, dypo.gradcheck, dypo.instrumentation\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_the_trainer_routes_only_through_the_gate():

@@ -485,6 +485,31 @@ def test_checkpoint_metrics_must_be_the_rows_before_its_step(tmp_path, checkpoin
             _load_doc(tmp_path, doc)
 
 
+# the fixture is at seed 25, step 3; rng_state must be exactly what a run
+# writes there, with JSON integers (not bools or floats) for the numbers
+SCHEME = "named-substreams-v1"
+BAD_RNG_STATES = {
+    "not-a-dict": "garbage",
+    "foreign-scheme": {"scheme": "x", "seed": 25, "next_step": 3},
+    "other-seed": {"scheme": SCHEME, "seed": 999, "next_step": 3},
+    "other-next-step": {"scheme": SCHEME, "seed": 25, "next_step": 7},
+    "float-seed": {"scheme": SCHEME, "seed": 25.0, "next_step": 3},
+    "float-next-step": {"scheme": SCHEME, "seed": 25, "next_step": 3.0},
+    "bool-seed": {"scheme": SCHEME, "seed": True, "next_step": 3},  # with a config seed of 1
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RNG_STATES))
+def test_checkpoint_rng_state_is_the_one_its_run_writes(tmp_path, checkpoint_doc, case):
+    doc = json.loads(json.dumps(checkpoint_doc))
+    assert doc["rng_state"] == {"scheme": SCHEME, "seed": 25, "next_step": 3}
+    if case == "bool-seed":
+        doc["config"]["seed"] = 1
+    doc["rng_state"] = BAD_RNG_STATES[case]
+    with pytest.raises(DataError, match="has rng_state"):
+        _load_doc(tmp_path, doc)
+
+
 def test_checkpoint_vocab_and_history_must_match_the_config(tmp_path, checkpoint_doc):
     for key, value in (("vocab_size", 7), ("history", 2)):
         doc = json.loads(json.dumps(checkpoint_doc))
