@@ -27,6 +27,7 @@ from .instrumentation import (
     write_metrics,
 )
 from .objectives import (
+    GroupBatch,
     GroupRollout,
     LossReport,
     MixConfig,

@@ -82,10 +82,9 @@ class Probes:
         row swapped for its own."""
         return np.where(rows == self.probed[:, None], self.own[:, None], rows)
 
-    def batch(self, group: GroupRollout) -> GroupBatch:
-        """The group once per probe, each copy reading its probe's rows."""
-        rows, _, _ = group.step_rows(self.params)
-        return GroupBatch.tiled(self.params, group, self.remap(rows))
+    def batch(self, group: GroupBatch) -> GroupBatch:
+        """The batch once per probe, each copy reading its probe's rows."""
+        return group.tiled(self.remap(group.rows))
 
 
 def numerical_gradient(losses: Callable[[Probes], np.ndarray], params: PolicyParams,
@@ -212,15 +211,15 @@ def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
     evaluation over the probes. The draws the loss makes from ``rng`` (a
     teacher and its demonstration, capped pairs) are made here, once, as the
     loss makes them."""
-    group = inst.group
+    group = inst.group.alone(inst.params)
     if loss == "dypo_step_loss":
-        route = PATHWAYS["dypo"][group.grade]
+        route = PATHWAYS["dypo"][inst.group.grade]
         if route is None:
             return lambda probes: np.zeros(probes.count)
         if route == "distill":
             nll = _demo_nll(inst, rng)
             return lambda probes: cfg.gamma * nll(probes)
-        pairs, = pair_arrays([group], cfg.pair_cap, rng)
+        pairs, = pair_arrays(group, cfg.pair_cap, rng)
         return lambda probes: mixed_pass(probes.params, probes.ref, probes.batch(group),
                                          [pairs] * probes.count, cfg).loss
     if loss == "sft_loss_grad":

@@ -11,7 +11,7 @@ import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, get_type_hints
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import BenchError, DataError, InputError
 from .grading import DifficultyGrade
 from .objectives import (
     GroupBatch,
-    GroupRollout,
     MixConfig,
     gal_etas,
     gal_pass,
@@ -106,46 +105,44 @@ def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
 
 def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: int,
                        rng: np.random.Generator, *, k: int, xi: float, stop_token: int, t_max: int,
-                       max_attempts: int | None = None) -> list[GroupRollout]:
-    """Sample rollout groups from the query stream, keeping the Mid-graded ones.
+                       max_attempts: int | None = None) -> GroupBatch:
+    """The first ``n_groups`` Mid-graded groups of the query stream, in order, as one batch.
 
     Queries are drawn, and their groups sampled together, in chunks of at
     most ``CHUNK_GROUPS``, twice the groups still missing, and the attempts
-    left; Mid groups are kept in order. A chunk's groups past the
-    ``n_groups``-th Mid one are dropped. Every sampled group is an attempt,
-    so a failed collection has made exactly ``max_attempts`` of them.
+    left; a chunk's Mid groups up to the ``n_groups``-th are ``select``-ed.
+    Every sampled group is an attempt, so a failed collection has made
+    exactly ``max_attempts`` of them.
     """
     budget = max_attempts if max_attempts is not None else max(100 * n_groups, 1000)
-    groups: list[GroupRollout] = []
-    attempts = 0
-    while len(groups) < n_groups:
+    parts: list[GroupBatch] = []
+    found = attempts = 0
+    while found < n_groups:
         if attempts >= budget:
             raise BenchError(
-                f"found only {len(groups)}/{n_groups} Mid groups in {attempts} attempts",
-                diagnostics={"attempts": attempts, "found": len(groups), "budget": budget},
+                f"found only {found}/{n_groups} Mid groups in {attempts} attempts",
+                diagnostics={"attempts": attempts, "found": found, "budget": budget},
             )
-        size = min(CHUNK_GROUPS, 2 * (n_groups - len(groups)), budget - attempts)
+        size = min(CHUNK_GROUPS, 2 * (n_groups - found), budget - attempts)
         attempts += size
         queries = draw_query(rng, size)
-        groups += rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
-                                 t_max=t_max, only=DifficultyGrade.MID)[:n_groups - len(groups)]
-    return groups
-
-
-def _batches(params: PolicyParams, groups: list[GroupRollout]) -> Iterator[GroupBatch]:
-    for lo in range(0, len(groups), CHUNK_GROUPS):
-        yield GroupBatch(params, groups[lo:lo + CHUNK_GROUPS])
+        mid = rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
+                             t_max=t_max, only=DifficultyGrade.MID)
+        parts.append(mid.select(slice(n_groups - found)))
+        found += len(parts[-1])
+    return GroupBatch.concat(parts)
 
 
 def measure_eta(params: PolicyParams, ref: PolicyParams, draw_query: QueryDraw, cfg: MixConfig,
                 n_groups: int, rng: np.random.Generator, *, k: int, stop_token: int,
                 t_max: int) -> float:
     """Mean discrimination difficulty over freshly sampled Mid groups."""
-    groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
-                                stop_token=stop_token, t_max=t_max)
+    mid = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
+                             stop_token=stop_token, t_max=t_max)
     etas = []
-    for batch in _batches(params, groups):
-        pairs = pair_arrays(batch.groups, cfg.pair_cap, rng)
+    for lo in range(0, n_groups, CHUNK_GROUPS):
+        batch = mid.select(slice(lo, lo + CHUNK_GROUPS))
+        pairs = pair_arrays(batch, cfg.pair_cap, rng)
         etas.append(gal_etas(gal_pass(params, ref, batch, pairs, cfg)))
     return float(np.mean(np.concatenate(etas)))
 
@@ -172,13 +169,14 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams, draw_query:
     alpha-mixture on the same group, then reports the three scalar variances.
     Verdict: var_mix < var_grpo with the gap exceeding 3 combined SEs.
     """
-    groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
-                                stop_token=stop_token, t_max=t_max)
+    mid = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
+                             stop_token=stop_token, t_max=t_max)
     samples: dict[str, list[KeyedBlocks]] = {"grpo": [], "gal": [], "mix": []}
     etas, pair_counts = [], []
     score_sq_sum = 0.0
-    for batch in _batches(params, groups):
-        pairs = pair_arrays(batch.groups, cfg.pair_cap, rng)
+    for lo in range(0, n_groups, CHUNK_GROUPS):
+        batch = mid.select(slice(lo, lo + CHUNK_GROUPS))
+        pairs = pair_arrays(batch, cfg.pair_cap, rng)
         grpo = grpo_estimator(params, batch)
         gal = gal_pass(params, ref, batch, pairs, cfg)
         samples["grpo"].append(grpo)
@@ -196,7 +194,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams, draw_query:
     verdict = gap > 3.0 * combined_se
     eta_mean = float(np.concatenate(etas).mean())
     pair_count_mean = float(np.concatenate(pair_counts).mean())
-    sigma_s = score_sq_sum / sum(g.k for g in groups)
+    sigma_s = score_sq_sum / len(mid.rewards)
     # independent-pair approximation of the alignment-gradient variance;
     # pairs within one group share trajectories, so this routinely
     # underestimates the measured value (reported, never enforced)

@@ -1,12 +1,14 @@
 """Loss values and exact gradients for every optimization pathway, and the
 gate (``route_groups``) that sends each graded group to one of them.
 
-GRPO, its estimator, GAL and their mixture are each one pass over a batch of
-groups (``GroupBatch``): every group's loss, and gradients keyed by (group,
-row), so each group keeps the row block it would have alone. The per-group
-functions (``grpo_loss_grad``, ``gal_loss_grad``, ``dypo_step_loss``, ...)
-are those passes, or the gate, over one group, which is what finite
-differences certify. Each returns a LossReport: scalar loss, exact gradient as a row
+A step is one ``GroupBatch``, the arrays of its graded groups, from the
+sampler (``rollout_groups``) to the update. GRPO, its estimator, GAL and
+their mixture are each one pass over a batch: every group's loss, and
+gradients keyed by (group, row), so each group keeps the row block it would
+have alone. The per-group functions (``grpo_loss_grad``, ``gal_loss_grad``,
+``dypo_step_loss``, ...) are those passes, or the gate, over one
+``GroupRollout``, a group built by hand, which is what finite differences
+certify. Each returns a LossReport: scalar loss, exact gradient as a row
 block over the logit table, and named aux values. Gradients are exact for
 the reported loss expression.
 """
@@ -26,6 +28,7 @@ from . import grading
 from .errors import ConfigError, InputError, StateError
 from .grading import DifficultyGrade
 from .policy import (
+    ContextInterner,
     KeyedBlocks,
     KeyIndex,
     PolicyParams,
@@ -37,6 +40,7 @@ from .policy import (
     kl_gradient,
     sample_lockstep,
     sum_blocks,
+    sum_rows,
     weighted_score,
 )
 from .tasks import Query, TeacherOracle, batch_reward, teacher_sample
@@ -72,51 +76,26 @@ class MixConfig:
 
 
 class GroupRollout:
-    """k rollouts for one query, with rewards and standardized advantages.
-
-    The group owns the rows of its trajectories' steps, read through
-    ``step_rows``: a sampled group (``rollout_groups``) keeps the rows it was
-    sampled with, and builds its ``Trajectory`` objects from them only when
-    they are read; a group built from given trajectories resolves their rows
-    once, on first use, and keeps them. ``sample_logp`` is the sampling
-    policy's log-prob of every step, which GRPO's ratios read: a sampled
-    group records it as it is sampled; a group built from trajectories has
-    it set by whoever built it, or lacks it.
+    """k given trajectories for one query, with rewards and, when set,
+    standardized advantages and every step's sampling log-prob
+    (``sample_logp``, which GRPO's ratios read): a group built by hand, for
+    the certifier and the tests. It enters a loss pass as a batch of one
+    (``alone``).
     """
 
-    def __init__(self, query: Query, trajectories: Sequence[Trajectory] | None,
-                 rewards: Sequence[int], advantages: np.ndarray | None = None,
-                 rows: StepRows | None = None, sample_logp: np.ndarray | None = None):
+    def __init__(self, query: Query, trajectories: Sequence[Trajectory], rewards: Sequence[int],
+                 advantages: np.ndarray | None = None, sample_logp: np.ndarray | None = None):
         self.query = query
+        self.trajectories = tuple(trajectories)
         self.rewards = tuple(rewards)
         self.advantages = advantages
-        self.rows = rows
         self.sample_logp = sample_logp
-        if trajectories is not None:  # None: a sampled group, see ``sampled``
-            self.trajectories = tuple(trajectories)
-            self.lengths = np.array([len(t) for t in self.trajectories])
-            if len(self.trajectories) != self.k:
-                raise InputError("trajectories and rewards must have equal length")
+        self.rows: StepRows | None = None
+        self.lengths = np.array([len(t) for t in self.trajectories])
+        if len(self.trajectories) != self.k:
+            raise InputError("trajectories and rewards must have equal length")
         if advantages is not None and len(advantages) != self.k:
             raise InputError("advantages length must match rewards")
-
-    @classmethod
-    def sampled(cls, query: Query, rewards: Sequence[int], grade: DifficultyGrade,
-                advantages: np.ndarray, rows: StepRows, lengths: np.ndarray,
-                terminal: np.ndarray, sample_logp: np.ndarray) -> GroupRollout:
-        """A group as the sampler returns it: graded, with its steps' rows and
-        sampling log-probs and every trajectory's length and terminal flag."""
-        group = cls(query, None, rewards, advantages, rows, sample_logp)
-        group.grade, group.lengths, group._terminal = grade, lengths, terminal
-        return group
-
-    @cached_property
-    def trajectories(self) -> tuple[Trajectory, ...]:
-        """A sampled group's trajectories, built from its steps on first read."""
-        ends = np.cumsum(self.lengths).tolist()
-        tokens = self.rows.steps[1].tolist()
-        return tuple(Trajectory(tuple(tokens[lo:hi]), terminal=bool(term))
-                     for lo, hi, term in zip([0] + ends, ends, self._terminal))
 
     @property
     def k(self) -> int:
@@ -127,114 +106,145 @@ class GroupRollout:
         """Difficulty grade of the reward pattern, computed once per group."""
         return grading.grade(self.rewards)
 
-    def _steps(self, params: PolicyParams) -> np.ndarray:
-        """The ``(2, steps)`` int32 rows and tokens in ``params``' interner."""
+    def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, tokens, lengths) of the group's steps, resolved in
+        ``params``' interner on first use and kept; a policy of another
+        interner is then an ``InputError``."""
         if self.rows is None:
             parts = [params.trajectory_rows(self.query.query_id, t.tokens)
                      for t in self.trajectories]
-            self.rows = StepRows(params.interner,
-                                 np.concatenate(parts, axis=1).astype(np.int32))
+            self.rows = StepRows(params.interner, np.concatenate(parts, axis=1))
         elif self.rows.interner is not params.interner:
             raise InputError("the group's rows belong to another policy's interner")
-        else:
-            params._fit()
-        return self.rows.steps
-
-    def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, tokens, lengths) of the group's steps in ``params``' interner.
-
-        Rows kept for another interner are an ``InputError``.
-        """
-        rows, tokens = self._steps(params)
+        rows, tokens = self.rows.steps
         return rows, tokens, self.lengths
 
     def alone(self, params: PolicyParams) -> GroupBatch:
         """The group as a batch of one."""
-        return GroupBatch(params, [self])
+        self.step_rows(params)
+        return GroupBatch(params.interner, [self.query], [self.grade], np.array([self.k]),
+                          np.array(self.rewards), self.advantages, self.lengths,
+                          np.array([t.terminal for t in self.trajectories]), self.rows.steps,
+                          self.sample_logp)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The index ranges ``starts[i]`` to ``starts[i] + sizes[i] - 1``, one after another."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts + sizes - ends, sizes) + np.arange(sizes.sum())
 
 
 class GroupBatch:
-    """The steps of several groups, concatenated once: what every loss pass reads.
+    """Groups as one set of arrays: what ``rollout_groups`` returns and
+    every loss pass reads.
 
-    ``rows`` and ``tokens`` (intp) hold every step of every group in group
-    order, ``traj`` each step's trajectory and ``owner`` each trajectory's
-    group. A pass gathers its gradient under ``index``, the steps'
-    ``(group, row)`` keys, so every group keeps its own row block
-    (``KeyedBlocks``). ``advantages``, ``sample_logp`` and ``rewards`` read
-    the groups' own. Groups whose rows belong to another interner are an
-    ``InputError``.
+    Per group: ``queries``, ``grades`` and size ``k``. Per trajectory, group
+    by group: ``rewards``, ``advantages``, ``lengths`` and ``terminal``. Per
+    step: ``steps``, every step's row in ``interner`` and token as one
+    ``(2, steps)`` array (``rows`` and ``tokens`` in intp), and
+    ``sample_logp``. Reading advantages or log-probs a batch lacks (``None``)
+    is a ``StateError``.
     """
 
-    def __init__(self, params: PolicyParams, groups: Sequence[GroupRollout]):
-        if len(groups) == 0:
-            raise InputError("a group batch needs at least one group")
-        steps = [g._steps(params) for g in groups]
-        rows, tokens = np.concatenate(steps, axis=1, dtype=np.intp)
-        # after the steps: resolving a group's rows may intern new contexts
-        span = len(params.interner.contexts)
-        self._setup(groups, rows, tokens, [s.shape[1] for s in steps], span, params.vocab_size)
+    def __init__(self, interner: ContextInterner, queries: Sequence[Query],
+                 grades: Sequence[DifficultyGrade], k: np.ndarray, rewards: np.ndarray,
+                 advantages: np.ndarray | None, lengths: np.ndarray, terminal: np.ndarray,
+                 steps: np.ndarray, sample_logp: np.ndarray | None):
+        self.interner = interner
+        self.queries, self.grades = list(queries), list(grades)
+        self.count = len(self.queries)
+        self.k, self.rewards, self.lengths, self.terminal = k, rewards, lengths, terminal
+        self._advantages = None if advantages is None else np.asarray(advantages, np.float64)
+        self.steps, self._sample_logp = steps, sample_logp
+        self.rows, self.tokens = np.asarray(steps, dtype=np.intp)
+        self._index: KeyIndex | None = None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def select(self, groups) -> GroupBatch:
+        """The groups ``groups`` indexes (a mask over the groups, their
+        indices or a slice), in that order, by one take of each array."""
+        picked = np.arange(self.count)[groups]
+        traj = _ranges(self.first[picked], self.k[picked])
+        step = _ranges((np.cumsum(self.lengths) - self.lengths)[traj], self.lengths[traj])
+        adv, logp, order = self._advantages, self._sample_logp, picked.tolist()
+        return GroupBatch(self.interner, [self.queries[i] for i in order],
+                          [self.grades[i] for i in order], self.k[picked],
+                          self.rewards[traj], None if adv is None else adv[traj],
+                          self.lengths[traj], self.terminal[traj], self.steps.take(step, axis=1),
+                          None if logp is None else logp[step])
 
     @classmethod
-    def tiled(cls, params: PolicyParams, group: GroupRollout, rows: np.ndarray) -> GroupBatch:
-        """The group once per row of ``rows``, a ``(count, steps)`` array:
-        copy i reads its steps at ``rows[i]`` instead of the group's own rows,
-        which may be extra rows of ``params`` (``PolicyParams.with_rows``).
-        Built from the group's step arrays, tiled."""
-        count, steps = rows.shape
-        tokens = np.tile(group._steps(params)[1].astype(np.intp), count)
-        span = max(len(params.interner.contexts), int(rows.max()) + 1)
-        batch = cls.__new__(cls)
-        batch._setup((group,) * count, rows.ravel(), tokens, [steps] * count, span,
-                     params.vocab_size)
-        return batch
+    def concat(cls, batches: Sequence[GroupBatch]) -> GroupBatch:
+        """The groups of the batches, which share one interner, in order, as one batch."""
+        if len(batches) == 0:
+            raise InputError("concat needs at least one batch")
 
-    def _setup(self, groups: Sequence[GroupRollout], rows: np.ndarray, tokens: np.ndarray,
-               steps: list[int], span: int, vocab_size: int) -> None:
-        """Hold the groups and their steps, ``steps[i]`` of them group i's,
-        keyed by (group, row) with rows below ``span``."""
-        self.groups = tuple(groups)
-        self.count = len(self.groups)
-        self.rows, self.tokens = rows, tokens
-        self.lengths = np.concatenate([g.lengths for g in self.groups])
-        self.k = np.array([g.k for g in self.groups])
-        self.traj = np.repeat(np.arange(len(self.lengths)), self.lengths)
-        if self.count == 1:  # owner 0: the keys are the rows
-            keys = self.rows
-        else:
-            keys = np.repeat(np.arange(self.count), steps) * span + self.rows
-        self.index = KeyIndex(keys, self.tokens, span, self.count, vocab_size)
+        def joined(name: str) -> np.ndarray | None:
+            parts = [getattr(b, name) for b in batches]
+            return None if any(p is None for p in parts) else np.concatenate(parts, axis=-1)
+
+        return cls(batches[0].interner, [q for b in batches for q in b.queries],
+                   [g for b in batches for g in b.grades], joined("k"), joined("rewards"),
+                   joined("_advantages"), joined("lengths"), joined("terminal"),
+                   joined("steps"), joined("_sample_logp"))
+
+    def tiled(self, rows: np.ndarray) -> GroupBatch:
+        """The batch once per row of ``rows``, a ``(count, steps)`` array:
+        copy i reads its steps at ``rows[i]`` instead of the batch's own
+        rows, which may be extra rows of a policy (``PolicyParams.with_rows``)."""
+        out = self.select(np.tile(np.arange(self.count), len(rows)))
+        out.steps = np.stack([rows.ravel(), out.tokens])
+        out.rows = out.steps[0]
+        return out
 
     @property
     def advantages(self) -> np.ndarray:
         """Every trajectory's advantage, group by group."""
-        parts = [g.advantages for g in self.groups]
-        if any(part is None for part in parts):
+        if self._advantages is None:
             raise StateError("group advantages are not populated")
-        return np.concatenate(parts, dtype=np.float64)
+        return self._advantages
 
     @property
     def sample_logp(self) -> np.ndarray:
         """Every step's sampling log-prob, as the groups recorded them."""
-        parts = [g.sample_logp for g in self.groups]
-        if any(part is None for part in parts):
+        if self._sample_logp is None:
             raise StateError("group sampling log-probs are not recorded")
-        return np.concatenate(parts)
+        return self._sample_logp
 
-    @property
+    @cached_property
     def owner(self) -> np.ndarray:
         """Each trajectory's group."""
         return np.repeat(np.arange(self.count), self.k)
 
     @cached_property
-    def rewards(self) -> np.ndarray:
-        """Every trajectory's reward, group by group."""
-        return np.concatenate([g.rewards for g in self.groups])
+    def traj(self) -> np.ndarray:
+        """Each step's trajectory."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
 
     @cached_property
-    def spans(self) -> np.ndarray:
-        """Each group's (first trajectory, trajectory count) row, unsigned for
-        the pair check's range comparison."""
-        return np.stack([np.cumsum(self.k) - self.k, self.k], axis=1).astype(np.uintp)
+    def first(self) -> np.ndarray:
+        """Each group's first trajectory."""
+        return np.cumsum(self.k) - self.k
+
+    @cached_property
+    def wins(self) -> np.ndarray:
+        """Each group's count of rewarded trajectories."""
+        return np.bincount(self.owner, weights=self.rewards, minlength=self.count).astype(np.intp)
+
+    def key_index(self, params: PolicyParams) -> KeyIndex:
+        """The steps' (group, row) keys under which a pass over ``params``
+        gathers each group's row block, built on first use."""
+        if params.interner is not self.interner:
+            raise InputError("the group's rows belong to another policy's interner")
+        params._fit()
+        if self._index is None:
+            span = int(self.rows.max()) + 1
+            # one group: the keys are the rows
+            keys = self.rows if self.count == 1 else self.owner[self.traj] * span + self.rows
+            self._index = KeyIndex(keys, self.tokens, span, self.count, self.interner.vocab_size)
+        return self._index
 
     def log_ratios(self, params: PolicyParams) -> np.ndarray:
         """log(pi_params / pi_sampling) of every trajectory, against ``sample_logp``."""
@@ -314,39 +324,24 @@ def standardize_advantages(rewards: Sequence[float] | np.ndarray, xi: float) -> 
 
 def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
                    rng: np.random.Generator, *, xi: float, stop_token: int, t_max: int,
-                   only: DifficultyGrade | None = None) -> list[GroupRollout]:
+                   only: DifficultyGrade | None = None) -> GroupBatch:
     """k rollouts for each query, sampled together by ``sample_lockstep``, as
-    graded groups with rewards and standardized advantages, in query order.
+    one batch of graded groups with rewards and standardized advantages, in
+    query order. The batch keeps the sampler's arrays, with every step's
+    log-prob under ``params``, the sampling policy, as its ``sample_logp``.
 
-    With ``only``, just the groups of that grade are returned. Rewards and
-    advantages are computed over the whole batch. The groups share one int32
-    ``(2, steps)`` array of exactly their own steps (the sampler's, when every
-    group is kept), each a slice of it, with its steps' log-probs under
-    ``params``, the sampling policy, as its ``sample_logp``.
+    With ``only``, the batch is ``select``-ed down to the groups of that
+    grade; rewards and advantages are computed group by group either way.
     """
     sampled = sample_lockstep(params, [q.query_id for q in queries], k, rng,
                               stop_token=stop_token, t_max=t_max)
-    rewards = batch_reward(queries, sampled.steps[1], sampled.lengths,
-                           sampled.terminal).reshape(-1, k)
-    reward_rows = [tuple(r) for r in rewards.tolist()]
-    grades = [grading.grade(r) for r in reward_rows]
-    kept = np.array([only is None or grade is only for grade in grades])
-    if not kept.any():
-        return []
-    keep = np.flatnonzero(kept).tolist()
-    lengths = sampled.lengths.reshape(-1, k)
-    steps = sampled.steps
-    if not kept.all():  # the kept groups' steps, by one step mask
-        steps = steps.compress(np.repeat(kept, lengths.sum(axis=1)), axis=1)
-        lengths = lengths[kept]
-    ends = np.cumsum(lengths.sum(axis=1)).tolist()
-    terminal = sampled.terminal.reshape(-1, k)[kept]
-    advantages = standardize_advantages(rewards[kept], xi)
-    logp = params.logp_at(*steps)
-    return [GroupRollout.sampled(queries[g], reward_rows[g], grades[g], advantages[i],
-                                 StepRows(params.interner, steps[:, lo:hi]), lengths[i],
-                                 terminal[i], logp[lo:hi])
-            for i, (g, lo, hi) in enumerate(zip(keep, [0] + ends, ends))]
+    rewards = batch_reward(queries, sampled.steps[1], sampled.lengths, sampled.terminal)
+    reward_rows = rewards.reshape(-1, k)
+    grades = [grading.grade(r) for r in reward_rows.tolist()]
+    batch = GroupBatch(params.interner, queries, grades, np.full(len(queries), k), rewards,
+                       standardize_advantages(reward_rows, xi).ravel(), sampled.lengths,
+                       sampled.terminal, sampled.steps, params.logp_at(*sampled.steps))
+    return batch if only is None else batch.select(np.array([g is only for g in grades], bool))
 
 
 def draw_demo(query: Query, teachers: Sequence[TeacherOracle],
@@ -383,16 +378,16 @@ def grpo_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     ``exp(batch.log_ratios(params))``, for whoever reads them.
     """
     adv = batch.advantages
-    if any(g.k < 2 for g in batch.groups):
+    if (batch.k < 2).any():
         raise InputError("grpo_loss_grad needs a group of >= 2")
     check_shared_interner(params, ref)
+    index = batch.key_index(params)
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
     ratios = np.exp(batch.log_ratios(params))
     unclipped = ratios * adv
     clipped = np.minimum(np.maximum(ratios, lo), hi) * adv
     surrogate = _segment_sums(np.minimum(unclipped, clipped), batch.k)
     coef = np.where(unclipped <= clipped, adv * ratios, 0.0)
-    index = batch.index
     pg = keyed_score(params, index, coef[batch.traj])
     kl_value, kl = kl_gradient(params, ref, index)
     gradient = pg._replace(values=(-1.0 / batch.k)[index.owner][:, None] * pg.values
@@ -418,21 +413,16 @@ def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
     """
     weights = ((1.0 / batch.k)[batch.owner] * batch.advantages)[batch.traj]
     keep = weights != 0.0
-    return keyed_score(params, batch.index, weights, keep)
+    return keyed_score(params, batch.key_index(params), weights, keep)
 
 
-def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) -> np.ndarray:
-    """(success, failure) pairs from one Mid group, as an ``(n, 2)`` array of
-    indices into ``group.trajectories``.
-
-    Full Cartesian product when it fits under pair_cap, otherwise a uniform
-    random subset of exactly pair_cap distinct pairs.
-    """
-    if group.grade is not DifficultyGrade.MID:
+def _draw_pairs(grade: DifficultyGrade, rewards: np.ndarray, pair_cap: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """``build_pairs`` of a group of this grade and these rewards."""
+    if grade is not DifficultyGrade.MID:
         raise StateError("pair construction requires a Mid-graded group")
     if pair_cap < 1:
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
-    rewards = np.asarray(group.rewards)
     successes = np.flatnonzero(rewards == 1)
     failures = np.flatnonzero(rewards == 0)
     n_f = len(failures)
@@ -444,26 +434,37 @@ def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) ->
     return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
 
 
-def pair_arrays(groups: Sequence[GroupRollout], pair_cap: int,
-                rng: np.random.Generator) -> list[np.ndarray]:
-    """``build_pairs`` of every group, as one call per group would make them.
+def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) -> np.ndarray:
+    """(success, failure) pairs from one Mid group, as an ``(n, 2)`` array of
+    indices into ``group.trajectories``.
+
+    Full Cartesian product when it fits under pair_cap, otherwise a uniform
+    random subset of exactly pair_cap distinct pairs.
+    """
+    return _draw_pairs(group.grade, np.asarray(group.rewards), pair_cap, rng)
+
+
+def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``build_pairs`` of every group of the batch, as one call per group
+    would make them.
 
     Only the groups whose product exceeds ``pair_cap`` draw their subsets
     from ``rng``, in group order; the full products of all the others are
-    built in one vectorized pass per group size.
+    built from the batch's reward rows in one vectorized pass per group size.
     """
     if pair_cap < 1:
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
-    out: list[np.ndarray | None] = [None] * len(groups)
+    out: list[np.ndarray | None] = [None] * batch.count
     full: dict[int, list[int]] = {}  # group size -> indices of uncapped groups
-    for i, group in enumerate(groups):
-        wins = sum(group.rewards)
-        if group.grade is DifficultyGrade.MID and wins * (group.k - wins) <= pair_cap:
-            full.setdefault(group.k, []).append(i)
+    rewards = batch.rewards
+    for i, (grade, k, first, wins) in enumerate(zip(batch.grades, batch.k.tolist(),
+                                                    batch.first.tolist(), batch.wins.tolist())):
+        if grade is DifficultyGrade.MID and wins * (k - wins) <= pair_cap:
+            full.setdefault(k, []).append(i)
         else:  # a capped group draws its subset; any other grade is its StateError
-            out[i] = build_pairs(group, pair_cap, rng)
-    for indices in full.values():
-        won = np.array([groups[i].rewards for i in indices]) == 1
+            out[i] = _draw_pairs(grade, rewards[first:first + k], pair_cap, rng)
+    for k, indices in full.items():
+        won = rewards[batch.first[indices][:, None] + np.arange(k)] == 1
         owner, win, lose = np.nonzero(won[:, :, None] & ~won[:, None, :])
         pairs = np.stack([win, lose], axis=1)
         ends = np.cumsum(np.bincount(owner, minlength=len(indices))).tolist()
@@ -485,7 +486,9 @@ def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]
     # only the groups before the first ill-shaped one can raise before it
     counts = np.array([len(p) for p in pairs[:ill]], dtype=np.intp)
     local = np.concatenate(pairs[:ill]) if ill else np.zeros((0, 2), dtype=np.intp)
-    spans = np.repeat(batch.spans[:ill], counts, axis=0)
+    # each pair's group's (first trajectory, trajectory count), unsigned for the range check
+    spans = np.repeat(np.stack([batch.first, batch.k], axis=1)[:ill].astype(np.uintp), counts,
+                      axis=0)
     # a negative index reads as a huge unsigned one: one comparison checks both bounds
     in_range = local.view(np.uintp) < spans[:, 1:]
     traj_pairs = local + spans[:, :1].view(np.intp)
@@ -542,6 +545,7 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
         raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
     counts, traj_pairs = _batch_pairs(batch, pairs)
     check_shared_interner(params, ref)
+    index = batch.key_index(params)
     beta = cfg.beta_gal
     win, lose = traj_pairs[:, 0], traj_pairs[:, 1]
     n = len(batch.lengths)
@@ -560,7 +564,7 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     keep = paired[batch.traj]
     return BatchReport(
         loss=_segment_sums(np.logaddexp(0.0, margin), counts) / counts,  # -log sigmoid(beta d)
-        gradient=keyed_score(params, batch.index, traj_coef[batch.traj], keep),
+        gradient=keyed_score(params, index, traj_coef[batch.traj], keep),
         aux={"pair_count": counts},
         weights=weights,
     )
@@ -606,41 +610,49 @@ PATHWAYS = {
 VARIANTS = tuple(PATHWAYS)
 
 
-def route_groups(params: PolicyParams, ref: PolicyParams, groups: Sequence[GroupRollout],
+def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
                  teachers: Sequence[TeacherOracle], cfg: MixConfig, rng: np.random.Generator,
                  variant: str = "dypo") -> tuple[LossReport, BatchReport | None]:
-    """The step: the mean loss and gradient of the groups not discarded, each
-    from its pathway ``PATHWAYS[variant][grade]`` (each row adds its groups'
-    terms in group order, as ``sum_blocks``; no group gives a zero loss and an
-    empty block), and the RL pass's report, or ``None``. ``rng`` draws the
-    capped Mid groups' pairs (``pair_arrays``), then the distilled groups'
-    teachers, each in group order. A distilled term is gamma times
-    ``sft_loss_grad``; the RL terms are the ``reports()`` of one
-    ``mixed_pass`` under ``dypo``, else of one ``grpo_pass``.
+    """The step: the mean loss and gradient of the batch's groups not
+    discarded, each from its pathway ``PATHWAYS[variant][grade]`` (each row
+    adds its groups' terms into zeros in group order, as ``sum_blocks``; no
+    group gives a zero loss and an empty block), and the RL pass's report,
+    or ``None``. ``rng`` draws the capped Mid groups' pairs
+    (``pair_arrays``), then the distilled groups' teachers, each in group
+    order. A distilled term is gamma times ``sft_loss_grad``; the RL groups
+    are ``select``-ed into one ``mixed_pass`` under ``dypo``, else one
+    ``grpo_pass``.
     """
     if variant not in PATHWAYS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    routes = [PATHWAYS[variant][group.grade] for group in groups]
-    rl = [i for i, route in enumerate(routes) if route == "rl"]
-    mixed = variant == "dypo"
-    pairs = pair_arrays([groups[i] for i in rl], cfg.pair_cap, rng) if mixed else None
-    terms: dict[int, LossReport] = {}  # by group index, the dispatched groups only
+    routes = [PATHWAYS[variant][grade] for grade in batch.grades]
+    rl = np.array([route == "rl" for route in routes], dtype=bool)
+    losses, owners, rows, values = {}, [], [], []  # every term, and the group it belongs to
+    passed = None
+    if rl.any():  # the pass draws its pairs and nothing else, so it runs first
+        rl_batch = batch if rl.all() else batch.select(rl)
+        passed = (mixed_pass(params, ref, rl_batch, pair_arrays(rl_batch, cfg.pair_cap, rng), cfg)
+                  if variant == "dypo" else grpo_pass(params, ref, rl_batch, cfg))
+        groups = np.flatnonzero(rl)
+        losses.update(zip(groups.tolist(), passed.loss.tolist()))
+        owner, row = np.divmod(passed.gradient.keys, passed.gradient.span)
+        owners.append(groups[owner])
+        rows.append(row)
+        values.append(passed.gradient.values)
     for i, route in enumerate(routes):
         if route == "distill":
-            sft = sft_loss_grad(params, groups[i].query, teachers, rng)
-            terms[i] = LossReport(cfg.gamma * sft.loss, sft.gradient.scaled(cfg.gamma))
-    passed = None
-    if rl:
-        batch = GroupBatch(params, [groups[i] for i in rl])
-        passed = (mixed_pass(params, ref, batch, pairs, cfg) if mixed
-                  else grpo_pass(params, ref, batch, cfg))
-        terms.update(zip(rl, passed.reports()))
-    if not terms:
+            sft = sft_loss_grad(params, batch.queries[i], teachers, rng)
+            losses[i] = cfg.gamma * sft.loss
+            owners.append(np.full(len(sft.gradient.rows), i))
+            rows.append(sft.gradient.rows)
+            values.append(cfg.gamma * sft.gradient.values)
+    if not losses:
         empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
         return LossReport(0.0, empty), passed
-    kept = [terms[i] for i in sorted(terms)]
-    gradient = sum_blocks([(1.0, term.gradient) for term in kept]).scaled(1.0 / len(kept))
-    return LossReport(sum(term.loss for term in kept) / len(kept), gradient), passed
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    total = sum_rows(np.concatenate(rows)[order], np.concatenate(values)[order])
+    n = len(losses)
+    return LossReport(sum(losses[i] for i in sorted(losses)) / n, total.scaled(1.0 / n)), passed
 
 
 def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
@@ -651,6 +663,6 @@ def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
     distillation for a Hard one and the alpha-mixture of the clipped
     surrogate and the pairwise alignment loss for a Mid one.
     """
-    report, _ = route_groups(params, ref, [group], teachers, cfg, rng)
+    report, _ = route_groups(params, ref, group.alone(params), teachers, cfg, rng)
     report.aux["grade"] = group.grade.value
     return report

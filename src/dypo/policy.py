@@ -90,8 +90,13 @@ def sum_blocks(terms: Sequence[tuple[float, RowBlock]]) -> RowBlock:
     not depend on how the interner numbered the rows. Keys of ``KeyedBlocks``
     sum the same way, owner by owner.
     """
-    rows = np.concatenate([block.rows for _, block in terms])
-    values = np.concatenate([c * block.values for c, block in terms])
+    return sum_rows(np.concatenate([block.rows for _, block in terms]),
+                    np.concatenate([c * block.values for c, block in terms]))
+
+
+def sum_rows(rows: np.ndarray, values: np.ndarray) -> RowBlock:
+    """Each unique row of ``rows`` with the sum of its ``values`` rows,
+    added into zeros in the order given."""
     uniq, inv = _unique_inverse(rows)
     out = np.zeros((len(uniq), values.shape[1]))
     np.add.at(out, inv, values)
@@ -300,14 +305,6 @@ class PolicyParams:
         r = self.row(ctx)
         return self._probs[r]
 
-    def log_probs(self, ctx: Context) -> np.ndarray:
-        r = self.row(ctx)
-        return self._logp[r]
-
-    def sampling_cdf(self, ctx: Context) -> np.ndarray:
-        r = self.row(ctx)
-        return self._cdf[r]
-
     def logp_at(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """log pi(tokens[i] | rows[i]) for every i."""
         self._fit()
@@ -383,12 +380,8 @@ def check_shared_interner(params: PolicyParams, ref: PolicyParams) -> None:
 
 
 class StepRows(NamedTuple):
-    """The row and the token of every step of a trajectory collection,
-    concatenated in order; the rows index ``interner``, which is how a
-    group recognizes a policy of another interner.
-
-    One ``(2, steps)`` int32 array, since a bench holds thousands of them.
-    """
+    """The ``(2, steps)`` row and token of every step of a group's
+    trajectories; the rows index ``interner``."""
 
     interner: ContextInterner
     steps: np.ndarray
@@ -529,7 +522,7 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
     trajectory stops on ``stop_token`` or after t_max tokens, so each has at
     least one step. Contexts met for the first time are interned position by
     position, in trajectory order. The steps are returned trajectory by
-    trajectory (``Rollouts``), the layout ``rollout_groups`` hands its groups.
+    trajectory (``Rollouts``), the layout of a ``GroupBatch``.
     """
     if k < 2:
         raise ConfigError(f"group size must be >= 2, got {k}")

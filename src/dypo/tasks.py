@@ -204,11 +204,12 @@ def max_demo_len(cfg: TaskConfig, m: int) -> int:
 
     Teacher i writes an optional start value (odd i), each of the longest
     chain's intermediates 1 + i % 3 times, i // 6 extra tail repeats, one
-    echo token, then separator, answer and stop; see teacher_sample.
+    echo token, then separator, answer and stop; see teacher_sample. Teacher
+    i + 6 writes no less than teacher i, so the longest is among the last six.
     """
     inter = cfg.max_chain_len - 1
     return max(i % 2 + inter * (1 + i % 3) + (i // 6 if inter else 0) + 1 + 3
-               for i in range(m))
+               for i in range(max(0, m - 6), m))
 
 
 # --- vector-space bias testbed ---------------------------------------------

@@ -1,19 +1,18 @@
 """End-to-end training loop: rollout, grade, dispatch, update, record.
 
-One step draws a batch of queries from a fixed pool, samples and grades
-their groups of k trajectories together (``rollout_groups``), and applies
-the mean gradient of the step the gate (``route_groups``) returns for the
-variant, over the groups it did not discard, as one plain gradient-descent
-update; the gate's RL pass report gives ``kl``, ``eta`` and the GAL weight
-range. All randomness is derived from named substreams of (seed, role,
-step), so a run is replayable from any checkpoint.
+One step samples and grades the groups of k trajectories of a batch of
+queries from a fixed pool as one ``GroupBatch`` (``rollout_groups``), and
+applies the mean gradient the gate (``route_groups``) returns for it as one
+plain gradient-descent update. The step's metrics read the batch's rows,
+rewards and grades, and the gate's RL pass report (``kl``, ``eta``, the GAL
+weight range). All randomness is derived from named substreams of (seed,
+role, step), so a run is replayable from any checkpoint.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -27,7 +26,7 @@ from .grading import DifficultyGrade
 from .instrumentation import CHUNK_GROUPS, StepMetrics, write_metrics
 from .objectives import (
     VARIANTS,
-    GroupRollout,
+    GroupBatch,
     MixConfig,
     gal_etas,
     rollout_groups,
@@ -308,7 +307,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise DataError(f"checkpoint {path} has step {step!r}, not a non-negative integer")
         metrics = [_from_json(StepMetrics, row, f"metrics[{i}]", ValueError)
                    for i, row in enumerate(doc["metrics"])]
-        if [m.step for m in metrics] != list(range(step)):
+        if len(metrics) != step or [m.step for m in metrics] != list(range(step)):
             raise DataError(f"checkpoint {path} is at step {step}, but its metrics are not "
                             f"exactly the rows of steps 0 to {step - 1}")
         rng_state, want = doc["rng_state"], _rng_state(config, step)
@@ -330,10 +329,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"checkpoint {path} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # metrics rows, InputError from the policies
         raise DataError(f"checkpoint {path} is malformed: {exc}") from exc
-
-
-def _visited_rows(params: PolicyParams, groups: Sequence[GroupRollout]) -> np.ndarray:
-    return np.concatenate([g.step_rows(params)[0] for g in groups])
 
 
 def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
@@ -388,12 +383,12 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
 
     for step in range(start, config.steps):
         queries = pool.draw(substream(config.seed, "stream", step), config.batch_size)
-        groups = rollout_groups(params, queries, config.k,
-                                substream(config.seed, "rollout", step), xi=config.mix.xi,
-                                stop_token=config.task.stop, t_max=config.t_max)
-        mean, passed = route_groups(params, ref, groups, teachers, config.mix,
+        batch = rollout_groups(params, queries, config.k,
+                               substream(config.seed, "rollout", step), xi=config.mix.xi,
+                               stop_token=config.task.stop, t_max=config.t_max)
+        mean, passed = route_groups(params, ref, batch, teachers, config.mix,
                                     substream(config.seed, "objective", step), config.variant)
-        counts = Counter(group.grade for group in groups)
+        counts = {grade: batch.grades.count(grade) for grade in DifficultyGrade}
         eta = kl = 0.0
         if passed is not None:
             kl = float(np.mean(passed.aux["kl_value"]))
@@ -410,9 +405,9 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
 
         row = StepMetrics(
             step=step,
-            mean_reward=sum(sum(g.rewards) for g in groups) / sum(g.k for g in groups),
+            mean_reward=int(batch.rewards.sum()) / len(batch.rewards),
             offline_ratio=counts[DifficultyGrade.HARD] / config.batch_size,
-            mean_entropy=mean_step_entropy(params, _visited_rows(params, groups)),
+            mean_entropy=mean_step_entropy(params, batch.steps[0]),
             grad_norm=math.sqrt(mean.gradient.sq_norm()),
             easy=counts[DifficultyGrade.EASY],
             hard=counts[DifficultyGrade.HARD],
@@ -469,21 +464,19 @@ def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
     """Roll out without updating; pass rate counts queries with any success.
 
     All queries are drawn first; their groups are then sampled in chunks of
-    ``CHUNK_GROUPS``, from the same generator.
+    ``CHUNK_GROUPS``, from the same generator, and read as one batch.
     """
     if n_queries < 1:
         raise ConfigError("evaluate needs n_queries >= 1")
-    counts = {g.value: 0 for g in DifficultyGrade}
     queries = pool.draw(rng, n_queries)
-    groups = [group for lo in range(0, n_queries, CHUNK_GROUPS)
-              for group in rollout_groups(params, queries[lo:lo + CHUNK_GROUPS], k, rng, xi=xi,
-                                          stop_token=pool.task.stop, t_max=t_max)]
-    for group in groups:
-        counts[group.grade.value] += 1
+    batch = GroupBatch.concat([rollout_groups(params, queries[lo:lo + CHUNK_GROUPS], k, rng,
+                                              xi=xi, stop_token=pool.task.stop, t_max=t_max)
+                               for lo in range(0, n_queries, CHUNK_GROUPS)])
+    counts = {g.value: batch.grades.count(g) for g in DifficultyGrade}
     return EvalReport(
-        pass_rate=sum(any(g.rewards) for g in groups) / n_queries,
+        pass_rate=int((batch.wins > 0).sum()) / n_queries,
         grade_counts=counts,
-        mean_entropy=mean_step_entropy(params, _visited_rows(params, groups)),
+        mean_entropy=mean_step_entropy(params, batch.steps[0]),
         offline_ratio=counts[DifficultyGrade.HARD.value] / n_queries,
         groups=n_queries,
     )

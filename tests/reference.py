@@ -3,7 +3,9 @@
 Each per-token reference walks a trajectory one step at a time, looks its
 context up by key, and shares no row or array code with what it checks. The
 variance bench's reference evaluates its losses one group at a time, as the
-bench did before they became one pass per chunk of groups. The scalar
+bench did before they became one pass per chunk of groups; it and the
+gate's reference rebuild each group of a sampled batch as a ``GroupRollout``
+(``batch_groups``). The scalar
 finite-difference oracle perturbs one logit in place per probe and
 re-evaluates an arbitrary loss, as the certifier did before its probes
 became one pass. The gate's step is built by hand from its groups' terms,
@@ -32,9 +34,41 @@ from dypo.objectives import (
     pair_arrays,
     sft_loss_grad,
 )
-from dypo.policy import Context, PolicyParams, Trajectory, score_sq_norms
+from dypo.policy import Context, PolicyParams, StepRows, Trajectory, score_sq_norms
 
 from conftest import stacked
+
+
+def log_probs(params: PolicyParams, ctx: Context) -> np.ndarray:
+    """The policy's log-probabilities in one context, interning it if new."""
+    row = params.row(ctx)  # first: interning may grow the arrays
+    return params._logp[row]
+
+
+def sampling_cdf(params: PolicyParams, ctx: Context) -> np.ndarray:
+    """The policy's sampling cdf in one context, interning it if new."""
+    row = params.row(ctx)  # first: interning may grow the arrays
+    return params._cdf[row]
+
+
+def batch_groups(batch: GroupBatch) -> list[GroupRollout]:
+    """Each group of a sampled batch as a ``GroupRollout``: its trajectories
+    decoded from the batch's steps, and its grade, rewards, advantages,
+    step rows and ``sample_logp`` sliced from the batch's arrays."""
+    ends = np.cumsum(batch.lengths).tolist()
+    tokens = batch.steps[1].tolist()
+    trajs = [Trajectory(tuple(tokens[lo:hi]), terminal=bool(term))
+             for lo, hi, term in zip([0] + ends, ends, batch.terminal)]
+    groups, first = [], 0
+    for query, grade, k in zip(batch.queries, batch.grades, batch.k.tolist()):
+        last = first + k
+        lo, hi = ([0] + ends)[first], ends[last - 1]
+        group = GroupRollout(query, trajs[first:last], tuple(batch.rewards[first:last].tolist()),
+                             batch.advantages[first:last], sample_logp=batch.sample_logp[lo:hi])
+        group.grade, group.rows = grade, StepRows(batch.interner, batch.steps[:, lo:hi])
+        groups.append(group)
+        first = last
+    return groups
 
 
 def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Context]:
@@ -60,7 +94,7 @@ def naive_sample(params, qid, k, rng, stop, t_max) -> list[Trajectory]:
         tokens: list[int] = []
         while len(tokens) < t_max and (not tokens or tokens[-1] != stop):
             ctx = (qid, tuple(tokens[max(0, len(tokens) - params.history):]))
-            tok = int(np.searchsorted(params.sampling_cdf(ctx), rng.random(), side="right"))
+            tok = int(np.searchsorted(sampling_cdf(params, ctx), rng.random(), side="right"))
             tokens.append(min(tok, params.vocab_size - 1))
         out.append(Trajectory(tuple(tokens), terminal=tokens[-1] == stop))
     return out
@@ -79,7 +113,7 @@ def naive_lockstep_sample(params, query_ids, k, rng, stop, t_max) -> list[Trajec
         for i, u in zip(running, rng.random(len(running))):
             tokens = samples[i]
             ctx = (query_ids[i // k], tuple(tokens[max(0, len(tokens) - params.history):]))
-            tok = int(np.searchsorted(params.sampling_cdf(ctx), u, side="right"))
+            tok = int(np.searchsorted(sampling_cdf(params, ctx), u, side="right"))
             tokens.append(min(tok, params.vocab_size - 1))
     return [Trajectory(tuple(tokens), terminal=tokens[-1] == stop) for tokens in samples]
 
@@ -125,7 +159,7 @@ def naive_score(params, qid, tokens) -> dict:
 
 
 def naive_log_prob(params, qid, tokens) -> float:
-    return sum(params.log_probs(ctx)[tok]
+    return sum(log_probs(params, ctx)[tok]
                for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens))
 
 
@@ -144,7 +178,7 @@ def naive_grpo(params, ref, sampler, group: GroupRollout, cfg: MixConfig) -> dic
     visited = {c for t in group.trajectories for c in step_contexts(qid, t.tokens, params.history)}
     for ctx in visited:
         p = params.probs(ctx)
-        diff = params.log_probs(ctx) - ref.log_probs(ctx)
+        diff = log_probs(params, ctx) - log_probs(ref, ctx)
         _add(grad, {ctx: p * (diff - p @ diff) / len(visited)}, cfg.beta_kl)
     return grad
 
@@ -164,27 +198,29 @@ def naive_gal(params, ref, group: GroupRollout, pairs, beta: float) -> dict:
     return grad
 
 
-def gate_terms(params, ref, groups, teachers, cfg: MixConfig, rng, variant: str):
+def gate_terms(params, ref, batch: GroupBatch, teachers, cfg: MixConfig, rng, variant: str):
     """Each dispatched group's (loss, gradient rows, gradient values) term of
-    the gate's step, by group index, and the RL pass (or None). The capped Mid
-    groups' pairs are drawn from ``rng`` first, then the distilled groups'
-    teachers, each in group order; a distilled term is gamma times
-    ``sft_loss_grad`` and the RL terms are the pass's ``reports()``."""
+    the gate's step over ``batch``, by group index, and the RL pass (or
+    None). The capped Mid groups' pairs are drawn from ``rng`` first, then
+    the distilled groups' teachers, each in group order; a distilled term is
+    gamma times ``sft_loss_grad`` and the RL terms are the ``reports()`` of
+    one pass over the RL groups, each rebuilt on its own."""
+    groups = batch_groups(batch)
     grades = [g.grade for g in groups]
     rl = [i for i, g in enumerate(grades) if variant == "grpo_only"
           or variant == "dypo" and g is DifficultyGrade.MID]
     distilled = [i for i, g in enumerate(grades) if variant == "sft_only"
                  or variant == "dypo" and g is DifficultyGrade.HARD]
-    pairs = pair_arrays([groups[i] for i in rl], cfg.pair_cap, rng) if variant == "dypo" else None
+    rl_batch = GroupBatch.concat([groups[i].alone(params) for i in rl]) if rl else None
+    pairs = pair_arrays(rl_batch, cfg.pair_cap, rng) if rl and variant == "dypo" else None
     terms = {}
     for i in distilled:
         sft = sft_loss_grad(params, groups[i].query, teachers, rng)
         terms[i] = (cfg.gamma * sft.loss, sft.gradient.rows, cfg.gamma * sft.gradient.values)
     passed = None
     if rl:
-        batch = GroupBatch(params, [groups[i] for i in rl])
-        passed = (mixed_pass(params, ref, batch, pairs, cfg) if variant == "dypo"
-                  else grpo_pass(params, ref, batch, cfg))
+        passed = (mixed_pass(params, ref, rl_batch, pairs, cfg) if variant == "dypo"
+                  else grpo_pass(params, ref, rl_batch, cfg))
         for i, report in zip(rl, passed.reports()):
             terms[i] = (report.loss, report.gradient.rows, report.gradient.values)
     return terms, passed
@@ -209,8 +245,8 @@ def per_group_variance_bench(params, ref, draw_query, cfg: MixConfig, n_groups: 
                              k: int, stop_token: int, t_max: int) -> dict:
     """``variance_ordering_bench``'s estimates, stderrs, verdict, eta_mean and
     score_sq_mean, each group's losses evaluated on their own."""
-    groups = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
-                                stop_token=stop_token, t_max=t_max)
+    groups = batch_groups(collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
+                                             stop_token=stop_token, t_max=t_max))
     g_grpo, g_gal, etas = [], [], []
     score_sq_sum = 0.0
     score_sq_n = 0

@@ -22,7 +22,6 @@ from dypo.instrumentation import (
     variance_ordering_bench,
 )
 from dypo.objectives import (
-    GroupBatch,
     MixConfig,
     gal_loss_grad,
     grpo_estimator,
@@ -97,7 +96,7 @@ def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
 
     def success_rate(q):
         groups = rollout_groups(params, [q] * 40, 8, probe, **common)
-        return np.mean([g.rewards for g in groups])
+        return np.mean(groups.rewards)
 
     query = min(pool.queries, key=lambda q: abs(success_rate(q) - 0.5))
 
@@ -105,7 +104,7 @@ def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
     for k in (4, 8, 16):
         groups = collect_mid_groups(params, lambda rng, size: [query] * size, 10_000,
                                     substream(ACCEPTANCE_SEED, "acc-kscale", k), k=k, **common)
-        parts = [grpo_estimator(params, GroupBatch(params, groups[lo:lo + CHUNK_GROUPS]))
+        parts = [grpo_estimator(params, groups.select(slice(lo, lo + CHUNK_GROUPS)))
                  for lo in range(0, len(groups), CHUNK_GROUPS)]
         var[k] = variance_from_samples(stack_keyed(parts)).scalar_variance
     r48 = var[4] / var[8]

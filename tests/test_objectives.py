@@ -39,7 +39,7 @@ from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
 
 from conftest import block_dict, traj_log_prob, traj_score
-from reference import naive_log_prob, naive_score, step_contexts
+from reference import batch_groups, naive_log_prob, naive_score, step_contexts
 
 TASK = TaskConfig()
 CFG = MixConfig()
@@ -124,9 +124,9 @@ def test_grpo_on_policy_identity():
     ref = inst.params.snapshot()
     # the first Mid group that rollout_groups samples, which records its
     # sampling log-probs as it is sampled
-    group, = collect_mid_groups(inst.params, lambda rng, size: [inst.query] * size, 1,
-                                substream(7, "on-policy"), k=8, xi=CFG.xi, stop_token=TASK.stop,
-                                t_max=14)
+    group, = batch_groups(collect_mid_groups(inst.params, lambda rng, size: [inst.query] * size,
+                                             1, substream(7, "on-policy"), k=8, xi=CFG.xi,
+                                             stop_token=TASK.stop, t_max=14))
     report = grpo_loss_grad(inst.params, ref, group, CFG)
     assert not group.alone(inst.params).log_ratios(inst.params).any()
     assert report.aux["kl_value"] == 0.0
@@ -243,8 +243,8 @@ def _group_with_split(n_succ: int, n_fail: int, seed: int = 0):
         succ.setdefault(demo.tokens, demo)
     fails: dict = {}
     while len(fails) < n_fail:
-        t = rollout_groups(inst.params, [q], 2, rng, xi=1e-4, stop_token=TASK.stop,
-                           t_max=14)[0].trajectories[0]
+        t = batch_groups(rollout_groups(inst.params, [q], 2, rng, xi=1e-4, stop_token=TASK.stop,
+                                        t_max=14))[0].trajectories[0]
         if reward(q, t) == 0:
             fails.setdefault(t.tokens, t)
     trajs = tuple(list(succ.values())[:n_succ] + list(fails.values())[:n_fail])

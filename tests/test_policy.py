@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from dypo.seeding import substream
 from dypo.tasks import TaskConfig, generate_query
 
 from conftest import block_dict, traj_log_prob, traj_score
-from reference import scalar_numerical_gradient
+from reference import log_probs, sampling_cdf, scalar_numerical_gradient
 
 Q0 = SimpleNamespace(query_id=0)
 
@@ -295,12 +296,13 @@ def test_scalar_fd_oracle_restores_the_policy_bit_exactly():
     for ctx in contexts:
         params.set_logits(ctx, rng.normal(0, 2, 5))
     probed = contexts + [(0, (4,))]  # one unwritten row too
-    before = {ctx: [f(ctx).copy() for f in (params.logits, params.probs, params.log_probs,
-                                            params.sampling_cdf)] for ctx in probed}
+    before = {ctx: [f(ctx).copy() for f in (params.logits, params.probs,
+                                            partial(log_probs, params),
+                                            partial(sampling_cdf, params))] for ctx in probed}
     scalar_numerical_gradient(lambda p: traj_log_prob(p, 0, (1, 4, 3, 2)), params, probed)
     for ctx, rows in before.items():
-        after = (params.logits(ctx), params.probs(ctx), params.log_probs(ctx),
-                 params.sampling_cdf(ctx))
+        after = (params.logits(ctx), params.probs(ctx), log_probs(params, ctx),
+                 sampling_cdf(params, ctx))
         assert all(np.array_equal(a, b) for a, b in zip(rows, after))
     assert params.written_contexts() == contexts
 

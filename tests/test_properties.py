@@ -76,6 +76,7 @@ from dypo.trainer import (
 
 from conftest import block_dict, traj_score
 from reference import (
+    batch_groups,
     gate_terms,
     mean_step,
     naive_gal,
@@ -84,6 +85,7 @@ from reference import (
     naive_log_prob,
     naive_sample,
     naive_score,
+    sampling_cdf,
     scalar_numerical_gradient,
     step_contexts,
 )
@@ -205,8 +207,9 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
     params, twin = init_policy(cfg, pool), init_policy(cfg, pool)
     queries = [pool.queries[i % len(pool)] for i in range(n_queries)]
     only = DifficultyGrade.MID if mid_only else None
-    groups = rollout_groups(params, queries, k, substream(seed, "groups"), xi=cfg.mix.xi,
-                            stop_token=cfg.task.stop, t_max=cfg.t_max, only=only)
+    batch = rollout_groups(params, queries, k, substream(seed, "groups"), xi=cfg.mix.xi,
+                           stop_token=cfg.task.stop, t_max=cfg.t_max, only=only)
+    groups = batch_groups(batch)
     sampled = sample_lockstep(twin, [q.query_id for q in queries], k, substream(seed, "groups"),
                               stop_token=cfg.task.stop, t_max=cfg.t_max)
     ends = np.cumsum(sampled.lengths).tolist()
@@ -221,8 +224,7 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
     assert len(groups) == len(expected)
     # the groups share one int32 array of exactly their own steps: no padding, no dropped group
     kept_steps = sum(len(t) for _, trajs, _ in expected for t in trajs)
-    assert all(g.rows.steps.dtype == np.int32 and g.rows.steps.base.shape == (2, kept_steps)
-               for g in groups)
+    assert batch.steps.dtype == np.int32 and batch.steps.shape == (2, kept_steps)
     for group, (query, trajs, rewards) in zip(groups, expected):
         assert group.query is query and group.rewards == rewards
         assert group.grade is grade(rewards)
@@ -258,7 +260,7 @@ def test_one_query_draw_is_the_one_index_draws(seed, n, m):
 def test_sampler_clamps_a_draw_above_the_last_cdf_entry():
     # the uniform 7-way cdf rounds to a last entry below the largest draw
     params = PolicyParams(7, 1)
-    assert params.sampling_cdf((0, ()))[-1] < TOP
+    assert sampling_cdf(params, (0, ()))[-1] < TOP
     top = TopDraws(np.random.default_rng(0), 1)
     traj = sample_trajectory(params, SimpleNamespace(query_id=0), top, stop_token=6, t_max=3)
     assert traj == Trajectory((6,), terminal=True)
@@ -418,7 +420,7 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
     groups = _graded_groups(inst, picks, extra, params if on_policy else ref)
     cfg = MixConfig(pair_cap=pair_cap)
     pairs = [build_pairs(g, pair_cap, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
-    batch = GroupBatch(params, groups)
+    batch = GroupBatch.concat([g.alone(params) for g in groups])
     grpo = grpo_pass(params, ref, batch, cfg).reports()
     gal = gal_pass(params, ref, batch, pairs, cfg)
     mixed = mixed_pass(params, ref, batch, pairs, cfg).reports()
@@ -522,7 +524,8 @@ def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, pic
                                   groups[later].k)
     for batch, batch_pairs in ((groups, pairs), (groups + [groups[later]], pairs + [second])):
         with pytest.raises(InputError) as batched:
-            gal_pass(params, ref, GroupBatch(params, batch), batch_pairs, cfg)
+            gal_pass(params, ref, GroupBatch.concat([g.alone(params) for g in batch]),
+                     batch_pairs, cfg)
         assert str(batched.value) == str(alone.value)
     # a group whose rows were resolved in another interner
     other = groups[bad]
@@ -531,7 +534,7 @@ def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, pic
     with pytest.raises(InputError, match="interner") as alone:
         grpo_estimator(params, foreign.alone(params))
     with pytest.raises(InputError) as batched:
-        GroupBatch(params, groups[:bad] + [foreign] + groups[bad:])
+        GroupBatch.concat([g.alone(params) for g in groups[:bad] + [foreign] + groups[bad:]])
     assert str(batched.value) == str(alone.value)
 
 
@@ -551,9 +554,10 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
     groups = _graded_groups(inst, picks, extra, params if on_policy else ref, grades)
     cfg = MixConfig(gamma=gamma, pair_cap=pair_cap)
     rng, twin = substream(seed, "gate"), substream(seed, "gate")
-    step, passed = route_groups(params, ref, groups, teachers, cfg, rng, variant)
+    batch = GroupBatch.concat([g.alone(params) for g in groups])
+    step, passed = route_groups(params, ref, batch, teachers, cfg, rng, variant)
     # the pathways by hand, from a twin of the stream
-    terms, want = gate_terms(params, ref, groups, teachers, cfg, twin, variant)
+    terms, want = gate_terms(params, ref, batch, teachers, cfg, twin, variant)
     assert rng.random() == twin.random()
     assert (passed is None) == (want is None)
     if want is not None:
@@ -569,7 +573,8 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
     # the certified per-group step is the dypo gate over one group, of each kind present
     for g in {group.grade: group for group in groups}.values():
         one = dypo_step_loss(params, ref, g, teachers, cfg, substream(seed, "one"))
-        alone, _ = route_groups(params, ref, [g], teachers, cfg, substream(seed, "one"))
+        alone, _ = route_groups(params, ref, g.alone(params), teachers, cfg,
+                                substream(seed, "one"))
         assert one.aux == {"grade": g.grade.value} and one.loss == alone.loss
         assert one.gradient.rows.tobytes() == alone.gradient.rows.tobytes()
         assert one.gradient.values.tobytes() == alone.gradient.values.tobytes()
@@ -604,7 +609,8 @@ def test_batched_pairs_are_the_groups_own_draws(patterns, pair_cap, seed):
                            tuple(Trajectory((i,), terminal=False) for i in range(len(r))),
                            tuple(r)) for r in patterns]
     rng, twin = substream(seed, "pairs"), substream(seed, "pairs")
-    got = pair_arrays(groups, pair_cap, rng)
+    params = PolicyParams(12, 1)  # holds the groups' steps, tokens 0..11
+    got = pair_arrays(GroupBatch.concat([g.alone(params) for g in groups]), pair_cap, rng)
     want = [build_pairs(group, pair_cap, twin) for group in groups]
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -614,7 +620,7 @@ def test_batched_pairs_are_the_groups_own_draws(patterns, pair_cap, seed):
     easy = GroupRollout(SimpleNamespace(query_id=0), groups[0].trajectories,
                         (1,) * groups[0].k)
     with pytest.raises(StateError):
-        pair_arrays(groups + [easy], pair_cap, rng)
+        pair_arrays(GroupBatch.concat([g.alone(params) for g in groups + [easy]]), pair_cap, rng)
 
 
 @given(rewards=st.lists(st.lists(st.integers(-5, 5), min_size=12, max_size=12), min_size=1,

@@ -1,17 +1,25 @@
-"""Trainer: config schema, determinism, resume, routing semantics, evaluation."""
+"""Trainer: config schema, determinism, resume, routing semantics, evaluation, and\nthe checkpoint and config boundary under fuzzing."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import shutil
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dypo.errors import ConfigError, DataError, TrainingAborted
+from dypo.cli import main
+from dypo.errors import ConfigError, DataError, DypoError, TrainingAborted
 from dypo.gradcheck import grad_check_suite
 from dypo.instrumentation import read_metrics, write_metrics
 from dypo.objectives import MixConfig
@@ -26,6 +34,7 @@ from dypo.trainer import (
     evaluate,
     init_policy,
     load_checkpoint,
+    load_train_config,
     run_comparison,
     save_checkpoint,
     train,
@@ -314,7 +323,7 @@ def test_batch_gradient_is_additive_over_query_reports():
         groups = rollout_groups(before, [pool.queries[i] for i in indices], cfg.k,
                                 substream(cfg.seed, "rollout", 0), xi=cfg.mix.xi,
                                 stop_token=cfg.task.stop, t_max=cfg.t_max)
-        grades = [g.grade for g in groups]
+        grades = groups.grades
         assert DifficultyGrade.MID in grades and DifficultyGrade.HARD in grades
         terms, _ = gate_terms(before, before.snapshot(), groups,
                               make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed),
@@ -544,3 +553,138 @@ def test_resume_refuses_a_checkpoint_of_another_config():
         train(replace(cfg, mix=replace(cfg.mix, alpha=0.3)), resume_from=ckpt)
     with pytest.raises(ConfigError, match="at step 2, past the configured 1 steps"):
         train(replace(cfg, steps=1), resume_from=ckpt)
+
+
+# --- fuzzing the checkpoint and config boundary ----------------------------
+
+def _retyped(value):
+    """The same number as another JSON type, or any other value in a list."""
+    if type(value) is int:
+        return float(value)
+    if type(value) is float and value.is_integer() and abs(value) < 2**53:
+        return int(value)
+    return [value]
+
+
+# what a node is replaced by: null, bools, strings, lists, non-finite or huge
+# numbers, or its own value retyped
+REPLACEMENTS = (None, True, False, "", "x", [], [0], math.nan, math.inf, -math.inf, 1e308,
+                -1e308, 2**63, _retyped)
+
+
+def _mutated(doc, how: str, walk: list[int], cut: float, replacement) -> str:
+    """The document's JSON text truncated at ``cut``, or with one node deleted
+    or replaced. The node is found by ``walk``, one entry per level: each
+    entry picks a child of the node reached so far or, below the top level,
+    stops there; so a small part of the document, such as its RNG state, is
+    hit as often as its policy tables."""
+    text = json.dumps(doc)
+    if how == "truncate":
+        return text[:int(cut * len(text))]
+    root = json.loads(text)
+    parent, key, node = None, None, root
+    for j, pick in enumerate(walk):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        choice = pick % (len(keys) + (j > 0))  # below the root, one more choice: stop here
+        if choice == len(keys):
+            break
+        parent, key, node = node, keys[choice], node[keys[choice]]
+    if parent is None:  # the whole document
+        return "" if how == "delete" else json.dumps(
+            replacement(root) if callable(replacement) else replacement)
+    if how == "delete":
+        del parent[key]
+    else:
+        parent[key] = replacement(node) if callable(replacement) else replacement
+    return json.dumps(root)
+
+
+mutations = dict(how=st.sampled_from(["truncate", "delete", "replace"]),
+                 walk=st.lists(st.integers(0, 10**6), max_size=6), cut=st.floats(0.0, 1.0),
+                 replacement=st.sampled_from(REPLACEMENTS))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, checkpoint_doc):
+    """A directory holding the fixture's config, as the CLI reads it."""
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "config.json").write_text(json.dumps(checkpoint_doc["config"]))
+    return path
+
+
+def _cli_evaluate(args: list[str], out: Path) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["evaluate", *args, "--out", str(out), "--groups", "4"])
+    return code, err.getvalue()
+
+
+@given(**mutations)
+# two rules of the boundary: the RNG state is exactly what a run writes, with
+# JSON integers, and a context id is a non-negative JSON integer
+@example(how="replace", walk=[3, 2], cut=0.0, replacement=_retyped)
+@example(how="replace", walk=[1, 3, 0, 0], cut=0.0, replacement=math.inf)
+@settings(deadline=None, derandomize=True, max_examples=100)
+def test_a_mutated_checkpoint_is_a_dypo_error_or_loads_and_evaluates(fuzz_dir, checkpoint_doc,
+                                                                     how, walk, cut,
+                                                                     replacement):
+    # the library ends in a DypoError or succeeds, never in another exception
+    # or a RuntimeWarning; the CLI exits 1 or 2 with one line and writes
+    # nothing when the library fails, and evaluates when it succeeds
+    path = fuzz_dir / "checkpoint.json"
+    path.write_text(_mutated(checkpoint_doc, how, walk, cut, replacement))
+    cfg = train_config_from_dict(checkpoint_doc["config"])
+    pool = QueryPool(cfg.task, cfg.seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            ckpt = load_checkpoint(path)
+            evaluate(ckpt.params, pool, 4, cfg.k, substream(cfg.seed, "fuzz"), t_max=cfg.t_max)
+            failed = False
+        except DypoError:
+            failed = True
+        if not failed:  # a loaded checkpoint is at the step and RNG state its run wrote
+            assert ckpt.step == checkpoint_doc["step"]
+            assert repr(ckpt.rng_state) == repr(checkpoint_doc["rng_state"])
+        out = fuzz_dir / "out"
+        code, err = _cli_evaluate(["--config", str(fuzz_dir / "config.json"),
+                                   "--checkpoint", str(path)], out)
+    if failed:
+        assert code in (1, 2) and err.count("\n") == 1 and not out.exists()
+    else:
+        assert code == 0 and json.loads((out / "eval.json").read_text())["groups"] == 4
+        shutil.rmtree(out)
+
+
+@given(**mutations)
+@settings(deadline=None, derandomize=True, max_examples=100)
+def test_a_mutated_config_is_a_config_error_or_loads(fuzz_dir, checkpoint_doc, how, walk, cut,
+                                                     replacement):
+    # a config that does not load is one CLI line and exit 1, and writes nothing
+    path = fuzz_dir / "mutated-config.json"
+    path.write_text(_mutated(checkpoint_doc["config"], how, walk, cut, replacement))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            load_train_config(path)
+            return
+        except DypoError:
+            pass
+    out = fuzz_dir / "out"
+    code, err = _cli_evaluate(["--config", str(path)], out)
+    assert code == 1 and err.count("\n") == 1 and not out.exists()
+
+
+def test_a_huge_teacher_count_or_step_is_checked_without_counting_to_it(tmp_path,
+                                                                        checkpoint_doc):
+    # each once hung or raised OverflowError: a config's longest teacher
+    # demonstration was found by walking every teacher, and a checkpoint's
+    # metrics were compared against a list of every step
+    with pytest.raises(ConfigError, match="longest teacher demonstration"):
+        TrainConfig(m_teachers=2**63)
+    doc = json.loads(json.dumps(checkpoint_doc))
+    doc["step"] = 2**63
+    with pytest.raises(DataError, match="metrics are not exactly the rows"):
+        _load_doc(tmp_path, doc)
