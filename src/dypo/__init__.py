@@ -28,13 +28,10 @@ from .instrumentation import (
 )
 from .objectives import (
     GroupBatch,
-    GroupRollout,
     LossReport,
     MixConfig,
-    build_pairs,
-    dypo_step_loss,
-    gal_loss_grad,
-    grpo_loss_grad,
+    gal_pass,
+    grpo_pass,
     mixed_gradient,
     pair_arrays,
     rollout_groups,

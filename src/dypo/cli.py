@@ -1,7 +1,8 @@
 """Command-line entry point: training, benches, gradient checks, diagnostics.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime or bench
-failure (including a negative bench verdict). Every subcommand echoes its
+failure (including a negative bench verdict, and a size too large to
+allocate). Every subcommand echoes its
 effective configuration into the output directory so a run is reproducible
 from its artifacts alone; it creates that directory only once its arguments
 have been checked, so a rejected command writes nothing.
@@ -247,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         return FAILURE_EXIT
     except DypoError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return FAILURE_EXIT
+    except MemoryError as exc:  # a size too large to allocate, as numpy words it
+        print(f"run failed: out of memory: {exc}", file=sys.stderr)
         return FAILURE_EXIT
 
 

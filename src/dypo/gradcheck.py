@@ -1,5 +1,12 @@
 """Central finite-difference certification of every analytic gradient.
 
+Four losses are certified, each named by a key of ``CHECKS`` (the keys of
+``grad_check_suite``'s output, which name losses, not functions): SFT's
+demonstration NLL (``sft_loss_grad``), the clipped GRPO surrogate
+(``grpo_pass``), the GAL pair loss (``gal_pass``) and the routed step
+(``route_groups`` under ``dypo``). An instance holds one group, a batch of
+one (``GroupBatch.of``), whose gradient keys are its rows.
+
 Each probe adds +eps or -eps to one logit entry of the contexts a loss can
 touch. All 2 * |contexts| * V probes of an instance are one table
 (``Probes``): a frozen copy of the policy with one extra row per probe, the
@@ -24,16 +31,13 @@ from .errors import ConfigError, InputError
 from .objectives import (
     PATHWAYS,
     GroupBatch,
-    GroupRollout,
     MixConfig,
     draw_demo,
-    dypo_step_loss,
-    gal_loss_grad,
     gal_pass,
-    grpo_loss_grad,
     grpo_pass,
     mixed_pass,
     pair_arrays,
+    route_groups,
     sft_loss_grad,
     standardize_advantages,
 )
@@ -127,7 +131,7 @@ class GradCheckInstance:
     params: PolicyParams
     ref: PolicyParams
     query: Query
-    group: GroupRollout
+    group: GroupBatch
     pairs: np.ndarray
     teachers: list
     contexts: list[Context]
@@ -138,10 +142,11 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     """One random (params, ref, query, group) tuple for gradient checking.
 
     ``kind`` picks the group's reward pattern: mixed successes and failures,
-    all failures, or all successes. ``pairs`` are the first three (success,
-    failure) index pairs of the group, empty unless it is Mid. The reference
-    sits close to the params and stands in for the sampling policy: its
-    log-probs are the group's ``sample_logp``.
+    all failures, or all successes. The group is a batch of one, built once.
+    ``pairs`` are the first three (success, failure) index pairs of the
+    group, empty unless it is Mid. The reference sits close to the params
+    and stands in for the sampling policy: its log-probs are the group's
+    ``sample_logp``.
     """
     rng = substream(seed, "gradcheck", index)
     task = task or TaskConfig()
@@ -165,10 +170,8 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     else:
         trajs = successes + failures
     rewards = tuple(reward(query, t) for t in trajs)
-    group = GroupRollout(query=query, trajectories=tuple(trajs), rewards=rewards,
-                         advantages=standardize_advantages(rewards, 1e-4))
-    rows, tokens, _ = group.step_rows(params)
-    group.sample_logp = ref.logp_at(rows, tokens)
+    group = GroupBatch.of(params, query, trajs, rewards, standardize_advantages(rewards, 1e-4))
+    group.sample_logp = ref.logp_at(group.rows, group.tokens)
     won = [i for i, r in enumerate(rewards) if r == 1]
     lost = [i for i, r in enumerate(rewards) if r == 0]
     pairs = np.array([(s, f) for s in won for f in lost][:3], dtype=np.intp).reshape(-1, 2)
@@ -179,7 +182,7 @@ def make_instance(seed: int, index: int, kind: str = "mid",
 def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
     """Whether every trajectory log-ratio, which GRPO clips, is > margin off both kinks."""
     kinks = np.log1p([-cfg.epsilon_clip, cfg.epsilon_clip])
-    log_ratios = inst.group.alone(inst.params).log_ratios(inst.params)
+    log_ratios = inst.group.log_ratios(inst.params)
     return bool(np.all(np.abs(log_ratios[:, None] - kinks) > margin))
 
 
@@ -211,9 +214,9 @@ def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
     evaluation over the probes. The draws the loss makes from ``rng`` (a
     teacher and its demonstration, capped pairs) are made here, once, as the
     loss makes them."""
-    group = inst.group.alone(inst.params)
+    group = inst.group
     if loss == "dypo_step_loss":
-        route = PATHWAYS["dypo"][inst.group.grade]
+        route = PATHWAYS["dypo"][group.grades[0]]
         if route is None:
             return lambda probes: np.zeros(probes.count)
         if route == "distill":
@@ -232,16 +235,17 @@ def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
     raise ConfigError(f"no certified loss named {loss!r}")
 
 
-# each certified loss at an instance, as the library evaluates it
-_REPORTS = {
-    "sft_loss_grad": lambda inst, cfg, rng: sft_loss_grad(inst.params, inst.query, inst.teachers,
-                                                          rng),
-    "grpo_loss_grad": lambda inst, cfg, rng: grpo_loss_grad(inst.params, inst.ref, inst.group,
-                                                            cfg),
-    "gal_loss_grad": lambda inst, cfg, rng: gal_loss_grad(inst.params, inst.ref, inst.group,
-                                                          inst.pairs, cfg),
-    "dypo_step_loss": lambda inst, cfg, rng: dypo_step_loss(inst.params, inst.ref, inst.group,
-                                                            inst.teachers, cfg, rng),
+# each certified loss's analytic gradient at an instance, as the library
+# evaluates it: a pass over the instance's batch of one has one block
+_GRADIENTS = {
+    "sft_loss_grad": lambda inst, cfg, rng: sft_loss_grad(
+        inst.params, inst.query, inst.teachers, rng).gradient,
+    "grpo_loss_grad": lambda inst, cfg, rng: grpo_pass(
+        inst.params, inst.ref, inst.group, cfg).gradient.blocks()[0],
+    "gal_loss_grad": lambda inst, cfg, rng: gal_pass(
+        inst.params, inst.ref, inst.group, [inst.pairs], cfg).gradient.blocks()[0],
+    "dypo_step_loss": lambda inst, cfg, rng: route_groups(
+        inst.params, inst.ref, inst.group, inst.teachers, cfg, rng)[0].gradient,
 }
 
 
@@ -250,7 +254,7 @@ def certify(inst: GradCheckInstance, loss: str, cfg: MixConfig = _MIX,
     """Error of the analytic gradient of the certified ``loss`` at the
     instance against central differences; ``rng`` feeds the loss's draws."""
     losses = probe_losses(inst, loss, cfg, copy.deepcopy(rng))
-    analytic = _REPORTS[loss](inst, cfg, rng).gradient
+    analytic = _GRADIENTS[loss](inst, cfg, rng)
     return gradient_error(inst.params, analytic,
                           numerical_gradient(losses, inst.params, inst.ref, inst.contexts, eps))
 

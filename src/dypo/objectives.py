@@ -5,12 +5,10 @@ A step is one ``GroupBatch``, the arrays of its graded groups, from the
 sampler (``rollout_groups``) to the update. GRPO, its estimator, GAL and
 their mixture are each one pass over a batch: every group's loss, and
 gradients keyed by (group, row), so each group keeps the row block it would
-have alone. The per-group functions (``grpo_loss_grad``, ``gal_loss_grad``,
-``dypo_step_loss``, ...) are those passes, or the gate, over one
-``GroupRollout``, a group built by hand, which is what finite differences
-certify. Each returns a LossReport: scalar loss, exact gradient as a row
-block over the logit table, and named aux values. Gradients are exact for
-the reported loss expression.
+have alone. A group built by hand (``GroupBatch.of``) is a batch of one,
+whose keys are its rows; it is what finite differences certify. SFT
+distillation scores one demonstration at a time (``sft_loss_grad``). Gradients
+are exact for the reported loss expression.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +30,6 @@ from .policy import (
     KeyIndex,
     PolicyParams,
     RowBlock,
-    StepRows,
     Trajectory,
     check_shared_interner,
     keyed_score,
@@ -75,59 +71,6 @@ class MixConfig:
             raise ConfigError(f"pair_cap must be >= 1, got {self.pair_cap}")
 
 
-class GroupRollout:
-    """k given trajectories for one query, with rewards and, when set,
-    standardized advantages and every step's sampling log-prob
-    (``sample_logp``, which GRPO's ratios read): a group built by hand, for
-    the certifier and the tests. It enters a loss pass as a batch of one
-    (``alone``).
-    """
-
-    def __init__(self, query: Query, trajectories: Sequence[Trajectory], rewards: Sequence[int],
-                 advantages: np.ndarray | None = None, sample_logp: np.ndarray | None = None):
-        self.query = query
-        self.trajectories = tuple(trajectories)
-        self.rewards = tuple(rewards)
-        self.advantages = advantages
-        self.sample_logp = sample_logp
-        self.rows: StepRows | None = None
-        self.lengths = np.array([len(t) for t in self.trajectories])
-        if len(self.trajectories) != self.k:
-            raise InputError("trajectories and rewards must have equal length")
-        if advantages is not None and len(advantages) != self.k:
-            raise InputError("advantages length must match rewards")
-
-    @property
-    def k(self) -> int:
-        return len(self.rewards)
-
-    @cached_property
-    def grade(self) -> DifficultyGrade:
-        """Difficulty grade of the reward pattern, computed once per group."""
-        return grading.grade(self.rewards)
-
-    def step_rows(self, params: PolicyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, tokens, lengths) of the group's steps, resolved in
-        ``params``' interner on first use and kept; a policy of another
-        interner is then an ``InputError``."""
-        if self.rows is None:
-            parts = [params.trajectory_rows(self.query.query_id, t.tokens)
-                     for t in self.trajectories]
-            self.rows = StepRows(params.interner, np.concatenate(parts, axis=1))
-        elif self.rows.interner is not params.interner:
-            raise InputError("the group's rows belong to another policy's interner")
-        rows, tokens = self.rows.steps
-        return rows, tokens, self.lengths
-
-    def alone(self, params: PolicyParams) -> GroupBatch:
-        """The group as a batch of one."""
-        self.step_rows(params)
-        return GroupBatch(params.interner, [self.query], [self.grade], np.array([self.k]),
-                          np.array(self.rewards), self.advantages, self.lengths,
-                          np.array([t.terminal for t in self.trajectories]), self.rows.steps,
-                          self.sample_logp)
-
-
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The index ranges ``starts[i]`` to ``starts[i] + sizes[i] - 1``, one after another."""
     ends = np.cumsum(sizes)
@@ -162,6 +105,26 @@ class GroupBatch:
     def __len__(self) -> int:
         return self.count
 
+    @classmethod
+    def of(cls, params: PolicyParams, query: Query, trajectories: Sequence[Trajectory],
+           rewards: Sequence[int], advantages: np.ndarray | None = None,
+           sample_logp: np.ndarray | None = None) -> GroupBatch:
+        """One group built by hand: k given trajectories for ``query``, with
+        their rewards and, when given, advantages and every step's sampling
+        log-prob. Its grade is its rewards'; its steps' rows are resolved in
+        ``params``' interner, trajectory by trajectory."""
+        k = len(rewards)
+        if len(trajectories) != k:
+            raise InputError("trajectories and rewards must have equal length")
+        if advantages is not None and len(advantages) != k:
+            raise InputError("advantages length must match rewards")
+        grade = grading.grade(rewards)
+        steps = np.concatenate([params.trajectory_rows(query.query_id, t.tokens)
+                                for t in trajectories], axis=1)
+        return cls(params.interner, [query], [grade], np.array([k]),
+                   np.array(rewards), advantages, np.array([len(t) for t in trajectories]),
+                   np.array([t.terminal for t in trajectories]), steps, sample_logp)
+
     def select(self, groups) -> GroupBatch:
         """The groups ``groups`` indexes (a mask over the groups, their
         indices or a slice), in that order, by one take of each array."""
@@ -180,6 +143,8 @@ class GroupBatch:
         """The groups of the batches, which share one interner, in order, as one batch."""
         if len(batches) == 0:
             raise InputError("concat needs at least one batch")
+        if any(b.interner is not batches[0].interner for b in batches):
+            raise InputError("the group's rows belong to another policy's interner")
 
         def joined(name: str) -> np.ndarray | None:
             parts = [getattr(b, name) for b in batches]
@@ -212,6 +177,10 @@ class GroupBatch:
         if self._sample_logp is None:
             raise StateError("group sampling log-probs are not recorded")
         return self._sample_logp
+
+    @sample_logp.setter
+    def sample_logp(self, values: np.ndarray) -> None:
+        self._sample_logp = values
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -271,7 +240,7 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LossReport:
-    """Scalar loss plus exact gradient; the unit of all oracle comparisons."""
+    """Scalar loss plus exact gradient, of one demonstration or of one step."""
 
     loss: float
     gradient: RowBlock
@@ -283,7 +252,8 @@ class BatchReport:
     """One loss pass over a ``GroupBatch``.
 
     ``loss`` and every ``aux`` array hold one entry per group; the gradient
-    is keyed by (group, row). The alignment loss also returns its per-pair
+    is keyed by (group, row), and over a batch of one its keys are the
+    group's rows, a ``RowBlock``. The alignment loss also returns its per-pair
     weights, group by group, ``aux["pair_count"]`` of them each.
     """
 
@@ -291,17 +261,6 @@ class BatchReport:
     gradient: KeyedBlocks
     aux: dict[str, np.ndarray]
     weights: np.ndarray | None = None
-
-    def reports(self) -> list[LossReport]:
-        """Each group's ``LossReport``, as the per-group loss functions return it."""
-        aux = {name: v.tolist() for name, v in self.aux.items()}
-        out = [LossReport(loss, block, {name: float(v[i]) for name, v in aux.items()})
-               for i, (loss, block) in enumerate(zip(self.loss.tolist(), self.gradient.blocks()))]
-        if self.weights is not None:
-            ends = list(accumulate(aux["pair_count"]))
-            for report, lo, hi in zip(out, [0] + ends, ends):
-                report.aux["weights"] = self.weights[lo:hi]
-        return out
 
 
 def gal_etas(report: BatchReport) -> np.ndarray:
@@ -379,7 +338,7 @@ def grpo_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     """
     adv = batch.advantages
     if (batch.k < 2).any():
-        raise InputError("grpo_loss_grad needs a group of >= 2")
+        raise InputError("grpo_pass needs groups of >= 2")
     check_shared_interner(params, ref)
     index = batch.key_index(params)
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
@@ -394,12 +353,6 @@ def grpo_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
                            + cfg.beta_kl * kl)
     return BatchReport(loss=-surrogate / batch.k + cfg.beta_kl * kl_value, gradient=gradient,
                        aux={"kl_value": kl_value})
-
-
-def grpo_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
-                   cfg: MixConfig) -> LossReport:
-    """``grpo_pass`` over the group alone."""
-    return grpo_pass(params, ref, group.alone(params), cfg).reports()[0]
 
 
 def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
@@ -418,7 +371,10 @@ def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
 
 def _draw_pairs(grade: DifficultyGrade, rewards: np.ndarray, pair_cap: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """``build_pairs`` of a group of this grade and these rewards."""
+    """(success, failure) pairs of one Mid group with these rewards, as an
+    ``(n, 2)`` array of indices into its trajectories: the full Cartesian
+    product when it fits under pair_cap, otherwise a uniform random subset of
+    exactly pair_cap distinct pairs."""
     if grade is not DifficultyGrade.MID:
         raise StateError("pair construction requires a Mid-graded group")
     if pair_cap < 1:
@@ -434,18 +390,8 @@ def _draw_pairs(grade: DifficultyGrade, rewards: np.ndarray, pair_cap: int,
     return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
 
 
-def build_pairs(group: GroupRollout, pair_cap: int, rng: np.random.Generator) -> np.ndarray:
-    """(success, failure) pairs from one Mid group, as an ``(n, 2)`` array of
-    indices into ``group.trajectories``.
-
-    Full Cartesian product when it fits under pair_cap, otherwise a uniform
-    random subset of exactly pair_cap distinct pairs.
-    """
-    return _draw_pairs(group.grade, np.asarray(group.rewards), pair_cap, rng)
-
-
 def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """``build_pairs`` of every group of the batch, as one call per group
+    """``_draw_pairs`` of every group of the batch, as one call per group
     would make them.
 
     Only the groups whose product exceeds ``pair_cap`` draw their subsets
@@ -502,7 +448,7 @@ def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]
         raise InputError("each pair must be (reward-1, reward-0) in that order")
     if ill < len(pairs):
         if pairs[ill].size == 0:
-            raise InputError("gal_loss_grad needs at least one pair")
+            raise InputError("gal_pass needs at least one pair per group")
         raise InputError(f"pairs must have shape (n, 2), got {pairs[ill].shape}")
     return counts, traj_pairs
 
@@ -531,7 +477,7 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     every group of the batch.
 
     ``pairs[i]`` holds group i's (success, failure) indices into its
-    trajectories, as ``build_pairs`` returns them. Per pair, d is the
+    trajectories, as ``pair_arrays`` returns them. Per pair, d is the
     policy-vs-reference log-ratio margin between the successful and the
     failed trajectory and the loss is -log sigmoid(beta*d), averaged over the
     group's pairs. The gradient weight 1 - sigmoid(beta*d) is strictly inside
@@ -568,12 +514,6 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
         aux={"pair_count": counts},
         weights=weights,
     )
-
-
-def gal_loss_grad(params: PolicyParams, ref: PolicyParams, group: GroupRollout,
-                  pairs: np.ndarray, cfg: MixConfig) -> LossReport:
-    """``gal_pass`` over the group alone; ``aux["weights"]`` are its pair weights."""
-    return gal_pass(params, ref, group.alone(params), [pairs], cfg).reports()[0]
 
 
 def mixed_gradient(g_grpo: RowBlock, g_gal: RowBlock, alpha: float) -> RowBlock:
@@ -654,15 +594,3 @@ def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     n = len(losses)
     return LossReport(sum(losses[i] for i in sorted(losses)) / n, total.scaled(1.0 / n)), passed
 
-
-def dypo_step_loss(params: PolicyParams, ref: PolicyParams,
-                   group: GroupRollout, teachers: Sequence[TeacherOracle],
-                   cfg: MixConfig, rng: np.random.Generator) -> LossReport:
-    """The ``dypo`` step (``route_groups``) over the group alone, with the
-    group's grade as ``aux["grade"]``: zero for an Easy group, gamma-scaled
-    distillation for a Hard one and the alpha-mixture of the clipped
-    surrogate and the pairwise alignment loss for a Mid one.
-    """
-    report, _ = route_groups(params, ref, group.alone(params), teachers, cfg, rng)
-    report.aux["grade"] = group.grade.value
-    return report

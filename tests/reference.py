@@ -1,15 +1,17 @@
 """Naive references the tests check the lab's array code against.
 
 Each per-token reference walks a trajectory one step at a time, looks its
-context up by key, and shares no row or array code with what it checks. The
-variance bench's reference evaluates its losses one group at a time, as the
-bench did before they became one pass per chunk of groups; it and the
-gate's reference rebuild each group of a sampled batch as a ``GroupRollout``
-(``batch_groups``). The scalar
-finite-difference oracle perturbs one logit in place per probe and
-re-evaluates an arbitrary loss, as the certifier did before its probes
-became one pass. The gate's step is built by hand from its groups' terms,
-as the trainer reduced them before the gate returned the step.
+context up by key, and shares no row or array code with what it checks; the
+GRPO and GAL references read a batch of one only for its query and
+advantages, and decode its trajectories from its steps' tokens
+(``trajectories``). The variance bench's reference evaluates its losses one
+group at a time, each group ``select``-ed from the sampled batch as a batch
+of one, as the bench did before they became one pass per chunk of groups;
+the gate's reference does the same. The scalar finite-difference oracle
+perturbs one logit in place per probe and re-evaluates an arbitrary loss, as
+the certifier did before its probes became one pass. The gate's step is
+built by hand from its groups' terms, as the trainer reduced them before the
+gate returned the step.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from dypo.grading import DifficultyGrade
 from dypo.instrumentation import collect_mid_groups, variance_from_samples
 from dypo.objectives import (
     GroupBatch,
-    GroupRollout,
     MixConfig,
-    build_pairs,
-    gal_loss_grad,
+    gal_pass,
     grpo_estimator,
     grpo_pass,
     mixed_gradient,
@@ -34,9 +34,15 @@ from dypo.objectives import (
     pair_arrays,
     sft_loss_grad,
 )
-from dypo.policy import Context, PolicyParams, StepRows, Trajectory, score_sq_norms
+from dypo.policy import Context, PolicyParams, Trajectory, score_sq_norms
 
 from conftest import stacked
+
+
+def probs(params: PolicyParams, ctx: Context) -> np.ndarray:
+    """The policy's probabilities in one context, interning it if new."""
+    row = params.row(ctx)  # first: interning may grow the arrays
+    return params._probs[row]
 
 
 def log_probs(params: PolicyParams, ctx: Context) -> np.ndarray:
@@ -51,24 +57,12 @@ def sampling_cdf(params: PolicyParams, ctx: Context) -> np.ndarray:
     return params._cdf[row]
 
 
-def batch_groups(batch: GroupBatch) -> list[GroupRollout]:
-    """Each group of a sampled batch as a ``GroupRollout``: its trajectories
-    decoded from the batch's steps, and its grade, rewards, advantages,
-    step rows and ``sample_logp`` sliced from the batch's arrays."""
+def trajectories(batch: GroupBatch) -> tuple[Trajectory, ...]:
+    """Every trajectory of a batch, group by group, decoded from its steps' tokens."""
     ends = np.cumsum(batch.lengths).tolist()
-    tokens = batch.steps[1].tolist()
-    trajs = [Trajectory(tuple(tokens[lo:hi]), terminal=bool(term))
-             for lo, hi, term in zip([0] + ends, ends, batch.terminal)]
-    groups, first = [], 0
-    for query, grade, k in zip(batch.queries, batch.grades, batch.k.tolist()):
-        last = first + k
-        lo, hi = ([0] + ends)[first], ends[last - 1]
-        group = GroupRollout(query, trajs[first:last], tuple(batch.rewards[first:last].tolist()),
-                             batch.advantages[first:last], sample_logp=batch.sample_logp[lo:hi])
-        group.grade, group.rows = grade, StepRows(batch.interner, batch.steps[:, lo:hi])
-        groups.append(group)
-        first = last
-    return groups
+    tokens = batch.tokens.tolist()
+    return tuple(Trajectory(tuple(tokens[lo:hi]), terminal=bool(term))
+                 for lo, hi, term in zip([0] + ends, ends, batch.terminal.tolist()))
 
 
 def step_contexts(query_id: int, tokens: Sequence[int], history: int) -> list[Context]:
@@ -153,7 +147,7 @@ def naive_score(params, qid, tokens) -> dict:
     grad: dict = {}
     for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens):
         row = grad.setdefault(ctx, np.zeros(params.vocab_size))
-        row -= params.probs(ctx)
+        row -= probs(params, ctx)
         row[tok] += 1.0
     return grad
 
@@ -163,35 +157,39 @@ def naive_log_prob(params, qid, tokens) -> float:
                for ctx, tok in zip(step_contexts(qid, tokens, params.history), tokens))
 
 
-def naive_grpo(params, ref, sampler, group: GroupRollout, cfg: MixConfig) -> dict:
-    """GRPO gradient with each trajectory's ratio taken against ``sampler``,
-    the policy that stands for the one that sampled the group."""
-    qid = group.query.query_id
+def naive_grpo(params, ref, sampler, group: GroupBatch, cfg: MixConfig) -> dict:
+    """GRPO gradient of a batch of one, with each trajectory's ratio taken
+    against ``sampler``, the policy that stands for the one that sampled the
+    group."""
+    qid = group.queries[0].query_id
+    trajs = trajectories(group)
     lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
     pg: dict = {}
-    for traj, adv in zip(group.trajectories, group.advantages):
+    for traj, adv in zip(trajs, group.advantages):
         rho = np.exp(naive_log_prob(params, qid, traj.tokens)
                      - naive_log_prob(sampler, qid, traj.tokens))
         if rho * adv <= min(max(rho, lo), hi) * adv:
             _add(pg, naive_score(params, qid, traj.tokens), adv * rho)
-    grad = {ctx: -vec / group.k for ctx, vec in pg.items()}
-    visited = {c for t in group.trajectories for c in step_contexts(qid, t.tokens, params.history)}
+    grad = {ctx: -vec / len(trajs) for ctx, vec in pg.items()}
+    visited = {c for t in trajs for c in step_contexts(qid, t.tokens, params.history)}
     for ctx in visited:
-        p = params.probs(ctx)
+        p = probs(params, ctx)
         diff = log_probs(params, ctx) - log_probs(ref, ctx)
         _add(grad, {ctx: p * (diff - p @ diff) / len(visited)}, cfg.beta_kl)
     return grad
 
 
-def naive_gal(params, ref, group: GroupRollout, pairs, beta: float) -> dict:
-    qid = group.query.query_id
+def naive_gal(params, ref, group: GroupBatch, pairs, beta: float) -> dict:
+    """GAL gradient of a batch of one over the given (success, failure) pairs."""
+    qid = group.queries[0].query_id
+    trajs = trajectories(group)
 
     def log_ratio(traj):
         return naive_log_prob(params, qid, traj.tokens) - naive_log_prob(ref, qid, traj.tokens)
 
     grad: dict = {}
     for i, j in pairs:
-        win, lose = group.trajectories[i], group.trajectories[j]
+        win, lose = trajs[i], trajs[j]
         coef = -beta * expit(-beta * (log_ratio(win) - log_ratio(lose))) / len(pairs)
         _add(grad, naive_score(params, qid, win.tokens), coef)
         _add(grad, naive_score(params, qid, lose.tokens), -coef)
@@ -203,26 +201,24 @@ def gate_terms(params, ref, batch: GroupBatch, teachers, cfg: MixConfig, rng, va
     the gate's step over ``batch``, by group index, and the RL pass (or
     None). The capped Mid groups' pairs are drawn from ``rng`` first, then
     the distilled groups' teachers, each in group order; a distilled term is
-    gamma times ``sft_loss_grad`` and the RL terms are the ``reports()`` of
-    one pass over the RL groups, each rebuilt on its own."""
-    groups = batch_groups(batch)
-    grades = [g.grade for g in groups]
-    rl = [i for i, g in enumerate(grades) if variant == "grpo_only"
+    gamma times ``sft_loss_grad`` and the RL terms are each group's loss and
+    block of one pass over the RL groups, each ``select``-ed on its own."""
+    rl = [i for i, g in enumerate(batch.grades) if variant == "grpo_only"
           or variant == "dypo" and g is DifficultyGrade.MID]
-    distilled = [i for i, g in enumerate(grades) if variant == "sft_only"
+    distilled = [i for i, g in enumerate(batch.grades) if variant == "sft_only"
                  or variant == "dypo" and g is DifficultyGrade.HARD]
-    rl_batch = GroupBatch.concat([groups[i].alone(params) for i in rl]) if rl else None
+    rl_batch = GroupBatch.concat([batch.select([i]) for i in rl]) if rl else None
     pairs = pair_arrays(rl_batch, cfg.pair_cap, rng) if rl and variant == "dypo" else None
     terms = {}
     for i in distilled:
-        sft = sft_loss_grad(params, groups[i].query, teachers, rng)
+        sft = sft_loss_grad(params, batch.queries[i], teachers, rng)
         terms[i] = (cfg.gamma * sft.loss, sft.gradient.rows, cfg.gamma * sft.gradient.values)
     passed = None
     if rl:
         passed = (mixed_pass(params, ref, rl_batch, pairs, cfg) if variant == "dypo"
                   else grpo_pass(params, ref, rl_batch, cfg))
-        for i, report in zip(rl, passed.reports()):
-            terms[i] = (report.loss, report.gradient.rows, report.gradient.values)
+        for i, loss, block in zip(rl, passed.loss.tolist(), passed.gradient.blocks()):
+            terms[i] = (loss, block.rows, block.values)
     return terms, passed
 
 
@@ -245,19 +241,20 @@ def per_group_variance_bench(params, ref, draw_query, cfg: MixConfig, n_groups: 
                              k: int, stop_token: int, t_max: int) -> dict:
     """``variance_ordering_bench``'s estimates, stderrs, verdict, eta_mean and
     score_sq_mean, each group's losses evaluated on their own."""
-    groups = batch_groups(collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
-                                             stop_token=stop_token, t_max=t_max))
+    batch = collect_mid_groups(params, draw_query, n_groups, rng, k=k, xi=cfg.xi,
+                               stop_token=stop_token, t_max=t_max)
     g_grpo, g_gal, etas = [], [], []
     score_sq_sum = 0.0
     score_sq_n = 0
-    for group in groups:
-        pairs = build_pairs(group, cfg.pair_cap, rng)
-        gal = gal_loss_grad(params, ref, group, pairs, cfg)
-        g_grpo += grpo_estimator(params, group.alone(params)).blocks()
-        g_gal.append(gal.gradient)
-        etas.append(float(np.mean(gal.aux["weights"] ** 2)))
-        score_sq_sum += float(score_sq_norms(params, *group.step_rows(params)).sum())
-        score_sq_n += group.k
+    for i in range(len(batch)):
+        group = batch.select([i])
+        gal = gal_pass(params, ref, group, pair_arrays(group, cfg.pair_cap, rng), cfg)
+        g_grpo += grpo_estimator(params, group).blocks()
+        g_gal += gal.gradient.blocks()
+        etas.append(float(np.mean(gal.weights ** 2)))
+        score_sq_sum += float(score_sq_norms(params, group.rows, group.tokens,
+                                             group.lengths).sum())
+        score_sq_n += int(group.k[0])
     g_mix = [mixed_gradient(a, b, cfg.alpha) for a, b in zip(g_grpo, g_gal)]
     est = {name: variance_from_samples(stacked(samples))
            for name, samples in (("grpo", g_grpo), ("gal", g_gal), ("mix", g_mix))}

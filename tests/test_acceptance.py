@@ -23,7 +23,7 @@ from dypo.instrumentation import (
 )
 from dypo.objectives import (
     MixConfig,
-    gal_loss_grad,
+    gal_pass,
     grpo_estimator,
     rollout_groups,
 )
@@ -165,16 +165,17 @@ def test_criterion_7_gal_anchors(dypo_run):
     inst = make_instance(ACCEPTANCE_SEED, 21, kind="mid")
     ref = inst.params.snapshot()
     cfg = MixConfig()
-    report = gal_loss_grad(inst.params, ref, inst.group, inst.pairs, cfg)
-    anchors_ok = (abs(report.loss - np.log(2.0)) <= 1e-12
-                  and abs(report.aux["weights"].min() - 0.5) <= 1e-12
-                  and abs(report.aux["weights"].max() - 0.5) <= 1e-12)
+    report = gal_pass(inst.params, ref, inst.group, [inst.pairs], cfg)
+    loss = report.loss[0]
+    anchors_ok = (abs(loss - np.log(2.0)) <= 1e-12
+                  and abs(report.weights.min() - 0.5) <= 1e-12
+                  and abs(report.weights.max() - 0.5) <= 1e-12)
     w_lo = dypo_run.stats.gal_weight_min
     w_hi = dypo_run.stats.gal_weight_max
     bounded = 0.0 < w_lo <= w_hi < 1.0
     _announce(7, "GAL loss is ln2 with weight 0.5 at the reference; weights stay in (0,1)",
               anchors_ok and bounded,
-              f"loss-ln2={report.loss - np.log(2.0):.1e} w_run=[{w_lo:.4g},{w_hi:.4g}]")
+              f"loss-ln2={loss - np.log(2.0):.1e} w_run=[{w_lo:.4g},{w_hi:.4g}]")
 
 
 def test_criterion_8_training_dynamics_shape(dypo_run, baseline_runs):

@@ -247,3 +247,24 @@ def _write_config(tmp_path, cfg):
     path = tmp_path / f"cfg-{cfg.task.modulus}.json"
     path.write_text(json.dumps(train_config_to_dict(cfg)))
     return path
+
+
+@pytest.mark.parametrize("change, argv, code, message", [
+    ({"task": {"pool_size": 2**63}}, [], 1, "config error: pool_size must lie in [1, 65536]"),
+    ({"k": 2**40}, [], 2, "run failed: out of memory: "),
+    ({}, ["--groups", str(2**50)], 2, "run failed: out of memory: "),
+], ids=["pool-size", "k", "groups"])
+def test_a_huge_size_is_one_line_and_writes_nothing(tmp_path, capsys, change, argv, code,
+                                                    message):
+    # each once hung building the query pool or ended in a numpy
+    # allocation traceback; no size here can be allocated at all
+    doc = train_config_to_dict(TrainConfig(seed=2))
+    for key, value in change.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["evaluate", "--config", str(path), "--out", str(out), *argv]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(message)
+    assert not out.exists()

@@ -27,7 +27,7 @@ from dypo.tasks import BiasTestbedConfig, TaskConfig, generate_query
 from dypo.trainer import QueryPool, TrainConfig, train
 
 from conftest import stacked, traj_score
-from reference import per_group_variance_bench
+from reference import per_group_variance_bench, probs
 
 CTX = (0, ())
 
@@ -110,13 +110,13 @@ def test_score_variance_enumeration_oracle():
     params = PolicyParams(8, 1)
     params.set_logits(CTX, rng.normal(0, 1, 8))
     query = type("Q", (), {"query_id": 0})()
-    probs = params.probs(CTX)
+    pi = probs(params, CTX)
     enumerated = 0.0
     for a in range(8):
         s = traj_score(params, query.query_id, (a,))
-        enumerated += probs[a] * s.sq_norm()
-    direct = sum(p * float(np.dot((np.eye(8)[a] - probs), (np.eye(8)[a] - probs)))
-                 for a, p in enumerate(probs))
+        enumerated += pi[a] * s.sq_norm()
+    direct = sum(p * float(np.dot((np.eye(8)[a] - pi), (np.eye(8)[a] - pi)))
+                 for a, p in enumerate(pi))
     assert enumerated == pytest.approx(direct, abs=1e-12)
 
 

@@ -22,15 +22,15 @@ from dypo.gradcheck import (
 from dypo.grading import DifficultyGrade, grade
 from dypo.instrumentation import collect_mid_groups
 from dypo.objectives import (
-    GroupRollout,
+    GroupBatch,
     MixConfig,
-    build_pairs,
-    dypo_step_loss,
-    gal_loss_grad,
+    gal_pass,
     grpo_estimator,
-    grpo_loss_grad,
+    grpo_pass,
     mixed_gradient,
+    pair_arrays,
     rollout_groups,
+    route_groups,
     sft_loss_grad,
     standardize_advantages,
 )
@@ -39,7 +39,7 @@ from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
 
 from conftest import block_dict, traj_log_prob, traj_score
-from reference import batch_groups, naive_log_prob, naive_score, step_contexts
+from reference import naive_log_prob, naive_score, step_contexts, trajectories
 
 TASK = TaskConfig()
 CFG = MixConfig()
@@ -47,6 +47,13 @@ CFG = MixConfig()
 
 def _mid_instance(seed: int = 0, index: int = 0):
     return make_instance(seed, index, kind="mid")
+
+
+def _gal(params, ref, group, pairs, cfg=CFG):
+    """GAL's pass over a batch of one: its loss, its gradient block and its pair weights."""
+    report = gal_pass(params, ref, group, [pairs], cfg)
+    block, = report.gradient.blocks()
+    return report.loss[0], block, report.weights
 
 
 def test_standardize_zero_spread():
@@ -124,31 +131,32 @@ def test_grpo_on_policy_identity():
     ref = inst.params.snapshot()
     # the first Mid group that rollout_groups samples, which records its
     # sampling log-probs as it is sampled
-    group, = batch_groups(collect_mid_groups(inst.params, lambda rng, size: [inst.query] * size,
-                                             1, substream(7, "on-policy"), k=8, xi=CFG.xi,
-                                             stop_token=TASK.stop, t_max=14))
-    report = grpo_loss_grad(inst.params, ref, group, CFG)
-    assert not group.alone(inst.params).log_ratios(inst.params).any()
-    assert report.aux["kl_value"] == 0.0
-    assert report.loss == pytest.approx(0.0, abs=1e-15)
+    group = collect_mid_groups(inst.params, lambda rng, size: [inst.query] * size, 1,
+                               substream(7, "on-policy"), k=8, xi=CFG.xi, stop_token=TASK.stop,
+                               t_max=14)
+    report = grpo_pass(inst.params, ref, group, CFG)
+    assert len(group) == 1 and not group.log_ratios(inst.params).any()
+    assert report.aux["kl_value"][0] == 0.0
+    assert report.loss[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_grpo_zero_advantage_groups():
     inst = make_instance(41, 2, kind="hard")
-    report = grpo_loss_grad(inst.params, inst.ref, inst.group, CFG)
+    report = grpo_pass(inst.params, inst.ref, inst.group, CFG)
     # policy-gradient term is exactly zero; only the KL penalty remains
-    assert report.loss == pytest.approx(CFG.beta_kl * report.aux["kl_value"], abs=1e-15)
-    assert np.sqrt(report.gradient.sq_norm()) < CFG.beta_kl * 10  # all gradient mass is KL
+    assert report.loss[0] == pytest.approx(CFG.beta_kl * report.aux["kl_value"][0], abs=1e-15)
+    block, = report.gradient.blocks()
+    assert np.sqrt(block.sq_norm()) < CFG.beta_kl * 10  # all gradient mass is KL
 
 
 def test_grpo_needs_advantages():
     # and the sampling log-probs, which a group built from trajectories lacks
     inst = _mid_instance(index=8)
     for advantages, missing in ((None, "advantages"), (inst.group.advantages, "log-probs")):
-        group = GroupRollout(query=inst.group.query, trajectories=inst.group.trajectories,
-                             rewards=inst.group.rewards, advantages=advantages)
+        group = GroupBatch.of(inst.params, inst.query, trajectories(inst.group),
+                              inst.group.rewards, advantages)
         with pytest.raises(StateError, match=missing):
-            grpo_loss_grad(inst.params, inst.ref, group, CFG)
+            grpo_pass(inst.params, inst.ref, group, CFG)
 
 
 def test_grpo_gradient_finite_differences():
@@ -162,9 +170,8 @@ def test_the_training_form_is_certified():
     worst = 0.0
     for i in range(30):
         inst = _mid_instance(5, i)
-        rows, tokens, _ = inst.group.step_rows(inst.params)
-        inst.group.sample_logp = inst.params.logp_at(rows, tokens)
-        assert not inst.group.alone(inst.params).log_ratios(inst.params).any()
+        inst.group.sample_logp = inst.params.logp_at(inst.group.rows, inst.group.tokens)
+        assert not inst.group.log_ratios(inst.params).any()
         worst = max(worst, certify(inst, "grpo_loss_grad", CFG),
                     certify(inst, "dypo_step_loss", CFG, substream(5, "dypo", i)))
     assert worst <= 1e-6
@@ -188,7 +195,7 @@ def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, ca
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     inst = _mid_instance(5, 2)
-    assert inst.group.grade is DifficultyGrade.MID
+    assert inst.group.grades == [DifficultyGrade.MID]
     assert certify(inst, loss, CFG, substream(5, "guard")) < 1e-6
     assert counted == calls
 
@@ -197,7 +204,7 @@ def test_the_clip_guard_checks_trajectory_ratios():
     # one trajectory's log-ratio sits on the kink log 1.2, spread over its
     # steps so that every token's log-ratio stays well inside the clip band
     inst = _mid_instance(index=3)
-    rows, tokens, lengths = inst.group.step_rows(inst.params)
+    rows, tokens, lengths = inst.group.rows, inst.group.tokens, inst.group.lengths
     own = inst.params.logp_at(rows, tokens)
     assert _off_clip(inst, CFG, margin=1e-4)
     i = int(np.argmax(lengths))
@@ -213,17 +220,17 @@ def test_the_clip_guard_checks_trajectory_ratios():
 
 def test_grpo_policy_gradient_zero_for_flat_rewards():
     inst = make_instance(43, 1, kind="easy")
-    block, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
+    block, = grpo_estimator(inst.params, inst.group).blocks()
     assert block.rows.size == 0
 
 
 def test_grpo_policy_gradient_term_by_term_oracle():
     inst = _mid_instance(index=9)
-    block, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
+    block, = grpo_estimator(inst.params, inst.group).blocks()
     got = block_dict(inst.params, block)
     expected: dict = {}
-    k = inst.group.k
-    for traj, adv in zip(inst.group.trajectories, inst.group.advantages):
+    k = len(inst.group.rewards)
+    for traj, adv in zip(trajectories(inst.group), inst.group.advantages):
         for ctx, vec in naive_score(inst.params, inst.query.query_id, traj.tokens).items():
             expected[ctx] = expected.get(ctx, 0.0) + (adv / k) * vec
     assert set(got) == set(expected)
@@ -243,28 +250,28 @@ def _group_with_split(n_succ: int, n_fail: int, seed: int = 0):
         succ.setdefault(demo.tokens, demo)
     fails: dict = {}
     while len(fails) < n_fail:
-        t = batch_groups(rollout_groups(inst.params, [q], 2, rng, xi=1e-4, stop_token=TASK.stop,
-                                        t_max=14))[0].trajectories[0]
+        t = trajectories(rollout_groups(inst.params, [q], 2, rng, xi=1e-4, stop_token=TASK.stop,
+                                        t_max=14))[0]
         if reward(q, t) == 0:
             fails.setdefault(t.tokens, t)
     trajs = tuple(list(succ.values())[:n_succ] + list(fails.values())[:n_fail])
     rewards = tuple(reward(q, t) for t in trajs)
-    group = GroupRollout(query=q, trajectories=trajs, rewards=rewards,
-                         advantages=standardize_advantages(rewards, 1e-4))
+    group = GroupBatch.of(inst.params, q, trajs, rewards, standardize_advantages(rewards, 1e-4))
     return inst, group
 
 
 def test_build_pairs_full_product():
     inst, group = _group_with_split(3, 5)
-    pairs = build_pairs(group, 100, substream(5, "p"))
+    pairs, = pair_arrays(group, 100, substream(5, "p"))
+    trajs = trajectories(group)
     assert pairs.shape == (15, 2)
-    assert all(reward(group.query, group.trajectories[s]) == 1
-               and reward(group.query, group.trajectories[f]) == 0 for s, f in pairs)
+    assert all(reward(group.queries[0], trajs[s]) == 1
+               and reward(group.queries[0], trajs[f]) == 0 for s, f in pairs)
 
 
 def test_build_pairs_cap():
     inst, group = _group_with_split(4, 4)
-    pairs = build_pairs(group, 8, substream(5, "p2"))
+    pairs, = pair_arrays(group, 8, substream(5, "p2"))
     assert pairs.shape == (8, 2)
     assert len({(s, f) for s, f in pairs.tolist()}) == 8
 
@@ -273,7 +280,7 @@ def test_build_pairs_subset_is_uniform():
     inst, group = _group_with_split(2, 2)
     n = 100_000
     rng = substream(5, "u")
-    drawn = np.concatenate([build_pairs(group, 2, rng) for _ in range(n)])
+    drawn = np.concatenate([pair_arrays(group, 2, rng)[0] for _ in range(n)])
     kept, counts = np.unique(drawn, axis=0, return_counts=True)
     # 4 pairs, 2 kept per draw: uniform inclusion probability 1/2
     freqs = counts / n
@@ -285,19 +292,19 @@ def test_build_pairs_subset_is_uniform():
 def test_build_pairs_rejects_degenerate_groups():
     inst = make_instance(43, 1, kind="easy")
     with pytest.raises(StateError):
-        build_pairs(inst.group, 8, substream(5, "x"))
+        pair_arrays(inst.group, 8, substream(5, "x"))
 
 
 def test_gal_anchors_at_reference():
     inst = _mid_instance(index=10)
     ref = inst.params.snapshot()
-    report = gal_loss_grad(inst.params, ref, inst.group, inst.pairs, CFG)
-    assert report.loss == pytest.approx(np.log(2.0), abs=1e-12)
-    weights = report.aux["weights"]
+    report = gal_pass(inst.params, ref, inst.group, [inst.pairs], CFG)
+    assert report.loss[0] == pytest.approx(np.log(2.0), abs=1e-12)
+    weights = report.weights
     assert weights.min() == pytest.approx(0.5, abs=1e-12)
     assert weights.max() == pytest.approx(0.5, abs=1e-12)
     assert np.mean(weights**2) == pytest.approx(0.25, abs=1e-12)
-    assert report.aux["pair_count"] == len(inst.pairs) == len(weights)
+    assert report.aux["pair_count"][0] == len(inst.pairs) == len(weights)
 
 
 def test_gal_saturation_annealing():
@@ -306,16 +313,17 @@ def test_gal_saturation_annealing():
     inst = _mid_instance(index=11)
     params = inst.params.copy()
     last_eta, last_norm = 1.0, np.inf
+    trajs = trajectories(inst.group)
     for boost in (0.0, 2.0, 6.0, 14.0):
         boosted = inst.params.copy()
         for s, _ in inst.pairs:
-            success = inst.group.trajectories[s].tokens
+            success = trajs[s].tokens
             boosted.apply_update(traj_score(inst.params, inst.query.query_id, success), boost)
-        report = gal_loss_grad(boosted, inst.ref, inst.group, inst.pairs, CFG)
-        eta = np.mean(report.aux["weights"]**2)
+        _, gradient, weights = _gal(boosted, inst.ref, inst.group, inst.pairs)
+        eta = np.mean(weights**2)
         assert eta <= last_eta + 1e-12
         last_eta = eta
-        last_norm = np.sqrt(report.gradient.sq_norm())
+        last_norm = np.sqrt(gradient.sq_norm())
     assert last_eta < 1e-3
     assert last_norm < 1e-3
 
@@ -323,15 +331,14 @@ def test_gal_saturation_annealing():
 def test_gal_weights_strictly_bounded():
     for i in range(30):
         inst = _mid_instance(index=i)
-        report = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG)
-        weights = report.aux["weights"]
+        _, _, weights = _gal(inst.params, inst.ref, inst.group, inst.pairs)
         assert 0.0 < weights.min() <= weights.max() < 1.0
 
 
 def test_gal_eta_matches_independent_recompute():
     inst = _mid_instance(index=12)
-    report = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG)
-    trajs = inst.group.trajectories
+    _, _, weights = _gal(inst.params, inst.ref, inst.group, inst.pairs)
+    trajs = trajectories(inst.group)
     qid = inst.query.query_id
 
     def log_ratio(traj):
@@ -342,23 +349,23 @@ def test_gal_eta_matches_independent_recompute():
     for s, f in ((trajs[i], trajs[j]) for i, j in inst.pairs):
         d = log_ratio(s) - log_ratio(f)
         ws.append(1.0 - expit(CFG.beta_gal * d))
-    np.testing.assert_allclose(report.aux["weights"], ws, rtol=0, atol=1e-15)
-    assert np.mean(report.aux["weights"]**2) == pytest.approx(np.mean(np.square(ws)), abs=1e-15)
+    np.testing.assert_allclose(weights, ws, rtol=0, atol=1e-15)
+    assert np.mean(weights**2) == pytest.approx(np.mean(np.square(ws)), abs=1e-15)
 
 
 def test_gal_gradient_skips_unpaired_trajectories():
     # GAL reads the group's stored rewards; trajectory 2 is a success left unpaired
     inst = _mid_instance(index=18)
     trajs = tuple(Trajectory(t, terminal=False) for t in ((0, 1, 2), (3, 4), (5, 6, 7)))
-    group = GroupRollout(query=inst.query, trajectories=trajs, rewards=(1, 0, 1))
-    report = gal_loss_grad(inst.params, inst.ref, group, [(0, 1)], CFG)
+    group = GroupBatch.of(inst.params, inst.query, trajs, (1, 0, 1))
+    _, gradient, _ = _gal(inst.params, inst.ref, group, [(0, 1)])
     paired = {ctx for t in trajs[:2] for ctx in step_contexts(inst.query.query_id, t.tokens, 1)}
-    assert set(block_dict(inst.params, report.gradient)) == paired
+    assert set(block_dict(inst.params, gradient)) == paired
 
 
 def test_gal_input_validation():
     inst = _mid_instance(index=13)
-    k = inst.group.k
+    k = len(inst.group.rewards)
     bad_pairs = {
         "empty list": [],
         "empty array": np.zeros((0, 2), dtype=int),
@@ -370,7 +377,7 @@ def test_gal_input_validation():
     }
     for pairs in bad_pairs.values():
         with pytest.raises(InputError):
-            gal_loss_grad(inst.params, inst.ref, inst.group, pairs, CFG)
+            gal_pass(inst.params, inst.ref, inst.group, [pairs], CFG)
 
 
 def test_gal_gradient_finite_differences():
@@ -380,7 +387,7 @@ def test_gal_gradient_finite_differences():
 
 def test_mixed_gradient_linearity_and_bounds():
     inst = _mid_instance(index=14)
-    g, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
+    g, = grpo_estimator(inst.params, inst.group).blocks()
     empty = g._replace(rows=g.rows[:0], values=g.values[:0])
     half = mixed_gradient(g, empty, 0.5)
     np.testing.assert_array_equal(half.rows, g.rows)
@@ -393,8 +400,8 @@ def test_mixed_gradient_linearity_and_bounds():
 
 def test_mixed_gradient_near_one_limit():
     inst = _mid_instance(index=15)
-    g_grpo, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
-    g_gal = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
+    g_grpo, = grpo_estimator(inst.params, inst.group).blocks()
+    _, g_gal, _ = _gal(inst.params, inst.ref, inst.group, inst.pairs)
     mix = block_dict(inst.params, mixed_gradient(g_grpo, g_gal, 0.999))
     grpo = block_dict(inst.params, g_grpo)
     # direct norm bound: ||mix - grpo|| = 0.001 ||gal - grpo||
@@ -406,8 +413,8 @@ def test_mixed_gradient_near_one_limit():
 
 def test_mixed_gradient_componentwise_oracle():
     inst = _mid_instance(index=16)
-    g_a, = grpo_estimator(inst.params, inst.group.alone(inst.params)).blocks()
-    g_b = gal_loss_grad(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
+    g_a, = grpo_estimator(inst.params, inst.group).blocks()
+    _, g_b, _ = _gal(inst.params, inst.ref, inst.group, inst.pairs)
     a, b = block_dict(inst.params, g_a), block_dict(inst.params, g_b)
     mix = block_dict(inst.params, mixed_gradient(g_a, g_b, 0.3))
     assert set(mix) == set(a) | set(b)
@@ -419,41 +426,42 @@ def test_mixed_gradient_componentwise_oracle():
 
 def test_dypo_step_easy_contributes_nothing():
     inst = make_instance(47, 4, kind="easy")
-    report = dypo_step_loss(inst.params, inst.ref, inst.group,
-                            inst.teachers, CFG, substream(5, "e"))
+    report, passed = route_groups(inst.params, inst.ref, inst.group,
+                                  inst.teachers, CFG, substream(5, "e"))
     assert report.loss == 0.0
     assert report.gradient.rows.size == 0
-    assert report.aux["grade"] == "easy"
+    assert inst.group.grades == [DifficultyGrade.EASY] and passed is None
 
 
 def test_dypo_step_hard_scales_with_gamma():
     inst = make_instance(47, 5, kind="hard")
     cfg1 = MixConfig(gamma=1.0)
     cfg2 = MixConfig(gamma=2.0)
-    r1 = dypo_step_loss(inst.params, inst.ref, inst.group,
-                        inst.teachers, cfg1, substream(5, "h"))
-    r2 = dypo_step_loss(inst.params, inst.ref, inst.group,
-                        inst.teachers, cfg2, substream(5, "h"))
+    r1, _ = route_groups(inst.params, inst.ref, inst.group,
+                         inst.teachers, cfg1, substream(5, "h"))
+    r2, _ = route_groups(inst.params, inst.ref, inst.group,
+                         inst.teachers, cfg2, substream(5, "h"))
     assert r2.loss == pytest.approx(2.0 * r1.loss, rel=1e-15)
     np.testing.assert_array_equal(r2.gradient.rows, r1.gradient.rows)
     np.testing.assert_allclose(r2.gradient.values, 2.0 * r1.gradient.values, rtol=1e-15)
-    assert r1.aux["grade"] == "hard"
+    assert inst.group.grades == [DifficultyGrade.HARD]
 
 
 def test_dypo_step_mid_recomposition():
     inst = _mid_instance(index=17)
     rng_tag = substream(5, "m")
-    report = dypo_step_loss(inst.params, inst.ref, inst.group,
-                            inst.teachers, CFG, rng_tag)
-    pairs = build_pairs(inst.group, CFG.pair_cap, substream(5, "m"))
-    grpo = grpo_loss_grad(inst.params, inst.ref, inst.group, CFG)
-    gal = gal_loss_grad(inst.params, inst.ref, inst.group, pairs, CFG)
-    manual_loss = CFG.alpha * grpo.loss + (1 - CFG.alpha) * gal.loss
+    report, _ = route_groups(inst.params, inst.ref, inst.group,
+                             inst.teachers, CFG, rng_tag)
+    pairs, = pair_arrays(inst.group, CFG.pair_cap, substream(5, "m"))
+    grpo = grpo_pass(inst.params, inst.ref, inst.group, CFG)
+    gal_loss, gal_gradient, _ = _gal(inst.params, inst.ref, inst.group, pairs)
+    manual_loss = CFG.alpha * grpo.loss[0] + (1 - CFG.alpha) * gal_loss
     assert report.loss == pytest.approx(manual_loss, abs=1e-12)
-    manual = mixed_gradient(grpo.gradient, gal.gradient, CFG.alpha)
+    g_grpo, = grpo.gradient.blocks()
+    manual = mixed_gradient(g_grpo, gal_gradient, CFG.alpha)
     np.testing.assert_array_equal(report.gradient.rows, manual.rows)
     np.testing.assert_allclose(report.gradient.values, manual.values, atol=1e-12)
-    assert report.aux["grade"] == "mid"
+    assert inst.group.grades == [DifficultyGrade.MID]
 
 
 def test_a_policy_of_another_interner_is_an_input_error():
@@ -461,23 +469,20 @@ def test_a_policy_of_another_interner_is_an_input_error():
     # it holds the same logits, and rows kept for another interner are never
     # resolved again
     inst = _mid_instance(index=19)
-    assert inst.group.grade is DifficultyGrade.MID
+    assert inst.group.grades == [DifficultyGrade.MID]
     foreign = PolicyParams(TASK.vocab_size, 1)
     for ctx in inst.ref.written_contexts():
         foreign.set_logits(ctx, inst.ref.logits(ctx))
     with pytest.raises(InputError, match="interner"):
-        grpo_loss_grad(inst.params, foreign, inst.group, CFG)
+        grpo_pass(inst.params, foreign, inst.group, CFG)
     with pytest.raises(InputError, match="interner"):
-        gal_loss_grad(inst.params, foreign, inst.group, inst.pairs, CFG)
+        gal_pass(inst.params, foreign, inst.group, [inst.pairs], CFG)
     with pytest.raises(InputError, match="interner"):
-        dypo_step_loss(inst.params, foreign, inst.group, inst.teachers, CFG, substream(5, "f"))
-    group = GroupRollout(inst.query, inst.group.trajectories, inst.group.rewards,
-                         advantages=inst.group.advantages)
-    group.step_rows(foreign)
+        route_groups(inst.params, foreign, inst.group, inst.teachers, CFG, substream(5, "f"))
+    group = GroupBatch.of(foreign, inst.query, trajectories(inst.group), inst.group.rewards,
+                          inst.group.advantages)
     with pytest.raises(InputError, match="interner"):
-        group.step_rows(inst.params)
-    with pytest.raises(InputError, match="interner"):
-        grpo_estimator(inst.params, group.alone(inst.params))
+        grpo_estimator(inst.params, group)
 
 
 def test_dypo_gradient_finite_differences():

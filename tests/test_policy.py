@@ -25,7 +25,7 @@ from dypo.seeding import substream
 from dypo.tasks import TaskConfig, generate_query
 
 from conftest import block_dict, traj_log_prob, traj_score
-from reference import log_probs, sampling_cdf, scalar_numerical_gradient
+from reference import log_probs, probs, sampling_cdf, scalar_numerical_gradient
 
 Q0 = SimpleNamespace(query_id=0)
 
@@ -167,13 +167,13 @@ def test_sampling_frequencies_match_softmax():
     params = PolicyParams(6, 1)
     rng = substream(9, "freq")
     params.set_logits((0, ()), rng.normal(0, 1, 6))
-    probs = params.probs((0, ()))
+    pi = probs(params, (0, ()))
     counts = np.zeros(6)
     n = 100_000
     for _ in range(n):
         traj = sample_trajectory(params, Q0, rng, stop_token=5, t_max=1)
         counts[traj.tokens[0]] += 1
-    np.testing.assert_allclose(counts / n, probs, atol=0.01)
+    np.testing.assert_allclose(counts / n, pi, atol=0.01)
 
 
 def test_mean_step_entropy_uniform():
@@ -194,7 +194,7 @@ def test_mean_step_entropy_mixed_contexts():
     expected = 0.0
     for ctx in contexts:
         params.set_logits(ctx, rng.normal(0, 1, 5))
-        p = params.probs(ctx)
+        p = probs(params, ctx)
         expected += -sum(pi * np.log(pi) for pi in p)
     got = mean_step_entropy(params, params.rows(contexts + contexts))  # duplicates collapse
     assert got == pytest.approx(expected / 3, rel=1e-12)
@@ -223,8 +223,8 @@ def test_kl_nonnegative_and_matches_direct_sum():
         ref.set_logits((0, ()), rng.normal(0, 2, 4))
         kl = kl_gradient(params, ref, _one_owner(params, params.rows([(0, ())])))[0][0]
         assert kl >= -1e-15
-        p = params.probs((0, ()))
-        q = ref.probs((0, ()))
+        p = probs(params, (0, ()))
+        q = probs(ref, (0, ()))
         direct = sum(pi * (np.log(pi) - np.log(qi)) for pi, qi in zip(p, q))
         assert kl == pytest.approx(direct, abs=1e-12)
 
@@ -244,7 +244,7 @@ def test_softmax_normalization_tight():
     for i in range(200):
         ctx = (0, (i % 7,))
         params.set_logits(ctx, rng.normal(0, 5, 7))
-        assert abs(params.probs(ctx).sum() - 1.0) < 1e-12
+        assert abs(probs(params, ctx).sum() - 1.0) < 1e-12
 
 
 def test_snapshot_is_immutable_and_stable():
@@ -296,12 +296,12 @@ def test_scalar_fd_oracle_restores_the_policy_bit_exactly():
     for ctx in contexts:
         params.set_logits(ctx, rng.normal(0, 2, 5))
     probed = contexts + [(0, (4,))]  # one unwritten row too
-    before = {ctx: [f(ctx).copy() for f in (params.logits, params.probs,
+    before = {ctx: [f(ctx).copy() for f in (params.logits, partial(probs, params),
                                             partial(log_probs, params),
                                             partial(sampling_cdf, params))] for ctx in probed}
     scalar_numerical_gradient(lambda p: traj_log_prob(p, 0, (1, 4, 3, 2)), params, probed)
     for ctx, rows in before.items():
-        after = (params.logits(ctx), params.probs(ctx), log_probs(params, ctx),
+        after = (params.logits(ctx), probs(params, ctx), log_probs(params, ctx),
                  sampling_cdf(params, ctx))
         assert all(np.array_equal(a, b) for a, b in zip(rows, after))
     assert params.written_contexts() == contexts
@@ -320,13 +320,13 @@ def test_unwritten_rows_read_default_logits():
     params = PolicyParams(4, 1, default_logits=[1.0, 0.0, 0.0, 0.0])
     params.set_logits((0, ()), [0.0, 0.0, 0.0, 5.0])
     contexts = [(q, (a,)) for q in range(10) for a in range(4)]  # grows past 16 rows
-    default = params.probs((9, (3,))).copy()
+    default = probs(params, (9, (3,))).copy()
     assert default[0] > 0.4
     for ctx in contexts:
-        np.testing.assert_array_equal(params.probs(ctx), default)
+        np.testing.assert_array_equal(probs(params, ctx), default)
     assert params.logits((0, ()))[3] == 5.0
     params.default_logits = np.zeros(4)
-    np.testing.assert_allclose(params.probs((5, (2,))), 0.25, atol=1e-15)
+    np.testing.assert_allclose(probs(params, (5, (2,))), 0.25, atol=1e-15)
     assert params.logits((0, ()))[3] == 5.0
     assert params.written_contexts() == [(0, ())]
 

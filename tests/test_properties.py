@@ -1,11 +1,12 @@
 """Property tests: the lockstep and scalar samplers and row-block gradients
-against naive per-position and per-token references, one keyed loss pass
-against its groups one by one, the routing gate against its pathways by
-hand, GAL's sigmoid against scipy's ``expit``, pair construction one group at
-a time and batched, the grading partition, advantage standardization per
-group and per reward matrix, the reward parser and the batch reward against
-it, one query draw against one draw per query, the JSON config round trip,
-and the certifier's batched finite-difference probes against scalar ones."""
+against naive per-position and per-token references, a sampled group rebuilt
+by hand against its batch of one, one keyed loss pass against its groups one
+by one, the routing gate against its pathways by hand, GAL's sigmoid against
+scipy's ``expit``, pair construction one group at a time and batched, the
+grading partition, advantage standardization per group and per reward
+matrix, the reward parser and the batch reward against it, one query draw
+against one draw per query, the JSON config round trip, and the certifier's
+batched finite-difference probes against scalar ones."""
 
 from __future__ import annotations
 
@@ -28,15 +29,11 @@ from dypo.grading import DifficultyGrade, grade
 from dypo.gradcheck import make_instance, numerical_gradient, probe_losses
 from dypo.objectives import (
     GroupBatch,
-    GroupRollout,
     MixConfig,
+    _draw_pairs,
     _expit,
-    build_pairs,
-    dypo_step_loss,
-    gal_loss_grad,
     gal_pass,
     grpo_estimator,
-    grpo_loss_grad,
     grpo_pass,
     mixed_gradient,
     mixed_keyed,
@@ -76,7 +73,6 @@ from dypo.trainer import (
 
 from conftest import block_dict, traj_score
 from reference import (
-    batch_groups,
     gate_terms,
     mean_step,
     naive_gal,
@@ -88,6 +84,7 @@ from reference import (
     sampling_cdf,
     scalar_numerical_gradient,
     step_contexts,
+    trajectories,
 )
 
 V = 9
@@ -187,15 +184,11 @@ def test_sampler_matches_naive_per_token_reference(seed, history, k, n_queries, 
     assert [sample_trajectory(params, query, rng, stop_token=stop, t_max=t_max)] == \
         naive_sample(twin, 0, 1, twin_rng, stop, t_max)
     assert rng.random() == twin_rng.random()
-    # a group built from a sampled group's trajectories resolves the same rows once, and keeps them
-    built = GroupRollout(query, tuple(want[:k]), (0,) * k)
-    rows, tokens, built_lengths = built.step_rows(params)
-    kept = built.rows
-    assert kept.interner is params.interner
-    assert np.array_equal(np.stack((rows, tokens)), got.steps[:, :sum(lengths[:k])])
-    assert built_lengths.tolist() == lengths[:k]
-    built.step_rows(params)
-    assert built.rows is kept
+    # a group built from a sampled group's trajectories resolves the same rows
+    built = GroupBatch.of(params, query, want[:k], (0,) * k)
+    assert built.interner is params.interner
+    assert np.array_equal(built.steps, got.steps[:, :sum(lengths[:k])])
+    assert built.lengths.tolist() == lengths[:k]
 
 
 @given(seed=seeds, k=st.integers(2, 8), n_queries=st.integers(1, 12), mid_only=st.booleans())
@@ -209,7 +202,7 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
     only = DifficultyGrade.MID if mid_only else None
     batch = rollout_groups(params, queries, k, substream(seed, "groups"), xi=cfg.mix.xi,
                            stop_token=cfg.task.stop, t_max=cfg.t_max, only=only)
-    groups = batch_groups(batch)
+    groups = [batch.select([i]) for i in range(len(batch))]
     sampled = sample_lockstep(twin, [q.query_id for q in queries], k, substream(seed, "groups"),
                               stop_token=cfg.task.stop, t_max=cfg.t_max)
     ends = np.cumsum(sampled.lengths).tolist()
@@ -226,18 +219,41 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
     kept_steps = sum(len(t) for _, trajs, _ in expected for t in trajs)
     assert batch.steps.dtype == np.int32 and batch.steps.shape == (2, kept_steps)
     for group, (query, trajs, rewards) in zip(groups, expected):
-        assert group.query is query and group.rewards == rewards
-        assert group.grade is grade(rewards)
+        assert group.queries[0] is query and tuple(group.rewards.tolist()) == rewards
+        assert group.grades == [grade(rewards)]
         np.testing.assert_array_equal(group.advantages, standardize_advantages(rewards, cfg.mix.xi))
-        assert group.trajectories == tuple(trajs)
-        rows, tokens, lengths = group.step_rows(params)
+        assert trajectories(group) == tuple(trajs)
         contexts = [ctx for t in trajs for ctx in step_contexts(query.query_id, t.tokens, 1)]
-        assert np.array_equal(rows, params.rows(contexts))
-        assert tokens.tolist() == [tok for t in trajs for tok in t.tokens]
-        assert lengths.tolist() == [len(t) for t in trajs]
+        assert np.array_equal(group.rows, params.rows(contexts))
+        assert group.tokens.tolist() == [tok for t in trajs for tok in t.tokens]
+        assert group.lengths.tolist() == [len(t) for t in trajs]
         # recorded as sampled: GRPO's ratios on a fresh group are exactly 1
-        np.testing.assert_array_equal(group.sample_logp, params.logp_at(rows, tokens))
-        assert not group.alone(params).log_ratios(params).any()
+        np.testing.assert_array_equal(group.sample_logp, params.logp_at(group.rows, group.tokens))
+        assert not group.log_ratios(params).any()
+
+
+@given(seed=seeds, k=st.integers(2, 8), n_queries=st.integers(1, 12), history=st.integers(0, 2))
+@FAST
+def test_a_sampled_group_rebuilt_by_hand_is_its_batch_of_one(seed, k, n_queries, history):
+    # each group's trajectories, decoded from the batch's tokens, rewarded
+    # and standardized again and resolved anew in the policy's interner
+    cfg = TrainConfig(seed=seed % 1000, history=history)
+    pool = QueryPool(cfg.task, cfg.seed)
+    params = init_policy(cfg, pool)
+    queries = [pool.queries[i % len(pool)] for i in range(n_queries)]
+    batch = rollout_groups(params, queries, k, substream(seed, "rebuilt"), xi=cfg.mix.xi,
+                           stop_token=cfg.task.stop, t_max=cfg.t_max)
+    for i, query in enumerate(queries):
+        want = batch.select([i])
+        trajs = trajectories(want)
+        rewards = [reward(query, t) for t in trajs]
+        got = GroupBatch.of(params, query, trajs, rewards,
+                            standardize_advantages(rewards, cfg.mix.xi))
+        got.sample_logp = params.logp_at(got.rows, got.tokens)
+        assert got.interner is want.interner and got.queries == want.queries
+        assert got.grades == want.grades
+        for name in ("k", "steps", "lengths", "terminal", "rewards", "advantages", "sample_logp"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
 @functools.cache
@@ -320,11 +336,10 @@ def test_grpo_block_matches_naive_reference(seed, index, kind, on_policy, beta_k
     # the group's sampling log-probs are the reference's, or the params' own as in training
     inst = make_instance(seed, index, kind=kind)
     sampler = inst.params if on_policy else inst.ref
-    rows, tokens, _ = inst.group.step_rows(inst.params)
-    inst.group.sample_logp = sampler.logp_at(rows, tokens)
+    inst.group.sample_logp = sampler.logp_at(inst.group.rows, inst.group.tokens)
     cfg = MixConfig(beta_kl=beta_kl)
-    report = grpo_loss_grad(inst.params, inst.ref, inst.group, cfg)
-    assert_block_matches(inst.params, report.gradient,
+    block, = grpo_pass(inst.params, inst.ref, inst.group, cfg).gradient.blocks()
+    assert_block_matches(inst.params, block,
                          naive_grpo(inst.params, inst.ref, sampler, inst.group, cfg))
 
 
@@ -336,12 +351,13 @@ def test_gal_block_matches_naive_reference(seed, index, beta, duplicated):
     group, pairs = inst.group, inst.pairs
     if duplicated:
         # a second copy of a success and of a failure, each paired like the original
-        trajs = group.trajectories + (group.trajectories[0], group.trajectories[-1])
-        group = GroupRollout(group.query, trajs, group.rewards + (1, 0))
-        pairs = build_pairs(group, 64, substream(seed, "pairs"))
-    report = gal_loss_grad(inst.params, inst.ref, group, pairs, MixConfig(beta_gal=beta))
-    assert_block_matches(inst.params, report.gradient,
-                         naive_gal(inst.params, inst.ref, group, pairs, beta))
+        trajs = trajectories(group)
+        group = GroupBatch.of(inst.params, inst.query, trajs + (trajs[0], trajs[-1]),
+                              group.rewards.tolist() + [1, 0])
+        pairs, = pair_arrays(group, 64, substream(seed, "pairs"))
+    block, = gal_pass(inst.params, inst.ref, group, [pairs],
+                      MixConfig(beta_gal=beta)).gradient.blocks()
+    assert_block_matches(inst.params, block, naive_gal(inst.params, inst.ref, group, pairs, beta))
 
 
 # the largest argument math.exp takes, its neighbours, and the other values
@@ -367,13 +383,14 @@ def test_gal_sigmoid_is_scipy_expit_bit_for_bit(x):
     assert np.array_equal(got, expit(x), equal_nan=True)
 
 
-def _graded_groups(inst, picks, extra, sampler, grades=None) -> list[GroupRollout]:
-    """Groups on one policy, Mid unless ``grades[i]`` says otherwise: Mid
-    group i is a success, a failure and more of either, picked by
-    ``picks[i]``, an Easy group only successes and a Hard group only
-    failures; all with the sampling log-probs of ``sampler``."""
-    won = [t for t, r in zip(inst.group.trajectories, inst.group.rewards) if r == 1]
-    lost = [t for t, r in zip(inst.group.trajectories, inst.group.rewards) if r == 0]
+def _graded_groups(inst, picks, extra, sampler, grades=None) -> list[GroupBatch]:
+    """Groups on one policy, each a batch of one, Mid unless ``grades[i]``
+    says otherwise: Mid group i is a success, a failure and more of either,
+    picked by ``picks[i]``, an Easy group only successes and a Hard group
+    only failures; all with the sampling log-probs of ``sampler``."""
+    given = list(zip(trajectories(inst.group), inst.group.rewards.tolist()))
+    won = [t for t, r in given if r == 1]
+    lost = [t for t, r in given if r == 0]
     lost += [Trajectory((inst.query.stop,), terminal=True)]
     lost += [t for t in (Trajectory(tokens, terminal=False) for tokens in extra)
              if reward(inst.query, t) == 0]
@@ -388,22 +405,28 @@ def _graded_groups(inst, picks, extra, sampler, grades=None) -> list[GroupRollou
         else:
             trajs = tuple(of[p % len(of)] for p in pick)
         rewards = tuple(reward(inst.query, t) for t in trajs)
-        group = GroupRollout(inst.query, trajs, rewards,
-                             advantages=standardize_advantages(rewards, 1e-4))
-        rows, tokens, _ = group.step_rows(inst.params)
-        group.sample_logp = sampler.logp_at(rows, tokens)
+        group = GroupBatch.of(inst.params, inst.query, trajs, rewards,
+                              standardize_advantages(rewards, 1e-4))
+        group.sample_logp = sampler.logp_at(group.rows, group.tokens)
         groups.append(group)
     return groups
 
 
-def assert_same_report(got, want) -> None:
-    """Bit for bit: loss, gradient rows and values, and every aux entry."""
-    assert got.loss == want.loss
-    np.testing.assert_array_equal(got.gradient.rows, want.gradient.rows)
-    np.testing.assert_array_equal(got.gradient.values, want.gradient.values)
-    assert set(got.aux) == set(want.aux)
-    for name, value in got.aux.items():
-        np.testing.assert_array_equal(value, want.aux[name])
+def assert_same_group(batched, i: int, alone) -> None:
+    """Group i of a pass over a batch, bit for bit the pass over that group
+    alone: loss, gradient rows and values, every aux entry and the pair weights."""
+    assert batched.loss[i] == alone.loss[0]
+    got, (want,) = batched.gradient.blocks()[i], alone.gradient.blocks()
+    np.testing.assert_array_equal(got.rows, want.rows)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert set(batched.aux) == set(alone.aux)
+    for name, value in batched.aux.items():
+        assert value[i] == alone.aux[name][0]
+    assert (batched.weights is None) == (alone.weights is None)
+    if alone.weights is not None:
+        end = int(batched.aux["pair_count"][:i + 1].sum())
+        np.testing.assert_array_equal(batched.weights[end - len(alone.weights):end],
+                                      alone.weights)
 
 
 picks = st.lists(st.lists(st.integers(0, 2**16), min_size=2, max_size=8), min_size=1, max_size=6)
@@ -419,28 +442,31 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
     params, ref = inst.params, inst.ref
     groups = _graded_groups(inst, picks, extra, params if on_policy else ref)
     cfg = MixConfig(pair_cap=pair_cap)
-    pairs = [build_pairs(g, pair_cap, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
-    batch = GroupBatch.concat([g.alone(params) for g in groups])
-    grpo = grpo_pass(params, ref, batch, cfg).reports()
+    pairs = [pair_arrays(g, pair_cap, substream(seed, "pairs", i))[0]
+             for i, g in enumerate(groups)]
+    batch = GroupBatch.concat(groups)
+    grpo = grpo_pass(params, ref, batch, cfg)
     gal = gal_pass(params, ref, batch, pairs, cfg)
-    mixed = mixed_pass(params, ref, batch, pairs, cfg).reports()
+    mixed = mixed_pass(params, ref, batch, pairs, cfg)
     estimator = grpo_estimator(params, batch)
     bench_mix = mixed_keyed(estimator, gal.gradient, cfg.alpha).blocks()
     for i, group in enumerate(groups):
-        assert_same_report(grpo[i], grpo_loss_grad(params, ref, group, cfg))
-        alone = gal_loss_grad(params, ref, group, pairs[i], cfg)
-        assert_same_report(gal.reports()[i], alone)
+        assert_same_group(grpo, i, grpo_pass(params, ref, group, cfg))
+        alone = gal_pass(params, ref, group, [pairs[i]], cfg)
+        assert_same_group(gal, i, alone)
         # the routed step draws the same pairs from the same stream
-        step = dypo_step_loss(params, ref, group, inst.teachers, cfg, substream(seed, "pairs", i))
-        assert step.loss == mixed[i].loss and step.aux == {"grade": "mid"}
-        np.testing.assert_array_equal(step.gradient.rows, mixed[i].gradient.rows)
-        np.testing.assert_array_equal(step.gradient.values, mixed[i].gradient.values)
-        g_grpo, = grpo_estimator(params, group.alone(params)).blocks()
+        step, _ = route_groups(params, ref, group, inst.teachers, cfg, substream(seed, "pairs", i))
+        mixed_block = mixed.gradient.blocks()[i]
+        assert step.loss == mixed.loss[i] and step.aux == {}
+        np.testing.assert_array_equal(step.gradient.rows, mixed_block.rows)
+        np.testing.assert_array_equal(step.gradient.values, mixed_block.values)
+        g_grpo, = grpo_estimator(params, group).blocks()
+        g_gal, = alone.gradient.blocks()
         for got, want in ((estimator.blocks()[i], g_grpo),
-                          (bench_mix[i], mixed_gradient(g_grpo, alone.gradient, cfg.alpha))):
+                          (bench_mix[i], mixed_gradient(g_grpo, g_gal, cfg.alpha))):
             np.testing.assert_array_equal(got.rows, want.rows)
             np.testing.assert_array_equal(got.values, want.values)
-    one_by_one = [score_sq_norms(params, *g.step_rows(params)) for g in groups]
+    one_by_one = [score_sq_norms(params, g.rows, g.tokens, g.lengths) for g in groups]
     np.testing.assert_array_equal(score_sq_norms(params, batch.rows, batch.tokens, batch.lengths),
                                   np.concatenate(one_by_one))
 
@@ -471,7 +497,7 @@ def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, in
     group, = _graded_groups(inst, [pick], extra, params if on_policy else ref, [graded])
     inst.group = group
     if graded is DifficultyGrade.MID:
-        inst.pairs = build_pairs(group, pair_cap, substream(seed, "pairs"))
+        inst.pairs, = pair_arrays(group, pair_cap, substream(seed, "pairs"))
     cfg = MixConfig(pair_cap=pair_cap, gamma=gamma)
     before = _policy_state(params)
     batched = numerical_gradient(probe_losses(inst, loss, cfg, substream(seed, "draws")),
@@ -480,13 +506,13 @@ def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, in
     # the loss itself, its draws made afresh on every probe
     scalar = {
         "sft_loss_grad": lambda p: sft_loss_grad(p, inst.query, inst.teachers,
-                                                 substream(seed, "draws")),
-        "grpo_loss_grad": lambda p: grpo_loss_grad(p, ref, group, cfg),
-        "gal_loss_grad": lambda p: gal_loss_grad(p, ref, group, inst.pairs, cfg),
-        "dypo_step_loss": lambda p: dypo_step_loss(p, ref, group, inst.teachers, cfg,
-                                                   substream(seed, "draws")),
+                                                 substream(seed, "draws")).loss,
+        "grpo_loss_grad": lambda p: grpo_pass(p, ref, group, cfg).loss[0],
+        "gal_loss_grad": lambda p: gal_pass(p, ref, group, [inst.pairs], cfg).loss[0],
+        "dypo_step_loss": lambda p: route_groups(p, ref, group, inst.teachers, cfg,
+                                                 substream(seed, "draws"))[0].loss,
     }[loss]
-    expected = scalar_numerical_gradient(lambda p: scalar(p).loss, params, inst.contexts)
+    expected = scalar_numerical_gradient(scalar, params, inst.contexts)
     assert list(batched) == list(expected)
     for ctx, row in expected.items():
         assert batched[ctx].tobytes() == row.tobytes(), ctx
@@ -513,28 +539,27 @@ def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, pic
     groups = _graded_groups(inst, picks, (), ref)
     bad %= len(groups)
     cfg = MixConfig()
-    pairs = [build_pairs(g, 8, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
+    pairs = [pair_arrays(g, 8, substream(seed, "pairs", i))[0] for i, g in enumerate(groups)]
     flawed, message = FLAWS[flaw]
-    pairs[bad] = flawed(pairs[bad], groups[bad].k)
+    pairs[bad] = flawed(pairs[bad], len(groups[bad].rewards))
     with pytest.raises(InputError, match=message) as alone:
-        gal_loss_grad(params, ref, groups[bad], pairs[bad], cfg)
+        gal_pass(params, ref, groups[bad], [pairs[bad]], cfg)
     # the first bad group's error, also with a second bad group after it
     later %= len(groups)
-    second = FLAWS[later_flaw][0](build_pairs(groups[later], 8, substream(seed, "pairs", later)),
-                                  groups[later].k)
+    second = FLAWS[later_flaw][0](pair_arrays(groups[later], 8, substream(seed, "pairs", later))[0],
+                                  len(groups[later].rewards))
     for batch, batch_pairs in ((groups, pairs), (groups + [groups[later]], pairs + [second])):
         with pytest.raises(InputError) as batched:
-            gal_pass(params, ref, GroupBatch.concat([g.alone(params) for g in batch]),
-                     batch_pairs, cfg)
+            gal_pass(params, ref, GroupBatch.concat(batch), batch_pairs, cfg)
         assert str(batched.value) == str(alone.value)
     # a group whose rows were resolved in another interner
     other = groups[bad]
-    foreign = GroupRollout(other.query, other.trajectories, other.rewards, other.advantages)
-    foreign.step_rows(PolicyParams(params.vocab_size, params.history))
+    foreign = GroupBatch.of(PolicyParams(params.vocab_size, params.history), other.queries[0],
+                            trajectories(other), other.rewards, other.advantages)
     with pytest.raises(InputError, match="interner") as alone:
-        grpo_estimator(params, foreign.alone(params))
+        grpo_estimator(params, foreign)
     with pytest.raises(InputError) as batched:
-        GroupBatch.concat([g.alone(params) for g in groups[:bad] + [foreign] + groups[bad:]])
+        GroupBatch.concat(groups[:bad] + [foreign] + groups[bad:])
     assert str(batched.value) == str(alone.value)
 
 
@@ -554,7 +579,7 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
     groups = _graded_groups(inst, picks, extra, params if on_policy else ref, grades)
     cfg = MixConfig(gamma=gamma, pair_cap=pair_cap)
     rng, twin = substream(seed, "gate"), substream(seed, "gate")
-    batch = GroupBatch.concat([g.alone(params) for g in groups])
+    batch = GroupBatch.concat(groups)
     step, passed = route_groups(params, ref, batch, teachers, cfg, rng, variant)
     # the pathways by hand, from a twin of the stream
     terms, want = gate_terms(params, ref, batch, teachers, cfg, twin, variant)
@@ -563,19 +588,20 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
     if want is not None:
         np.testing.assert_array_equal(passed.loss, want.loss)
     for i in set(range(len(groups))) - set(terms):
-        assert variant == "dypo" and groups[i].grade is DifficultyGrade.EASY
+        assert variant == "dypo" and groups[i].grades[0] is DifficultyGrade.EASY
     # the step is the mean of the terms; each row adds its groups' terms in group order
     mean_loss, rows, mean = mean_step(terms, params.vocab_size)
     assert step.loss == mean_loss and step.aux == {}
     assert step.gradient.rows.tolist() == rows
     assert step.gradient.values.shape == mean.shape
     assert step.gradient.values.tobytes() == mean.tobytes()
-    # the certified per-group step is the dypo gate over one group, of each kind present
-    for g in {group.grade: group for group in groups}.values():
-        one = dypo_step_loss(params, ref, g, teachers, cfg, substream(seed, "one"))
-        alone, _ = route_groups(params, ref, g.alone(params), teachers, cfg,
+    # the certified step is the dypo gate over a group built by hand, the
+    # group as the batch selects it, of each kind present
+    for i in {group.grades[0]: i for i, group in enumerate(groups)}.values():
+        one, _ = route_groups(params, ref, groups[i], teachers, cfg, substream(seed, "one"))
+        alone, _ = route_groups(params, ref, batch.select([i]), teachers, cfg,
                                 substream(seed, "one"))
-        assert one.aux == {"grade": g.grade.value} and one.loss == alone.loss
+        assert one.aux == {} and one.loss == alone.loss
         assert one.gradient.rows.tobytes() == alone.gradient.rows.tobytes()
         assert one.gradient.values.tobytes() == alone.gradient.values.tobytes()
 
@@ -586,8 +612,8 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
 @FAST
 def test_build_pairs_are_success_failure_index_pairs(rewards, pair_cap, seed):
     trajs = tuple(Trajectory((i,), terminal=False) for i in range(len(rewards)))
-    group = GroupRollout(SimpleNamespace(query_id=0), trajs, tuple(rewards))
-    pairs = build_pairs(group, pair_cap, substream(seed, "pairs"))
+    group = GroupBatch.of(PolicyParams(12, 1), SimpleNamespace(query_id=0), trajs, rewards)
+    pairs, = pair_arrays(group, pair_cap, substream(seed, "pairs"))
     product = {(s, f) for s, won in enumerate(rewards) if won
                for f, lost in enumerate(rewards) if not lost}
     got = [tuple(p) for p in pairs.tolist()]
@@ -605,22 +631,23 @@ mid_rewards = st.lists(st.integers(0, 1), min_size=2, max_size=12).filter(
 @FAST
 def test_batched_pairs_are_the_groups_own_draws(patterns, pair_cap, seed):
     # a small cap: some groups draw their subsets, the others take the full product
-    groups = [GroupRollout(SimpleNamespace(query_id=0),
-                           tuple(Trajectory((i,), terminal=False) for i in range(len(r))),
-                           tuple(r)) for r in patterns]
-    rng, twin = substream(seed, "pairs"), substream(seed, "pairs")
     params = PolicyParams(12, 1)  # holds the groups' steps, tokens 0..11
-    got = pair_arrays(GroupBatch.concat([g.alone(params) for g in groups]), pair_cap, rng)
-    want = [build_pairs(group, pair_cap, twin) for group in groups]
+    groups = [GroupBatch.of(params, SimpleNamespace(query_id=0),
+                            tuple(Trajectory((i,), terminal=False) for i in range(len(r))), r)
+              for r in patterns]
+    rng, twin = substream(seed, "pairs"), substream(seed, "pairs")
+    got = pair_arrays(GroupBatch.concat(groups), pair_cap, rng)
+    # each group's pairs drawn on its own, the capped or full product one group at a time
+    want = [_draw_pairs(g.grades[0], g.rewards, pair_cap, twin) for g in groups]
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         np.testing.assert_array_equal(a, b)
     assert rng.random() == twin.random()
-    easy = GroupRollout(SimpleNamespace(query_id=0), groups[0].trajectories,
-                        (1,) * groups[0].k)
+    easy = GroupBatch.of(params, SimpleNamespace(query_id=0), trajectories(groups[0]),
+                         (1,) * len(patterns[0]))
     with pytest.raises(StateError):
-        pair_arrays(GroupBatch.concat([g.alone(params) for g in groups + [easy]]), pair_cap, rng)
+        pair_arrays(GroupBatch.concat(groups + [easy]), pair_cap, rng)
 
 
 @given(rewards=st.lists(st.lists(st.integers(-5, 5), min_size=12, max_size=12), min_size=1,

@@ -1,8 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 importing the package loads no scipy, the trainer routes only through the
-gate, training, evaluation and the benches build no per-group objects, only
-the certifier uses the scalar sampler, and the README's configuration block
-is the schema's defaults."""
+gate, only the certifier uses the scalar sampler, and the README's
+configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
@@ -13,12 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from dypo.instrumentation import variance_ordering_bench
-from dypo.objectives import VARIANTS, GroupRollout
-from dypo.seeding import substream
-from dypo.trainer import QueryPool, TrainConfig, evaluate, train, train_config_from_dict
+from dypo.trainer import TrainConfig, train_config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dypo"
@@ -93,27 +87,6 @@ def test_the_trainer_routes_only_through_the_gate():
     assert "route_groups" in imported
     assert imported.isdisjoint({"sft_loss_grad", "grpo_pass", "mixed_pass", "pair_arrays",
                                 "sum_blocks"})
-
-
-def test_training_evaluation_and_the_benches_build_no_group_rollout(monkeypatch):
-    # a step is one GroupBatch from the sampler to the update; a GroupRollout
-    # is the hand-built group of the certifier and the tests
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a GroupRollout was built")
-
-    monkeypatch.setattr(GroupRollout, "__init__", refuse)
-    for variant in VARIANTS:
-        cfg = TrainConfig(seed=1, steps=3, batch_size=8, variant=variant)
-        result = train(cfg)
-    params, ref = result.checkpoint.params.snapshot(), result.checkpoint.ref
-    pool = QueryPool(cfg.task, cfg.seed)
-    evaluate(params, pool, 40, cfg.k, substream(1, "guard-evaluate"), t_max=cfg.t_max)
-    report = variance_ordering_bench(params, ref, pool.draw, cfg.mix, 30,
-                                     substream(1, "guard-variance"), k=cfg.k,
-                                     stop_token=cfg.task.stop, t_max=cfg.t_max)
-    assert report.config_echo["n_groups"] == 30
-    with pytest.raises(AssertionError, match="GroupRollout was built"):
-        GroupRollout(pool.queries[0], (), ())
 
 
 def test_only_the_certifier_samples_one_trajectory_at_a_time():

@@ -659,6 +659,8 @@ def test_a_mutated_checkpoint_is_a_dypo_error_or_loads_and_evaluates(fuzz_dir, c
 
 
 @given(**mutations)
+# a pool too large to build: it once hung the CLI building the pool query by query
+@example(how="replace", walk=[12, 3], cut=0.0, replacement=2**63)
 @settings(deadline=None, derandomize=True, max_examples=100)
 def test_a_mutated_config_is_a_config_error_or_loads(fuzz_dir, checkpoint_doc, how, walk, cut,
                                                      replacement):
