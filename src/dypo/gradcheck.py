@@ -5,24 +5,28 @@ Four losses are certified, each named by a key of ``CHECKS`` (the keys of
 demonstration NLL (``sft_loss_grad``), the clipped GRPO surrogate
 (``grpo_pass``), the GAL pair loss (``gal_pass``) and the routed step
 (``route_groups`` under ``dypo``). An instance holds one group, a batch of
-one (``GroupBatch.of``), whose gradient keys are its rows.
+one (``GroupBatch.of``), whose gradient keys are its rows. The suite builds
+each distinct instance at an index once, certifies every loss that reads it,
+and drops it before the next index.
 
 Each probe adds +eps or -eps to one logit entry of the contexts a loss can
 touch. All 2 * |contexts| * V probes of an instance are one table
 (``Probes``): a frozen copy of the policy with one extra row per probe, the
-probed row so perturbed, and the instance's group repeated once per probe,
-each copy reading its own probe's row. One loss evaluation over that table
-gives every probe's loss, and so the numeric gradient, which is compared
-against the analytic one. Each probe's loss is bit for bit the loss with
-that one entry perturbed in place. The checker only ever calls loss
-evaluation, never the gradient code under test, and leaves the policy
-unchanged.
+probed row so perturbed, and the instance's group tiled once per probe,
+each copy reading its own probe's row. One evaluation of the loss alone
+(``grpo_loss``, ``gal_loss``, ``mixed_loss``, ``demo_nll``: the expressions
+the passes report) over that table gives every probe's loss, and so the
+numeric gradient, which is compared against the analytic one. Each probe's
+loss is bit for bit the loss with that one entry perturbed in place. The
+checker never calls the gradient code under test on a probe, and leaves the
+policy unchanged.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,10 +36,13 @@ from .objectives import (
     PATHWAYS,
     GroupBatch,
     MixConfig,
+    demo_nll,
     draw_demo,
+    gal_loss,
     gal_pass,
+    grpo_loss,
     grpo_pass,
-    mixed_pass,
+    mixed_loss,
     pair_arrays,
     route_groups,
     sft_loss_grad,
@@ -190,10 +197,12 @@ def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
 _MIX = MixConfig()
 
 
-def _off_clip_instance(seed: int, index: int, kind: str, eps: float) -> GradCheckInstance:
-    """The instance at ``index``; a Mid one is redrawn until its ratios are off the clip kinks."""
+def _off_clip_instance(build: Callable[[int, str], GradCheckInstance], index: int, kind: str,
+                       eps: float) -> GradCheckInstance:
+    """The instance ``build(index, kind)``; a Mid one is redrawn, at indices
+    10_000 apart, until its ratios are off the clip kinks."""
     for attempt in range(50):
-        inst = make_instance(seed, index + 10_000 * attempt, kind=kind)
+        inst = build(index + 10_000 * attempt, kind)
         if kind != "mid" or _off_clip(inst, _MIX, margin=10 * eps):
             break
     return inst
@@ -205,15 +214,15 @@ def _demo_nll(inst: GradCheckInstance, rng: np.random.Generator
     ``sft_loss_grad`` draws from ``rng``, drawn here once."""
     _, demo = draw_demo(inst.query, inst.teachers, rng)
     rows, tokens = inst.params.trajectory_rows(inst.query.query_id, demo.tokens)
-    return lambda probes: -probes.params.logp_at(probes.remap(rows), tokens).sum(axis=1)
+    return lambda probes: demo_nll(probes.params, probes.remap(rows), tokens)
 
 
 def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
                  rng: np.random.Generator | None = None) -> Callable[[Probes], np.ndarray]:
     """Every probe's value of the certified ``loss`` at the instance, as one
-    evaluation over the probes. The draws the loss makes from ``rng`` (a
-    teacher and its demonstration, capped pairs) are made here, once, as the
-    loss makes them."""
+    evaluation over the probes of the loss alone, never of its gradient. The
+    draws the loss makes from ``rng`` (a teacher and its demonstration,
+    capped pairs) are made here, once, as the loss makes them."""
     group = inst.group
     if loss == "dypo_step_loss":
         route = PATHWAYS["dypo"][group.grades[0]]
@@ -223,15 +232,20 @@ def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
             nll = _demo_nll(inst, rng)
             return lambda probes: cfg.gamma * nll(probes)
         pairs, = pair_arrays(group, cfg.pair_cap, rng)
-        return lambda probes: mixed_pass(probes.params, probes.ref, probes.batch(group),
-                                         [pairs] * probes.count, cfg).loss
+
+        def mixed(probes: Probes) -> np.ndarray:
+            batch = probes.batch(group)
+            return mixed_loss(grpo_loss(probes.params, probes.ref, batch, cfg)[0],
+                              gal_loss(probes.params, probes.ref, batch, [pairs] * probes.count,
+                                       cfg)[0], cfg.alpha)
+        return mixed
     if loss == "sft_loss_grad":
         return _demo_nll(inst, rng)
     if loss == "grpo_loss_grad":
-        return lambda probes: grpo_pass(probes.params, probes.ref, probes.batch(group), cfg).loss
+        return lambda probes: grpo_loss(probes.params, probes.ref, probes.batch(group), cfg)[0]
     if loss == "gal_loss_grad":
-        return lambda probes: gal_pass(probes.params, probes.ref, probes.batch(group),
-                                       [inst.pairs] * probes.count, cfg).loss
+        return lambda probes: gal_loss(probes.params, probes.ref, probes.batch(group),
+                                       [inst.pairs] * probes.count, cfg)[0]
     raise ConfigError(f"no certified loss named {loss!r}")
 
 
@@ -259,22 +273,40 @@ def certify(inst: GradCheckInstance, loss: str, cfg: MixConfig = _MIX,
                           numerical_gradient(losses, inst.params, inst.ref, inst.contexts, eps))
 
 
+# the stream each certified loss draws from at an index, if it draws
+_STREAMS = {"sft_loss_grad": "gradcheck-sft", "dypo_step_loss": "gradcheck-dypo"}
+
+
+def _check(loss: str, seed: int, index: int, build: Callable[[int, str], GradCheckInstance],
+           eps: float) -> float:
+    """The certified ``loss``'s error at ``index``, on its instance from
+    ``build(index, kind)``: SFT and GAL read the Mid instance; GRPO reads it,
+    and the routed step the kind ``index % 3`` picks, redrawn while Mid until
+    its ratios are off the clip kinks."""
+    if loss in ("sft_loss_grad", "gal_loss_grad"):
+        inst = build(index, "mid")
+    else:
+        kind = ("mid", "hard", "easy")[index % 3] if loss == "dypo_step_loss" else "mid"
+        inst = _off_clip_instance(build, index, kind, eps)
+    stream = _STREAMS.get(loss)
+    return certify(inst, loss, rng=None if stream is None else substream(seed, stream, index),
+                   eps=eps)
+
+
 def check_sft(seed: int, index: int, eps: float = 1e-5) -> float:
-    return certify(make_instance(seed, index), "sft_loss_grad",
-                   rng=substream(seed, "gradcheck-sft", index), eps=eps)
+    return _check("sft_loss_grad", seed, index, partial(make_instance, seed), eps)
 
 
 def check_grpo(seed: int, index: int, eps: float = 1e-5) -> float:
-    return certify(_off_clip_instance(seed, index, "mid", eps), "grpo_loss_grad", eps=eps)
+    return _check("grpo_loss_grad", seed, index, partial(make_instance, seed), eps)
 
 
 def check_gal(seed: int, index: int, eps: float = 1e-5) -> float:
-    return certify(make_instance(seed, index), "gal_loss_grad", eps=eps)
+    return _check("gal_loss_grad", seed, index, partial(make_instance, seed), eps)
 
 
 def check_dypo(seed: int, index: int, eps: float = 1e-5) -> float:
-    inst = _off_clip_instance(seed, index, ("mid", "hard", "easy")[index % 3], eps)
-    return certify(inst, "dypo_step_loss", rng=substream(seed, "gradcheck-dypo", index), eps=eps)
+    return _check("dypo_step_loss", seed, index, partial(make_instance, seed), eps)
 
 
 CHECKS = {
@@ -286,10 +318,16 @@ CHECKS = {
 
 
 def grad_check_suite(seed: int = 0, n_instances: int = 100) -> dict[str, float]:
-    """Max relative finite-difference error per loss over random instances."""
+    """Max relative finite-difference error per loss over random instances.
+
+    Index by index, every check at the index reads one build of each distinct
+    instance, and the index's instances are dropped before the next's.
+    """
     if n_instances < 1:
         raise ConfigError(f"grad-check needs at least one instance, got {n_instances}")
-    return {
-        name: max(fn(seed, i) for i in range(n_instances))
-        for name, fn in CHECKS.items()
-    }
+    errors: dict[str, list[float]] = {name: [] for name in CHECKS}
+    for i in range(n_instances):
+        build = cache(partial(make_instance, seed))
+        for name, found in errors.items():
+            found.append(_check(name, seed, i, build, 1e-5))
+    return {name: max(found) for name, found in errors.items()}

@@ -8,7 +8,10 @@ gradients keyed by (group, row), so each group keeps the row block it would
 have alone. A group built by hand (``GroupBatch.of``) is a batch of one,
 whose keys are its rows; it is what finite differences certify. SFT
 distillation scores one demonstration at a time (``sft_loss_grad``). Gradients
-are exact for the reported loss expression.
+are exact for the reported loss expression. Each loss expression is one
+function (``grpo_loss``, ``gal_loss``, ``mixed_loss``, ``demo_nll``) that
+returns the terms its gradient reads; a pass builds its gradient on them, and
+finite differences evaluate them alone.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from .policy import (
     ContextInterner,
     KeyedBlocks,
     KeyIndex,
+    OwnerKL,
     PolicyParams,
     RowBlock,
     Trajectory,
     check_shared_interner,
     keyed_score,
     kl_gradient,
+    owner_kl,
     sample_lockstep,
     sum_blocks,
     sum_rows,
@@ -159,10 +164,13 @@ class GroupBatch:
         """The batch once per row of ``rows``, a ``(count, steps)`` array:
         copy i reads its steps at ``rows[i]`` instead of the batch's own
         rows, which may be extra rows of a policy (``PolicyParams.with_rows``)."""
-        out = self.select(np.tile(np.arange(self.count), len(rows)))
-        out.steps = np.stack([rows.ravel(), out.tokens])
-        out.rows = out.steps[0]
-        return out
+        n = len(rows)
+        adv, logp = self._advantages, self._sample_logp
+        return GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
+                          np.tile(self.rewards, n), None if adv is None else np.tile(adv, n),
+                          np.tile(self.lengths, n), np.tile(self.terminal, n),
+                          np.stack([rows.ravel(), np.tile(self.tokens, n)]),
+                          None if logp is None else np.tile(logp, n))
 
     @property
     def advantages(self) -> np.ndarray:
@@ -202,11 +210,15 @@ class GroupBatch:
         """Each group's count of rewarded trajectories."""
         return np.bincount(self.owner, weights=self.rewards, minlength=self.count).astype(np.intp)
 
+    def check_interner(self, params: PolicyParams) -> None:
+        """An ``InputError`` unless ``params`` reads the interner the batch's rows are numbered in."""
+        if params.interner is not self.interner:
+            raise InputError("the group's rows belong to another policy's interner")
+
     def key_index(self, params: PolicyParams) -> KeyIndex:
         """The steps' (group, row) keys under which a pass over ``params``
         gathers each group's row block, built on first use."""
-        if params.interner is not self.interner:
-            raise InputError("the group's rows belong to another policy's interner")
+        self.check_interner(params)
         params._fit()
         if self._index is None:
             span = int(self.rows.max()) + 1
@@ -313,14 +325,39 @@ def draw_demo(query: Query, teachers: Sequence[TeacherOracle],
     return idx, teacher_sample(teachers[idx], query, rng)
 
 
+def demo_nll(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """Negative log-likelihood of a demonstration's ``tokens`` read at
+    ``rows``; a 2-D ``rows`` gives one per line, each line one copy of the steps."""
+    return -params.logp_at(rows, tokens).sum(axis=-1)
+
+
 def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[TeacherOracle],
                   rng: np.random.Generator) -> LossReport:
     """Negative log-likelihood of a demonstration drawn uniformly over teachers."""
     idx, demo = draw_demo(query, teachers, rng)
     rows, tokens = params.trajectory_rows(query.query_id, demo.tokens)
-    return LossReport(loss=-float(params.logp_at(rows, tokens).sum()),
+    return LossReport(loss=float(demo_nll(params, rows, tokens)),
                       gradient=weighted_score(params, rows, tokens, np.full(len(rows), -1.0)),
                       aux={"teacher_index": float(idx), "demo_len": float(len(demo))})
+
+
+def grpo_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, cfg: MixConfig
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, OwnerKL]:
+    """``grpo_pass``'s loss of every group of the batch, without its gradient:
+    the loss, and the terms the gradient reads, every trajectory's unclipped
+    and clipped surrogate and each group's ``owner_kl``."""
+    adv = batch.advantages
+    if (batch.k < 2).any():
+        raise InputError("grpo_pass needs groups of >= 2")
+    check_shared_interner(params, ref)
+    index = batch.key_index(params)
+    lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
+    ratios = np.exp(batch.log_ratios(params))
+    unclipped = ratios * adv
+    clipped = np.minimum(np.maximum(ratios, lo), hi) * adv
+    surrogate = _segment_sums(np.minimum(unclipped, clipped), batch.k)
+    kl = owner_kl(params, ref, index)
+    return -surrogate / batch.k + cfg.beta_kl * kl.value, unclipped, clipped, kl
 
 
 def grpo_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
@@ -332,27 +369,17 @@ def grpo_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     policy) every ratio is exactly 1, and finite differences certify the
     surrogate that training differentiates. The KL penalty anchors to the
     frozen reference. At clip kinks the unclipped branch wins, so the
-    gradient is the exact one-sided derivative of the reported expression.
-    ``aux`` holds each group's ``kl_value``; the ratios themselves are
-    ``exp(batch.log_ratios(params))``, for whoever reads them.
+    gradient is the exact one-sided derivative of the reported expression
+    (``grpo_loss``). ``aux`` holds each group's ``kl_value``; the ratios
+    themselves are ``exp(batch.log_ratios(params))``, for whoever reads them.
     """
-    adv = batch.advantages
-    if (batch.k < 2).any():
-        raise InputError("grpo_pass needs groups of >= 2")
-    check_shared_interner(params, ref)
+    loss, unclipped, clipped, kl = grpo_loss(params, ref, batch, cfg)
     index = batch.key_index(params)
-    lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
-    ratios = np.exp(batch.log_ratios(params))
-    unclipped = ratios * adv
-    clipped = np.minimum(np.maximum(ratios, lo), hi) * adv
-    surrogate = _segment_sums(np.minimum(unclipped, clipped), batch.k)
-    coef = np.where(unclipped <= clipped, adv * ratios, 0.0)
-    pg = keyed_score(params, index, coef[batch.traj])
-    kl_value, kl = kl_gradient(params, ref, index)
+    # the score weight r * A of each trajectory whose unclipped branch wins
+    pg = keyed_score(params, index, np.where(unclipped <= clipped, unclipped, 0.0)[batch.traj])
     gradient = pg._replace(values=(-1.0 / batch.k)[index.owner][:, None] * pg.values
-                           + cfg.beta_kl * kl)
-    return BatchReport(loss=-surrogate / batch.k + cfg.beta_kl * kl_value, gradient=gradient,
-                       aux={"kl_value": kl_value})
+                           + cfg.beta_kl * kl_gradient(index, kl))
+    return BatchReport(loss=loss, gradient=gradient, aux={"kl_value": kl.value})
 
 
 def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
@@ -471,6 +498,28 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + e)
 
 
+def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
+             pairs: Sequence[np.ndarray], cfg: MixConfig
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``gal_pass``'s loss of every group of the batch, without its gradient:
+    the loss, and the terms the gradient reads, every pair's margin -beta*d,
+    each group's pair count and all pairs as indices into the batch's
+    trajectories (``_batch_pairs``, whose checks it makes)."""
+    if len(pairs) != batch.count:
+        raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
+    counts, traj_pairs = _batch_pairs(batch, pairs)
+    check_shared_interner(params, ref)
+    batch.check_interner(params)
+    n = len(batch.lengths)
+    log_ratio = (np.bincount(batch.traj, weights=params.logp_at(batch.rows, batch.tokens),
+                             minlength=n)
+                 - np.bincount(batch.traj, weights=ref.logp_at(batch.rows, batch.tokens),
+                               minlength=n))
+    margin = -cfg.beta_gal * (log_ratio[traj_pairs[:, 0]] - log_ratio[traj_pairs[:, 1]])
+    # -log sigmoid(beta d), averaged over each group's pairs
+    return _segment_sums(np.logaddexp(0.0, margin), counts) / counts, margin, counts, traj_pairs
+
+
 def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
              pairs: Sequence[np.ndarray], cfg: MixConfig) -> BatchReport:
     """Pairwise contrastive alignment loss over (success, failure) rollouts of
@@ -485,35 +534,26 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     variance; the pass returns the weights and leaves their reductions
     (``gal_etas``, the range) to whoever reads them. The sigmoid uses the C
     library's exp, not ``np.exp``, whose SIMD kernel can differ in the last bit
-    and would move every seeded run.
+    and would move every seeded run. The loss is ``gal_loss``'s.
     """
-    if len(pairs) != batch.count:
-        raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
-    counts, traj_pairs = _batch_pairs(batch, pairs)
-    check_shared_interner(params, ref)
+    loss, margin, counts, traj_pairs = gal_loss(params, ref, batch, pairs, cfg)
     index = batch.key_index(params)
-    beta = cfg.beta_gal
-    win, lose = traj_pairs[:, 0], traj_pairs[:, 1]
-    n = len(batch.lengths)
-    log_ratio = (np.bincount(batch.traj, weights=params.logp_at(batch.rows, batch.tokens),
-                             minlength=n)
-                 - np.bincount(batch.traj, weights=ref.logp_at(batch.rows, batch.tokens),
-                               minlength=n))
-    margin = -beta * (log_ratio[win] - log_ratio[lose])  # -beta * d
     weights = _expit(margin)
-    coef = -beta * weights / np.repeat(counts, counts)
-    traj_coef = np.bincount(win, weights=coef, minlength=n) - np.bincount(
-        lose, weights=coef, minlength=n)
+    coef = -cfg.beta_gal * weights / np.repeat(counts, counts)
+    n = len(batch.lengths)
+    traj_coef = np.bincount(traj_pairs[:, 0], weights=coef, minlength=n) - np.bincount(
+        traj_pairs[:, 1], weights=coef, minlength=n)
     # the gradient's rows are those of the paired trajectories only
     paired = np.zeros(n, dtype=bool)
     paired[traj_pairs] = True
     keep = paired[batch.traj]
-    return BatchReport(
-        loss=_segment_sums(np.logaddexp(0.0, margin), counts) / counts,  # -log sigmoid(beta d)
-        gradient=keyed_score(params, index, traj_coef[batch.traj], keep),
-        aux={"pair_count": counts},
-        weights=weights,
-    )
+    return BatchReport(loss=loss, gradient=keyed_score(params, index, traj_coef[batch.traj], keep),
+                       aux={"pair_count": counts}, weights=weights)
+
+
+def mixed_loss(grpo: np.ndarray, gal: np.ndarray, alpha: float) -> np.ndarray:
+    """Convex combination alpha * grpo + (1 - alpha) * gal of two passes' losses."""
+    return alpha * grpo + (1.0 - alpha) * gal
 
 
 def mixed_gradient(g_grpo: RowBlock, g_gal: RowBlock, alpha: float) -> RowBlock:
@@ -535,7 +575,7 @@ def mixed_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     """The alpha-mixture of ``grpo_pass`` and ``gal_pass``, Mid groups' pathway."""
     grpo = grpo_pass(params, ref, batch, cfg)
     gal = gal_pass(params, ref, batch, pairs, cfg)
-    return BatchReport(loss=cfg.alpha * grpo.loss + (1.0 - cfg.alpha) * gal.loss,
+    return BatchReport(loss=mixed_loss(grpo.loss, gal.loss, cfg.alpha),
                        gradient=mixed_keyed(grpo.gradient, gal.gradient, cfg.alpha),
                        aux={**grpo.aux, **gal.aux}, weights=gal.weights)
 

@@ -336,17 +336,24 @@ class PolicyParams:
         Extra rows belong to no context, so only reads by row see them; the
         copy is stale once the interner grows. This policy is not changed.
         """
-        out = self.snapshot()
-        out._fit()
+        out = PolicyParams.__new__(PolicyParams)
+        out.__dict__.update(self.__dict__)
+        out.frozen = True
         used = len(self.interner.contexts)
-        if shift is None:
-            extra = [getattr(out, name)[rows] for name in self._ARRAYS]
-        else:
-            logits = out._logits[rows] + shift
-            extra = [logits, *_softmax_rows(logits)]
-        for name, block in zip(self._ARRAYS, extra):
-            setattr(out, name, np.concatenate([getattr(out, name)[:used], block]))
-        out._written = np.concatenate([out._written[:used], np.zeros(len(rows), dtype=bool)])
+        have = min(used, len(self._written))
+        out._written = np.zeros(used + len(rows), dtype=bool)
+        out._written[:have] = self._written[:have]
+        for name in self._ARRAYS:
+            table = np.empty((used + len(rows), self.vocab_size))
+            table[:have] = getattr(self, name)[:have]
+            setattr(out, name, table)
+        out._fill_default(slice(have, used))  # interned since this policy's arrays last grew
+        for name in self._ARRAYS:
+            table = getattr(out, name)
+            table[used:] = table[rows]
+        if shift is not None:
+            out._logits[used:] += shift
+            out._refresh(slice(used, None))
         return out
 
     def copy(self) -> "PolicyParams":
@@ -551,20 +558,38 @@ def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
     return math.fsum(ent) / len(rows)
 
 
-def kl_gradient(params: PolicyParams, ref: PolicyParams,
-                index: KeyIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Each owner's mean exact KL(pi_theta || pi_ref) over its rows of ``index``,
-    and the gradient at each of its keys.
+class OwnerKL(NamedTuple):
+    """Each owner's mean exact KL(pi_theta || pi_ref) over its keys of a
+    ``KeyIndex`` (``value``), and the per-key terms it was summed from, which
+    its gradient reads: each key's row of pi_theta (``probs``), of
+    log pi_theta - log pi_ref (``diff``), and its KL (``kl``)."""
+
+    value: np.ndarray
+    probs: np.ndarray
+    diff: np.ndarray
+    kl: np.ndarray
+
+
+def owner_kl(params: PolicyParams, ref: PolicyParams, index: KeyIndex) -> OwnerKL:
+    """Each owner's mean exact KL(pi_theta || pi_ref) over its rows of ``index``.
 
     Every one of the index's owners needs at least one row. Each owner's KL
     is an exactly rounded ``math.fsum`` over its rows.
     """
     check_shared_interner(params, ref)
-    ends, inv, key_inv = index.owner_means
+    ends, inv, _ = index.owner_means
     ref._fit()
     rows = index.rows
     probs = params._probs[rows]
     diff = params._logp[rows] - ref._logp[rows]
     kl = (probs * diff).sum(axis=1)
-    sums = [math.fsum(kl[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    return np.array(sums) * inv, key_inv * probs * (diff - kl[:, None])
+    # fsum over slices of a list, not of the array: ~3x faster for 180 owners of 7
+    # rows (timeit, numpy 2.4, Xeon), and exactly rounded either way
+    terms = kl.tolist()
+    sums = [math.fsum(terms[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return OwnerKL(np.array(sums) * inv, probs, diff, kl)
+
+
+def kl_gradient(index: KeyIndex, kl: OwnerKL) -> np.ndarray:
+    """The gradient of each owner's mean KL, ``owner_kl`` over ``index``, at each of its keys."""
+    return index.owner_means[2] * kl.probs * (kl.diff - kl.kl[:, None])

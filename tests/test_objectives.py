@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from dypo import gradcheck, objectives
+from dypo import gradcheck, objectives, policy
 from dypo.errors import ConfigError, InputError, StateError
 from dypo.gradcheck import (
     _off_clip,
@@ -17,7 +18,10 @@ from dypo.gradcheck import (
     check_gal,
     check_grpo,
     check_sft,
+    grad_check_suite,
     make_instance,
+    numerical_gradient,
+    probe_losses,
 )
 from dypo.grading import DifficultyGrade, grade
 from dypo.instrumentation import collect_mid_groups
@@ -179,15 +183,16 @@ def test_the_training_form_is_certified():
 
 @pytest.mark.parametrize("loss, calls", [
     ("sft_loss_grad", {"sft_loss_grad": 1}),
-    ("grpo_loss_grad", {"grpo_pass": 2}),
-    ("gal_loss_grad", {"gal_pass": 2}),
-    ("dypo_step_loss", {"grpo_pass": 2, "gal_pass": 2}),
+    ("grpo_loss_grad", {"grpo_pass": 1, "grpo_loss": 2}),
+    ("gal_loss_grad", {"gal_pass": 1, "gal_loss": 2}),
+    ("dypo_step_loss", {"grpo_pass": 1, "gal_pass": 1, "grpo_loss": 2, "gal_loss": 2}),
 ])
 def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, calls):
-    # the analytic evaluation, then one pass over all 180 probes; SFT's
-    # probes are one gather of the demonstration's log-probs
+    # the analytic pass, whose gradient is built on its loss evaluation, then
+    # one loss evaluation over all 180 probes; SFT's probes are one gather of
+    # the demonstration's log-probs
     counted = Counter()
-    for name in ("grpo_pass", "gal_pass", "sft_loss_grad"):
+    for name in ("grpo_pass", "gal_pass", "grpo_loss", "gal_loss", "sft_loss_grad"):
         def counting(*args, _name=name, _real=getattr(objectives, name), **kwargs):
             counted[_name] += 1
             return _real(*args, **kwargs)
@@ -198,6 +203,69 @@ def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, ca
     assert inst.group.grades == [DifficultyGrade.MID]
     assert certify(inst, loss, CFG, substream(5, "guard")) < 1e-6
     assert counted == calls
+
+
+# every function that builds a gradient, or only feeds one
+GRADIENT_CODE = ("keyed_score", "weighted_score", "kl_gradient", "mixed_keyed", "mixed_gradient",
+                 "sum_blocks", "_expit")
+
+
+@pytest.mark.parametrize("kind", ["easy", "hard", "mid"])
+def test_the_probes_evaluate_losses_and_build_no_gradient(monkeypatch, kind):
+    inst = make_instance(13, 4, kind=kind)
+    losses = ("sft_loss_grad", "grpo_loss_grad", "gal_loss_grad", "dypo_step_loss")
+
+    def probed(loss):
+        return numerical_gradient(probe_losses(inst, loss, CFG, substream(13, "draws")),
+                                  inst.params, inst.ref, inst.contexts)
+
+    def gradient_code(*args, **kwargs):
+        raise AssertionError("a probe evaluation built a gradient")
+    for module in (objectives, policy, gradcheck):
+        for name in GRADIENT_CODE:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, gradient_code)
+    if kind != "mid":  # no pairs: GAL's probes make gal_pass's pair checks
+        losses = losses[:2] + losses[3:]
+        with pytest.raises(InputError, match="at least one pair"):
+            probed("gal_loss_grad")
+    alone = {loss: probed(loss) for loss in losses}
+    monkeypatch.undo()
+    # the loss pieces are the very expressions the passes report
+    for loss, numeric in alone.items():
+        assert {ctx: row.tobytes() for ctx, row in numeric.items()} == \
+            {ctx: row.tobytes() for ctx, row in probed(loss).items()}
+        assert certify(inst, loss, CFG, substream(13, "draws")) < 1e-6
+
+
+def test_the_suite_builds_each_instance_once_and_drops_it_after_its_index(monkeypatch):
+    built, alive = [], []
+
+    def counting(seed, index, kind="mid"):
+        index_of = index % 10_000
+        # every instance of an earlier index is gone before the next is built
+        assert all(ref() is None for i, ref in alive if i < index_of)
+        inst = make_instance(seed, index, kind)
+        built.append((seed, index, kind))
+        alive.append((index_of, weakref.ref(inst)))
+        return inst
+    monkeypatch.setattr(gradcheck, "make_instance", counting)
+    grad_check_suite(1, 20)
+    assert len(built) == len(set(built)) == 33
+    # make_instance itself builds anew on every call
+    first, second = make_instance(1, 0), make_instance(1, 0)
+    assert first is not second and first.params is not second.params
+    assert first.group is not second.group
+
+
+# the hex errors of grad_check_suite(7, 30), beside the seed-1 pin of
+# test_trainer: the certifier's errors stay bit for bit at a second seed
+def test_certified_errors_at_seed_seven_are_pinned():
+    errors = {name: float(err).hex() for name, err in grad_check_suite(7, 30).items()}
+    assert errors == {"sft_loss_grad": "0x1.084fe41bfb162p-32",
+                      "grpo_loss_grad": "0x1.3c59a00000000p-35",
+                      "gal_loss_grad": "0x1.499700f5fcb47p-33",
+                      "dypo_step_loss": "0x1.72a0ee0000000p-33"}
 
 
 def test_the_clip_guard_checks_trajectory_ratios():
@@ -260,7 +328,7 @@ def _group_with_split(n_succ: int, n_fail: int, seed: int = 0):
     return inst, group
 
 
-def test_build_pairs_full_product():
+def test_pair_arrays_full_product():
     inst, group = _group_with_split(3, 5)
     pairs, = pair_arrays(group, 100, substream(5, "p"))
     trajs = trajectories(group)
@@ -269,14 +337,14 @@ def test_build_pairs_full_product():
                and reward(group.queries[0], trajs[f]) == 0 for s, f in pairs)
 
 
-def test_build_pairs_cap():
+def test_pair_arrays_cap():
     inst, group = _group_with_split(4, 4)
     pairs, = pair_arrays(group, 8, substream(5, "p2"))
     assert pairs.shape == (8, 2)
     assert len({(s, f) for s, f in pairs.tolist()}) == 8
 
 
-def test_build_pairs_subset_is_uniform():
+def test_pair_arrays_subset_is_uniform():
     inst, group = _group_with_split(2, 2)
     n = 100_000
     rng = substream(5, "u")
@@ -289,7 +357,7 @@ def test_build_pairs_subset_is_uniform():
     np.testing.assert_allclose(freqs, 0.5, atol=4 * se)
 
 
-def test_build_pairs_rejects_degenerate_groups():
+def test_pair_arrays_rejects_degenerate_groups():
     inst = make_instance(43, 1, kind="easy")
     with pytest.raises(StateError):
         pair_arrays(inst.group, 8, substream(5, "x"))

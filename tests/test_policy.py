@@ -15,9 +15,9 @@ from dypo.policy import (
     PolicyParams,
     RowBlock,
     keyed_score,
-    kl_gradient,
     ContextInterner,
     mean_step_entropy,
+    owner_kl,
     sample_lockstep,
     sample_trajectory,
 )
@@ -210,7 +210,7 @@ def test_kl_identical_is_zero():
     rng = substream(17, "kl")
     params = PolicyParams(5, 1)
     params.set_logits((0, ()), rng.normal(0, 1, 5))
-    kl, _ = kl_gradient(params, params.snapshot(), _one_owner(params, params.rows([(0, ())])))
+    kl = owner_kl(params, params.snapshot(), _one_owner(params, params.rows([(0, ())]))).value
     assert kl[0] == 0.0
 
 
@@ -221,7 +221,7 @@ def test_kl_nonnegative_and_matches_direct_sum():
         params.set_logits((0, ()), rng.normal(0, 2, 4))
         ref = params.copy()
         ref.set_logits((0, ()), rng.normal(0, 2, 4))
-        kl = kl_gradient(params, ref, _one_owner(params, params.rows([(0, ())])))[0][0]
+        kl = owner_kl(params, ref, _one_owner(params, params.rows([(0, ())]))).value[0]
         assert kl >= -1e-15
         p = probs(params, (0, ()))
         q = probs(ref, (0, ()))
@@ -235,7 +235,7 @@ def test_kl_shape_mismatch():
     rows = params.rows([(0, ())])
     for ref in (PolicyParams(5, 1), PolicyParams(4, 1)):
         with pytest.raises(InputError):
-            kl_gradient(params, ref, _one_owner(params, rows))
+            owner_kl(params, ref, _one_owner(params, rows))
 
 
 def test_softmax_normalization_tight():

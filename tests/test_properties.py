@@ -610,7 +610,7 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
            lambda r: 0 < sum(r) < len(r)),
        pair_cap=st.integers(1, 40), seed=seeds)
 @FAST
-def test_build_pairs_are_success_failure_index_pairs(rewards, pair_cap, seed):
+def test_pair_arrays_are_success_failure_index_pairs(rewards, pair_cap, seed):
     trajs = tuple(Trajectory((i,), terminal=False) for i in range(len(rewards)))
     group = GroupBatch.of(PolicyParams(12, 1), SimpleNamespace(query_id=0), trajs, rewards)
     pairs, = pair_arrays(group, pair_cap, substream(seed, "pairs"))
