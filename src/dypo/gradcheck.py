@@ -13,29 +13,32 @@ Each probe adds +eps or -eps to one logit entry of the contexts a loss can
 touch. All 2 * |contexts| * V probes of an instance are one table
 (``Probes``): a frozen copy of the policy with one extra row per probe, the
 probed row so perturbed, and the instance's group tiled once per probe,
-each copy reading its own probe's row. One evaluation of the loss alone
-(``grpo_loss``, ``gal_loss``, ``mixed_loss``, ``demo_nll``: the expressions
-the passes report) over that table gives every probe's loss, and so the
-numeric gradient, which is compared against the analytic one. Each probe's
-loss is bit for bit the loss with that one entry perturbed in place. The
-checker never calls the gradient code under test on a probe, and leaves the
-policy unchanged.
+each copy reading its own probe's row. The instance keeps its table
+(``GradCheckInstance.probes``), so every loss certified on it reads one
+table, one tiled batch and one check of the group's pairs. One evaluation
+of the loss alone (``grpo_loss``, ``gal_loss``, ``mixed_loss``,
+``demo_nll``: the expressions the passes report) over that table gives every
+probe's loss, and so the numeric gradient, which is compared against the
+analytic one. Each probe's loss is bit for bit the loss with that one entry
+perturbed in place. The checker never calls the gradient code under test on
+a probe, and leaves the policy unchanged.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, StateError
 from .objectives import (
     PATHWAYS,
+    BatchPairs,
     GroupBatch,
     MixConfig,
+    _batch_pairs,
     demo_nll,
     draw_demo,
     gal_loss,
@@ -69,6 +72,12 @@ class Probes:
     the policy with one extra row per probe; ``self.ref`` extends the
     reference likewise with the probed row's own, unperturbed, so that a
     row both policies read is read at the same row number.
+
+    A table serves every loss certified on its instance
+    (``GradCheckInstance.probes``): the group it tiles is tiled once
+    (``batch``), and a group's pairs are checked once (``pairs``). The extra
+    rows are numbered from the interner's size, so once the interner grows
+    the table is stale, and reading rows through it is a ``StateError``.
     """
 
     def __init__(self, params: PolicyParams, ref: PolicyParams, contexts: Sequence[Context],
@@ -86,28 +95,54 @@ class Probes:
         shift[np.arange(self.count), tokens] = np.tile([eps, -eps], len(rows) * v)
         self.params = params.with_rows(self.probed, shift)
         self.ref = ref.with_rows(self.probed)
-        self.own = len(params.interner.contexts) + np.arange(self.count)
+        self._size = len(params.interner.contexts)
+        self.own = self._size + np.arange(self.count)
+        self._tiled: tuple | None = None  # (group, its sample_logp, its tiled batch)
+
+    @property
+    def stale(self) -> bool:
+        """Whether a context was interned since the table was built."""
+        return len(self.params.interner.contexts) != self._size
+
+    def _check_fresh(self) -> None:
+        if self.stale:
+            raise StateError("the probe table is stale: its interner grew since it was built")
 
     def remap(self, rows: np.ndarray) -> np.ndarray:
         """``rows`` as each probe reads them, one line per probe: its probed
         row swapped for its own."""
+        self._check_fresh()
         return np.where(rows == self.probed[:, None], self.own[:, None], rows)
 
     def batch(self, group: GroupBatch) -> GroupBatch:
-        """The batch once per probe, each copy reading its probe's rows."""
-        return group.tiled(self.remap(group.rows))
+        """The group once per probe, each copy reading its probe's rows,
+        tiled on the first call for the group and its ``sample_logp``."""
+        self._check_fresh()
+        tiled = self._tiled
+        if tiled is None or tiled[0] is not group or tiled[1] is not group._sample_logp:
+            tiled = self._tiled = (group, group._sample_logp, group.tiled(self.remap(group.rows)))
+        return tiled[2]
+
+    def pairs(self, group: GroupBatch, pairs: np.ndarray) -> BatchPairs:
+        """The one group's ``pairs``, checked once (``_batch_pairs``, its
+        errors), as the pairs of every copy of ``batch(group)``."""
+        return _batch_pairs(group, [pairs]).tiled(self.count, len(group.lengths))
 
 
 def numerical_gradient(losses: Callable[[Probes], np.ndarray], params: PolicyParams,
                        ref: PolicyParams, contexts: Sequence[Context],
-                       eps: float = 1e-5) -> dict[Context, np.ndarray]:
+                       eps: float = 1e-5, probes: Probes | None = None
+                       ) -> dict[Context, np.ndarray]:
     """Central differences of a loss over every (context, token) logit entry.
 
-    ``losses`` evaluates the loss under every probe of
-    ``Probes(params, ref, contexts, eps)`` at once, in probe order; ``params``
-    and ``ref`` are not changed.
+    ``losses`` evaluates the loss under every probe of ``probes``, the table
+    ``Probes(params, ref, contexts, eps)``, at once, in probe order. The
+    table is built here unless given, as ``certify`` gives its instance's;
+    ``params`` and ``ref`` are not changed.
     """
-    values = losses(Probes(params, ref, contexts, eps))
+    if probes is None:
+        probes = Probes(params, ref, contexts, eps)
+    values = losses(probes)
     diff = (values[0::2] - values[1::2]) / (2.0 * eps)
     return dict(zip(contexts, diff.reshape(len(contexts), params.vocab_size)))
 
@@ -142,6 +177,18 @@ class GradCheckInstance:
     pairs: np.ndarray
     teachers: list
     contexts: list[Context]
+    # the probe table per eps, kept while the instance lives
+    _probes: dict[float, Probes] = field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
+
+    def probes(self, eps: float) -> Probes:
+        """The probe table of the instance's contexts at ``eps``, built on
+        first use, shared by every loss certified on the instance, and built
+        anew once stale."""
+        table = self._probes.get(eps)
+        if table is None or table.stale:
+            table = self._probes[eps] = Probes(self.params, self.ref, self.contexts, eps)
+        return table
 
 
 def make_instance(seed: int, index: int, kind: str = "mid",
@@ -236,8 +283,8 @@ def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
         def mixed(probes: Probes) -> np.ndarray:
             batch = probes.batch(group)
             return mixed_loss(grpo_loss(probes.params, probes.ref, batch, cfg)[0],
-                              gal_loss(probes.params, probes.ref, batch, [pairs] * probes.count,
-                                       cfg)[0], cfg.alpha)
+                              gal_loss(probes.params, probes.ref, batch,
+                                       probes.pairs(group, pairs), cfg)[0], cfg.alpha)
         return mixed
     if loss == "sft_loss_grad":
         return _demo_nll(inst, rng)
@@ -245,8 +292,19 @@ def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
         return lambda probes: grpo_loss(probes.params, probes.ref, probes.batch(group), cfg)[0]
     if loss == "gal_loss_grad":
         return lambda probes: gal_loss(probes.params, probes.ref, probes.batch(group),
-                                       [inst.pairs] * probes.count, cfg)[0]
+                                       probes.pairs(group, inst.pairs), cfg)[0]
     raise ConfigError(f"no certified loss named {loss!r}")
+
+
+def twin_stream(rng: np.random.Generator | None) -> np.random.Generator | None:
+    """A generator that draws ``rng``'s stream from where ``rng`` stands, on
+    a new bit generator of its type set to a copy of its state; ``rng`` is
+    not advanced."""
+    if rng is None:
+        return None
+    bits = type(rng.bit_generator)()
+    bits.state = rng.bit_generator.state
+    return np.random.Generator(bits)
 
 
 # each certified loss's analytic gradient at an instance, as the library
@@ -266,11 +324,13 @@ _GRADIENTS = {
 def certify(inst: GradCheckInstance, loss: str, cfg: MixConfig = _MIX,
             rng: np.random.Generator | None = None, eps: float = 1e-5) -> float:
     """Error of the analytic gradient of the certified ``loss`` at the
-    instance against central differences; ``rng`` feeds the loss's draws."""
-    losses = probe_losses(inst, loss, cfg, copy.deepcopy(rng))
+    instance against central differences, on the instance's probe table;
+    ``rng`` feeds the loss's draws, which the probes make from a twin."""
+    losses = probe_losses(inst, loss, cfg, twin_stream(rng))
     analytic = _GRADIENTS[loss](inst, cfg, rng)
     return gradient_error(inst.params, analytic,
-                          numerical_gradient(losses, inst.params, inst.ref, inst.contexts, eps))
+                          numerical_gradient(losses, inst.params, inst.ref, inst.contexts, eps,
+                                             inst.probes(eps)))
 
 
 # the stream each certified loss draws from at an index, if it draws

@@ -285,8 +285,7 @@ def write_metrics(path: str | Path, rows: Sequence[StepMetrics]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_HEADER)
         for row in rows:
-            values = asdict(row)
-            writer.writerow([_format_value(name, values[name]) for name in METRICS_HEADER])
+            writer.writerow([_format_value(name, getattr(row, name)) for name in METRICS_HEADER])
 
 
 def read_metrics(path: str | Path) -> list[StepMetrics]:

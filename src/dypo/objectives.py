@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,6 +106,7 @@ class GroupBatch:
         self.steps, self._sample_logp = steps, sample_logp
         self.rows, self.tokens = np.asarray(steps, dtype=np.intp)
         self._index: KeyIndex | None = None
+        self._shared_rows = False  # whether the groups are copies that read the same rows
 
     def __len__(self) -> int:
         return self.count
@@ -163,14 +164,17 @@ class GroupBatch:
     def tiled(self, rows: np.ndarray) -> GroupBatch:
         """The batch once per row of ``rows``, a ``(count, steps)`` array:
         copy i reads its steps at ``rows[i]`` instead of the batch's own
-        rows, which may be extra rows of a policy (``PolicyParams.with_rows``)."""
+        rows, which may be extra rows of a policy (``PolicyParams.with_rows``).
+        Its ``key_index`` reads each distinct row once (``KeyIndex.distinct``)."""
         n = len(rows)
         adv, logp = self._advantages, self._sample_logp
-        return GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
-                          np.tile(self.rewards, n), None if adv is None else np.tile(adv, n),
-                          np.tile(self.lengths, n), np.tile(self.terminal, n),
-                          np.stack([rows.ravel(), np.tile(self.tokens, n)]),
-                          None if logp is None else np.tile(logp, n))
+        out = GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
+                         np.tile(self.rewards, n), None if adv is None else np.tile(adv, n),
+                         np.tile(self.lengths, n), np.tile(self.terminal, n),
+                         np.stack([rows.ravel(), np.tile(self.tokens, n)]),
+                         None if logp is None else np.tile(logp, n))
+        out._shared_rows = True
+        return out
 
     @property
     def advantages(self) -> np.ndarray:
@@ -224,7 +228,8 @@ class GroupBatch:
             span = int(self.rows.max()) + 1
             # one group: the keys are the rows
             keys = self.rows if self.count == 1 else self.owner[self.traj] * span + self.rows
-            self._index = KeyIndex(keys, self.tokens, span, self.count, self.interner.vocab_size)
+            self._index = KeyIndex(keys, self.tokens, span, self.count, self.interner.vocab_size,
+                                   self._shared_rows)
         return self._index
 
     def log_ratios(self, params: PolicyParams) -> np.ndarray:
@@ -446,13 +451,30 @@ def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> l
     return out
 
 
-def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each group's pair count, and all pairs as indices into the batch's
-    trajectories. The first bad group, in batch order, is its own
-    ``InputError``: no pairs, then a shape other than ``(n, 2)``, then its
-    first bad pair, out of range before out of (reward-1, reward-0) order.
+class BatchPairs(NamedTuple):
+    """The pairs of a batch, checked (``_batch_pairs``): each group's pair
+    count, and all pairs as ``(n, 2)`` indices into the batch's trajectories."""
+
+    counts: np.ndarray
+    traj: np.ndarray
+
+    def tiled(self, n: int, trajectories: int) -> BatchPairs:
+        """The pairs of the batch tiled n times (``GroupBatch.tiled``), of
+        ``trajectories`` trajectories per copy: copy i's are the batch's,
+        moved on by i * trajectories."""
+        shift = trajectories * np.arange(n, dtype=np.intp)
+        return BatchPairs(np.tile(self.counts, n),
+                          (self.traj + shift[:, None, None]).reshape(-1, 2))
+
+
+def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]) -> BatchPairs:
+    """``pairs``, one array per group, checked against the batch. The first
+    bad group, in batch order, is its own ``InputError``: no pairs, then a
+    shape other than ``(n, 2)``, then its first bad pair, out of range
+    before out of (reward-1, reward-0) order.
     """
+    if len(pairs) != batch.count:
+        raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
     pairs = [np.asarray(p, dtype=np.intp) for p in pairs]
     shaped = [p.size > 0 and p.ndim == 2 and p.shape[1] == 2 for p in pairs]
     ill = shaped.index(False) if False in shaped else len(pairs)
@@ -477,7 +499,7 @@ def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]
         if pairs[ill].size == 0:
             raise InputError("gal_pass needs at least one pair per group")
         raise InputError(f"pairs must have shape (n, 2), got {pairs[ill].shape}")
-    return counts, traj_pairs
+    return BatchPairs(counts, traj_pairs)
 
 
 # log of the largest double: above it math.exp raises OverflowError where
@@ -499,15 +521,14 @@ def _expit(x: np.ndarray) -> np.ndarray:
 
 
 def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
-             pairs: Sequence[np.ndarray], cfg: MixConfig
+             pairs: Sequence[np.ndarray] | BatchPairs, cfg: MixConfig
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``gal_pass``'s loss of every group of the batch, without its gradient:
     the loss, and the terms the gradient reads, every pair's margin -beta*d,
     each group's pair count and all pairs as indices into the batch's
-    trajectories (``_batch_pairs``, whose checks it makes)."""
-    if len(pairs) != batch.count:
-        raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
-    counts, traj_pairs = _batch_pairs(batch, pairs)
+    trajectories. ``pairs`` are one array per group, which it checks
+    (``_batch_pairs``), or ``BatchPairs`` already checked against the batch."""
+    counts, traj_pairs = pairs if isinstance(pairs, BatchPairs) else _batch_pairs(batch, pairs)
     check_shared_interner(params, ref)
     batch.check_interner(params)
     n = len(batch.lengths)

@@ -333,8 +333,11 @@ class PolicyParams:
         from the interner's last row: extra row i is row ``rows[i]``, its
         logits moved by ``shift[i]`` and re-softmaxed when a shift is given.
 
-        Extra rows belong to no context, so only reads by row see them; the
-        copy is stale once the interner grows. This policy is not changed.
+        Extra rows belong to no context, so only reads by row see them. The
+        copy is stale once the interner grows: the next context interned
+        takes extra row 0's number, so a reader that keeps the copy
+        (``gradcheck.Probes``) checks the interner's size before each use.
+        This policy is not changed.
         """
         out = PolicyParams.__new__(PolicyParams)
         out.__dict__.update(self.__dict__)
@@ -388,15 +391,20 @@ class KeyIndex:
     and on entry ``slots[t] = inv[t] * V + token`` of the flattened
     ``(keys, V)`` block. It depends on no parameter, so a batch builds it
     once for all its evaluations.
+
+    With ``shared_rows``, for owners that read the same rows (the copies of
+    a tiled batch), ``distinct`` holds the keys' unique rows and, per key,
+    where its row falls among them; otherwise it is ``None``.
     """
 
     def __init__(self, keys: np.ndarray, tokens: np.ndarray, span: int, count: int,
-                 vocab_size: int):
+                 vocab_size: int, shared_rows: bool = False):
         self.keys, self.inv = _unique_inverse(keys)
         self.owner, self.rows = np.divmod(self.keys, span)
         self.slots = self.inv * vocab_size + tokens
         self.span = span
         self.count = count
+        self.distinct = _unique_inverse(self.rows) if shared_rows else None
 
     @cached_property
     def owner_means(self) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -560,9 +568,10 @@ def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
 
 class OwnerKL(NamedTuple):
     """Each owner's mean exact KL(pi_theta || pi_ref) over its keys of a
-    ``KeyIndex`` (``value``), and the per-key terms it was summed from, which
-    its gradient reads: each key's row of pi_theta (``probs``), of
-    log pi_theta - log pi_ref (``diff``), and its KL (``kl``)."""
+    ``KeyIndex`` (``value``), and the terms it was summed from, which its
+    gradient reads: per row read, its row of pi_theta (``probs``), of
+    log pi_theta - log pi_ref (``diff``), and its KL (``kl``). The rows read
+    are the index's key rows, or its ``distinct`` rows when it has them."""
 
     value: np.ndarray
     probs: np.ndarray
@@ -574,22 +583,29 @@ def owner_kl(params: PolicyParams, ref: PolicyParams, index: KeyIndex) -> OwnerK
     """Each owner's mean exact KL(pi_theta || pi_ref) over its rows of ``index``.
 
     Every one of the index's owners needs at least one row. Each owner's KL
-    is an exactly rounded ``math.fsum`` over its rows.
+    is an exactly rounded ``math.fsum`` over its keys' terms. An index with
+    ``distinct`` rows has each row's term computed once and gathered per
+    key, bit for bit the term computed per key; only ``kl_gradient`` gathers
+    the rows of pi_theta and the log-ratios per key.
     """
     check_shared_interner(params, ref)
     ends, inv, _ = index.owner_means
     ref._fit()
-    rows = index.rows
+    rows = index.rows if index.distinct is None else index.distinct[0]
     probs = params._probs[rows]
     diff = params._logp[rows] - ref._logp[rows]
     kl = (probs * diff).sum(axis=1)
     # fsum over slices of a list, not of the array: ~3x faster for 180 owners of 7
     # rows (timeit, numpy 2.4, Xeon), and exactly rounded either way
-    terms = kl.tolist()
+    terms = (kl if index.distinct is None else kl[index.distinct[1]]).tolist()
     sums = [math.fsum(terms[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return OwnerKL(np.array(sums) * inv, probs, diff, kl)
 
 
 def kl_gradient(index: KeyIndex, kl: OwnerKL) -> np.ndarray:
     """The gradient of each owner's mean KL, ``owner_kl`` over ``index``, at each of its keys."""
-    return index.owner_means[2] * kl.probs * (kl.diff - kl.kl[:, None])
+    probs, diff, terms = kl.probs, kl.diff, kl.kl
+    if index.distinct is not None:
+        at = index.distinct[1]
+        probs, diff, terms = probs[at], diff[at], terms[at]
+    return index.owner_means[2] * probs * (diff - terms[:, None])

@@ -22,6 +22,7 @@ from dypo.gradcheck import (
     make_instance,
     numerical_gradient,
     probe_losses,
+    twin_stream,
 )
 from dypo.grading import DifficultyGrade, grade
 from dypo.instrumentation import collect_mid_groups
@@ -239,23 +240,124 @@ def test_the_probes_evaluate_losses_and_build_no_gradient(monkeypatch, kind):
 
 
 def test_the_suite_builds_each_instance_once_and_drops_it_after_its_index(monkeypatch):
-    built, alive = [], []
+    built, alive, tables = [], [], []
 
     def counting(seed, index, kind="mid"):
         index_of = index % 10_000
-        # every instance of an earlier index is gone before the next is built
-        assert all(ref() is None for i, ref in alive if i < index_of)
+        # every instance of an earlier index, and its probe table, is gone
+        # before the next is built
+        assert all(ref() is None for i, ref in alive + tables if i < index_of)
         inst = make_instance(seed, index, kind)
         built.append((seed, index, kind))
         alive.append((index_of, weakref.ref(inst)))
         return inst
+
+    class Tracked(gradcheck.Probes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append((alive[-1][0], weakref.ref(self)))
     monkeypatch.setattr(gradcheck, "make_instance", counting)
+    monkeypatch.setattr(gradcheck, "Probes", Tracked)
     grad_check_suite(1, 20)
     assert len(built) == len(set(built)) == 33
+    assert len(tables) == 33
     # make_instance itself builds anew on every call
     first, second = make_instance(1, 0), make_instance(1, 0)
     assert first is not second and first.params is not second.params
     assert first.group is not second.group
+
+
+def test_the_suite_builds_one_probe_table_per_instance_and_tiles_it_once(monkeypatch):
+    tables, tiled, calls = [], {}, Counter()
+    real_tiled = GroupBatch.tiled
+
+    class Counted(gradcheck.Probes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)  # kept alive, so that no two tables share an id
+
+        def batch(self, group):
+            out = super().batch(group)
+            tiled.setdefault(id(self), []).append(out)
+            return out
+
+    def counting_tiled(self, rows):
+        calls["tiled"] += 1
+        return real_tiled(self, rows)
+    monkeypatch.setattr(gradcheck, "Probes", Counted)
+    monkeypatch.setattr(GroupBatch, "tiled", counting_tiled)
+    grad_check_suite(1, 20)
+    # one table per distinct instance, shared by every loss certified on it
+    assert len(tables) == 33
+    # a table that tiles its group tiles it once, for every loss that reads the copies
+    assert all(len({id(b) for b in batches}) == 1 for batches in tiled.values())
+    assert calls["tiled"] == len(tiled) and max(map(len, tiled.values())) > 1
+
+
+def test_a_tiled_batch_passes_each_copy_as_the_group_alone():
+    # the copies read the same rows, so the KL reads each distinct row once
+    # and gathers it per key, for the loss and for the gradient
+    inst = _mid_instance(5, 2)
+    group = inst.group
+    tiled = group.tiled(np.tile(group.rows, (3, 1)))
+    distinct, _ = tiled.key_index(inst.params).distinct
+    np.testing.assert_array_equal(distinct, np.unique(group.rows))
+    alone = grpo_pass(inst.params, inst.ref, group, CFG)
+    copies = grpo_pass(inst.params, inst.ref, tiled, CFG)
+    block, = alone.gradient.blocks()
+    assert copies.loss.tobytes() == np.tile(alone.loss, 3).tobytes()
+    assert copies.aux["kl_value"].tobytes() == np.tile(alone.aux["kl_value"], 3).tobytes()
+    for got in copies.gradient.blocks():
+        np.testing.assert_array_equal(got.rows, block.rows)
+        assert got.values.tobytes() == block.values.tobytes()
+
+
+def test_a_probe_evaluation_checks_one_group_of_pairs(monkeypatch):
+    checked = []
+
+    def one_group(batch, pairs, _real=objectives._batch_pairs):
+        # every batch the suite passes is a batch of one: the instance's group
+        assert batch.count == len(pairs) == 1
+        checked.append(batch)
+        return _real(batch, pairs)
+    for module in (objectives, gradcheck):
+        if hasattr(module, "_batch_pairs"):
+            monkeypatch.setattr(module, "_batch_pairs", one_group)
+    grad_check_suite(1, 20)
+    # GAL at each of the 20 indices and the routed step at the 7 Mid ones:
+    # once in the analytic pass, once for all the probes
+    assert len(checked) == 2 * (20 + 7)
+
+
+def test_a_probe_table_is_stale_once_its_interner_grows():
+    inst = _mid_instance(5, 2)
+    table = inst.probes(1e-5)
+    assert inst.probes(1e-5) is table and inst.probes(1e-6) is not table
+    table.batch(inst.group)
+    used = len(inst.params.interner.contexts)
+    # a context interned after the table takes the number of its first probe row
+    assert inst.params.row((10**6, ())) == table.own[0] == used
+    for read in (lambda: table.batch(inst.group), lambda: table.remap(inst.group.rows)):
+        with pytest.raises(StateError, match="stale"):
+            read()
+    fresh = inst.probes(1e-5)
+    assert fresh is not table and not fresh.stale and fresh.own[0] == used + 1
+    for loss in ("grpo_loss_grad", "gal_loss_grad"):
+        assert certify(inst, loss, CFG) < 1e-6
+
+
+def test_a_twin_stream_draws_the_stream_and_leaves_it_unadvanced():
+    rng = substream(3, "draws")
+    rng.random(5)
+    state = rng.bit_generator.state
+    twin = twin_stream(rng)
+    assert type(twin.bit_generator) is type(rng.bit_generator)
+    drawn = twin.random(7), twin.integers(100, size=5), twin.choice(50, size=4, replace=False)
+    assert rng.bit_generator.state == state
+    for got, want in zip(drawn, (rng.random(7), rng.integers(100, size=5),
+                                 rng.choice(50, size=4, replace=False))):
+        assert got.tobytes() == want.tobytes()
+    assert twin_stream(None) is None
 
 
 # the hex errors of grad_check_suite(7, 30), beside the seed-1 pin of
