@@ -4,24 +4,26 @@ Four losses are certified, each named by a key of ``CHECKS`` (the keys of
 ``grad_check_suite``'s output, which name losses, not functions): SFT's
 demonstration NLL (``sft_loss_grad``), the clipped GRPO surrogate
 (``grpo_pass``), the GAL pair loss (``gal_pass``) and the routed step
-(``route_groups`` under ``dypo``). An instance holds one group, a batch of
-one (``GroupBatch.of``), whose gradient keys are its rows. The suite builds
-each distinct instance at an index once, certifies every loss that reads it,
-and drops it before the next index.
+(``route_groups`` under ``dypo``). A loss's one record there (``LossCheck``)
+holds all that ``check`` needs to certify it. An instance holds one group, a
+batch of one (``GroupBatch.of``), whose gradient keys are its rows. The suite
+builds each distinct instance at an index once, certifies every loss that
+reads it, and drops it before the next index.
 
-Each probe adds +eps or -eps to one logit entry of the contexts a loss can
+Each probe adds +EPS or -EPS to one logit entry of the contexts a loss can
 touch. All 2 * |contexts| * V probes of an instance are one table
 (``Probes``): a frozen copy of the policy with one extra row per probe, the
 probed row so perturbed, and the instance's group tiled once per probe,
-each copy reading its own probe's row. The instance keeps its table
-(``GradCheckInstance.probes``), so every loss certified on it reads one
-table, one tiled batch and one check of the group's pairs. One evaluation
-of the loss alone (``grpo_loss``, ``gal_loss``, ``mixed_loss``,
-``demo_nll``: the expressions the passes report) over that table gives every
-probe's loss, and so the numeric gradient, which is compared against the
-analytic one. Each probe's loss is bit for bit the loss with that one entry
-perturbed in place. The checker never calls the gradient code under test on
-a probe, and leaves the policy unchanged.
+each copy reading its own probe's row. The instance builds its table on
+first read (``GradCheckInstance.probes``), so every loss certified on it
+reads one table, one tiled batch and one check of the group's pairs, and a
+loss that evaluates nothing builds none. One evaluation of the loss alone
+(``grpo_loss``, ``gal_loss``, ``mixed_loss``, ``demo_nll``: the expressions
+the passes report) over that table gives every probe's loss, and so the
+numeric gradient, which is compared against the analytic one. Each probe's
+loss is bit for bit the loss with that one entry perturbed in place. The
+checker never calls the gradient code under test on a probe, and leaves the
+policy unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import numpy as np
 from .errors import ConfigError, InputError, StateError
 from .objectives import (
     PATHWAYS,
-    BatchPairs,
     GroupBatch,
     MixConfig,
     _batch_pairs,
@@ -62,11 +63,14 @@ from .policy import (
 from .seeding import substream
 from .tasks import Query, TaskConfig, generate_query, make_teacher_ensemble, reward, teacher_sample
 
+# the central-difference step on a logit entry
+EPS = 1e-5
+
 
 class Probes:
     """Every central-difference probe of ``params`` over ``contexts``.
 
-    Probe ``2 * (c * V + v)`` adds +eps, and the probe after it -eps, to
+    Probe ``2 * (c * V + v)`` adds +EPS, and the probe after it -EPS, to
     entry v of the row of ``contexts[c]``, which must be interned. Probe p
     reads its perturbed row at row ``own[p]`` of ``self.params``, a copy of
     the policy with one extra row per probe; ``self.ref`` extends the
@@ -74,14 +78,12 @@ class Probes:
     row both policies read is read at the same row number.
 
     A table serves every loss certified on its instance
-    (``GradCheckInstance.probes``): the group it tiles is tiled once
-    (``batch``), and a group's pairs are checked once (``pairs``). The extra
-    rows are numbered from the interner's size, so once the interner grows
+    (``GradCheckInstance.probes``), and tiles the group once (``batch``).
+    The extra rows are numbered from the interner's size, so once the interner grows
     the table is stale, and reading rows through it is a ``StateError``.
     """
 
-    def __init__(self, params: PolicyParams, ref: PolicyParams, contexts: Sequence[Context],
-                 eps: float):
+    def __init__(self, params: PolicyParams, ref: PolicyParams, contexts: Sequence[Context]):
         index = params.interner.index
         missing = [ctx for ctx in contexts if ctx not in index]
         if missing:
@@ -92,7 +94,7 @@ class Probes:
         self.count = len(self.probed)
         tokens = np.tile(np.arange(v).repeat(2), len(rows))
         shift = np.zeros((self.count, v))
-        shift[np.arange(self.count), tokens] = np.tile([eps, -eps], len(rows) * v)
+        shift[np.arange(self.count), tokens] = np.tile([EPS, -EPS], len(rows) * v)
         self.params = params.with_rows(self.probed, shift)
         self.ref = ref.with_rows(self.probed)
         self._size = len(params.interner.contexts)
@@ -123,28 +125,47 @@ class Probes:
             tiled = self._tiled = (group, group._sample_logp, group.tiled(self.remap(group.rows)))
         return tiled[2]
 
-    def pairs(self, group: GroupBatch, pairs: np.ndarray) -> BatchPairs:
-        """The one group's ``pairs``, checked once (``_batch_pairs``, its
-        errors), as the pairs of every copy of ``batch(group)``."""
-        return _batch_pairs(group, [pairs]).tiled(self.count, len(group.lengths))
+
+@dataclass
+class GradCheckInstance:
+    params: PolicyParams
+    ref: PolicyParams
+    query: Query
+    group: GroupBatch
+    pairs: np.ndarray
+    teachers: list
+    contexts: list[Context]
+    _probes: Probes | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def probe_count(self) -> int:
+        """The number of probes: two per logit entry of the contexts."""
+        return 2 * len(self.contexts) * self.params.vocab_size
+
+    @property
+    def probes(self) -> Probes:
+        """The probe table of the instance's contexts, built on first read,
+        shared by every loss certified on the instance, and built anew once
+        stale."""
+        if self._probes is None or self._probes.stale:
+            self._probes = Probes(self.params, self.ref, self.contexts)
+        return self._probes
 
 
-def numerical_gradient(losses: Callable[[Probes], np.ndarray], params: PolicyParams,
-                       ref: PolicyParams, contexts: Sequence[Context],
-                       eps: float = 1e-5, probes: Probes | None = None
+# a loss under every probe of an instance, in probe order
+ProbeLosses = Callable[[GradCheckInstance], np.ndarray]
+# the generator a loss draws from, if it draws
+Draws = np.random.Generator | None
+
+
+def numerical_gradient(losses: ProbeLosses, inst: GradCheckInstance
                        ) -> dict[Context, np.ndarray]:
-    """Central differences of a loss over every (context, token) logit entry.
-
-    ``losses`` evaluates the loss under every probe of ``probes``, the table
-    ``Probes(params, ref, contexts, eps)``, at once, in probe order. The
-    table is built here unless given, as ``certify`` gives its instance's;
-    ``params`` and ``ref`` are not changed.
-    """
-    if probes is None:
-        probes = Probes(params, ref, contexts, eps)
-    values = losses(probes)
-    diff = (values[0::2] - values[1::2]) / (2.0 * eps)
-    return dict(zip(contexts, diff.reshape(len(contexts), params.vocab_size)))
+    """Central differences of a loss over every (context, token) logit entry
+    of the instance, from its value under every probe, ``losses(inst)``;
+    the policies are not changed."""
+    values = losses(inst)
+    diff = (values[0::2] - values[1::2]) / (2.0 * EPS)
+    return dict(zip(inst.contexts, diff.reshape(len(inst.contexts), inst.params.vocab_size)))
 
 
 def gradient_error(params: PolicyParams, analytic: RowBlock,
@@ -157,10 +178,10 @@ def gradient_error(params: PolicyParams, analytic: RowBlock,
 
 
 def _sample_failures(params: PolicyParams, query: Query, rng: np.random.Generator,
-                     count: int, *, stop: int, t_max: int) -> list[Trajectory]:
+                     count: int, stop: int) -> list[Trajectory]:
     failures: list[Trajectory] = []
     for _ in range(200):
-        traj = sample_trajectory(params, query, rng, stop_token=stop, t_max=t_max)
+        traj = sample_trajectory(params, query, rng, stop_token=stop, t_max=14)
         if reward(query, traj) == 0:
             failures.append(traj)
             if len(failures) == count:
@@ -168,31 +189,7 @@ def _sample_failures(params: PolicyParams, query: Query, rng: np.random.Generato
     return failures
 
 
-@dataclass
-class GradCheckInstance:
-    params: PolicyParams
-    ref: PolicyParams
-    query: Query
-    group: GroupBatch
-    pairs: np.ndarray
-    teachers: list
-    contexts: list[Context]
-    # the probe table per eps, kept while the instance lives
-    _probes: dict[float, Probes] = field(default_factory=dict, init=False, repr=False,
-                                         compare=False)
-
-    def probes(self, eps: float) -> Probes:
-        """The probe table of the instance's contexts at ``eps``, built on
-        first use, shared by every loss certified on the instance, and built
-        anew once stale."""
-        table = self._probes.get(eps)
-        if table is None or table.stale:
-            table = self._probes[eps] = Probes(self.params, self.ref, self.contexts, eps)
-        return table
-
-
-def make_instance(seed: int, index: int, kind: str = "mid",
-                  task: TaskConfig | None = None, t_max: int = 14) -> GradCheckInstance:
+def make_instance(seed: int, index: int, kind: str = "mid") -> GradCheckInstance:
     """One random (params, ref, query, group) tuple for gradient checking.
 
     ``kind`` picks the group's reward pattern: mixed successes and failures,
@@ -203,7 +200,7 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     ``sample_logp``.
     """
     rng = substream(seed, "gradcheck", index)
-    task = task or TaskConfig()
+    task = TaskConfig()
     chain_len = 1 + index % 3
     query = generate_query(task, chain_len, rng, query_id=index)
     contexts = [(query.query_id, ())] + [(query.query_id, (a,)) for a in range(task.vocab_size)]
@@ -216,7 +213,7 @@ def make_instance(seed: int, index: int, kind: str = "mid",
     ref = ref.snapshot()
     teachers = make_teacher_ensemble(task, 1 + index % 3, seed)
     successes = [query.ground_truth, teacher_sample(teachers[0], query, rng)]
-    failures = _sample_failures(params, query, rng, 3, stop=task.stop, t_max=t_max)
+    failures = _sample_failures(params, query, rng, 3, task.stop)
     if kind == "easy" or not failures:
         trajs = successes
     elif kind == "hard":
@@ -244,58 +241,6 @@ def _off_clip(inst: GradCheckInstance, cfg: MixConfig, margin: float) -> bool:
 _MIX = MixConfig()
 
 
-def _off_clip_instance(build: Callable[[int, str], GradCheckInstance], index: int, kind: str,
-                       eps: float) -> GradCheckInstance:
-    """The instance ``build(index, kind)``; a Mid one is redrawn, at indices
-    10_000 apart, until its ratios are off the clip kinks."""
-    for attempt in range(50):
-        inst = build(index + 10_000 * attempt, kind)
-        if kind != "mid" or _off_clip(inst, _MIX, margin=10 * eps):
-            break
-    return inst
-
-
-def _demo_nll(inst: GradCheckInstance, rng: np.random.Generator
-              ) -> Callable[[Probes], np.ndarray]:
-    """Each probe's negative log-likelihood of the demonstration that
-    ``sft_loss_grad`` draws from ``rng``, drawn here once."""
-    _, demo = draw_demo(inst.query, inst.teachers, rng)
-    rows, tokens = inst.params.trajectory_rows(inst.query.query_id, demo.tokens)
-    return lambda probes: demo_nll(probes.params, probes.remap(rows), tokens)
-
-
-def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
-                 rng: np.random.Generator | None = None) -> Callable[[Probes], np.ndarray]:
-    """Every probe's value of the certified ``loss`` at the instance, as one
-    evaluation over the probes of the loss alone, never of its gradient. The
-    draws the loss makes from ``rng`` (a teacher and its demonstration,
-    capped pairs) are made here, once, as the loss makes them."""
-    group = inst.group
-    if loss == "dypo_step_loss":
-        route = PATHWAYS["dypo"][group.grades[0]]
-        if route is None:
-            return lambda probes: np.zeros(probes.count)
-        if route == "distill":
-            nll = _demo_nll(inst, rng)
-            return lambda probes: cfg.gamma * nll(probes)
-        pairs, = pair_arrays(group, cfg.pair_cap, rng)
-
-        def mixed(probes: Probes) -> np.ndarray:
-            batch = probes.batch(group)
-            return mixed_loss(grpo_loss(probes.params, probes.ref, batch, cfg)[0],
-                              gal_loss(probes.params, probes.ref, batch,
-                                       probes.pairs(group, pairs), cfg)[0], cfg.alpha)
-        return mixed
-    if loss == "sft_loss_grad":
-        return _demo_nll(inst, rng)
-    if loss == "grpo_loss_grad":
-        return lambda probes: grpo_loss(probes.params, probes.ref, probes.batch(group), cfg)[0]
-    if loss == "gal_loss_grad":
-        return lambda probes: gal_loss(probes.params, probes.ref, probes.batch(group),
-                                       probes.pairs(group, inst.pairs), cfg)[0]
-    raise ConfigError(f"no certified loss named {loss!r}")
-
-
 def twin_stream(rng: np.random.Generator | None) -> np.random.Generator | None:
     """A generator that draws ``rng``'s stream from where ``rng`` stands, on
     a new bit generator of its type set to a copy of its state; ``rng`` is
@@ -307,74 +252,112 @@ def twin_stream(rng: np.random.Generator | None) -> np.random.Generator | None:
     return np.random.Generator(bits)
 
 
-# each certified loss's analytic gradient at an instance, as the library
-# evaluates it: a pass over the instance's batch of one has one block
-_GRADIENTS = {
-    "sft_loss_grad": lambda inst, cfg, rng: sft_loss_grad(
-        inst.params, inst.query, inst.teachers, rng).gradient,
-    "grpo_loss_grad": lambda inst, cfg, rng: grpo_pass(
-        inst.params, inst.ref, inst.group, cfg).gradient.blocks()[0],
-    "gal_loss_grad": lambda inst, cfg, rng: gal_pass(
-        inst.params, inst.ref, inst.group, [inst.pairs], cfg).gradient.blocks()[0],
-    "dypo_step_loss": lambda inst, cfg, rng: route_groups(
-        inst.params, inst.ref, inst.group, inst.teachers, cfg, rng)[0].gradient,
+def _grpo(inst: GradCheckInstance, cfg: MixConfig, rng: Draws = None) -> np.ndarray:
+    probes = inst.probes
+    return grpo_loss(probes.params, probes.ref, probes.batch(inst.group), cfg)[0]
+
+
+def _gal(inst: GradCheckInstance, cfg: MixConfig, pairs: np.ndarray) -> np.ndarray:
+    """GAL under every probe, the group's ``pairs`` checked once (``_batch_pairs``)."""
+    probes, group = inst.probes, inst.group
+    checked = _batch_pairs(group, [pairs]).tiled(probes.count, len(group.lengths))
+    return gal_loss(probes.params, probes.ref, probes.batch(group), checked, cfg)[0]
+
+
+def _demo_nll(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndarray:
+    """The NLL under every probe of the demonstration ``sft_loss_grad`` draws from ``rng``."""
+    _, demo = draw_demo(inst.query, inst.teachers, rng)
+    rows, tokens = inst.params.trajectory_rows(inst.query.query_id, demo.tokens)
+    probes = inst.probes
+    return demo_nll(probes.params, probes.remap(rows), tokens)
+
+
+def _step_losses(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndarray:
+    """The routed step under every probe, on its group's route: 0 when
+    discarded, which reads no table."""
+    route = PATHWAYS["dypo"][inst.group.grades[0]]
+    if route is None:
+        return np.zeros(inst.probe_count)
+    if route == "distill":
+        return cfg.gamma * _demo_nll(inst, cfg, rng)
+    pairs, = pair_arrays(inst.group, cfg.pair_cap, rng)
+    return mixed_loss(_grpo(inst, cfg), _gal(inst, cfg, pairs), cfg.alpha)
+
+
+@dataclass(frozen=True)
+class LossCheck:
+    """All that certifying one loss takes. Its instance at an index is of
+    kind ``kinds[index % 3]``, a Mid one redrawn off the clip kinks if
+    ``off_clip``; its draws at an index come from substream ``stream``, if it
+    draws. ``gradient`` is its analytic gradient at an instance, as the
+    library evaluates it (a pass over a batch of one has one block), and
+    ``losses`` its value under every probe, making the draws the loss makes."""
+    kinds: tuple[str, str, str]
+    off_clip: bool
+    stream: str | None
+    gradient: Callable[[GradCheckInstance, MixConfig, Draws], RowBlock]
+    losses: Callable[[GradCheckInstance, MixConfig, Draws], np.ndarray]
+
+
+_MID = ("mid",) * 3
+CHECKS = {
+    "sft_loss_grad": LossCheck(
+        _MID, False, "gradcheck-sft",
+        lambda inst, cfg, rng: sft_loss_grad(inst.params, inst.query, inst.teachers,
+                                             rng).gradient,
+        _demo_nll),
+    "grpo_loss_grad": LossCheck(
+        _MID, True, None,
+        lambda inst, cfg, rng: grpo_pass(inst.params, inst.ref, inst.group,
+                                         cfg).gradient.blocks()[0],
+        _grpo),
+    "gal_loss_grad": LossCheck(
+        _MID, False, None,
+        lambda inst, cfg, rng: gal_pass(inst.params, inst.ref, inst.group, [inst.pairs],
+                                        cfg).gradient.blocks()[0],
+        lambda inst, cfg, rng: _gal(inst, cfg, inst.pairs)),
+    "dypo_step_loss": LossCheck(
+        ("mid", "hard", "easy"), True, "gradcheck-dypo",
+        lambda inst, cfg, rng: route_groups(inst.params, inst.ref, inst.group, inst.teachers,
+                                            cfg, rng)[0].gradient,
+        _step_losses),
 }
 
 
+def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
+                 rng: Draws = None) -> ProbeLosses:
+    """The certified ``loss`` under every probe of an instance, as one
+    evaluation of the loss alone, never of its gradient, which makes the
+    draws the loss makes from ``rng`` (a teacher and its demonstration,
+    capped pairs) once, as the loss makes them."""
+    return partial(CHECKS[loss].losses, cfg=cfg, rng=rng)
+
+
 def certify(inst: GradCheckInstance, loss: str, cfg: MixConfig = _MIX,
-            rng: np.random.Generator | None = None, eps: float = 1e-5) -> float:
+            rng: Draws = None) -> float:
     """Error of the analytic gradient of the certified ``loss`` at the
     instance against central differences, on the instance's probe table;
     ``rng`` feeds the loss's draws, which the probes make from a twin."""
     losses = probe_losses(inst, loss, cfg, twin_stream(rng))
-    analytic = _GRADIENTS[loss](inst, cfg, rng)
-    return gradient_error(inst.params, analytic,
-                          numerical_gradient(losses, inst.params, inst.ref, inst.contexts, eps,
-                                             inst.probes(eps)))
+    analytic = CHECKS[loss].gradient(inst, cfg, rng)
+    return gradient_error(inst.params, analytic, numerical_gradient(losses, inst))
 
 
-# the stream each certified loss draws from at an index, if it draws
-_STREAMS = {"sft_loss_grad": "gradcheck-sft", "dypo_step_loss": "gradcheck-dypo"}
-
-
-def _check(loss: str, seed: int, index: int, build: Callable[[int, str], GradCheckInstance],
-           eps: float) -> float:
-    """The certified ``loss``'s error at ``index``, on its instance from
-    ``build(index, kind)``: SFT and GAL read the Mid instance; GRPO reads it,
-    and the routed step the kind ``index % 3`` picks, redrawn while Mid until
-    its ratios are off the clip kinks."""
-    if loss in ("sft_loss_grad", "gal_loss_grad"):
-        inst = build(index, "mid")
-    else:
-        kind = ("mid", "hard", "easy")[index % 3] if loss == "dypo_step_loss" else "mid"
-        inst = _off_clip_instance(build, index, kind, eps)
-    stream = _STREAMS.get(loss)
-    return certify(inst, loss, rng=None if stream is None else substream(seed, stream, index),
-                   eps=eps)
-
-
-def check_sft(seed: int, index: int, eps: float = 1e-5) -> float:
-    return _check("sft_loss_grad", seed, index, partial(make_instance, seed), eps)
-
-
-def check_grpo(seed: int, index: int, eps: float = 1e-5) -> float:
-    return _check("grpo_loss_grad", seed, index, partial(make_instance, seed), eps)
-
-
-def check_gal(seed: int, index: int, eps: float = 1e-5) -> float:
-    return _check("gal_loss_grad", seed, index, partial(make_instance, seed), eps)
-
-
-def check_dypo(seed: int, index: int, eps: float = 1e-5) -> float:
-    return _check("dypo_step_loss", seed, index, partial(make_instance, seed), eps)
-
-
-CHECKS = {
-    "sft_loss_grad": check_sft,
-    "grpo_loss_grad": check_grpo,
-    "gal_loss_grad": check_gal,
-    "dypo_step_loss": check_dypo,
-}
+def check(loss: str, seed: int, index: int,
+          build: Callable[[int, str], GradCheckInstance] | None = None) -> float:
+    """The certified ``loss``'s error at ``index``, on the instance of the
+    kind its record picks, from ``build(index, kind)`` (``make_instance`` at
+    ``seed`` unless given). A Mid instance the record keeps off the clip
+    kinks is redrawn, at indices 10_000 apart, until its ratios are."""
+    record = CHECKS[loss]
+    build = build or partial(make_instance, seed)
+    kind = record.kinds[index % 3]
+    for attempt in range(50):
+        inst = build(index + 10_000 * attempt, kind)
+        if not (record.off_clip and kind == "mid") or _off_clip(inst, _MIX, margin=10 * EPS):
+            break
+    rng = None if record.stream is None else substream(seed, record.stream, index)
+    return certify(inst, loss, rng=rng)
 
 
 def grad_check_suite(seed: int = 0, n_instances: int = 100) -> dict[str, float]:
@@ -389,5 +372,5 @@ def grad_check_suite(seed: int = 0, n_instances: int = 100) -> dict[str, float]:
     for i in range(n_instances):
         build = cache(partial(make_instance, seed))
         for name, found in errors.items():
-            found.append(_check(name, seed, i, build, 1e-5))
+            found.append(check(name, seed, i, build))
     return {name: max(found) for name, found in errors.items()}

@@ -289,17 +289,26 @@ def write_metrics(path: str | Path, rows: Sequence[StepMetrics]) -> None:
 
 
 def read_metrics(path: str | Path) -> list[StepMetrics]:
-    """Parse a metrics CSV back into StepMetrics rows; exact round trip."""
+    """Parse a metrics CSV back into StepMetrics rows; exact round trip. A file
+    that cannot be opened, or a header, row or field that does not parse, is a
+    ``DataError`` naming the path and the line."""
+    try:
+        fh = Path(path).open(newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read metrics {path}: {exc}") from exc
     rows: list[StepMetrics] = []
-    with Path(path).open(newline="") as fh:
+    with fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != METRICS_HEADER:
-            raise DataError(f"unexpected metrics header: {header}")
+            raise DataError(f"metrics {path}, line 1: unexpected header {header}")
         for record in reader:
-            kwargs = {
-                name: int(value) if name in _INT_FIELDS else float(value)
-                for name, value in zip(METRICS_HEADER, record)
-            }
-            rows.append(StepMetrics(**kwargs))
+            where = f"metrics {path}, line {reader.line_num}"
+            if len(record) != len(METRICS_HEADER):
+                raise DataError(f"{where}: {len(record)} fields, not {len(METRICS_HEADER)}")
+            try:
+                rows.append(StepMetrics(*(int(value) if name in _INT_FIELDS else float(value)
+                                          for name, value in zip(METRICS_HEADER, record))))
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from exc
     return rows

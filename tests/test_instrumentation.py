@@ -179,6 +179,31 @@ def test_metrics_csv_header_only_and_roundtrip(tmp_path):
     assert read_metrics(path) == rows
 
 
+# a broken third line of a metrics CSV (None: no file), and the line the error names
+BROKEN_METRICS = {
+    "short row": ("0,0.5,0.5", 3),
+    "long row": ("0,0.5,0.5,1.0,0.1,0,1,1,0.2,0.0,7", 3),
+    "text in a float field": ("0,x,0.5,1.0,0.1,0,1,1,0.2,0.0", 3),
+    "fraction in an int field": ("0,0.5,0.5,1.0,0.1,1.5,1,1,0.2,0.0", 3),
+    "missing file": (None, None),
+}
+
+
+@pytest.mark.parametrize("line, number", BROKEN_METRICS.values(), ids=BROKEN_METRICS)
+def test_a_broken_metrics_file_is_a_data_error_naming_its_line(tmp_path, line, number):
+    path = tmp_path / "metrics.csv"
+    if line is not None:
+        row = StepMetrics(step=0, mean_reward=0.5, offline_ratio=0.5, mean_entropy=1.0,
+                          grad_norm=0.1, easy=0, hard=1, mid=1, eta=0.2, kl=0.0)
+        write_metrics(path, [row])
+        path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(DataError) as info:
+        read_metrics(path)
+    assert str(path) in str(info.value)
+    if number is not None:
+        assert f"line {number}:" in str(info.value)
+
+
 def test_metrics_write_failing_midway_keeps_the_previous_file(tmp_path):
     path = tmp_path / "metrics.csv"
     row = StepMetrics(step=0, mean_reward=0.5, offline_ratio=0.5, mean_entropy=1.0,

@@ -14,10 +14,7 @@ from dypo.errors import ConfigError, InputError, StateError
 from dypo.gradcheck import (
     _off_clip,
     certify,
-    check_dypo,
-    check_gal,
-    check_grpo,
-    check_sft,
+    check,
     grad_check_suite,
     make_instance,
     numerical_gradient,
@@ -126,7 +123,7 @@ def test_sft_requires_teachers():
 
 def test_sft_gradient_finite_differences():
     for i in range(15):
-        assert check_sft(31, i) < 1e-6
+        assert check("sft_loss_grad", 31, i) < 1e-6
 
 
 def test_grpo_on_policy_identity():
@@ -166,7 +163,7 @@ def test_grpo_needs_advantages():
 
 def test_grpo_gradient_finite_differences():
     for i in range(15):
-        assert check_grpo(37, i) < 1e-6
+        assert check("grpo_loss_grad", 37, i) < 1e-6
 
 
 def test_the_training_form_is_certified():
@@ -217,8 +214,7 @@ def test_the_probes_evaluate_losses_and_build_no_gradient(monkeypatch, kind):
     losses = ("sft_loss_grad", "grpo_loss_grad", "gal_loss_grad", "dypo_step_loss")
 
     def probed(loss):
-        return numerical_gradient(probe_losses(inst, loss, CFG, substream(13, "draws")),
-                                  inst.params, inst.ref, inst.contexts)
+        return numerical_gradient(probe_losses(inst, loss, CFG, substream(13, "draws")), inst)
 
     def gradient_code(*args, **kwargs):
         raise AssertionError("a probe evaluation built a gradient")
@@ -260,7 +256,7 @@ def test_the_suite_builds_each_instance_once_and_drops_it_after_its_index(monkey
     monkeypatch.setattr(gradcheck, "Probes", Tracked)
     grad_check_suite(1, 20)
     assert len(built) == len(set(built)) == 33
-    assert len(tables) == 33
+    assert len(tables) == 27
     # make_instance itself builds anew on every call
     first, second = make_instance(1, 0), make_instance(1, 0)
     assert first is not second and first.params is not second.params
@@ -288,10 +284,26 @@ def test_the_suite_builds_one_probe_table_per_instance_and_tiles_it_once(monkeyp
     monkeypatch.setattr(GroupBatch, "tiled", counting_tiled)
     grad_check_suite(1, 20)
     # one table per distinct instance, shared by every loss certified on it
-    assert len(tables) == 33
+    assert len(tables) == 27
     # a table that tiles its group tiles it once, for every loss that reads the copies
     assert all(len({id(b) for b in batches}) == 1 for batches in tiled.values())
     assert calls["tiled"] == len(tiled) and max(map(len, tiled.values())) > 1
+
+
+def test_a_loss_that_reads_no_table_builds_none(monkeypatch):
+    # the routed step discards an Easy group: its loss is 0 under every probe
+    # and reads only the number of probes
+    built = []
+
+    class Counted(gradcheck.Probes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+    monkeypatch.setattr(gradcheck, "Probes", Counted)
+    inst = make_instance(1, 2, "easy")
+    assert inst.group.grades == [DifficultyGrade.EASY]
+    assert certify(inst, "dypo_step_loss", CFG, substream(1, "draws")) < 1e-6
+    assert built == []
 
 
 def test_a_tiled_batch_passes_each_copy_as_the_group_alone():
@@ -331,8 +343,8 @@ def test_a_probe_evaluation_checks_one_group_of_pairs(monkeypatch):
 
 def test_a_probe_table_is_stale_once_its_interner_grows():
     inst = _mid_instance(5, 2)
-    table = inst.probes(1e-5)
-    assert inst.probes(1e-5) is table and inst.probes(1e-6) is not table
+    table = inst.probes
+    assert inst.probes is table
     table.batch(inst.group)
     used = len(inst.params.interner.contexts)
     # a context interned after the table takes the number of its first probe row
@@ -340,7 +352,7 @@ def test_a_probe_table_is_stale_once_its_interner_grows():
     for read in (lambda: table.batch(inst.group), lambda: table.remap(inst.group.rows)):
         with pytest.raises(StateError, match="stale"):
             read()
-    fresh = inst.probes(1e-5)
+    fresh = inst.probes
     assert fresh is not table and not fresh.stale and fresh.own[0] == used + 1
     for loss in ("grpo_loss_grad", "gal_loss_grad"):
         assert certify(inst, loss, CFG) < 1e-6
@@ -552,7 +564,7 @@ def test_gal_input_validation():
 
 def test_gal_gradient_finite_differences():
     for i in range(15):
-        assert check_gal(39, i) < 1e-6
+        assert check("gal_loss_grad", 39, i) < 1e-6
 
 
 def test_mixed_gradient_linearity_and_bounds():
@@ -657,7 +669,7 @@ def test_a_policy_of_another_interner_is_an_input_error():
 
 def test_dypo_gradient_finite_differences():
     for i in range(15):
-        assert check_dypo(53, i) < 1e-6
+        assert check("dypo_step_loss", 53, i) < 1e-6
 
 
 def test_grade_of_constructed_groups():

@@ -500,8 +500,7 @@ def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, in
         inst.pairs, = pair_arrays(group, pair_cap, substream(seed, "pairs"))
     cfg = MixConfig(pair_cap=pair_cap, gamma=gamma)
     before = _policy_state(params)
-    batched = numerical_gradient(probe_losses(inst, loss, cfg, substream(seed, "draws")),
-                                 params, ref, inst.contexts)
+    batched = numerical_gradient(probe_losses(inst, loss, cfg, substream(seed, "draws")), inst)
     assert _policy_state(params) == before
     # the loss itself, its draws made afresh on every probe
     scalar = {

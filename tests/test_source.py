@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 importing the package loads no scipy, the trainer routes only through the
-gate, only the certifier uses the scalar sampler, and the README's
-configuration block is the schema's defaults."""
+gate, only the certifier uses the scalar sampler, the certifier names each
+loss once, and the README's configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
@@ -97,6 +97,15 @@ def test_only_the_certifier_samples_one_trajectory_at_a_time():
         if any(alias.name == "sample_trajectory" for node in ast.walk(ast.parse(p.read_text()))
                if isinstance(node, ast.ImportFrom) for alias in node.names))
     assert importers == ["gradcheck.py"]
+
+
+def test_the_certifier_names_each_loss_once():
+    # everything certifying a loss takes sits in its one record in CHECKS, so
+    # no second table keyed by the loss names grows beside it
+    names = [node.value for node in ast.walk(ast.parse((SRC / "gradcheck.py").read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    losses = ("sft_loss_grad", "grpo_loss_grad", "gal_loss_grad", "dypo_step_loss")
+    assert {loss: names.count(loss) for loss in losses} == dict.fromkeys(losses, 1)
 
 
 def test_the_readme_config_block_is_the_default_config():
