@@ -1,4 +1,5 @@
-"""Atomic artifact writes: a reader sees the previous file or the new one, never a part."""
+"""Artifact files: a reader sees the previous file or the new one, never a
+part, and a file it cannot read or decode is the reader's own error."""
 
 from __future__ import annotations
 
@@ -25,3 +26,12 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_text(path: str | Path, error: type[Exception], what: str) -> str:
+    """The UTF-8 text of ``path``, line ends as they are; ``error`` naming
+    ``what`` and the path if it cannot be read or decoded."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc

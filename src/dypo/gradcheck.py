@@ -16,8 +16,8 @@ touch. All 2 * |contexts| * V probes of an instance are one table
 probed row so perturbed, and the instance's group tiled once per probe,
 each copy reading its own probe's row. The instance builds its table on
 first read (``GradCheckInstance.probes``), so every loss certified on it
-reads one table, one tiled batch and one check of the group's pairs, and a
-loss that evaluates nothing builds none. One evaluation of the loss alone
+reads one table, one tiled batch and the pairs checked as it was built,
+and a loss that evaluates nothing builds none. One evaluation of the loss alone
 (``grpo_loss``, ``gal_loss``, ``mixed_loss``, ``demo_nll``: the expressions
 the passes report) over that table gives every probe's loss, and so the
 numeric gradient, which is compared against the analytic one. Each probe's
@@ -37,9 +37,9 @@ import numpy as np
 from .errors import ConfigError, InputError, StateError
 from .objectives import (
     PATHWAYS,
+    BatchPairs,
     GroupBatch,
     MixConfig,
-    _batch_pairs,
     demo_nll,
     draw_demo,
     gal_loss,
@@ -132,7 +132,7 @@ class GradCheckInstance:
     ref: PolicyParams
     query: Query
     group: GroupBatch
-    pairs: np.ndarray
+    pairs: BatchPairs | None
     teachers: list
     contexts: list[Context]
     _probes: Probes | None = field(default=None, init=False, repr=False, compare=False)
@@ -195,9 +195,9 @@ def make_instance(seed: int, index: int, kind: str = "mid") -> GradCheckInstance
     ``kind`` picks the group's reward pattern: mixed successes and failures,
     all failures, or all successes. The group is a batch of one, built once.
     ``pairs`` are the first three (success, failure) index pairs of the
-    group, empty unless it is Mid. The reference sits close to the params
-    and stands in for the sampling policy: its log-probs are the group's
-    ``sample_logp``.
+    group, checked once (``BatchPairs.of``), or ``None`` unless it is Mid.
+    The reference sits close to the params and stands in for the sampling
+    policy: its log-probs are the group's ``sample_logp``.
     """
     rng = substream(seed, "gradcheck", index)
     task = TaskConfig()
@@ -225,7 +225,8 @@ def make_instance(seed: int, index: int, kind: str = "mid") -> GradCheckInstance
     group.sample_logp = ref.logp_at(group.rows, group.tokens)
     won = [i for i, r in enumerate(rewards) if r == 1]
     lost = [i for i, r in enumerate(rewards) if r == 0]
-    pairs = np.array([(s, f) for s in won for f in lost][:3], dtype=np.intp).reshape(-1, 2)
+    first = [(s, f) for s in won for f in lost][:3]
+    pairs = BatchPairs.of(group, [first]) if first else None
     return GradCheckInstance(params=params, ref=ref, query=query, group=group,
                              pairs=pairs, teachers=teachers, contexts=contexts)
 
@@ -257,11 +258,17 @@ def _grpo(inst: GradCheckInstance, cfg: MixConfig, rng: Draws = None) -> np.ndar
     return grpo_loss(probes.params, probes.ref, probes.batch(inst.group), cfg)[0]
 
 
-def _gal(inst: GradCheckInstance, cfg: MixConfig, pairs: np.ndarray) -> np.ndarray:
-    """GAL under every probe, the group's ``pairs`` checked once (``_batch_pairs``)."""
+def _pairs(inst: GradCheckInstance) -> BatchPairs:
+    if inst.pairs is None:  # a group that is not Mid has none
+        raise StateError("pair construction requires a Mid-graded group")
+    return inst.pairs
+
+
+def _gal(inst: GradCheckInstance, cfg: MixConfig, pairs: BatchPairs) -> np.ndarray:
+    """GAL under every probe, on the group's ``pairs`` tiled once per probe."""
     probes, group = inst.probes, inst.group
-    checked = _batch_pairs(group, [pairs]).tiled(probes.count, len(group.lengths))
-    return gal_loss(probes.params, probes.ref, probes.batch(group), checked, cfg)[0]
+    tiled = pairs.tiled(probes.count, len(group.lengths))
+    return gal_loss(probes.params, probes.ref, probes.batch(group), tiled, cfg)[0]
 
 
 def _demo_nll(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndarray:
@@ -280,7 +287,7 @@ def _step_losses(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndar
         return np.zeros(inst.probe_count)
     if route == "distill":
         return cfg.gamma * _demo_nll(inst, cfg, rng)
-    pairs, = pair_arrays(inst.group, cfg.pair_cap, rng)
+    pairs = pair_arrays(inst.group, cfg.pair_cap, rng)
     return mixed_loss(_grpo(inst, cfg), _gal(inst, cfg, pairs), cfg.alpha)
 
 
@@ -313,9 +320,9 @@ CHECKS = {
         _grpo),
     "gal_loss_grad": LossCheck(
         _MID, False, None,
-        lambda inst, cfg, rng: gal_pass(inst.params, inst.ref, inst.group, [inst.pairs],
+        lambda inst, cfg, rng: gal_pass(inst.params, inst.ref, inst.group, _pairs(inst),
                                         cfg).gradient.blocks()[0],
-        lambda inst, cfg, rng: _gal(inst, cfg, inst.pairs)),
+        lambda inst, cfg, rng: _gal(inst, cfg, _pairs(inst))),
     "dypo_step_loss": LossCheck(
         ("mid", "hard", "easy"), True, "gradcheck-dypo",
         lambda inst, cfg, rng: route_groups(inst.params, inst.ref, inst.group, inst.teachers,

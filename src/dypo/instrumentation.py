@@ -8,6 +8,7 @@ while holding the policy frozen, never interleaving updates.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -15,7 +16,7 @@ from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import atomic_write, read_text
 from .errors import BenchError, DataError, InputError
 from .grading import DifficultyGrade
 from .objectives import (
@@ -176,9 +177,8 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams, draw_query:
     score_sq_sum = 0.0
     for lo in range(0, n_groups, CHUNK_GROUPS):
         batch = mid.select(slice(lo, lo + CHUNK_GROUPS))
-        pairs = pair_arrays(batch, cfg.pair_cap, rng)
         grpo = grpo_estimator(params, batch)
-        gal = gal_pass(params, ref, batch, pairs, cfg)
+        gal = gal_pass(params, ref, batch, pair_arrays(batch, cfg.pair_cap, rng), cfg)
         samples["grpo"].append(grpo)
         samples["gal"].append(gal.gradient)
         samples["mix"].append(mixed_keyed(grpo, gal.gradient, cfg.alpha))
@@ -290,15 +290,11 @@ def write_metrics(path: str | Path, rows: Sequence[StepMetrics]) -> None:
 
 def read_metrics(path: str | Path) -> list[StepMetrics]:
     """Parse a metrics CSV back into StepMetrics rows; exact round trip. A file
-    that cannot be opened, or a header, row or field that does not parse, is a
-    ``DataError`` naming the path and the line."""
-    try:
-        fh = Path(path).open(newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read metrics {path}: {exc}") from exc
+    that cannot be read or is not UTF-8 is a ``DataError`` naming the path,
+    and a header, row or field that does not parse one naming the line too."""
+    reader = csv.reader(io.StringIO(read_text(path, DataError, "metrics"), newline=""))
     rows: list[StepMetrics] = []
-    with fh:
-        reader = csv.reader(fh)
+    try:
         header = tuple(next(reader, ()))
         if header != METRICS_HEADER:
             raise DataError(f"metrics {path}, line 1: unexpected header {header}")
@@ -306,9 +302,8 @@ def read_metrics(path: str | Path) -> list[StepMetrics]:
             where = f"metrics {path}, line {reader.line_num}"
             if len(record) != len(METRICS_HEADER):
                 raise DataError(f"{where}: {len(record)} fields, not {len(METRICS_HEADER)}")
-            try:
-                rows.append(StepMetrics(*(int(value) if name in _INT_FIELDS else float(value)
-                                          for name, value in zip(METRICS_HEADER, record))))
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from exc
+            rows.append(StepMetrics(*(int(value) if name in _INT_FIELDS else float(value)
+                                      for name, value in zip(METRICS_HEADER, record))))
+    except (csv.Error, ValueError) as exc:  # a field too long for the reader, or not a number
+        raise DataError(f"metrics {path}, line {reader.line_num}: {exc}") from exc
     return rows

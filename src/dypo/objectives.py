@@ -409,8 +409,6 @@ def _draw_pairs(grade: DifficultyGrade, rewards: np.ndarray, pair_cap: int,
     exactly pair_cap distinct pairs."""
     if grade is not DifficultyGrade.MID:
         raise StateError("pair construction requires a Mid-graded group")
-    if pair_cap < 1:
-        raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
     successes = np.flatnonzero(rewards == 1)
     failures = np.flatnonzero(rewards == 0)
     n_f = len(failures)
@@ -422,41 +420,37 @@ def _draw_pairs(grade: DifficultyGrade, rewards: np.ndarray, pair_cap: int,
     return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
 
 
-def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """``_draw_pairs`` of every group of the batch, as one call per group
-    would make them.
-
-    Only the groups whose product exceeds ``pair_cap`` draw their subsets
-    from ``rng``, in group order; the full products of all the others are
-    built from the batch's reward rows in one vectorized pass per group size.
-    """
-    if pair_cap < 1:
-        raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
-    out: list[np.ndarray | None] = [None] * batch.count
-    full: dict[int, list[int]] = {}  # group size -> indices of uncapped groups
-    rewards = batch.rewards
-    for i, (grade, k, first, wins) in enumerate(zip(batch.grades, batch.k.tolist(),
-                                                    batch.first.tolist(), batch.wins.tolist())):
-        if grade is DifficultyGrade.MID and wins * (k - wins) <= pair_cap:
-            full.setdefault(k, []).append(i)
-        else:  # a capped group draws its subset; any other grade is its StateError
-            out[i] = _draw_pairs(grade, rewards[first:first + k], pair_cap, rng)
-    for k, indices in full.items():
-        won = rewards[batch.first[indices][:, None] + np.arange(k)] == 1
-        owner, win, lose = np.nonzero(won[:, :, None] & ~won[:, None, :])
-        pairs = np.stack([win, lose], axis=1)
-        ends = np.cumsum(np.bincount(owner, minlength=len(indices))).tolist()
-        for i, lo, hi in zip(indices, [0] + ends, ends):
-            out[i] = pairs[lo:hi]
-    return out
-
-
 class BatchPairs(NamedTuple):
-    """The pairs of a batch, checked (``_batch_pairs``): each group's pair
-    count, and all pairs as ``(n, 2)`` indices into the batch's trajectories."""
+    """The (success, failure) pairs of a batch: each group's pair count, and
+    all pairs, group by group, as ``(n, 2)`` indices into the batch's
+    trajectories. ``pair_arrays`` draws them; pairs made by hand are checked
+    against their batch once (``of``)."""
 
     counts: np.ndarray
     traj: np.ndarray
+
+    @classmethod
+    def of(cls, batch: GroupBatch, pairs: Sequence[np.ndarray]) -> BatchPairs:
+        """Pairs made by hand, one array of indices into its trajectories per
+        group, checked. The first bad group is its own ``InputError``: no
+        pairs, then a shape other than ``(n, 2)``, then its first bad pair,
+        out of range before out of (reward-1, reward-0) order."""
+        if len(pairs) != batch.count:
+            raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
+        pairs = [np.asarray(p, dtype=np.intp) for p in pairs]
+        rewards = batch.rewards.tolist()
+        for p, first, k in zip(pairs, batch.first.tolist(), batch.k.tolist()):
+            if p.size == 0:
+                raise InputError("gal_pass needs at least one pair per group")
+            if p.ndim != 2 or p.shape[1] != 2:
+                raise InputError(f"pairs must have shape (n, 2), got {p.shape}")
+            for win, lose in p.tolist():
+                if not (0 <= win < k and 0 <= lose < k):
+                    raise InputError(f"pair indices must lie in [0, {k}), got ({win}, {lose})")
+                if (rewards[first + win], rewards[first + lose]) != (1, 0):
+                    raise InputError("each pair must be (reward-1, reward-0) in that order")
+        counts = np.array([len(p) for p in pairs], dtype=np.intp)
+        return cls(counts, np.concatenate(pairs) + np.repeat(batch.first, counts)[:, None])
 
     def tiled(self, n: int, trajectories: int) -> BatchPairs:
         """The pairs of the batch tiled n times (``GroupBatch.tiled``), of
@@ -467,39 +461,37 @@ class BatchPairs(NamedTuple):
                           (self.traj + shift[:, None, None]).reshape(-1, 2))
 
 
-def _batch_pairs(batch: GroupBatch, pairs: Sequence[np.ndarray]) -> BatchPairs:
-    """``pairs``, one array per group, checked against the batch. The first
-    bad group, in batch order, is its own ``InputError``: no pairs, then a
-    shape other than ``(n, 2)``, then its first bad pair, out of range
-    before out of (reward-1, reward-0) order.
+def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> BatchPairs:
+    """``_draw_pairs`` of every group of the batch, as one call per group
+    would make them, moved onto the batch's trajectories.
+
+    Only the groups whose product exceeds ``pair_cap`` draw their subsets
+    from ``rng``, in group order; the full products of all the others are
+    built from the batch's reward rows in one vectorized pass per group size.
     """
-    if len(pairs) != batch.count:
-        raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
-    pairs = [np.asarray(p, dtype=np.intp) for p in pairs]
-    shaped = [p.size > 0 and p.ndim == 2 and p.shape[1] == 2 for p in pairs]
-    ill = shaped.index(False) if False in shaped else len(pairs)
-    # only the groups before the first ill-shaped one can raise before it
-    counts = np.array([len(p) for p in pairs[:ill]], dtype=np.intp)
-    local = np.concatenate(pairs[:ill]) if ill else np.zeros((0, 2), dtype=np.intp)
-    # each pair's group's (first trajectory, trajectory count), unsigned for the range check
-    spans = np.repeat(np.stack([batch.first, batch.k], axis=1)[:ill].astype(np.uintp), counts,
-                      axis=0)
-    # a negative index reads as a huge unsigned one: one comparison checks both bounds
-    in_range = local.view(np.uintp) < spans[:, 1:]
-    traj_pairs = local + spans[:, :1].view(np.intp)
-    # an index out of range reads a clipped reward, but fails the range check
-    good = in_range & (batch.rewards.take(traj_pairs, mode="clip") == (1, 0))
-    if not good.all():
-        bad = good.all(axis=1).argmin()
-        win, lose = local[bad].tolist()
-        if not in_range[bad].all():
-            raise InputError(f"pair indices must lie in [0, {spans[bad, 1]}), got ({win}, {lose})")
-        raise InputError("each pair must be (reward-1, reward-0) in that order")
-    if ill < len(pairs):
-        if pairs[ill].size == 0:
-            raise InputError("gal_pass needs at least one pair per group")
-        raise InputError(f"pairs must have shape (n, 2), got {pairs[ill].shape}")
-    return BatchPairs(counts, traj_pairs)
+    if pair_cap < 1:
+        raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
+    owners, pairs = [], []  # each source's groups, in order, and their pairs
+    full: dict[int, list[int]] = {}  # group size -> indices of uncapped groups
+    rewards = batch.rewards
+    for i, (grade, k, first, wins) in enumerate(zip(batch.grades, batch.k.tolist(),
+                                                    batch.first.tolist(), batch.wins.tolist())):
+        if grade is DifficultyGrade.MID and wins * (k - wins) <= pair_cap:
+            full.setdefault(k, []).append(i)
+        else:  # a capped group draws its subset; any other grade is its StateError
+            pairs.append(_draw_pairs(grade, rewards[first:first + k], pair_cap, rng) + first)
+            owners.append(np.full(pair_cap, i))
+    for k, indices in full.items():
+        first = batch.first[indices]
+        won = rewards[first[:, None] + np.arange(k)] == 1
+        owner, win, lose = np.nonzero(won[:, :, None] & ~won[:, None, :])
+        pairs.append(np.stack([win, lose], axis=1) + first[owner, None])
+        owners.append(np.array(indices)[owner])
+    traj = np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.intp)
+    if len(pairs) > 1:  # a stable sort puts the sources' groups in batch order
+        traj = traj.take(np.argsort(np.concatenate(owners), kind="stable"), axis=0)
+    # a Mid group has wins * losses pairs, or pair_cap when that is more
+    return BatchPairs(np.minimum(batch.wins * (batch.k - batch.wins), pair_cap), traj)
 
 
 # log of the largest double: above it math.exp raises OverflowError where
@@ -520,15 +512,11 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + e)
 
 
-def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
-             pairs: Sequence[np.ndarray] | BatchPairs, cfg: MixConfig
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, pairs: BatchPairs,
+             cfg: MixConfig) -> tuple[np.ndarray, np.ndarray]:
     """``gal_pass``'s loss of every group of the batch, without its gradient:
-    the loss, and the terms the gradient reads, every pair's margin -beta*d,
-    each group's pair count and all pairs as indices into the batch's
-    trajectories. ``pairs`` are one array per group, which it checks
-    (``_batch_pairs``), or ``BatchPairs`` already checked against the batch."""
-    counts, traj_pairs = pairs if isinstance(pairs, BatchPairs) else _batch_pairs(batch, pairs)
+    the loss, and the term the gradient reads, every pair's margin -beta*d."""
+    counts, traj_pairs = pairs
     check_shared_interner(params, ref)
     batch.check_interner(params)
     n = len(batch.lengths)
@@ -538,16 +526,16 @@ def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
                                minlength=n))
     margin = -cfg.beta_gal * (log_ratio[traj_pairs[:, 0]] - log_ratio[traj_pairs[:, 1]])
     # -log sigmoid(beta d), averaged over each group's pairs
-    return _segment_sums(np.logaddexp(0.0, margin), counts) / counts, margin, counts, traj_pairs
+    return _segment_sums(np.logaddexp(0.0, margin), counts) / counts, margin
 
 
 def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
-             pairs: Sequence[np.ndarray], cfg: MixConfig) -> BatchReport:
+             pairs: BatchPairs, cfg: MixConfig) -> BatchReport:
     """Pairwise contrastive alignment loss over (success, failure) rollouts of
     every group of the batch.
 
-    ``pairs[i]`` holds group i's (success, failure) indices into its
-    trajectories, as ``pair_arrays`` returns them. Per pair, d is the
+    ``pairs`` are the batch's (success, failure) pairs, as ``pair_arrays``
+    draws them or ``BatchPairs.of`` checks them. Per pair, d is the
     policy-vs-reference log-ratio margin between the successful and the
     failed trajectory and the loss is -log sigmoid(beta*d), averaged over the
     group's pairs. The gradient weight 1 - sigmoid(beta*d) is strictly inside
@@ -557,7 +545,8 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     library's exp, not ``np.exp``, whose SIMD kernel can differ in the last bit
     and would move every seeded run. The loss is ``gal_loss``'s.
     """
-    loss, margin, counts, traj_pairs = gal_loss(params, ref, batch, pairs, cfg)
+    loss, margin = gal_loss(params, ref, batch, pairs, cfg)
+    counts, traj_pairs = pairs
     index = batch.key_index(params)
     weights = _expit(margin)
     coef = -cfg.beta_gal * weights / np.repeat(counts, counts)
@@ -592,7 +581,7 @@ def mixed_keyed(g_grpo: KeyedBlocks, g_gal: KeyedBlocks, alpha: float) -> KeyedB
 
 
 def mixed_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
-               pairs: Sequence[np.ndarray], cfg: MixConfig) -> BatchReport:
+               pairs: BatchPairs, cfg: MixConfig) -> BatchReport:
     """The alpha-mixture of ``grpo_pass`` and ``gal_pass``, Mid groups' pathway."""
     grpo = grpo_pass(params, ref, batch, cfg)
     gal = gal_pass(params, ref, batch, pairs, cfg)

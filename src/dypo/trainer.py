@@ -20,7 +20,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .artifacts import atomic_write
+from .artifacts import atomic_write, read_text
 from .errors import ConfigError, DataError, TrainingAborted
 from .grading import DifficultyGrade
 from .instrumentation import CHUNK_GROUPS, StepMetrics, write_metrics
@@ -148,9 +148,7 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 def load_train_config(path: str | Path) -> TrainConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        data = json.loads(read_text(path, ConfigError, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return train_config_from_dict(data)
@@ -295,9 +293,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     stored policies raises ConfigError.
     """
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+        doc = json.loads(read_text(path, DataError, "checkpoint"))
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON (truncated?): {exc}") from exc
     try:

@@ -165,7 +165,7 @@ def test_criterion_7_gal_anchors(dypo_run):
     inst = make_instance(ACCEPTANCE_SEED, 21, kind="mid")
     ref = inst.params.snapshot()
     cfg = MixConfig()
-    report = gal_pass(inst.params, ref, inst.group, [inst.pairs], cfg)
+    report = gal_pass(inst.params, ref, inst.group, inst.pairs, cfg)
     loss = report.loss[0]
     anchors_ok = (abs(loss - np.log(2.0)) <= 1e-12
                   and abs(report.weights.min() - 0.5) <= 1e-12

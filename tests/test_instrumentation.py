@@ -185,6 +185,8 @@ BROKEN_METRICS = {
     "long row": ("0,0.5,0.5,1.0,0.1,0,1,1,0.2,0.0,7", 3),
     "text in a float field": ("0,x,0.5,1.0,0.1,0,1,1,0.2,0.0", 3),
     "fraction in an int field": ("0,0.5,0.5,1.0,0.1,1.5,1,1,0.2,0.0", 3),
+    # past the CSV reader's field size limit, its own csv.Error
+    "field too long": ("0," + "1" * 200_000 + ",0.5,1.0,0.1,0,1,1,0.2,0.0", 3),
     "missing file": (None, None),
 }
 

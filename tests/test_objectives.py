@@ -24,6 +24,7 @@ from dypo.gradcheck import (
 from dypo.grading import DifficultyGrade, grade
 from dypo.instrumentation import collect_mid_groups
 from dypo.objectives import (
+    BatchPairs,
     GroupBatch,
     MixConfig,
     gal_pass,
@@ -53,7 +54,7 @@ def _mid_instance(seed: int = 0, index: int = 0):
 
 def _gal(params, ref, group, pairs, cfg=CFG):
     """GAL's pass over a batch of one: its loss, its gradient block and its pair weights."""
-    report = gal_pass(params, ref, group, [pairs], cfg)
+    report = gal_pass(params, ref, group, pairs, cfg)
     block, = report.gradient.blocks()
     return report.loss[0], block, report.weights
 
@@ -222,9 +223,9 @@ def test_the_probes_evaluate_losses_and_build_no_gradient(monkeypatch, kind):
         for name in GRADIENT_CODE:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, gradient_code)
-    if kind != "mid":  # no pairs: GAL's probes make gal_pass's pair checks
+    if kind != "mid":  # no pairs: a group that is not Mid has none to probe
         losses = losses[:2] + losses[3:]
-        with pytest.raises(InputError, match="at least one pair"):
+        with pytest.raises(StateError, match="Mid-graded"):
             probed("gal_loss_grad")
     alone = {loss: probed(loss) for loss in losses}
     monkeypatch.undo()
@@ -325,20 +326,36 @@ def test_a_tiled_batch_passes_each_copy_as_the_group_alone():
 
 
 def test_a_probe_evaluation_checks_one_group_of_pairs(monkeypatch):
-    checked = []
+    # hand-made pairs are checked once per instance, as it is built, not per
+    # loss or per probe; the pairs pair_arrays draws are never checked
+    checked, built, drawn = [], [], []
 
-    def one_group(batch, pairs, _real=objectives._batch_pairs):
-        # every batch the suite passes is a batch of one: the instance's group
+    def one_group(batch, pairs, _real=BatchPairs.of):
+        # every batch the suite checks is a batch of one: the instance's group
         assert batch.count == len(pairs) == 1
         checked.append(batch)
         return _real(batch, pairs)
+
+    def building(*args, _real=gradcheck.make_instance, **kwargs):
+        before = len(checked)
+        inst = _real(*args, **kwargs)
+        built.append((inst.pairs is not None, len(checked) - before))
+        return inst
+
+    def drawing(*args, _real=objectives.pair_arrays, **kwargs):
+        drawn.append(_real(*args, **kwargs))
+        return drawn[-1]
+    monkeypatch.setattr(BatchPairs, "of", one_group)
+    monkeypatch.setattr(gradcheck, "make_instance", building)
     for module in (objectives, gradcheck):
-        if hasattr(module, "_batch_pairs"):
-            monkeypatch.setattr(module, "_batch_pairs", one_group)
+        monkeypatch.setattr(module, "pair_arrays", drawing)
     grad_check_suite(1, 20)
-    # GAL at each of the 20 indices and the routed step at the 7 Mid ones:
-    # once in the analytic pass, once for all the probes
-    assert len(checked) == 2 * (20 + 7)
+    # each Mid instance's pairs are checked in its build, and nothing else is
+    assert all(checks == mid for mid, checks in built)
+    assert len(checked) == sum(mid for mid, _ in built) >= 20
+    # the routed step at the 7 Mid indices draws its pairs, once in the
+    # analytic pass and once for all the probes, and none of them is checked
+    assert len(drawn) == 2 * 7
 
 
 def test_a_probe_table_is_stale_once_its_interner_grows():
@@ -444,7 +461,7 @@ def _group_with_split(n_succ: int, n_fail: int, seed: int = 0):
 
 def test_pair_arrays_full_product():
     inst, group = _group_with_split(3, 5)
-    pairs, = pair_arrays(group, 100, substream(5, "p"))
+    pairs = pair_arrays(group, 100, substream(5, "p")).traj
     trajs = trajectories(group)
     assert pairs.shape == (15, 2)
     assert all(reward(group.queries[0], trajs[s]) == 1
@@ -453,7 +470,7 @@ def test_pair_arrays_full_product():
 
 def test_pair_arrays_cap():
     inst, group = _group_with_split(4, 4)
-    pairs, = pair_arrays(group, 8, substream(5, "p2"))
+    pairs = pair_arrays(group, 8, substream(5, "p2")).traj
     assert pairs.shape == (8, 2)
     assert len({(s, f) for s, f in pairs.tolist()}) == 8
 
@@ -462,7 +479,7 @@ def test_pair_arrays_subset_is_uniform():
     inst, group = _group_with_split(2, 2)
     n = 100_000
     rng = substream(5, "u")
-    drawn = np.concatenate([pair_arrays(group, 2, rng)[0] for _ in range(n)])
+    drawn = np.concatenate([pair_arrays(group, 2, rng).traj for _ in range(n)])
     kept, counts = np.unique(drawn, axis=0, return_counts=True)
     # 4 pairs, 2 kept per draw: uniform inclusion probability 1/2
     freqs = counts / n
@@ -480,13 +497,13 @@ def test_pair_arrays_rejects_degenerate_groups():
 def test_gal_anchors_at_reference():
     inst = _mid_instance(index=10)
     ref = inst.params.snapshot()
-    report = gal_pass(inst.params, ref, inst.group, [inst.pairs], CFG)
+    report = gal_pass(inst.params, ref, inst.group, inst.pairs, CFG)
     assert report.loss[0] == pytest.approx(np.log(2.0), abs=1e-12)
     weights = report.weights
     assert weights.min() == pytest.approx(0.5, abs=1e-12)
     assert weights.max() == pytest.approx(0.5, abs=1e-12)
     assert np.mean(weights**2) == pytest.approx(0.25, abs=1e-12)
-    assert report.aux["pair_count"][0] == len(inst.pairs) == len(weights)
+    assert report.aux["pair_count"][0] == len(inst.pairs.traj) == len(weights)
 
 
 def test_gal_saturation_annealing():
@@ -498,7 +515,7 @@ def test_gal_saturation_annealing():
     trajs = trajectories(inst.group)
     for boost in (0.0, 2.0, 6.0, 14.0):
         boosted = inst.params.copy()
-        for s, _ in inst.pairs:
+        for s, _ in inst.pairs.traj:
             success = trajs[s].tokens
             boosted.apply_update(traj_score(inst.params, inst.query.query_id, success), boost)
         _, gradient, weights = _gal(boosted, inst.ref, inst.group, inst.pairs)
@@ -528,7 +545,7 @@ def test_gal_eta_matches_independent_recompute():
                 - naive_log_prob(inst.ref, qid, traj.tokens))
 
     ws = []
-    for s, f in ((trajs[i], trajs[j]) for i, j in inst.pairs):
+    for s, f in ((trajs[i], trajs[j]) for i, j in inst.pairs.traj):
         d = log_ratio(s) - log_ratio(f)
         ws.append(1.0 - expit(CFG.beta_gal * d))
     np.testing.assert_allclose(weights, ws, rtol=0, atol=1e-15)
@@ -540,7 +557,7 @@ def test_gal_gradient_skips_unpaired_trajectories():
     inst = _mid_instance(index=18)
     trajs = tuple(Trajectory(t, terminal=False) for t in ((0, 1, 2), (3, 4), (5, 6, 7)))
     group = GroupBatch.of(inst.params, inst.query, trajs, (1, 0, 1))
-    _, gradient, _ = _gal(inst.params, inst.ref, group, [(0, 1)])
+    _, gradient, _ = _gal(inst.params, inst.ref, group, BatchPairs.of(group, [[(0, 1)]]))
     paired = {ctx for t in trajs[:2] for ctx in step_contexts(inst.query.query_id, t.tokens, 1)}
     assert set(block_dict(inst.params, gradient)) == paired
 
@@ -548,18 +565,19 @@ def test_gal_gradient_skips_unpaired_trajectories():
 def test_gal_input_validation():
     inst = _mid_instance(index=13)
     k = len(inst.group.rewards)
+    good = inst.pairs.traj  # a batch of one: its trajectories are the group's
     bad_pairs = {
         "empty list": [],
         "empty array": np.zeros((0, 2), dtype=int),
-        "flipped": inst.pairs[:, ::-1],
-        "one flipped": np.vstack([inst.pairs, inst.pairs[:1, ::-1]]),
+        "flipped": good[:, ::-1],
+        "one flipped": np.vstack([good, good[:1, ::-1]]),
         "past the end": [(0, k)],
         "negative": [(0, -1)],
-        "not pairs": inst.pairs.ravel(),
+        "not pairs": good.ravel(),
     }
     for pairs in bad_pairs.values():
         with pytest.raises(InputError):
-            gal_pass(inst.params, inst.ref, inst.group, [pairs], CFG)
+            BatchPairs.of(inst.group, [pairs])
 
 
 def test_gal_gradient_finite_differences():
@@ -634,7 +652,7 @@ def test_dypo_step_mid_recomposition():
     rng_tag = substream(5, "m")
     report, _ = route_groups(inst.params, inst.ref, inst.group,
                              inst.teachers, CFG, rng_tag)
-    pairs, = pair_arrays(inst.group, CFG.pair_cap, substream(5, "m"))
+    pairs = pair_arrays(inst.group, CFG.pair_cap, substream(5, "m"))
     grpo = grpo_pass(inst.params, inst.ref, inst.group, CFG)
     gal_loss, gal_gradient, _ = _gal(inst.params, inst.ref, inst.group, pairs)
     manual_loss = CFG.alpha * grpo.loss[0] + (1 - CFG.alpha) * gal_loss
@@ -658,7 +676,7 @@ def test_a_policy_of_another_interner_is_an_input_error():
     with pytest.raises(InputError, match="interner"):
         grpo_pass(inst.params, foreign, inst.group, CFG)
     with pytest.raises(InputError, match="interner"):
-        gal_pass(inst.params, foreign, inst.group, [inst.pairs], CFG)
+        gal_pass(inst.params, foreign, inst.group, inst.pairs, CFG)
     with pytest.raises(InputError, match="interner"):
         route_groups(inst.params, foreign, inst.group, inst.teachers, CFG, substream(5, "f"))
     group = GroupBatch.of(foreign, inst.query, trajectories(inst.group), inst.group.rewards,

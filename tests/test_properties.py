@@ -28,6 +28,7 @@ from dypo.errors import InputError, StateError
 from dypo.grading import DifficultyGrade, grade
 from dypo.gradcheck import make_instance, numerical_gradient, probe_losses
 from dypo.objectives import (
+    BatchPairs,
     GroupBatch,
     MixConfig,
     _draw_pairs,
@@ -354,10 +355,11 @@ def test_gal_block_matches_naive_reference(seed, index, beta, duplicated):
         trajs = trajectories(group)
         group = GroupBatch.of(inst.params, inst.query, trajs + (trajs[0], trajs[-1]),
                               group.rewards.tolist() + [1, 0])
-        pairs, = pair_arrays(group, 64, substream(seed, "pairs"))
-    block, = gal_pass(inst.params, inst.ref, group, [pairs],
+        pairs = pair_arrays(group, 64, substream(seed, "pairs"))
+    block, = gal_pass(inst.params, inst.ref, group, pairs,
                       MixConfig(beta_gal=beta)).gradient.blocks()
-    assert_block_matches(inst.params, block, naive_gal(inst.params, inst.ref, group, pairs, beta))
+    assert_block_matches(inst.params, block,
+                         naive_gal(inst.params, inst.ref, group, pairs.traj, beta))
 
 
 # the largest argument math.exp takes, its neighbours, and the other values
@@ -442,17 +444,17 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
     params, ref = inst.params, inst.ref
     groups = _graded_groups(inst, picks, extra, params if on_policy else ref)
     cfg = MixConfig(pair_cap=pair_cap)
-    pairs = [pair_arrays(g, pair_cap, substream(seed, "pairs", i))[0]
-             for i, g in enumerate(groups)]
+    pairs = [pair_arrays(g, pair_cap, substream(seed, "pairs", i)) for i, g in enumerate(groups)]
     batch = GroupBatch.concat(groups)
+    batch_pairs = BatchPairs.of(batch, [p.traj for p in pairs])
     grpo = grpo_pass(params, ref, batch, cfg)
-    gal = gal_pass(params, ref, batch, pairs, cfg)
-    mixed = mixed_pass(params, ref, batch, pairs, cfg)
+    gal = gal_pass(params, ref, batch, batch_pairs, cfg)
+    mixed = mixed_pass(params, ref, batch, batch_pairs, cfg)
     estimator = grpo_estimator(params, batch)
     bench_mix = mixed_keyed(estimator, gal.gradient, cfg.alpha).blocks()
     for i, group in enumerate(groups):
         assert_same_group(grpo, i, grpo_pass(params, ref, group, cfg))
-        alone = gal_pass(params, ref, group, [pairs[i]], cfg)
+        alone = gal_pass(params, ref, group, pairs[i], cfg)
         assert_same_group(gal, i, alone)
         # the routed step draws the same pairs from the same stream
         step, _ = route_groups(params, ref, group, inst.teachers, cfg, substream(seed, "pairs", i))
@@ -497,7 +499,7 @@ def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, in
     group, = _graded_groups(inst, [pick], extra, params if on_policy else ref, [graded])
     inst.group = group
     if graded is DifficultyGrade.MID:
-        inst.pairs, = pair_arrays(group, pair_cap, substream(seed, "pairs"))
+        inst.pairs = pair_arrays(group, pair_cap, substream(seed, "pairs"))
     cfg = MixConfig(pair_cap=pair_cap, gamma=gamma)
     before = _policy_state(params)
     batched = numerical_gradient(probe_losses(inst, loss, cfg, substream(seed, "draws")), inst)
@@ -507,7 +509,7 @@ def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, in
         "sft_loss_grad": lambda p: sft_loss_grad(p, inst.query, inst.teachers,
                                                  substream(seed, "draws")).loss,
         "grpo_loss_grad": lambda p: grpo_pass(p, ref, group, cfg).loss[0],
-        "gal_loss_grad": lambda p: gal_pass(p, ref, group, [inst.pairs], cfg).loss[0],
+        "gal_loss_grad": lambda p: gal_pass(p, ref, group, inst.pairs, cfg).loss[0],
         "dypo_step_loss": lambda p: route_groups(p, ref, group, inst.teachers, cfg,
                                                  substream(seed, "draws"))[0].loss,
     }[loss]
@@ -537,19 +539,19 @@ def test_a_bad_group_anywhere_in_a_batch_is_its_own_input_error(seed, index, pic
     params, ref = inst.params, inst.ref
     groups = _graded_groups(inst, picks, (), ref)
     bad %= len(groups)
-    cfg = MixConfig()
-    pairs = [pair_arrays(g, 8, substream(seed, "pairs", i))[0] for i, g in enumerate(groups)]
+    # a batch of one: its pairs' trajectories are the group's own
+    pairs = [pair_arrays(g, 8, substream(seed, "pairs", i)).traj for i, g in enumerate(groups)]
     flawed, message = FLAWS[flaw]
     pairs[bad] = flawed(pairs[bad], len(groups[bad].rewards))
     with pytest.raises(InputError, match=message) as alone:
-        gal_pass(params, ref, groups[bad], [pairs[bad]], cfg)
+        BatchPairs.of(groups[bad], [pairs[bad]])
     # the first bad group's error, also with a second bad group after it
     later %= len(groups)
-    second = FLAWS[later_flaw][0](pair_arrays(groups[later], 8, substream(seed, "pairs", later))[0],
-                                  len(groups[later].rewards))
+    drawn = pair_arrays(groups[later], 8, substream(seed, "pairs", later)).traj
+    second = FLAWS[later_flaw][0](drawn, len(groups[later].rewards))
     for batch, batch_pairs in ((groups, pairs), (groups + [groups[later]], pairs + [second])):
         with pytest.raises(InputError) as batched:
-            gal_pass(params, ref, GroupBatch.concat(batch), batch_pairs, cfg)
+            BatchPairs.of(GroupBatch.concat(batch), batch_pairs)
         assert str(batched.value) == str(alone.value)
     # a group whose rows were resolved in another interner
     other = groups[bad]
@@ -612,7 +614,7 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
 def test_pair_arrays_are_success_failure_index_pairs(rewards, pair_cap, seed):
     trajs = tuple(Trajectory((i,), terminal=False) for i in range(len(rewards)))
     group = GroupBatch.of(PolicyParams(12, 1), SimpleNamespace(query_id=0), trajs, rewards)
-    pairs, = pair_arrays(group, pair_cap, substream(seed, "pairs"))
+    pairs = pair_arrays(group, pair_cap, substream(seed, "pairs")).traj
     product = {(s, f) for s, won in enumerate(rewards) if won
                for f, lost in enumerate(rewards) if not lost}
     got = [tuple(p) for p in pairs.tolist()]
@@ -635,13 +637,16 @@ def test_batched_pairs_are_the_groups_own_draws(patterns, pair_cap, seed):
                             tuple(Trajectory((i,), terminal=False) for i in range(len(r))), r)
               for r in patterns]
     rng, twin = substream(seed, "pairs"), substream(seed, "pairs")
-    got = pair_arrays(GroupBatch.concat(groups), pair_cap, rng)
-    # each group's pairs drawn on its own, the capped or full product one group at a time
+    batch = GroupBatch.concat(groups)
+    got = pair_arrays(batch, pair_cap, rng)
+    # each group's pairs drawn on its own, the capped or full product one
+    # group at a time, moved onto the batch's trajectories, in group order
     want = [_draw_pairs(g.grades[0], g.rewards, pair_cap, twin) for g in groups]
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        np.testing.assert_array_equal(a, b)
+    want_traj = np.concatenate([w + first for w, first in zip(want, batch.first.tolist())])
+    assert got.counts.dtype == got.traj.dtype == want_traj.dtype == np.intp
+    assert got.counts.tolist() == [len(w) for w in want]
+    assert got.traj.shape == want_traj.shape
+    np.testing.assert_array_equal(got.traj, want_traj)
     assert rng.random() == twin.random()
     easy = GroupBatch.of(params, SimpleNamespace(query_id=0), trajectories(groups[0]),
                          (1,) * len(patterns[0]))

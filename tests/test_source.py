@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 importing the package loads no scipy, the trainer routes only through the
-gate, only the certifier uses the scalar sampler, the certifier names each
-loss once, and the README's configuration block is the schema's defaults."""
+gate, only the certifier uses the scalar sampler and checks hand-made pairs,
+the certifier names each loss once, and the README's configuration block is
+the schema's defaults."""
 
 from __future__ import annotations
 
@@ -97,6 +98,18 @@ def test_only_the_certifier_samples_one_trajectory_at_a_time():
         if any(alias.name == "sample_trajectory" for node in ast.walk(ast.parse(p.read_text()))
                if isinstance(node, ast.ImportFrom) for alias in node.names))
     assert importers == ["gradcheck.py"]
+
+
+def test_only_the_certifier_checks_pairs_made_by_hand():
+    # pair_arrays' pairs are right as drawn: the training step and the benches
+    # pass them on unchecked, and only the certifier's hand-made pairs go
+    # through BatchPairs.of
+    callers = sorted(
+        p.name for p in SRC.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "of"
+               and isinstance(node.value, ast.Name) and node.value.id == "BatchPairs"
+               for node in ast.walk(ast.parse(p.read_text()))))
+    assert callers == ["gradcheck.py"]
 
 
 def test_the_certifier_names_each_loss_once():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from dypo.cli import main
 from dypo.errors import ConfigError, DataError, DypoError, TrainingAborted
 from dypo.gradcheck import grad_check_suite
-from dypo.instrumentation import read_metrics, write_metrics
+from dypo.instrumentation import StepMetrics, read_metrics, write_metrics
 from dypo.objectives import MixConfig
 from dypo.policy import PolicyParams, RowBlock
 from dypo.seeding import substream
@@ -677,6 +677,116 @@ def test_a_mutated_config_is_a_config_error_or_loads(fuzz_dir, checkpoint_doc, h
     out = fuzz_dir / "out"
     code, err = _cli_evaluate(["--config", str(path)], out)
     assert code == 1 and err.count("\n") == 1 and not out.exists()
+
+
+# byte sequences that are not UTF-8: an invalid start byte, a lone
+# continuation byte, an overlong encoding, an encoded surrogate
+NOT_UTF8 = (b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80")
+
+
+def _byte_flawed(text: str, flaw: str, at: float, mask: int, bad: bytes) -> bytes:
+    """The text's UTF-8 bytes with one flaw at fraction ``at`` of them: the
+    byte there flipped (xor ``mask``), bytes that are not UTF-8 or a NUL put
+    in there, or the bytes cut there inside a multi-byte character."""
+    data = bytearray(text.encode())
+    i = min(int(at * len(data)), len(data) - 1)
+    if flaw == "flip":
+        data[i] ^= mask
+    elif flaw == "cut":  # one or two of the three bytes of the euro sign
+        data[i:] = "\u20ac".encode()[:1 + mask % 2]
+    else:
+        data[i:i] = bad if flaw == "invalid" else b"\0"
+    return bytes(data)
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+byte_flaws = dict(flaw=st.sampled_from(["flip", "invalid", "nul", "cut"]), at=st.floats(0.0, 1.0),
+                  mask=st.integers(1, 255), bad=st.sampled_from(NOT_UTF8))
+
+
+@given(**byte_flaws)
+# each once escaped load_checkpoint as a UnicodeDecodeError, and the CLI exited 1
+@example(flaw="invalid", at=0.0, mask=1, bad=b"\xff")
+@example(flaw="flip", at=0.5, mask=0x80, bad=b"\xff")
+@example(flaw="cut", at=0.9, mask=2, bad=b"\xff")
+@settings(deadline=None, derandomize=True, max_examples=40)
+def test_a_checkpoint_of_flawed_bytes_is_a_dypo_error_or_loads(fuzz_dir, checkpoint_doc, flaw,
+                                                               at, mask, bad):
+    # bytes that are not UTF-8 are a DataError naming the file, and one CLI
+    # line and exit 2 that writes nothing; any other flaw fails as the
+    # document's text does, or loads and evaluates
+    path = fuzz_dir / "flawed-checkpoint.json"
+    data = _byte_flawed(json.dumps(checkpoint_doc), flaw, at, mask, bad)
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+        failed = False
+    except DypoError as exc:
+        failed = True
+        assert _is_utf8(data) or (isinstance(exc, DataError) and str(path) in str(exc))
+    out = fuzz_dir / "out"
+    code, err = _cli_evaluate(["--config", str(fuzz_dir / "config.json"),
+                               "--checkpoint", str(path)], out)
+    if failed:
+        assert code in (1, 2) and err.count("\n") == 1 and not out.exists()
+        assert _is_utf8(data) or code == 2
+    else:
+        assert code == 0
+        shutil.rmtree(out)
+
+
+@given(**byte_flaws)
+@example(flaw="invalid", at=0.5, mask=1, bad=b"\xff")
+@example(flaw="cut", at=0.3, mask=1, bad=b"\xff")
+@settings(deadline=None, derandomize=True, max_examples=40)
+def test_a_config_of_flawed_bytes_is_a_config_error_or_loads(fuzz_dir, checkpoint_doc, flaw, at,
+                                                            mask, bad):
+    # bytes that are not UTF-8 are a ConfigError naming the file; a config
+    # that does not load is one CLI line and exit 1, and writes nothing
+    path = fuzz_dir / "flawed-config.json"
+    data = _byte_flawed(json.dumps(checkpoint_doc["config"]), flaw, at, mask, bad)
+    path.write_bytes(data)
+    try:
+        load_train_config(path)
+        assert _is_utf8(data)
+        return
+    except ConfigError as exc:
+        assert _is_utf8(data) or str(path) in str(exc)
+    out = fuzz_dir / "out"
+    code, err = _cli_evaluate(["--config", str(path)], out)
+    assert code == 1 and err.count("\n") == 1 and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def metrics_text(checkpoint_doc, tmp_path_factory):
+    """The fixture run's metrics as ``write_metrics`` writes them."""
+    path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+    write_metrics(path, [StepMetrics(**row) for row in checkpoint_doc["metrics"]])
+    return path.read_bytes().decode()
+
+
+@given(**byte_flaws)
+# a header line ending in 0xff once escaped read_metrics as a UnicodeDecodeError
+@example(flaw="invalid", at=0.07, mask=1, bad=b"\xff")
+@settings(deadline=None, derandomize=True, max_examples=100)
+def test_a_metrics_file_of_flawed_bytes_is_a_data_error_or_reads(tmp_path_factory, metrics_text,
+                                                                  flaw, at, mask, bad):
+    path = tmp_path_factory.mktemp("flawed") / "metrics.csv"
+    data = _byte_flawed(metrics_text, flaw, at, mask, bad)
+    path.write_bytes(data)
+    try:
+        rows = read_metrics(path)
+    except DataError as exc:
+        assert str(path) in str(exc) and "\n" not in str(exc)
+        return
+    assert _is_utf8(data) and all(isinstance(row, StepMetrics) for row in rows)
 
 
 def test_a_huge_teacher_count_or_step_is_checked_without_counting_to_it(tmp_path,
