@@ -32,11 +32,10 @@ from .objectives import (
     MixConfig,
     gal_pass,
     grpo_pass,
-    mixed_gradient,
     pair_arrays,
     rollout_groups,
     route_groups,
-    sft_loss_grad,
+    sft_pass,
     standardize_advantages,
 )
 from .policy import (

@@ -2,7 +2,7 @@
 
 Four losses are certified, each named by a key of ``CHECKS`` (the keys of
 ``grad_check_suite``'s output, which name losses, not functions): SFT's
-demonstration NLL (``sft_loss_grad``), the clipped GRPO surrogate
+demonstration NLL (``sft_pass``), the clipped GRPO surrogate
 (``grpo_pass``), the GAL pair loss (``gal_pass``) and the routed step
 (``route_groups`` under ``dypo``). A loss's one record there (``LossCheck``)
 holds all that ``check`` needs to certify it. An instance holds one group, a
@@ -49,7 +49,7 @@ from .objectives import (
     mixed_loss,
     pair_arrays,
     route_groups,
-    sft_loss_grad,
+    sft_pass,
     standardize_advantages,
 )
 from .policy import (
@@ -272,11 +272,12 @@ def _gal(inst: GradCheckInstance, cfg: MixConfig, pairs: BatchPairs) -> np.ndarr
 
 
 def _demo_nll(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndarray:
-    """The NLL under every probe of the demonstration ``sft_loss_grad`` draws from ``rng``."""
+    """The NLL under every probe of the demonstration ``sft_pass`` draws from ``rng``."""
     _, demo = draw_demo(inst.query, inst.teachers, rng)
     rows, tokens = inst.params.trajectory_rows(inst.query.query_id, demo.tokens)
-    probes = inst.probes
-    return demo_nll(probes.params, probes.remap(rows), tokens)
+    probes = inst.probes  # one copy of the demonstration per probe, each reading its probe's row
+    return demo_nll(probes.params, probes.remap(rows).ravel(), np.tile(tokens, probes.count),
+                    np.full(probes.count, len(rows)))
 
 
 def _step_losses(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndarray:
@@ -310,8 +311,8 @@ _MID = ("mid",) * 3
 CHECKS = {
     "sft_loss_grad": LossCheck(
         _MID, False, "gradcheck-sft",
-        lambda inst, cfg, rng: sft_loss_grad(inst.params, inst.query, inst.teachers,
-                                             rng).gradient,
+        lambda inst, cfg, rng: sft_pass(inst.params, [inst.query], inst.teachers,
+                                        rng).gradient.blocks()[0],
         _demo_nll),
     "grpo_loss_grad": LossCheck(
         _MID, True, None,

@@ -7,7 +7,8 @@ their mixture are each one pass over a batch: every group's loss, and
 gradients keyed by (group, row), so each group keeps the row block it would
 have alone. A group built by hand (``GroupBatch.of``) is a batch of one,
 whose keys are its rows; it is what finite differences certify. SFT
-distillation scores one demonstration at a time (``sft_loss_grad``). Gradients
+distillation is one pass too (``sft_pass``), keyed by (query, row); the
+mixture is formed on GRPO's keys (``mixed_keyed``). Gradients
 are exact for the reported loss expression. Each loss expression is one
 function (``grpo_loss``, ``gal_loss``, ``mixed_loss``, ``demo_nll``) that
 returns the terms its gradient reads; a pass builds its gradient on them, and
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -40,9 +41,7 @@ from .policy import (
     kl_gradient,
     owner_kl,
     sample_lockstep,
-    sum_blocks,
     sum_rows,
-    weighted_score,
 )
 from .tasks import Query, TeacherOracle, batch_reward, teacher_sample
 
@@ -257,16 +256,15 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LossReport:
-    """Scalar loss plus exact gradient, of one demonstration or of one step."""
+    """The step's mean loss and its exact gradient over the policy's rows."""
 
     loss: float
     gradient: RowBlock
-    aux: dict = field(default_factory=dict)
 
 
 @dataclass
 class BatchReport:
-    """One loss pass over a ``GroupBatch``.
+    """One loss pass over a ``GroupBatch``, or ``sft_pass`` over queries.
 
     ``loss`` and every ``aux`` array hold one entry per group; the gradient
     is keyed by (group, row), and over a batch of one its keys are the
@@ -322,28 +320,40 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
 
 def draw_demo(query: Query, teachers: Sequence[TeacherOracle],
               rng: np.random.Generator) -> tuple[int, Trajectory]:
-    """``sft_loss_grad``'s draws: a teacher index, uniform over teachers, and
-    that teacher's demonstration."""
+    """``sft_pass``'s draws for one query: a teacher index, uniform over
+    teachers, and that teacher's demonstration."""
     if len(teachers) == 0:
-        raise ConfigError("sft_loss_grad needs at least one teacher")
+        raise ConfigError("sft_pass needs at least one teacher")
     idx = int(rng.integers(len(teachers)))
     return idx, teacher_sample(teachers[idx], query, rng)
 
 
-def demo_nll(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Negative log-likelihood of a demonstration's ``tokens`` read at
-    ``rows``; a 2-D ``rows`` gives one per line, each line one copy of the steps."""
-    return -params.logp_at(rows, tokens).sum(axis=-1)
+def demo_nll(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
+             lengths: np.ndarray) -> np.ndarray:
+    """Negative log-likelihood of each demonstration, ``lengths[i]``
+    consecutive steps of ``tokens`` read at ``rows``."""
+    return -_segment_sums(params.logp_at(rows, tokens), lengths)
 
 
-def sft_loss_grad(params: PolicyParams, query: Query, teachers: Sequence[TeacherOracle],
-                  rng: np.random.Generator) -> LossReport:
-    """Negative log-likelihood of a demonstration drawn uniformly over teachers."""
-    idx, demo = draw_demo(query, teachers, rng)
-    rows, tokens = params.trajectory_rows(query.query_id, demo.tokens)
-    return LossReport(loss=float(demo_nll(params, rows, tokens)),
-                      gradient=weighted_score(params, rows, tokens, np.full(len(rows), -1.0)),
-                      aux={"teacher_index": float(idx), "demo_len": float(len(demo))})
+def sft_pass(params: PolicyParams, queries: Sequence[Query], teachers: Sequence[TeacherOracle],
+             rng: np.random.Generator) -> BatchReport:
+    """Negative log-likelihood of one demonstration per query, each drawn
+    uniformly over teachers (``draw_demo``), in query order. The gradient is
+    keyed by (query, row), so each query keeps the block it would have
+    alone. ``aux`` holds each query's ``teacher_index`` and ``demo_len``."""
+    if len(queries) == 0:
+        raise InputError("sft_pass needs at least one query")
+    drawn = [draw_demo(query, teachers, rng) for query in queries]
+    rows, tokens = map(np.concatenate, zip(*(params.trajectory_rows(q.query_id, demo.tokens)
+                                             for q, (_, demo) in zip(queries, drawn))))
+    lengths = np.array([len(demo) for _, demo in drawn])
+    span = len(params.interner.contexts)
+    # one query: the keys are the rows
+    keys = rows if len(queries) == 1 else np.repeat(np.arange(len(queries)), lengths) * span + rows
+    index = KeyIndex(keys, tokens, span, len(queries), params.vocab_size)
+    return BatchReport(loss=demo_nll(params, rows, tokens, lengths),
+                       gradient=keyed_score(params, index, np.full(len(rows), -1.0)),
+                       aux={"teacher_index": np.array([i for i, _ in drawn]), "demo_len": lengths})
 
 
 def grpo_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, cfg: MixConfig
@@ -566,18 +576,19 @@ def mixed_loss(grpo: np.ndarray, gal: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * grpo + (1.0 - alpha) * gal
 
 
-def mixed_gradient(g_grpo: RowBlock, g_gal: RowBlock, alpha: float) -> RowBlock:
-    """Convex combination alpha * g_grpo + (1 - alpha) * g_gal."""
+def mixed_keyed(g_grpo: KeyedBlocks, g_gal: KeyedBlocks, alpha: float) -> KeyedBlocks:
+    """alpha * g_grpo + (1 - alpha) * g_gal of one batch on GRPO's keys, of
+    which GAL's are a subset (a key GRPO lacks is a ``StateError``): bit for
+    bit ``sum_blocks``, which adds GRPO's then GAL's terms into zeros."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
-    return sum_blocks([(alpha, g_grpo), (1.0 - alpha, g_gal)])
-
-
-def mixed_keyed(g_grpo: KeyedBlocks, g_gal: KeyedBlocks, alpha: float) -> KeyedBlocks:
-    """``mixed_gradient`` of two keyed gradients of one batch, group by group."""
-    mixed = mixed_gradient(RowBlock(g_grpo.keys, g_grpo.values),
-                           RowBlock(g_gal.keys, g_gal.values), alpha)
-    return g_grpo._replace(keys=mixed.rows, values=mixed.values)
+    keys = g_grpo.keys
+    at = np.searchsorted(keys, g_gal.keys)
+    if (at >= len(keys)).any() or (keys[at] != g_gal.keys).any():
+        raise StateError("the GAL gradient has a key the GRPO gradient lacks")
+    values = 0.0 + alpha * g_grpo.values
+    values[at] += (1.0 - alpha) * g_gal.values
+    return g_grpo._replace(values=values)
 
 
 def mixed_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
@@ -607,40 +618,38 @@ def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     discarded, each from its pathway ``PATHWAYS[variant][grade]`` (each row
     adds its groups' terms into zeros in group order, as ``sum_blocks``; no
     group gives a zero loss and an empty block), and the RL pass's report,
-    or ``None``. ``rng`` draws the capped Mid groups' pairs
-    (``pair_arrays``), then the distilled groups' teachers, each in group
-    order. A distilled term is gamma times ``sft_loss_grad``; the RL groups
-    are ``select``-ed into one ``mixed_pass`` under ``dypo``, else one
-    ``grpo_pass``.
+    or ``None``. The RL groups are ``select``-ed into one ``mixed_pass``
+    under ``dypo``, else one ``grpo_pass``, and the distilled groups' queries
+    into one ``sft_pass``, whose terms weigh gamma. ``rng`` draws the capped
+    Mid groups' pairs (``pair_arrays``), then the distilled groups'
+    teachers, each in group order.
     """
     if variant not in PATHWAYS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     routes = [PATHWAYS[variant][grade] for grade in batch.grades]
     rl = np.array([route == "rl" for route in routes], dtype=bool)
-    losses, owners, rows, values = {}, [], [], []  # every term, and the group it belongs to
+    distilled = np.flatnonzero([route == "distill" for route in routes])
+    terms = []  # each pass's groups, report and coefficient
     passed = None
     if rl.any():  # the pass draws its pairs and nothing else, so it runs first
         rl_batch = batch if rl.all() else batch.select(rl)
         passed = (mixed_pass(params, ref, rl_batch, pair_arrays(rl_batch, cfg.pair_cap, rng), cfg)
                   if variant == "dypo" else grpo_pass(params, ref, rl_batch, cfg))
-        groups = np.flatnonzero(rl)
-        losses.update(zip(groups.tolist(), passed.loss.tolist()))
-        owner, row = np.divmod(passed.gradient.keys, passed.gradient.span)
-        owners.append(groups[owner])
-        rows.append(row)
-        values.append(passed.gradient.values)
-    for i, route in enumerate(routes):
-        if route == "distill":
-            sft = sft_loss_grad(params, batch.queries[i], teachers, rng)
-            losses[i] = cfg.gamma * sft.loss
-            owners.append(np.full(len(sft.gradient.rows), i))
-            rows.append(sft.gradient.rows)
-            values.append(cfg.gamma * sft.gradient.values)
-    if not losses:
+        terms.append((np.flatnonzero(rl), passed, 1.0))
+    if len(distilled):
+        queries = [batch.queries[i] for i in distilled.tolist()]
+        terms.append((distilled, sft_pass(params, queries, teachers, rng), cfg.gamma))
+    if not terms:
         empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
         return LossReport(0.0, empty), passed
+    losses, owners, rows, values = {}, [], [], []  # every term, and the group it belongs to
+    for groups, report, coef in terms:
+        losses.update(zip(groups.tolist(), (coef * report.loss).tolist()))
+        owner, row = np.divmod(report.gradient.keys, report.gradient.span)
+        owners.append(groups[owner])
+        rows.append(row)
+        values.append(coef * report.gradient.values)
     order = np.argsort(np.concatenate(owners), kind="stable")
     total = sum_rows(np.concatenate(rows)[order], np.concatenate(values)[order])
     n = len(losses)
     return LossReport(sum(losses[i] for i in sorted(losses)) / n, total.scaled(1.0 / n)), passed
-

@@ -437,18 +437,6 @@ def keyed_score(params: PolicyParams, index: KeyIndex, weights: np.ndarray,
     return KeyedBlocks(index.keys[kept], values[kept], index.span, index.count)
 
 
-def weighted_score(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
-                   weights: np.ndarray) -> RowBlock:
-    """sum_t weights[t] * (onehot(tokens[t]) - pi(. | rows[t])), gathered by row.
-
-    With unit weights over one trajectory's steps this is its score, the
-    exact gradient of its log-probability. The block's rows are exactly the
-    unique given rows, in sorted order.
-    """
-    index = KeyIndex(rows, tokens, len(params.interner.contexts), 1, params.vocab_size)
-    return keyed_score(params, index, weights).blocks()[0]
-
-
 def score_sq_norms(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """||score(traj_i)||^2 of every trajectory of a concatenated collection.

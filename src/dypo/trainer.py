@@ -149,7 +149,7 @@ def load_train_config(path: str | Path) -> TrainConfig:
     path = Path(path)
     try:
         data = json.loads(read_text(path, ConfigError, "config"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return train_config_from_dict(data)
 
@@ -284,17 +284,17 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read and validate a checkpoint.
 
-    A missing, truncated or malformed file raises DataError, and so do a
-    malformed policy (a context is a query id >= 0 and tokens in [0, V),
-    all JSON integers, and appears once), a step that is not a non-negative
-    integer, metrics that are not exactly the well-typed rows of steps
-    0 .. step-1 and an rng_state other than the one a run of this config
-    writes at this step; a config that is invalid or disagrees with the
-    stored policies raises ConfigError.
+    A missing, truncated, too deeply nested or malformed file raises
+    DataError, and so do a malformed policy (a context is a query id >= 0
+    and tokens in [0, V), all JSON integers, and appears once), a step that
+    is not a non-negative integer, metrics that are not exactly the
+    well-typed rows of steps 0 .. step-1 and an rng_state other than the one
+    a run of this config writes at this step; a config that is invalid or
+    disagrees with the stored policies raises ConfigError.
     """
     try:
         doc = json.loads(read_text(path, DataError, "checkpoint"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"checkpoint {path} is not valid JSON (truncated?): {exc}") from exc
     try:
         config = train_config_from_dict(doc["config"])

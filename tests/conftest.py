@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dypo.policy import KeyedBlocks, PolicyParams, RowBlock, stack_keyed, weighted_score
+from dypo.policy import KeyedBlocks, KeyIndex, PolicyParams, RowBlock, keyed_score, stack_keyed
 from dypo.trainer import TrainConfig, run_comparison, train
 
 ACCEPTANCE_SEED = 1
@@ -49,9 +49,11 @@ def traj_log_prob(params: PolicyParams, query_id: int, tokens) -> float:
 
 
 def traj_score(params: PolicyParams, query_id: int, tokens) -> RowBlock:
-    """Gradient of traj_log_prob as the losses form it: weighted_score with unit weights."""
+    """Gradient of traj_log_prob as the losses form it: keyed_score with unit
+    weights, over an index whose keys are the trajectory's rows."""
     rows, toks = params.trajectory_rows(query_id, tokens)
-    return weighted_score(params, rows, toks, np.ones(len(rows)))
+    index = KeyIndex(rows, toks, len(params.interner.contexts), 1, params.vocab_size)
+    return keyed_score(params, index, np.ones(len(rows))).blocks()[0]
 
 
 def stacked(blocks) -> KeyedBlocks:

@@ -26,17 +26,16 @@ from dypo.instrumentation import collect_mid_groups, variance_from_samples
 from dypo.objectives import (
     GroupBatch,
     MixConfig,
+    draw_demo,
     gal_pass,
     grpo_estimator,
     grpo_pass,
-    mixed_gradient,
     mixed_pass,
     pair_arrays,
-    sft_loss_grad,
 )
-from dypo.policy import Context, PolicyParams, Trajectory, score_sq_norms
+from dypo.policy import Context, PolicyParams, Trajectory, score_sq_norms, sum_blocks
 
-from conftest import stacked
+from conftest import stacked, traj_log_prob, traj_score
 
 
 def probs(params: PolicyParams, ctx: Context) -> np.ndarray:
@@ -201,8 +200,10 @@ def gate_terms(params, ref, batch: GroupBatch, teachers, cfg: MixConfig, rng, va
     the gate's step over ``batch``, by group index, and the RL pass (or
     None). The capped Mid groups' pairs are drawn from ``rng`` first, then
     the distilled groups' teachers, each in group order; a distilled term is
-    gamma times ``sft_loss_grad`` and the RL terms are each group's loss and
-    block of one pass over the RL groups, each ``select``-ed on its own."""
+    gamma times its demonstration's NLL (``draw_demo``'s draw, scored on its
+    own by ``traj_log_prob`` and ``traj_score``) and the RL terms are each
+    group's loss and block of one pass over the RL groups, each
+    ``select``-ed on its own."""
     rl = [i for i, g in enumerate(batch.grades) if variant == "grpo_only"
           or variant == "dypo" and g is DifficultyGrade.MID]
     distilled = [i for i, g in enumerate(batch.grades) if variant == "sft_only"
@@ -211,8 +212,11 @@ def gate_terms(params, ref, batch: GroupBatch, teachers, cfg: MixConfig, rng, va
     pairs = pair_arrays(rl_batch, cfg.pair_cap, rng) if rl and variant == "dypo" else None
     terms = {}
     for i in distilled:
-        sft = sft_loss_grad(params, batch.queries[i], teachers, rng)
-        terms[i] = (cfg.gamma * sft.loss, sft.gradient.rows, cfg.gamma * sft.gradient.values)
+        query = batch.queries[i]
+        _, demo = draw_demo(query, teachers, rng)
+        score = traj_score(params, query.query_id, demo.tokens)
+        terms[i] = (cfg.gamma * -traj_log_prob(params, query.query_id, demo.tokens), score.rows,
+                    cfg.gamma * -score.values)
     passed = None
     if rl:
         passed = (mixed_pass(params, ref, rl_batch, pairs, cfg) if variant == "dypo"
@@ -255,7 +259,7 @@ def per_group_variance_bench(params, ref, draw_query, cfg: MixConfig, n_groups: 
         score_sq_sum += float(score_sq_norms(params, group.rows, group.tokens,
                                              group.lengths).sum())
         score_sq_n += int(group.k[0])
-    g_mix = [mixed_gradient(a, b, cfg.alpha) for a, b in zip(g_grpo, g_gal)]
+    g_mix = [sum_blocks([(cfg.alpha, a), (1.0 - cfg.alpha, b)]) for a, b in zip(g_grpo, g_gal)]
     est = {name: variance_from_samples(stacked(samples))
            for name, samples in (("grpo", g_grpo), ("gal", g_gal), ("mix", g_mix))}
     gap = est["grpo"].scalar_variance - est["mix"].scalar_variance

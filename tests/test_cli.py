@@ -232,6 +232,30 @@ def test_evaluate_bad_checkpoint_exits_2_with_one_line(tmp_path, tiny_config, ca
     assert not (tmp_path / "o").exists()
 
 
+# valid JSON nested past the parser's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", [["train"], ["evaluate", "--groups", "2"]])
+def test_a_too_deeply_nested_config_exits_1_with_one_line(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    assert main([*command, "--config", str(deep), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: config ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_too_deeply_nested_checkpoint_exits_2_with_one_line(tmp_path, tiny_config, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    assert main(["evaluate", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(deep), "--groups", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: checkpoint ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_checkpoint_of_another_vocabulary_exits_1(tmp_path, capsys):
     other = TrainConfig(seed=2, steps=1, task=TaskConfig(modulus=7))
     run = tmp_path / "run"

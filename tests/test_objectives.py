@@ -30,14 +30,14 @@ from dypo.objectives import (
     gal_pass,
     grpo_estimator,
     grpo_pass,
-    mixed_gradient,
+    mixed_keyed,
     pair_arrays,
     rollout_groups,
     route_groups,
-    sft_loss_grad,
+    sft_pass,
     standardize_advantages,
 )
-from dypo.policy import PolicyParams, Trajectory
+from dypo.policy import KeyedBlocks, PolicyParams, RowBlock, Trajectory, sum_blocks
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
 
@@ -92,11 +92,11 @@ def test_standardize_preconditions():
 def test_sft_single_teacher_matches_plain_nll():
     inst = _mid_instance(index=5)
     teacher = make_teacher_ensemble(TASK, 1, seed=0)
-    report = sft_loss_grad(inst.params, inst.query, teacher, substream(3, "sft"))
+    report = sft_pass(inst.params, [inst.query], teacher, substream(3, "sft"))
     demo = teacher_sample(teacher[0], inst.query, substream(3, "sft"))
     # identical substream: the same single-teacher demo is drawn
-    assert report.loss == -traj_log_prob(inst.params, inst.query.query_id, demo.tokens)
-    assert report.aux["teacher_index"] == 0.0
+    assert report.loss[0] == -traj_log_prob(inst.params, inst.query.query_id, demo.tokens)
+    assert report.aux["teacher_index"][0] == 0.0
 
 
 def test_sft_teacher_draw_is_uniform():
@@ -106,20 +106,20 @@ def test_sft_teacher_draw_is_uniform():
     counts = np.zeros(4)
     n = 100_000
     for _ in range(n):
-        counts[int(rng.integers(4))] += 1  # the same draw sft_loss_grad makes
+        counts[int(rng.integers(4))] += 1  # the same draw sft_pass makes
     np.testing.assert_allclose(counts / n, 0.25, atol=0.01)
     # and the operation itself reports the drawn index
     rng = substream(3, "hist2")
     sampled = np.zeros(4)
     for _ in range(4000):
-        sampled[int(sft_loss_grad(inst.params, inst.query, teachers, rng).aux["teacher_index"])] += 1
+        sampled[int(sft_pass(inst.params, [inst.query], teachers, rng).aux["teacher_index"][0])] += 1
     np.testing.assert_allclose(sampled / 4000, 0.25, atol=0.03)
 
 
 def test_sft_requires_teachers():
     inst = _mid_instance()
     with pytest.raises(ConfigError):
-        sft_loss_grad(inst.params, inst.query, [], substream(3, "e"))
+        sft_pass(inst.params, [inst.query], [], substream(3, "e"))
 
 
 def test_sft_gradient_finite_differences():
@@ -181,7 +181,7 @@ def test_the_training_form_is_certified():
 
 
 @pytest.mark.parametrize("loss, calls", [
-    ("sft_loss_grad", {"sft_loss_grad": 1}),
+    ("sft_loss_grad", {"sft_pass": 1}),
     ("grpo_loss_grad", {"grpo_pass": 1, "grpo_loss": 2}),
     ("gal_loss_grad", {"gal_pass": 1, "gal_loss": 2}),
     ("dypo_step_loss", {"grpo_pass": 1, "gal_pass": 1, "grpo_loss": 2, "gal_loss": 2}),
@@ -191,7 +191,7 @@ def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, ca
     # one loss evaluation over all 180 probes; SFT's probes are one gather of
     # the demonstration's log-probs
     counted = Counter()
-    for name in ("grpo_pass", "gal_pass", "grpo_loss", "gal_loss", "sft_loss_grad"):
+    for name in ("grpo_pass", "gal_pass", "grpo_loss", "gal_loss", "sft_pass"):
         def counting(*args, _name=name, _real=getattr(objectives, name), **kwargs):
             counted[_name] += 1
             return _real(*args, **kwargs)
@@ -205,8 +205,7 @@ def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, ca
 
 
 # every function that builds a gradient, or only feeds one
-GRADIENT_CODE = ("keyed_score", "weighted_score", "kl_gradient", "mixed_keyed", "mixed_gradient",
-                 "sum_blocks", "_expit")
+GRADIENT_CODE = ("keyed_score", "kl_gradient", "mixed_keyed", "sum_blocks", "_expit")
 
 
 @pytest.mark.parametrize("kind", ["easy", "hard", "mid"])
@@ -587,41 +586,77 @@ def test_gal_gradient_finite_differences():
 
 def test_mixed_gradient_linearity_and_bounds():
     inst = _mid_instance(index=14)
-    g, = grpo_estimator(inst.params, inst.group).blocks()
-    empty = g._replace(rows=g.rows[:0], values=g.values[:0])
-    half = mixed_gradient(g, empty, 0.5)
-    np.testing.assert_array_equal(half.rows, g.rows)
+    g = grpo_estimator(inst.params, inst.group)
+    empty = g._replace(keys=g.keys[:0], values=g.values[:0])
+    half = mixed_keyed(g, empty, 0.5)
+    np.testing.assert_array_equal(half.keys, g.keys)
     np.testing.assert_array_equal(half.values, 0.5 * g.values)
     with pytest.raises(ConfigError):
-        mixed_gradient(g, empty, 0.0)
+        mixed_keyed(g, empty, 0.0)
     with pytest.raises(ConfigError):
-        mixed_gradient(g, empty, 1.0)
+        mixed_keyed(g, empty, 1.0)
 
 
 def test_mixed_gradient_near_one_limit():
     inst = _mid_instance(index=15)
-    g_grpo, = grpo_estimator(inst.params, inst.group).blocks()
-    _, g_gal, _ = _gal(inst.params, inst.ref, inst.group, inst.pairs)
-    mix = block_dict(inst.params, mixed_gradient(g_grpo, g_gal, 0.999))
-    grpo = block_dict(inst.params, g_grpo)
+    g_grpo = grpo_estimator(inst.params, inst.group)
+    g_gal = gal_pass(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
+    mix = block_dict(inst.params, mixed_keyed(g_grpo, g_gal, 0.999).blocks()[0])
+    (grpo_block,), (gal_block,) = g_grpo.blocks(), g_gal.blocks()
+    grpo = block_dict(inst.params, grpo_block)
     # direct norm bound: ||mix - grpo|| = 0.001 ||gal - grpo||
     delta = [mix.get(ctx, 0.0) - grpo.get(ctx, np.zeros(TASK.vocab_size))
              for ctx in set(mix) | set(grpo)]
-    assert np.linalg.norm(delta) <= 0.001 * np.sqrt(g_grpo.sq_norm()) \
-        + 0.001 * np.sqrt(g_gal.sq_norm()) + 1e-12
+    assert np.linalg.norm(delta) <= 0.001 * np.sqrt(grpo_block.sq_norm()) \
+        + 0.001 * np.sqrt(gal_block.sq_norm()) + 1e-12
 
 
 def test_mixed_gradient_componentwise_oracle():
     inst = _mid_instance(index=16)
-    g_a, = grpo_estimator(inst.params, inst.group).blocks()
-    _, g_b, _ = _gal(inst.params, inst.ref, inst.group, inst.pairs)
-    a, b = block_dict(inst.params, g_a), block_dict(inst.params, g_b)
-    mix = block_dict(inst.params, mixed_gradient(g_a, g_b, 0.3))
+    g_a = grpo_estimator(inst.params, inst.group)
+    g_b = gal_pass(inst.params, inst.ref, inst.group, inst.pairs, CFG).gradient
+    a, b = block_dict(inst.params, g_a.blocks()[0]), block_dict(inst.params, g_b.blocks()[0])
+    mix = block_dict(inst.params, mixed_keyed(g_a, g_b, 0.3).blocks()[0])
     assert set(mix) == set(a) | set(b)
     for ctx in set(a) | set(b):
         expected = 0.3 * a.get(ctx, np.zeros(TASK.vocab_size)) \
             + 0.7 * b.get(ctx, np.zeros(TASK.vocab_size))
         np.testing.assert_array_equal(mix[ctx], expected)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.999])
+def test_mixing_on_grpos_keys_is_sum_blocks_bit_for_bit(alpha):
+    inst = _mid_instance(index=18)
+    cfg = MixConfig(alpha=alpha, pair_cap=3)
+    rng = substream(18, "mid-batch")
+    batch = collect_mid_groups(inst.params, lambda rng, size: [inst.query] * size, 6, rng, k=6,
+                               xi=cfg.xi, stop_token=TASK.stop, t_max=14)
+    gal = gal_pass(inst.params, inst.ref, batch, pair_arrays(batch, cfg.pair_cap, rng),
+                   cfg).gradient
+    # a GAL key dropped is a GRPO key GAL lacks; a -0.0 there and one on a key both have
+    fewer = gal._replace(keys=gal.keys[1:], values=gal.values[1:])
+    for grpo in (grpo_pass(inst.params, inst.ref, batch, cfg).gradient,
+                 grpo_estimator(inst.params, batch)):
+        signed = grpo.values.copy()
+        signed[np.searchsorted(grpo.keys, gal.keys[:2]), 0] = -0.0
+        for g_grpo in (grpo, grpo._replace(values=signed)):
+            for g_gal in (gal, fewer):
+                got = mixed_keyed(g_grpo, g_gal, alpha)
+                want = sum_blocks([(alpha, RowBlock(g_grpo.keys, g_grpo.values)),
+                                   (1.0 - alpha, RowBlock(g_gal.keys, g_gal.values))])
+                assert got.keys.tobytes() == want.rows.tobytes()
+                assert got.values.tobytes() == want.values.tobytes()
+                assert (got.span, got.count) == (g_grpo.span, g_grpo.count)
+
+
+def test_a_gal_key_grpo_lacks_is_a_state_error():
+    # searchsorted would put a missing key on a neighbour's row, or past the end
+    grpo = KeyedBlocks(np.array([2, 5, 9]), np.ones((3, 2)), 10, 1)
+    for keys in ([3], [5, 12], [0, 2], [2, 5, 6]):
+        gal = KeyedBlocks(np.array(keys), np.ones((len(keys), 2)), 10, 1)
+        with pytest.raises(StateError, match="lacks"):
+            mixed_keyed(grpo, gal, 0.5)
+    np.testing.assert_array_equal(grpo.values, np.ones((3, 2)))
 
 
 def test_dypo_step_easy_contributes_nothing():
@@ -647,6 +682,34 @@ def test_dypo_step_hard_scales_with_gamma():
     assert inst.group.grades == [DifficultyGrade.HARD]
 
 
+@pytest.mark.parametrize("variant, kinds", [("dypo", ("hard", "mid", "hard", "easy", "hard")),
+                                             ("sft_only", ("mid", "hard", "easy"))])
+def test_the_distilled_groups_are_one_sft_pass(monkeypatch, variant, kinds):
+    # every group of the step that is distilled goes through one sft_pass
+    # call, on the distilled groups' queries in group order
+    calls = []
+
+    def counting(params, queries, teachers, rng, _real=objectives.sft_pass):
+        calls.append([q.query_id for q in queries])
+        return _real(params, queries, teachers, rng)
+    monkeypatch.setattr(objectives, "sft_pass", counting)
+    inst = {kind: make_instance(47, 5, kind=kind) for kind in set(kinds)}
+    params, ref = inst["hard"].params, inst["hard"].ref
+    groups = [GroupBatch.of(params, inst[kind].query, trajectories(inst[kind].group),
+                            inst[kind].group.rewards, inst[kind].group.advantages)
+              for kind in kinds]
+    for group in groups:
+        group.sample_logp = ref.logp_at(group.rows, group.tokens)
+    batch = GroupBatch.concat(groups)
+    distilled = [q.query_id for q, kind in zip(batch.queries, kinds)
+                 if variant == "sft_only" or kind == "hard"]
+    assert len(distilled) >= 3
+    for step in range(2):
+        route_groups(params, ref, batch, inst["hard"].teachers, CFG, substream(5, "one", step),
+                     variant)
+        assert calls == [distilled] * (step + 1)
+
+
 def test_dypo_step_mid_recomposition():
     inst = _mid_instance(index=17)
     rng_tag = substream(5, "m")
@@ -658,7 +721,7 @@ def test_dypo_step_mid_recomposition():
     manual_loss = CFG.alpha * grpo.loss[0] + (1 - CFG.alpha) * gal_loss
     assert report.loss == pytest.approx(manual_loss, abs=1e-12)
     g_grpo, = grpo.gradient.blocks()
-    manual = mixed_gradient(g_grpo, gal_gradient, CFG.alpha)
+    manual = sum_blocks([(CFG.alpha, g_grpo), (1 - CFG.alpha, gal_gradient)])
     np.testing.assert_array_equal(report.gradient.rows, manual.rows)
     np.testing.assert_allclose(report.gradient.values, manual.values, atol=1e-12)
     assert inst.group.grades == [DifficultyGrade.MID]

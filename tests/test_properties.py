@@ -1,12 +1,13 @@
 """Property tests: the lockstep and scalar samplers and row-block gradients
 against naive per-position and per-token references, a sampled group rebuilt
 by hand against its batch of one, one keyed loss pass against its groups one
-by one, the routing gate against its pathways by hand, GAL's sigmoid against
-scipy's ``expit``, pair construction one group at a time and batched, the
-grading partition, advantage standardization per group and per reward
-matrix, the reward parser and the batch reward against it, one query draw
-against one draw per query, the JSON config round trip, and the certifier's
-batched finite-difference probes against scalar ones."""
+by one, one SFT pass against its queries one by one, the routing gate
+against its pathways by hand, GAL's sigmoid against scipy's ``expit``, pair
+construction one group at a time and batched, the grading partition,
+advantage standardization per group and per reward matrix, the reward parser
+and the batch reward against it, one query draw against one draw per query,
+the JSON config round trip, and the certifier's batched finite-difference
+probes against scalar ones."""
 
 from __future__ import annotations
 
@@ -36,13 +37,12 @@ from dypo.objectives import (
     gal_pass,
     grpo_estimator,
     grpo_pass,
-    mixed_gradient,
     mixed_keyed,
     mixed_pass,
     pair_arrays,
     rollout_groups,
     route_groups,
-    sft_loss_grad,
+    sft_pass,
     standardize_advantages,
 )
 from dypo.policy import (
@@ -51,6 +51,7 @@ from dypo.policy import (
     sample_lockstep,
     sample_trajectory,
     score_sq_norms,
+    sum_blocks,
 )
 from dypo.seeding import substream
 from dypo.tasks import (
@@ -59,6 +60,7 @@ from dypo.tasks import (
     TaskConfig,
     batch_reward,
     generate_query,
+    make_teacher_ensemble,
     max_demo_len,
     reward,
     teacher_sample,
@@ -320,14 +322,44 @@ def test_score_rows_sum_to_zero_over_exactly_the_visited_contexts(seed, history,
 def test_sft_block_matches_naive_reference(seed, index, n_teachers):
     inst = make_instance(seed, index)
     teachers = inst.teachers[:1] * n_teachers
-    report = sft_loss_grad(inst.params, inst.query, teachers, substream(seed, "sft"))
+    report = sft_pass(inst.params, [inst.query], teachers, substream(seed, "sft"))
     rng = substream(seed, "sft")
     demo = teacher_sample(teachers[int(rng.integers(n_teachers))], inst.query, rng)
     expected = {ctx: -vec for ctx, vec in
                 naive_score(inst.params, inst.query.query_id, demo.tokens).items()}
-    assert_block_matches(inst.params, report.gradient, expected)
+    assert_block_matches(inst.params, report.gradient.blocks()[0], expected)
     nll = -naive_log_prob(inst.params, inst.query.query_id, demo.tokens)
-    assert abs(report.loss - nll) <= 1e-12 * max(1.0, abs(nll))
+    assert abs(report.loss[0] - nll) <= 1e-12 * max(1.0, abs(nll))
+
+
+@given(seed=seeds, history=st.integers(0, 2),
+       picks=st.lists(st.integers(0, 3), min_size=1, max_size=8), n_teachers=st.integers(1, 4))
+@FAST
+def test_one_sft_pass_is_its_queries_one_by_one(seed, history, picks, n_teachers):
+    # queries may repeat; each draws its own teacher and demonstration
+    task = TaskConfig()
+    rng = np.random.default_rng(seed)
+    pool = [generate_query(task, 1 + i % 3, rng, query_id=i) for i in range(4)]
+    params = PolicyParams(task.vocab_size, history,
+                          default_logits=rng.normal(0, 1, task.vocab_size))
+    for query in pool:
+        params.set_logits((query.query_id, ()), rng.normal(0, 2, task.vocab_size))
+    teachers = make_teacher_ensemble(task, n_teachers, seed)
+    queries = [pool[i] for i in picks]
+    draws, twin = substream(seed, "sft"), substream(seed, "sft")
+    batched = sft_pass(params, queries, teachers, draws)
+    blocks = batched.gradient.blocks()
+    assert len(blocks) == len(queries)
+    for i, query in enumerate(queries):
+        alone = sft_pass(params, [query], teachers, twin)
+        assert batched.loss[i].tobytes() == alone.loss[0].tobytes()
+        want, = alone.gradient.blocks()
+        assert blocks[i].rows.tobytes() == want.rows.tobytes()
+        assert blocks[i].values.tobytes() == want.values.tobytes()
+        assert set(batched.aux) == set(alone.aux) == {"teacher_index", "demo_len"}
+        for name, value in batched.aux.items():
+            assert value[i] == alone.aux[name][0]
+    assert draws.random() == twin.random()
 
 
 @given(seed=seeds, index=st.integers(0, 60), kind=st.sampled_from(["mid", "hard", "easy"]),
@@ -459,13 +491,14 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
         # the routed step draws the same pairs from the same stream
         step, _ = route_groups(params, ref, group, inst.teachers, cfg, substream(seed, "pairs", i))
         mixed_block = mixed.gradient.blocks()[i]
-        assert step.loss == mixed.loss[i] and step.aux == {}
+        assert step.loss == mixed.loss[i]
         np.testing.assert_array_equal(step.gradient.rows, mixed_block.rows)
         np.testing.assert_array_equal(step.gradient.values, mixed_block.values)
         g_grpo, = grpo_estimator(params, group).blocks()
         g_gal, = alone.gradient.blocks()
         for got, want in ((estimator.blocks()[i], g_grpo),
-                          (bench_mix[i], mixed_gradient(g_grpo, g_gal, cfg.alpha))):
+                          (bench_mix[i],
+                           sum_blocks([(cfg.alpha, g_grpo), (1.0 - cfg.alpha, g_gal)]))):
             np.testing.assert_array_equal(got.rows, want.rows)
             np.testing.assert_array_equal(got.values, want.values)
     one_by_one = [score_sq_norms(params, g.rows, g.tokens, g.lengths) for g in groups]
@@ -506,8 +539,8 @@ def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, in
     assert _policy_state(params) == before
     # the loss itself, its draws made afresh on every probe
     scalar = {
-        "sft_loss_grad": lambda p: sft_loss_grad(p, inst.query, inst.teachers,
-                                                 substream(seed, "draws")).loss,
+        "sft_loss_grad": lambda p: sft_pass(p, [inst.query], inst.teachers,
+                                            substream(seed, "draws")).loss[0],
         "grpo_loss_grad": lambda p: grpo_pass(p, ref, group, cfg).loss[0],
         "gal_loss_grad": lambda p: gal_pass(p, ref, group, inst.pairs, cfg).loss[0],
         "dypo_step_loss": lambda p: route_groups(p, ref, group, inst.teachers, cfg,
@@ -592,7 +625,7 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
         assert variant == "dypo" and groups[i].grades[0] is DifficultyGrade.EASY
     # the step is the mean of the terms; each row adds its groups' terms in group order
     mean_loss, rows, mean = mean_step(terms, params.vocab_size)
-    assert step.loss == mean_loss and step.aux == {}
+    assert step.loss == mean_loss
     assert step.gradient.rows.tolist() == rows
     assert step.gradient.values.shape == mean.shape
     assert step.gradient.values.tobytes() == mean.tobytes()
@@ -602,7 +635,7 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
         one, _ = route_groups(params, ref, groups[i], teachers, cfg, substream(seed, "one"))
         alone, _ = route_groups(params, ref, batch.select([i]), teachers, cfg,
                                 substream(seed, "one"))
-        assert one.aux == {} and one.loss == alone.loss
+        assert one.loss == alone.loss
         assert one.gradient.rows.tobytes() == alone.gradient.rows.tobytes()
         assert one.gradient.values.tobytes() == alone.gradient.values.tobytes()
 

@@ -1,4 +1,5 @@
 """Source hygiene: no module of the package imports a name it never uses,
+every top-level function and class is used in the package or exported,
 importing the package loads no scipy, the trainer routes only through the
 gate, only the certifier uses the scalar sampler and checks hand-made pairs,
 the certifier names each loss once, and the README's configuration block is
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from dypo.trainer import TrainConfig, train_config_from_dict
@@ -68,6 +70,40 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a name or an attribute."""
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions and classes of a package's modules (file name
+    -> source) that its ``__init__.py`` does not export and no module reads
+    outside their own definition, as ``file:name`` in source order."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported
+            and reads[node.name] == _reads(node)[node.name]]
+
+
+def test_the_checker_finds_an_unread_definition():
+    sources = {"__init__.py": "from .a import shown\n",
+               "a.py": ("def shown(): pass\ndef used(): return helper()\n"
+                        "def helper(): return helper()\ndef dead(): return dead()\n"
+                        "class Lone: pass\n"),
+               "b.py": "from .a import used\nused()\n"}
+    assert unreferenced_definitions(sources) == ["a.py:dead", "a.py:Lone"]
+
+
+def test_every_definition_is_used_in_the_package_or_exported():
+    # dead API goes: a function whose last caller is deleted is deleted too
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_definitions(sources) == []
+
+
 def test_importing_the_package_loads_no_scipy():
     # scipy is the tests' oracle only: importing it would double the start-up
     # time and add ~19 MiB to every run
@@ -86,7 +122,7 @@ def test_the_trainer_routes_only_through_the_gate():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert "route_groups" in imported
-    assert imported.isdisjoint({"sft_loss_grad", "grpo_pass", "mixed_pass", "pair_arrays",
+    assert imported.isdisjoint({"sft_pass", "grpo_pass", "mixed_pass", "pair_arrays",
                                 "sum_blocks"})
 
 
