@@ -12,6 +12,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InputError
 
 
@@ -21,18 +23,26 @@ class DifficultyGrade(Enum):
     MID = "mid"
 
 
+# a group's grade by (all rewarded) + 2 * (none rewarded)
+_BY_CODE = (DifficultyGrade.MID, DifficultyGrade.EASY, DifficultyGrade.HARD)
+
+
+def grades(rewards: np.ndarray | Sequence[Sequence[int]]) -> list[DifficultyGrade]:
+    """Each group's difficulty grade, from a ``(groups, k)`` matrix of binary
+    rewards whose rows are the groups."""
+    r = np.asarray(rewards)
+    if r.ndim != 2:
+        raise InputError(f"grading needs a (groups, k) reward matrix, got shape {r.shape}")
+    k = r.shape[1]
+    if k < 2:
+        raise InputError(f"grading needs a group of >= 2 rewards, got {k}")
+    bad = (r != 0) & (r != 1)
+    if bad.any():
+        raise InputError(f"rewards must be 0 or 1, got {r[bad].tolist()[0]!r}")
+    total = r.sum(axis=1)
+    return [_BY_CODE[c] for c in ((total == k) + 2 * (total == 0)).tolist()]
+
+
 def grade(rewards: Sequence[int]) -> DifficultyGrade:
     """Map a group's binary rewards to exactly one difficulty grade."""
-    if len(rewards) < 2:
-        raise InputError(f"grading needs a group of >= 2 rewards, got {len(rewards)}")
-    total = 0
-    for r in rewards:
-        if r not in (0, 1):
-            raise InputError(f"rewards must be 0 or 1, got {r!r}")
-        total += r
-    if total == len(rewards):
-        return DifficultyGrade.EASY
-    if total == 0:
-        return DifficultyGrade.HARD
-    return DifficultyGrade.MID
-
+    return grades([rewards])[0]

@@ -29,7 +29,7 @@ from .objectives import (
     pair_arrays,
     rollout_groups,
 )
-from .policy import KeyedBlocks, PolicyParams, RowBlock, score_sq_norms, stack_keyed
+from .policy import KeyedBlocks, PolicyParams, RowBlock, score_sq_norms, stack_keyed, sum_rows
 from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 
 # the fewest samples a variance estimate takes, so the fewest groups of a variance bench
@@ -77,7 +77,7 @@ def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
     """Mean gradient, unbiased scalar variance, and jackknife standard error.
 
     Each owner of ``samples`` is one sample; the keyed arrays are reduced
-    with a few vectorized calls.
+    with a few vectorized calls, the mean's row sums by ``sum_rows``.
     """
     n = samples.count
     if n < MIN_VARIANCE_SAMPLES:
@@ -88,10 +88,9 @@ def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
     if not finite.all():
         bad = int(owner[np.argmin(finite)])
         raise DataError(f"sample {bad} contains non-finite gradient entries")
-    uniq, col = np.unique(rows, return_inverse=True)
-    total = np.zeros((len(uniq), values.shape[1]))
-    np.add.at(total, col, values)
-    mean = total / n
+    total = sum_rows(rows, values)
+    mean = total.values / n
+    col = np.searchsorted(total.rows, rows)
     sq_norms = np.bincount(owner, weights=(values * values).sum(axis=1), minlength=n)
     dots = np.bincount(owner, weights=(values * mean[col]).sum(axis=1), minlength=n)
     # ||g_i - gbar||^2 expanded around the stored sparse samples
@@ -100,7 +99,7 @@ def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
     variance = ss / (n - 1)
     loo = (ss - deviations * n / (n - 1)) / (n - 2)
     se = float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    return VarianceEstimate(mean_gradient=RowBlock(uniq, mean), scalar_variance=variance,
+    return VarianceEstimate(mean_gradient=RowBlock(total.rows, mean), scalar_variance=variance,
                             sample_count=n, standard_error=se)
 
 
@@ -111,7 +110,8 @@ def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: in
 
     Queries are drawn, and their groups sampled together, in chunks of at
     most ``CHUNK_GROUPS``, twice the groups still missing, and the attempts
-    left; a chunk's Mid groups up to the ``n_groups``-th are ``select``-ed.
+    left; a chunk's Mid groups up to the ``n_groups``-th are kept, by a
+    ``select`` only when the chunk has more.
     Every sampled group is an attempt, so a failed collection has made
     exactly ``max_attempts`` of them.
     """
@@ -129,7 +129,7 @@ def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: in
         queries = draw_query(rng, size)
         mid = rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
                              t_max=t_max, only=DifficultyGrade.MID)
-        parts.append(mid.select(slice(n_groups - found)))
+        parts.append(mid if len(mid) <= n_groups - found else mid.select(slice(n_groups - found)))
         found += len(parts[-1])
     return GroupBatch.concat(parts)
 

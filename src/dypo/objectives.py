@@ -304,14 +304,15 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
     query order. The batch keeps the sampler's arrays, with every step's
     log-prob under ``params``, the sampling policy, as its ``sample_logp``.
 
-    With ``only``, the batch is ``select``-ed down to the groups of that
-    grade; rewards and advantages are computed group by group either way.
+    The groups are graded by one ``grading.grades`` pass over their reward
+    rows. With ``only``, the batch is ``select``-ed down to the groups of
+    that grade; rewards and advantages are computed group by group either way.
     """
     sampled = sample_lockstep(params, [q.query_id for q in queries], k, rng,
                               stop_token=stop_token, t_max=t_max)
     rewards = batch_reward(queries, sampled.steps[1], sampled.lengths, sampled.terminal)
     reward_rows = rewards.reshape(-1, k)
-    grades = [grading.grade(r) for r in reward_rows.tolist()]
+    grades = grading.grades(reward_rows)
     batch = GroupBatch(params.interner, queries, grades, np.full(len(queries), k), rewards,
                        standardize_advantages(reward_rows, xi).ravel(), sampled.lengths,
                        sampled.terminal, sampled.steps, params.logp_at(*sampled.steps))

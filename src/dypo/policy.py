@@ -63,7 +63,7 @@ class RowBlock(NamedTuple):
         return RowBlock(self.rows, scale * self.values)
 
     def sq_norm(self) -> float:
-        return math.fsum((self.values * self.values).ravel())
+        return math.fsum((self.values * self.values).ravel().tolist())
 
 
 def _unique(rows: np.ndarray) -> np.ndarray:
@@ -96,11 +96,14 @@ def sum_blocks(terms: Sequence[tuple[float, RowBlock]]) -> RowBlock:
 
 def sum_rows(rows: np.ndarray, values: np.ndarray) -> RowBlock:
     """Each unique row of ``rows`` with the sum of its ``values`` rows,
-    added into zeros in the order given."""
+    added into zeros in the order given: bit for bit ``np.add.at`` into
+    zeros, by one flat ``np.bincount`` over (unique row, column) slots."""
     uniq, inv = _unique_inverse(rows)
-    out = np.zeros((len(uniq), values.shape[1]))
-    np.add.at(out, inv, values)
-    return RowBlock(uniq, out)
+    v = values.shape[1]
+    sums = np.bincount((inv[:, None] * v + np.arange(v)).ravel(), weights=values.ravel(),
+                       minlength=len(uniq) * v)
+    # an empty bincount is integer whatever its weights
+    return RowBlock(uniq, sums.reshape(-1, v).astype(np.float64, copy=False))
 
 
 class KeyedBlocks(NamedTuple):
@@ -506,10 +509,12 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
     At each position the trajectories still running take, in order, one
     ``rng.random(live)`` draw. A token is the first whose cdf entry exceeds
     its draw, clamped to the vocabulary for a draw above a rounded cdf's
-    last entry, as in ``sample_trajectory``: the count of the row's first
-    V - 1 cdf entries at or below the draw, as a cdf never decreases. A
-    trajectory stops on ``stop_token`` or after t_max tokens, so each has at
-    least one step. Contexts met for the first time are interned position by
+    last entry, as in ``sample_trajectory``: the ``argmin`` of the row's
+    "entry at or below the draw" flags, or V - 1 when even the last entry is
+    at or below it, as a cdf never decreases. A trajectory stops on
+    ``stop_token`` or after t_max tokens, so each has at least one step.
+    Each distinct query's root is interned once, in first-seen order; the
+    contexts met for the first time after it are interned position by
     position, in trajectory order. The steps are returned trajectory by
     trajectory (``Rollouts``), the layout of a ``GroupBatch``.
     """
@@ -520,29 +525,39 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
     if t_max < 1:
         raise ConfigError(f"t_max must be >= 1, got {t_max}")
     interner = params.interner
+    v = params.vocab_size
     n = len(query_ids) * k
+    roots = dict.fromkeys(query_ids)  # first-seen order
+    for q in roots:
+        roots[q] = interner.root(q)
+    row = np.repeat(np.fromiter(map(roots.__getitem__, query_ids), np.intp, len(query_ids)), k)
     live = np.arange(n)
-    row = np.repeat([interner.root(q) for q in query_ids], k)
     params._fit()
     drawn = []  # per position: the running trajectories, their rows and their tokens
     for t in range(t_max):
-        tok = (params._cdf[row, :-1] <= rng.random((len(live), 1))).sum(axis=1)
+        below = params._cdf.take(row, axis=0) <= rng.random((len(live), 1))
+        tok = np.where(below[:, -1], v - 1, below.argmin(axis=1))
         drawn.append((live, row, tok))
         going = tok != stop_token
         if not going.all():
             live, row, tok = live[going], row[going], tok[going]
         if t + 1 == t_max or len(live) == 0:
             break
-        prev, row = row, interner._next[row, tok]
-        if (row < 0).any():  # first visits: intern the new contexts, then cover them
+        # the map is read anew at every position: step() may have grown it
+        prev, row = row, interner._next.ravel().take(row * v + tok)
+        if row.min() < 0:  # first visits: intern the new contexts, then cover them
             for i in np.flatnonzero(row < 0).tolist():
                 row[i] = interner.step(int(prev[i]), int(tok[i]))
             params._fit()
     traj, rows, tokens = (np.concatenate(part) for part in zip(*drawn))
-    # the draws are position-major; a stable sort on trajectory keeps each one's steps in order
-    steps = np.stack((rows, tokens), dtype=np.int32).take(np.argsort(traj, kind="stable"), axis=1)
     lengths = np.bincount(traj, minlength=n)
-    return Rollouts(steps, lengths, steps[1, np.cumsum(lengths) - 1] == stop_token)
+    ends = np.cumsum(lengths)
+    # the draws are position-major: each goes to its trajectory's start plus its position
+    position = np.repeat(np.arange(len(drawn)), [len(live) for live, _, _ in drawn])
+    at = (ends - lengths)[traj] + position
+    steps = np.empty((2, len(traj)), dtype=np.int32)
+    steps[0, at], steps[1, at] = rows, tokens
+    return Rollouts(steps, lengths, steps[1, ends - 1] == stop_token)
 
 
 def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
@@ -551,7 +566,7 @@ def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
     if rows.size == 0:
         raise InputError("mean_step_entropy needs at least one visited context")
     ent = -(params._probs[rows] * params._logp[rows]).sum(axis=1)
-    return math.fsum(ent) / len(rows)
+    return math.fsum(ent.tolist()) / len(rows)
 
 
 class OwnerKL(NamedTuple):

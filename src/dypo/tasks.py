@@ -140,18 +140,25 @@ def batch_reward(queries: Sequence[Query], tokens: np.ndarray, lengths: np.ndarr
     n = len(lengths)
     if len(queries) == 0 or n % len(queries):
         raise InputError(f"{n} trajectories do not split evenly over {len(queries)} queries")
-    per = n // len(queries)
+    # each distinct query object's rows, in first-seen order, gathered per trajectory
+    slots: dict[int, int] = {}
+    owner = np.repeat([slots.setdefault(id(q), len(slots)) for q in queries], n // len(queries))
+    distinct = list({id(q): q for q in queries}.values())
     # a rewarded trajectory's last tokens, read backwards: stop, answer, separator
-    tails = [(q.stop, *q.answer_tokens[::-1], q.separator) for q in queries]
+    tails = [(q.stop, *q.answer_tokens[::-1], q.separator) for q in distinct]
     size = max(map(len, tails))
-    want = np.repeat([tail + (-1,) * (size - len(tail)) for tail in tails], per, axis=0)
+    want = np.array([tail + (-1,) * (size - len(tail)) for tail in tails])
     # an answer holding the separator needs more tokens than there are
-    need = np.repeat([len(tokens) + 1 if q.separator in q.answer_tokens else len(tail)
-                      for q, tail in zip(queries, tails)], per)
-    # read only what can be rewarded: each its last ``need`` tokens, the rest masked
-    read = terminal & (lengths >= need)
-    back = np.maximum(np.cumsum(lengths)[read, None] - 1 - np.arange(size), 0)
-    read[read] = ((tokens[back] == want[read]) | (np.arange(size) >= need[read, None])).all(axis=1)
+    need = np.array([len(tokens) + 1 if q.separator in q.answer_tokens else len(tail)
+                     for q, tail in zip(distinct, tails)])
+    # read only what can be rewarded: each its last ``need`` tokens, the -1 padding unread
+    read = terminal & (lengths >= need[owner])
+    last, owner = np.cumsum(lengths)[read] - 1, owner[read]
+    match = np.ones(len(last), dtype=bool)
+    for back, col in enumerate(want.T):
+        wanted = col[owner]
+        match &= (tokens.take(last - back, mode="clip") == wanted) | (wanted < 0)
+    read[read] = match
     return read.astype(np.int64)
 
 

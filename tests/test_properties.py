@@ -3,7 +3,8 @@ against naive per-position and per-token references, a sampled group rebuilt
 by hand against its batch of one, one keyed loss pass against its groups one
 by one, one SFT pass against its queries one by one, the routing gate
 against its pathways by hand, GAL's sigmoid against scipy's ``expit``, pair
-construction one group at a time and batched, the grading partition,
+construction one group at a time and batched, the grading partition and
+batch grades against per-group grades, ``sum_rows`` against ``np.add.at``,
 advantage standardization per group and per reward matrix, the reward parser
 and the batch reward against it, one query draw against one draw per query,
 the JSON config round trip, and the certifier's batched finite-difference
@@ -26,7 +27,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from dypo.errors import InputError, StateError
-from dypo.grading import DifficultyGrade, grade
+from dypo.grading import DifficultyGrade, grade, grades
 from dypo.gradcheck import make_instance, numerical_gradient, probe_losses
 from dypo.objectives import (
     BatchPairs,
@@ -52,6 +53,7 @@ from dypo.policy import (
     sample_trajectory,
     score_sq_norms,
     sum_blocks,
+    sum_rows,
 )
 from dypo.seeding import substream
 from dypo.tasks import (
@@ -156,19 +158,21 @@ class TopDraws:
         return u if size is not None else float(u)
 
 
-@given(seed=seeds, history=st.integers(0, 3), k=st.integers(2, 6), n_queries=st.integers(1, 5),
-       t_max=st.integers(1, 16), stop=st.integers(0, V - 1), every=st.sampled_from([0, 1, 2, 5]),
-       rounded_root=st.booleans())
+@given(seed=seeds, history=st.integers(0, 3), k=st.integers(2, 6),
+       others=st.lists(st.integers(0, 4), max_size=4), t_max=st.integers(1, 16),
+       stop=st.integers(0, V - 1), every=st.sampled_from([0, 1, 2, 5]), rounded_root=st.booleans())
+@example(seed=5, history=1, k=2, others=[3, 0, 3, 1], t_max=6, stop=6, every=0, rounded_root=False)
 @FAST
-def test_sampler_matches_naive_per_token_reference(seed, history, k, n_queries, t_max, stop, every,
+def test_sampler_matches_naive_per_token_reference(seed, history, k, others, t_max, stop, every,
                                                    rounded_root):
     # query 0 has written rows (its root's cdf rounding low, maybe) and rows
-    # a sibling interned; the others read default rows, all interned mid-sampling
+    # a sibling interned; the others read default rows, all interned mid-sampling.
+    # The ids after query 0 may repeat, so roots are interned in first-seen order
     params, twin = _sampling_params(seed, history), _sampling_params(seed, history)
     if rounded_root:
         for policy in (params, twin):
             policy.set_logits((0, ()), ROUNDED_LOW)
-    query_ids = list(range(n_queries))
+    query_ids = [0, *others]
     rng, twin_rng = (TopDraws(substream(seed, "sample"), every) for _ in range(2))
     got = sample_lockstep(params, query_ids, k, rng, stop_token=stop, t_max=t_max)
     want = naive_lockstep_sample(twin, query_ids, k, twin_rng, stop, t_max)
@@ -731,9 +735,12 @@ def reward_cases(draw):
     return query, trajs
 
 
-@given(cases=st.lists(reward_cases(), min_size=1, max_size=4), per=st.integers(1, 3))
+@given(cases=st.lists(reward_cases(), min_size=1, max_size=4), per=st.integers(1, 3),
+       repeat=st.booleans())
 @FAST
-def test_batch_reward_is_the_scalar_reward(cases, per):
+def test_batch_reward_is_the_scalar_reward(cases, per, repeat):
+    if repeat:  # every query object again, in reverse order, with other trajectories
+        cases = cases + [(query, trajs[::-1]) for query, trajs in cases[::-1]]
     queries = [query for query, _ in cases]
     trajs = [trajs[i % len(trajs)] for _, trajs in cases for i in range(per)]
     tokens = np.array([tok for t in trajs for tok in t.tokens], dtype=np.int32)
@@ -754,6 +761,53 @@ def test_grades_partition_all_reward_patterns(rewards):
     assert (g is DifficultyGrade.EASY) == (total == len(rewards))
     assert (g is DifficultyGrade.HARD) == (total == 0)
     assert (g is DifficultyGrade.MID) == (0 < total < len(rewards))
+
+
+@given(rewards=hnp.arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(0, 8)),
+                         elements=st.integers(0, 1)),
+       bad=st.none() | st.tuples(st.integers(0, 47), st.sampled_from([2, -1, 0.5])))
+@FAST
+def test_batch_grades_are_the_per_group_grades(rewards, bad):
+    # a non-binary entry, maybe: both raise the InputError of its group
+    if bad is not None and rewards.size:
+        rewards = rewards.astype(type(bad[1]))
+        rewards.flat[bad[0] % rewards.size] = bad[1]
+    try:
+        want = [grade(row) for row in rewards.tolist()]
+    except InputError as err:
+        with pytest.raises(InputError) as raised:
+            grades(rewards)
+        assert str(raised.value) == str(err)
+        if rewards.shape[1] >= 2:  # the message names the entry as given
+            assert str(err) == f"rewards must be 0 or 1, got {bad[1]!r}"
+    else:
+        assert grades(rewards) == want
+
+
+@st.composite
+def row_terms(draw):
+    """Rows with repeats, and a row of terms for each: both signed zeros, and
+    scales whose sums depend on the order of their terms."""
+    rows = draw(st.lists(st.integers(0, 5), max_size=24))
+    values = draw(hnp.arrays(np.float64, (len(rows), draw(st.integers(1, 4))),
+                             elements=st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 0.1])
+                             | st.floats(-1e6, 1e6)))
+    return np.array(rows, dtype=np.intp), values
+
+
+@given(terms=row_terms())
+@example(terms=(np.zeros(0, dtype=np.intp), np.zeros((0, 3))))
+@FAST
+def test_sum_rows_is_add_at_into_zeros_bit_for_bit(terms):
+    rows, values = terms
+    width = values.shape[1]
+    got = sum_rows(rows, values)
+    uniq, inv = np.unique(rows, return_inverse=True)
+    want = np.zeros((len(uniq), width))
+    np.add.at(want, inv, values)
+    assert np.array_equal(got.rows, uniq)
+    assert got.values.dtype == want.dtype and got.values.shape == want.shape
+    assert got.values.tobytes() == want.tobytes()
 
 
 @given(rewards=st.lists(st.integers(-5, 5), min_size=2, max_size=16),

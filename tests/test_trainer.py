@@ -341,13 +341,14 @@ def test_each_group_is_graded_once(monkeypatch):
     import dypo.grading
 
     calls = []
-    original = dypo.grading.grade
-    monkeypatch.setattr(dypo.grading, "grade",
-                        lambda rewards: calls.append(1) or original(rewards))
+    original = dypo.grading.grades
+    monkeypatch.setattr(dypo.grading, "grades",
+                        lambda rewards: calls.append(len(rewards)) or original(rewards))
     cfg = TrainConfig(seed=24, steps=6, batch_size=4)
     result = train(cfg)
     assert sum(r.easy + r.hard + r.mid for r in result.metrics) == 24
-    assert len(calls) == 24
+    # each step's batch of 4 groups is graded by one call
+    assert calls == [4] * 6
 
 
 # --- checkpoint validation: one test per failure mode ----------------------
