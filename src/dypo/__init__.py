@@ -7,6 +7,7 @@ benches for the bias and variance laws the method relies on.
 """
 
 from .errors import (
+    ArtifactError,
     BenchError,
     ConfigError,
     DataError,

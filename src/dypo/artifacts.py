@@ -1,12 +1,15 @@
 """Artifact files: a reader sees the previous file or the new one, never a
-part, and a file it cannot read or decode is the reader's own error."""
+part, a file that cannot be written is an ``ArtifactError`` naming it, and
+a file a reader cannot read or decode is the reader's own error."""
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterator
+
+from .errors import ArtifactError
 
 
 @contextmanager
@@ -15,7 +18,8 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
 
     The block writes ``<path>.tmp``, which is then renamed over ``path``. If
     the block or the rename fails, the temporary file is removed and
-    ``path`` keeps its previous contents.
+    ``path`` keeps its previous contents; an ``OSError`` is re-raised as an
+    ``ArtifactError`` naming ``path``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -23,8 +27,11 @@ def atomic_write(path: str | Path) -> Iterator[IO[str]]:
         with tmp.open("w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):  # a directory in the temporary file's place stays
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ArtifactError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

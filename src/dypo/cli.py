@@ -17,7 +17,14 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .artifacts import atomic_write
-from .errors import BenchError, ConfigError, DypoError, InputError, TrainingAborted
+from .errors import (
+    ArtifactError,
+    BenchError,
+    ConfigError,
+    DypoError,
+    InputError,
+    TrainingAborted,
+)
 from .gradcheck import grad_check_suite
 from .instrumentation import (
     MIN_VARIANCE_SAMPLES,
@@ -106,7 +113,10 @@ def _prepare_out(args, cfg: TrainConfig) -> Path:
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out}: {exc}") from exc
     echo = {"command": args.command, "config": train_config_to_dict(cfg)}
-    _write_json(out / "config_echo.json", echo)
+    try:
+        _write_json(out / "config_echo.json", echo)
+    except ArtifactError as exc:
+        raise UsageError(str(exc)) from exc
     return out
 
 
@@ -243,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (BenchError, TrainingAborted) as exc:
+    except (ArtifactError, BenchError, TrainingAborted) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return FAILURE_EXIT
     except DypoError as exc:

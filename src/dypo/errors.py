@@ -21,6 +21,10 @@ class DataError(DypoError, RuntimeError):
     """Sampled or loaded data is unusable (e.g. non-finite entries)."""
 
 
+class ArtifactError(DypoError, OSError):
+    """An artifact file could not be written."""
+
+
 class BenchError(DypoError, RuntimeError):
     """A benchmark could not complete within its budget."""
 

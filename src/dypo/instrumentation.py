@@ -82,7 +82,7 @@ def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
     n = samples.count
     if n < MIN_VARIANCE_SAMPLES:
         raise InputError(f"variance estimation needs >= {MIN_VARIANCE_SAMPLES} samples, got {n}")
-    owner, rows = np.divmod(samples.keys, samples.span)
+    owner, rows = samples.owner_rows()
     values = samples.values
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

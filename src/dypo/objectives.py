@@ -88,7 +88,7 @@ class GroupBatch:
     Per group: ``queries``, ``grades`` and size ``k``. Per trajectory, group
     by group: ``rewards``, ``advantages``, ``lengths`` and ``terminal``. Per
     step: ``steps``, every step's row in ``interner`` and token as one
-    ``(2, steps)`` array (``rows`` and ``tokens`` in intp), and
+    ``(2, steps)`` intp array (``rows`` and ``tokens`` are its views), and
     ``sample_logp``. Reading advantages or log-probs a batch lacks (``None``)
     is a ``StateError``.
     """
@@ -103,9 +103,8 @@ class GroupBatch:
         self.k, self.rewards, self.lengths, self.terminal = k, rewards, lengths, terminal
         self._advantages = None if advantages is None else np.asarray(advantages, np.float64)
         self.steps, self._sample_logp = steps, sample_logp
-        self.rows, self.tokens = np.asarray(steps, dtype=np.intp)
+        self.rows, self.tokens = steps
         self._index: KeyIndex | None = None
-        self._shared_rows = False  # whether the groups are copies that read the same rows
 
     def __len__(self) -> int:
         return self.count
@@ -163,17 +162,14 @@ class GroupBatch:
     def tiled(self, rows: np.ndarray) -> GroupBatch:
         """The batch once per row of ``rows``, a ``(count, steps)`` array:
         copy i reads its steps at ``rows[i]`` instead of the batch's own
-        rows, which may be extra rows of a policy (``PolicyParams.with_rows``).
-        Its ``key_index`` reads each distinct row once (``KeyIndex.distinct``)."""
+        rows, which may be extra rows of a policy (``PolicyParams.with_rows``)."""
         n = len(rows)
         adv, logp = self._advantages, self._sample_logp
-        out = GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
-                         np.tile(self.rewards, n), None if adv is None else np.tile(adv, n),
-                         np.tile(self.lengths, n), np.tile(self.terminal, n),
-                         np.stack([rows.ravel(), np.tile(self.tokens, n)]),
-                         None if logp is None else np.tile(logp, n))
-        out._shared_rows = True
-        return out
+        return GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
+                          np.tile(self.rewards, n), None if adv is None else np.tile(adv, n),
+                          np.tile(self.lengths, n), np.tile(self.terminal, n),
+                          np.stack([rows.ravel(), np.tile(self.tokens, n)]),
+                          None if logp is None else np.tile(logp, n))
 
     @property
     def advantages(self) -> np.ndarray:
@@ -213,22 +209,22 @@ class GroupBatch:
         """Each group's count of rewarded trajectories."""
         return np.bincount(self.owner, weights=self.rewards, minlength=self.count).astype(np.intp)
 
-    def check_interner(self, params: PolicyParams) -> None:
-        """An ``InputError`` unless ``params`` reads the interner the batch's rows are numbered in."""
+    def check_pass(self, params: PolicyParams) -> None:
+        """An ``InputError`` unless the batch has a group to pass over and
+        ``params`` reads the interner its rows are numbered in."""
+        if self.count == 0:
+            raise InputError("a loss pass needs at least one group")
         if params.interner is not self.interner:
             raise InputError("the group's rows belong to another policy's interner")
 
     def key_index(self, params: PolicyParams) -> KeyIndex:
         """The steps' (group, row) keys under which a pass over ``params``
         gathers each group's row block, built on first use."""
-        self.check_interner(params)
+        self.check_pass(params)
         params._fit()
         if self._index is None:
-            span = int(self.rows.max()) + 1
-            # one group: the keys are the rows
-            keys = self.rows if self.count == 1 else self.owner[self.traj] * span + self.rows
-            self._index = KeyIndex(keys, self.tokens, span, self.count, self.interner.vocab_size,
-                                   self._shared_rows)
+            self._index = KeyIndex(self.owner[self.traj], self.rows, self.tokens, self.count,
+                                   self.interner.vocab_size)
         return self._index
 
     def log_ratios(self, params: PolicyParams) -> np.ndarray:
@@ -348,10 +344,8 @@ def sft_pass(params: PolicyParams, queries: Sequence[Query], teachers: Sequence[
     rows, tokens = map(np.concatenate, zip(*(params.trajectory_rows(q.query_id, demo.tokens)
                                              for q, (_, demo) in zip(queries, drawn))))
     lengths = np.array([len(demo) for _, demo in drawn])
-    span = len(params.interner.contexts)
-    # one query: the keys are the rows
-    keys = rows if len(queries) == 1 else np.repeat(np.arange(len(queries)), lengths) * span + rows
-    index = KeyIndex(keys, tokens, span, len(queries), params.vocab_size)
+    index = KeyIndex(np.repeat(np.arange(len(queries)), lengths), rows, tokens, len(queries),
+                     params.vocab_size)
     return BatchReport(loss=demo_nll(params, rows, tokens, lengths),
                        gradient=keyed_score(params, index, np.full(len(rows), -1.0)),
                        aux={"teacher_index": np.array([i for i, _ in drawn]), "demo_len": lengths})
@@ -529,7 +523,7 @@ def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, pairs: 
     the loss, and the term the gradient reads, every pair's margin -beta*d."""
     counts, traj_pairs = pairs
     check_shared_interner(params, ref)
-    batch.check_interner(params)
+    batch.check_pass(params)
     n = len(batch.lengths)
     log_ratio = (np.bincount(batch.traj, weights=params.logp_at(batch.rows, batch.tokens),
                              minlength=n)
@@ -646,7 +640,7 @@ def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     losses, owners, rows, values = {}, [], [], []  # every term, and the group it belongs to
     for groups, report, coef in terms:
         losses.update(zip(groups.tolist(), (coef * report.loss).tolist()))
-        owner, row = np.divmod(report.gradient.keys, report.gradient.span)
+        owner, row = report.gradient.owner_rows()
         owners.append(groups[owner])
         rows.append(row)
         values.append(coef * report.gradient.values)

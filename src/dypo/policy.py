@@ -109,16 +109,20 @@ def sum_rows(rows: np.ndarray, values: np.ndarray) -> RowBlock:
 class KeyedBlocks(NamedTuple):
     """The row blocks of ``count`` owners (the groups of a batch) in one array.
 
-    ``values[i]`` is the gradient of owner ``keys[i] // span`` at row
-    ``keys[i] % span``. The keys are unique and sorted, so each owner's rows
-    are contiguous and in row order, as in its own ``RowBlock``; an owner
-    may have none.
+    ``values[i]`` is the gradient of one owner at one row, which
+    ``owner_rows`` reads from ``keys[i]``. The keys are unique and sorted,
+    so each owner's rows are contiguous and in row order, as in its own
+    ``RowBlock``; an owner may have none.
     """
 
     keys: np.ndarray
     values: np.ndarray
     span: int
     count: int
+
+    def owner_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each entry's owner and row: a key is ``owner * span + row``."""
+        return np.divmod(self.keys, self.span)
 
     def blocks(self) -> list[RowBlock]:
         """Every owner's ``RowBlock``, in owner order."""
@@ -136,7 +140,7 @@ def stack_keyed(parts: Sequence[KeyedBlocks]) -> KeyedBlocks:
     span = max(p.span for p in parts)
     keys, first = [], 0
     for p in parts:
-        owner, rows = np.divmod(p.keys, p.span)
+        owner, rows = p.owner_rows()
         keys.append((owner + first) * span + rows)
         first += p.count
     return KeyedBlocks(np.concatenate(keys), np.concatenate([p.values for p in parts]), span,
@@ -389,25 +393,33 @@ def check_shared_interner(params: PolicyParams, ref: PolicyParams) -> None:
 class KeyIndex:
     """Where the steps of several owners fall among their unique (owner, row) keys.
 
-    ``keys`` are the unique ``owner * span + row`` keys of the given steps,
-    sorted, split into ``owner`` and ``rows``; step t falls on key ``inv[t]``,
-    and on entry ``slots[t] = inv[t] * V + token`` of the flattened
-    ``(keys, V)`` block. It depends on no parameter, so a batch builds it
-    once for all its evaluations.
-
-    With ``shared_rows``, for owners that read the same rows (the copies of
-    a tiled batch), ``distinct`` holds the keys' unique rows and, per key,
-    where its row falls among them; otherwise it is ``None``.
+    Step t is owner ``owner[t]``'s step at row ``rows[t]`` with token
+    ``tokens[t]``. ``keys`` are the unique keys of the steps, sorted, split
+    into ``owner`` and ``rows``; step t falls on key ``inv[t]``, and on
+    entry ``slots[t] = inv[t] * V + token`` of the flattened ``(keys, V)``
+    block. A key is ``owner * span + row``, a layout this module alone
+    knows: this class encodes it and ``KeyedBlocks.owner_rows`` decodes it.
+    It depends on no parameter, so a batch builds it once for all its
+    evaluations.
     """
 
-    def __init__(self, keys: np.ndarray, tokens: np.ndarray, span: int, count: int,
-                 vocab_size: int, shared_rows: bool = False):
-        self.keys, self.inv = _unique_inverse(keys)
-        self.owner, self.rows = np.divmod(self.keys, span)
+    def __init__(self, owner: np.ndarray, rows: np.ndarray, tokens: np.ndarray, count: int,
+                 vocab_size: int):
+        self.span = int(rows.max()) + 1
+        # one owner: the keys are the rows
+        self.keys, self.inv = _unique_inverse(rows if count == 1 else owner * self.span + rows)
+        self.owner, self.rows = np.divmod(self.keys, self.span)
         self.slots = self.inv * vocab_size + tokens
-        self.span = span
         self.count = count
-        self.distinct = _unique_inverse(self.rows) if shared_rows else None
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray | slice]:
+        """The keys' unique rows, and where each key's row falls among them:
+        owners that read the same rows (the copies of a tiled batch) read
+        each once."""
+        if self.count == 1:  # one owner: its keys are its unique rows, in order
+            return self.rows, slice(None)
+        return _unique_inverse(self.rows)
 
     @cached_property
     def owner_means(self) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -448,9 +460,8 @@ def score_sq_norms(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
     trajectory's unit-weight score; only the order of the final sums differs
     from scoring them one by one.
     """
-    span = len(params.interner.contexts)
     owner = np.repeat(np.arange(len(lengths)), lengths)
-    index = KeyIndex(owner * span + rows, tokens, span, len(lengths), params.vocab_size)
+    index = KeyIndex(owner, rows, tokens, len(lengths), params.vocab_size)
     score = keyed_score(params, index, np.ones(len(rows)))
     return np.bincount(index.owner, weights=(score.values * score.values).sum(axis=1),
                        minlength=len(lengths))
@@ -491,7 +502,7 @@ def sample_trajectory(params: PolicyParams, query: "Query", rng: np.random.Gener
 
 class Rollouts(NamedTuple):
     """Trajectories sampled together, in the layout every group reads:
-    ``steps`` is the ``(2, total_steps)`` int32 array of every step's
+    ``steps`` is the ``(2, total_steps)`` intp array of every step's
     context row and token, trajectory by trajectory, so trajectory i's
     ``lengths[i]`` steps follow those of trajectories 0..i-1;
     ``terminal[i]`` is whether it ended on the stop token."""
@@ -555,7 +566,7 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
     # the draws are position-major: each goes to its trajectory's start plus its position
     position = np.repeat(np.arange(len(drawn)), [len(live) for live, _, _ in drawn])
     at = (ends - lengths)[traj] + position
-    steps = np.empty((2, len(traj)), dtype=np.int32)
+    steps = np.empty((2, len(traj)), dtype=np.intp)
     steps[0, at], steps[1, at] = rows, tokens
     return Rollouts(steps, lengths, steps[1, ends - 1] == stop_token)
 
@@ -572,9 +583,8 @@ def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
 class OwnerKL(NamedTuple):
     """Each owner's mean exact KL(pi_theta || pi_ref) over its keys of a
     ``KeyIndex`` (``value``), and the terms it was summed from, which its
-    gradient reads: per row read, its row of pi_theta (``probs``), of
-    log pi_theta - log pi_ref (``diff``), and its KL (``kl``). The rows read
-    are the index's key rows, or its ``distinct`` rows when it has them."""
+    gradient reads: per ``distinct`` row of the index, its row of pi_theta
+    (``probs``), of log pi_theta - log pi_ref (``diff``), and its KL (``kl``)."""
 
     value: np.ndarray
     probs: np.ndarray
@@ -585,30 +595,26 @@ class OwnerKL(NamedTuple):
 def owner_kl(params: PolicyParams, ref: PolicyParams, index: KeyIndex) -> OwnerKL:
     """Each owner's mean exact KL(pi_theta || pi_ref) over its rows of ``index``.
 
-    Every one of the index's owners needs at least one row. Each owner's KL
-    is an exactly rounded ``math.fsum`` over its keys' terms. An index with
-    ``distinct`` rows has each row's term computed once and gathered per
-    key, bit for bit the term computed per key; only ``kl_gradient`` gathers
-    the rows of pi_theta and the log-ratios per key.
+    Every one of the index's owners needs at least one row. Each distinct
+    row's term is computed once and gathered per key, bit for bit the term
+    computed per key, and each owner's KL is an exactly rounded ``math.fsum``
+    over its keys' terms.
     """
     check_shared_interner(params, ref)
     ends, inv, _ = index.owner_means
     ref._fit()
-    rows = index.rows if index.distinct is None else index.distinct[0]
+    rows, at = index.distinct
     probs = params._probs[rows]
     diff = params._logp[rows] - ref._logp[rows]
     kl = (probs * diff).sum(axis=1)
     # fsum over slices of a list, not of the array: ~3x faster for 180 owners of 7
     # rows (timeit, numpy 2.4, Xeon), and exactly rounded either way
-    terms = (kl if index.distinct is None else kl[index.distinct[1]]).tolist()
+    terms = kl[at].tolist()
     sums = [math.fsum(terms[lo:hi]) for lo, hi in zip([0] + ends, ends)]
     return OwnerKL(np.array(sums) * inv, probs, diff, kl)
 
 
 def kl_gradient(index: KeyIndex, kl: OwnerKL) -> np.ndarray:
     """The gradient of each owner's mean KL, ``owner_kl`` over ``index``, at each of its keys."""
-    probs, diff, terms = kl.probs, kl.diff, kl.kl
-    if index.distinct is not None:
-        at = index.distinct[1]
-        probs, diff, terms = probs[at], diff[at], terms[at]
-    return index.owner_means[2] * probs * (diff - terms[:, None])
+    at = index.distinct[1]
+    return index.owner_means[2] * kl.probs[at] * (kl.diff[at] - kl.kl[at][:, None])

@@ -52,7 +52,7 @@ def traj_score(params: PolicyParams, query_id: int, tokens) -> RowBlock:
     """Gradient of traj_log_prob as the losses form it: keyed_score with unit
     weights, over an index whose keys are the trajectory's rows."""
     rows, toks = params.trajectory_rows(query_id, tokens)
-    index = KeyIndex(rows, toks, len(params.interner.contexts), 1, params.vocab_size)
+    index = KeyIndex(np.zeros_like(rows), rows, toks, 1, params.vocab_size)
     return keyed_score(params, index, np.ones(len(rows))).blocks()[0]
 
 

@@ -16,6 +16,7 @@ gate returned the step.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,6 +177,29 @@ def naive_grpo(params, ref, sampler, group: GroupBatch, cfg: MixConfig) -> dict:
         diff = log_probs(params, ctx) - log_probs(ref, ctx)
         _add(grad, {ctx: p * (diff - p @ diff) / len(visited)}, cfg.beta_kl)
     return grad
+
+
+def naive_owner_kl(params, ref, owner, rows, count: int) -> tuple[np.ndarray, list]:
+    """Each owner's mean exact KL over its distinct rows, given as the owner
+    and row of every step, and the gradient of that mean at each (owner,
+    row) key, in key order, computed key by key: a key's KL is
+    ``probs * (logp - ref_logp)`` summed over the vocabulary, and an owner's
+    mean is the ``math.fsum`` of its keys' KLs over their count."""
+    keys: dict[int, list[int]] = {}
+    for o, r in sorted(set(zip(owner.tolist(), rows.tolist()))):
+        keys.setdefault(o, []).append(r)
+    values, grads = [], []
+    for o in range(count):
+        inv = 1.0 / len(keys[o])
+        terms = []
+        for r in keys[o]:
+            p = params._probs[r]
+            diff = params._logp[r] - ref._logp[r]
+            kl = (p * diff).sum()
+            terms.append(kl)
+            grads.append((o, r, inv * p * (diff - kl)))
+        values.append(math.fsum(terms) * inv)
+    return np.array(values), grads
 
 
 def naive_gal(params, ref, group: GroupBatch, pairs, beta: float) -> dict:

@@ -142,6 +142,50 @@ def test_an_unusable_out_exits_1_with_one_line(tmp_path, tiny_config, capsys, un
     assert sorted(tmp_path.rglob("*")) == before and taken.read_text() == "kept\n"
 
 
+def test_an_unwritable_config_echo_exits_1_with_one_line(tmp_path, tiny_config, capsys):
+    # the echo is written with the output directory, before any work
+    out = tmp_path / "run"
+    echo = out / "config_echo.json"
+    echo.mkdir(parents=True)
+    assert main(["train", "--config", str(tiny_config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"usage error: cannot write {echo}: ")
+    assert list(out.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (["train"], "metrics.csv"),
+    (["train"], "checkpoint.json"),
+    (["evaluate", "--groups", "4"], "eval.json"),
+    (["bias-bench", "--m", "1,2", "--draws", "10000"], "bias_bench.json"),
+    (["grad-check", "--instances", "1"], "grad_check.json"),
+    (["compare"], "grpo_only_metrics.csv"),
+], ids=["metrics", "checkpoint", "eval", "bench-report", "grad-check", "compare"])
+def test_an_unwritable_artifact_exits_2_with_one_line(tmp_path, tiny_config, capsys, argv,
+                                                      artifact):
+    # a directory in the artifact's place: the run ends in one line naming it
+    out = tmp_path / "run"
+    (out / artifact).mkdir(parents=True)
+    assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"run failed: cannot write {out / artifact}: ")
+    assert list(out.rglob("*.tmp")) == []
+
+
+def test_a_directory_in_the_temporary_files_place_exits_2_with_one_line(tmp_path, tiny_config,
+                                                                        capsys):
+    # the write cannot open its temporary file, and cleaning up leaves the directory
+    out = tmp_path / "run"
+    taken = out / "metrics.csv.tmp"
+    taken.mkdir(parents=True)
+    assert main(["train", "--config", str(tiny_config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"run failed: cannot write {out / 'metrics.csv'}: ")
+    assert taken.is_dir() and not (out / "metrics.csv").exists()
+
+
 def test_bias_bench(tmp_path, tiny_config, capsys):
     out = tmp_path / "bias"
     assert main(["bias-bench", "--config", str(tiny_config), "--out", str(out),

@@ -31,6 +31,7 @@ from dypo.objectives import (
     grpo_estimator,
     grpo_pass,
     mixed_keyed,
+    mixed_pass,
     pair_arrays,
     rollout_groups,
     route_groups,
@@ -40,6 +41,7 @@ from dypo.objectives import (
 from dypo.policy import KeyedBlocks, PolicyParams, RowBlock, Trajectory, sum_blocks
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
+from dypo.trainer import QueryPool, TrainConfig, init_policy
 
 from conftest import block_dict, traj_log_prob, traj_score
 from reference import naive_log_prob, naive_score, step_contexts, trajectories
@@ -746,6 +748,30 @@ def test_a_policy_of_another_interner_is_an_input_error():
                           inst.group.advantages)
     with pytest.raises(InputError, match="interner"):
         grpo_estimator(inst.params, group)
+
+
+def test_every_pass_over_a_batch_without_groups_is_an_input_error():
+    # rollout_groups(..., only=MID) returns a batch without groups when no group is Mid
+    cfg = TrainConfig(seed=3)
+    pool = QueryPool(cfg.task, cfg.seed)
+    params = init_policy(cfg, pool)
+    ref = params.snapshot()
+    empty = rollout_groups(params, pool.queries[:1], cfg.k, substream(2, "e"), xi=cfg.mix.xi,
+                           stop_token=cfg.task.stop, t_max=cfg.t_max, only=DifficultyGrade.MID)
+    assert len(empty) == 0 and empty.steps.shape == (2, 0)
+    pairs = pair_arrays(empty, CFG.pair_cap, substream(2, "pairs"))
+    passes = {
+        "grpo_pass": lambda: grpo_pass(params, ref, empty, CFG),
+        "grpo_estimator": lambda: grpo_estimator(params, empty),
+        "gal_pass": lambda: gal_pass(params, ref, empty, pairs, CFG),
+        "mixed_pass": lambda: mixed_pass(params, ref, empty, pairs, CFG),
+        "key_index": lambda: GroupBatch.concat([empty, empty]).key_index(params),
+    }
+    for name, run in passes.items():
+        with pytest.raises(InputError, match="at least one group"):
+            run()
+    with pytest.raises(InputError, match="at least one query"):
+        sft_pass(params, [], make_teacher_ensemble(cfg.task, 1, 3), substream(2, "sft"))
 
 
 def test_dypo_gradient_finite_differences():

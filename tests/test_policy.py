@@ -83,7 +83,7 @@ def test_score_zero_mean_monte_carlo():
     # every trajectory's score, keyed by (trajectory, context row)
     span = len(params.interner.contexts)
     owner = np.repeat(np.arange(n), sampled.lengths)
-    index = KeyIndex(owner * span + rows, tokens, span, n, task.vocab_size)
+    index = KeyIndex(owner, rows, tokens, n, task.vocab_size)
     score = keyed_score(params, index, np.ones(len(rows)))
     sums, sqs = np.zeros((span, task.vocab_size)), np.zeros((span, task.vocab_size))
     np.add.at(sums, index.rows, score.values)
@@ -202,8 +202,7 @@ def test_mean_step_entropy_mixed_contexts():
 
 def _one_owner(params, rows) -> KeyIndex:
     """The given rows as the keys of one owner."""
-    return KeyIndex(rows, np.zeros_like(rows), len(params.interner.contexts), 1,
-                    params.vocab_size)
+    return KeyIndex(np.zeros_like(rows), rows, np.zeros_like(rows), 1, params.vocab_size)
 
 
 def test_kl_identical_is_zero():

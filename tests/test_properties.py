@@ -1,7 +1,8 @@
 """Property tests: the lockstep and scalar samplers and row-block gradients
 against naive per-position and per-token references, a sampled group rebuilt
 by hand against its batch of one, one keyed loss pass against its groups one
-by one, one SFT pass against its queries one by one, the routing gate
+by one, one SFT pass against its queries one by one, the KL against its
+per-key formula, the routing gate
 against its pathways by hand, GAL's sigmoid against scipy's ``expit``, pair
 construction one group at a time and batched, the grading partition and
 batch grades against per-group grades, ``sum_rows`` against ``np.add.at``,
@@ -49,6 +50,8 @@ from dypo.objectives import (
 from dypo.policy import (
     PolicyParams,
     Trajectory,
+    kl_gradient,
+    owner_kl,
     sample_lockstep,
     sample_trajectory,
     score_sq_norms,
@@ -84,6 +87,7 @@ from reference import (
     naive_grpo,
     naive_lockstep_sample,
     naive_log_prob,
+    naive_owner_kl,
     naive_sample,
     naive_score,
     sampling_cdf,
@@ -181,7 +185,7 @@ def test_sampler_matches_naive_per_token_reference(seed, history, k, others, t_m
     lengths = [len(t) for t in want]
     assert got.lengths.tolist() == lengths
     assert got.terminal.tolist() == [t.terminal for t in want]
-    assert got.steps.shape == (2, sum(lengths)) and got.steps.dtype == np.int32
+    assert got.steps.shape == (2, sum(lengths)) and got.steps.dtype == np.intp
     assert got.steps[1].tolist() == [tok for t in want for tok in t.tokens]
     contexts = [ctx for i, t in enumerate(want)
                 for ctx in step_contexts(query_ids[i // k], t.tokens, history)]
@@ -222,9 +226,9 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
         if only is None or grade(rewards) is only:
             expected.append((query, trajs, rewards))
     assert len(groups) == len(expected)
-    # the groups share one int32 array of exactly their own steps: no padding, no dropped group
+    # the groups share one intp array of exactly their own steps: no padding, no dropped group
     kept_steps = sum(len(t) for _, trajs, _ in expected for t in trajs)
-    assert batch.steps.dtype == np.int32 and batch.steps.shape == (2, kept_steps)
+    assert batch.steps.dtype == np.intp and batch.steps.shape == (2, kept_steps)
     for group, (query, trajs, rewards) in zip(groups, expected):
         assert group.queries[0] is query and tuple(group.rewards.tolist()) == rewards
         assert group.grades == [grade(rewards)]
@@ -508,6 +512,29 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
     one_by_one = [score_sq_norms(params, g.rows, g.tokens, g.lengths) for g in groups]
     np.testing.assert_array_equal(score_sq_norms(params, batch.rows, batch.tokens, batch.lengths),
                                   np.concatenate(one_by_one))
+
+
+@given(seed=seeds, index=st.integers(0, 60), picks=picks, extra=st.lists(token_seqs, max_size=4),
+       tile=st.booleans())
+@FAST
+def test_the_kl_is_its_per_key_formula_bit_for_bit(seed, index, picks, extra, tile):
+    # one query's groups share rows, and a tiled batch's copies read the same
+    # rows or a probe's own: each distinct row's term is computed once and
+    # gathered per key, as if computed key by key
+    inst = make_instance(seed, index)
+    params, ref = inst.params, inst.ref
+    batch = GroupBatch.concat(_graded_groups(inst, picks, extra, ref))
+    if tile:  # every 37th probe's copy, reading its perturbed row at its own row
+        probes = inst.probes
+        params, ref = probes.params, probes.ref
+        batch = batch.tiled(probes.remap(batch.rows)[::37])
+    index = batch.key_index(params)
+    kl = owner_kl(params, ref, index)
+    want, grads = naive_owner_kl(params, ref, batch.owner[batch.traj], batch.rows, batch.count)
+    assert kl.value.tobytes() == want.tobytes()
+    assert index.owner.tolist() == [o for o, _, _ in grads]
+    assert index.rows.tolist() == [r for _, r, _ in grads]
+    assert kl_gradient(index, kl).tobytes() == np.array([g for _, _, g in grads]).tobytes()
 
 
 # each certified loss with the grade of the group it is probed on: every

@@ -2,8 +2,8 @@
 every top-level function and class is used in the package or exported,
 importing the package loads no scipy, the trainer routes only through the
 gate, only the certifier uses the scalar sampler and checks hand-made pairs,
-the certifier names each loss once, and the README's configuration block is
-the schema's defaults."""
+only the policy module lays out gradient keys, the certifier names each loss
+once, and the README's configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
@@ -146,6 +146,17 @@ def test_only_the_certifier_checks_pairs_made_by_hand():
                and isinstance(node.value, ast.Name) and node.value.id == "BatchPairs"
                for node in ast.walk(ast.parse(p.read_text()))))
     assert callers == ["gradcheck.py"]
+
+
+def test_only_the_policy_lays_out_gradient_keys():
+    # a key is owner * span + row: KeyIndex encodes it and KeyedBlocks
+    # decodes it, so no other module calls divmod or reads a span
+    readers = sorted(
+        p.name for p in SRC.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr in ("divmod", "span")
+               or isinstance(node, ast.Name) and node.id == "divmod"
+               for node in ast.walk(ast.parse(p.read_text()))))
+    assert readers == ["policy.py"]
 
 
 def test_the_certifier_names_each_loss_once():
