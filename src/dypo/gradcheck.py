@@ -99,7 +99,7 @@ class Probes:
         self.ref = ref.with_rows(self.probed)
         self._size = len(params.interner.contexts)
         self.own = self._size + np.arange(self.count)
-        self._tiled: tuple | None = None  # (group, its sample_logp, its tiled batch)
+        self._tiled: tuple | None = None  # (group, its tiled batch)
 
     @property
     def stale(self) -> bool:
@@ -118,12 +118,11 @@ class Probes:
 
     def batch(self, group: GroupBatch) -> GroupBatch:
         """The group once per probe, each copy reading its probe's rows,
-        tiled on the first call for the group and its ``sample_logp``."""
+        tiled on the first call for the group."""
         self._check_fresh()
-        tiled = self._tiled
-        if tiled is None or tiled[0] is not group or tiled[1] is not group._sample_logp:
-            tiled = self._tiled = (group, group._sample_logp, group.tiled(self.remap(group.rows)))
-        return tiled[2]
+        if self._tiled is None or self._tiled[0] is not group:
+            self._tiled = (group, group.tiled(self.remap(group.rows)))
+        return self._tiled[1]
 
 
 @dataclass
@@ -197,7 +196,8 @@ def make_instance(seed: int, index: int, kind: str = "mid") -> GradCheckInstance
     ``pairs`` are the first three (success, failure) index pairs of the
     group, checked once (``BatchPairs.of``), or ``None`` unless it is Mid.
     The reference sits close to the params and stands in for the sampling
-    policy: its log-probs are the group's ``sample_logp``.
+    policy: the group is built from it (``GroupBatch.of(ref, ...)``), so its
+    log-probs are the group's ``sample_logp``.
     """
     rng = substream(seed, "gradcheck", index)
     task = TaskConfig()
@@ -221,8 +221,7 @@ def make_instance(seed: int, index: int, kind: str = "mid") -> GradCheckInstance
     else:
         trajs = successes + failures
     rewards = tuple(reward(query, t) for t in trajs)
-    group = GroupBatch.of(params, query, trajs, rewards, standardize_advantages(rewards, 1e-4))
-    group.sample_logp = ref.logp_at(group.rows, group.tokens)
+    group = GroupBatch.of(ref, query, trajs, rewards, standardize_advantages(rewards, 1e-4))
     won = [i for i, r in enumerate(rewards) if r == 1]
     lost = [i for i, r in enumerate(rewards) if r == 0]
     first = [(s, f) for s in won for f in lost][:3]

@@ -110,8 +110,8 @@ def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: in
 
     Queries are drawn, and their groups sampled together, in chunks of at
     most ``CHUNK_GROUPS``, twice the groups still missing, and the attempts
-    left; a chunk's Mid groups up to the ``n_groups``-th are kept, by a
-    ``select`` only when the chunk has more.
+    left; a chunk's Mid groups up to the ``n_groups``-th are kept, by one
+    ``select``.
     Every sampled group is an attempt, so a failed collection has made
     exactly ``max_attempts`` of them.
     """
@@ -127,9 +127,10 @@ def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: in
         size = min(CHUNK_GROUPS, 2 * (n_groups - found), budget - attempts)
         attempts += size
         queries = draw_query(rng, size)
-        mid = rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
-                             t_max=t_max, only=DifficultyGrade.MID)
-        parts.append(mid if len(mid) <= n_groups - found else mid.select(slice(n_groups - found)))
+        batch = rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
+                               t_max=t_max)
+        mid = np.flatnonzero([g is DifficultyGrade.MID for g in batch.grades])
+        parts.append(batch.select(mid[:n_groups - found]))
         found += len(parts[-1])
     return GroupBatch.concat(parts)
 

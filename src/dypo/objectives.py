@@ -1,12 +1,13 @@
 """Loss values and exact gradients for every optimization pathway, and the
 gate (``route_groups``) that sends each graded group to one of them.
 
-A step is one ``GroupBatch``, the arrays of its graded groups, from the
-sampler (``rollout_groups``) to the update. GRPO, its estimator, GAL and
-their mixture are each one pass over a batch: every group's loss, and
-gradients keyed by (group, row), so each group keeps the row block it would
-have alone. A group built by hand (``GroupBatch.of``) is a batch of one,
-whose keys are its rows; it is what finite differences certify. SFT
+A step is one ``GroupBatch``, the arrays of its graded groups, built whole
+by the sampler (``rollout_groups``) and read up to the update. GRPO, its
+estimator, GAL and their mixture are each one pass over a batch: every
+group's loss, and gradients keyed by (group, row), so each group keeps the
+row block it would have alone; GAL's pairs are one product over the batch
+(``pair_arrays``). A group built by hand (``GroupBatch.of``) is a batch of
+one, whose keys are its rows; it is what finite differences certify. SFT
 distillation is one pass too (``sft_pass``), keyed by (query, row); the
 mixture is formed on GRPO's keys (``mixed_keyed``). Gradients
 are exact for the reported loss expression. Each loss expression is one
@@ -89,20 +90,19 @@ class GroupBatch:
     by group: ``rewards``, ``advantages``, ``lengths`` and ``terminal``. Per
     step: ``steps``, every step's row in ``interner`` and token as one
     ``(2, steps)`` intp array (``rows`` and ``tokens`` are its views), and
-    ``sample_logp``. Reading advantages or log-probs a batch lacks (``None``)
-    is a ``StateError``.
+    ``sample_logp``, its log-prob under the policy that sampled it. Every
+    batch has all of them, as ``rollout_groups`` and ``of`` build it.
     """
 
     def __init__(self, interner: ContextInterner, queries: Sequence[Query],
                  grades: Sequence[DifficultyGrade], k: np.ndarray, rewards: np.ndarray,
-                 advantages: np.ndarray | None, lengths: np.ndarray, terminal: np.ndarray,
-                 steps: np.ndarray, sample_logp: np.ndarray | None):
+                 advantages: np.ndarray, lengths: np.ndarray, terminal: np.ndarray,
+                 steps: np.ndarray, sample_logp: np.ndarray):
         self.interner = interner
         self.queries, self.grades = list(queries), list(grades)
         self.count = len(self.queries)
         self.k, self.rewards, self.lengths, self.terminal = k, rewards, lengths, terminal
-        self._advantages = None if advantages is None else np.asarray(advantages, np.float64)
-        self.steps, self._sample_logp = steps, sample_logp
+        self.advantages, self.steps, self.sample_logp = advantages, steps, sample_logp
         self.rows, self.tokens = steps
         self._index: KeyIndex | None = None
 
@@ -110,24 +110,24 @@ class GroupBatch:
         return self.count
 
     @classmethod
-    def of(cls, params: PolicyParams, query: Query, trajectories: Sequence[Trajectory],
-           rewards: Sequence[int], advantages: np.ndarray | None = None,
-           sample_logp: np.ndarray | None = None) -> GroupBatch:
+    def of(cls, sampler: PolicyParams, query: Query, trajectories: Sequence[Trajectory],
+           rewards: Sequence[int], advantages: Sequence[float]) -> GroupBatch:
         """One group built by hand: k given trajectories for ``query``, with
-        their rewards and, when given, advantages and every step's sampling
-        log-prob. Its grade is its rewards'; its steps' rows are resolved in
-        ``params``' interner, trajectory by trajectory."""
+        their rewards and advantages, as ``sampler`` sampled them. Its grade
+        is its rewards'; its steps' rows are resolved in ``sampler``'s
+        interner, trajectory by trajectory, and their log-probs under it are
+        its ``sample_logp``, as ``rollout_groups`` records them."""
         k = len(rewards)
         if len(trajectories) != k:
             raise InputError("trajectories and rewards must have equal length")
-        if advantages is not None and len(advantages) != k:
+        if len(advantages) != k:
             raise InputError("advantages length must match rewards")
-        grade = grading.grade(rewards)
-        steps = np.concatenate([params.trajectory_rows(query.query_id, t.tokens)
+        steps = np.concatenate([sampler.trajectory_rows(query.query_id, t.tokens)
                                 for t in trajectories], axis=1)
-        return cls(params.interner, [query], [grade], np.array([k]),
-                   np.array(rewards), advantages, np.array([len(t) for t in trajectories]),
-                   np.array([t.terminal for t in trajectories]), steps, sample_logp)
+        return cls(sampler.interner, [query], [grading.grade(rewards)], np.array([k]),
+                   np.array(rewards), np.asarray(advantages, np.float64),
+                   np.array([len(t) for t in trajectories]),
+                   np.array([t.terminal for t in trajectories]), steps, sampler.logp_at(*steps))
 
     def select(self, groups) -> GroupBatch:
         """The groups ``groups`` indexes (a mask over the groups, their
@@ -135,12 +135,11 @@ class GroupBatch:
         picked = np.arange(self.count)[groups]
         traj = _ranges(self.first[picked], self.k[picked])
         step = _ranges((np.cumsum(self.lengths) - self.lengths)[traj], self.lengths[traj])
-        adv, logp, order = self._advantages, self._sample_logp, picked.tolist()
+        order = picked.tolist()
         return GroupBatch(self.interner, [self.queries[i] for i in order],
-                          [self.grades[i] for i in order], self.k[picked],
-                          self.rewards[traj], None if adv is None else adv[traj],
-                          self.lengths[traj], self.terminal[traj], self.steps.take(step, axis=1),
-                          None if logp is None else logp[step])
+                          [self.grades[i] for i in order], self.k[picked], self.rewards[traj],
+                          self.advantages[traj], self.lengths[traj], self.terminal[traj],
+                          self.steps.take(step, axis=1), self.sample_logp[step])
 
     @classmethod
     def concat(cls, batches: Sequence[GroupBatch]) -> GroupBatch:
@@ -149,45 +148,22 @@ class GroupBatch:
             raise InputError("concat needs at least one batch")
         if any(b.interner is not batches[0].interner for b in batches):
             raise InputError("the group's rows belong to another policy's interner")
-
-        def joined(name: str) -> np.ndarray | None:
-            parts = [getattr(b, name) for b in batches]
-            return None if any(p is None for p in parts) else np.concatenate(parts, axis=-1)
-
+        arrays = ("k", "rewards", "advantages", "lengths", "terminal", "steps", "sample_logp")
         return cls(batches[0].interner, [q for b in batches for q in b.queries],
-                   [g for b in batches for g in b.grades], joined("k"), joined("rewards"),
-                   joined("_advantages"), joined("lengths"), joined("terminal"),
-                   joined("steps"), joined("_sample_logp"))
+                   [g for b in batches for g in b.grades],
+                   *(np.concatenate([getattr(b, name) for b in batches], axis=-1)
+                     for name in arrays))
 
     def tiled(self, rows: np.ndarray) -> GroupBatch:
         """The batch once per row of ``rows``, a ``(count, steps)`` array:
         copy i reads its steps at ``rows[i]`` instead of the batch's own
         rows, which may be extra rows of a policy (``PolicyParams.with_rows``)."""
         n = len(rows)
-        adv, logp = self._advantages, self._sample_logp
         return GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
-                          np.tile(self.rewards, n), None if adv is None else np.tile(adv, n),
+                          np.tile(self.rewards, n), np.tile(self.advantages, n),
                           np.tile(self.lengths, n), np.tile(self.terminal, n),
                           np.stack([rows.ravel(), np.tile(self.tokens, n)]),
-                          None if logp is None else np.tile(logp, n))
-
-    @property
-    def advantages(self) -> np.ndarray:
-        """Every trajectory's advantage, group by group."""
-        if self._advantages is None:
-            raise StateError("group advantages are not populated")
-        return self._advantages
-
-    @property
-    def sample_logp(self) -> np.ndarray:
-        """Every step's sampling log-prob, as the groups recorded them."""
-        if self._sample_logp is None:
-            raise StateError("group sampling log-probs are not recorded")
-        return self._sample_logp
-
-    @sample_logp.setter
-    def sample_logp(self, values: np.ndarray) -> None:
-        self._sample_logp = values
+                          np.tile(self.sample_logp, n))
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -221,7 +197,6 @@ class GroupBatch:
         """The steps' (group, row) keys under which a pass over ``params``
         gathers each group's row block, built on first use."""
         self.check_pass(params)
-        params._fit()
         if self._index is None:
             self._index = KeyIndex(self.owner[self.traj], self.rows, self.tokens, self.count,
                                    self.interner.vocab_size)
@@ -293,26 +268,23 @@ def standardize_advantages(rewards: Sequence[float] | np.ndarray, xi: float) -> 
 
 
 def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
-                   rng: np.random.Generator, *, xi: float, stop_token: int, t_max: int,
-                   only: DifficultyGrade | None = None) -> GroupBatch:
+                   rng: np.random.Generator, *, xi: float, stop_token: int,
+                   t_max: int) -> GroupBatch:
     """k rollouts for each query, sampled together by ``sample_lockstep``, as
-    one batch of graded groups with rewards and standardized advantages, in
-    query order. The batch keeps the sampler's arrays, with every step's
-    log-prob under ``params``, the sampling policy, as its ``sample_logp``.
-
-    The groups are graded by one ``grading.grades`` pass over their reward
-    rows. With ``only``, the batch is ``select``-ed down to the groups of
-    that grade; rewards and advantages are computed group by group either way.
+    one batch of every query's graded group, with rewards and standardized
+    advantages, in query order. The batch keeps the sampler's arrays, with
+    every step's log-prob under ``params``, the sampling policy, as its
+    ``sample_logp``. The groups are graded by one ``grading.grades`` pass
+    over their reward rows; a caller that keeps some grades ``select``-s them.
     """
     sampled = sample_lockstep(params, [q.query_id for q in queries], k, rng,
                               stop_token=stop_token, t_max=t_max)
     rewards = batch_reward(queries, sampled.steps[1], sampled.lengths, sampled.terminal)
     reward_rows = rewards.reshape(-1, k)
-    grades = grading.grades(reward_rows)
-    batch = GroupBatch(params.interner, queries, grades, np.full(len(queries), k), rewards,
-                       standardize_advantages(reward_rows, xi).ravel(), sampled.lengths,
-                       sampled.terminal, sampled.steps, params.logp_at(*sampled.steps))
-    return batch if only is None else batch.select(np.array([g is only for g in grades], bool))
+    return GroupBatch(params.interner, queries, grading.grades(reward_rows),
+                      np.full(len(queries), k), rewards,
+                      standardize_advantages(reward_rows, xi).ravel(), sampled.lengths,
+                      sampled.terminal, sampled.steps, params.logp_at(*sampled.steps))
 
 
 def draw_demo(query: Query, teachers: Sequence[TeacherOracle],
@@ -406,25 +378,6 @@ def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
     return keyed_score(params, batch.key_index(params), weights, keep)
 
 
-def _draw_pairs(grade: DifficultyGrade, rewards: np.ndarray, pair_cap: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """(success, failure) pairs of one Mid group with these rewards, as an
-    ``(n, 2)`` array of indices into its trajectories: the full Cartesian
-    product when it fits under pair_cap, otherwise a uniform random subset of
-    exactly pair_cap distinct pairs."""
-    if grade is not DifficultyGrade.MID:
-        raise StateError("pair construction requires a Mid-graded group")
-    successes = np.flatnonzero(rewards == 1)
-    failures = np.flatnonzero(rewards == 0)
-    n_f = len(failures)
-    n_pairs = len(successes) * n_f
-    if n_pairs <= pair_cap:
-        chosen = np.arange(n_pairs)
-    else:
-        chosen = rng.choice(n_pairs, size=pair_cap, replace=False)
-    return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
-
-
 class BatchPairs(NamedTuple):
     """The (success, failure) pairs of a batch: each group's pair count, and
     all pairs, group by group, as ``(n, 2)`` indices into the batch's
@@ -467,36 +420,34 @@ class BatchPairs(NamedTuple):
 
 
 def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> BatchPairs:
-    """``_draw_pairs`` of every group of the batch, as one call per group
-    would make them, moved onto the batch's trajectories.
+    """The (success, failure) pairs of every group of the batch, which must
+    all be Mid, moved onto the batch's trajectories, group by group.
 
-    Only the groups whose product exceeds ``pair_cap`` draw their subsets
-    from ``rng``, in group order; the full products of all the others are
-    built from the batch's reward rows in one vectorized pass per group size.
+    A group's pairs are its full product, success-major, when it has at most
+    ``pair_cap`` of them, otherwise exactly ``pair_cap`` distinct rows of that
+    product drawn by one ``rng.choice`` without replacement, in group order.
+    Every group's product is one ``np.nonzero`` over its rewards, padded with
+    -1 (neither won nor lost) to the batch's largest group.
     """
     if pair_cap < 1:
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
-    owners, pairs = [], []  # each source's groups, in order, and their pairs
-    full: dict[int, list[int]] = {}  # group size -> indices of uncapped groups
-    rewards = batch.rewards
-    for i, (grade, k, first, wins) in enumerate(zip(batch.grades, batch.k.tolist(),
-                                                    batch.first.tolist(), batch.wins.tolist())):
-        if grade is DifficultyGrade.MID and wins * (k - wins) <= pair_cap:
-            full.setdefault(k, []).append(i)
-        else:  # a capped group draws its subset; any other grade is its StateError
-            pairs.append(_draw_pairs(grade, rewards[first:first + k], pair_cap, rng) + first)
-            owners.append(np.full(pair_cap, i))
-    for k, indices in full.items():
-        first = batch.first[indices]
-        won = rewards[first[:, None] + np.arange(k)] == 1
-        owner, win, lose = np.nonzero(won[:, :, None] & ~won[:, None, :])
-        pairs.append(np.stack([win, lose], axis=1) + first[owner, None])
-        owners.append(np.array(indices)[owner])
-    traj = np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.intp)
-    if len(pairs) > 1:  # a stable sort puts the sources' groups in batch order
-        traj = traj.take(np.argsort(np.concatenate(owners), kind="stable"), axis=0)
-    # a Mid group has wins * losses pairs, or pair_cap when that is more
-    return BatchPairs(np.minimum(batch.wins * (batch.k - batch.wins), pair_cap), traj)
+    if batch.grades.count(DifficultyGrade.MID) != batch.count:
+        raise StateError("pair construction requires a Mid-graded group")
+    padded = np.full((batch.count, max(batch.k.tolist(), default=0)), -1)
+    padded[batch.owner, np.arange(len(batch.rewards)) - batch.first[batch.owner]] = batch.rewards
+    owner, win, lose = ((padded == 1)[:, :, None] & (padded == 0)[:, None, :]).nonzero()
+    traj = np.stack([win, lose], axis=1) + batch.first[owner, None]
+    full = batch.wins * (batch.k - batch.wins)
+    counts = np.minimum(full, pair_cap)
+    capped = (full > pair_cap).nonzero()[0].tolist()
+    if capped:  # each capped group's run of the product is cut to its drawn rows
+        starts, at = np.cumsum(full) - full, np.cumsum(counts) - counts
+        take = _ranges(starts, counts)
+        for i in capped:
+            chosen = rng.choice(int(full[i]), size=pair_cap, replace=False)
+            take[at[i]:at[i] + pair_cap] = starts[i] + chosen
+        traj = traj[take]
+    return BatchPairs(counts, traj)
 
 
 # log of the largest double: above it math.exp raises OverflowError where

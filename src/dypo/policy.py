@@ -442,6 +442,7 @@ def keyed_score(params: PolicyParams, index: KeyIndex, weights: np.ndarray,
     """
     v = params.vocab_size
     n = len(index.keys)
+    params._fit()
     hits = np.bincount(index.slots, weights=weights, minlength=n * v)
     mass = np.bincount(index.inv, weights=weights, minlength=n)
     values = hits.reshape(-1, v) - mass[:, None] * params._probs[index.rows]
@@ -602,6 +603,7 @@ def owner_kl(params: PolicyParams, ref: PolicyParams, index: KeyIndex) -> OwnerK
     """
     check_shared_interner(params, ref)
     ends, inv, _ = index.owner_means
+    params._fit()
     ref._fit()
     rows, at = index.distinct
     probs = params._probs[rows]

@@ -21,6 +21,10 @@ from .policy import Trajectory
 # a query pool is built query by query (~19k queries/s on a 2-vCPU Xeon): the
 # bound keeps the build under ~4 s
 MAX_POOL_SIZE = 2**16
+# the initial table, pool_size * (modulus + 1) rows of vocab_size entries in
+# five 8-byte arrays, must fit: the arrays grow by doubling, so a run peaks at
+# about twice its table (601 MiB RSS at modulus 1000, pool 8, a 306 MiB table)
+MAX_TABLE_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,13 @@ class TaskConfig:
             raise ConfigError("need 1 <= min_chain_len <= max_chain_len")
         if not 1 <= self.pool_size <= MAX_POOL_SIZE:
             raise ConfigError(f"pool_size must lie in [1, {MAX_POOL_SIZE}], got {self.pool_size}")
+        # the history order needs no bound: the policy interns only the
+        # contexts its rollouts visit, so its table grows with the sampling
+        table = self.pool_size * (self.modulus + 1) * self.vocab_size * 5 * 8
+        if table > MAX_TABLE_BYTES:
+            raise ConfigError(f"modulus {self.modulus} at pool_size {self.pool_size} needs a "
+                              f"{-(-table >> 20)} MiB logit table, over the "
+                              f"{MAX_TABLE_BYTES >> 20} MiB bound")
 
     @property
     def separator(self) -> int:

@@ -9,7 +9,9 @@ group at a time, each group ``select``-ed from the sampled batch as a batch
 of one, as the bench did before they became one pass per chunk of groups;
 the gate's reference does the same. The scalar finite-difference oracle
 perturbs one logit in place per probe and re-evaluates an arbitrary loss, as
-the certifier did before its probes became one pass. The gate's step is
+the certifier did before its probes became one pass. A group's pairs are
+drawn one group at a time (``draw_group_pairs``), as ``pair_arrays`` drew
+them before every group's product became one array. The gate's step is
 built by hand from its groups' terms, as the trainer reduced them before the
 gate returned the step.
 """
@@ -200,6 +202,23 @@ def naive_owner_kl(params, ref, owner, rows, count: int) -> tuple[np.ndarray, li
             grads.append((o, r, inv * p * (diff - kl)))
         values.append(math.fsum(terms) * inv)
     return np.array(values), grads
+
+
+def draw_group_pairs(rewards: np.ndarray, pair_cap: int, rng: np.random.Generator) -> np.ndarray:
+    """(success, failure) pairs of one Mid group with these rewards, as an
+    ``(n, 2)`` array of indices into its trajectories: the full Cartesian
+    product, success-major, when it fits under pair_cap, otherwise a uniform
+    random subset of exactly pair_cap distinct pairs, drawn by one
+    ``rng.choice`` over the product's flat indices."""
+    successes = np.flatnonzero(rewards == 1)
+    failures = np.flatnonzero(rewards == 0)
+    n_f = len(failures)
+    n_pairs = len(successes) * n_f
+    if n_pairs <= pair_cap:
+        chosen = np.arange(n_pairs)
+    else:
+        chosen = rng.choice(n_pairs, size=pair_cap, replace=False)
+    return np.stack([successes[chosen // n_f], failures[chosen % n_f]], axis=1)
 
 
 def naive_gal(params, ref, group: GroupBatch, pairs, beta: float) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -298,6 +299,21 @@ def test_a_too_deeply_nested_checkpoint_exits_2_with_one_line(tmp_path, tiny_con
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: checkpoint ")
     assert not (tmp_path / "o").exists()
+
+
+def test_a_table_that_cannot_fit_exits_1_with_one_line_and_writes_nothing(tmp_path, capsys):
+    # modulus 100000 once ran into the kernel's out-of-memory kill: its table
+    # of 8 * 100001 rows of 100004 logits is refused as the config is read
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"steps": 1, "task": {"modulus": 100000}}))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: modulus 100000 at pool_size 8 needs a ")
+    assert not out.exists()
 
 
 def test_evaluate_checkpoint_of_another_vocabulary_exits_1(tmp_path, capsys):

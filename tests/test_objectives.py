@@ -154,16 +154,6 @@ def test_grpo_zero_advantage_groups():
     assert np.sqrt(block.sq_norm()) < CFG.beta_kl * 10  # all gradient mass is KL
 
 
-def test_grpo_needs_advantages():
-    # and the sampling log-probs, which a group built from trajectories lacks
-    inst = _mid_instance(index=8)
-    for advantages, missing in ((None, "advantages"), (inst.group.advantages, "log-probs")):
-        group = GroupBatch.of(inst.params, inst.query, trajectories(inst.group),
-                              inst.group.rewards, advantages)
-        with pytest.raises(StateError, match=missing):
-            grpo_pass(inst.params, inst.ref, group, CFG)
-
-
 def test_grpo_gradient_finite_differences():
     for i in range(15):
         assert check("grpo_loss_grad", 37, i) < 1e-6
@@ -175,7 +165,8 @@ def test_the_training_form_is_certified():
     worst = 0.0
     for i in range(30):
         inst = _mid_instance(5, i)
-        inst.group.sample_logp = inst.params.logp_at(inst.group.rows, inst.group.tokens)
+        inst.group = GroupBatch.of(inst.params, inst.query, trajectories(inst.group),
+                                   inst.group.rewards, inst.group.advantages)
         assert not inst.group.log_ratios(inst.params).any()
         worst = max(worst, certify(inst, "grpo_loss_grad", CFG),
                     certify(inst, "dypo_step_loss", CFG, substream(5, "dypo", i)))
@@ -412,10 +403,12 @@ def test_the_clip_guard_checks_trajectory_ratios():
     start = int(lengths[:i].sum())
     shift[start:start + lengths[i]] = np.log(1.2) / lengths[i]
     assert lengths[i] >= 3 and np.abs(shift).max() < np.log(1.2) / 2
-    inst.group.sample_logp = own - shift
-    assert not _off_clip(inst, CFG, margin=1e-4)
-    inst.group.sample_logp = own
-    assert _off_clip(inst, CFG, margin=1e-4)
+    group = inst.group  # the same group, recorded with other sampling log-probs
+    for sample_logp, off in ((own - shift, False), (own, True)):
+        inst.group = GroupBatch(group.interner, group.queries, group.grades, group.k,
+                                group.rewards, group.advantages, group.lengths, group.terminal,
+                                group.steps, sample_logp)
+        assert _off_clip(inst, CFG, margin=1e-4) is off
 
 
 def test_grpo_policy_gradient_zero_for_flat_rewards():
@@ -557,7 +550,8 @@ def test_gal_gradient_skips_unpaired_trajectories():
     # GAL reads the group's stored rewards; trajectory 2 is a success left unpaired
     inst = _mid_instance(index=18)
     trajs = tuple(Trajectory(t, terminal=False) for t in ((0, 1, 2), (3, 4), (5, 6, 7)))
-    group = GroupBatch.of(inst.params, inst.query, trajs, (1, 0, 1))
+    group = GroupBatch.of(inst.params, inst.query, trajs, (1, 0, 1),
+                          standardize_advantages((1, 0, 1), 1e-4))
     _, gradient, _ = _gal(inst.params, inst.ref, group, BatchPairs.of(group, [[(0, 1)]]))
     paired = {ctx for t in trajs[:2] for ctx in step_contexts(inst.query.query_id, t.tokens, 1)}
     assert set(block_dict(inst.params, gradient)) == paired
@@ -697,11 +691,9 @@ def test_the_distilled_groups_are_one_sft_pass(monkeypatch, variant, kinds):
     monkeypatch.setattr(objectives, "sft_pass", counting)
     inst = {kind: make_instance(47, 5, kind=kind) for kind in set(kinds)}
     params, ref = inst["hard"].params, inst["hard"].ref
-    groups = [GroupBatch.of(params, inst[kind].query, trajectories(inst[kind].group),
+    groups = [GroupBatch.of(ref, inst[kind].query, trajectories(inst[kind].group),
                             inst[kind].group.rewards, inst[kind].group.advantages)
               for kind in kinds]
-    for group in groups:
-        group.sample_logp = ref.logp_at(group.rows, group.tokens)
     batch = GroupBatch.concat(groups)
     distilled = [q.query_id for q, kind in zip(batch.queries, kinds)
                  if variant == "sft_only" or kind == "hard"]
@@ -751,13 +743,13 @@ def test_a_policy_of_another_interner_is_an_input_error():
 
 
 def test_every_pass_over_a_batch_without_groups_is_an_input_error():
-    # rollout_groups(..., only=MID) returns a batch without groups when no group is Mid
+    # a select of no groups, as collect_mid_groups makes of a chunk without Mid groups
     cfg = TrainConfig(seed=3)
     pool = QueryPool(cfg.task, cfg.seed)
     params = init_policy(cfg, pool)
     ref = params.snapshot()
     empty = rollout_groups(params, pool.queries[:1], cfg.k, substream(2, "e"), xi=cfg.mix.xi,
-                           stop_token=cfg.task.stop, t_max=cfg.t_max, only=DifficultyGrade.MID)
+                           stop_token=cfg.task.stop, t_max=cfg.t_max).select([])
     assert len(empty) == 0 and empty.steps.shape == (2, 0)
     pairs = pair_arrays(empty, CFG.pair_cap, substream(2, "pairs"))
     passes = {

@@ -27,15 +27,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from dypo.errors import InputError, StateError
+from dypo.errors import ConfigError, InputError, StateError
 from dypo.grading import DifficultyGrade, grade, grades
 from dypo.gradcheck import make_instance, numerical_gradient, probe_losses
 from dypo.objectives import (
     BatchPairs,
     GroupBatch,
     MixConfig,
-    _draw_pairs,
     _expit,
+    _segment_sums,
     gal_pass,
     grpo_estimator,
     grpo_pass,
@@ -60,6 +60,8 @@ from dypo.policy import (
 )
 from dypo.seeding import substream
 from dypo.tasks import (
+    MAX_POOL_SIZE,
+    MAX_TABLE_BYTES,
     BiasTestbedConfig,
     Query,
     TaskConfig,
@@ -81,6 +83,7 @@ from dypo.trainer import (
 
 from conftest import block_dict, traj_score
 from reference import (
+    draw_group_pairs,
     gate_terms,
     mean_step,
     naive_gal,
@@ -196,7 +199,7 @@ def test_sampler_matches_naive_per_token_reference(seed, history, k, others, t_m
         naive_sample(twin, 0, 1, twin_rng, stop, t_max)
     assert rng.random() == twin_rng.random()
     # a group built from a sampled group's trajectories resolves the same rows
-    built = GroupBatch.of(params, query, want[:k], (0,) * k)
+    built = GroupBatch.of(params, query, want[:k], (0,) * k, np.zeros(k))
     assert built.interner is params.interner
     assert np.array_equal(built.steps, got.steps[:, :sum(lengths[:k])])
     assert built.lengths.tolist() == lengths[:k]
@@ -212,7 +215,9 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
     queries = [pool.queries[i % len(pool)] for i in range(n_queries)]
     only = DifficultyGrade.MID if mid_only else None
     batch = rollout_groups(params, queries, k, substream(seed, "groups"), xi=cfg.mix.xi,
-                           stop_token=cfg.task.stop, t_max=cfg.t_max, only=only)
+                           stop_token=cfg.task.stop, t_max=cfg.t_max)
+    if mid_only:  # the Mid groups, as collect_mid_groups keeps them
+        batch = batch.select(np.array([g is only for g in batch.grades], dtype=bool))
     groups = [batch.select([i]) for i in range(len(batch))]
     sampled = sample_lockstep(twin, [q.query_id for q in queries], k, substream(seed, "groups"),
                               stop_token=cfg.task.stop, t_max=cfg.t_max)
@@ -260,7 +265,6 @@ def test_a_sampled_group_rebuilt_by_hand_is_its_batch_of_one(seed, k, n_queries,
         rewards = [reward(query, t) for t in trajs]
         got = GroupBatch.of(params, query, trajs, rewards,
                             standardize_advantages(rewards, cfg.mix.xi))
-        got.sample_logp = params.logp_at(got.rows, got.tokens)
         assert got.interner is want.interner and got.queries == want.queries
         assert got.grades == want.grades
         for name in ("k", "steps", "lengths", "terminal", "rewards", "advantages", "sample_logp"):
@@ -377,11 +381,12 @@ def test_grpo_block_matches_naive_reference(seed, index, kind, on_policy, beta_k
     # the group's sampling log-probs are the reference's, or the params' own as in training
     inst = make_instance(seed, index, kind=kind)
     sampler = inst.params if on_policy else inst.ref
-    inst.group.sample_logp = sampler.logp_at(inst.group.rows, inst.group.tokens)
+    group = GroupBatch.of(sampler, inst.query, trajectories(inst.group), inst.group.rewards,
+                          inst.group.advantages)
     cfg = MixConfig(beta_kl=beta_kl)
-    block, = grpo_pass(inst.params, inst.ref, inst.group, cfg).gradient.blocks()
+    block, = grpo_pass(inst.params, inst.ref, group, cfg).gradient.blocks()
     assert_block_matches(inst.params, block,
-                         naive_grpo(inst.params, inst.ref, sampler, inst.group, cfg))
+                         naive_grpo(inst.params, inst.ref, sampler, group, cfg))
 
 
 @given(seed=seeds, index=st.integers(0, 60), beta=st.sampled_from([0.5, 1.0, 3.0]),
@@ -393,8 +398,9 @@ def test_gal_block_matches_naive_reference(seed, index, beta, duplicated):
     if duplicated:
         # a second copy of a success and of a failure, each paired like the original
         trajs = trajectories(group)
-        group = GroupBatch.of(inst.params, inst.query, trajs + (trajs[0], trajs[-1]),
-                              group.rewards.tolist() + [1, 0])
+        rewards = group.rewards.tolist() + [1, 0]
+        group = GroupBatch.of(inst.params, inst.query, trajs + (trajs[0], trajs[-1]), rewards,
+                              standardize_advantages(rewards, 1e-4))
         pairs = pair_arrays(group, 64, substream(seed, "pairs"))
     block, = gal_pass(inst.params, inst.ref, group, pairs,
                       MixConfig(beta_gal=beta)).gradient.blocks()
@@ -447,10 +453,8 @@ def _graded_groups(inst, picks, extra, sampler, grades=None) -> list[GroupBatch]
         else:
             trajs = tuple(of[p % len(of)] for p in pick)
         rewards = tuple(reward(inst.query, t) for t in trajs)
-        group = GroupBatch.of(inst.params, inst.query, trajs, rewards,
-                              standardize_advantages(rewards, 1e-4))
-        group.sample_logp = sampler.logp_at(group.rows, group.tokens)
-        groups.append(group)
+        groups.append(GroupBatch.of(sampler, inst.query, trajs, rewards,
+                                    standardize_advantages(rewards, 1e-4)))
     return groups
 
 
@@ -677,7 +681,8 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
 @FAST
 def test_pair_arrays_are_success_failure_index_pairs(rewards, pair_cap, seed):
     trajs = tuple(Trajectory((i,), terminal=False) for i in range(len(rewards)))
-    group = GroupBatch.of(PolicyParams(12, 1), SimpleNamespace(query_id=0), trajs, rewards)
+    group = GroupBatch.of(PolicyParams(12, 1), SimpleNamespace(query_id=0), trajs, rewards,
+                          standardize_advantages(rewards, 1e-4))
     pairs = pair_arrays(group, pair_cap, substream(seed, "pairs")).traj
     product = {(s, f) for s, won in enumerate(rewards) if won
                for f, lost in enumerate(rewards) if not lost}
@@ -693,19 +698,24 @@ mid_rewards = st.lists(st.integers(0, 1), min_size=2, max_size=12).filter(
 
 @given(patterns=st.lists(mid_rewards, min_size=1, max_size=6), pair_cap=st.integers(1, 8),
        seed=seeds)
+# a capped group (6 pairs over a cap of 4) between uncapped groups of other sizes
+@example(patterns=[[1, 0], [0, 1, 1, 0, 0], [0, 0, 1]], pair_cap=4, seed=3)
+# every group capped
+@example(patterns=[[1, 1, 0, 0], [0, 1, 0, 1, 1, 0, 0], [1, 0, 1, 0, 1]], pair_cap=3, seed=5)
 @FAST
 def test_batched_pairs_are_the_groups_own_draws(patterns, pair_cap, seed):
     # a small cap: some groups draw their subsets, the others take the full product
     params = PolicyParams(12, 1)  # holds the groups' steps, tokens 0..11
     groups = [GroupBatch.of(params, SimpleNamespace(query_id=0),
-                            tuple(Trajectory((i,), terminal=False) for i in range(len(r))), r)
+                            tuple(Trajectory((i,), terminal=False) for i in range(len(r))), r,
+                            standardize_advantages(r, 1e-4))
               for r in patterns]
     rng, twin = substream(seed, "pairs"), substream(seed, "pairs")
     batch = GroupBatch.concat(groups)
     got = pair_arrays(batch, pair_cap, rng)
     # each group's pairs drawn on its own, the capped or full product one
     # group at a time, moved onto the batch's trajectories, in group order
-    want = [_draw_pairs(g.grades[0], g.rewards, pair_cap, twin) for g in groups]
+    want = [draw_group_pairs(g.rewards, pair_cap, twin) for g in groups]
     want_traj = np.concatenate([w + first for w, first in zip(want, batch.first.tolist())])
     assert got.counts.dtype == got.traj.dtype == want_traj.dtype == np.intp
     assert got.counts.tolist() == [len(w) for w in want]
@@ -713,8 +723,8 @@ def test_batched_pairs_are_the_groups_own_draws(patterns, pair_cap, seed):
     np.testing.assert_array_equal(got.traj, want_traj)
     assert rng.random() == twin.random()
     easy = GroupBatch.of(params, SimpleNamespace(query_id=0), trajectories(groups[0]),
-                         (1,) * len(patterns[0]))
-    with pytest.raises(StateError):
+                         (1,) * len(patterns[0]), np.zeros(len(patterns[0])))
+    with pytest.raises(StateError, match="Mid-graded"):
         pair_arrays(GroupBatch.concat(groups + [easy]), pair_cap, rng)
 
 
@@ -910,3 +920,39 @@ def train_configs(draw) -> TrainConfig:
 def test_config_json_round_trip(cfg):
     doc = json.loads(json.dumps(train_config_to_dict(cfg)))
     assert train_config_from_dict(doc) == cfg
+
+
+@given(modulus=st.integers(2, 4000) | st.integers(2, 2**80),
+       pool_size=st.integers(1, 64) | st.integers(1, MAX_POOL_SIZE))
+@FAST
+def test_a_config_whose_table_cannot_fit_is_a_config_error(modulus, pool_size):
+    # pool_size * (modulus + 1) rows of modulus + 4 entries in five 8-byte
+    # arrays; a config past the bound fails as it is read, before any allocation
+    doc = train_config_to_dict(TrainConfig())
+    doc["task"] = {**doc["task"], "modulus": modulus, "pool_size": pool_size}
+    doc = json.loads(json.dumps(doc))
+    if pool_size * (modulus + 1) * (modulus + 4) * 40 <= MAX_TABLE_BYTES:
+        assert train_config_from_dict(doc).task == TaskConfig(modulus=modulus,
+                                                              pool_size=pool_size)
+    else:
+        with pytest.raises(ConfigError, match=f"modulus {modulus} at pool_size {pool_size} "):
+            train_config_from_dict(doc)
+
+
+@given(counts=st.lists(st.integers(1, 260), min_size=1, max_size=8), equal=st.booleans(),
+       seed=seeds)
+# runs around numpy's 8-wide unroll and its 128-element pairwise split, unequal and equal
+@example(counts=[1, 7, 8, 9, 16, 127, 128, 129, 200, 256, 257], equal=False, seed=1)
+@example(counts=[200, 3], equal=True, seed=2)
+@FAST
+def test_segment_sums_are_each_runs_own_sum_bit_for_bit(counts, equal, seed):
+    if equal:
+        counts = [counts[0]] * len(counts)
+    rng = np.random.default_rng(seed)
+    n = sum(counts)
+    # magnitudes over 16 decades, so that a sum in another order rounds otherwise
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    got = _segment_sums(values, np.array(counts))
+    ends = np.cumsum(counts).tolist()
+    want = np.array([np.sum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -2,8 +2,9 @@
 every top-level function and class is used in the package or exported,
 importing the package loads no scipy, the trainer routes only through the
 gate, only the certifier uses the scalar sampler and checks hand-made pairs,
-only the policy module lays out gradient keys, the certifier names each loss
-once, and the README's configuration block is the schema's defaults."""
+only the policy module lays out gradient keys and reads another object's
+private attributes, the certifier names each loss once, and the README's
+configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
@@ -157,6 +158,30 @@ def test_only_the_policy_lays_out_gradient_keys():
                or isinstance(node, ast.Name) and node.id == "divmod"
                for node in ast.walk(ast.parse(p.read_text()))))
     assert readers == ["policy.py"]
+
+
+def private_reads(source: str) -> list[str]:
+    """Each private attribute (one underscore, not a dunder) a module reads
+    off anything but ``self`` or ``cls``, other than NamedTuple's
+    ``_replace``, as ``line: expression`` in source order."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.endswith("__") and node.attr != "_replace"
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+
+
+def test_the_checker_finds_a_private_read():
+    source = ("class A:\n    def f(self, b):\n        self._x = b._y\n"
+              "        return type(b).__name__, b._replace(z=1), A._z, super().__init__()\n")
+    assert private_reads(source) == ["3: b._y", "4: A._z"]
+
+
+def test_only_the_policy_reads_another_objects_private_attributes():
+    # the table's arrays and their lazy growth are the policy module's: a pass
+    # reads the table through the policy's functions, which fit it themselves
+    reads = {p.name: private_reads(p.read_text()) for p in sorted(SRC.glob("*.py"))
+             if p.name != "policy.py"}
+    assert {name: found for name, found in reads.items() if found} == {}
 
 
 def test_the_certifier_names_each_loss_once():
