@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,19 +92,24 @@ class GroupBatch:
     step: ``steps``, every step's row in ``interner`` and token as one
     ``(2, steps)`` intp array (``rows`` and ``tokens`` are its views), and
     ``sample_logp``, its log-prob under the policy that sampled it. Every
-    batch has all of them, as ``rollout_groups`` and ``of`` build it.
+    batch has all of them, as ``rollout_groups`` and ``of`` build it, and
+    ``sampled_by``, the sampling policy and its ``generation`` then, or
+    ``None`` (a ``tiled`` batch, one built with other log-probs): at that
+    policy, unwritten since, a pass reads ``sample_logp`` (``logp``).
     """
 
     def __init__(self, interner: ContextInterner, queries: Sequence[Query],
                  grades: Sequence[DifficultyGrade], k: np.ndarray, rewards: np.ndarray,
                  advantages: np.ndarray, lengths: np.ndarray, terminal: np.ndarray,
-                 steps: np.ndarray, sample_logp: np.ndarray):
+                 steps: np.ndarray, sample_logp: np.ndarray,
+                 sampled_by: tuple[PolicyParams, int] | None = None):
         self.interner = interner
         self.queries, self.grades = list(queries), list(grades)
         self.count = len(self.queries)
         self.k, self.rewards, self.lengths, self.terminal = k, rewards, lengths, terminal
         self.advantages, self.steps, self.sample_logp = advantages, steps, sample_logp
         self.rows, self.tokens = steps
+        self.sampled_by = sampled_by
         self._index: KeyIndex | None = None
 
     def __len__(self) -> int:
@@ -127,7 +133,8 @@ class GroupBatch:
         return cls(sampler.interner, [query], [grading.grade(rewards)], np.array([k]),
                    np.array(rewards), np.asarray(advantages, np.float64),
                    np.array([len(t) for t in trajectories]),
-                   np.array([t.terminal for t in trajectories]), steps, sampler.logp_at(*steps))
+                   np.array([t.terminal for t in trajectories]), steps, sampler.logp_at(*steps),
+                   (sampler, sampler.generation))
 
     def select(self, groups) -> GroupBatch:
         """The groups ``groups`` indexes (a mask over the groups, their
@@ -139,25 +146,29 @@ class GroupBatch:
         return GroupBatch(self.interner, [self.queries[i] for i in order],
                           [self.grades[i] for i in order], self.k[picked], self.rewards[traj],
                           self.advantages[traj], self.lengths[traj], self.terminal[traj],
-                          self.steps.take(step, axis=1), self.sample_logp[step])
+                          self.steps.take(step, axis=1), self.sample_logp[step], self.sampled_by)
 
     @classmethod
     def concat(cls, batches: Sequence[GroupBatch]) -> GroupBatch:
-        """The groups of the batches, which share one interner, in order, as one batch."""
+        """The groups of the batches, which share one interner, in order, as
+        one batch, sampled by their sampler if they share one generation of it."""
         if len(batches) == 0:
             raise InputError("concat needs at least one batch")
         if any(b.interner is not batches[0].interner for b in batches):
             raise InputError("the group's rows belong to another policy's interner")
         arrays = ("k", "rewards", "advantages", "lengths", "terminal", "steps", "sample_logp")
+        sampled_by = batches[0].sampled_by
         return cls(batches[0].interner, [q for b in batches for q in b.queries],
                    [g for b in batches for g in b.grades],
                    *(np.concatenate([getattr(b, name) for b in batches], axis=-1)
-                     for name in arrays))
+                     for name in arrays),
+                   sampled_by if all(b.sampled_by == sampled_by for b in batches) else None)
 
     def tiled(self, rows: np.ndarray) -> GroupBatch:
         """The batch once per row of ``rows``, a ``(count, steps)`` array:
         copy i reads its steps at ``rows[i]`` instead of the batch's own
-        rows, which may be extra rows of a policy (``PolicyParams.with_rows``)."""
+        rows, which may be extra rows of a policy (``PolicyParams.with_rows``).
+        No policy sampled the steps at those rows, so it has no ``sampled_by``."""
         n = len(rows)
         return GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
                           np.tile(self.rewards, n), np.tile(self.advantages, n),
@@ -202,26 +213,41 @@ class GroupBatch:
                                    self.interner.vocab_size)
         return self._index
 
+    def at_sampler(self, params: PolicyParams) -> bool:
+        """Whether ``params`` is the sampling policy, unwritten since (a copy is not)."""
+        return self.sampled_by == (params, params.generation)
+
+    def logp(self, params: PolicyParams) -> np.ndarray:
+        """log pi_params of every step: ``sample_logp`` at the sampler, else a gather."""
+        return self.sample_logp if self.at_sampler(params) else params.logp_at(*self.steps)
+
     def log_ratios(self, params: PolicyParams) -> np.ndarray:
-        """log(pi_params / pi_sampling) of every trajectory, against ``sample_logp``."""
-        return np.bincount(self.traj, weights=params.logp_at(self.rows, self.tokens)
-                           - self.sample_logp, minlength=len(self.lengths))
+        """log(pi_params / pi_sampling) of every trajectory; zeros at the sampler."""
+        return np.bincount(self.traj, weights=self.logp(params) - self.sample_logp,
+                           minlength=len(self.lengths))
+
+
+@lru_cache(maxsize=64)  # a pass and its report's reductions (gal_loss, gal_etas) share one
+def _runs_by_length(lengths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per run length n: the runs of that length and the ``(runs, n)`` indices of their entries."""
+    runs: dict[int, tuple[list[int], list[int]]] = {}  # per length: its runs and their starts
+    for i, (n, start) in enumerate(zip(lengths, accumulate(lengths, initial=0))):
+        runs.setdefault(n, ([], []))[0].append(i)
+        runs[n][1].append(start)
+    return [(np.array(owners), np.array(starts)[:, None] + np.arange(n))
+            for n, (owners, starts) in runs.items()]
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``values`` summed over runs of ``counts[i]`` consecutive entries, each
     bit for bit as ``np.sum`` of the run alone: runs of one length are summed
     as the rows of one matrix, which numpy reduces as it reduces a lone run."""
-    lengths = counts.tolist()
+    lengths = tuple(counts.tolist())
     if lengths.count(lengths[0]) == len(lengths):
-        return values.reshape(len(lengths), -1).sum(axis=1)
-    runs: dict[int, list[int]] = {}
-    for i, n in enumerate(lengths):
-        runs.setdefault(n, []).append(i)
-    starts = np.cumsum(counts) - counts
+        return np.add.reduce(values.reshape(len(lengths), -1), axis=1)  # ndarray.sum, undispatched
     out = np.empty(len(lengths))
-    for n, owners in runs.items():
-        out[owners] = values[starts[owners][:, None] + np.arange(n)].sum(axis=1)
+    for runs, at in _runs_by_length(lengths):
+        out[runs] = np.add.reduce(values[at], axis=1)
     return out
 
 
@@ -263,8 +289,9 @@ def standardize_advantages(rewards: Sequence[float] | np.ndarray, xi: float) -> 
         raise InputError("advantage standardization needs a group of >= 2")
     if xi <= 0:
         raise InputError(f"xi must be > 0, got {xi}")
-    dev = r - r.mean(axis=-1, keepdims=True)
-    return dev / (np.sqrt((dev * dev).mean(axis=-1, keepdims=True)) + xi)
+    k = r.shape[-1]  # a mean is numpy's sum and division, without its dispatch
+    dev = r - r.sum(axis=-1, keepdims=True) / k
+    return dev / (np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / k) + xi)
 
 
 def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
@@ -284,7 +311,8 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
     return GroupBatch(params.interner, queries, grading.grades(reward_rows),
                       np.full(len(queries), k), rewards,
                       standardize_advantages(reward_rows, xi).ravel(), sampled.lengths,
-                      sampled.terminal, sampled.steps, params.logp_at(*sampled.steps))
+                      sampled.terminal, sampled.steps, params.logp_at(*sampled.steps),
+                      (params, params.generation))
 
 
 def draw_demo(query: Query, teachers: Sequence[TeacherOracle],
@@ -333,10 +361,13 @@ def grpo_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, cfg: M
         raise InputError("grpo_pass needs groups of >= 2")
     check_shared_interner(params, ref)
     index = batch.key_index(params)
-    lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
-    ratios = np.exp(batch.log_ratios(params))
-    unclipped = ratios * adv
-    clipped = np.minimum(np.maximum(ratios, lo), hi) * adv
+    if batch.at_sampler(params):  # every ratio is exactly 1, inside the clip band
+        unclipped = clipped = adv
+    else:
+        lo, hi = 1.0 - cfg.epsilon_clip, 1.0 + cfg.epsilon_clip
+        ratios = np.exp(batch.log_ratios(params))
+        unclipped = ratios * adv
+        clipped = np.minimum(np.maximum(ratios, lo), hi) * adv
     surrogate = _segment_sums(np.minimum(unclipped, clipped), batch.k)
     kl = owner_kl(params, ref, index)
     return -surrogate / batch.k + cfg.beta_kl * kl.value, unclipped, clipped, kl
@@ -349,7 +380,10 @@ def grpo_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     Each trajectory has one ratio, taken against its group's recorded
     ``sample_logp``: data, not parameters, so in training (sampler = current
     policy) every ratio is exactly 1, and finite differences certify the
-    surrogate that training differentiates. The KL penalty anchors to the
+    surrogate that training differentiates. At the sampler
+    (``GroupBatch.at_sampler``) the pass takes them as 1 without a gather,
+    an ``exp`` or the clip; at any other policy, a copy of the sampler
+    included, it gathers its log-probs. The KL penalty anchors to the
     frozen reference. At clip kinks the unclipped branch wins, so the
     gradient is the exact one-sided derivative of the reported expression
     (``grpo_loss``). ``aux`` holds each group's ``kl_value``; the ratios
@@ -433,11 +467,13 @@ def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> B
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
     if batch.grades.count(DifficultyGrade.MID) != batch.count:
         raise StateError("pair construction requires a Mid-graded group")
-    padded = np.full((batch.count, max(batch.k.tolist(), default=0)), -1)
-    padded[batch.owner, np.arange(len(batch.rewards)) - batch.first[batch.owner]] = batch.rewards
-    owner, win, lose = ((padded == 1)[:, :, None] & (padded == 0)[:, None, :]).nonzero()
-    traj = np.stack([win, lose], axis=1) + batch.first[owner, None]
-    full = batch.wins * (batch.k - batch.wins)
+    width = max(batch.k.tolist(), default=0)
+    padded = np.full((batch.count, width), -1)
+    padded[np.arange(width) < batch.k[:, None]] = batch.rewards  # row-major: group by group
+    won, lost = padded == 1, padded == 0
+    owner, win, lose = (won[:, :, None] & lost[:, None, :]).nonzero()
+    traj = (np.array([win, lose]) + batch.first[owner]).T
+    full = won.sum(axis=1) * lost.sum(axis=1)
     counts = np.minimum(full, pair_cap)
     capped = (full > pair_cap).nonzero()[0].tolist()
     if capped:  # each capped group's run of the product is cut to its drawn rows
@@ -476,8 +512,7 @@ def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, pairs: 
     check_shared_interner(params, ref)
     batch.check_pass(params)
     n = len(batch.lengths)
-    log_ratio = (np.bincount(batch.traj, weights=params.logp_at(batch.rows, batch.tokens),
-                             minlength=n)
+    log_ratio = (np.bincount(batch.traj, weights=batch.logp(params), minlength=n)
                  - np.bincount(batch.traj, weights=ref.logp_at(batch.rows, batch.tokens),
                                minlength=n))
     margin = -cfg.beta_gal * (log_ratio[traj_pairs[:, 0]] - log_ratio[traj_pairs[:, 1]])
@@ -494,8 +529,9 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     draws them or ``BatchPairs.of`` checks them. Per pair, d is the
     policy-vs-reference log-ratio margin between the successful and the
     failed trajectory and the loss is -log sigmoid(beta*d), averaged over the
-    group's pairs. The gradient weight 1 - sigmoid(beta*d) is strictly inside
-    (0,1), which is what bounds and eventually anneals this estimator's
+    group's pairs, the policy's log-probs read by ``GroupBatch.logp``, with
+    no gather at the sampler. The gradient weight 1 - sigmoid(beta*d) is
+    strictly inside (0,1), which is what bounds and eventually anneals this estimator's
     variance; the pass returns the weights and leaves their reductions
     (``gal_etas``, the range) to whoever reads them. The sigmoid uses the C
     library's exp, not ``np.exp``, whose SIMD kernel can differ in the last bit

@@ -227,6 +227,7 @@ class PolicyParams:
         for name in self._ARRAYS:
             setattr(self, name, np.empty((0, self.vocab_size)))
         self._written = np.zeros(0, dtype=bool)
+        self._generation = 0
         self.default_logits = np.zeros(vocab_size) if default_logits is None else default_logits
 
     # --- storage -------------------------------------------------------------
@@ -246,6 +247,7 @@ class PolicyParams:
         self._default = row
         self._default_dist = _softmax_rows(row[None, :])
         self._fill_default(np.flatnonzero(~self._written))
+        self._generation += 1
 
     def _fill_default(self, rows) -> None:
         self._logits[rows] = self._default
@@ -268,6 +270,12 @@ class PolicyParams:
 
     def _refresh(self, rows) -> None:
         self._probs[rows], self._logp[rows], self._cdf[rows] = _softmax_rows(self._logits[rows])
+        self._generation += 1
+
+    @property
+    def generation(self) -> int:
+        """The count of writes: this policy's log-probs stand while it does."""
+        return self._generation
 
     def row(self, ctx: Context) -> int:
         r = self.interner.row(ctx)
@@ -515,20 +523,17 @@ class Rollouts(NamedTuple):
 
 def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
                     rng: np.random.Generator, *, stop_token: int, t_max: int) -> Rollouts:
-    """k autoregressive samples for each query, all advanced one position at
-    a time; trajectory i belongs to ``query_ids[i // k]``.
+    """k autoregressive samples for each query, advanced together position
+    by position; trajectory i belongs to ``query_ids[i // k]``.
 
-    At each position the trajectories still running take, in order, one
-    ``rng.random(live)`` draw. A token is the first whose cdf entry exceeds
-    its draw, clamped to the vocabulary for a draw above a rounded cdf's
-    last entry, as in ``sample_trajectory``: the ``argmin`` of the row's
-    "entry at or below the draw" flags, or V - 1 when even the last entry is
-    at or below it, as a cdf never decreases. A trajectory stops on
-    ``stop_token`` or after t_max tokens, so each has at least one step.
-    Each distinct query's root is interned once, in first-seen order; the
-    contexts met for the first time after it are interned position by
-    position, in trajectory order. The steps are returned trajectory by
-    trajectory (``Rollouts``), the layout of a ``GroupBatch``.
+    At each position the running trajectories take, in order, one
+    ``rng.random(live)`` draw, and a token is the first cdf entry above its
+    draw, clamped to V - 1: the ``argmin`` of the "at or below" flags with
+    the last one cleared, as a cdf never decreases. A trajectory stops on
+    ``stop_token`` or after t_max tokens. Roots are interned in first-seen
+    order, later first visits position by position in trajectory order; the
+    cdf and map views are taken again only after them. The steps come back
+    trajectory by trajectory (``Rollouts``).
     """
     if k < 2:
         raise ConfigError(f"group size must be >= 2, got {k}")
@@ -545,30 +550,30 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
     row = np.repeat(np.fromiter(map(roots.__getitem__, query_ids), np.intp, len(query_ids)), k)
     live = np.arange(n)
     params._fit()
-    drawn = []  # per position: the running trajectories, their rows and their tokens
-    for t in range(t_max):
-        below = params._cdf.take(row, axis=0) <= rng.random((len(live), 1))
-        tok = np.where(below[:, -1], v - 1, below.argmin(axis=1))
-        drawn.append((live, row, tok))
+    cdf, nxt = params._cdf, interner._next.ravel()
+    drawn = []  # per position: the running trajectories and each step's row * V + token
+    for t in range(t_max):  # each position one pass over the running trajectories' arrays
+        below = cdf.take(row, axis=0) <= rng.random((len(live), 1))
+        below[:, -1] = False  # so a draw at or above the last entry takes V - 1
+        tok = below.argmin(axis=1)
+        key = row * v + tok
+        drawn.append((live, key))
         going = tok != stop_token
-        if not going.all():
-            live, row, tok = live[going], row[going], tok[going]
+        live, key = live[going], key[going]
         if t + 1 == t_max or len(live) == 0:
             break
-        # the map is read anew at every position: step() may have grown it
-        prev, row = row, interner._next.ravel().take(row * v + tok)
-        if row.min() < 0:  # first visits: intern the new contexts, then cover them
+        row = nxt.take(key)
+        if np.minimum.reduce(row) < 0:  # first visits: intern the new contexts, then cover them
             for i in np.flatnonzero(row < 0).tolist():
-                row[i] = interner.step(int(prev[i]), int(tok[i]))
+                row[i] = interner.step(*divmod(int(key[i]), v))
             params._fit()
-    traj, rows, tokens = (np.concatenate(part) for part in zip(*drawn))
+            cdf, nxt = params._cdf, interner._next.ravel()
+    traj, keys = (np.concatenate(part) for part in zip(*drawn))
+    # a stable sort of the position-major draws puts each trajectory's steps together
+    steps = np.empty((2, len(traj)), dtype=np.intp)
+    np.divmod(keys.take(np.argsort(traj, kind="stable")), v, out=(steps[0], steps[1]))
     lengths = np.bincount(traj, minlength=n)
     ends = np.cumsum(lengths)
-    # the draws are position-major: each goes to its trajectory's start plus its position
-    position = np.repeat(np.arange(len(drawn)), [len(live) for live, _, _ in drawn])
-    at = (ends - lengths)[traj] + position
-    steps = np.empty((2, len(traj)), dtype=np.intp)
-    steps[0, at], steps[1, at] = rows, tokens
     return Rollouts(steps, lengths, steps[1, ends - 1] == stop_token)
 
 

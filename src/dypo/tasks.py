@@ -162,15 +162,14 @@ def batch_reward(queries: Sequence[Query], tokens: np.ndarray, lengths: np.ndarr
     # an answer holding the separator needs more tokens than there are
     need = np.array([len(tokens) + 1 if q.separator in q.answer_tokens else len(tail)
                      for q, tail in zip(distinct, tails)])
-    # read only what can be rewarded: each its last ``need`` tokens, the -1 padding unread
-    read = terminal & (lengths >= need[owner])
-    last, owner = np.cumsum(lengths)[read] - 1, owner[read]
-    match = np.ones(len(last), dtype=bool)
-    for back, col in enumerate(want.T):
-        wanted = col[owner]
-        match &= (tokens.take(last - back, mode="clip") == wanted) | (wanted < 0)
-    read[read] = match
-    return read.astype(np.int64)
+    if len(tokens) == 0:  # only empty trajectories, none rewarded, and nothing to take
+        return np.zeros(n, dtype=np.int64)
+    # each trajectory's last ``size`` tokens in one take, the -1 padding unmatched; a
+    # trajectory shorter than its ``need`` is not rewarded, whatever its window holds
+    window = tokens.take((np.cumsum(lengths) - 1)[:, None] - np.arange(size), mode="clip")
+    wanted = want[owner]
+    match = ((window == wanted) | (wanted < 0)).all(axis=1)
+    return (terminal & (lengths >= need[owner]) & match).astype(np.int64)
 
 
 @dataclass(frozen=True)

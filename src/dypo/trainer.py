@@ -387,9 +387,9 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
         counts = {grade: batch.grades.count(grade) for grade in DifficultyGrade}
         eta = kl = 0.0
         if passed is not None:
-            kl = float(np.mean(passed.aux["kl_value"]))
+            kl = float(passed.aux["kl_value"].mean())
             if passed.weights is not None:
-                eta = float(np.mean(gal_etas(passed)))
+                eta = float(gal_etas(passed).mean())
                 stats.gal_weight_min = min(stats.gal_weight_min, float(passed.weights.min()))
                 stats.gal_weight_max = max(stats.gal_weight_max, float(passed.weights.max()))
 

@@ -202,8 +202,6 @@ def test_criterion_9_gradient_smoothness(dypo_run, baseline_runs):
 
 
 def test_criterion_10_determinism(tmp_path):
-    import json
-
     from dypo.trainer import load_checkpoint, save_checkpoint
 
     cfg = TrainConfig(seed=ACCEPTANCE_SEED, steps=60)

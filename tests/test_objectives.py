@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import weakref
 from collections import Counter
 
@@ -41,7 +42,7 @@ from dypo.objectives import (
 from dypo.policy import KeyedBlocks, PolicyParams, RowBlock, Trajectory, sum_blocks
 from dypo.seeding import substream
 from dypo.tasks import TaskConfig, make_teacher_ensemble, reward, teacher_sample
-from dypo.trainer import QueryPool, TrainConfig, init_policy
+from dypo.trainer import QueryPool, TrainConfig, init_policy, train
 
 from conftest import block_dict, traj_log_prob, traj_score
 from reference import naive_log_prob, naive_score, step_contexts, trajectories
@@ -143,6 +144,97 @@ def test_grpo_on_policy_identity():
     assert len(group) == 1 and not group.log_ratios(inst.params).any()
     assert report.aux["kl_value"][0] == 0.0
     assert report.loss[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def _gathers(monkeypatch) -> list:
+    """Every ``PolicyParams.logp_at`` call from now on: the policy it
+    gathers from and the function that called it."""
+    calls = []
+    gather = PolicyParams.logp_at
+
+    def counted(self, rows, tokens):
+        calls.append((self, sys._getframe(1).f_code.co_name))
+        return gather(self, rows, tokens)
+
+    monkeypatch.setattr(PolicyParams, "logp_at", counted)
+    return calls
+
+
+def _sampled(seed: int = 3):
+    """A starting policy, its reference, and two batches it sampled, each
+    with Mid groups."""
+    cfg = TrainConfig(seed=seed)
+    pool = QueryPool(cfg.task, cfg.seed)
+    params = init_policy(cfg, pool)
+    batches = [rollout_groups(params, pool.queries, 8, substream(seed, "score-once", i),
+                              xi=CFG.xi, stop_token=TASK.stop, t_max=cfg.t_max)
+               for i in range(2)]
+    assert all(DifficultyGrade.MID in b.grades for b in batches)
+    return params, params.snapshot(), batches
+
+
+def _mid(batch: GroupBatch) -> GroupBatch:
+    return batch.select([g is DifficultyGrade.MID for g in batch.grades])
+
+
+def test_a_batch_is_scored_once_at_its_sampler(monkeypatch):
+    # a fresh batch, a select of it and a concat of two, each read at the
+    # policy that sampled them, gather only the reference's log-probs
+    params, ref, (first, second) = _sampled()
+    calls = _gathers(monkeypatch)
+    assert first.at_sampler(params) and not first.log_ratios(params).any()
+    grpo_pass(params, ref, first, CFG)
+    for batch in (_mid(first), GroupBatch.concat([_mid(first), _mid(second)])):
+        assert batch.at_sampler(params) and not batch.log_ratios(params).any()
+        mixed_pass(params, ref, batch, pair_arrays(batch, CFG.pair_cap, substream(3, "pairs")),
+                   CFG)
+    assert calls == [(ref, "gal_loss")] * 2
+
+
+@pytest.mark.parametrize("write", ["apply_update", "set_logits", "default_logits"])
+def test_a_write_to_the_sampler_brings_the_gather_back(monkeypatch, write):
+    params, _, (batch, _) = _sampled()
+    row = int(batch.rows[0])  # every trajectory's first row, its query's root, is unwritten
+    tilt = np.linspace(-1.0, 1.0, TASK.vocab_size)  # moves every token's log-prob
+    if write == "apply_update":
+        params.apply_update(RowBlock(np.array([row]), tilt[None, :]), 1.0)
+        moved = {row}
+    elif write == "set_logits":
+        params.set_logits(params.interner.contexts[row], params.default_logits + tilt)
+        moved = {row}
+    else:
+        written = set(params.rows(params.written_contexts()).tolist())
+        params.default_logits = params.default_logits + tilt
+        moved = set(range(len(params.interner.contexts))) - written
+    calls = _gathers(monkeypatch)
+    assert not batch.at_sampler(params)
+    ratios = batch.log_ratios(params)
+    assert calls == [(params, "logp")]
+    visits = np.bincount(batch.traj, weights=np.isin(batch.rows, list(moved)),
+                         minlength=len(batch.lengths))
+    assert visits.any()
+    np.testing.assert_array_equal(ratios != 0.0, visits > 0)
+
+
+def test_a_copy_of_the_sampler_always_gathers(monkeypatch):
+    params, _, (batch, _) = _sampled()
+    copy = params.copy()
+    calls = _gathers(monkeypatch)
+    assert not batch.at_sampler(copy)
+    assert not batch.log_ratios(copy).any()  # the same table, read by a gather
+    assert calls == [(copy, "logp")]
+
+
+@pytest.mark.parametrize("variant", ["dypo", "sft_only", "grpo_only"])
+def test_a_training_step_gathers_the_live_policy_once(monkeypatch, variant):
+    # the rollouts are scored as they are sampled; the only other gather of
+    # the live policy is the demonstrations' NLL, which no policy sampled
+    calls = _gathers(monkeypatch)
+    result = train(TrainConfig(seed=1, steps=20, variant=variant))
+    live = Counter(caller for policy, caller in calls if not policy.frozen)
+    hard_steps = sum(m.hard > 0 for m in result.metrics)
+    distilled = {"dypo": hard_steps, "sft_only": 20, "grpo_only": 0}[variant]
+    assert hard_steps and live == Counter({"rollout_groups": 20, "demo_nll": distilled})
 
 
 def test_grpo_zero_advantage_groups():

@@ -1,7 +1,8 @@
 """Property tests: the lockstep and scalar samplers and row-block gradients
 against naive per-position and per-token references, a sampled group rebuilt
 by hand against its batch of one, one keyed loss pass against its groups one
-by one, one SFT pass against its queries one by one, the KL against its
+by one and at a copy of the policy against the policy (which may have sampled
+the batch), one SFT pass against its queries one by one, the KL against its
 per-key formula, the routing gate
 against its pathways by hand, GAL's sigmoid against scipy's ``expit``, pair
 construction one group at a time and batched, the grading partition and
@@ -113,6 +114,20 @@ def assert_block_matches(params, block, expected: dict) -> None:
     for ctx, vec in got.items():
         diff = np.abs(vec - expected.get(ctx, np.zeros(V))).max()
         assert diff <= 1e-12 * scale, (ctx, diff)
+
+
+def assert_same_report(got, want) -> None:
+    """Two passes over one batch, bit for bit: losses, gradient keys and
+    values, every aux array and the pair weights."""
+    assert got.loss.tobytes() == want.loss.tobytes()
+    assert got.gradient.keys.tobytes() == want.gradient.keys.tobytes()
+    assert got.gradient.values.tobytes() == want.gradient.values.tobytes()
+    assert set(got.aux) == set(want.aux)
+    for name, value in got.aux.items():
+        assert value.tobytes() == want.aux[name].tobytes()
+    assert (got.weights is None) == (want.weights is None)
+    if want.weights is not None:
+        assert got.weights.tobytes() == want.weights.tobytes()
 
 
 # --- strategies ---------------------------------------------------------------
@@ -375,18 +390,21 @@ def test_one_sft_pass_is_its_queries_one_by_one(seed, history, picks, n_teachers
 
 
 @given(seed=seeds, index=st.integers(0, 60), kind=st.sampled_from(["mid", "hard", "easy"]),
-       on_policy=st.booleans(), beta_kl=st.sampled_from([0.0, 0.01, 0.5]))
+       on_policy=st.booleans(), beta_kl=st.sampled_from([0.0, 0.01, 0.5]), twin=st.booleans())
 @SLOW
-def test_grpo_block_matches_naive_reference(seed, index, kind, on_policy, beta_kl):
+def test_grpo_block_matches_naive_reference(seed, index, kind, on_policy, beta_kl, twin):
     # the group's sampling log-probs are the reference's, or the params' own as in training
     inst = make_instance(seed, index, kind=kind)
     sampler = inst.params if on_policy else inst.ref
     group = GroupBatch.of(sampler, inst.query, trajectories(inst.group), inst.group.rewards,
                           inst.group.advantages)
     cfg = MixConfig(beta_kl=beta_kl)
-    block, = grpo_pass(inst.params, inst.ref, group, cfg).gradient.blocks()
+    report = grpo_pass(inst.params, inst.ref, group, cfg)
+    block, = report.gradient.blocks()
     assert_block_matches(inst.params, block,
                          naive_grpo(inst.params, inst.ref, sampler, group, cfg))
+    if twin:  # a copy of the params gathers its log-probs, and gives the same bits
+        assert_same_report(grpo_pass(inst.params.copy(), inst.ref, group, cfg), report)
 
 
 @given(seed=seeds, index=st.integers(0, 60), beta=st.sampled_from([0.5, 1.0, 3.0]),
@@ -480,10 +498,10 @@ picks = st.lists(st.lists(st.integers(0, 2**16), min_size=2, max_size=8), min_si
 
 @given(seed=seeds, index=st.integers(0, 60), picks=picks,
        extra=st.lists(token_seqs, max_size=4), on_policy=st.booleans(),
-       pair_cap=st.integers(1, 8))
+       pair_cap=st.integers(1, 8), twin=st.booleans())
 @FAST
 def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extra, on_policy,
-                                                         pair_cap):
+                                                         pair_cap, twin):
     inst = make_instance(seed, index)
     params, ref = inst.params, inst.ref
     groups = _graded_groups(inst, picks, extra, params if on_policy else ref)
@@ -494,6 +512,17 @@ def test_one_pass_over_a_batch_is_its_groups_one_by_one(seed, index, picks, extr
     grpo = grpo_pass(params, ref, batch, cfg)
     gal = gal_pass(params, ref, batch, batch_pairs, cfg)
     mixed = mixed_pass(params, ref, batch, batch_pairs, cfg)
+    if twin:  # a copy of the params, never the sampler, gathers and gives the same bits
+        copy = params.copy()
+        assert not batch.at_sampler(copy) and batch.at_sampler(params) == on_policy
+        assert_same_report(grpo_pass(copy, ref, batch, cfg), grpo)
+        assert_same_report(gal_pass(copy, ref, batch, batch_pairs, cfg), gal)
+        assert_same_report(mixed_pass(copy, ref, batch, batch_pairs, cfg), mixed)
+        at_copy, at_params = (route_groups(p, ref, batch, inst.teachers, cfg,
+                                           substream(seed, "route"))[0] for p in (copy, params))
+        assert at_copy.loss == at_params.loss
+        assert at_copy.gradient.rows.tobytes() == at_params.gradient.rows.tobytes()
+        assert at_copy.gradient.values.tobytes() == at_params.gradient.values.tobytes()
     estimator = grpo_estimator(params, batch)
     bench_mix = mixed_keyed(estimator, gal.gradient, cfg.alpha).blocks()
     for i, group in enumerate(groups):
@@ -774,6 +803,9 @@ def reward_cases(draw):
 
 @given(cases=st.lists(reward_cases(), min_size=1, max_size=4), per=st.integers(1, 3),
        repeat=st.booleans())
+# only empty trajectories: no token at all to read
+@example(cases=[(Query(0, (), Trajectory((), True), (1,), (), SEP, STOP),
+                 [Trajectory((), True), Trajectory((), False)])], per=2, repeat=False)
 @FAST
 def test_batch_reward_is_the_scalar_reward(cases, per, repeat):
     if repeat:  # every query object again, in reverse order, with other trajectories
@@ -952,7 +984,9 @@ def test_segment_sums_are_each_runs_own_sum_bit_for_bit(counts, equal, seed):
     n = sum(counts)
     # magnitudes over 16 decades, so that a sum in another order rounds otherwise
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
-    got = _segment_sums(values, np.array(counts))
     ends = np.cumsum(counts).tolist()
-    want = np.array([np.sum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)])
-    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    # the second sum over these counts reads the plan the first one built
+    for values in (values, values[::-1].copy()):
+        got = _segment_sums(values, np.array(counts))
+        want = np.array([np.sum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()

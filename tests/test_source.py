@@ -1,4 +1,4 @@
-"""Source hygiene: no module of the package imports a name it never uses,
+"""Source hygiene: no module of the package or test imports a name it never uses,
 every top-level function and class is used in the package or exported,
 importing the package loads no scipy, the trainer routes only through the
 gate, only the certifier uses the scalar sampler and checks hand-made pairs,
@@ -64,10 +64,11 @@ def test_the_checker_finds_an_unused_import():
 
 
 def test_no_module_imports_a_name_it_does_not_use():
-    # the package __init__ imports only to re-export
+    # the package __init__ imports only to re-export; the tests are checked too
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    unused = {p.name: unused_imports(p.read_text()) for p in modules}
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert modules and tests
+    unused = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in modules + tests}
     assert {name: names for name, names in unused.items() if names} == {}
 
 
