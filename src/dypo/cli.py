@@ -150,7 +150,7 @@ def _cmd_evaluate(args) -> int:
     params = _load_params(cfg, args.checkpoint)
     pool = QueryPool(cfg.task, cfg.seed)
     report = evaluate(params, pool, args.groups, cfg.k,
-                      substream(cfg.seed, "evaluate"), xi=cfg.mix.xi, t_max=cfg.t_max)
+                      substream(cfg.seed, "evaluate"), t_max=cfg.t_max)
     out = _prepare_out(args, cfg)
     _write_json(out / "eval.json", asdict(report))
     print(f"pass_rate={report.pass_rate:.4f} grades={report.grade_counts} "

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence, get_type_hints
 
@@ -29,7 +30,7 @@ from .objectives import (
     pair_arrays,
     rollout_groups,
 )
-from .policy import KeyedBlocks, PolicyParams, RowBlock, score_sq_norms, stack_keyed, sum_rows
+from .policy import KeyedBlocks, PolicyParams, RowBlock, score_sq_norms, sum_rows
 from .tasks import BiasTestbedConfig, Query, bias_sq_norms
 
 # the fewest samples a variance estimate takes, so the fewest groups of a variance bench
@@ -73,17 +74,21 @@ METRICS_HEADER = tuple(f.name for f in fields(StepMetrics))
 _INT_FIELDS = {name for name, kind in get_type_hints(StepMetrics).items() if kind is int}
 
 
-def variance_from_samples(samples: KeyedBlocks) -> VarianceEstimate:
+def variance_from_samples(chunks: Sequence[KeyedBlocks]) -> VarianceEstimate:
     """Mean gradient, unbiased scalar variance, and jackknife standard error.
 
-    Each owner of ``samples`` is one sample; the keyed arrays are reduced
+    Each owner of each chunk is one sample, the owners of ``chunks[i]``
+    numbered after those of ``chunks[:i]``; the chunks' arrays are reduced
     with a few vectorized calls, the mean's row sums by ``sum_rows``.
     """
-    n = samples.count
+    n = sum(chunk.count for chunk in chunks)
     if n < MIN_VARIANCE_SAMPLES:
         raise InputError(f"variance estimation needs >= {MIN_VARIANCE_SAMPLES} samples, got {n}")
-    owner, rows = samples.owner_rows()
-    values = samples.values
+    firsts = accumulate((chunk.count for chunk in chunks), initial=0)
+    owners, rows = zip(*(chunk.owner_rows() for chunk in chunks))
+    owner = np.concatenate([o + first for o, first in zip(owners, firsts)])
+    rows = np.concatenate(rows)
+    values = np.concatenate([chunk.values for chunk in chunks])
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         bad = int(owner[np.argmin(finite)])
@@ -188,7 +193,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams, draw_query:
         score_sq = score_sq_norms(params, batch.rows, batch.tokens, batch.lengths)
         score_sq_sum += float(score_sq.sum())
     # each estimator's chunks are freed once it is reduced
-    est = {name: variance_from_samples(stack_keyed(samples.pop(name)))
+    est = {name: variance_from_samples(samples.pop(name))
            for name in ("grpo", "gal", "mix")}
     gap = est["grpo"].scalar_variance - est["mix"].scalar_variance
     combined_se = float(np.hypot(est["grpo"].standard_error, est["mix"].standard_error))

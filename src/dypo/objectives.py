@@ -191,11 +191,6 @@ class GroupBatch:
         """Each group's first trajectory."""
         return np.cumsum(self.k) - self.k
 
-    @cached_property
-    def wins(self) -> np.ndarray:
-        """Each group's count of rewarded trajectories."""
-        return np.bincount(self.owner, weights=self.rewards, minlength=self.count).astype(np.intp)
-
     def check_pass(self, params: PolicyParams) -> None:
         """An ``InputError`` unless the batch has a group to pass over and
         ``params`` reads the interner its rows are numbered in."""

@@ -4,7 +4,9 @@ The policy is a logit table indexed by (query id, last-n generated tokens).
 A ``ContextInterner`` maps each context to a row; the logits live in one
 dense ``(rows, V)`` array, with the matching probabilities, log-probabilities
 and sampling cdf refreshed by one vectorized softmax over the rows a write
-touched. Rows a policy has never written read ``default_logits``. The
+touched. Rows a policy has never written read ``default_logits``, fixed
+when it is built, and only ``_fit`` grows the arrays: a copy, a snapshot
+and a probe table (``with_rows``) are fitted copies. The
 sampler walks the interner's transition map, a ``(rows, V)`` array, from row
 to row: ``sample_lockstep`` advances every trajectory of a batch of groups
 one position at a time, so each step's context is resolved once, by array
@@ -126,25 +128,9 @@ class KeyedBlocks(NamedTuple):
 
     def blocks(self) -> list[RowBlock]:
         """Every owner's ``RowBlock``, in owner order."""
-        if self.count == 1:
-            return [RowBlock(self.keys, self.values)]
-        starts = np.arange(self.count + 1) * self.span
-        bounds = np.searchsorted(self.keys, starts).tolist()
-        return [RowBlock(self.keys[lo:hi] - start, self.values[lo:hi])
-                for lo, hi, start in zip(bounds, bounds[1:], starts.tolist())]
-
-
-def stack_keyed(parts: Sequence[KeyedBlocks]) -> KeyedBlocks:
-    """Keyed blocks of consecutive owner ranges as one, the owners of
-    ``parts[i]`` numbered after those of ``parts[:i]``."""
-    span = max(p.span for p in parts)
-    keys, first = [], 0
-    for p in parts:
-        owner, rows = p.owner_rows()
-        keys.append((owner + first) * span + rows)
-        first += p.count
-    return KeyedBlocks(np.concatenate(keys), np.concatenate([p.values for p in parts]), span,
-                       first)
+        owner, rows = self.owner_rows()
+        bounds = np.searchsorted(owner, np.arange(self.count + 1)).tolist()
+        return [RowBlock(rows[lo:hi], self.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class ContextInterner:
@@ -228,45 +214,37 @@ class PolicyParams:
             setattr(self, name, np.empty((0, self.vocab_size)))
         self._written = np.zeros(0, dtype=bool)
         self._generation = 0
-        self.default_logits = np.zeros(vocab_size) if default_logits is None else default_logits
+        row = np.array(np.zeros(vocab_size) if default_logits is None else default_logits,
+                       dtype=np.float64)
+        if row.shape != (self.vocab_size,):
+            raise InputError("default_logits must have vocab_size entries")
+        if not np.all(np.isfinite(row)):
+            raise InputError("default_logits entries must be finite")
+        row.flags.writeable = False
+        self._default = row
+        self._default_dist = _softmax_rows(row[None, :])
 
     # --- storage -------------------------------------------------------------
 
     @property
     def default_logits(self) -> np.ndarray:
+        """Logits of every row this policy has not written, fixed at construction."""
         return self._default
 
-    @default_logits.setter
-    def default_logits(self, values: Sequence[float]) -> None:
-        """Logits of every row this policy has not written."""
-        row = np.array(values, dtype=np.float64)
-        if row.shape != (self.vocab_size,):
-            raise InputError("default_logits must have vocab_size entries")
-        if not np.all(np.isfinite(row)):
-            raise InputError("default_logits entries must be finite")
-        self._default = row
-        self._default_dist = _softmax_rows(row[None, :])
-        self._fill_default(np.flatnonzero(~self._written))
-        self._generation += 1
-
-    def _fill_default(self, rows) -> None:
-        self._logits[rows] = self._default
-        for arr, dist in zip((self._probs, self._logp, self._cdf), self._default_dist):
-            arr[rows] = dist
-
     def _fit(self) -> None:
-        """Grow the arrays, by doubling, to cover every interned row."""
+        """Grow the arrays, by doubling, to cover every interned row: the one
+        growth path of a policy and its copies. New rows are unwritten."""
         have = len(self._written)
         need = len(self.interner.contexts)
         if need <= have:
             return
         cap = max(need, 2 * have, 16)
-        for name in self._ARRAYS:
+        for name, default in zip(self._ARRAYS, (self._default, *self._default_dist)):
             grown = np.empty((cap, self.vocab_size))
             grown[:have] = getattr(self, name)
+            grown[have:] = default
             setattr(self, name, grown)
         self._written = np.concatenate([self._written, np.zeros(cap - have, dtype=bool)])
-        self._fill_default(slice(have, cap))
 
     def _refresh(self, rows) -> None:
         self._probs[rows], self._logp[rows], self._cdf[rows] = _softmax_rows(self._logits[rows])
@@ -343,45 +321,16 @@ class PolicyParams:
         self._written[grad.rows] = True
         self._refresh(grad.rows)
 
-    def with_rows(self, rows: np.ndarray, shift: np.ndarray | None = None) -> "PolicyParams":
-        """Frozen copy with one extra row per entry of ``rows``, numbered on
-        from the interner's last row: extra row i is row ``rows[i]``, its
-        logits moved by ``shift[i]`` and re-softmaxed when a shift is given.
-
-        Extra rows belong to no context, so only reads by row see them. The
-        copy is stale once the interner grows: the next context interned
-        takes extra row 0's number, so a reader that keeps the copy
-        (``gradcheck.Probes``) checks the interner's size before each use.
-        This policy is not changed.
-        """
-        out = PolicyParams.__new__(PolicyParams)
-        out.__dict__.update(self.__dict__)
-        out.frozen = True
-        used = len(self.interner.contexts)
-        have = min(used, len(self._written))
-        out._written = np.zeros(used + len(rows), dtype=bool)
-        out._written[:have] = self._written[:have]
-        for name in self._ARRAYS:
-            table = np.empty((used + len(rows), self.vocab_size))
-            table[:have] = getattr(self, name)[:have]
-            setattr(out, name, table)
-        out._fill_default(slice(have, used))  # interned since this policy's arrays last grew
-        for name in self._ARRAYS:
-            table = getattr(out, name)
-            table[used:] = table[rows]
-        if shift is not None:
-            out._logits[used:] += shift
-            out._refresh(slice(used, None))
-        return out
-
     def copy(self) -> "PolicyParams":
-        """Unfrozen copy sharing this policy's interner; it holds only the used rows."""
+        """Unfrozen copy sharing this policy's interner, fitted to it; it
+        holds only the used rows when this policy's arrays cover them."""
         out = PolicyParams.__new__(PolicyParams)
         out.__dict__.update(self.__dict__)
         used = len(self.interner.contexts)
         for name in self._ARRAYS + ("_written",):
             setattr(out, name, getattr(self, name)[:used].copy())
         out.frozen = False
+        out._fit()
         return out
 
     def snapshot(self) -> "PolicyParams":
@@ -389,6 +338,28 @@ class PolicyParams:
         snap = self.copy()
         snap.frozen = True
         return snap
+
+    def with_rows(self, rows: np.ndarray, shift: np.ndarray | None = None) -> "PolicyParams":
+        """A snapshot with one extra row per entry of ``rows``, numbered on
+        from the interner's last row: extra row i is row ``rows[i]``, its
+        logits moved by ``shift[i]`` and re-softmaxed when a shift is given.
+
+        Extra rows belong to no context and are unwritten, so only reads by
+        row see them. The table is stale once the interner grows: the next
+        context interned takes extra row 0's number, so a reader that keeps
+        it (``gradcheck.Probes``) checks the interner's size before each use.
+        This policy is not changed.
+        """
+        out = self.snapshot()
+        used = len(self.interner.contexts)
+        for name in self._ARRAYS:
+            table = getattr(out, name)
+            setattr(out, name, np.concatenate([table[:used], table[rows]]))
+        out._written = np.concatenate([out._written[:used], np.zeros(len(rows), dtype=bool)])
+        if shift is not None:
+            out._logits[used:] += shift
+            out._refresh(slice(used, None))
+        return out
 
 
 def check_shared_interner(params: PolicyParams, ref: PolicyParams) -> None:

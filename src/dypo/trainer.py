@@ -455,9 +455,9 @@ class EvalReport:
 
 
 def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
-             rng: np.random.Generator, *, xi: float = 1e-4,
-             t_max: int = 16) -> EvalReport:
-    """Roll out without updating; pass rate counts queries with any success.
+             rng: np.random.Generator, *, t_max: int = 16) -> EvalReport:
+    """Roll out without updating; pass rate counts queries with any success,
+    the groups that are not Hard.
 
     All queries are drawn first; their groups are then sampled in chunks of
     ``CHUNK_GROUPS``, from the same generator, and read as one batch.
@@ -465,15 +465,18 @@ def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
     if n_queries < 1:
         raise ConfigError("evaluate needs n_queries >= 1")
     queries = pool.draw(rng, n_queries)
+    # the report reads no advantage, so any xi gives its bits
     batch = GroupBatch.concat([rollout_groups(params, queries[lo:lo + CHUNK_GROUPS], k, rng,
-                                              xi=xi, stop_token=pool.task.stop, t_max=t_max)
+                                              xi=MixConfig.xi, stop_token=pool.task.stop,
+                                              t_max=t_max)
                                for lo in range(0, n_queries, CHUNK_GROUPS)])
     counts = {g.value: batch.grades.count(g) for g in DifficultyGrade}
+    hard = counts[DifficultyGrade.HARD.value]
     return EvalReport(
-        pass_rate=int((batch.wins > 0).sum()) / n_queries,
+        pass_rate=(n_queries - hard) / n_queries,
         grade_counts=counts,
         mean_entropy=mean_step_entropy(params, batch.steps[0]),
-        offline_ratio=counts[DifficultyGrade.HARD.value] / n_queries,
+        offline_ratio=hard / n_queries,
         groups=n_queries,
     )
 

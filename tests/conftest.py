@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dypo.policy import KeyedBlocks, KeyIndex, PolicyParams, RowBlock, keyed_score, stack_keyed
+from dypo.policy import KeyedBlocks, KeyIndex, PolicyParams, RowBlock, keyed_score
 from dypo.trainer import TrainConfig, run_comparison, train
 
 ACCEPTANCE_SEED = 1
@@ -56,8 +56,7 @@ def traj_score(params: PolicyParams, query_id: int, tokens) -> RowBlock:
     return keyed_score(params, index, np.ones(len(rows))).blocks()[0]
 
 
-def stacked(blocks) -> KeyedBlocks:
-    """Row blocks as the samples of one keyed array: block i is owner i."""
-    blocks = list(blocks)
-    span = 1 + max((int(b.rows.max()) for b in blocks if b.rows.size), default=0)
-    return stack_keyed([KeyedBlocks(b.rows, b.values, span, 1) for b in blocks])
+def stacked(blocks) -> list[KeyedBlocks]:
+    """Row blocks as the chunks of one variance estimate, one owner each:
+    block i is sample i, its keys its rows."""
+    return [KeyedBlocks(b.rows, b.values, 1 + int(b.rows.max(initial=0)), 1) for b in blocks]

@@ -59,6 +59,13 @@ def sampling_cdf(params: PolicyParams, ctx: Context) -> np.ndarray:
     return params._cdf[row]
 
 
+def log_softmax(logits: Sequence[float]) -> np.ndarray:
+    """The log-probabilities of one logit row, by exactly rounded sums."""
+    top = max(logits)
+    log_total = math.log(math.fsum(math.exp(x - top) for x in logits))
+    return np.array([x - top - log_total for x in logits])
+
+
 def trajectories(batch: GroupBatch) -> tuple[Trajectory, ...]:
     """Every trajectory of a batch, group by group, decoded from its steps' tokens."""
     ends = np.cumsum(batch.lengths).tolist()

@@ -27,7 +27,6 @@ from dypo.objectives import (
     grpo_estimator,
     rollout_groups,
 )
-from dypo.policy import stack_keyed
 from dypo.seeding import substream
 from dypo.trainer import QueryPool, TrainConfig, train, train_config_to_dict
 
@@ -106,7 +105,7 @@ def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
                                     substream(ACCEPTANCE_SEED, "acc-kscale", k), k=k, **common)
         parts = [grpo_estimator(params, groups.select(slice(lo, lo + CHUNK_GROUPS)))
                  for lo in range(0, len(groups), CHUNK_GROUPS)]
-        var[k] = variance_from_samples(stack_keyed(parts)).scalar_variance
+        var[k] = variance_from_samples(parts).scalar_variance
     r48 = var[4] / var[8]
     r816 = var[8] / var[16]
     elapsed = time.time() - t0

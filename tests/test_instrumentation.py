@@ -229,13 +229,9 @@ def test_metrics_offline_ratio_in_bounds(tmp_path):
 def test_collect_mid_groups_budget_error():
     # an oracle-solved pool yields no Mid groups: the bench must fail loudly
     inst = make_instance(1, 0, kind="mid")
-    params = inst.params.copy()
-    for ctx in params.written_contexts():
-        row = params.logits(ctx).copy()
-        row[:] = 0.0
-        row[inst.query.stop] = 40.0  # everything terminates immediately: all fail
-        params.set_logits(ctx, row)
-    params.default_logits = params.logits((inst.query.query_id, ()))
+    row = np.zeros(inst.params.vocab_size)
+    row[inst.query.stop] = 40.0  # everything terminates immediately: all fail
+    params = PolicyParams(inst.params.vocab_size, 1, default_logits=row)
     with pytest.raises(BenchError) as exc:
         collect_mid_groups(params, lambda rng, size: [inst.query] * size, 5,
                            substream(1, "budget"), k=4, xi=1e-4, stop_token=inst.query.stop,
@@ -246,10 +242,9 @@ def test_collect_mid_groups_budget_error():
 def test_collect_mid_groups_spends_exactly_its_budget_over_several_chunks():
     # only failures: a budget above the chunk size and not a multiple of it
     inst = make_instance(1, 0, kind="mid")
-    params = PolicyParams(inst.params.vocab_size, 1)
-    row = np.zeros(params.vocab_size)
+    row = np.zeros(inst.params.vocab_size)
     row[inst.query.stop] = 40.0
-    params.default_logits = row
+    params = PolicyParams(inst.params.vocab_size, 1, default_logits=row)
     budget = 2 * CHUNK_GROUPS + 37
     drawn = []
     with pytest.raises(BenchError) as exc:

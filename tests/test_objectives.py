@@ -191,21 +191,16 @@ def test_a_batch_is_scored_once_at_its_sampler(monkeypatch):
     assert calls == [(ref, "gal_loss")] * 2
 
 
-@pytest.mark.parametrize("write", ["apply_update", "set_logits", "default_logits"])
+@pytest.mark.parametrize("write", ["apply_update", "set_logits"])
 def test_a_write_to_the_sampler_brings_the_gather_back(monkeypatch, write):
     params, _, (batch, _) = _sampled()
     row = int(batch.rows[0])  # every trajectory's first row, its query's root, is unwritten
     tilt = np.linspace(-1.0, 1.0, TASK.vocab_size)  # moves every token's log-prob
     if write == "apply_update":
         params.apply_update(RowBlock(np.array([row]), tilt[None, :]), 1.0)
-        moved = {row}
-    elif write == "set_logits":
-        params.set_logits(params.interner.contexts[row], params.default_logits + tilt)
-        moved = {row}
     else:
-        written = set(params.rows(params.written_contexts()).tolist())
-        params.default_logits = params.default_logits + tilt
-        moved = set(range(len(params.interner.contexts))) - written
+        params.set_logits(params.interner.contexts[row], params.default_logits + tilt)
+    moved = {row}
     calls = _gathers(monkeypatch)
     assert not batch.at_sampler(params)
     ratios = batch.log_ratios(params)

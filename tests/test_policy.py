@@ -128,10 +128,9 @@ def test_sample_group_deterministic():
 def test_sample_group_forced_stop():
     task = TaskConfig()
     query = generate_query(task, 1, substream(7, "q"), query_id=0)
-    params = PolicyParams(task.vocab_size, 1)
     row = np.zeros(task.vocab_size)
     row[task.stop] = 30.0
-    params.default_logits = row  # every context immediately emits stop
+    params = PolicyParams(task.vocab_size, 1, default_logits=row)  # every context emits stop
     group = sample_lockstep(params, [query.query_id], 8, substream(7, "r"), stop_token=task.stop,
                             t_max=16)
     assert (group.lengths == 1).all() and group.terminal.all()
@@ -324,9 +323,12 @@ def test_unwritten_rows_read_default_logits():
     for ctx in contexts:
         np.testing.assert_array_equal(probs(params, ctx), default)
     assert params.logits((0, ()))[3] == 5.0
-    params.default_logits = np.zeros(4)
-    np.testing.assert_allclose(probs(params, (5, (2,))), 0.25, atol=1e-15)
-    assert params.logits((0, ()))[3] == 5.0
+    # fixed at construction: no write path refills the unwritten rows
+    with pytest.raises(AttributeError):
+        params.default_logits = np.zeros(4)
+    with pytest.raises(ValueError, match="read-only"):
+        params.default_logits[0] = 0.0
+    np.testing.assert_array_equal(probs(params, (5, (2,))), default)
     assert params.written_contexts() == [(0, ())]
 
 

@@ -1,5 +1,6 @@
 """Property tests: the lockstep and scalar samplers and row-block gradients
-against naive per-position and per-token references, a sampled group rebuilt
+against naive per-position and per-token references, a policy's copies,
+snapshot and probe tables against the policy, a sampled group rebuilt
 by hand against its batch of one, one keyed loss pass against its groups one
 by one and at a copy of the policy against the policy (which may have sampled
 the batch), one SFT pass against its queries one by one, the KL against its
@@ -86,6 +87,7 @@ from conftest import block_dict, traj_score
 from reference import (
     draw_group_pairs,
     gate_terms,
+    log_softmax,
     mean_step,
     naive_gal,
     naive_grpo,
@@ -218,6 +220,40 @@ def test_sampler_matches_naive_per_token_reference(seed, history, k, others, t_m
     assert built.interner is params.interner
     assert np.array_equal(built.steps, got.steps[:, :sum(lengths[:k])])
     assert built.lengths.tolist() == lengths[:k]
+
+
+@given(seed=seeds, history=st.integers(0, 3),
+       picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=12))
+@FAST
+def test_copies_and_probe_tables_read_the_original(seed, history, picks):
+    # the original's arrays do not cover the rows a sibling interned, which
+    # every table reads as unwritten; the twin is built the same and is only read
+    params, twin = _sampling_params(seed, history), _sampling_params(seed, history)
+    generation = params.generation
+    used = len(params.interner.contexts)
+    rows = np.array(picks) % used
+    shift = np.random.default_rng(seed).normal(0, 1, (len(rows), V))
+    tables = (params.copy(), params.snapshot(), params.with_rows(rows),
+              params.with_rows(rows, shift))
+    every = (np.repeat(np.arange(used), V), np.tile(np.arange(V), used))
+    want = twin.logp_at(*every).reshape(used, V)
+    for table in tables:
+        assert table.interner is params.interner
+        assert table.logp_at(*every).tobytes() == want.tobytes()
+        assert table.written_contexts() == twin.written_contexts()
+    assert not tables[0].frozen and all(table.frozen for table in tables[1:])
+    extra = np.repeat(used + np.arange(len(rows)), V), np.tile(np.arange(V), len(rows))
+    assert tables[2].logp_at(*extra).tobytes() == want[rows].tobytes()
+    shifted = tables[3].logp_at(*extra).reshape(len(rows), V)
+    for got, row, moved in zip(shifted, rows.tolist(), shift):
+        ctx = params.interner.contexts[row]
+        np.testing.assert_allclose(got, log_softmax(twin.logits(ctx) + moved), rtol=0, atol=1e-12)
+    # the original is unchanged
+    assert params.generation == generation
+    assert params.written_contexts() == twin.written_contexts()
+    assert params.logp_at(*every).tobytes() == want.tobytes()
+    for ctx in params.interner.contexts:
+        assert params.logits(ctx).tobytes() == twin.logits(ctx).tobytes()
 
 
 @given(seed=seeds, k=st.integers(2, 8), n_queries=st.integers(1, 12), mid_only=st.booleans())

@@ -3,8 +3,9 @@ every top-level function and class is used in the package or exported,
 importing the package loads no scipy, the trainer routes only through the
 gate, only the certifier uses the scalar sampler and checks hand-made pairs,
 only the policy module lays out gradient keys and reads another object's
-private attributes, the certifier names each loss once, and the README's
-configuration block is the schema's defaults."""
+private attributes, only its key index encodes a key, the certifier names
+each loss once, and the README's configuration block is the schema's
+defaults."""
 
 from __future__ import annotations
 
@@ -159,6 +160,39 @@ def test_only_the_policy_lays_out_gradient_keys():
                or isinstance(node, ast.Name) and node.id == "divmod"
                for node in ast.walk(ast.parse(p.read_text()))))
     assert readers == ["policy.py"]
+
+
+def span_scalers(source: str) -> list[str]:
+    """The dotted name of the function or method around each product with a
+    span (a name or an attribute ``span``), in source order."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult) and any(
+                    isinstance(side, ast.Name) and side.id == "span"
+                    or isinstance(side, ast.Attribute) and side.attr == "span"
+                    for side in (child.left, child.right)):
+                found.append(".".join(where))
+            visit(child, where)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_checker_finds_a_span_scaler():
+    source = ("class K:\n    def __init__(self, o, r):\n        self.k = o * self.span + r\n"
+              "def f(o, span):\n    return [i * span for i in o], o + span\n")
+    assert span_scalers(source) == ["K.__init__", "f"]
+
+
+def test_only_the_key_index_encodes_a_key():
+    # KeyIndex encodes a key and KeyedBlocks.owner_rows decodes it, so no
+    # other code of the policy module numbers owners on by a span
+    assert span_scalers((SRC / "policy.py").read_text()) == ["KeyIndex.__init__"]
 
 
 def private_reads(source: str) -> list[str]:
