@@ -123,9 +123,9 @@ def _prepare_out(args, cfg: TrainConfig) -> Path:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
-    result = train(cfg, out_dir=out)
-    final = result.metrics[-1] if result.metrics else None
-    if final is not None:
+    metrics = train(cfg, out_dir=out).checkpoint.metrics
+    if metrics:
+        final = metrics[-1]
         print(f"trained {cfg.steps} steps: mean_reward={final.mean_reward:.4f} "
               f"offline_ratio={final.offline_ratio:.3f} entropy={final.mean_entropy:.3f}")
     else:
@@ -220,8 +220,8 @@ def _cmd_compare(args) -> int:
     out = _prepare_out(args, cfg)
     results = run_comparison(cfg, out_dir=out)
     for variant, result in results.items():
-        final = result.metrics[-1] if result.metrics else None
-        if final is not None:
+        if result.checkpoint.metrics:
+            final = result.checkpoint.metrics[-1]
             print(f"{variant:<10s} reward={final.mean_reward:.4f} "
                   f"entropy={final.mean_entropy:.3f} offline={final.offline_ratio:.3f}")
     print(f"aligned CSVs in {out}")

@@ -252,7 +252,7 @@ def twin_stream(rng: np.random.Generator | None) -> np.random.Generator | None:
     return np.random.Generator(bits)
 
 
-def _grpo(inst: GradCheckInstance, cfg: MixConfig, rng: Draws = None) -> np.ndarray:
+def _grpo(inst: GradCheckInstance, cfg: MixConfig) -> np.ndarray:
     probes = inst.probes
     return grpo_loss(probes.params, probes.ref, probes.batch(inst.group), cfg)[0]
 
@@ -317,7 +317,7 @@ CHECKS = {
         _MID, True, None,
         lambda inst, cfg, rng: grpo_pass(inst.params, inst.ref, inst.group,
                                          cfg).gradient.blocks()[0],
-        _grpo),
+        lambda inst, cfg, rng: _grpo(inst, cfg)),
     "gal_loss_grad": LossCheck(
         _MID, False, None,
         lambda inst, cfg, rng: gal_pass(inst.params, inst.ref, inst.group, _pairs(inst),
@@ -340,13 +340,13 @@ def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
     return partial(CHECKS[loss].losses, cfg=cfg, rng=rng)
 
 
-def certify(inst: GradCheckInstance, loss: str, cfg: MixConfig = _MIX,
-            rng: Draws = None) -> float:
+def certify(inst: GradCheckInstance, loss: str, rng: Draws = None) -> float:
     """Error of the analytic gradient of the certified ``loss`` at the
-    instance against central differences, on the instance's probe table;
-    ``rng`` feeds the loss's draws, which the probes make from a twin."""
-    losses = probe_losses(inst, loss, cfg, twin_stream(rng))
-    analytic = CHECKS[loss].gradient(inst, cfg, rng)
+    instance against central differences, on the instance's probe table, at
+    the default mixture config; ``rng`` feeds the loss's draws, which the
+    probes make from a twin."""
+    losses = probe_losses(inst, loss, _MIX, twin_stream(rng))
+    analytic = CHECKS[loss].gradient(inst, _MIX, rng)
     return gradient_error(inst.params, analytic, numerical_gradient(losses, inst))
 
 

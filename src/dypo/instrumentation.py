@@ -109,18 +109,19 @@ def variance_from_samples(chunks: Sequence[KeyedBlocks]) -> VarianceEstimate:
 
 
 def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: int,
-                       rng: np.random.Generator, *, k: int, xi: float, stop_token: int, t_max: int,
-                       max_attempts: int | None = None) -> GroupBatch:
+                       rng: np.random.Generator, *, k: int, xi: float, stop_token: int,
+                       t_max: int) -> GroupBatch:
     """The first ``n_groups`` Mid-graded groups of the query stream, in order, as one batch.
 
     Queries are drawn, and their groups sampled together, in chunks of at
     most ``CHUNK_GROUPS``, twice the groups still missing, and the attempts
     left; a chunk's Mid groups up to the ``n_groups``-th are kept, by one
     ``select``.
-    Every sampled group is an attempt, so a failed collection has made
-    exactly ``max_attempts`` of them.
+    Every sampled group is an attempt, and the budget is
+    ``max(100 * n_groups, 1000)`` of them, so a failed collection has made
+    exactly its budget of attempts.
     """
-    budget = max_attempts if max_attempts is not None else max(100 * n_groups, 1000)
+    budget = max(100 * n_groups, 1000)
     parts: list[GroupBatch] = []
     found = attempts = 0
     while found < n_groups:
@@ -226,9 +227,12 @@ def bias_law_bench(cfg: BiasTestbedConfig, m_values: Sequence[int], n_draws: int
     Per ensemble size m the expected squared bias is ||b_sys||^2 plus an
     idiosyncratic term sigma^2 / m; the bench estimates it, fits the log-log
     slope of the idiosyncratic term, and verifies strict monotone decrease.
+    It takes at least two distinct sizes, checked before the first draw.
     """
-    if len(m_values) == 0:
-        raise InputError("bias_law_bench needs at least one ensemble size")
+    if len(set(m_values)) < len(m_values):
+        raise InputError(f"ensemble sizes must be distinct, got {list(m_values)}")
+    if len(m_values) < 2:  # the slope needs two points
+        raise InputError("bias_law_bench needs at least two ensemble sizes")
     if n_draws < 10_000:
         raise InputError(f"bias_law_bench needs >= 1e4 draws per point, got {n_draws}")
     for m in m_values:
@@ -259,7 +263,7 @@ def bias_law_bench(cfg: BiasTestbedConfig, m_values: Sequence[int], n_draws: int
     monotone = all(means[a] > means[b] for a, b in zip(ms, ms[1:]))
     analytic = {m: cfg.b_sys_sq + cfg.sigma_bias**2 / m for m in ms}
     rel_errors = {m: abs(means[m] - analytic[m]) / analytic[m] for m in ms}
-    verdict = (cfg.sigma_bias == 0) or (
+    verdict = (cfg.sigma_bias == 0) or bool(
         monotone and abs(slope + 1.0) <= 0.1 and max(rel_errors.values()) <= 0.05)
     return BenchReport(
         name="bias_law",

@@ -195,7 +195,7 @@ class PolicyParams:
 
     _ARRAYS = ("_logits", "_probs", "_logp", "_cdf")
 
-    def __init__(self, vocab_size: int, history: int = 1, frozen: bool = False,
+    def __init__(self, vocab_size: int, history: int = 1,
                  default_logits: Sequence[float] | None = None,
                  interner: ContextInterner | None = None):
         if vocab_size < 2:
@@ -209,7 +209,7 @@ class PolicyParams:
         elif (interner.vocab_size, interner.history) != (self.vocab_size, self.history):
             raise ConfigError("a shared interner must have the policy's vocabulary and history")
         self.interner = interner
-        self.frozen = frozen
+        self.frozen = False
         for name in self._ARRAYS:
             setattr(self, name, np.empty((0, self.vocab_size)))
         self._written = np.zeros(0, dtype=bool)
@@ -321,17 +321,28 @@ class PolicyParams:
         self._written[grad.rows] = True
         self._refresh(grad.rows)
 
-    def copy(self) -> "PolicyParams":
-        """Unfrozen copy sharing this policy's interner, fitted to it; it
-        holds only the used rows when this policy's arrays cover them."""
+    def _copied(self, extra: Sequence[int]) -> "PolicyParams":
+        """The one copy path: an unfrozen copy sharing this policy's interner
+        that holds its used rows, then row ``extra[i]`` again, unwritten, for
+        each i. This policy is fitted first, so each array is copied once;
+        its values, written rows and generation do not change."""
+        self._fit()
+        used = len(self.interner.contexts)
+        size = used + len(extra)
         out = PolicyParams.__new__(PolicyParams)
         out.__dict__.update(self.__dict__)
-        used = len(self.interner.contexts)
-        for name in self._ARRAYS + ("_written",):
-            setattr(out, name, getattr(self, name)[:used].copy())
+        for name in self._ARRAYS:
+            table, copied = getattr(self, name), np.empty((size, self.vocab_size))
+            copied[:used], copied[used:] = table[:used], table[extra]
+            setattr(out, name, copied)
+        out._written = np.zeros(size, dtype=bool)
+        out._written[:used] = self._written[:used]
         out.frozen = False
-        out._fit()
         return out
+
+    def copy(self) -> "PolicyParams":
+        """Unfrozen copy sharing this policy's interner, fitted to it."""
+        return self._copied([])
 
     def snapshot(self) -> "PolicyParams":
         """Frozen copy; log-probs under it are bit-identical across calls."""
@@ -350,13 +361,10 @@ class PolicyParams:
         it (``gradcheck.Probes``) checks the interner's size before each use.
         This policy is not changed.
         """
-        out = self.snapshot()
-        used = len(self.interner.contexts)
-        for name in self._ARRAYS:
-            table = getattr(out, name)
-            setattr(out, name, np.concatenate([table[:used], table[rows]]))
-        out._written = np.concatenate([out._written[:used], np.zeros(len(rows), dtype=bool)])
+        out = self._copied(rows)
+        out.frozen = True
         if shift is not None:
+            used = len(self.interner.contexts)
             out._logits[used:] += shift
             out._refresh(slice(used, None))
         return out

@@ -16,7 +16,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -211,7 +211,6 @@ class Checkpoint:
     step: int
     params: PolicyParams
     ref: PolicyParams
-    rng_state: dict
     metrics: list[StepMetrics]
     config: TrainConfig
 
@@ -227,8 +226,6 @@ class RunStats:
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint
-    metrics: list[StepMetrics]
-    snapshots: dict[int, tuple[PolicyParams, PolicyParams]]
     stats: RunStats
 
 
@@ -273,7 +270,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         "step": ckpt.step,
         "params": _params_to_dict(ckpt.params),
         "ref": _params_to_dict(ckpt.ref),
-        "rng_state": ckpt.rng_state,
+        "rng_state": _rng_state(ckpt.config, ckpt.step),
         "metrics": [vars(m) for m in ckpt.metrics],
         "config": train_config_to_dict(ckpt.config),
     }
@@ -311,14 +308,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if rng_state != want or any(type(rng_state[k]) is not type(v) for k, v in want.items()):
             raise DataError(f"checkpoint {path} has rng_state {rng_state!r}, not {want!r}")
         params = _params_from_dict(doc["params"], config)
-        return Checkpoint(
-            step=step,
-            params=params,
-            ref=_params_from_dict(doc["ref"], config, frozen=True, interner=params.interner),
-            rng_state=rng_state,
-            metrics=metrics,
-            config=config,
-        )
+        ref = _params_from_dict(doc["ref"], config, frozen=True, interner=params.interner)
+        return Checkpoint(step, params, ref, metrics, config)
     except ConfigError:
         raise
     except KeyError as exc:
@@ -345,7 +336,6 @@ def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
 
 
 def train(config: TrainConfig, out_dir: str | Path | None = None,
-          snapshot_steps: Sequence[int] = (),
           resume_from: Checkpoint | None = None) -> TrainResult:
     """Run the configured number of steps and return the final checkpoint.
 
@@ -367,11 +357,7 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
         ref = params.snapshot()
         metrics = []
         start = 0
-    snapshots: dict[int, tuple[PolicyParams, PolicyParams]] = {}
     stats = RunStats()
-    wanted = set(snapshot_steps)
-    if start in wanted:
-        snapshots[start] = (params.snapshot(), ref.snapshot())
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -394,9 +380,9 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
                 stats.gal_weight_max = max(stats.gal_weight_max, float(passed.weights.max()))
 
         if not (math.isfinite(mean.loss) and np.isfinite(mean.gradient.values).all()):
-            ckpt = _make_checkpoint(step, params, ref, metrics, config)
             if out_path is not None:
-                save_checkpoint(out_path / "abort_checkpoint.json", ckpt)
+                save_checkpoint(out_path / "abort_checkpoint.json",
+                                Checkpoint(step, params, ref, metrics, config))
             raise TrainingAborted(f"non-finite loss or gradient at step {step}")
 
         row = StepMetrics(
@@ -416,27 +402,13 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
         params.apply_update(mean.gradient, -config.learning_rate)
         if config.ref_refresh_period and (step + 1) % config.ref_refresh_period == 0:
             ref = params.snapshot()
-        if (step + 1) in wanted:
-            snapshots[step + 1] = (params.snapshot(), ref.snapshot())
 
-    ckpt = _make_checkpoint(config.steps, params, ref, metrics, config)
+    # training has stopped, so the live policies are not copied
+    ckpt = Checkpoint(config.steps, params, ref, metrics, config)
     if out_path is not None:
         write_metrics(out_path / "metrics.csv", metrics)
         save_checkpoint(out_path / "checkpoint.json", ckpt)
-    return TrainResult(checkpoint=ckpt, metrics=metrics, snapshots=snapshots, stats=stats)
-
-
-def _make_checkpoint(step: int, params: PolicyParams, ref: PolicyParams,
-                     metrics: list[StepMetrics], config: TrainConfig) -> Checkpoint:
-    # called only once training has stopped, so the live policies are not copied
-    return Checkpoint(
-        step=step,
-        params=params,
-        ref=ref,
-        rng_state=_rng_state(config, step),
-        metrics=list(metrics),
-        config=config,
-    )
+    return TrainResult(checkpoint=ckpt, stats=stats)
 
 
 def _rng_state(config: TrainConfig, step: int) -> dict:
@@ -455,7 +427,7 @@ class EvalReport:
 
 
 def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
-             rng: np.random.Generator, *, t_max: int = 16) -> EvalReport:
+             rng: np.random.Generator, *, t_max: int) -> EvalReport:
     """Roll out without updating; pass rate counts queries with any success,
     the groups that are not Hard.
 
@@ -481,19 +453,19 @@ def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
     )
 
 
-def run_comparison(config: TrainConfig, out_dir: str | Path | None = None,
-                   variants: Sequence[str] = VARIANTS) -> dict[str, TrainResult]:
-    """Train each variant on the identical seeded query stream.
+def run_comparison(config: TrainConfig,
+                   out_dir: str | Path | None = None) -> dict[str, TrainResult]:
+    """Train every variant on the identical seeded query stream.
 
     The query pool, per-step query indices, and all substream seeds are
     shared, so per-step metrics align across variants.
     """
     results: dict[str, TrainResult] = {}
     out_path = Path(out_dir) if out_dir is not None else None
-    for variant in variants:  # an unknown variant is TrainConfig's ConfigError
+    for variant in VARIANTS:
         result = train(replace(config, variant=variant))
         results[variant] = result
         if out_path is not None:
             out_path.mkdir(parents=True, exist_ok=True)
-            write_metrics(out_path / f"{variant}_metrics.csv", result.metrics)
+            write_metrics(out_path / f"{variant}_metrics.csv", result.checkpoint.metrics)
     return results

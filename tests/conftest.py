@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dypo.policy import KeyedBlocks, KeyIndex, PolicyParams, RowBlock, keyed_score
-from dypo.trainer import TrainConfig, run_comparison, train
+from dypo.trainer import TrainConfig, train
 
 ACCEPTANCE_SEED = 1
-SNAPSHOT_STEPS = (40, 120, 500)
 
 
 @pytest.fixture(scope="session")
@@ -19,14 +20,26 @@ def acceptance_config() -> TrainConfig:
 
 @pytest.fixture(scope="session")
 def dypo_run(acceptance_config):
-    """Full default 500-step routed run with mid-training snapshots."""
-    return train(acceptance_config, snapshot_steps=SNAPSHOT_STEPS)
+    """Full default 500-step routed run."""
+    return train(acceptance_config)
+
+
+@pytest.fixture(scope="session")
+def snapshots(acceptance_config, dypo_run):
+    """The routed run's (policy, reference), frozen, at steps 40, 120 and 500:
+    every step draws from substreams named by its index alone, so an s-step
+    run is the full run's first s steps."""
+    runs = {step: train(replace(acceptance_config, steps=step)) for step in (40, 120)}
+    runs[500] = dypo_run
+    return {step: (run.checkpoint.params.snapshot(), run.checkpoint.ref.snapshot())
+            for step, run in runs.items()}
 
 
 @pytest.fixture(scope="session")
 def baseline_runs(acceptance_config):
     """sft_only and grpo_only trained on the identical seeded stream."""
-    return run_comparison(acceptance_config, variants=("sft_only", "grpo_only"))
+    return {variant: train(replace(acceptance_config, variant=variant))
+            for variant in ("sft_only", "grpo_only")}
 
 
 def tables_equal(a: PolicyParams, b: PolicyParams) -> bool:

@@ -1,8 +1,9 @@
 """Acceptance gate: each criterion runs at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -s` to see one pass/fail line per
-criterion. The heavy runs (500-step routed training with snapshots, the
-baseline comparison) are session fixtures shared across criteria.
+criterion. The heavy runs (the 500-step routed training, its policies at
+steps 40, 120 and 500, the baseline comparison) are session fixtures shared
+across criteria.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def test_criterion_3_bias_law(acceptance_config):
               f"({elapsed:.1f}s)")
 
 
-def test_criterion_4_grpo_variance_scaling(dypo_run, acceptance_config):
+def test_criterion_4_grpo_variance_scaling(snapshots, acceptance_config):
     t0 = time.time()
-    params, _ = dypo_run.snapshots[120]
+    params, _ = snapshots[120]
     pool = QueryPool(acceptance_config.task, acceptance_config.seed)
     common = dict(xi=acceptance_config.mix.xi, stop_token=acceptance_config.task.stop,
                   t_max=acceptance_config.t_max)
@@ -139,11 +140,11 @@ def test_criterion_5_variance_ordering(dypo_run, acceptance_config):
               f"3se={3 * report.diagnostics['combined_se']:.4f} ({elapsed:.1f}s)")
 
 
-def test_criterion_6_gal_variance_annealing(dypo_run, acceptance_config):
+def test_criterion_6_gal_variance_annealing(snapshots, acceptance_config):
     pool = QueryPool(acceptance_config.task, acceptance_config.seed)
     etas, var_gals = [], []
     for step in (40, 120, 500):
-        params, ref = dypo_run.snapshots[step]
+        params, ref = snapshots[step]
         report = variance_ordering_bench(params, ref, pool.draw, acceptance_config.mix,
                                          1500, substream(ACCEPTANCE_SEED, "acc-c6", step),
                                          k=acceptance_config.k,
@@ -178,13 +179,13 @@ def test_criterion_7_gal_anchors(dypo_run):
 
 
 def test_criterion_8_training_dynamics_shape(dypo_run, baseline_runs):
-    rows = dypo_run.metrics
+    rows = dypo_run.checkpoint.metrics
     off_first = float(np.mean([m.offline_ratio for m in rows[:10]]))
     off_last = float(np.mean([m.offline_ratio for m in rows[-100:]]))
     drop_ok = off_first - off_last >= 0.2
     q = len(rows) // 4
     dypo_h = float(np.mean([m.mean_entropy for m in rows[-q:]]))
-    grpo_rows = baseline_runs["grpo_only"].metrics
+    grpo_rows = baseline_runs["grpo_only"].checkpoint.metrics
     grpo_h = float(np.mean([m.mean_entropy for m in grpo_rows[-q:]]))
     entropy_ok = dypo_h > grpo_h
     _announce(8, "offline ratio declines >= 0.2 and final entropy beats grpo_only",
@@ -193,9 +194,11 @@ def test_criterion_8_training_dynamics_shape(dypo_run, baseline_runs):
 
 
 def test_criterion_9_gradient_smoothness(dypo_run, baseline_runs):
-    half = len(dypo_run.metrics) // 2
-    dypo_std = float(np.std([m.grad_norm for m in dypo_run.metrics[half:]]))
-    grpo_std = float(np.std([m.grad_norm for m in baseline_runs["grpo_only"].metrics[half:]]))
+    dypo_rows = dypo_run.checkpoint.metrics
+    grpo_rows = baseline_runs["grpo_only"].checkpoint.metrics
+    half = len(dypo_rows) // 2
+    dypo_std = float(np.std([m.grad_norm for m in dypo_rows[half:]]))
+    grpo_std = float(np.std([m.grad_norm for m in grpo_rows[half:]]))
     _announce(9, "dypo grad-norm variability is below grpo_only over the final half",
               dypo_std < grpo_std, f"dypo={dypo_std:.4f} grpo_only={grpo_std:.4f}")
 

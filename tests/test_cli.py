@@ -116,8 +116,11 @@ def test_grad_check_without_instances_exits_1_with_one_line(tmp_path, capsys, co
     ["bias-bench", "--draws", "5"],
     ["bias-bench", "--m", ","],
     ["bias-bench", "--m", "0,1"],
+    ["bias-bench", "--m", "4"],
+    ["bias-bench", "--m", "2,2"],
     ["variance-bench", "--groups", "0"],
-], ids=["evaluate-groups", "bias-draws", "bias-m-empty", "bias-m-zero", "variance-groups"])
+], ids=["evaluate-groups", "bias-draws", "bias-m-empty", "bias-m-zero", "bias-m-one",
+        "bias-m-repeated", "variance-groups"])
 def test_arguments_are_checked_before_anything_is_written(tmp_path, tiny_config, capsys,
                                                           monkeypatch, argv):
     def no_training(*args, **kwargs):
@@ -195,6 +198,20 @@ def test_bias_bench(tmp_path, tiny_config, capsys):
     assert report["verdict"]
     assert abs(report["diagnostics"]["slope"] + 1.0) <= 0.1
     assert "fitted slope" in capsys.readouterr().out
+
+
+def test_a_failing_bias_slope_writes_its_report_and_exits_2(tmp_path):
+    # the means fall with m, but their slope misses -1: the verdict is a plain
+    # bool, so the report is written and reads false
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"testbed": {"dim": 2, "b_sys": [0.5, 0.0],
+                                              "sigma_bias": 0.05}}))
+    out = tmp_path / "bias"
+    assert main(["bias-bench", "--config", str(config), "--out", str(out),
+                 "--m", "1,2,4", "--draws", "10000"]) == 2
+    report = json.loads((out / "bias_bench.json").read_text())
+    assert report["verdict"] is False and report["diagnostics"]["monotone"] is True
+    assert abs(report["diagnostics"]["slope"] + 1.0) > 0.1
 
 
 def test_bias_bench_bad_m_list_exits_1(tmp_path, tiny_config):

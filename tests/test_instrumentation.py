@@ -161,6 +161,10 @@ def test_bias_law_bench_guards():
         bias_law_bench(cfg, [], 10_000, substream(1, "e1"))
     with pytest.raises(InputError):
         bias_law_bench(cfg, [1, 2], 100, substream(1, "e2"))
+    # a slope needs two distinct sizes
+    for sizes in ([4], [2, 2]):
+        with pytest.raises(InputError):
+            bias_law_bench(cfg, sizes, 10_000, substream(1, "e3"))
 
 
 def test_metrics_csv_header_only_and_roundtrip(tmp_path):
@@ -220,7 +224,7 @@ def test_metrics_write_failing_midway_keeps_the_previous_file(tmp_path):
 
 def test_metrics_offline_ratio_in_bounds(tmp_path):
     result = train(TrainConfig(seed=3, steps=12))
-    for row in result.metrics:
+    for row in result.checkpoint.metrics:
         assert 0.0 <= row.offline_ratio <= 1.0
         assert row.easy + row.hard + row.mid == 2
         assert row.offline_ratio == row.hard / 2
@@ -235,24 +239,26 @@ def test_collect_mid_groups_budget_error():
     with pytest.raises(BenchError) as exc:
         collect_mid_groups(params, lambda rng, size: [inst.query] * size, 5,
                            substream(1, "budget"), k=4, xi=1e-4, stop_token=inst.query.stop,
-                           t_max=10, max_attempts=50)
-    assert exc.value.diagnostics["attempts"] == 50
+                           t_max=10)
+    assert exc.value.diagnostics["attempts"] == 1000  # the floor of the budget
 
 
 def test_collect_mid_groups_spends_exactly_its_budget_over_several_chunks():
-    # only failures: a budget above the chunk size and not a multiple of it
+    # only failures: a budget of 100 attempts per group, above the chunk size
+    # and not a multiple of it (13000: 50 chunks of 256, then 200)
     inst = make_instance(1, 0, kind="mid")
     row = np.zeros(inst.params.vocab_size)
     row[inst.query.stop] = 40.0
     params = PolicyParams(inst.params.vocab_size, 1, default_logits=row)
-    budget = 2 * CHUNK_GROUPS + 37
+    n_groups = CHUNK_GROUPS // 2 + 2
+    budget = 100 * n_groups
     drawn = []
     with pytest.raises(BenchError) as exc:
         collect_mid_groups(params, lambda rng, size: drawn.append(size) or [inst.query] * size,
-                           2 * budget, substream(1, "budget-chunks"), k=4, xi=1e-4,
-                           stop_token=inst.query.stop, t_max=10, max_attempts=budget)
+                           n_groups, substream(1, "budget-chunks"), k=4, xi=1e-4,
+                           stop_token=inst.query.stop, t_max=10)
     assert exc.value.diagnostics == {"attempts": budget, "found": 0, "budget": budget}
-    assert sum(drawn) == budget
+    assert drawn == [CHUNK_GROUPS] * (budget // CHUNK_GROUPS) + [budget % CHUNK_GROUPS]
 
 
 def test_measure_eta_at_reference_is_quarter():
@@ -267,8 +273,8 @@ def test_measure_eta_at_reference_is_quarter():
     assert eta == pytest.approx(0.25, abs=1e-12)
 
 
-def test_variance_ordering_bench_report_fields(tmp_path, dypo_run, acceptance_config):
-    params, ref = dypo_run.snapshots[120]
+def test_variance_ordering_bench_report_fields(tmp_path, snapshots, acceptance_config):
+    params, ref = snapshots[120]
     pool = QueryPool(acceptance_config.task, acceptance_config.seed)
     report = variance_ordering_bench(params, ref, pool.draw, acceptance_config.mix,
                                      400, substream(5, "vob"), k=8,
@@ -286,10 +292,10 @@ def test_variance_ordering_bench_report_fields(tmp_path, dypo_run, acceptance_co
     assert "verdict" in doc
 
 
-def test_chunked_variance_bench_matches_the_per_group_loop(dypo_run, acceptance_config):
+def test_chunked_variance_bench_matches_the_per_group_loop(snapshots, acceptance_config):
     # three chunks, the last one partial; only the order of the score-norm sums differs
     n = 2 * CHUNK_GROUPS + 88
-    params, ref = dypo_run.snapshots[120]
+    params, ref = snapshots[120]
     pool = QueryPool(acceptance_config.task, acceptance_config.seed)
     common = dict(k=8, stop_token=acceptance_config.task.stop, t_max=acceptance_config.t_max)
     report = variance_ordering_bench(params, ref, pool.draw, acceptance_config.mix, n,
@@ -304,9 +310,9 @@ def test_chunked_variance_bench_matches_the_per_group_loop(dypo_run, acceptance_
                                                                 abs=0)
 
 
-def test_variance_ordering_alpha_near_one_limit(dypo_run, acceptance_config):
+def test_variance_ordering_alpha_near_one_limit(snapshots, acceptance_config):
     # alpha -> 1: the mixture variance converges to the grpo variance
-    params, ref = dypo_run.snapshots[120]
+    params, ref = snapshots[120]
     pool = QueryPool(acceptance_config.task, acceptance_config.seed)
     cfg = MixConfig(alpha=0.999)
     report = variance_ordering_bench(params, ref, pool.draw, cfg, 800,

@@ -227,7 +227,7 @@ def test_a_training_step_gathers_the_live_policy_once(monkeypatch, variant):
     calls = _gathers(monkeypatch)
     result = train(TrainConfig(seed=1, steps=20, variant=variant))
     live = Counter(caller for policy, caller in calls if not policy.frozen)
-    hard_steps = sum(m.hard > 0 for m in result.metrics)
+    hard_steps = sum(m.hard > 0 for m in result.checkpoint.metrics)
     distilled = {"dypo": hard_steps, "sft_only": 20, "grpo_only": 0}[variant]
     assert hard_steps and live == Counter({"rollout_groups": 20, "demo_nll": distilled})
 
@@ -255,8 +255,8 @@ def test_the_training_form_is_certified():
         inst.group = GroupBatch.of(inst.params, inst.query, trajectories(inst.group),
                                    inst.group.rewards, inst.group.advantages)
         assert not inst.group.log_ratios(inst.params).any()
-        worst = max(worst, certify(inst, "grpo_loss_grad", CFG),
-                    certify(inst, "dypo_step_loss", CFG, substream(5, "dypo", i)))
+        worst = max(worst, certify(inst, "grpo_loss_grad"),
+                    certify(inst, "dypo_step_loss", substream(5, "dypo", i)))
     assert worst <= 1e-6
 
 
@@ -280,7 +280,7 @@ def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, ca
                 monkeypatch.setattr(module, name, counting)
     inst = _mid_instance(5, 2)
     assert inst.group.grades == [DifficultyGrade.MID]
-    assert certify(inst, loss, CFG, substream(5, "guard")) < 1e-6
+    assert certify(inst, loss, substream(5, "guard")) < 1e-6
     assert counted == calls
 
 
@@ -312,7 +312,7 @@ def test_the_probes_evaluate_losses_and_build_no_gradient(monkeypatch, kind):
     for loss, numeric in alone.items():
         assert {ctx: row.tobytes() for ctx, row in numeric.items()} == \
             {ctx: row.tobytes() for ctx, row in probed(loss).items()}
-        assert certify(inst, loss, CFG, substream(13, "draws")) < 1e-6
+        assert certify(inst, loss, substream(13, "draws")) < 1e-6
 
 
 def test_the_suite_builds_each_instance_once_and_drops_it_after_its_index(monkeypatch):
@@ -382,7 +382,7 @@ def test_a_loss_that_reads_no_table_builds_none(monkeypatch):
     monkeypatch.setattr(gradcheck, "Probes", Counted)
     inst = make_instance(1, 2, "easy")
     assert inst.group.grades == [DifficultyGrade.EASY]
-    assert certify(inst, "dypo_step_loss", CFG, substream(1, "draws")) < 1e-6
+    assert certify(inst, "dypo_step_loss", substream(1, "draws")) < 1e-6
     assert built == []
 
 
@@ -451,7 +451,7 @@ def test_a_probe_table_is_stale_once_its_interner_grows():
     fresh = inst.probes
     assert fresh is not table and not fresh.stale and fresh.own[0] == used + 1
     for loss in ("grpo_loss_grad", "gal_loss_grad"):
-        assert certify(inst, loss, CFG) < 1e-6
+        assert certify(inst, loss) < 1e-6
 
 
 def test_a_twin_stream_draws_the_stream_and_leaves_it_unadvanced():

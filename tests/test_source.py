@@ -1,11 +1,11 @@
 """Source hygiene: no module of the package or test imports a name it never uses,
 every top-level function and class is used in the package or exported,
-importing the package loads no scipy, the trainer routes only through the
-gate, only the certifier uses the scalar sampler and checks hand-made pairs,
-only the policy module lays out gradient keys and reads another object's
-private attributes, only its key index encodes a key, the certifier names
-each loss once, and the README's configuration block is the schema's
-defaults."""
+every optional parameter is set by the package or the bench, importing the
+package loads no scipy, the trainer routes only through the gate, only the
+certifier uses the scalar sampler and checks hand-made pairs, only the
+policy module lays out gradient keys and reads another object's private
+attributes, only its key index encodes a key, the certifier names each loss
+once, and the README's configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
@@ -105,6 +105,83 @@ def test_every_definition_is_used_in_the_package_or_exported():
     # dead API goes: a function whose last caller is deleted is deleted too
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+def _call_sets(call: ast.Call) -> tuple[str | None, int, set[str] | None]:
+    """The name a call calls, how many positional arguments it passes, and
+    the keywords it sets (``None``: any, through ``**kwargs``); a starred
+    argument may fill every position. ``partial(f, ...)`` is a call of f
+    that sets every parameter, as what it leaves open is set later."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "partial" and call.args:
+        target = call.args[0]
+        return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None),
+                sys.maxsize, None)
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    positional = sys.maxsize if starred else len(call.args)
+    keywords = {kw.arg for kw in call.keywords}
+    return name, positional, None if None in keywords else keywords
+
+
+def unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
+    """The defaulted parameters of the module-level functions and methods of
+    a package's modules (file name -> source) that no call in ``callers``
+    sets by position, by keyword or through ``**kwargs``, as
+    ``file:function(parameter)`` in source order. A call is matched to a
+    definition by the name it calls alone; a class's name calls its
+    ``__init__``, and a method's positions start after ``self`` or ``cls``."""
+    calls = [_call_sets(node) for text in callers for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Call)]
+    found = []
+    for file, text in package.items():
+        for top in ast.parse(text).body:
+            if isinstance(top, ast.FunctionDef):
+                defs = [(top.name, top.name, top, 0)]
+            elif isinstance(top, ast.ClassDef):  # the package has no static methods
+                defs = [(top.name if node.name == "__init__" else node.name,
+                         f"{top.name}.{node.name}", node, 1)
+                        for node in top.body if isinstance(node, ast.FunctionDef)]
+            else:
+                continue
+            for called, qualname, node, skip in defs:
+                args = node.args
+                positional = (args.posonlyargs + args.args)[skip:]
+                first = len(positional) - len(args.defaults)
+                options = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+                options += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                            if d is not None]
+                found += [f"{file}:{qualname}({arg})" for arg, at in options
+                          if not any(name == called and (keywords is None or arg in keywords
+                                                         or at is not None and at < count)
+                                     for name, count, keywords in calls)]
+    return found
+
+
+def test_the_checker_finds_an_unset_option():
+    package = {"a.py": ("def f(x, y=1, *, z=2): pass\ndef g(a=0, b=0): pass\n"
+                        "def h(c=0): pass\ndef lone(d=0): pass\n"
+                        "class K:\n    def __init__(self, n=0): pass\n"
+                        "    def m(self, p=0, q=0): pass\n    def r(self, s=0): pass\n")}
+    callers = ["f(1, z=3)\ng(0)\nhook = partial(h)\nK(5)\nk.m(**opts)\nk.r()\nlone\n"]
+    assert unset_options(package, callers) == ["a.py:f(y)", "a.py:g(b)", "a.py:lone(d)",
+                                                "a.py:K.r(s)"]
+
+
+# the one option only the tests set, and why it stays
+TEST_ONLY_OPTIONS = {
+    "trainer.py:train(resume_from)": "bit-exact resume is an acceptance contract (criterion 10)",
+}
+
+
+def test_every_option_is_set_by_the_package_or_the_bench():
+    # an optional parameter that no command or bench sets is dead API: a test
+    # that needs another value builds it from what the callers use
+    package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+             if not p.name.startswith("test_")]
+    callers = [p.read_text() for p in sorted(SRC.glob("*.py")) + bench]
+    assert unset_options(package, callers) == list(TEST_ONLY_OPTIONS)
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -108,7 +108,7 @@ def test_zero_steps_leaves_policy_unchanged(tmp_path):
     result = train(cfg, out_dir=tmp_path)
     pool = QueryPool(cfg.task, cfg.seed)
     assert tables_equal(result.checkpoint.params, init_policy(cfg, pool))
-    assert result.metrics == []
+    assert result.checkpoint.metrics == []
     assert (tmp_path / "metrics.csv").read_text().count("\n") == 1  # header only
 
 
@@ -123,10 +123,7 @@ def _oracle_checkpoint(cfg: TrainConfig) -> Checkpoint:
             row = np.zeros(cfg.task.vocab_size)
             row[target] = 30.0
             params.set_logits((q.query_id, tuple(hist)), row)
-    return Checkpoint(step=0, params=params, ref=params.snapshot(),
-                      rng_state={"scheme": "named-substreams-v1", "seed": cfg.seed,
-                                 "next_step": 0},
-                      metrics=[], config=cfg)
+    return Checkpoint(step=0, params=params, ref=params.snapshot(), metrics=[], config=cfg)
 
 
 def test_all_easy_stream_never_updates():
@@ -136,13 +133,13 @@ def test_all_easy_stream_never_updates():
     before = ckpt.params.copy()
     result = train(cfg, resume_from=ckpt)
     assert tables_equal(result.checkpoint.params, before)
-    for row in result.metrics:
+    for row in result.checkpoint.metrics:
         assert row.easy == cfg.batch_size
         assert row.grad_norm == 0.0
 
 
 def test_reward_trend_on_default_stream(dypo_run):
-    rewards = np.array([m.mean_reward for m in dypo_run.metrics])
+    rewards = np.array([m.mean_reward for m in dypo_run.checkpoint.metrics])
     ma = np.convolve(rewards, np.ones(20) / 20, mode="valid")
     quarters = np.array_split(ma, 4)
     means = [float(q.mean()) for q in quarters]
@@ -274,14 +271,14 @@ def test_run_comparison_shares_the_stream(tmp_path):
     assert rows["dypo"][0].mean_reward == rows["sft_only"][0].mean_reward \
         == rows["grpo_only"][0].mean_reward
     for v, r in results.items():
-        assert len(r.metrics) == 12
+        assert len(r.checkpoint.metrics) == 12
 
 
 def test_written_metrics_roundtrip_from_training(tmp_path):
     cfg = TrainConfig(seed=19, steps=6)
     result = train(cfg, out_dir=tmp_path)
     rows = read_metrics(tmp_path / "metrics.csv")
-    assert rows == result.metrics
+    assert rows == result.checkpoint.metrics
     write_metrics(tmp_path / "again.csv", rows)
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "metrics.csv").read_bytes()
 
@@ -289,7 +286,7 @@ def test_written_metrics_roundtrip_from_training(tmp_path):
 def test_reference_refresh_zeroes_the_kl():
     cfg = TrainConfig(seed=21, steps=6, ref_refresh_period=1, variant="grpo_only")
     result = train(cfg)
-    for row in result.metrics:
+    for row in result.checkpoint.metrics:
         assert row.kl == 0.0
     final = result.checkpoint
     assert tables_equal(final.ref, final.params)
@@ -300,7 +297,7 @@ def test_history_order_two_trains():
     a = train(cfg)
     b = train(cfg)
     assert tables_equal(a.checkpoint.params, b.checkpoint.params)
-    assert len(a.metrics) == 5
+    assert len(a.checkpoint.metrics) == 5
 
 
 def test_batch_gradient_is_additive_over_query_reports():
@@ -346,7 +343,7 @@ def test_each_group_is_graded_once(monkeypatch):
                         lambda rewards: calls.append(len(rewards)) or original(rewards))
     cfg = TrainConfig(seed=24, steps=6, batch_size=4)
     result = train(cfg)
-    assert sum(r.easy + r.hard + r.mid for r in result.metrics) == 24
+    assert sum(r.easy + r.hard + r.mid for r in result.checkpoint.metrics) == 24
     # each step's batch of 4 groups is graded by one call
     assert calls == [4] * 6
 
@@ -646,9 +643,8 @@ def test_a_mutated_checkpoint_is_a_dypo_error_or_loads_and_evaluates(fuzz_dir, c
             failed = False
         except DypoError:
             failed = True
-        if not failed:  # a loaded checkpoint is at the step and RNG state its run wrote
+        if not failed:  # a loaded checkpoint is at the step its run wrote
             assert ckpt.step == checkpoint_doc["step"]
-            assert repr(ckpt.rng_state) == repr(checkpoint_doc["rng_state"])
         out = fuzz_dir / "out"
         code, err = _cli_evaluate(["--config", str(fuzz_dir / "config.json"),
                                    "--checkpoint", str(path)], out)
