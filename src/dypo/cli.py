@@ -238,8 +238,7 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+def main(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -265,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -282,8 +282,8 @@ def _demo_nll(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndarray
 def _step_losses(inst: GradCheckInstance, cfg: MixConfig, rng: Draws) -> np.ndarray:
     """The routed step under every probe, on its group's route: 0 when
     discarded, which reads no table."""
-    route = PATHWAYS["dypo"][inst.group.grades[0]]
-    if route is None:
+    route = PATHWAYS["dypo"][inst.group.grade[0]]
+    if route == "discard":
         return np.zeros(inst.probe_count)
     if route == "distill":
         return cfg.gamma * _demo_nll(inst, cfg, rng)

@@ -135,7 +135,7 @@ def collect_mid_groups(params: PolicyParams, draw_query: QueryDraw, n_groups: in
         queries = draw_query(rng, size)
         batch = rollout_groups(params, queries, k, rng, xi=xi, stop_token=stop_token,
                                t_max=t_max)
-        mid = np.flatnonzero([g is DifficultyGrade.MID for g in batch.grades])
+        mid = (batch.grade == DifficultyGrade.MID).nonzero()[0]
         parts.append(batch.select(mid[:n_groups - found]))
         found += len(parts[-1])
     return GroupBatch.concat(parts)

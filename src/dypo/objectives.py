@@ -84,11 +84,13 @@ def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 class GroupBatch:
-    """Groups as one set of arrays: what ``rollout_groups`` returns and
-    every loss pass reads.
+    """Groups as one set of arrays, never one object per group: what
+    ``rollout_groups`` returns and every loss pass reads.
 
-    Per group: ``queries``, ``grades`` and size ``k``. Per trajectory, group
-    by group: ``rewards``, ``advantages``, ``lengths`` and ``terminal``. Per
+    Per group, 1-D: ``queries`` (the objects), ``grade`` (the codes of
+    ``grading.grades``) and size ``k``; ``select``, ``concat`` and ``tiled``
+    take every array whole, so they stay together. Per trajectory, group by
+    group: ``rewards``, ``advantages``, ``lengths`` and ``terminal``. Per
     step: ``steps``, every step's row in ``interner`` and token as one
     ``(2, steps)`` intp array (``rows`` and ``tokens`` are its views), and
     ``sample_logp``, its log-prob under the policy that sampled it. Every
@@ -98,14 +100,11 @@ class GroupBatch:
     policy, unwritten since, a pass reads ``sample_logp`` (``logp``).
     """
 
-    def __init__(self, interner: ContextInterner, queries: Sequence[Query],
-                 grades: Sequence[DifficultyGrade], k: np.ndarray, rewards: np.ndarray,
-                 advantages: np.ndarray, lengths: np.ndarray, terminal: np.ndarray,
-                 steps: np.ndarray, sample_logp: np.ndarray,
-                 sampled_by: tuple[PolicyParams, int] | None = None):
-        self.interner = interner
-        self.queries, self.grades = list(queries), list(grades)
-        self.count = len(self.queries)
+    def __init__(self, interner: ContextInterner, queries: np.ndarray, grade: np.ndarray,
+                 k: np.ndarray, rewards: np.ndarray, advantages: np.ndarray,
+                 lengths: np.ndarray, terminal: np.ndarray, steps: np.ndarray,
+                 sample_logp: np.ndarray, sampled_by: tuple[PolicyParams, int] | None = None):
+        self.interner, self.queries, self.grade, self.count = interner, queries, grade, len(queries)
         self.k, self.rewards, self.lengths, self.terminal = k, rewards, lengths, terminal
         self.advantages, self.steps, self.sample_logp = advantages, steps, sample_logp
         self.rows, self.tokens = steps
@@ -130,8 +129,8 @@ class GroupBatch:
             raise InputError("advantages length must match rewards")
         steps = np.concatenate([sampler.trajectory_rows(query.query_id, t.tokens)
                                 for t in trajectories], axis=1)
-        return cls(sampler.interner, [query], [grading.grade(rewards)], np.array([k]),
-                   np.array(rewards), np.asarray(advantages, np.float64),
+        return cls(sampler.interner, np.fromiter([query], object, 1), grading.grades([rewards]),
+                   np.array([k]), np.array(rewards), np.asarray(advantages, np.float64),
                    np.array([len(t) for t in trajectories]),
                    np.array([t.terminal for t in trajectories]), steps, sampler.logp_at(*steps),
                    (sampler, sampler.generation))
@@ -142,9 +141,8 @@ class GroupBatch:
         picked = np.arange(self.count)[groups]
         traj = _ranges(self.first[picked], self.k[picked])
         step = _ranges((np.cumsum(self.lengths) - self.lengths)[traj], self.lengths[traj])
-        order = picked.tolist()
-        return GroupBatch(self.interner, [self.queries[i] for i in order],
-                          [self.grades[i] for i in order], self.k[picked], self.rewards[traj],
+        return GroupBatch(self.interner, self.queries[picked], self.grade[picked],
+                          self.k[picked], self.rewards[traj],
                           self.advantages[traj], self.lengths[traj], self.terminal[traj],
                           self.steps.take(step, axis=1), self.sample_logp[step], self.sampled_by)
 
@@ -156,10 +154,9 @@ class GroupBatch:
             raise InputError("concat needs at least one batch")
         if any(b.interner is not batches[0].interner for b in batches):
             raise InputError("the group's rows belong to another policy's interner")
-        arrays = ("k", "rewards", "advantages", "lengths", "terminal", "steps", "sample_logp")
+        arrays = "queries grade k rewards advantages lengths terminal steps sample_logp".split()
         sampled_by = batches[0].sampled_by
-        return cls(batches[0].interner, [q for b in batches for q in b.queries],
-                   [g for b in batches for g in b.grades],
+        return cls(batches[0].interner,
                    *(np.concatenate([getattr(b, name) for b in batches], axis=-1)
                      for name in arrays),
                    sampled_by if all(b.sampled_by == sampled_by for b in batches) else None)
@@ -169,12 +166,11 @@ class GroupBatch:
         copy i reads its steps at ``rows[i]`` instead of the batch's own
         rows, which may be extra rows of a policy (``PolicyParams.with_rows``).
         No policy sampled the steps at those rows, so it has no ``sampled_by``."""
-        n = len(rows)
-        return GroupBatch(self.interner, self.queries * n, self.grades * n, np.tile(self.k, n),
-                          np.tile(self.rewards, n), np.tile(self.advantages, n),
-                          np.tile(self.lengths, n), np.tile(self.terminal, n),
-                          np.stack([rows.ravel(), np.tile(self.tokens, n)]),
-                          np.tile(self.sample_logp, n))
+        n = len(rows)  # every array but the rows n times over, as np.tile without its dispatch
+        *arrays, tokens, logp = (a[None].repeat(n, 0).ravel() for a in (
+            self.queries, self.grade, self.k, self.rewards, self.advantages, self.lengths,
+            self.terminal, self.tokens, self.sample_logp))
+        return GroupBatch(self.interner, *arrays, np.stack([rows.ravel(), tokens]), logp)
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -303,8 +299,8 @@ def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
                               stop_token=stop_token, t_max=t_max)
     rewards = batch_reward(queries, sampled.steps[1], sampled.lengths, sampled.terminal)
     reward_rows = rewards.reshape(-1, k)
-    return GroupBatch(params.interner, queries, grading.grades(reward_rows),
-                      np.full(len(queries), k), rewards,
+    return GroupBatch(params.interner, np.fromiter(queries, object, len(queries)),
+                      grading.grades(reward_rows), np.full(len(queries), k), rewards,
                       standardize_advantages(reward_rows, xi).ravel(), sampled.lengths,
                       sampled.terminal, sampled.steps, params.logp_at(*sampled.steps),
                       (params, params.generation))
@@ -425,19 +421,25 @@ class BatchPairs(NamedTuple):
         if len(pairs) != batch.count:
             raise InputError(f"need one pair array per group, got {len(pairs)} for {batch.count}")
         pairs = [np.asarray(p, dtype=np.intp) for p in pairs]
-        rewards = batch.rewards.tolist()
-        for p, first, k in zip(pairs, batch.first.tolist(), batch.k.tolist()):
-            if p.size == 0:
-                raise InputError("gal_pass needs at least one pair per group")
-            if p.ndim != 2 or p.shape[1] != 2:
-                raise InputError(f"pairs must have shape (n, 2), got {p.shape}")
-            for win, lose in p.tolist():
-                if not (0 <= win < k and 0 <= lose < k):
-                    raise InputError(f"pair indices must lie in [0, {k}), got ({win}, {lose})")
-                if (rewards[first + win], rewards[first + lose]) != (1, 0):
-                    raise InputError("each pair must be (reward-1, reward-0) in that order")
-        counts = np.array([len(p) for p in pairs], dtype=np.intp)
-        return cls(counts, np.concatenate(pairs) + np.repeat(batch.first, counts)[:, None])
+        # the pairs of the groups before the first with none or another shape, all at once
+        shaped = [p.size > 0 and p.ndim == 2 and p.shape[1] == 2 for p in pairs]
+        ok = (shaped + [False]).index(False)
+        counts = np.array([len(p) for p in pairs[:ok]], dtype=np.intp)
+        at = np.concatenate(pairs[:ok] or [np.zeros((0, 2), np.intp)])
+        k, first = (np.repeat(a[:ok], counts)[:, None] for a in (batch.k, batch.first))
+        traj = at + first
+        inside = ((at >= 0) & (at < k)).all(axis=1)
+        bad = ~inside | (batch.rewards[np.where(inside[:, None], traj, 0)] != (1, 0)).any(axis=1)
+        if bad.any():
+            i = bad.argmax()
+            if not inside[i]:
+                win, lose = at[i].tolist()
+                raise InputError(f"pair indices must lie in [0, {k[i, 0]}), got ({win}, {lose})")
+            raise InputError("each pair must be (reward-1, reward-0) in that order")
+        if ok < len(pairs):
+            raise InputError("gal_pass needs at least one pair per group" if pairs[ok].size == 0
+                             else f"pairs must have shape (n, 2), got {pairs[ok].shape}")
+        return cls(counts, traj)
 
     def tiled(self, n: int, trajectories: int) -> BatchPairs:
         """The pairs of the batch tiled n times (``GroupBatch.tiled``), of
@@ -460,7 +462,7 @@ def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> B
     """
     if pair_cap < 1:
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
-    if batch.grades.count(DifficultyGrade.MID) != batch.count:
+    if (batch.grade != DifficultyGrade.MID).any():
         raise StateError("pair construction requires a Mid-graded group")
     width = max(batch.k.tolist(), default=0)
     padded = np.full((batch.count, width), -1)
@@ -578,12 +580,13 @@ def mixed_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
                        aux={**grpo.aux, **gal.aux}, weights=gal.weights)
 
 
-# the gate: each variant's pathway per grade, None for a discarded group
+# the gate: each variant's pathway by grade code (sorted grades are in code order)
+_DYPO = {DifficultyGrade.EASY: "discard", DifficultyGrade.HARD: "distill",
+         DifficultyGrade.MID: "rl"}
 PATHWAYS = {
-    "dypo": {DifficultyGrade.EASY: None, DifficultyGrade.HARD: "distill",
-             DifficultyGrade.MID: "rl"},
-    "sft_only": dict.fromkeys(DifficultyGrade, "distill"),
-    "grpo_only": dict.fromkeys(DifficultyGrade, "rl"),
+    "dypo": np.array([_DYPO[code] for code in sorted(DifficultyGrade)]),
+    "sft_only": np.full(len(DifficultyGrade), "distill"),
+    "grpo_only": np.full(len(DifficultyGrade), "rl"),
 }
 VARIANTS = tuple(PATHWAYS)
 
@@ -592,41 +595,41 @@ def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
                  teachers: Sequence[TeacherOracle], cfg: MixConfig, rng: np.random.Generator,
                  variant: str = "dypo") -> tuple[LossReport, BatchReport | None]:
     """The step: the mean loss and gradient of the batch's groups not
-    discarded, each from its pathway ``PATHWAYS[variant][grade]`` (each row
-    adds its groups' terms into zeros in group order, as ``sum_blocks``; no
-    group gives a zero loss and an empty block), and the RL pass's report,
-    or ``None``. The RL groups are ``select``-ed into one ``mixed_pass``
-    under ``dypo``, else one ``grpo_pass``, and the distilled groups' queries
-    into one ``sft_pass``, whose terms weigh gamma. ``rng`` draws the capped
-    Mid groups' pairs (``pair_arrays``), then the distilled groups'
-    teachers, each in group order.
+    discarded, each from its pathway, its grade code's entry of
+    ``PATHWAYS[variant]`` (each row adds its groups' terms into zeros in
+    group order, as ``sum_blocks``, and the loss is the built-in ``sum`` of
+    theirs in group order; no group gives a zero loss and an empty block), and the
+    RL pass's report, or ``None``. The RL groups are ``select``-ed into one
+    ``mixed_pass`` under ``dypo``, else one ``grpo_pass``, and the distilled
+    groups' queries into one ``sft_pass``, whose terms weigh gamma. ``rng``
+    draws the capped Mid groups' pairs (``pair_arrays``), then the distilled
+    groups' teachers, each in group order.
     """
     if variant not in PATHWAYS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    routes = [PATHWAYS[variant][grade] for grade in batch.grades]
-    rl = np.array([route == "rl" for route in routes], dtype=bool)
-    distilled = np.flatnonzero([route == "distill" for route in routes])
+    routes = PATHWAYS[variant].take(batch.grade)
+    rl, distilled = routes == "rl", (routes == "distill").nonzero()[0]
     terms = []  # each pass's groups, report and coefficient
     passed = None
     if rl.any():  # the pass draws its pairs and nothing else, so it runs first
         rl_batch = batch if rl.all() else batch.select(rl)
         passed = (mixed_pass(params, ref, rl_batch, pair_arrays(rl_batch, cfg.pair_cap, rng), cfg)
                   if variant == "dypo" else grpo_pass(params, ref, rl_batch, cfg))
-        terms.append((np.flatnonzero(rl), passed, 1.0))
+        terms.append((rl.nonzero()[0], passed, 1.0))
     if len(distilled):
-        queries = [batch.queries[i] for i in distilled.tolist()]
-        terms.append((distilled, sft_pass(params, queries, teachers, rng), cfg.gamma))
+        terms.append((distilled, sft_pass(params, batch.queries[distilled], teachers, rng),
+                      cfg.gamma))
     if not terms:
         empty = RowBlock(np.zeros(0, dtype=np.intp), np.zeros((0, params.vocab_size)))
         return LossReport(0.0, empty), passed
-    losses, owners, rows, values = {}, [], [], []  # every term, and the group it belongs to
+    losses, owners, rows, values = np.zeros(batch.count), [], [], []  # by group; by term
     for groups, report, coef in terms:
-        losses.update(zip(groups.tolist(), (coef * report.loss).tolist()))
+        losses[groups] = coef * report.loss
         owner, row = report.gradient.owner_rows()
         owners.append(groups[owner])
         rows.append(row)
         values.append(coef * report.gradient.values)
     order = np.argsort(np.concatenate(owners), kind="stable")
     total = sum_rows(np.concatenate(rows)[order], np.concatenate(values)[order])
-    n = len(losses)
-    return LossReport(sum(losses[i] for i in sorted(losses)) / n, total.scaled(1.0 / n)), passed
+    n = sum(len(groups) for groups, _, _ in terms)
+    return LossReport(sum(losses.tolist()) / n, total.scaled(1.0 / n)), passed

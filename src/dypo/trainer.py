@@ -35,6 +35,7 @@ from .objectives import (
 from .policy import ContextInterner, PolicyParams, mean_step_entropy
 from .seeding import substream
 from .tasks import (
+    MAX_TABLE_BYTES,
     BiasTestbedConfig,
     Query,
     TaskConfig,
@@ -72,6 +73,15 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.k < 2:
             raise ConfigError("k must be >= 2")
+        # the sampler's first position gathers a float64 cdf row and its bool
+        # flags, 9 bytes a token, for every trajectory of a step or of an
+        # evaluation or bench chunk; past the table's bound it cannot be sampled
+        groups = max(self.batch_size, CHUNK_GROUPS)
+        first = groups * self.k * self.task.vocab_size * 9
+        if first > MAX_TABLE_BYTES:
+            raise ConfigError(f"batch_size {self.batch_size} and k {self.k}: {groups} groups "
+                              f"need a {-(-first >> 20)} MiB first sampler position, over the "
+                              f"{MAX_TABLE_BYTES >> 20} MiB bound")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be > 0")
         if self.m_teachers < 1:
@@ -370,7 +380,7 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
                                stop_token=config.task.stop, t_max=config.t_max)
         mean, passed = route_groups(params, ref, batch, teachers, config.mix,
                                     substream(config.seed, "objective", step), config.variant)
-        counts = {grade: batch.grades.count(grade) for grade in DifficultyGrade}
+        counts = np.bincount(batch.grade, minlength=len(DifficultyGrade)).tolist()
         eta = kl = 0.0
         if passed is not None:
             kl = float(passed.aux["kl_value"].mean())
@@ -442,11 +452,11 @@ def evaluate(params: PolicyParams, pool: QueryPool, n_queries: int, k: int,
                                               xi=MixConfig.xi, stop_token=pool.task.stop,
                                               t_max=t_max)
                                for lo in range(0, n_queries, CHUNK_GROUPS)])
-    counts = {g.value: batch.grades.count(g) for g in DifficultyGrade}
-    hard = counts[DifficultyGrade.HARD.value]
+    counts = np.bincount(batch.grade, minlength=len(DifficultyGrade)).tolist()
+    hard = counts[DifficultyGrade.HARD]
     return EvalReport(
         pass_rate=(n_queries - hard) / n_queries,
-        grade_counts=counts,
+        grade_counts={grade.name.lower(): counts[grade] for grade in DifficultyGrade},
         mean_entropy=mean_step_entropy(params, batch.steps[0]),
         offline_ratio=hard / n_queries,
         groups=n_queries,

@@ -254,10 +254,10 @@ def gate_terms(params, ref, batch: GroupBatch, teachers, cfg: MixConfig, rng, va
     own by ``traj_log_prob`` and ``traj_score``) and the RL terms are each
     group's loss and block of one pass over the RL groups, each
     ``select``-ed on its own."""
-    rl = [i for i, g in enumerate(batch.grades) if variant == "grpo_only"
-          or variant == "dypo" and g is DifficultyGrade.MID]
-    distilled = [i for i, g in enumerate(batch.grades) if variant == "sft_only"
-                 or variant == "dypo" and g is DifficultyGrade.HARD]
+    rl = [i for i, g in enumerate(batch.grade.tolist()) if variant == "grpo_only"
+          or variant == "dypo" and g == DifficultyGrade.MID]
+    distilled = [i for i, g in enumerate(batch.grade.tolist()) if variant == "sft_only"
+                 or variant == "dypo" and g == DifficultyGrade.HARD]
     rl_batch = GroupBatch.concat([batch.select([i]) for i in rl]) if rl else None
     pairs = pair_arrays(rl_batch, cfg.pair_cap, rng) if rl and variant == "dypo" else None
     terms = {}

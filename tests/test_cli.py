@@ -352,13 +352,18 @@ def _write_config(tmp_path, cfg):
 
 @pytest.mark.parametrize("change, argv, code, message", [
     ({"task": {"pool_size": 2**63}}, [], 1, "config error: pool_size must lie in [1, 65536]"),
-    ({"k": 2**40}, [], 2, "run failed: out of memory: "),
+    ({"k": 2**40}, [], 1, "config error: batch_size 2 and k 1099511627776: 256 groups need "),
+    ({"steps": 1, "batch_size": 100_000_000}, [], 1,
+     "config error: batch_size 100000000 and k 8: 100000000 groups need "),
+    ({"k": 100_000_000}, [], 1, "config error: batch_size 2 and k 100000000: 256 groups need "),
     ({}, ["--groups", str(2**50)], 2, "run failed: out of memory: "),
-], ids=["pool-size", "k", "groups"])
+], ids=["pool-size", "k", "batch-size", "k-past-the-sampler", "groups"])
 def test_a_huge_size_is_one_line_and_writes_nothing(tmp_path, capsys, change, argv, code,
                                                     message):
-    # each once hung building the query pool or ended in a numpy
-    # allocation traceback; no size here can be allocated at all
+    # each once hung building the query pool, ended in a numpy allocation
+    # traceback or could bring the kernel's out-of-memory kill; a batch the
+    # sampler cannot take is refused as the config is read, and no size here
+    # can be allocated at all
     doc = train_config_to_dict(TrainConfig(seed=2))
     for key, value in change.items():
         doc[key] = {**doc[key], **value} if isinstance(value, dict) else value

@@ -169,12 +169,12 @@ def _sampled(seed: int = 3):
     batches = [rollout_groups(params, pool.queries, 8, substream(seed, "score-once", i),
                               xi=CFG.xi, stop_token=TASK.stop, t_max=cfg.t_max)
                for i in range(2)]
-    assert all(DifficultyGrade.MID in b.grades for b in batches)
+    assert all((b.grade == DifficultyGrade.MID).any() for b in batches)
     return params, params.snapshot(), batches
 
 
 def _mid(batch: GroupBatch) -> GroupBatch:
-    return batch.select([g is DifficultyGrade.MID for g in batch.grades])
+    return batch.select(batch.grade == DifficultyGrade.MID)
 
 
 def test_a_batch_is_scored_once_at_its_sampler(monkeypatch):
@@ -279,7 +279,7 @@ def test_an_instance_is_certified_in_one_batched_loss_pass(monkeypatch, loss, ca
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     inst = _mid_instance(5, 2)
-    assert inst.group.grades == [DifficultyGrade.MID]
+    assert inst.group.grade.tolist() == [DifficultyGrade.MID]
     assert certify(inst, loss, substream(5, "guard")) < 1e-6
     assert counted == calls
 
@@ -381,7 +381,7 @@ def test_a_loss_that_reads_no_table_builds_none(monkeypatch):
             built.append(self)
     monkeypatch.setattr(gradcheck, "Probes", Counted)
     inst = make_instance(1, 2, "easy")
-    assert inst.group.grades == [DifficultyGrade.EASY]
+    assert inst.group.grade.tolist() == [DifficultyGrade.EASY]
     assert certify(inst, "dypo_step_loss", substream(1, "draws")) < 1e-6
     assert built == []
 
@@ -492,7 +492,7 @@ def test_the_clip_guard_checks_trajectory_ratios():
     assert lengths[i] >= 3 and np.abs(shift).max() < np.log(1.2) / 2
     group = inst.group  # the same group, recorded with other sampling log-probs
     for sample_logp, off in ((own - shift, False), (own, True)):
-        inst.group = GroupBatch(group.interner, group.queries, group.grades, group.k,
+        inst.group = GroupBatch(group.interner, group.queries, group.grade, group.k,
                                 group.rewards, group.advantages, group.lengths, group.terminal,
                                 group.steps, sample_logp)
         assert _off_clip(inst, CFG, margin=1e-4) is off
@@ -748,7 +748,7 @@ def test_dypo_step_easy_contributes_nothing():
                                   inst.teachers, CFG, substream(5, "e"))
     assert report.loss == 0.0
     assert report.gradient.rows.size == 0
-    assert inst.group.grades == [DifficultyGrade.EASY] and passed is None
+    assert inst.group.grade.tolist() == [DifficultyGrade.EASY] and passed is None
 
 
 def test_dypo_step_hard_scales_with_gamma():
@@ -762,7 +762,7 @@ def test_dypo_step_hard_scales_with_gamma():
     assert r2.loss == pytest.approx(2.0 * r1.loss, rel=1e-15)
     np.testing.assert_array_equal(r2.gradient.rows, r1.gradient.rows)
     np.testing.assert_allclose(r2.gradient.values, 2.0 * r1.gradient.values, rtol=1e-15)
-    assert inst.group.grades == [DifficultyGrade.HARD]
+    assert inst.group.grade.tolist() == [DifficultyGrade.HARD]
 
 
 @pytest.mark.parametrize("variant, kinds", [("dypo", ("hard", "mid", "hard", "easy", "hard")),
@@ -805,7 +805,7 @@ def test_dypo_step_mid_recomposition():
     manual = sum_blocks([(CFG.alpha, g_grpo), (1 - CFG.alpha, gal_gradient)])
     np.testing.assert_array_equal(report.gradient.rows, manual.rows)
     np.testing.assert_allclose(report.gradient.values, manual.values, atol=1e-12)
-    assert inst.group.grades == [DifficultyGrade.MID]
+    assert inst.group.grade.tolist() == [DifficultyGrade.MID]
 
 
 def test_a_policy_of_another_interner_is_an_input_error():
@@ -813,7 +813,7 @@ def test_a_policy_of_another_interner_is_an_input_error():
     # it holds the same logits, and rows kept for another interner are never
     # resolved again
     inst = _mid_instance(index=19)
-    assert inst.group.grades == [DifficultyGrade.MID]
+    assert inst.group.grade.tolist() == [DifficultyGrade.MID]
     foreign = PolicyParams(TASK.vocab_size, 1)
     for ctx in inst.ref.written_contexts():
         foreign.set_logits(ctx, inst.ref.logits(ctx))

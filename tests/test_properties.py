@@ -256,6 +256,15 @@ def test_copies_and_probe_tables_read_the_original(seed, history, picks):
         assert params.logits(ctx).tobytes() == twin.logits(ctx).tobytes()
 
 
+def _per_group(batch: GroupBatch) -> list[tuple[int, int, int]]:
+    """Each group's query object (by identity), grade code and size, once
+    the three are checked to be 1-D arrays of one entry per group."""
+    for name in ("queries", "grade", "k"):
+        column = getattr(batch, name)
+        assert type(column) is np.ndarray and column.shape == (batch.count,), name
+    return list(zip(map(id, batch.queries.tolist()), batch.grade.tolist(), batch.k.tolist()))
+
+
 @given(seed=seeds, k=st.integers(2, 8), n_queries=st.integers(1, 12), mid_only=st.booleans())
 @FAST
 def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
@@ -268,8 +277,17 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
     batch = rollout_groups(params, queries, k, substream(seed, "groups"), xi=cfg.mix.xi,
                            stop_token=cfg.task.stop, t_max=cfg.t_max)
     if mid_only:  # the Mid groups, as collect_mid_groups keeps them
-        batch = batch.select(np.array([g is only for g in batch.grades], dtype=bool))
+        batch = batch.select(batch.grade == only)
     groups = [batch.select([i]) for i in range(len(batch))]
+    # every way to build a batch keeps each group's query, grade and size together
+    facts = _per_group(batch)
+    backwards = list(range(len(batch)))[::-1]
+    assert _per_group(batch.select(backwards)) == [facts[i] for i in backwards]
+    assert _per_group(batch.select(np.arange(len(batch)) % 2 == 0)) == facts[::2]
+    assert _per_group(batch.select(slice(1, None, 2))) == facts[1::2]
+    assert _per_group(batch.tiled(np.tile(batch.rows, (3, 1)))) == facts * 3
+    if groups:
+        assert _per_group(GroupBatch.concat(groups)) == facts
     sampled = sample_lockstep(twin, [q.query_id for q in queries], k, substream(seed, "groups"),
                               stop_token=cfg.task.stop, t_max=cfg.t_max)
     ends = np.cumsum(sampled.lengths).tolist()
@@ -287,7 +305,9 @@ def test_sampled_groups_are_their_own_rollouts(seed, k, n_queries, mid_only):
     assert batch.steps.dtype == np.intp and batch.steps.shape == (2, kept_steps)
     for group, (query, trajs, rewards) in zip(groups, expected):
         assert group.queries[0] is query and tuple(group.rewards.tolist()) == rewards
-        assert group.grades == [grade(rewards)]
+        assert group.grade.tolist() == [grade(rewards)]
+        by_hand = GroupBatch.of(params, query, trajs, rewards, group.advantages)
+        assert _per_group(by_hand) == [(id(query), grade(rewards), k)]
         np.testing.assert_array_equal(group.advantages, standardize_advantages(rewards, cfg.mix.xi))
         assert trajectories(group) == tuple(trajs)
         contexts = [ctx for t in trajs for ctx in step_contexts(query.query_id, t.tokens, 1)]
@@ -316,9 +336,9 @@ def test_a_sampled_group_rebuilt_by_hand_is_its_batch_of_one(seed, k, n_queries,
         rewards = [reward(query, t) for t in trajs]
         got = GroupBatch.of(params, query, trajs, rewards,
                             standardize_advantages(rewards, cfg.mix.xi))
-        assert got.interner is want.interner and got.queries == want.queries
-        assert got.grades == want.grades
-        for name in ("k", "steps", "lengths", "terminal", "rewards", "advantages", "sample_logp"):
+        assert got.interner is want.interner
+        for name in ("queries", "grade", "k", "steps", "lengths", "terminal", "rewards",
+                     "advantages", "sample_logp"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
@@ -722,7 +742,7 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
     if want is not None:
         np.testing.assert_array_equal(passed.loss, want.loss)
     for i in set(range(len(groups))) - set(terms):
-        assert variant == "dypo" and groups[i].grades[0] is DifficultyGrade.EASY
+        assert variant == "dypo" and groups[i].grade[0] == DifficultyGrade.EASY
     # the step is the mean of the terms; each row adds its groups' terms in group order
     mean_loss, rows, mean = mean_step(terms, params.vocab_size)
     assert step.loss == mean_loss
@@ -731,7 +751,7 @@ def test_the_gate_sends_each_group_to_its_pathway(seed, index, picks, grades, ex
     assert step.gradient.values.tobytes() == mean.tobytes()
     # the certified step is the dypo gate over a group built by hand, the
     # group as the batch selects it, of each kind present
-    for i in {group.grades[0]: i for i, group in enumerate(groups)}.values():
+    for i in {int(group.grade[0]): i for i, group in enumerate(groups)}.values():
         one, _ = route_groups(params, ref, groups[i], teachers, cfg, substream(seed, "one"))
         alone, _ = route_groups(params, ref, batch.select([i]), teachers, cfg,
                                 substream(seed, "one"))
@@ -886,7 +906,10 @@ def test_batch_grades_are_the_per_group_grades(rewards, bad):
         if rewards.shape[1] >= 2:  # the message names the entry as given
             assert str(err) == f"rewards must be 0 or 1, got {bad[1]!r}"
     else:
-        assert grades(rewards) == want
+        codes = grades(rewards)
+        assert codes.dtype == np.int8 and codes.shape == (len(want),)
+        # a code is its grade's value
+        assert all(DifficultyGrade(code) is g for code, g in zip(codes, want))
 
 
 @st.composite

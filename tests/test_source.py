@@ -1,11 +1,12 @@
 """Source hygiene: no module of the package or test imports a name it never uses,
 every top-level function and class is used in the package or exported,
-every optional parameter is set by the package or the bench, importing the
-package loads no scipy, the trainer routes only through the gate, only the
-certifier uses the scalar sampler and checks hand-made pairs, only the
-policy module lays out gradient keys and reads another object's private
-attributes, only its key index encodes a key, the certifier names each loss
-once, and the README's configuration block is the schema's defaults."""
+every optional parameter is set by the package or the bench, no function
+loops over a batch's groups, importing the package loads no scipy, the
+trainer routes only through the gate, only the certifier uses the scalar
+sampler and checks hand-made pairs, only the policy module lays out
+gradient keys and reads another object's private attributes, only its key
+index encodes a key, the certifier names each loss once, and the README's
+configuration block is the schema's defaults."""
 
 from __future__ import annotations
 
@@ -107,44 +108,87 @@ def test_every_definition_is_used_in_the_package_or_exported():
     assert unreferenced_definitions(sources) == []
 
 
-def _call_sets(call: ast.Call) -> tuple[str | None, int, set[str] | None]:
-    """The name a call calls, how many positional arguments it passes, and
-    the keywords it sets (``None``: any, through ``**kwargs``); a starred
-    argument may fill every position. ``partial(f, ...)`` is a call of f
-    that sets every parameter, as what it leaves open is set later."""
+def _reachable(tree: ast.Module, file: str, package: dict[str, str]
+               ) -> tuple[dict[str, str], dict[str, str]]:
+    """What a caller module's names reach in a package (file name -> source):
+    each name of a package module's top-level definition, its own or imported
+    from that module (``from .m import f``, ``from dypo.m import f``), mapped
+    to that module's file, and each name of a package module itself
+    (``from . import m``, ``from dypo import m``) likewise."""
+    defined = {node.name: file for node in tree.body
+               if file in package and isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    modules = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level == 0 and not (
+                node.module == "dypo" or node.module.startswith("dypo.")):
+            continue
+        base = (node.module or "") if node.level else node.module.partition(".")[2]
+        for alias in node.names:
+            if base:
+                defined[alias.asname or alias.name] = f"{base}.py"
+            elif f"{alias.name}.py" in package:
+                modules[alias.asname or alias.name] = f"{alias.name}.py"
+    return defined, modules
+
+
+def _call_sets(call: ast.Call, defined: dict[str, str], modules: dict[str, str]
+               ) -> tuple[str | None, str | None, int, set[str] | None]:
+    """The name a call calls, the package module whose top-level definition
+    it reaches (``""``: none; ``None``: a method call, which reaches every
+    method of its name), how many positional arguments it passes, and the
+    keywords it sets (``None``: any, through ``**kwargs``); a starred
+    argument may fill every position.
+    ``partial(f, ...)`` is a call of f that sets every parameter, as what it
+    leaves open is set later."""
     func = call.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     if name == "partial" and call.args:
-        target = call.args[0]
-        return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None),
-                sys.maxsize, None)
-    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
-    positional = sys.maxsize if starred else len(call.args)
-    keywords = {kw.arg for kw in call.keywords}
-    return name, positional, None if None in keywords else keywords
+        func, positional, keywords = call.args[0], sys.maxsize, None
+    else:
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        positional = sys.maxsize if starred else len(call.args)
+        keywords = {kw.arg for kw in call.keywords}
+        keywords = None if None in keywords else keywords
+    if isinstance(func, ast.Name):
+        return func.id, defined.get(func.id, ""), positional, keywords
+    if isinstance(func, ast.Attribute):
+        value = func.value
+        if isinstance(value, ast.Name) and value.id in modules:
+            return func.attr, modules[value.id], positional, keywords
+        return func.attr, None, positional, keywords
+    return None, "", positional, keywords
 
 
-def unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
+def unset_options(package: dict[str, str], callers: dict[str, str]) -> list[str]:
     """The defaulted parameters of the module-level functions and methods of
     a package's modules (file name -> source) that no call in ``callers``
-    sets by position, by keyword or through ``**kwargs``, as
-    ``file:function(parameter)`` in source order. A call is matched to a
-    definition by the name it calls alone; a class's name calls its
-    ``__init__``, and a method's positions start after ``self`` or ``cls``."""
-    calls = [_call_sets(node) for text in callers for node in ast.walk(ast.parse(text))
-             if isinstance(node, ast.Call)]
+    (file name -> source, a package module under its own name) sets by
+    position, by keyword or through ``**kwargs``, as
+    ``file:function(parameter)`` in source order. A call reaches a function
+    or class only from its own module, through a name imported from that
+    module, or as an attribute of that module (``_reachable``); a class's
+    name calls its ``__init__``. A method is reached by any attribute call
+    of its name on an object that is not a package module, and its
+    positions start after ``self`` or ``cls``."""
+    calls = []
+    for file, text in callers.items():
+        tree = ast.parse(text)
+        defined, modules = _reachable(tree, file, package)
+        calls += [_call_sets(node, defined, modules) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)]
     found = []
     for file, text in package.items():
         for top in ast.parse(text).body:
             if isinstance(top, ast.FunctionDef):
-                defs = [(top.name, top.name, top, 0)]
+                defs = [(top.name, file, top.name, top, 0)]
             elif isinstance(top, ast.ClassDef):  # the package has no static methods
                 defs = [(top.name if node.name == "__init__" else node.name,
+                         file if node.name == "__init__" else None,
                          f"{top.name}.{node.name}", node, 1)
                         for node in top.body if isinstance(node, ast.FunctionDef)]
             else:
                 continue
-            for called, qualname, node, skip in defs:
+            for called, where, qualname, node, skip in defs:
                 args = node.args
                 positional = (args.posonlyargs + args.args)[skip:]
                 first = len(positional) - len(args.defaults)
@@ -152,9 +196,10 @@ def unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
                 options += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
                             if d is not None]
                 found += [f"{file}:{qualname}({arg})" for arg, at in options
-                          if not any(name == called and (keywords is None or arg in keywords
-                                                         or at is not None and at < count)
-                                     for name, count, keywords in calls)]
+                          if not any(name == called and module == where
+                                     and (keywords is None or arg in keywords
+                                          or at is not None and at < count)
+                                     for name, module, count, keywords in calls)]
     return found
 
 
@@ -162,10 +207,16 @@ def test_the_checker_finds_an_unset_option():
     package = {"a.py": ("def f(x, y=1, *, z=2): pass\ndef g(a=0, b=0): pass\n"
                         "def h(c=0): pass\ndef lone(d=0): pass\n"
                         "class K:\n    def __init__(self, n=0): pass\n"
-                        "    def m(self, p=0, q=0): pass\n    def r(self, s=0): pass\n")}
-    callers = ["f(1, z=3)\ng(0)\nhook = partial(h)\nK(5)\nk.m(**opts)\nk.r()\nlone\n"]
+                        "    def m(self, p=0, q=0): pass\n    def r(self, s=0): pass\n"),
+               "b.py": "def twin(t=0): pass\ndef far(u=0): pass\ndef out(w=0): pass\n"}
+    callers = {"a.py": package["a.py"] + ("f(1, z=3)\ng(0)\nhook = partial(h)\nK(5)\n"
+                                          "k.m(**opts)\nk.r()\nlone\n"),
+               # a same-named function of another module reaches neither
+               "c.py": ("from dypo.a import K\nfrom dypo import b\nfrom .b import far\n"
+                        "def twin(t=0): pass\ntwin(1)\nb.out(w=1)\nfar(2)\nK(1)\n"
+                        "def lone(d=0): pass\nlone(3)\n")}
     assert unset_options(package, callers) == ["a.py:f(y)", "a.py:g(b)", "a.py:lone(d)",
-                                                "a.py:K.r(s)"]
+                                                "a.py:K.r(s)", "b.py:twin(t)"]
 
 
 # the one option only the tests set, and why it stays
@@ -180,8 +231,82 @@ def test_every_option_is_set_by_the_package_or_the_bench():
     package = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
              if not p.name.startswith("test_")]
-    callers = [p.read_text() for p in sorted(SRC.glob("*.py")) + bench]
+    callers = {**package, **{str(p.relative_to(ROOT)): p.read_text() for p in bench}}
     assert unset_options(package, callers) == list(TEST_ONLY_OPTIONS)
+
+
+PER_GROUP = ("queries", "grade", "k")
+
+
+def _iterated(node: ast.AST):
+    """The nodes an iteration over ``node`` reads its items through: all of
+    them but the items of a tuple, list or set display, taken one by one."""
+    yield node
+    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        for child in ast.iter_child_nodes(node):
+            yield from _iterated(child)
+
+
+def per_group_loops(sources: dict[str, str]) -> list[str]:
+    """Each ``for`` loop and comprehension of a package's modules (file name
+    -> source) that iterates through a batch's per-group attribute
+    (``PER_GROUP``), as ``file:line``; a loop over the arrays themselves, a
+    display of them, is not one. A name holds a batch in a function where
+    it is ``self`` or ``cls`` of ``GroupBatch``, a parameter annotated
+    ``GroupBatch``, bound to a call of a function or method annotated to
+    return one, or bound by a loop over a parameter annotated with a
+    sequence of them."""
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    makers = {node.name for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.returns is not None
+              and ast.unparse(node.returns).strip("'\"") == "GroupBatch"}
+    found = []
+    for file, tree in trees.items():
+        scopes = [(node, cls.name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+        scopes += [(node, None) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for func, owner in scopes:
+            args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+            hints = {a.arg: ast.unparse(a.annotation) for a in args if a.annotation}
+            batches = {"self", "cls"} if owner == "GroupBatch" else set()
+            batches |= {name for name, hint in hints.items() if hint == "GroupBatch"}
+            sequences = {name for name, hint in hints.items()
+                         if hint != "GroupBatch" and "GroupBatch" in hint}
+            loops = [node for node in ast.walk(func)
+                     if isinstance(node, (ast.For, ast.comprehension))]
+            for node in ast.walk(func):
+                call = getattr(node, "value", None)
+                if isinstance(node, ast.Assign) and isinstance(call, ast.Call) and getattr(
+                        call.func, "id", getattr(call.func, "attr", None)) in makers:
+                    batches |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            batches |= {loop.target.id for loop in loops if isinstance(loop.target, ast.Name)
+                        and isinstance(loop.iter, ast.Name) and loop.iter.id in sequences}
+            found += [f"{file}:{loop.iter.lineno}"
+                      for loop in loops if any(
+                          isinstance(sub, ast.Attribute) and sub.attr in PER_GROUP
+                          and isinstance(sub.value, ast.Name) and sub.value.id in batches
+                          for sub in _iterated(loop.iter))]
+    return sorted(set(found), key=found.index)
+
+
+def test_the_checker_finds_a_loop_over_a_batchs_groups():
+    source = ("class GroupBatch:\n    def f(self):\n        return [q for q in self.queries]\n"
+              "def make() -> 'GroupBatch': pass\n"
+              "def g(batch: GroupBatch, pool, cfg):\n    for g in batch.grade.tolist(): pass\n"
+              "    for q in pool.queries: pass\n    for a in (batch.queries, batch.k): pass\n"
+              "    return [i for i in range(cfg.k)]\n"
+              "def h(batches: Sequence[GroupBatch]):\n    other = make()\n"
+              "    for k in zip(other.k, other.count): pass\n"
+              "    return [q for b in batches for q in b.queries], other.grade == 0\n")
+    assert per_group_loops({"a.py": source}) == ["a.py:3", "a.py:6", "a.py:12", "a.py:13"]
+
+
+def test_no_module_loops_over_a_batchs_groups():
+    # a batch's per-group facts are arrays, read by array operations: no
+    # function walks its groups in Python (sft_pass walks the queries it is
+    # given, to draw one teacher each)
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert per_group_loops(sources) == []
 
 
 def test_importing_the_package_loads_no_scipy():

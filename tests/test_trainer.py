@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from dypo.cli import main
 from dypo.errors import ConfigError, DataError, DypoError, TrainingAborted
 from dypo.gradcheck import grad_check_suite
-from dypo.instrumentation import StepMetrics, read_metrics, write_metrics
+from dypo.instrumentation import CHUNK_GROUPS, StepMetrics, read_metrics, write_metrics
 from dypo.objectives import MixConfig
 from dypo.policy import PolicyParams, RowBlock
 from dypo.seeding import substream
-from dypo.tasks import TaskConfig
+from dypo.tasks import MAX_TABLE_BYTES, TaskConfig
 from dypo.trainer import (
     VARIANTS,
     Checkpoint,
@@ -101,6 +101,21 @@ def test_config_validation():
         TrainConfig(variant="ppo")
     with pytest.raises(ConfigError):
         TrainConfig(t_max=4, task=TaskConfig(max_chain_len=4))
+
+
+def test_a_batch_that_cannot_be_sampled_is_a_config_error():
+    # a step's, or an evaluation chunk's, first sampler position gathers 9
+    # bytes a token for each trajectory: past the table's bound the config
+    # is refused as it is built, before anything is sampled
+    for change in ({"steps": 1, "batch_size": 100_000_000}, {"k": 100_000_000}):
+        with pytest.raises(ConfigError, match="first sampler position, over the 1024 MiB bound"):
+            TrainConfig(**change)
+    largest = MAX_TABLE_BYTES // (CHUNK_GROUPS * TrainConfig().task.vocab_size * 9)
+    assert TrainConfig(k=largest).k == largest
+    with pytest.raises(ConfigError, match="first sampler position"):
+        TrainConfig(k=largest + 1)
+    # the benches' train-wide sizes still load
+    TrainConfig(batch_size=8, history=2, task=TaskConfig(pool_size=32))
 
 
 def test_zero_steps_leaves_policy_unchanged(tmp_path):
@@ -320,7 +335,7 @@ def test_batch_gradient_is_additive_over_query_reports():
         groups = rollout_groups(before, [pool.queries[i] for i in indices], cfg.k,
                                 substream(cfg.seed, "rollout", 0), xi=cfg.mix.xi,
                                 stop_token=cfg.task.stop, t_max=cfg.t_max)
-        grades = groups.grades
+        grades = groups.grade.tolist()
         assert DifficultyGrade.MID in grades and DifficultyGrade.HARD in grades
         terms, _ = gate_terms(before, before.snapshot(), groups,
                               make_teacher_ensemble(cfg.task, cfg.m_teachers, cfg.seed),
