@@ -34,4 +34,4 @@ class BenchError(DypoError, RuntimeError):
 
 
 class TrainingAborted(DypoError, RuntimeError):
-    """Training stopped on a non-finite loss or gradient."""
+    """Training stopped at a step whose loss, metrics or updated logits are not finite."""

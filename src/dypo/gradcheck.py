@@ -331,8 +331,7 @@ CHECKS = {
 }
 
 
-def probe_losses(inst: GradCheckInstance, loss: str, cfg: MixConfig,
-                 rng: Draws = None) -> ProbeLosses:
+def probe_losses(loss: str, cfg: MixConfig, rng: Draws = None) -> ProbeLosses:
     """The certified ``loss`` under every probe of an instance, as one
     evaluation of the loss alone, never of its gradient, which makes the
     draws the loss makes from ``rng`` (a teacher and its demonstration,
@@ -345,7 +344,7 @@ def certify(inst: GradCheckInstance, loss: str, rng: Draws = None) -> float:
     instance against central differences, on the instance's probe table, at
     the default mixture config; ``rng`` feeds the loss's draws, which the
     probes make from a twin."""
-    losses = probe_losses(inst, loss, _MIX, twin_stream(rng))
+    losses = probe_losses(loss, _MIX, twin_stream(rng))
     analytic = CHECKS[loss].gradient(inst, _MIX, rng)
     return gradient_error(inst.params, analytic, numerical_gradient(losses, inst))
 

@@ -65,7 +65,11 @@ class RowBlock(NamedTuple):
         return RowBlock(self.rows, scale * self.values)
 
     def sq_norm(self) -> float:
-        return math.fsum((self.values * self.values).ravel().tolist())
+        """The exactly rounded sum of squares: inf past the float range, nan at a nan."""
+        try:
+            return math.fsum((self.values * self.values).ravel().tolist())
+        except OverflowError:  # finite squares whose sum is past the float range
+            return math.inf
 
 
 def _unique(rows: np.ndarray) -> np.ndarray:
@@ -312,12 +316,18 @@ class PolicyParams:
         self._written[r] = True
         self._refresh(slice(r, r + 1))
 
+    @np.errstate(over="ignore", invalid="ignore")  # an update it refuses may overflow
     def apply_update(self, grad: RowBlock, scale: float) -> None:
-        """theta[row] += scale * grad[row] for every row in grad."""
+        """theta[row] += scale * grad[row] for every row in grad; an update leaving a row
+        non-finite, or too wide for its softmax's max-shift, is refused before any write."""
         if self.frozen:
             raise StateError("cannot mutate a frozen policy snapshot")
         self._fit()
-        self._logits[grad.rows] += scale * grad.values
+        updated = self._logits[grad.rows] + scale * grad.values
+        spread = np.maximum.reduce(updated, axis=1) - np.minimum.reduce(updated, axis=1)
+        if not np.logical_and.reduce(np.isfinite(spread)):
+            raise InputError("the update would leave a row of logits non-finite or too wide")
+        self._logits[grad.rows] = updated
         self._written[grad.rows] = True
         self._refresh(grad.rows)
 

@@ -1,16 +1,19 @@
 """Synthetic verifiable-reward tasks, teacher oracles, and the bias testbed.
 
 The default task family is modular arithmetic chains: a prompt encodes a
-start value and a sequence of +c / *c operations mod M, and a trajectory is
-rewarded iff it terminates and the answer segment after its last separator
-token equals the final chain value. Teachers are oracles that always emit a
-rewarded demonstration, differing from each other only in correctness-
-preserving style (filler repetitions of intermediate values).
+start value and a sequence of +c / *c operations mod M, and the answer is the
+final chain value, one residue token. A trajectory is rewarded iff it
+terminates and its last three tokens are the separator, the answer and the
+stop token; as the answer is never the separator, that is the answer segment
+after the last separator equalling the answer. Teachers are oracles that
+always emit a rewarded demonstration, differing from each other only in
+correctness-preserving style (filler repetitions of intermediate values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -78,15 +81,23 @@ class TaskConfig:
 
 @dataclass(frozen=True)
 class Query:
-    """One task instance; ground truth is hidden from the policy."""
+    """One task instance; its answer and ground truth are hidden from the policy."""
 
     query_id: int
     prompt_tokens: tuple[int, ...]
-    ground_truth: Trajectory
-    answer_tokens: tuple[int, ...]
     chain_values: tuple[int, ...]  # v_0 (start) .. v_L (answer)
     separator: int
     stop: int
+
+    @property
+    def answer(self) -> int:
+        return self.chain_values[-1]
+
+    @property
+    def ground_truth(self) -> Trajectory:
+        """The worked solution: the intermediate values, then separator, answer, stop."""
+        return Trajectory(self.chain_values[1:-1] + (self.separator, self.answer, self.stop),
+                          terminal=True)
 
 
 def generate_query(cfg: TaskConfig, chain_len: int, rng: np.random.Generator,
@@ -105,36 +116,17 @@ def generate_query(cfg: TaskConfig, chain_len: int, rng: np.random.Generator,
         prompt.append(c)
         prev = values[-1]
         values.append((prev * c) % m if is_mul else (prev + c) % m)
-    answer = values[-1]
-    gt_tokens = tuple(values[1:-1]) + (cfg.separator, answer, cfg.stop)
-    return Query(
-        query_id=query_id,
-        prompt_tokens=tuple(prompt),
-        ground_truth=Trajectory(gt_tokens, terminal=True),
-        answer_tokens=(answer,),
-        chain_values=tuple(values),
-        separator=cfg.separator,
-        stop=cfg.stop,
-    )
+    return Query(query_id=query_id, prompt_tokens=tuple(prompt), chain_values=tuple(values),
+                 separator=cfg.separator, stop=cfg.stop)
 
 
 def reward(query: Query, traj: Trajectory) -> int:
-    """1 iff the trajectory terminates and its answer segment matches exactly.
+    """1 iff the trajectory terminates and ends on separator, answer, stop.
 
-    The answer segment is everything after the last separator and before the
-    final stop token; malformed trajectories (non-terminal, no separator,
-    missing stop) simply score 0.
+    Every other trajectory scores 0: non-terminal, shorter than three tokens,
+    without the separator right before the answer, or without the final stop.
     """
-    if not traj.terminal or len(traj.tokens) == 0:
-        return 0
-    if traj.tokens[-1] != query.stop:
-        return 0
-    body = traj.tokens[:-1]
-    try:
-        last_sep = len(body) - 1 - body[::-1].index(query.separator)
-    except ValueError:
-        return 0
-    return int(body[last_sep + 1:] == query.answer_tokens)
+    return int(traj.terminal and traj.tokens[-3:] == (query.separator, query.answer, query.stop))
 
 
 def batch_reward(queries: Sequence[Query], tokens: np.ndarray, lengths: np.ndarray,
@@ -143,33 +135,20 @@ def batch_reward(queries: Sequence[Query], tokens: np.ndarray, lengths: np.ndarr
 
     Trajectory i is the ``lengths[i]`` tokens after those of trajectories
     0..i-1, ``terminal[i]`` tells whether it ended on the stop token, and the
-    queries own consecutive, equal runs of trajectories. A rewarded
-    trajectory ends on the stop token, right after a separator followed by
-    exactly the answer, with no separator inside the answer; an answer
-    holding the separator is never rewarded.
+    queries own consecutive, equal runs of trajectories.
     """
     n = len(lengths)
     if len(queries) == 0 or n % len(queries):
         raise InputError(f"{n} trajectories do not split evenly over {len(queries)} queries")
-    # each distinct query object's rows, in first-seen order, gathered per trajectory
-    slots: dict[int, int] = {}
-    owner = np.repeat([slots.setdefault(id(q), len(slots)) for q in queries], n // len(queries))
-    distinct = list({id(q): q for q in queries}.values())
-    # a rewarded trajectory's last tokens, read backwards: stop, answer, separator
-    tails = [(q.stop, *q.answer_tokens[::-1], q.separator) for q in distinct]
-    size = max(map(len, tails))
-    want = np.array([tail + (-1,) * (size - len(tail)) for tail in tails])
-    # an answer holding the separator needs more tokens than there are
-    need = np.array([len(tokens) + 1 if q.separator in q.answer_tokens else len(tail)
-                     for q, tail in zip(distinct, tails)])
     if len(tokens) == 0:  # only empty trajectories, none rewarded, and nothing to take
         return np.zeros(n, dtype=np.int64)
-    # each trajectory's last ``size`` tokens in one take, the -1 padding unmatched; a
-    # trajectory shorter than its ``need`` is not rewarded, whatever its window holds
-    window = tokens.take((np.cumsum(lengths) - 1)[:, None] - np.arange(size), mode="clip")
-    wanted = want[owner]
-    match = ((window == wanted) | (wanted < 0)).all(axis=1)
-    return (terminal & (lengths >= need[owner]) & match).astype(np.int64)
+    # each trajectory's last three tokens, and its query's separator, answer and
+    # stop; the window of a trajectory shorter than three reads other tokens
+    window = tokens.take(np.cumsum(lengths)[:, None] - (3, 2, 1), mode="clip")
+    wanted = np.array([np.fromiter(map(attrgetter(name), queries), np.intp, len(queries))
+                       for name in ("separator", "answer", "stop")])
+    match = (window == wanted.T.repeat(n // len(queries), axis=0)).all(axis=1)
+    return (terminal & (lengths >= 3) & match).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -210,7 +189,7 @@ def teacher_sample(oracle: TeacherOracle, query: Query, rng: np.random.Generator
     if rng.random() < 0.5:
         pool = intermediates if intermediates else values[:1]
         prefix.append(pool[oracle.noise_seed % len(pool)])
-    tokens = tuple(prefix) + (cfg.separator, values[-1], cfg.stop)
+    tokens = tuple(prefix) + (cfg.separator, query.answer, cfg.stop)
     return Trajectory(tokens, terminal=True)
 
 

@@ -21,7 +21,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .artifacts import atomic_write, read_text
-from .errors import ConfigError, DataError, TrainingAborted
+from .errors import ConfigError, DataError, InputError, TrainingAborted
 from .grading import DifficultyGrade
 from .instrumentation import CHUNK_GROUPS, StepMetrics, write_metrics
 from .objectives import (
@@ -345,6 +345,8 @@ def _check_resume(config: TrainConfig, ckpt: Checkpoint) -> None:
                           f"past the configured {config.steps} steps")
 
 
+# extreme settings overflow; what a run writes is checked finite, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def train(config: TrainConfig, out_dir: str | Path | None = None,
           resume_from: Checkpoint | None = None) -> TrainResult:
     """Run the configured number of steps and return the final checkpoint.
@@ -389,12 +391,6 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
                 stats.gal_weight_min = min(stats.gal_weight_min, float(passed.weights.min()))
                 stats.gal_weight_max = max(stats.gal_weight_max, float(passed.weights.max()))
 
-        if not (math.isfinite(mean.loss) and np.isfinite(mean.gradient.values).all()):
-            if out_path is not None:
-                save_checkpoint(out_path / "abort_checkpoint.json",
-                                Checkpoint(step, params, ref, metrics, config))
-            raise TrainingAborted(f"non-finite loss or gradient at step {step}")
-
         row = StepMetrics(
             step=step,
             mean_reward=int(batch.rewards.sum()) / len(batch.rewards),
@@ -407,9 +403,17 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
             eta=eta,
             kl=kl,
         )
+        # a nan or inf gradient entry makes the norm non-finite
+        try:
+            if not all(map(math.isfinite, (mean.loss, row.mean_entropy, row.grad_norm, eta, kl))):
+                raise InputError("non-finite loss or metric")
+            params.apply_update(mean.gradient, -config.learning_rate)
+        except InputError as exc:
+            if out_path is not None:
+                save_checkpoint(out_path / "abort_checkpoint.json",
+                                Checkpoint(step, params, ref, metrics, config))
+            raise TrainingAborted(f"{exc} at step {step}") from None
         metrics.append(row)
-
-        params.apply_update(mean.gradient, -config.learning_rate)
         if config.ref_refresh_period and (step + 1) % config.ref_refresh_period == 0:
             ref = params.snapshot()
 

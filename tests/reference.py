@@ -7,7 +7,9 @@ advantages, and decode its trajectories from its steps' tokens
 (``trajectories``). The variance bench's reference evaluates its losses one
 group at a time, each group ``select``-ed from the sampled batch as a batch
 of one, as the bench did before they became one pass per chunk of groups;
-the gate's reference does the same. The scalar finite-difference oracle
+the gate's reference does the same. The reward's reference parses the
+answer segment after the last separator (``naive_reward``), as ``reward``
+did before it compared a trajectory's last three tokens. The scalar finite-difference oracle
 perturbs one logit in place per probe and re-evaluates an arbitrary loss, as
 the certifier did before its probes became one pass. A group's pairs are
 drawn one group at a time (``draw_group_pairs``), as ``pair_arrays`` drew
@@ -88,6 +90,19 @@ def uniform_guess_rate(vocab_size: int, t_max: int) -> float:
     """
     v = float(vocab_size)
     return (1.0 / v**2) * (1.0 - ((v - 1.0) / v) ** (t_max - 2))
+
+
+def naive_reward(query, traj: Trajectory) -> int:
+    """The general answer parser: 1 iff the trajectory terminates on the stop
+    token and the segment after its last separator, before the stop, equals
+    the answer tokens (here the one answer token)."""
+    if not traj.terminal or len(traj.tokens) == 0 or traj.tokens[-1] != query.stop:
+        return 0
+    body = traj.tokens[:-1]
+    if query.separator not in body:
+        return 0
+    last_sep = len(body) - 1 - body[::-1].index(query.separator)
+    return int(body[last_sep + 1:] == (query.answer,))
 
 
 def naive_sample(params, qid, k, rng, stop, t_max) -> list[Trajectory]:

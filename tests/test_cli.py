@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from dypo.cli import main
 from dypo.tasks import TaskConfig
-from dypo.trainer import TrainConfig, train_config_to_dict
+from dypo.trainer import (
+    TrainConfig,
+    load_checkpoint,
+    load_train_config,
+    train,
+    train_config_to_dict,
+)
+
+from conftest import tables_equal
 
 
 @pytest.fixture()
@@ -188,6 +197,26 @@ def test_a_directory_in_the_temporary_files_place_exits_2_with_one_line(tmp_path
     assert err.count("\n") == 1
     assert err.startswith(f"run failed: cannot write {out / 'metrics.csv'}: ")
     assert taken.is_dir() and not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"steps": 3, "mix": {"beta_gal": 1e155}},  # the gradient norm overflows
+    {"steps": 3, "learning_rate": 1e300, "mix": {"beta_gal": 1e300}},
+])
+def test_an_overflowing_step_exits_2_with_one_line_and_a_loadable_abort_checkpoint(
+        tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert not (out / "checkpoint.json").exists()
+    ckpt = load_checkpoint(out / "abort_checkpoint.json")
+    assert err == f"run failed: non-finite loss or metric at step {ckpt.step}\n"
+    # the first failing step: the steps before it, and the policy before it
+    before = train(replace(load_train_config(path), steps=ckpt.step)).checkpoint
+    assert 0 < ckpt.step < 3 and ckpt.metrics == before.metrics
+    assert tables_equal(ckpt.params, before.params) and tables_equal(ckpt.ref, before.ref)
 
 
 def test_bias_bench(tmp_path, tiny_config, capsys):

@@ -294,7 +294,7 @@ def test_the_probes_evaluate_losses_and_build_no_gradient(monkeypatch, kind):
     losses = ("sft_loss_grad", "grpo_loss_grad", "gal_loss_grad", "dypo_step_loss")
 
     def probed(loss):
-        return numerical_gradient(probe_losses(inst, loss, CFG, substream(13, "draws")), inst)
+        return numerical_gradient(probe_losses(loss, CFG, substream(13, "draws")), inst)
 
     def gradient_code(*args, **kwargs):
         raise AssertionError("a probe evaluation built a gradient")
@@ -560,7 +560,11 @@ def test_pair_arrays_subset_is_uniform():
     inst, group = _group_with_split(2, 2)
     n = 100_000
     rng = substream(5, "u")
-    drawn = np.concatenate([pair_arrays(group, 2, rng).traj for _ in range(n)])
+    # pair_arrays draws once per capped group, in group order: a call on 1000
+    # copies of the group makes the draws of 1000 calls on the group
+    copies = GroupBatch.concat([group] * 1000)
+    first = copies.first.repeat(2)[:, None]  # each copy's pairs, on its own trajectories
+    drawn = np.concatenate([pair_arrays(copies, 2, rng).traj - first for _ in range(n // 1000)])
     kept, counts = np.unique(drawn, axis=0, return_counts=True)
     # 4 pairs, 2 kept per draw: uniform inclusion probability 1/2
     freqs = counts / n

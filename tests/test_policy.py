@@ -256,6 +256,26 @@ def test_snapshot_is_immutable_and_stable():
     assert traj_log_prob(snap, 0, (2, 3)) == traj_log_prob(snap, 0, (2, 3))
 
 
+@pytest.mark.parametrize("values, scale", [
+    ([[np.nan, 0.0, 0.0, 0.0]], 1.0),
+    ([[1.0, 0.0, 0.0, 0.0]], 1e308 * 10),  # the scaled update overflows
+    ([[1.0, -1.0, 0.0, 0.0]], 1e308),  # finite logits whose range overflows
+])
+def test_an_update_leaving_a_row_unusable_is_refused_before_it_writes(values, scale):
+    params = PolicyParams(4, 1)
+    params.set_logits((0, ()), [1.0, 2.0, 3.0, 4.0])
+    before, generation = params.copy(), params.generation
+    rows = params.rows([(1, ()), (0, ())])
+    update = RowBlock(rows, np.array([[0.5, 0.5, 0.0, 0.0]] + values))
+    with pytest.raises(InputError, match="non-finite or too wide"):
+        params.apply_update(update, scale)
+    assert params.generation == generation
+    assert params.written_contexts() == before.written_contexts()
+    for ctx in ((0, ()), (1, ())):
+        assert np.array_equal(params.logits(ctx), before.logits(ctx))
+        assert np.array_equal(probs(params, ctx), probs(before, ctx))
+
+
 def test_step_contexts_history_truncation():
     for history, expected in ((1, [(3, ()), (3, (5,)), (3, (2,))]),
                               (2, [(3, ()), (3, (5,)), (3, (5, 2))])):

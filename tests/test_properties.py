@@ -8,10 +8,10 @@ per-key formula, the routing gate
 against its pathways by hand, GAL's sigmoid against scipy's ``expit``, pair
 construction one group at a time and batched, the grading partition and
 batch grades against per-group grades, ``sum_rows`` against ``np.add.at``,
-advantage standardization per group and per reward matrix, the reward parser
-and the batch reward against it, one query draw against one draw per query,
-the JSON config round trip, and the certifier's batched finite-difference
-probes against scalar ones."""
+advantage standardization per group and per reward matrix, the reward and
+the batch reward against each other and the general answer parser, one
+query draw against one draw per query, the JSON config round trip, and the
+certifier's batched finite-difference probes against scalar ones."""
 
 from __future__ import annotations
 
@@ -94,6 +94,7 @@ from reference import (
     naive_lockstep_sample,
     naive_log_prob,
     naive_owner_kl,
+    naive_reward,
     naive_sample,
     naive_score,
     sampling_cdf,
@@ -655,7 +656,7 @@ def test_batched_probes_are_the_scalar_probes_bit_for_bit(loss, graded, seed, in
         inst.pairs = pair_arrays(group, pair_cap, substream(seed, "pairs"))
     cfg = MixConfig(pair_cap=pair_cap, gamma=gamma)
     before = _policy_state(params)
-    batched = numerical_gradient(probe_losses(inst, loss, cfg, substream(seed, "draws")), inst)
+    batched = numerical_gradient(probe_losses(loss, cfg, substream(seed, "draws")), inst)
     assert _policy_state(params) == before
     # the loss itself, its draws made afresh on every probe
     scalar = {
@@ -835,33 +836,39 @@ def test_standardized_advantage_rows_are_each_groups_own(rewards, k, binary, xi)
 SEP, STOP = 4, 5
 
 
-@st.composite
-def reward_cases(draw):
-    """A query (answer of 0-3 tokens, the separator among them or not) and
-    trajectories of every shape the reward parser tells apart."""
-    answer = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
-    stop = draw(st.sampled_from([STOP, SEP]))  # a stop equal to the separator, too
-    query = Query(0, (), Trajectory((), True), answer, (), SEP, stop)
+def reward_trajectories(draw, query: Query, vocab: int) -> list[Trajectory]:
+    """1-4 trajectories of every shape the reward tells apart, for a query
+    whose tokens lie below ``vocab``."""
+    sep, answer, stop = query.separator, query.answer, query.stop
     trajs = []
     for _ in range(draw(st.integers(1, 4))):
-        prefix = tuple(draw(st.lists(st.integers(0, 5), max_size=5)))
+        prefix = tuple(draw(st.lists(st.integers(0, vocab - 1), max_size=5)))
         tokens = draw(st.sampled_from([
-            prefix + (SEP,) + answer + (stop,),  # the answer after the last separator
-            prefix + (SEP,) + answer + (SEP, stop),  # before it: a trailing separator
-            tuple(t for t in prefix if t != SEP) + answer + (stop,),  # no separator
-            prefix + answer + (stop,),
+            prefix + (sep, answer, stop),  # the answer after the last separator
+            prefix + (sep, answer, sep, stop),  # before it: a trailing separator
+            tuple(t for t in prefix if t != sep) + (answer, stop),  # no separator
+            prefix + (answer, stop),
             prefix[:2],  # short, and maybe empty
             prefix,
         ]))
         trajs.append(Trajectory(tokens, terminal=draw(st.booleans())))
-    return query, trajs
+    return trajs
+
+
+@st.composite
+def reward_cases(draw):
+    """A query (its answer token the separator or not, its stop the separator
+    or not) and trajectories of every shape the reward tells apart."""
+    stop = draw(st.sampled_from([STOP, SEP]))  # a stop equal to the separator, too
+    query = Query(0, (), (draw(st.integers(0, 5)),), SEP, stop)
+    return query, reward_trajectories(draw, query, 6)
 
 
 @given(cases=st.lists(reward_cases(), min_size=1, max_size=4), per=st.integers(1, 3),
        repeat=st.booleans())
 # only empty trajectories: no token at all to read
-@example(cases=[(Query(0, (), Trajectory((), True), (1,), (), SEP, STOP),
-                 [Trajectory((), True), Trajectory((), False)])], per=2, repeat=False)
+@example(cases=[(Query(0, (), (1,), SEP, STOP), [Trajectory((), True), Trajectory((), False)])],
+         per=2, repeat=False)
 @FAST
 def test_batch_reward_is_the_scalar_reward(cases, per, repeat):
     if repeat:  # every query object again, in reverse order, with other trajectories
@@ -876,6 +883,21 @@ def test_batch_reward_is_the_scalar_reward(cases, per, repeat):
     if len(queries) > 1:  # a trajectory short: the queries' runs are not equal
         with pytest.raises(InputError):
             batch_reward(queries, tokens[lengths[0]:], lengths[1:], terminal[1:])
+
+
+@given(modulus=st.integers(2, 9), chain_len=st.integers(1, 4), seed=seeds, data=st.data())
+@FAST
+def test_the_rewards_are_the_answer_parser_on_every_generated_query(modulus, chain_len, seed,
+                                                                     data):
+    task = TaskConfig(modulus=modulus)
+    query = generate_query(task, chain_len, substream(seed, "reward-oracle"))
+    trajs = reward_trajectories(data.draw, query, task.vocab_size)
+    want = [naive_reward(query, t) for t in trajs]
+    assert [reward(query, t) for t in trajs] == want
+    tokens = np.array([tok for t in trajs for tok in t.tokens], dtype=np.int32)
+    got = batch_reward([query] * len(trajs), tokens, np.array([len(t) for t in trajs]),
+                       np.array([t.terminal for t in trajs]))
+    assert got.tolist() == want
 
 
 @given(rewards=st.lists(st.integers(0, 1), min_size=2, max_size=40))
@@ -956,7 +978,7 @@ def test_reward_parser_reads_only_the_segment_after_the_last_separator(
         modulus, chain_len, seed, prefix, extra, before_answer):
     task = TaskConfig(modulus=modulus)
     query = generate_query(task, chain_len, substream(seed, "reward"))
-    sep, stop, (answer,) = task.separator, task.stop, query.answer_tokens
+    sep, stop, answer = task.separator, task.stop, query.answer
     prefix = tuple(t % task.vocab_size for t in prefix)
     extra %= task.vocab_size
 

@@ -34,7 +34,7 @@ def test_generate_query_deterministic():
 def test_chain_length_one_is_minimal_encoding():
     q = generate_query(TASK, 1, substream(7, "gen"), query_id=0)
     # no reasoning prefix: separator, answer, stop
-    assert q.ground_truth.tokens == (TASK.separator, q.answer_tokens[0], TASK.stop)
+    assert q.ground_truth.tokens == (TASK.separator, q.answer, TASK.stop)
     assert len(q.ground_truth) == 3
 
 
@@ -53,12 +53,12 @@ def test_chain_values_follow_the_grammar():
         ops = q.prompt_tokens[1:]
         for kind, c in zip(ops[::2], ops[1::2]):
             value = (value * c) % TASK.modulus if kind == TASK.mul_op else (value + c) % TASK.modulus
-        assert value == q.answer_tokens[0] == q.chain_values[-1]
+        assert value == q.answer == q.chain_values[-1]
 
 
 def test_reward_exact_match_and_malformed():
     q = generate_query(TASK, 2, substream(7, "r"), query_id=0)
-    ans = q.answer_tokens[0]
+    ans = q.answer
     assert reward(q, q.ground_truth) == 1
     # non-terminal scores 0 even with the right shape
     assert reward(q, Trajectory((TASK.separator, ans, TASK.stop), terminal=False)) == 0
@@ -164,7 +164,6 @@ def test_uniform_guess_rate_closed_form():
 def test_teacher_rewrites_preserve_reward_exhaustively():
     # every length-1 instance: all starts x op kinds x operands x 6 teachers,
     # both jitter branches
-    from dypo.policy import Trajectory
     from dypo.tasks import Query
 
     teachers = make_teacher_ensemble(TASK, 6, seed=3)
@@ -176,8 +175,6 @@ def test_teacher_rewrites_preserve_reward_exhaustively():
                 q = Query(
                     query_id=0,
                     prompt_tokens=(start, TASK.mul_op if is_mul else TASK.add_op, c),
-                    ground_truth=Trajectory((TASK.separator, v1, TASK.stop), terminal=True),
-                    answer_tokens=(v1,),
                     chain_values=(start, v1),
                     separator=TASK.separator,
                     stop=TASK.stop,

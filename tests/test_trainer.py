@@ -264,16 +264,14 @@ def test_evaluate_deterministic():
 
 
 def test_non_finite_gradient_aborts_with_diagnostic(tmp_path):
-    cfg = TrainConfig(seed=17, steps=5)
-    short = train(TrainConfig(seed=17, steps=1))
-    poisoned = short.checkpoint
-    rows = poisoned.params.rows((q, ()) for q in range(cfg.task.pool_size))
-    poisoned.params.apply_update(RowBlock(rows, np.full((len(rows), cfg.task.vocab_size),
-                                                        np.nan)), 1.0)
-    with pytest.raises(TrainingAborted), \
-            pytest.warns(RuntimeWarning, match="invalid value encountered in logaddexp"):
-        train(cfg, out_dir=tmp_path, resume_from=poisoned)
+    # a GAL weight this large overflows a step's loss or gradient
+    cfg = TrainConfig(seed=17, steps=5, mix=MixConfig(beta_gal=1e155))
+    with pytest.raises(TrainingAborted, match=r"^non-finite loss or metric at step \d+$"):
+        train(cfg, out_dir=tmp_path)
     assert (tmp_path / "abort_checkpoint.json").exists()
+    # a learning rate this large makes an update overflow the logits
+    with pytest.raises(TrainingAborted, match=r"^the update would leave .* at step \d+$"):
+        train(TrainConfig(seed=0, steps=20, learning_rate=1e308), out_dir=tmp_path)
 
 
 def test_run_comparison_shares_the_stream(tmp_path):
