@@ -310,6 +310,39 @@ def test_chunked_variance_bench_matches_the_per_group_loop(snapshots, acceptance
                                                                 abs=0)
 
 
+# the hex floats of measure_eta and variance_ordering_bench at the routed run's
+# step-120 snapshot, three chunks each, the last one partial. A change to how
+# the estimates are computed keeps every stream and estimate, and so these bits
+PINNED_VARIANCE_BENCH = {
+    "eta": "0x1.836f59652052cp-4",
+    "estimates": {"var_grpo": "0x1.cae7be615c7fdp-2", "var_gal": "0x1.0b17c202644e0p-2",
+                  "var_mix": "0x1.0157d1951cce0p-4"},
+    "stderrs": {"var_grpo": "0x1.09db3b47d4100p-7", "var_gal": "0x1.aedbcfe7ca4c2p-6",
+                "var_mix": "0x1.2e691a99b7127p-9"},
+    "diagnostics": {"gap": "0x1.8a91c9fc154c5p-2", "combined_se": "0x1.1465a9f4fa3c5p-7",
+                    "eta_mean": "0x1.699acedb1dd26p-4", "score_sq_mean": "0x1.988503a6eaafdp+1",
+                    "pair_count_mean": "0x1.9d11111111111p+3",
+                    "predicted_var_gal": "0x1.659fc779d8e08p-5"},
+}
+
+
+def test_variance_bench_bits_at_seed_one_are_pinned(snapshots, acceptance_config):
+    n = 2 * CHUNK_GROUPS + 88
+    params, ref = snapshots[120]
+    pool = QueryPool(acceptance_config.task, acceptance_config.seed)
+    common = dict(k=8, stop_token=acceptance_config.task.stop, t_max=acceptance_config.t_max)
+    eta = measure_eta(params, ref, pool.draw, acceptance_config.mix, n,
+                      substream(5, "pin-eta"), **common)
+    report = variance_ordering_bench(params, ref, pool.draw, acceptance_config.mix, n,
+                                     substream(5, "pin-bench"), **common)
+    got = {"eta": float(eta).hex()}
+    for part in ("estimates", "stderrs", "diagnostics"):
+        got[part] = {name: float(value).hex() for name, value in getattr(report, part).items()}
+    assert got == PINNED_VARIANCE_BENCH, ("a variance bench estimate changed; a change meant "
+                                          "to alter it updates this pin and records that in "
+                                          "CHANGES.md")
+
+
 def test_variance_ordering_alpha_near_one_limit(snapshots, acceptance_config):
     # alpha -> 1: the mixture variance converges to the grpo variance
     params, ref = snapshots[120]
