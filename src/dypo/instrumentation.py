@@ -89,13 +89,11 @@ def variance_from_samples(chunks: Sequence[KeyedBlocks]) -> VarianceEstimate:
     owner = np.concatenate([o + first for o, first in zip(owners, firsts)])
     rows = np.concatenate(rows)
     values = np.concatenate([chunk.values for chunk in chunks])
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        bad = int(owner[np.argmin(finite)])
+    if not np.isfinite(values).all():
+        bad = int(owner[np.argmin(np.isfinite(values).all(axis=1))])
         raise DataError(f"sample {bad} contains non-finite gradient entries")
-    total = sum_rows(rows, values)
+    total, col = sum_rows(rows, values)
     mean = total.values / n
-    col = np.searchsorted(total.rows, rows)
     sq_norms = np.bincount(owner, weights=(values * values).sum(axis=1), minlength=n)
     dots = np.bincount(owner, weights=(values * mean[col]).sum(axis=1), minlength=n)
     # ||g_i - gbar||^2 expanded around the stored sparse samples

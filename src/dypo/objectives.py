@@ -630,6 +630,6 @@ def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
         rows.append(row)
         values.append(coef * report.gradient.values)
     order = np.argsort(np.concatenate(owners), kind="stable")
-    total = sum_rows(np.concatenate(rows)[order], np.concatenate(values)[order])
+    total, _ = sum_rows(np.concatenate(rows)[order], np.concatenate(values)[order])
     n = sum(len(groups) for groups, _, _ in terms)
     return LossReport(sum(losses.tolist()) / n, total.scaled(1.0 / n)), passed

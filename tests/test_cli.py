@@ -323,6 +323,29 @@ def test_evaluate_bad_checkpoint_exits_2_with_one_line(tmp_path, tiny_config, ca
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("where", ["table", "default_logits"])
+def test_evaluate_a_checkpoint_row_too_wide_for_the_softmax_exits_2_with_one_line(
+        tmp_path, tiny_config, capsys, where):
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(tiny_config), "--out", str(run)]) == 0
+    path = run / "checkpoint.json"
+    doc = json.loads(path.read_text())
+    wide = [0.0] * len(doc["params"]["default_logits"])
+    wide[:2] = [1e308, -1e308]
+    if where == "table":
+        doc["params"]["table"][0][2] = wide
+    else:
+        doc["params"]["default_logits"] = wide
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(path), "--groups", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: checkpoint {path} is malformed: ")
+    assert "max - min spread inside the float range" in err
+    assert not (tmp_path / "o").exists()
+
+
 # valid JSON nested past the parser's recursion limit
 DEEP = "[" * 100_000 + "]" * 100_000
 

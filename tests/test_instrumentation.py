@@ -21,7 +21,7 @@ from dypo.instrumentation import (
     write_metrics,
 )
 from dypo.objectives import MixConfig
-from dypo.policy import PolicyParams, RowBlock, sample_lockstep, score_sq_norms
+from dypo.policy import KeyedBlocks, PolicyParams, RowBlock, sample_lockstep, score_sq_norms
 from dypo.seeding import substream
 from dypo.tasks import BiasTestbedConfig, TaskConfig, generate_query
 from dypo.trainer import QueryPool, TrainConfig, train
@@ -94,6 +94,12 @@ def test_variance_guards():
     bad = [_block([1.0, np.nan])] * 40
     with pytest.raises(DataError):
         variance_from_samples(stacked(bad))
+    # one bad sample among finite ones, owner 7 of the second of two chunks of 20, is named
+    values = np.column_stack([np.ones(40), np.arange(40.0)])
+    values[27, 0] = np.inf
+    chunks = [KeyedBlocks(np.arange(20), values[lo:lo + 20], 1, 20) for lo in (0, 20)]
+    with pytest.raises(DataError, match="^sample 27 contains non-finite gradient entries$"):
+        variance_from_samples(chunks)
 
 
 def test_score_variance_uniform_single_step():

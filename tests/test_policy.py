@@ -276,6 +276,20 @@ def test_an_update_leaving_a_row_unusable_is_refused_before_it_writes(values, sc
         assert np.array_equal(probs(params, ctx), probs(before, ctx))
 
 
+def test_a_written_row_too_wide_for_the_softmax_is_refused_before_it_writes():
+    # finite entries whose max - min overflows: the max-shift would store -inf log-probs
+    wide = [1e308, -1e308, 0.0, 0.0]
+    params = PolicyParams(4, 1)
+    params.set_logits((1, ()), [1.0, 2.0, 3.0, 4.0])
+    generation = params.generation
+    with pytest.raises(InputError, match="max - min spread"):
+        params.set_logits((0, ()), wide)
+    assert params.generation == generation and params.written_contexts() == [(1, ())]
+    assert np.array_equal(params.logits((0, ())), params.default_logits)
+    with pytest.raises(InputError, match="default_logits entries must be finite, with a max"):
+        PolicyParams(4, 1, default_logits=wide)
+
+
 def test_step_contexts_history_truncation():
     for history, expected in ((1, [(3, ()), (3, (5,)), (3, (2,))]),
                               (2, [(3, ()), (3, (5,)), (3, (5, 2))])):

@@ -8,6 +8,7 @@ per-key formula, the routing gate
 against its pathways by hand, GAL's sigmoid against scipy's ``expit``, pair
 construction one group at a time and batched, the grading partition and
 batch grades against per-group grades, ``sum_rows`` against ``np.add.at``,
+the keys' numbering against ``np.unique``,
 advantage standardization per group and per reward matrix, the reward and
 the batch reward against each other and the general answer parser, one
 query draw against one draw per query, the JSON config round trip, and the
@@ -52,6 +53,7 @@ from dypo.objectives import (
 from dypo.policy import (
     PolicyParams,
     Trajectory,
+    _unique_inverse,
     kl_gradient,
     owner_kl,
     sample_lockstep,
@@ -936,9 +938,11 @@ def test_batch_grades_are_the_per_group_grades(rewards, bad):
 
 @st.composite
 def row_terms(draw):
-    """Rows with repeats, and a row of terms for each: both signed zeros, and
-    scales whose sums depend on the order of their terms."""
-    rows = draw(st.lists(st.integers(0, 5), max_size=24))
+    """Rows with repeats, dense or spread far apart (so both of ``_unique_inverse``'s
+    paths run), and a row of terms for each: both signed zeros, and scales
+    whose sums depend on the order of their terms."""
+    stride = draw(st.sampled_from([1, 2**34]))
+    rows = [stride * row for row in draw(st.lists(st.integers(0, 5), max_size=24))]
     values = draw(hnp.arrays(np.float64, (len(rows), draw(st.integers(1, 4))),
                              elements=st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 0.1])
                              | st.floats(-1e6, 1e6)))
@@ -951,13 +955,33 @@ def row_terms(draw):
 def test_sum_rows_is_add_at_into_zeros_bit_for_bit(terms):
     rows, values = terms
     width = values.shape[1]
-    got = sum_rows(rows, values)
+    got, at = sum_rows(rows, values)
     uniq, inv = np.unique(rows, return_inverse=True)
     want = np.zeros((len(uniq), width))
     np.add.at(want, inv, values)
-    assert np.array_equal(got.rows, uniq)
+    assert np.array_equal(got.rows, uniq) and np.array_equal(at, inv)
     assert got.values.dtype == want.dtype and got.values.shape == want.shape
     assert got.values.tobytes() == want.tobytes()
+
+
+# keys as the policy numbers them: table rows, dense or spread up to 2**40
+# (both sides of the table's range rule), with repeats
+dense_keys = st.lists(st.integers(0, 64), max_size=200)
+sparse_keys = st.lists(st.integers(0, 2**40), min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=200))
+
+
+@given(keys=dense_keys | sparse_keys)
+@example(keys=[])
+@example(keys=[7])
+@example(keys=[2**40])
+@FAST
+def test_unique_inverse_is_np_unique_with_its_inverse(keys):
+    keys = np.array(keys, dtype=np.intp)
+    uniq, inv = _unique_inverse(keys)
+    want_uniq, want_inv = np.unique(keys, return_inverse=True)
+    assert uniq.dtype == want_uniq.dtype and inv.dtype == want_inv.dtype
+    assert np.array_equal(uniq, want_uniq) and np.array_equal(inv, want_inv)
 
 
 @given(rewards=st.lists(st.integers(-5, 5), min_size=2, max_size=16),
