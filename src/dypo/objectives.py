@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +39,7 @@ from .policy import (
     check_shared_interner,
     keyed_score,
     kl_gradient,
+    memo,
     owner_kl,
     sample_lockstep,
     sum_rows,
@@ -79,8 +78,8 @@ class MixConfig:
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The index ranges ``starts[i]`` to ``starts[i] + sizes[i] - 1``, one after another."""
-    ends = np.cumsum(sizes)
-    return np.repeat(starts + sizes - ends, sizes) + np.arange(sizes.sum())
+    ends = sizes.cumsum()
+    return (starts + sizes - ends).repeat(sizes) + np.arange(np.add.reduce(sizes))
 
 
 class GroupBatch:
@@ -109,6 +108,7 @@ class GroupBatch:
         self.advantages, self.steps, self.sample_logp = advantages, steps, sample_logp
         self.rows, self.tokens = steps
         self.sampled_by = sampled_by
+        self.first = k.cumsum() - k  # each group's first trajectory
         self._index: KeyIndex | None = None
 
     def __len__(self) -> int:
@@ -140,7 +140,7 @@ class GroupBatch:
         indices or a slice), in that order, by one take of each array."""
         picked = np.arange(self.count)[groups]
         traj = _ranges(self.first[picked], self.k[picked])
-        step = _ranges((np.cumsum(self.lengths) - self.lengths)[traj], self.lengths[traj])
+        step = _ranges((self.lengths.cumsum() - self.lengths)[traj], self.lengths[traj])
         return GroupBatch(self.interner, self.queries[picked], self.grade[picked],
                           self.k[picked], self.rewards[traj],
                           self.advantages[traj], self.lengths[traj], self.terminal[traj],
@@ -172,20 +172,10 @@ class GroupBatch:
             self.terminal, self.tokens, self.sample_logp))
         return GroupBatch(self.interner, *arrays, np.stack([rows.ravel(), tokens]), logp)
 
-    @cached_property
-    def owner(self) -> np.ndarray:
-        """Each trajectory's group."""
-        return np.repeat(np.arange(self.count), self.k)
-
-    @cached_property
+    @memo
     def traj(self) -> np.ndarray:
-        """Each step's trajectory."""
-        return np.repeat(np.arange(len(self.lengths)), self.lengths)
-
-    @cached_property
-    def first(self) -> np.ndarray:
-        """Each group's first trajectory."""
-        return np.cumsum(self.k) - self.k
+        """Each step's trajectory, built on first use: a collected batch may never read it."""
+        return np.arange(self.lengths.size).repeat(self.lengths)
 
     def check_pass(self, params: PolicyParams) -> None:
         """An ``InputError`` unless the batch has a group to pass over and
@@ -200,8 +190,8 @@ class GroupBatch:
         gathers each group's row block, built on first use."""
         self.check_pass(params)
         if self._index is None:
-            self._index = KeyIndex(self.owner[self.traj], self.rows, self.tokens, self.count,
-                                   self.interner.vocab_size)
+            self._index = KeyIndex(np.arange(self.count).repeat(self.k)[self.traj], self.rows,
+                                   self.tokens, self.count, self.interner.vocab_size)
         return self._index
 
     def at_sampler(self, params: PolicyParams) -> bool:
@@ -218,27 +208,19 @@ class GroupBatch:
                            minlength=len(self.lengths))
 
 
-@lru_cache(maxsize=64)  # a pass and its report's reductions (gal_loss, gal_etas) share one
-def _runs_by_length(lengths: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per run length n: the runs of that length and the ``(runs, n)`` indices of their entries."""
-    runs: dict[int, tuple[list[int], list[int]]] = {}  # per length: its runs and their starts
-    for i, (n, start) in enumerate(zip(lengths, accumulate(lengths, initial=0))):
-        runs.setdefault(n, ([], []))[0].append(i)
-        runs[n][1].append(start)
-    return [(np.array(owners), np.array(starts)[:, None] + np.arange(n))
-            for n, (owners, starts) in runs.items()]
-
-
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``values`` summed over runs of ``counts[i]`` consecutive entries, each
     bit for bit as ``np.sum`` of the run alone: runs of one length are summed
     as the rows of one matrix, which numpy reduces as it reduces a lone run."""
-    lengths = tuple(counts.tolist())
-    if lengths.count(lengths[0]) == len(lengths):
-        return np.add.reduce(values.reshape(len(lengths), -1), axis=1)  # ndarray.sum, undispatched
-    out = np.empty(len(lengths))
-    for runs, at in _runs_by_length(lengths):
-        out[runs] = np.add.reduce(values[at], axis=1)
+    order = counts.argsort(kind="stable")  # the runs grouped by length, each in run order
+    ordered = counts[order]
+    if ordered[0] == ordered[-1]:  # one length: the values are the matrix
+        return np.add.reduce(values.reshape(counts.size, -1), axis=1)  # ndarray.sum, undispatched
+    starts = (counts.cumsum() - counts)[order]
+    edges = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(), counts.size]
+    out = np.empty(counts.size)
+    for lo, hi in zip(edges, edges[1:]):
+        out[order[lo:hi]] = np.add.reduce(values[starts[lo:hi, None] + np.arange(ordered[lo])], 1)
     return out
 
 
@@ -281,8 +263,8 @@ def standardize_advantages(rewards: Sequence[float] | np.ndarray, xi: float) -> 
     if xi <= 0:
         raise InputError(f"xi must be > 0, got {xi}")
     k = r.shape[-1]  # a mean is numpy's sum and division, without its dispatch
-    dev = r - r.sum(axis=-1, keepdims=True) / k
-    return dev / (np.sqrt((dev * dev).sum(axis=-1, keepdims=True) / k) + xi)
+    dev = r - np.add.reduce(r, axis=-1, keepdims=True) / k
+    return dev / (np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / k) + xi)
 
 
 def rollout_groups(params: PolicyParams, queries: Sequence[Query], k: int,
@@ -335,7 +317,7 @@ def sft_pass(params: PolicyParams, queries: Sequence[Query], teachers: Sequence[
     rows, tokens = map(np.concatenate, zip(*(params.trajectory_rows(q.query_id, demo.tokens)
                                              for q, (_, demo) in zip(queries, drawn))))
     lengths = np.array([len(demo) for _, demo in drawn])
-    index = KeyIndex(np.repeat(np.arange(len(queries)), lengths), rows, tokens, len(queries),
+    index = KeyIndex(np.arange(len(queries)).repeat(lengths), rows, tokens, len(queries),
                      params.vocab_size)
     return BatchReport(loss=demo_nll(params, rows, tokens, lengths),
                        gradient=keyed_score(params, index, np.full(len(rows), -1.0)),
@@ -348,7 +330,7 @@ def grpo_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, cfg: M
     the loss, and the terms the gradient reads, every trajectory's unclipped
     and clipped surrogate and each group's ``owner_kl``."""
     adv = batch.advantages
-    if (batch.k < 2).any():
+    if np.logical_or.reduce(batch.k < 2):
         raise InputError("grpo_pass needs groups of >= 2")
     check_shared_interner(params, ref)
     index = batch.key_index(params)
@@ -398,7 +380,7 @@ def grpo_estimator(params: PolicyParams, batch: GroupBatch) -> KeyedBlocks:
     measurements. Trajectories with zero advantage are skipped, so a group
     whose advantages are all zero has an empty block.
     """
-    weights = ((1.0 / batch.k)[batch.owner] * batch.advantages)[batch.traj]
+    weights = ((1.0 / batch.k).repeat(batch.k) * batch.advantages)[batch.traj]
     keep = weights != 0.0
     return keyed_score(params, batch.key_index(params), weights, keep)
 
@@ -462,19 +444,19 @@ def pair_arrays(batch: GroupBatch, pair_cap: int, rng: np.random.Generator) -> B
     """
     if pair_cap < 1:
         raise InputError(f"pair_cap must be >= 1, got {pair_cap}")
-    if (batch.grade != DifficultyGrade.MID).any():
+    if np.logical_or.reduce(batch.grade != DifficultyGrade.MID):
         raise StateError("pair construction requires a Mid-graded group")
-    width = max(batch.k.tolist(), default=0)
+    width = int(np.maximum.reduce(batch.k, initial=0))
     padded = np.full((batch.count, width), -1)
     padded[np.arange(width) < batch.k[:, None]] = batch.rewards  # row-major: group by group
     won, lost = padded == 1, padded == 0
     owner, win, lose = (won[:, :, None] & lost[:, None, :]).nonzero()
     traj = (np.array([win, lose]) + batch.first[owner]).T
-    full = won.sum(axis=1) * lost.sum(axis=1)
+    full = np.add.reduce(won, axis=1) * np.add.reduce(lost, axis=1)
     counts = np.minimum(full, pair_cap)
     capped = (full > pair_cap).nonzero()[0].tolist()
     if capped:  # each capped group's run of the product is cut to its drawn rows
-        starts, at = np.cumsum(full) - full, np.cumsum(counts) - counts
+        starts, at = full.cumsum() - full, counts.cumsum() - counts
         take = _ranges(starts, counts)
         for i in capped:
             chosen = rng.choice(int(full[i]), size=pair_cap, replace=False)
@@ -538,7 +520,7 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     counts, traj_pairs = pairs
     index = batch.key_index(params)
     weights = _expit(margin)
-    coef = -cfg.beta_gal * weights / np.repeat(counts, counts)
+    coef = -cfg.beta_gal * weights / counts.repeat(counts)
     n = len(batch.lengths)
     traj_coef = np.bincount(traj_pairs[:, 0], weights=coef, minlength=n) - np.bincount(
         traj_pairs[:, 1], weights=coef, minlength=n)
@@ -563,7 +545,7 @@ def mixed_keyed(g_grpo: KeyedBlocks, g_gal: KeyedBlocks, alpha: float) -> KeyedB
         raise ConfigError(f"alpha must lie in (0,1), got {alpha}")
     keys = g_grpo.keys
     at = np.searchsorted(keys, g_gal.keys)
-    if (at >= len(keys)).any() or (keys[at] != g_gal.keys).any():
+    if np.logical_or.reduce(at >= keys.size) or np.logical_or.reduce(keys[at] != g_gal.keys):
         raise StateError("the GAL gradient has a key the GRPO gradient lacks")
     values = 0.0 + alpha * g_grpo.values
     values[at] += (1.0 - alpha) * g_gal.values
@@ -611,8 +593,8 @@ def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     rl, distilled = routes == "rl", (routes == "distill").nonzero()[0]
     terms = []  # each pass's groups, report and coefficient
     passed = None
-    if rl.any():  # the pass draws its pairs and nothing else, so it runs first
-        rl_batch = batch if rl.all() else batch.select(rl)
+    if np.logical_or.reduce(rl):  # the pass draws its pairs and nothing else, so it runs first
+        rl_batch = batch if np.logical_and.reduce(rl) else batch.select(rl)
         passed = (mixed_pass(params, ref, rl_batch, pair_arrays(rl_batch, cfg.pair_cap, rng), cfg)
                   if variant == "dypo" else grpo_pass(params, ref, rl_batch, cfg))
         terms.append((rl.nonzero()[0], passed, 1.0))
@@ -629,7 +611,7 @@ def route_groups(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
         owners.append(groups[owner])
         rows.append(row)
         values.append(coef * report.gradient.values)
-    order = np.argsort(np.concatenate(owners), kind="stable")
+    order = np.concatenate(owners).argsort(kind="stable")
     total, _ = sum_rows(np.concatenate(rows)[order], np.concatenate(values)[order])
     n = sum(len(groups) for groups, _, _ in terms)
     return LossReport(sum(losses.tolist()) / n, total.scaled(1.0 / n)), passed

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -49,6 +48,19 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+class memo:
+    """``functools.cached_property`` without the lock Python 3.11 takes on each
+    first read: the value is stored in the instance, where later reads find it."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 class RowBlock(NamedTuple):
@@ -77,7 +89,7 @@ def _unique(rows: np.ndarray) -> np.ndarray:
     with numpy 2.4, as fast as np.unique on 20 rows, ~4x faster on 200 and
     ~8x on 5000 (``timeit``, int64 rows, Xeon)."""
     ordered = np.sort(rows)
-    keep = np.empty(len(ordered), dtype=bool)
+    keep = np.empty(ordered.size, dtype=bool)
     keep[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
@@ -92,15 +104,15 @@ def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys (seed 1) the table is ~4x faster on ``variance`` and ~3x on ``gradcheck``;
     on ``train-wide``, whose keys fall on both sides, the rule is within 1% of the
     faster path call by call (``timeit``, 2-vCPU Xeon)."""
-    top = int(keys.max(initial=-1)) + 1
-    if top > 32 * len(keys) + 1024:
+    top = int(np.maximum.reduce(keys, initial=-1)) + 1
+    if top > 32 * keys.size + 1024:
         uniq = _unique(keys)
         return uniq, np.searchsorted(uniq, keys)
     seen = np.zeros(top, dtype=bool)
     seen[keys] = True
     uniq = seen.nonzero()[0]
     slot = np.empty(top, dtype=np.intp)
-    slot[uniq] = np.arange(len(uniq))
+    slot[uniq] = np.arange(uniq.size)
     return uniq.astype(keys.dtype, copy=False), slot.take(keys)
 
 
@@ -165,13 +177,15 @@ class ContextInterner:
         self.history = history
         self.index: dict[Context, int] = {}
         self.contexts: list[Context] = []
+        self.roots: dict[int, int] = {}  # query id -> its root row, as ``root`` found it
         # _next[row, tok] is step(row, tok), or -1 until first asked for; it
         # grows by doubling, so it may have more rows than there are contexts
         self._next = np.full((16, vocab_size), -1, dtype=np.intp)
 
     def row(self, ctx: Context) -> int:
-        r = self.index.setdefault(ctx, len(self.contexts))
-        if r == len(self.contexts):
+        n = len(self.contexts)
+        r = self.index.setdefault(ctx, n)
+        if r == n:
             self.contexts.append(ctx)
             if r == len(self._next):
                 grown = np.full((2 * r, self.vocab_size), -1, dtype=np.intp)
@@ -181,7 +195,9 @@ class ContextInterner:
 
     def root(self, query_id: int) -> int:
         """Row of a query's first generation step, whose history is empty."""
-        return self.row((query_id, ()))
+        if query_id not in self.roots:
+            self.roots[query_id] = self.row((query_id, ()))
+        return self.roots[query_id]
 
     def step(self, row: int, tok: int) -> int:
         """Row of the context after generating ``tok`` in ``row``'s context:
@@ -197,11 +213,11 @@ class ContextInterner:
 
 def _softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # max-shift keeps exp() in range for large logits
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
     expx = np.exp(shifted)
-    total = expx.sum(axis=1, keepdims=True)
+    total = np.add.reduce(expx, axis=1, keepdims=True)
     probs = expx / total
-    return probs, shifted - np.log(total), np.cumsum(probs, axis=1)
+    return probs, shifted - np.log(total), probs.cumsum(axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row it refuses may overflow
@@ -263,7 +279,7 @@ class PolicyParams:
     def _fit(self) -> None:
         """Grow the arrays, by doubling, to cover every interned row: the one
         growth path of a policy and its copies. New rows are unwritten."""
-        have = len(self._written)
+        have = self._written.size
         need = len(self.interner.contexts)
         if need <= have:
             return
@@ -312,6 +328,10 @@ class PolicyParams:
     def written_contexts(self) -> list[Context]:
         """Contexts this policy has written, in row order."""
         return [self.interner.contexts[r] for r in np.flatnonzero(self._written)]
+
+    def written_logits(self) -> list[list[float]]:
+        """The logit rows of ``written_contexts``, in its order, as lists of floats."""
+        return self._logits[self._written].tolist()
 
     # --- reads ---------------------------------------------------------------
 
@@ -425,14 +445,14 @@ class KeyIndex:
 
     def __init__(self, owner: np.ndarray, rows: np.ndarray, tokens: np.ndarray, count: int,
                  vocab_size: int):
-        self.span = int(rows.max()) + 1
+        self.span = int(np.maximum.reduce(rows)) + 1
         # one owner: the keys are the rows
         self.keys, self.inv = _unique_inverse(rows if count == 1 else owner * self.span + rows)
         self.owner, self.rows = np.divmod(self.keys, self.span)
         self.slots = self.inv * vocab_size + tokens
         self.count = count
 
-    @cached_property
+    @memo
     def distinct(self) -> tuple[np.ndarray, np.ndarray | slice]:
         """The keys' unique rows, and where each key's row falls among them:
         owners that read the same rows (the copies of a tiled batch) read
@@ -441,12 +461,12 @@ class KeyIndex:
             return self.rows, slice(None)
         return _unique_inverse(self.rows)
 
-    @cached_property
+    @memo
     def owner_means(self) -> tuple[list[int], np.ndarray, np.ndarray]:
         """For means over each owner's n keys: where each owner's keys end,
         1/n per owner, and 1/n per key as a column."""
         sizes = np.bincount(self.owner, minlength=self.count)
-        if not sizes.all():
+        if not np.logical_and.reduce(sizes):
             raise InputError("a mean over an owner's keys needs at least one key")
         inv = 1.0 / sizes
         return list(accumulate(sizes.tolist())), inv, inv[self.owner][:, None]
@@ -484,11 +504,11 @@ def score_sq_norms(params: PolicyParams, rows: np.ndarray, tokens: np.ndarray,
     trajectory's unit-weight score; only the order of the final sums differs
     from scoring them one by one.
     """
-    owner = np.repeat(np.arange(len(lengths)), lengths)
+    owner = np.arange(lengths.size).repeat(lengths)
     index = KeyIndex(owner, rows, tokens, len(lengths), params.vocab_size)
     values = keyed_score(params, index, np.ones(len(rows))).values
     values *= values
-    return np.bincount(index.owner, weights=values.sum(axis=1), minlength=len(lengths))
+    return np.bincount(index.owner, weights=np.add.reduce(values, axis=1), minlength=lengths.size)
 
 
 def sample_trajectory(params: PolicyParams, query: "Query", rng: np.random.Generator,
@@ -559,36 +579,33 @@ def sample_lockstep(params: PolicyParams, query_ids: Sequence[int], k: int,
     interner = params.interner
     v = params.vocab_size
     n = len(query_ids) * k
-    roots = dict.fromkeys(query_ids)  # first-seen order
-    for q in roots:
-        roots[q] = interner.root(q)
-    row = np.repeat(np.fromiter(map(roots.__getitem__, query_ids), np.intp, len(query_ids)), k)
+    row = np.fromiter(map(interner.root, query_ids), np.intp, len(query_ids)).repeat(k)
     live = np.arange(n)
     params._fit()
     cdf, nxt = params._cdf, interner._next.ravel()
     drawn = []  # per position: the running trajectories and each step's row * V + token
     for t in range(t_max):  # each position one pass over the running trajectories' arrays
-        below = cdf.take(row, axis=0) <= rng.random((len(live), 1))
+        below = cdf.take(row, axis=0) <= rng.random((live.size, 1))
         below[:, -1] = False  # so a draw at or above the last entry takes V - 1
         tok = below.argmin(axis=1)
         key = row * v + tok
         drawn.append((live, key))
         going = tok != stop_token
         live, key = live[going], key[going]
-        if t + 1 == t_max or len(live) == 0:
+        if t + 1 == t_max or not live.size:
             break
         row = nxt.take(key)
         if np.minimum.reduce(row) < 0:  # first visits: intern the new contexts, then cover them
-            for i in np.flatnonzero(row < 0).tolist():
+            for i in (row < 0).nonzero()[0].tolist():
                 row[i] = interner.step(*divmod(int(key[i]), v))
             params._fit()
             cdf, nxt = params._cdf, interner._next.ravel()
-    traj, keys = (np.concatenate(part) for part in zip(*drawn))
+    traj, keys = map(np.concatenate, zip(*drawn))
     # a stable sort of the position-major draws puts each trajectory's steps together
-    steps = np.empty((2, len(traj)), dtype=np.intp)
-    np.divmod(keys.take(np.argsort(traj, kind="stable")), v, out=(steps[0], steps[1]))
+    steps = np.empty((2, traj.size), dtype=np.intp)
+    np.divmod(keys.take(traj.argsort(kind="stable")), v, out=(steps[0], steps[1]))
     lengths = np.bincount(traj, minlength=n)
-    ends = np.cumsum(lengths)
+    ends = lengths.cumsum()
     return Rollouts(steps, lengths, steps[1, ends - 1] == stop_token)
 
 
@@ -597,8 +614,8 @@ def mean_step_entropy(params: PolicyParams, rows: np.ndarray) -> float:
     rows = _unique(rows)
     if rows.size == 0:
         raise InputError("mean_step_entropy needs at least one visited context")
-    ent = -(params._probs[rows] * params._logp[rows]).sum(axis=1)
-    return math.fsum(ent.tolist()) / len(rows)
+    ent = -np.add.reduce(params._probs[rows] * params._logp[rows], axis=1)
+    return math.fsum(ent.tolist()) / rows.size
 
 
 class OwnerKL(NamedTuple):
@@ -628,7 +645,7 @@ def owner_kl(params: PolicyParams, ref: PolicyParams, index: KeyIndex) -> OwnerK
     rows, at = index.distinct
     probs = params._probs[rows]
     diff = params._logp[rows] - ref._logp[rows]
-    kl = (probs * diff).sum(axis=1)
+    kl = np.add.reduce(probs * diff, axis=1)
     # fsum over slices of a list, not of the array: ~3x faster for 180 owners of 7
     # rows (timeit, numpy 2.4, Xeon), and exactly rounded either way
     terms = kl[at].tolist()

@@ -11,23 +11,22 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-
-_MASK = (1 << 64) - 1
-
-
-def _encode(part) -> int:
-    if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8"))
-    if isinstance(part, (int, np.integer)):
-        return int(part) & _MASK
-    raise TypeError(f"substream path parts must be str or int, got {type(part).__name__}")
+from numpy.random import PCG64, Generator, SeedSequence
 
 
 def substream(seed: int, *path) -> np.random.Generator:
     """Generator for the substream named by ``path`` under ``seed``.
 
     The same (seed, path) always yields an identical stream, independently
-    of any other substream drawn before or after it.
-    """
-    entropy = [int(seed) & _MASK] + [_encode(p) for p in path]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    of any other substream drawn before or after it: ``default_rng(SeedSequence(
+    [seed, *parts]))``, int parts modulo 2**64 and str parts as their UTF-8
+    CRC-32, built from the uint32 words the seed sequence splits each value into."""
+    words = []
+    for value in (int(seed), *path):
+        if type(value) is not int:
+            if not isinstance(value, (str, int, np.integer)):
+                raise TypeError(f"substream path part {value!r} is not a str or an int")
+            value = zlib.crc32(value.encode("utf-8")) if isinstance(value, str) else int(value)
+        value &= 2**64 - 1
+        words += (value & 0xFFFFFFFF, value >> 32) if value >> 32 else (value,)
+    return Generator(PCG64(SeedSequence(np.array(words, np.uint32))))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .policy import Trajectory
+from .policy import Trajectory, memo
 
 # a query pool is built query by query (~19k queries/s on a 2-vCPU Xeon): the
 # bound keeps the build under ~4 s
@@ -89,7 +89,7 @@ class Query:
     separator: int
     stop: int
 
-    @property
+    @memo
     def answer(self) -> int:
         return self.chain_values[-1]
 
@@ -137,17 +137,16 @@ def batch_reward(queries: Sequence[Query], tokens: np.ndarray, lengths: np.ndarr
     0..i-1, ``terminal[i]`` tells whether it ended on the stop token, and the
     queries own consecutive, equal runs of trajectories.
     """
-    n = len(lengths)
-    if len(queries) == 0 or n % len(queries):
-        raise InputError(f"{n} trajectories do not split evenly over {len(queries)} queries")
-    if len(tokens) == 0:  # only empty trajectories, none rewarded, and nothing to take
+    n, q = lengths.size, len(queries)
+    if q == 0 or n % q:
+        raise InputError(f"{n} trajectories do not split evenly over {q} queries")
+    if not tokens.size:  # only empty trajectories, none rewarded, and nothing to take
         return np.zeros(n, dtype=np.int64)
     # each trajectory's last three tokens, and its query's separator, answer and
     # stop; the window of a trajectory shorter than three reads other tokens
-    window = tokens.take(np.cumsum(lengths)[:, None] - (3, 2, 1), mode="clip")
-    wanted = np.array([np.fromiter(map(attrgetter(name), queries), np.intp, len(queries))
-                       for name in ("separator", "answer", "stop")])
-    match = (window == wanted.T.repeat(n // len(queries), axis=0)).all(axis=1)
+    window = tokens.take(lengths.cumsum()[:, None] - (3, 2, 1), mode="clip")
+    wanted = np.array(list(map(attrgetter("separator", "answer", "stop"), queries)), np.intp)
+    match = np.logical_and.reduce(window == wanted.repeat(n // q, axis=0), axis=1)
     return (terminal & (lengths >= 3) & match).astype(np.int64)
 
 

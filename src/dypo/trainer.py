@@ -67,6 +67,9 @@ class TrainConfig:
     testbed: BiasTestbedConfig = field(default_factory=default_testbed)
 
     def __post_init__(self):
+        # substream reads a seed modulo 2**64, so one outside would alias another's run
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if self.batch_size < 1:
@@ -243,9 +246,9 @@ def _params_to_dict(params: PolicyParams) -> dict:
     return {
         "vocab_size": params.vocab_size,
         "history": params.history,
-        "default_logits": [float(x) for x in params.default_logits],
-        "table": [[ctx[0], list(ctx[1]), [float(x) for x in params.logits(ctx)]]
-                  for ctx in params.written_contexts()],
+        "default_logits": params.default_logits.tolist(),
+        "table": [[qid, list(hist), row] for (qid, hist), row in
+                  zip(params.written_contexts(), params.written_logits())],
     }
 
 
@@ -384,16 +387,16 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
                                     substream(config.seed, "objective", step), config.variant)
         counts = np.bincount(batch.grade, minlength=len(DifficultyGrade)).tolist()
         eta = kl = 0.0
-        if passed is not None:
-            kl = float(passed.aux["kl_value"].mean())
-            if passed.weights is not None:
-                eta = float(gal_etas(passed).mean())
-                stats.gal_weight_min = min(stats.gal_weight_min, float(passed.weights.min()))
-                stats.gal_weight_max = max(stats.gal_weight_max, float(passed.weights.max()))
+        if passed is not None:  # ndarray's mean, min and max, undispatched
+            kl = float(np.add.reduce(passed.aux["kl_value"]) / passed.loss.size)
+            if (weights := passed.weights) is not None:
+                eta = float(np.add.reduce(gal_etas(passed)) / passed.loss.size)
+                stats.gal_weight_min = min(stats.gal_weight_min, float(np.minimum.reduce(weights)))
+                stats.gal_weight_max = max(stats.gal_weight_max, float(np.maximum.reduce(weights)))
 
         row = StepMetrics(
             step=step,
-            mean_reward=int(batch.rewards.sum()) / len(batch.rewards),
+            mean_reward=int(np.add.reduce(batch.rewards)) / batch.rewards.size,
             offline_ratio=counts[DifficultyGrade.HARD] / config.batch_size,
             mean_entropy=mean_step_entropy(params, batch.steps[0]),
             grad_norm=math.sqrt(mean.gradient.sq_norm()),

@@ -409,13 +409,18 @@ def _write_config(tmp_path, cfg):
      "config error: batch_size 100000000 and k 8: 100000000 groups need "),
     ({"k": 100_000_000}, [], 1, "config error: batch_size 2 and k 100000000: 256 groups need "),
     ({}, ["--groups", str(2**50)], 2, "run failed: out of memory: "),
-], ids=["pool-size", "k", "batch-size", "k-past-the-sampler", "groups"])
+    ({"steps": 3, "seed": 2**64 + 1}, [], 1, "config error: seed must lie in [0, 2**64), got "),
+    ({"seed": -1}, [], 1, "config error: seed must lie in [0, 2**64), got -1"),
+    ({}, ["--seed", str(2**64)], 1, "config error: seed must lie in [0, 2**64), got "),
+], ids=["pool-size", "k", "batch-size", "k-past-the-sampler", "groups", "seed-past-2**64",
+        "negative-seed", "seed-override-past-2**64"])
 def test_a_huge_size_is_one_line_and_writes_nothing(tmp_path, capsys, change, argv, code,
                                                     message):
     # each once hung building the query pool, ended in a numpy allocation
     # traceback or could bring the kernel's out-of-memory kill; a batch the
     # sampler cannot take is refused as the config is read, and no size here
-    # can be allocated at all
+    # can be allocated at all; a seed outside [0, 2**64) once ran as the seed
+    # it equals modulo 2**64, and is refused likewise, from a config or --seed
     doc = train_config_to_dict(TrainConfig(seed=2))
     for key, value in change.items():
         doc[key] = {**doc[key], **value} if isinstance(value, dict) else value

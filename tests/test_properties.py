@@ -11,7 +11,8 @@ batch grades against per-group grades, ``sum_rows`` against ``np.add.at``,
 the keys' numbering against ``np.unique``,
 advantage standardization per group and per reward matrix, the reward and
 the batch reward against each other and the general answer parser, one
-query draw against one draw per query, the JSON config round trip, and the
+query draw against one draw per query, the JSON config round trip, a named
+substream against ``default_rng`` of its ``SeedSequence``, and the
 certifier's batched finite-difference probes against scalar ones."""
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import sys
 import warnings
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -622,7 +624,8 @@ def test_the_kl_is_its_per_key_formula_bit_for_bit(seed, index, picks, extra, ti
         batch = batch.tiled(probes.remap(batch.rows)[::37])
     index = batch.key_index(params)
     kl = owner_kl(params, ref, index)
-    want, grads = naive_owner_kl(params, ref, batch.owner[batch.traj], batch.rows, batch.count)
+    owner = np.arange(batch.count).repeat(batch.k)[batch.traj]  # each step's group
+    want, grads = naive_owner_kl(params, ref, owner, batch.rows, batch.count)
     assert kl.value.tobytes() == want.tobytes()
     assert index.owner.tolist() == [o for o, _, _ in grads]
     assert index.rows.tolist() == [r for _, r, _ in grads]
@@ -1090,8 +1093,25 @@ def test_segment_sums_are_each_runs_own_sum_bit_for_bit(counts, equal, seed):
     # magnitudes over 16 decades, so that a sum in another order rounds otherwise
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
     ends = np.cumsum(counts).tolist()
-    # the second sum over these counts reads the plan the first one built
+    # the second sum, over the same counts, groups the same runs by length
     for values in (values, values[::-1].copy()):
         got = _segment_sums(values, np.array(counts))
         want = np.array([np.sum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)])
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@given(seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       path=st.lists(st.text(max_size=6) | st.integers(0, 2**32 - 1)
+                     | st.integers(2**32, 2**64 - 1), max_size=4),
+       numpy_ints=st.booleans())
+@example(seed=2**64 - 1, path=["rollout", 2**32, 2**64 - 1, 0], numpy_ints=True)
+@FAST
+def test_a_substream_is_default_rng_of_its_seed_sequence(seed, path, numpy_ints):
+    # substream builds its generator directly, from the uint32 words the seed
+    # sequence splits each value into; a str part is its UTF-8 CRC-32
+    parts = [np.uint64(p) if numpy_ints and type(p) is int else p for p in path]
+    got = substream(np.uint64(seed) if numpy_ints else seed, *parts)
+    encoded = [zlib.crc32(p.encode("utf-8")) if type(p) is str else p for p in path]
+    want = np.random.default_rng(np.random.SeedSequence([seed, *encoded]))
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(5).tobytes() == want.random(5).tobytes()

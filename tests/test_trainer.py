@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import math
 import re
 import shutil
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -169,6 +171,43 @@ def test_metrics_are_deterministic(tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
     assert tables_equal(a.checkpoint.params, b.checkpoint.params)
+
+
+def _calls_per_step(cfg: TrainConfig) -> float:
+    """Python and C function calls per training step, as ``sys.setprofile``
+    reports them: a run of ``cfg.steps`` steps less a run of none, per step."""
+    def counted(steps: int) -> int:
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" or event == "c_call"
+
+        # a collection could run other objects' finalizers inside the count
+        collecting, previous = gc.isenabled(), sys.getprofile()
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            train(replace(cfg, steps=steps))
+        finally:
+            sys.setprofile(previous)
+            if collecting:
+                gc.enable()
+        return calls
+
+    train(replace(cfg, steps=1))  # imports and first-call set-up are no step's
+    return (counted(cfg.steps) - counted(0)) / cfg.steps
+
+
+@pytest.mark.parametrize("batch_size, budget", [(2, 545), (8, 699)])
+def test_a_training_step_makes_at_most_its_call_budget(batch_size, budget):
+    # ROADMAP item 3: 0.6x the calls of a step before PR 26 (909 at batch 2,
+    # 1165 at batch 8). A count repeats exactly, so it resolves what wall time
+    # on a shared host cannot; it moves with the numpy and Python versions
+    cfg = TrainConfig(seed=1, steps=200, batch_size=batch_size)
+    calls = _calls_per_step(cfg)
+    assert calls <= budget
+    assert _calls_per_step(cfg) == calls
 
 
 def test_checkpoint_resume_is_bit_exact(tmp_path):
