@@ -201,9 +201,9 @@ def _calls_per_step(cfg: TrainConfig) -> float:
 
 @pytest.mark.parametrize("batch_size, budget", [(2, 545), (8, 699)])
 def test_a_training_step_makes_at_most_its_call_budget(batch_size, budget):
-    # ROADMAP item 3: 0.6x the calls of a step before PR 26 (909 at batch 2,
-    # 1165 at batch 8). A count repeats exactly, so it resolves what wall time
-    # on a shared host cannot; it moves with the numpy and Python versions
+    # 0.6x the calls an earlier training step made (909 at batch 2, 1165 at
+    # batch 8). A count repeats exactly, so it resolves what wall time on a
+    # shared host cannot; it moves with the numpy and Python versions
     cfg = TrainConfig(seed=1, steps=200, batch_size=batch_size)
     calls = _calls_per_step(cfg)
     assert calls <= budget
