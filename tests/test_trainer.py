@@ -255,6 +255,22 @@ def test_seed_one_artifacts_and_certified_errors_are_pinned(tmp_path):
     assert errors == PINNED_GRAD_ERRORS, PIN_CHANGED
 
 
+# sha256 of (metrics.csv, checkpoint.json) of a seed-1 run at perfbench's
+# train-wide sizes, for 120 steps: history 2 and a 32-query pool, where the
+# sampler and the demonstrations meet new contexts on most steps and every
+# pathway runs
+PINNED_WIDE_ARTIFACTS = ("e64fed6577819277788891f00400301895e2f9579ad9529b8b2071d65650fa8b",
+                         "feb1e6e704c7f301fe76c23309be57e3bbb2c7808b19775ed66dc6b674859bcd")
+
+
+def test_seed_one_train_wide_artifacts_are_pinned(tmp_path):
+    train(TrainConfig(seed=1, steps=120, batch_size=8, history=2,
+                      task=TaskConfig(pool_size=32)), out_dir=tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("metrics.csv", "checkpoint.json"))
+    assert digests == PINNED_WIDE_ARTIFACTS, PIN_CHANGED
+
+
 def test_update_sparsity_per_step():
     cfg = TrainConfig(seed=12, steps=1)
     pool = QueryPool(cfg.task, cfg.seed)
