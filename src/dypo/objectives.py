@@ -208,20 +208,37 @@ class GroupBatch:
                            minlength=len(self.lengths))
 
 
+class Runs:
+    """Runs of ``counts[i]`` consecutive entries, grouped by length once for
+    every sum over them (``sums``): a pass's pairs, group by group, are
+    summed for its loss and again for ``gal_etas``."""
+
+    def __init__(self, counts: np.ndarray):
+        self.counts = counts
+        order = counts.argsort(kind="stable")  # the runs grouped by length, each in run order
+        ordered = counts[order]
+        self.plan = None  # one length: the values are the matrix
+        if ordered[0] != ordered[-1]:  # per length, its runs and their entries' indices
+            starts = (counts.cumsum() - counts)[order]
+            edges = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(), counts.size]
+            self.plan = [(order[lo:hi], starts[lo:hi, None] + np.arange(ordered[lo]))
+                         for lo, hi in zip(edges, edges[1:])]
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """``values`` summed over each run, bit for bit as ``np.sum`` of the
+        run alone: runs of one length are summed as the rows of one matrix,
+        which numpy reduces as it reduces a lone run."""
+        if self.plan is None:  # ndarray.sum, undispatched
+            return np.add.reduce(values.reshape(self.counts.size, -1), axis=1)
+        out = np.empty(self.counts.size)
+        for runs, at in self.plan:
+            out[runs] = np.add.reduce(values[at], 1)
+        return out
+
+
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``values`` summed over runs of ``counts[i]`` consecutive entries, each
-    bit for bit as ``np.sum`` of the run alone: runs of one length are summed
-    as the rows of one matrix, which numpy reduces as it reduces a lone run."""
-    order = counts.argsort(kind="stable")  # the runs grouped by length, each in run order
-    ordered = counts[order]
-    if ordered[0] == ordered[-1]:  # one length: the values are the matrix
-        return np.add.reduce(values.reshape(counts.size, -1), axis=1)  # ndarray.sum, undispatched
-    starts = (counts.cumsum() - counts)[order]
-    edges = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(), counts.size]
-    out = np.empty(counts.size)
-    for lo, hi in zip(edges, edges[1:]):
-        out[order[lo:hi]] = np.add.reduce(values[starts[lo:hi, None] + np.arange(ordered[lo])], 1)
-    return out
+    """``values`` summed over runs of ``counts[i]`` consecutive entries (``Runs.sums``)."""
+    return Runs(counts).sums(values)
 
 
 @dataclass
@@ -239,19 +256,20 @@ class BatchReport:
     ``loss`` and every ``aux`` array hold one entry per group; the gradient
     is keyed by (group, row), and over a batch of one its keys are the
     group's rows, a ``RowBlock``. The alignment loss also returns its per-pair
-    weights, group by group, ``aux["pair_count"]`` of them each.
+    weights, group by group, ``aux["pair_count"]`` of them each, and those
+    counts' ``Runs``.
     """
 
     loss: np.ndarray
     gradient: KeyedBlocks
     aux: dict[str, np.ndarray]
     weights: np.ndarray | None = None
+    pair_runs: Runs | None = None
 
 
 def gal_etas(report: BatchReport) -> np.ndarray:
     """Each group's discrimination difficulty eta, the mean squared pair weight."""
-    counts = report.aux["pair_count"]
-    return _segment_sums(report.weights**2, counts) / counts
+    return report.pair_runs.sums(report.weights**2) / report.aux["pair_count"]
 
 
 def standardize_advantages(rewards: Sequence[float] | np.ndarray, xi: float) -> np.ndarray:
@@ -314,8 +332,14 @@ def sft_pass(params: PolicyParams, queries: Sequence[Query], teachers: Sequence[
     if len(queries) == 0:
         raise InputError("sft_pass needs at least one query")
     drawn = [draw_demo(query, teachers, rng) for query in queries]
-    rows, tokens = map(np.concatenate, zip(*(params.trajectory_rows(q.query_id, demo.tokens)
-                                             for q, (_, demo) in zip(queries, drawn))))
+    # each demonstration's rows are walked once: interning is append-only, so they stay valid
+    walked, steps = params.interner.walked, []
+    for query, (_, demo) in zip(queries, drawn):
+        key = (query.query_id, demo.tokens)
+        if key not in walked:
+            walked[key] = np.stack(params.trajectory_rows(*key))
+        steps.append(walked[key])
+    rows, tokens = np.concatenate(steps, axis=1)
     lengths = np.array([len(demo) for _, demo in drawn])
     index = KeyIndex(np.arange(len(queries)).repeat(lengths), rows, tokens, len(queries),
                      params.vocab_size)
@@ -484,9 +508,10 @@ def _expit(x: np.ndarray) -> np.ndarray:
 
 
 def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, pairs: BatchPairs,
-             cfg: MixConfig) -> tuple[np.ndarray, np.ndarray]:
+             cfg: MixConfig) -> tuple[np.ndarray, np.ndarray, Runs]:
     """``gal_pass``'s loss of every group of the batch, without its gradient:
-    the loss, and the term the gradient reads, every pair's margin -beta*d."""
+    the loss, the term the gradient reads, every pair's margin -beta*d, and
+    the ``Runs`` of the groups' pairs it was averaged over."""
     counts, traj_pairs = pairs
     check_shared_interner(params, ref)
     batch.check_pass(params)
@@ -495,8 +520,9 @@ def gal_loss(params: PolicyParams, ref: PolicyParams, batch: GroupBatch, pairs: 
                  - np.bincount(batch.traj, weights=ref.logp_at(batch.rows, batch.tokens),
                                minlength=n))
     margin = -cfg.beta_gal * (log_ratio[traj_pairs[:, 0]] - log_ratio[traj_pairs[:, 1]])
+    runs = Runs(counts)
     # -log sigmoid(beta d), averaged over each group's pairs
-    return _segment_sums(np.logaddexp(0.0, margin), counts) / counts, margin
+    return runs.sums(np.logaddexp(0.0, margin)) / counts, margin, runs
 
 
 def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
@@ -516,7 +542,7 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     library's exp, not ``np.exp``, whose SIMD kernel can differ in the last bit
     and would move every seeded run. The loss is ``gal_loss``'s.
     """
-    loss, margin = gal_loss(params, ref, batch, pairs, cfg)
+    loss, margin, runs = gal_loss(params, ref, batch, pairs, cfg)
     counts, traj_pairs = pairs
     index = batch.key_index(params)
     weights = _expit(margin)
@@ -529,7 +555,7 @@ def gal_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     paired[traj_pairs] = True
     keep = paired[batch.traj]
     return BatchReport(loss=loss, gradient=keyed_score(params, index, traj_coef[batch.traj], keep),
-                       aux={"pair_count": counts}, weights=weights)
+                       aux={"pair_count": counts}, weights=weights, pair_runs=runs)
 
 
 def mixed_loss(grpo: np.ndarray, gal: np.ndarray, alpha: float) -> np.ndarray:
@@ -559,7 +585,8 @@ def mixed_pass(params: PolicyParams, ref: PolicyParams, batch: GroupBatch,
     gal = gal_pass(params, ref, batch, pairs, cfg)
     return BatchReport(loss=mixed_loss(grpo.loss, gal.loss, cfg.alpha),
                        gradient=mixed_keyed(grpo.gradient, gal.gradient, cfg.alpha),
-                       aux={**grpo.aux, **gal.aux}, weights=gal.weights)
+                       aux={**grpo.aux, **gal.aux}, weights=gal.weights,
+                       pair_runs=gal.pair_runs)
 
 
 # the gate: each variant's pathway by grade code (sorted grades are in code order)

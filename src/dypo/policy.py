@@ -77,11 +77,49 @@ class RowBlock(NamedTuple):
         return RowBlock(self.rows, scale * self.values)
 
     def sq_norm(self) -> float:
-        """The exactly rounded sum of squares: inf past the float range, nan at a nan."""
+        """The exactly rounded sum of squares, ``exact_sum`` of them: inf past
+        the float range, nan at a nan."""
         try:
-            return math.fsum((self.values * self.values).ravel().tolist())
+            return exact_sum((self.values * self.values).ravel())
         except OverflowError:  # finite squares whose sum is past the float range
             return math.inf
+
+
+# exact_sum's size rule: up to this many entries math.fsum over a list is faster
+_LISTED_SUM_MAX = 600
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())``, bit for bit, of a 1-D float64 array.
+
+    Up to ``_LISTED_SUM_MAX`` entries, or at a non-finite one, it is that
+    call. Above, no per-entry list is built: each entry's 53-bit significand
+    splits into a high and a low half (27 and 26 bits) at its exponent
+    (``np.frexp``), two ``np.bincount``s sum the halves per exponent, exact
+    as integers below 2**53 (fewer than 2**26 entries), and ``math.fsum``
+    adds the few scaled partials. Their sum is the entries' exact sum, whose
+    exactly rounded value is unique, so the bits match by construction. An
+    entry of 2**990 or more, which could overflow a partial, a total of zero
+    (``fsum`` decides the sign of a zero) or a non-finite one take the list.
+    """
+    if values.size <= _LISTED_SUM_MAX or values.size >= 2**26:
+        return math.fsum(values.tolist())
+    mantissa, exponent = np.frexp(values)
+    low, top = int(np.minimum.reduce(exponent)), int(np.maximum.reduce(exponent))
+    if top <= 990:
+        whole = mantissa * 2.0**53  # an integer of at most 53 bits
+        high = np.floor(whole * 2.0**-26)  # its high and low halves, exactly
+        rest = whole - high * 2.0**26
+        slot, scale = exponent - low, np.arange(low - 53, top - 52)
+        partials = np.concatenate([np.ldexp(np.bincount(slot, weights=high), scale + 26),
+                                   np.ldexp(np.bincount(slot, weights=rest), scale)])
+        try:
+            total = math.fsum(partials.tolist())
+        except (OverflowError, ValueError):  # inf - inf, from an inf or nan entry
+            total = 0.0
+        if total and math.isfinite(total):
+            return total
+    return math.fsum(values.tolist())
 
 
 def _unique(rows: np.ndarray) -> np.ndarray:
@@ -165,11 +203,32 @@ class KeyedBlocks(NamedTuple):
         return [RowBlock(rows[lo:hi], self.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _grown(table: np.ndarray, fill: int) -> np.ndarray:
+    """``table`` with twice its rows, the new ones all ``fill``."""
+    grown = np.full((2 * len(table), *table.shape[1:]), fill, dtype=table.dtype)
+    grown[:len(table)] = table
+    return grown
+
+
 class ContextInterner:
     """Append-only map from context to row, shared by a policy and its copies.
 
     It also holds the transition map ``step(row, tok)``, the row of the
-    context that follows a row's context once ``tok`` is generated.
+    context that follows a row's context once ``tok`` is generated. That
+    row depends only on what the context keeps once a token is added: its
+    query id and its last ``history - 1`` tokens, which name the row's
+    *class*. The map is a ``(rows, V)`` table (``_next``), which the sampler
+    reads with one take a position, backed by a ``(classes, V)`` one
+    (``_class_next``), both -1 where a transition is not known yet and both
+    growing by doubling. A row is put in its class at its first transition,
+    or when a transition interns it, and takes the class's known
+    transitions then; a transition a class makes is written to all its rows
+    at once. So a row's transition by a token its class has made before is
+    already in the table, and only a never-seen (class, token) costs a
+    Python call, which interns one context. Rows interned only by ``row``,
+    as the certifier's are, get no class until they are stepped from. The
+    classes only cache transitions, so contexts are interned in the same
+    order with them as without. Class 0 is no row's.
     """
 
     def __init__(self, vocab_size: int, history: int):
@@ -178,9 +237,15 @@ class ContextInterner:
         self.index: dict[Context, int] = {}
         self.contexts: list[Context] = []
         self.roots: dict[int, int] = {}  # query id -> its root row, as ``root`` found it
-        # _next[row, tok] is step(row, tok), or -1 until first asked for; it
-        # grows by doubling, so it may have more rows than there are contexts
+        # (query id, tokens) -> the (2, n) rows and tokens of a walk from the query's
+        # root, for a caller that walks the same ones again (sft_pass's demonstrations)
+        self.walked: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._next = np.full((16, vocab_size), -1, dtype=np.intp)
+        self._class = np.zeros(16, dtype=np.intp)  # each row's class, or 0
+        self._classes: dict[Context, int] = {}  # (query id, kept tokens) -> class
+        self._kept: list[Context] = [(-1, ())]  # each class's (query id, kept tokens)
+        self._members: list[list[int]] = [[]]  # each class's rows
+        self._class_next = np.full((16, vocab_size), -1, dtype=np.intp)
 
     def row(self, ctx: Context) -> int:
         n = len(self.contexts)
@@ -188,9 +253,7 @@ class ContextInterner:
         if r == n:
             self.contexts.append(ctx)
             if r == len(self._next):
-                grown = np.full((2 * r, self.vocab_size), -1, dtype=np.intp)
-                grown[:r] = self._next
-                self._next = grown
+                self._next, self._class = _grown(self._next, -1), _grown(self._class, 0)
         return r
 
     def root(self, query_id: int) -> int:
@@ -199,15 +262,38 @@ class ContextInterner:
             self.roots[query_id] = self.row((query_id, ()))
         return self.roots[query_id]
 
+    def _join(self, row: int) -> int:
+        """Put ``row`` in its class, whose known transitions it takes; the class."""
+        qid, hist = self.contexts[row]
+        kept = (qid, hist[max(0, len(hist) + 1 - self.history):])
+        cls = self._classes.setdefault(kept, len(self._kept))
+        if cls == len(self._kept):
+            self._kept.append(kept)
+            self._members.append([])
+            if cls == len(self._class_next):
+                self._class_next = _grown(self._class_next, -1)
+        self._members[cls].append(row)
+        self._class[row] = cls
+        self._next[row] = self._class_next[cls]
+        return cls
+
     def step(self, row: int, tok: int) -> int:
         """Row of the context after generating ``tok`` in ``row``'s context:
         the history gains ``tok`` and keeps its last ``history`` tokens."""
         nxt = self._next.item(row, tok)
         if nxt < 0:
-            qid, hist = self.contexts[row]
-            hist += (tok,)
-            nxt = self.row((qid, hist[max(0, len(hist) - self.history):]))
-            self._next[row, tok] = nxt
+            cls = self._class.item(row) or self._join(row)
+            nxt = self._class_next.item(cls, tok)
+            if nxt < 0:
+                qid, hist = self._kept[cls]
+                hist += (tok,)
+                nxt = self.row((qid, hist[max(0, len(hist) - self.history):]))
+                self._class_next[cls, tok] = nxt
+                self._next[self._members[cls], tok] = nxt
+                if not self._class.item(nxt):
+                    self._join(nxt)
+            else:  # a row of a class new to it
+                self._next[row, tok] = nxt
         return nxt
 
 

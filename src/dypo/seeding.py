@@ -9,9 +9,34 @@ from a checkpoint without carrying generator state.
 from __future__ import annotations
 
 import zlib
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
+
+from .errors import ConfigError
+
+# numpy's SeedSequence constants (pool size 4) and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_WORD, _STATE = 2**32 - 1, 2**128 - 1
+_CHUNK = 4096  # steps seeded per derivation
+
+
+def _words(seed, path) -> list[int]:
+    """The uint32 words ``SeedSequence([seed, *path])`` splits its entropy into."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must lie in [0, 2**64), got {seed}")
+    words = []
+    for value in (int(seed), *path):
+        if type(value) is not int:
+            if not isinstance(value, (str, int, np.integer)):
+                raise TypeError(f"substream path part {value!r} is not a str or an int")
+            value = zlib.crc32(value.encode("utf-8")) if isinstance(value, str) else int(value)
+        value &= 2**64 - 1
+        words += (value & _WORD, value >> 32) if value >> 32 else (value,)
+    return words
 
 
 def substream(seed: int, *path) -> np.random.Generator:
@@ -20,13 +45,80 @@ def substream(seed: int, *path) -> np.random.Generator:
     The same (seed, path) always yields an identical stream, independently
     of any other substream drawn before or after it: ``default_rng(SeedSequence(
     [seed, *parts]))``, int parts modulo 2**64 and str parts as their UTF-8
-    CRC-32, built from the uint32 words the seed sequence splits each value into."""
-    words = []
-    for value in (int(seed), *path):
-        if type(value) is not int:
-            if not isinstance(value, (str, int, np.integer)):
-                raise TypeError(f"substream path part {value!r} is not a str or an int")
-            value = zlib.crc32(value.encode("utf-8")) if isinstance(value, str) else int(value)
-        value &= 2**64 - 1
-        words += (value & 0xFFFFFFFF, value >> 32) if value >> 32 else (value,)
-    return Generator(PCG64(SeedSequence(np.array(words, np.uint32))))
+    CRC-32, built from the uint32 words the seed sequence splits each value
+    into. A seed outside [0, 2**64) is a ``ConfigError``, as the sequence
+    would alias it to another's. This is the one-off path and the oracle of
+    ``step_substreams``, which seeds a run's per-step streams in bulk."""
+    return Generator(PCG64(SeedSequence(np.array(_words(seed, path), np.uint32))))
+
+
+def _pcg64_states(words: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence(row))`` for each row of a
+    ``(n, L)`` uint32 word matrix: the sequence's hashmix/mix pool and its
+    ``generate_state(4, uint64)`` over all rows at once, in uint32 array
+    arithmetic, then PCG64's 128-bit seeding row by row, in Python ints."""
+    n, size = words.shape
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _WORD
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    zero = np.zeros(n, np.uint32)
+    pool = [hashmix(words[:, i] if i < size else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, size):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    const, state = _INIT_B, np.empty((n, 8), np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _WORD
+        value *= const
+        state[:, i] = value ^ value >> 16
+    out = []  # each row's four uint64 words: seed high, seed low, sequence high, low
+    for s_hi, s_lo, i_hi, i_lo in state.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _STATE
+        out.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _STATE, inc))
+    return out
+
+
+def step_substreams(seed: int, names: Sequence[str], start: int,
+                    stop: int) -> Iterator[tuple[np.random.Generator, ...]]:
+    """For each step from ``start`` to ``stop``, the generators of
+    ``substream(seed, name, step)`` for each of ``names``, in that order.
+
+    The states of up to ``_CHUNK`` steps come from one ``_pcg64_states``
+    derivation, and each step sets them on the same generators, one per name:
+    a step's generators are spent once the next step's are asked for. A seed
+    outside [0, 2**64) is a ``ConfigError``, as for ``substream``."""
+    prefix = np.array([_words(seed, (name,)) for name in names], np.uint32)
+    streams = [Generator(PCG64(0)) for _ in names]
+    bits = [stream.bit_generator for stream in streams]
+    lo = start
+    while lo < stop:
+        # a step of 2**32 or more is two words, so no chunk straddles it
+        hi = min(stop, lo + _CHUNK, 2**32 if lo < 2**32 else stop)
+        steps = np.arange(lo, hi, dtype=np.uint64)
+        tail = np.stack([steps & _WORD, steps >> 32] if lo >> 32 else [steps], axis=1)
+        shape = (len(steps), len(names))
+        words = np.concatenate([np.broadcast_to(prefix, shape + prefix.shape[1:]),
+                                np.broadcast_to(tail[:, None, :], shape + tail.shape[1:])],
+                               axis=2, dtype=np.uint32)
+        states = iter(_pcg64_states(words.reshape(-1, words.shape[2])))
+        for _ in range(len(steps)):
+            for bit, (state, inc) in zip(bits, states):
+                bit.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            yield tuple(streams)
+        lo = hi

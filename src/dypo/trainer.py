@@ -33,7 +33,7 @@ from .objectives import (
     route_groups,
 )
 from .policy import ContextInterner, PolicyParams, mean_step_entropy
-from .seeding import substream
+from .seeding import step_substreams, substream
 from .tasks import (
     MAX_TABLE_BYTES,
     BiasTestbedConfig,
@@ -67,7 +67,7 @@ class TrainConfig:
     testbed: BiasTestbedConfig = field(default_factory=default_testbed)
 
     def __post_init__(self):
-        # substream reads a seed modulo 2**64, so one outside would alias another's run
+        # as substream would, at the boundary: a seed outside would alias another's run
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.steps < 0:
@@ -378,13 +378,13 @@ def train(config: TrainConfig, out_dir: str | Path | None = None,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    for step in range(start, config.steps):
-        queries = pool.draw(substream(config.seed, "stream", step), config.batch_size)
-        batch = rollout_groups(params, queries, config.k,
-                               substream(config.seed, "rollout", step), xi=config.mix.xi,
+    streams = step_substreams(config.seed, ("stream", "rollout", "objective"), start, config.steps)
+    for step, (stream, rollout, objective) in zip(range(start, config.steps), streams):
+        queries = pool.draw(stream, config.batch_size)
+        batch = rollout_groups(params, queries, config.k, rollout, xi=config.mix.xi,
                                stop_token=config.task.stop, t_max=config.t_max)
-        mean, passed = route_groups(params, ref, batch, teachers, config.mix,
-                                    substream(config.seed, "objective", step), config.variant)
+        mean, passed = route_groups(params, ref, batch, teachers, config.mix, objective,
+                                    config.variant)
         counts = np.bincount(batch.grade, minlength=len(DifficultyGrade)).tolist()
         eta = kl = 0.0
         if passed is not None:  # ndarray's mean, min and max, undispatched
