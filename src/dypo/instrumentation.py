@@ -191,7 +191,10 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams, draw_query:
         pair_counts.append(gal.aux["pair_count"])
         score_sq = score_sq_norms(params, batch.rows, batch.tokens, batch.lengths)
         score_sq_sum += float(score_sq.sum())
-    # each estimator's chunks are freed once it is reduced
+    # the Mid batch and the last chunk's arrays go before the reductions, whose
+    # peak would hold them; each estimator's chunks are freed once it is reduced
+    trajectories = len(mid.rewards)
+    del mid, batch, grpo, gal, score_sq
     est = {name: variance_from_samples(samples.pop(name))
            for name in ("grpo", "gal", "mix")}
     gap = est["grpo"].scalar_variance - est["mix"].scalar_variance
@@ -199,7 +202,7 @@ def variance_ordering_bench(params: PolicyParams, ref: PolicyParams, draw_query:
     verdict = gap > 3.0 * combined_se
     eta_mean = float(np.concatenate(etas).mean())
     pair_count_mean = float(np.concatenate(pair_counts).mean())
-    sigma_s = score_sq_sum / len(mid.rewards)
+    sigma_s = score_sq_sum / trajectories
     # independent-pair approximation of the alignment-gradient variance;
     # pairs within one group share trajectories, so this routinely
     # underestimates the measured value (reported, never enforced)

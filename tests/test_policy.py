@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from types import SimpleNamespace
 
@@ -288,6 +289,23 @@ def test_a_written_row_too_wide_for_the_softmax_is_refused_before_it_writes():
     assert np.array_equal(params.logits((0, ())), params.default_logits)
     with pytest.raises(InputError, match="default_logits entries must be finite, with a max"):
         PolicyParams(4, 1, default_logits=wide)
+
+
+@pytest.mark.parametrize("entries", [3, 2000], ids=["listed", "split"])
+def test_a_square_norm_past_the_float_range_is_inf_and_at_a_nan_is_nan(entries):
+    # both sides of exact_sum's size rule: a list of the squares, and the
+    # per-exponent partials, which give way to the list at such entries
+    def norm(value: float) -> float:
+        values = np.full((entries, 2), 0.5)
+        values[-1, -1] = value
+        with np.errstate(over="ignore", invalid="ignore"):  # as training reads it
+            return RowBlock(np.arange(entries), values).sq_norm()
+
+    assert norm(1e200) == math.inf  # a square past the range
+    assert norm(1e154) == norm(-1e154) == 0.25 * (2 * entries - 1) + 1e154**2
+    assert RowBlock(np.arange(entries), np.full((entries, 2), 1e154)).sq_norm() == math.inf
+    assert math.isnan(norm(math.nan))
+    assert norm(math.inf) == math.inf
 
 
 def test_step_contexts_history_truncation():

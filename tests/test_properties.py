@@ -12,8 +12,10 @@ the keys' numbering against ``np.unique``,
 advantage standardization per group and per reward matrix, the reward and
 the batch reward against each other and the general answer parser, one
 query draw against one draw per query, the JSON config round trip, a named
-substream against ``default_rng`` of its ``SeedSequence``, and the
-certifier's batched finite-difference probes against scalar ones."""
+substream against ``default_rng`` of its ``SeedSequence`` and a run's bulk
+step streams against substreams, the certifier's batched finite-difference
+probes against scalar ones, the list-free exact sum against ``math.fsum``,
+and the class-shared transition map against naive interning."""
 
 from __future__ import annotations
 
@@ -52,10 +54,13 @@ from dypo.objectives import (
     sft_pass,
     standardize_advantages,
 )
+from dypo import seeding
 from dypo.policy import (
+    ContextInterner,
     PolicyParams,
     Trajectory,
     _unique_inverse,
+    exact_sum,
     kl_gradient,
     owner_kl,
     sample_lockstep,
@@ -64,7 +69,7 @@ from dypo.policy import (
     sum_blocks,
     sum_rows,
 )
-from dypo.seeding import substream
+from dypo.seeding import step_substreams, substream
 from dypo.tasks import (
     MAX_POOL_SIZE,
     MAX_TABLE_BYTES,
@@ -1115,3 +1120,94 @@ def test_a_substream_is_default_rng_of_its_seed_sequence(seed, path, numpy_ints)
     want = np.random.default_rng(np.random.SeedSequence([seed, *encoded]))
     assert got.bit_generator.state == want.bit_generator.state
     assert got.random(5).tobytes() == want.random(5).tobytes()
+
+
+NAMES = ("stream", "rollout", "objective")
+
+
+@given(seed=st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       start=st.sampled_from([0, 1, 499]) | st.integers(0, 2**64 - 8), steps=st.integers(0, 6))
+@example(seed=1, start=2**32 - 3, steps=6)  # steps from one uint32 word to two
+@example(seed=2**64 - 1, start=2**64 - 6, steps=6)
+@FAST
+def test_a_runs_step_streams_are_its_substreams(seed, start, steps):
+    # step_substreams seeds every step's generators from one derivation, from
+    # step 0 or from a resumed start; each step's are substream's, state and draws
+    done = 0
+    for step, streams in zip(range(start, start + steps),
+                             step_substreams(seed, NAMES, start, start + steps)):
+        for name, stream in zip(NAMES, streams):
+            want = substream(seed, name, step)
+            assert stream.bit_generator.state == want.bit_generator.state
+            assert stream.random(3).tobytes() == want.random(3).tobytes()
+        done += 1
+    assert done == steps
+
+
+def test_step_streams_carry_on_across_derivations(monkeypatch):
+    # the run's steps are seeded a chunk at a time; a small chunk makes several
+    monkeypatch.setattr(seeding, "_CHUNK", 3)
+    got = [[stream.bit_generator.state for stream in streams]
+           for streams in step_substreams(7, NAMES, 5, 15)]
+    assert got == [[substream(7, name, step).bit_generator.state for name in NAMES]
+                   for step in range(5, 15)]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(values=st.lists(finite, min_size=1, max_size=8)
+       | st.lists(st.floats(-1e-300, 1e-300) | st.floats(-1e300, 1e300), max_size=8),
+       repeat=st.integers(1, 400), cancel=st.booleans(), subnormal=st.booleans())
+@example(values=[5e-324, -1e-310, 2.0**-1022], repeat=300, cancel=False, subnormal=True)
+@example(values=[1e300, -1e-300, 3.0], repeat=250, cancel=True, subnormal=False)
+@example(values=[1e300, 1e300], repeat=400, cancel=False, subnormal=False)
+@FAST
+def test_an_exact_sum_is_fsum_bit_for_bit(values, repeat, cancel, subnormal):
+    # above its size rule exact_sum adds per-exponent partials, not a list:
+    # subnormals, wide exponent spreads, sums that cancel to a few bits or to
+    # zero, and entries whose partials would pass the float range
+    x = np.array(values * repeat, dtype=np.float64)
+    if subnormal:
+        x *= 2.0**-1060
+    if cancel:
+        x = np.concatenate([x, -x[::-1], [1e-30]])
+    rng = np.random.default_rng(len(x))
+    x = x[rng.permutation(x.size)]
+    try:
+        want = math.fsum(x.tolist())
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sum(x)
+        return
+    got = exact_sum(x)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert got == want or math.isnan(got) and math.isnan(want)
+
+
+@given(history=st.integers(0, 3),
+       first=st.lists(st.tuples(st.integers(0, 2), st.lists(st.integers(0, V - 1), max_size=4)),
+                      max_size=6),
+       walks=st.lists(st.tuples(st.integers(0, 2), st.lists(st.integers(0, V - 1), max_size=8)),
+                      max_size=10))
+@FAST
+def test_a_transition_is_the_successor_context_in_the_naive_interning_order(history, first,
+                                                                            walks):
+    # transitions shared by a class (query id, last history - 1 tokens) name
+    # the context a walk reaches, and intern contexts in the order a map with
+    # no classes does; ``first`` are rows interned before, as a reload's
+    interner = ContextInterner(V, history)
+    naive: dict = {}
+    for qid, hist in first:
+        ctx = (qid, tuple(hist)[max(0, len(hist) - history):] if history else ())
+        interner.row(ctx)
+        naive.setdefault(ctx, len(naive))
+    for qid, tokens in walks:
+        row, hist = interner.root(qid), ()
+        naive.setdefault((qid, hist), len(naive))
+        for tok in tokens:
+            row = interner.step(row, tok)
+            hist = (hist + (tok,))[max(0, len(hist) + 1 - history):] if history else ()
+            naive.setdefault((qid, hist), len(naive))
+            assert interner.contexts[row] == (qid, hist)
+    assert interner.contexts == list(naive)

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from dypo.cli import main
 from dypo.errors import ConfigError, DataError, DypoError, TrainingAborted
-from dypo.gradcheck import grad_check_suite
+from dypo.gradcheck import grad_check_suite, make_instance
 from dypo.instrumentation import CHUNK_GROUPS, StepMetrics, read_metrics, write_metrics
 from dypo.objectives import MixConfig
 from dypo.policy import PolicyParams, RowBlock
-from dypo.seeding import substream
+from dypo.seeding import step_substreams, substream
 from dypo.tasks import MAX_TABLE_BYTES, TaskConfig
 from dypo.trainer import (
     VARIANTS,
@@ -199,12 +199,17 @@ def _calls_per_step(cfg: TrainConfig) -> float:
     return (counted(cfg.steps) - counted(0)) / cfg.steps
 
 
-@pytest.mark.parametrize("batch_size, budget", [(2, 545), (8, 699)])
-def test_a_training_step_makes_at_most_its_call_budget(batch_size, budget):
+@pytest.mark.parametrize("sizes, budget", [
+    ({"batch_size": 2}, 545),
+    ({"batch_size": 8}, 699),
+    ({"batch_size": 8, "history": 2, "task": TaskConfig(pool_size=32)}, 1100),
+], ids=["2-545", "8-699", "train-wide-1100"])
+def test_a_training_step_makes_at_most_its_call_budget(sizes, budget):
     # 0.6x the calls an earlier training step made (909 at batch 2, 1165 at
-    # batch 8). A count repeats exactly, so it resolves what wall time on a
-    # shared host cannot; it moves with the numpy and Python versions
-    cfg = TrainConfig(seed=1, steps=200, batch_size=batch_size)
+    # batch 8), and 0.72x at the train-wide sizes (1518.8), where most steps
+    # meet new contexts. A count repeats exactly, so it resolves what wall
+    # time on a shared host cannot; it moves with the numpy and Python versions
+    cfg = TrainConfig(seed=1, steps=200, **sizes)
     calls = _calls_per_step(cfg)
     assert calls <= budget
     assert _calls_per_step(cfg) == calls
@@ -269,6 +274,20 @@ def test_seed_one_train_wide_artifacts_are_pinned(tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("metrics.csv", "checkpoint.json"))
     assert digests == PINNED_WIDE_ARTIFACTS, PIN_CHANGED
+
+
+@pytest.mark.parametrize("seed", [2**64 + 1, 2**64, -1])
+@pytest.mark.parametrize("entry", ["substream", "step_substreams", "make_instance",
+                                   "grad_check_suite"])
+def test_a_seed_outside_the_uint64_range_is_a_config_error_at_every_entry_point(entry, seed):
+    # each once read a seed modulo 2**64: make_instance(2**64 + 1, 0) built
+    # seed 1's instance and grad_check_suite(seed=2**64 + 1) certified seed 1's
+    calls = {"substream": lambda: substream(seed, "gradcheck", 0),
+             "step_substreams": lambda: next(step_substreams(seed, ("rollout",), 0, 1)),
+             "make_instance": lambda: make_instance(seed, 0),
+             "grad_check_suite": lambda: grad_check_suite(seed=seed, n_instances=1)}
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\), got "):
+        calls[entry]()
 
 
 def test_update_sparsity_per_step():
