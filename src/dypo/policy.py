@@ -234,6 +234,9 @@ class ContextInterner:
     def __init__(self, vocab_size: int, history: int):
         self.vocab_size = vocab_size
         self.history = history
+        # what a history keeps of its tokens, and what a class keeps, one fewer
+        self._keep = slice(-history, None) if history else slice(0)
+        self._kept_by_class = slice(1 - history, None) if history > 1 else slice(0)
         self.index: dict[Context, int] = {}
         self.contexts: list[Context] = []
         self.roots: dict[int, int] = {}  # query id -> its root row, as ``root`` found it
@@ -244,7 +247,6 @@ class ContextInterner:
         self._class = np.zeros(16, dtype=np.intp)  # each row's class, or 0
         self._classes: dict[Context, int] = {}  # (query id, kept tokens) -> class
         self._kept: list[Context] = [(-1, ())]  # each class's (query id, kept tokens)
-        self._members: list[list[int]] = [[]]  # each class's rows
         self._class_next = np.full((16, vocab_size), -1, dtype=np.intp)
 
     def row(self, ctx: Context) -> int:
@@ -265,14 +267,12 @@ class ContextInterner:
     def _join(self, row: int) -> int:
         """Put ``row`` in its class, whose known transitions it takes; the class."""
         qid, hist = self.contexts[row]
-        kept = (qid, hist[max(0, len(hist) + 1 - self.history):])
-        cls = self._classes.setdefault(kept, len(self._kept))
-        if cls == len(self._kept):
+        kept, new = (qid, hist[self._kept_by_class]), len(self._kept)
+        cls = self._classes.setdefault(kept, new)
+        if cls == new:
             self._kept.append(kept)
-            self._members.append([])
             if cls == len(self._class_next):
                 self._class_next = _grown(self._class_next, -1)
-        self._members[cls].append(row)
         self._class[row] = cls
         self._next[row] = self._class_next[cls]
         return cls
@@ -286,10 +286,9 @@ class ContextInterner:
             nxt = self._class_next.item(cls, tok)
             if nxt < 0:
                 qid, hist = self._kept[cls]
-                hist += (tok,)
-                nxt = self.row((qid, hist[max(0, len(hist) - self.history):]))
+                nxt = self.row((qid, (hist + (tok,))[self._keep]))
                 self._class_next[cls, tok] = nxt
-                self._next[self._members[cls], tok] = nxt
+                self._next[self._class == cls, tok] = nxt
                 if not self._class.item(nxt):
                     self._join(nxt)
             else:  # a row of a class new to it
