@@ -15,9 +15,10 @@ Because the softmax is tabular, every gradient used elsewhere in the package is 
 in closed form, as a ``RowBlock`` over the rows it touches, and can be checked
 against finite differences.
 
-Sums across rows use ``math.fsum``: row numbers depend on the order contexts
-were first seen, which differs between a run and its resume, and an exactly
-rounded sum keeps resumed runs bit-identical.
+Sums across rows are exactly rounded (``math.fsum``, or ``exact_sum`` for
+long ones): row numbers depend on the order contexts were first seen, which
+differs between a run and its resume, and an exactly rounded sum keeps
+resumed runs bit-identical.
 """
 
 from __future__ import annotations
@@ -77,15 +78,18 @@ class RowBlock(NamedTuple):
         return RowBlock(self.rows, scale * self.values)
 
     def sq_norm(self) -> float:
-        """The exactly rounded sum of squares, ``exact_sum`` of them: inf past
-        the float range, nan at a nan."""
+        """The exactly rounded sum of squares: inf past the float range, nan at
+        a nan. Up to 600 entries it is ``math.fsum`` over a list; above, the
+        same bits from per-exponent partials, with no per-entry list
+        (``exact_sum``): 52.3 -> 22.0 µs at 1640 entries, even at 600, and
+        slower below, 13.9 against 7.9 µs at 280 (``timeit``, 2-vCPU Xeon)."""
         try:
             return exact_sum((self.values * self.values).ravel())
         except OverflowError:  # finite squares whose sum is past the float range
             return math.inf
 
 
-# exact_sum's size rule: up to this many entries math.fsum over a list is faster
+# exact_sum's size rule (see RowBlock.sq_norm): up to this many entries a listed fsum is faster
 _LISTED_SUM_MAX = 600
 
 

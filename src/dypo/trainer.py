@@ -67,7 +67,7 @@ class TrainConfig:
     testbed: BiasTestbedConfig = field(default_factory=default_testbed)
 
     def __post_init__(self):
-        # as substream would, at the boundary: a seed outside would alias another's run
+        # checked here too, as substream checks it: a seed outside would alias another's run
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.steps < 0:
