@@ -81,8 +81,8 @@ class RowBlock(NamedTuple):
         """The exactly rounded sum of squares: inf past the float range, nan at
         a nan. Up to 600 entries it is ``math.fsum`` over a list; above, the
         same bits from per-exponent partials, with no per-entry list
-        (``exact_sum``): 52.3 -> 22.0 µs at 1640 entries, even at 600, and
-        slower below, 13.9 against 7.9 µs at 280 (``timeit``, 2-vCPU Xeon)."""
+        (``exact_sum``): 52.3 -> 22.0 µs at 1640 entries, about even at 600,
+        and slower below, 13.9 against 7.9 µs at 280 (``timeit``, 2-vCPU Xeon)."""
         try:
             return exact_sum((self.values * self.values).ravel())
         except OverflowError:  # finite squares whose sum is past the float range
@@ -269,7 +269,7 @@ class ContextInterner:
         return self.roots[query_id]
 
     def _join(self, row: int) -> int:
-        """Put ``row`` in its class, whose known transitions it takes; the class."""
+        """Put ``row`` in its class, whose known transitions it takes, and return the class."""
         qid, hist = self.contexts[row]
         kept, new = (qid, hist[self._kept_by_class]), len(self._kept)
         cls = self._classes.setdefault(kept, new)
@@ -287,16 +287,14 @@ class ContextInterner:
         nxt = self._next.item(row, tok)
         if nxt < 0:
             cls = self._class.item(row) or self._join(row)
-            nxt = self._class_next.item(cls, tok)
-            if nxt < 0:
+            nxt = self._class_next.item(cls, tok)  # known only to a row that just joined
+            if nxt < 0:  # a (class, token) never seen: intern the context it leads to
                 qid, hist = self._kept[cls]
                 nxt = self.row((qid, (hist + (tok,))[self._keep]))
                 self._class_next[cls, tok] = nxt
                 self._next[self._class == cls, tok] = nxt
                 if not self._class.item(nxt):
                     self._join(nxt)
-            else:  # a row of a class new to it
-                self._next[row, tok] = nxt
         return nxt
 
 

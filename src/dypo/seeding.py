@@ -107,9 +107,9 @@ def step_substreams(seed: int, names: Sequence[str], start: int,
     The seeds of up to ``_CHUNK`` steps come from one ``_pcg64_seeds``
     derivation, and each step sets their states on the same generators, one
     per name: a step's generators are spent once the next step's are asked
-    for. Per stream and step that is ~3 µs against ~9 µs for a ``substream``
-    build (``timeit``, 2-vCPU Xeon). A seed outside [0, 2**64) is a
-    ``ConfigError``, as for ``substream``."""
+    for. Over 500 steps that is 2.7 µs a stream and step, against 13.6 µs
+    for a ``substream`` build (``timeit``, 2-vCPU Xeon). A seed outside
+    [0, 2**64) is a ``ConfigError``, as for ``substream``."""
     prefix = np.array([_words(seed, (name,)) for name in names], np.uint32)
     streams = [Generator(PCG64(0)) for _ in names]
     bits = [stream.bit_generator for stream in streams]
