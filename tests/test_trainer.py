@@ -280,8 +280,9 @@ def test_seed_one_train_wide_artifacts_are_pinned(tmp_path):
 @pytest.mark.parametrize("entry", ["substream", "step_substreams", "make_instance",
                                    "grad_check_suite"])
 def test_a_seed_outside_the_uint64_range_is_a_config_error_at_every_entry_point(entry, seed):
-    # each once read a seed modulo 2**64: make_instance(2**64 + 1, 0) built
-    # seed 1's instance and grad_check_suite(seed=2**64 + 1) certified seed 1's
+    # substream once read a seed modulo 2**64, and so did what is built on it:
+    # make_instance(2**64 + 1, 0) built seed 1's instance and
+    # grad_check_suite(seed=2**64 + 1) certified seed 1's
     calls = {"substream": lambda: substream(seed, "gradcheck", 0),
              "step_substreams": lambda: next(step_substreams(seed, ("rollout",), 0, 1)),
              "make_instance": lambda: make_instance(seed, 0),
